@@ -19,7 +19,7 @@ from .pdi import PdiParams, build_node_graph, compute_pdi
 from .planner import KEEP, LEFT, RIGHT, QuinticProfile
 from .riskfield import RiskFieldParams, risk_at_point
 from .traffic import IdmParams, idm_acceleration
-from .world import compute_ttc, lead_vehicle
+from .world import VehicleState
 
 LATERAL_ACTIONS = (KEEP, LEFT, RIGHT)
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
@@ -446,8 +446,6 @@ def evaluate_joint_action(partition: CoalitionPartition, scene: GameScene,
 
 def _predicted_pdi(prediction: Prediction, scene: GameScene,
                    pdi_params: PdiParams | None):
-    from .world import VehicleState  # local import to avoid cycle at module load
-
     plat = []
     for i, trk in enumerate(prediction.platoon_tracks):
         x, y, v = trk[-1]
@@ -499,24 +497,6 @@ def solve_tu_game(partition: CoalitionPartition, scene: GameScene, phase: str,
     return GameDecision(joint_action=joint, value=total, breakdown=breakdown,
                         pdi_value=pdi_value, candidates=len(pruned),
                         pruned_out=len(feasible) - len(pruned))
-
-
-def solve_brute_force(partition: CoalitionPartition, scene: GameScene, phase: str,
-                      w: config.GameConfig | None = None,
-                      risk_params: RiskFieldParams | None = None,
-                      use_pdi: bool = False,
-                      pdi_params: PdiParams | None = None) -> GameDecision:
-    """Unpruned exhaustive search over every feasible joint action (oracle)."""
-    feasible = feasible_joint_actions(partition, scene)
-    best = None
-    for joint in sorted(feasible, key=_tie_break_key):
-        total, breakdown, pdi_value = evaluate_joint_action(
-            partition, scene, joint, phase, w, risk_params, use_pdi, pdi_params)
-        if best is None or total > best[0] + 1e-12:
-            best = (total, joint, breakdown, pdi_value)
-    total, joint, breakdown, pdi_value = best
-    return GameDecision(joint_action=joint, value=total, breakdown=breakdown,
-                        pdi_value=pdi_value, candidates=len(feasible), pruned_out=0)
 
 
 # --- phase machine ----------------------------------------------------------------

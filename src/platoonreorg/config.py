@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 # --- simulation clock -------------------------------------------------------
@@ -161,37 +160,6 @@ class Defaults:
 
 
 DEFAULTS = Defaults()
-
-CONFIG_ENV_VAR = "PLATOONREORG_CONFIG"
-
-
-def to_dict(cfg) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def load_overrides(path: str | None = None) -> dict:
-    """Read a JSON config-override file; env var names the default path."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def merged_defaults(overrides: dict | None = None) -> Defaults:
-    """Apply a nested {section: {key: value}} override dict onto DEFAULTS."""
-    if not overrides:
-        return DEFAULTS
-    sections = {}
-    for name in ("risk", "pdi", "reward", "game", "planner", "control", "ppo"):
-        base = getattr(DEFAULTS, name)
-        patch = overrides.get(name, {})
-        unknown = set(patch) - {f.name for f in dataclasses.fields(base)}
-        if unknown:
-            raise KeyError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-        sections[name] = dataclasses.replace(base, **patch)
-    return Defaults(**sections)
 
 
 def config_hash(obj) -> str:

@@ -8,7 +8,6 @@ decisions staggered in between, physics every frame.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,12 +19,9 @@ from .distribution import (
     EpisodeStats,
     HeuristicDistributionPolicy,
     Observer,
-    PlatoonConfigAction,
-    compute_reward,
     enumerate_configurations,
 )
 from .coalition import (
-    MERGING,
     SPLITTING,
     STEADY,
     GamePhaseMachine,
@@ -34,7 +30,7 @@ from .coalition import (
     formation_intact,
     solve_tu_game,
 )
-from .planner import KEEP, LEFT, RIGHT, generate_lattice, select_trajectory
+from .planner import KEEP, LEFT, generate_lattice, select_trajectory
 from .riskfield import RiskFieldParams, risk_reward
 from .traffic import HdvDriver, LaneContext, Neighbor, idm_acceleration, mobil_decide
 from .world import (
@@ -219,10 +215,7 @@ class ManeuverQueue:
             if not (0 <= target < world.road.lane_count):
                 continue
             others = [v for v in world.all_states() if v.id != state.id]
-            try:
-                cands = generate_lattice(state, direction, world.road)
-            except Exception:
-                continue
+            cands = generate_lattice(state, direction, world.road)
             traj = select_trajectory(cands, state, others, world.road)
             member.executor.start_trajectory(traj, t)
             state.target_lane = traj.target_lane
@@ -585,9 +578,3 @@ def _platoon_collision(platoon, background) -> bool:
             if check_collision(a, b):
                 return True
     return False
-
-
-def write_audit_log(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")

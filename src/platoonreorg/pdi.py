@@ -4,9 +4,15 @@ The road is reduced to nodes (one per vehicle/obstacle, free filler nodes
 tiled between them), edges connect adjacent nodes, and each edge carries an
 equivalence distance: normalized Euclidean length plus a lane-change
 penalty.  The index is the equivalent length of the cheapest path from the
-platoon's first vehicle to its last, solved as a 0-1 shortest-path integer
-program; ``dijkstra_oracle`` answers the same question with label-setting
-search and exists purely to cross-check the IP solver.
+platoon's first vehicle to its last.
+
+The paper states this as a 0-1 integer program over directed arc variables
+(unit flow out of the start, into the end, conserved elsewhere).  Its
+constraint matrix is a node-arc incidence matrix, which is totally
+unimodular, so the LP relaxation already has an integral optimum that is a
+shortest path; with nonnegative weights Dijkstra's search finds the same
+optimum, and ``compute_pdi`` uses it.  ``tests/test_pdi.py`` keeps the
+program as a single-LP oracle and checks integrality and equal optima.
 """
 
 from __future__ import annotations
@@ -14,9 +20,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.optimize import linprog
 
 from . import config
 
@@ -40,7 +43,6 @@ class PdiParams:
     d_node_min: float = config.DEFAULTS.pdi.d_node_min
     d_node_max: float = config.DEFAULTS.pdi.d_node_max
     node_spacing: float = config.DEFAULTS.pdi.node_spacing
-    infeasible_factor: float = config.DEFAULTS.pdi.infeasible_factor
 
     def __post_init__(self):
         if self.k_lane <= 0 or self.d_norm <= 0:
@@ -194,21 +196,22 @@ class PdiResult:
     path: list = field(default_factory=list)   # node ids start..end
 
 
-def infeasible_sentinel(graph: RoadNodeGraph,
-                        factor: float = config.DEFAULTS.pdi.infeasible_factor) -> float:
+def infeasible_sentinel(graph: RoadNodeGraph) -> float:
+    """Finite stand-in for an unreachable end: a fixed multiple of the summed
+    edge weights, so it exceeds the value of every start-to-end path."""
     total = sum(w for _, _, w in graph.edges)
-    return factor * max(total, 1.0)
+    return config.DEFAULTS.pdi.infeasible_factor * max(total, 1.0)
 
 
-def _path_value(graph: RoadNodeGraph, path, weights) -> float:
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        total += weights[(a, b)]
-    return total
+def compute_pdi(graph: RoadNodeGraph) -> PdiResult:
+    """Equivalent length of the cheapest start-to-end path, by label-setting
+    (Dijkstra) search over the undirected, nonnegatively weighted edges.
 
-
-def dijkstra_oracle(graph: RoadNodeGraph) -> PdiResult:
-    """Label-setting shortest path on the same graph; verification oracle."""
+    Blocked nodes carry no edges, so they are never on a path.  An
+    unreachable end yields the infeasible sentinel so game-layer callers keep
+    a finite comparable value.  The path value is summed from the start in
+    traversal order.
+    """
     if graph.start == graph.end:
         return PdiResult(value=0.0, path=[graph.start])
     adj = {}
@@ -239,166 +242,3 @@ def dijkstra_oracle(graph: RoadNodeGraph) -> PdiResult:
         path.append(prev[path[-1]])
     path.reverse()
     return PdiResult(value=dist[graph.end], path=path)
-
-
-def _lp_relaxation(costs, a_eq, b_eq, fixed):
-    bounds = []
-    for k in range(len(costs)):
-        lo, hi = 0.0, 1.0
-        if k in fixed:
-            lo = hi = float(fixed[k])
-        bounds.append((lo, hi))
-    res = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    return res
-
-
-def compute_pdi(graph: RoadNodeGraph, factor: float | None = None) -> PdiResult:
-    """Equivalent length of the cheapest start-to-end path, via a 0-1 integer
-    program over directed edge variables with branch-and-bound on the LP
-    relaxation.
-
-    Unit flow leaves the start and enters the end; interior nodes conserve
-    flow; blocked nodes carry no edges.  An unreachable end yields the
-    infeasible sentinel so game-layer callers keep a finite comparable value.
-    """
-    if graph.start == graph.end:
-        return PdiResult(value=0.0, path=[graph.start])
-
-    arcs = []
-    costs = []
-    weights = {}
-    for i, j, w in graph.edges:
-        weights[(i, j)] = w
-        weights[(j, i)] = w
-        arcs.append((i, j))
-        costs.append(w)
-        arcs.append((j, i))
-        costs.append(w)
-    sentinel = infeasible_sentinel(graph) if factor is None else factor
-    if not arcs:
-        return PdiResult(value=sentinel, infeasible=True)
-
-    n_arcs = len(arcs)
-    out_of = {}
-    in_to = {}
-    for k, (i, j) in enumerate(arcs):
-        out_of.setdefault(i, []).append(k)
-        in_to.setdefault(j, []).append(k)
-
-    rows = []
-    rhs = []
-
-    def add_row(arc_idx, value):
-        row = np.zeros(n_arcs)
-        row[arc_idx] = 1.0
-        rows.append(row)
-        rhs.append(value)
-
-    add_row(out_of.get(graph.start, []), 1.0)   # unit flow out of the start
-    add_row(in_to.get(graph.start, []), 0.0)    # nothing returns to the start
-    add_row(in_to.get(graph.end, []), 1.0)      # unit flow into the end
-    add_row(out_of.get(graph.end, []), 0.0)     # nothing leaves the end
-    for node in graph.nodes:
-        nid = node.id
-        if nid in (graph.start, graph.end):
-            continue
-        ins = in_to.get(nid, [])
-        outs = out_of.get(nid, [])
-        if not ins and not outs:
-            continue
-        row = np.zeros(n_arcs)
-        row[ins] = 1.0
-        row[outs] -= 1.0
-        rows.append(row)
-        rhs.append(0.0)
-
-    a_eq = np.vstack(rows)
-    b_eq = np.array(rhs)
-    c = np.array(costs)
-
-    best_value = math.inf
-    best_x = None
-    stack = [dict()]
-    expansions = 0
-    while stack:
-        fixed = stack.pop()
-        expansions += 1
-        if expansions > 2000:
-            raise PdiError("branch-and-bound expansion budget exceeded")
-        res = _lp_relaxation(c, a_eq, b_eq, fixed)
-        if res.status != 0:
-            continue
-        if res.fun >= best_value - 1e-12:
-            continue
-        x = res.x
-        frac = np.abs(x - np.round(x))
-        worst = int(np.argmax(frac))
-        if frac[worst] <= 1e-6:
-            if res.fun < best_value:
-                best_value = res.fun
-                best_x = np.round(x)
-            continue
-        for v in (0, 1):
-            child = dict(fixed)
-            child[worst] = v
-            stack.append(child)
-
-    if best_x is None:
-        return PdiResult(value=sentinel, infeasible=True)
-
-    # walk the chosen arcs from the start so the float summation order
-    # matches a path traversal
-    succ = {}
-    for k, (i, j) in enumerate(arcs):
-        if best_x[k] > 0.5:
-            succ[i] = j
-    path = [graph.start]
-    guard = 0
-    while path[-1] != graph.end:
-        nxt = succ.get(path[-1])
-        if nxt is None or guard > len(arcs):
-            return PdiResult(value=float(best_value), infeasible=False, path=[])
-        path.append(nxt)
-        guard += 1
-    return PdiResult(value=_path_value(graph, path, weights), path=path)
-
-
-def random_node_graph(rng, lane_count: int | None = None, n_nodes: int | None = None,
-                      blocked_frac: float | None = None,
-                      p: PdiParams | None = None) -> RoadNodeGraph:
-    """Synthetic graph for solver cross-checks: 2-4 lanes, nodes at random
-    legal spacings, a random share of blocked nodes, start/end on free nodes."""
-    p = p or PdiParams()
-    lane_count = lane_count if lane_count is not None else int(rng.integers(2, 5))
-    n_nodes = n_nodes if n_nodes is not None else int(rng.integers(5, 41))
-    blocked_frac = blocked_frac if blocked_frac is not None else float(rng.uniform(0.0, 0.3))
-
-    nodes = []
-    lane_x = {lane: float(rng.uniform(0.0, 10.0)) for lane in range(lane_count)}
-    for _ in range(n_nodes):
-        lane = int(rng.integers(0, lane_count))
-        lane_x[lane] += float(rng.uniform(p.d_node_min, p.d_node_max - 1e-6))
-        nodes.append(RoadNode(id=len(nodes), lane=lane, x=lane_x[lane],
-                              y=lane * config.LANE_WIDTH, status=FREE))
-    n_blocked = int(blocked_frac * len(nodes))
-    blocked_ids = rng.choice(len(nodes), size=n_blocked, replace=False) if n_blocked else []
-    for nid in blocked_ids:
-        nodes[nid].status = BLOCKED
-    free_ids = [n.id for n in nodes if n.status == FREE]
-    if len(free_ids) < 2:
-        nodes[0].status = FREE
-        nodes[1].status = FREE
-        free_ids = [0, 1]
-    start, end = rng.choice(free_ids, size=2, replace=False)
-    nodes[int(start)].role = START
-    nodes[int(end)].role = END
-
-    edges = []
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            if a.status == BLOCKED or b.status == BLOCKED:
-                continue
-            if adjacent(a, b, p):
-                edges.append((a.id, b.id, equivalence_distance(a, b, p)))
-    return RoadNodeGraph(nodes=nodes, edges=edges, node_spacing=p.node_spacing,
-                         start=int(start), end=int(end))

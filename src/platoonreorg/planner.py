@@ -136,11 +136,18 @@ class TrajectoryCandidate:
 
 @dataclass(frozen=True)
 class DynamicsLimits:
+    y_min: float
+    y_max: float
     accel: float = config.ACCEL_LIMIT
     jerk: float = config.JERK_LIMIT
     lat_accel: float = config.LAT_ACCEL_LIMIT
-    y_min: float = -0.5 * config.LANE_WIDTH
-    y_max: float = 2.5 * config.LANE_WIDTH
+
+    @classmethod
+    def for_road(cls, road) -> "DynamicsLimits":
+        """Default limits with the road's lateral extent: the outer edges of
+        lane 0 and of the last lane."""
+        return cls(y_min=-0.5 * road.lane_width,
+                   y_max=(road.lane_count - 0.5) * road.lane_width)
 
 
 def generate_lattice(state, decision: str, road, cfg=None) -> list:
@@ -204,9 +211,8 @@ def emergency_profile(state, road, duration: float = 4.0) -> TrajectoryCandidate
     return cand
 
 
-def check_dynamics(candidate: TrajectoryCandidate, limits: DynamicsLimits | None = None):
+def check_dynamics(candidate: TrajectoryCandidate, limits: DynamicsLimits):
     """(passed, reason) against accel/jerk/lateral-accel/road-extent limits."""
-    limits = limits or DynamicsLimits()
     if not candidate.samples:
         candidate.sample()
     for (t, x, y, vx, vy, ax, ay, jx, jy) in candidate.samples:
@@ -254,6 +260,7 @@ def select_trajectory(candidates, ego, others, road,
     """
     cfg = cfg or config.DEFAULTS.planner
     risk_params = risk_params or RiskFieldParams()
+    limits = limits or DynamicsLimits.for_road(road)
     passing = []
     for cand in candidates:
         ok, _ = check_dynamics(cand, limits)

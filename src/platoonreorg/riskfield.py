@@ -70,25 +70,3 @@ def risk_at_point(x: float, y: float, vehicles, p: RiskFieldParams) -> float:
         if c > value:
             value = c
     return value
-
-
-def risk_grid(vehicles, x_range, y_range, resolution: float,
-              p: RiskFieldParams | None = None):
-    """Sample the field on a regular grid; rows of (x, y, value).
-
-    Emitted for visualization of the scene-wide risk distribution.
-    """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    p = p or RiskFieldParams()
-    x0, x1 = x_range
-    y0, y1 = y_range
-    nx = max(int(math.floor((x1 - x0) / resolution)) + 1, 1)
-    ny = max(int(math.floor((y1 - y0) / resolution)) + 1, 1)
-    rows = []
-    for j in range(ny):
-        y = y0 + j * resolution
-        for i in range(nx):
-            x = x0 + i * resolution
-            rows.append((x, y, risk_at_point(x, y, vehicles, p)))
-    return rows

@@ -5,12 +5,12 @@ style presets, and seeded traffic-flow generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config
-from .world import HDV, RoadMap, VehicleState, lane_gap, lead_vehicle, rear_vehicle
+from .world import HDV, RoadMap, VehicleState
 
 B_EMERGENCY = 9.0  # hardest braking any driver can produce [m/s^2]
 
@@ -54,18 +54,13 @@ def idm_acceleration(v: float, s: float, dv: float, p: IdmParams) -> float:
     """IDM acceleration for speed v, bumper gap s, closing speed dv (= v - v_lead).
 
     Nonpositive gaps mean the follower is already inside its leader; the
-    output is emergency braking (see idm_acceleration_checked for the flag).
+    output is emergency braking.
     """
     if s <= 0.0:
         return -B_EMERGENCY
     a = p.max_accel * (1.0 - (v / p.desired_speed) ** p.exponent
                        - (desired_gap(v, dv, p) / s) ** 2)
     return min(max(a, -B_EMERGENCY), p.max_accel)
-
-
-def idm_acceleration_checked(v: float, s: float, dv: float, p: IdmParams):
-    """(acceleration, gap_was_valid) variant for callers that track the error."""
-    return idm_acceleration(v, s, dv, p), s > 0.0
 
 
 def free_accel(v: float, p: IdmParams) -> float:

@@ -9,7 +9,7 @@ change uses a positive heading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import config
 
@@ -142,11 +142,6 @@ def step_kinematics(state: VehicleState, speed: float, heading: float, dt: float
     return new
 
 
-def lane_gap(follower: VehicleState, leader: VehicleState) -> float:
-    """Bumper-to-bumper longitudinal gap (negative when overlapping)."""
-    return (leader.x - leader.length / 2.0) - (follower.x + follower.length / 2.0)
-
-
 def compute_ttc(follower: VehicleState, leader: VehicleState) -> float:
     """Time-to-collision of follower onto leader along the lane.
 
@@ -188,17 +183,6 @@ def check_collision(a: VehicleState, b: VehicleState) -> bool:
         if max(pa) < min(pb) or max(pb) < min(pa):
             return False
     return True
-
-
-def build_llpf_topology(n: int):
-    """Communication adjacency for an n-vehicle string (vehicle 0 leads).
-
-    Entry [i][j] is 1 when information flows from i to j: the leader reaches
-    everyone, and every vehicle reaches all vehicles behind it.
-    """
-    if n < 2:
-        raise WorldError("topology needs at least 2 vehicles")
-    return [[1 if (i == 0 or i < j) and i != j else 0 for j in range(n)] for i in range(n)]
 
 
 @dataclass

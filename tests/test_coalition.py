@@ -25,7 +25,6 @@ from platoonreorg.coalition import (
     predict_outcome,
     prune_joint_actions,
     safety_profit,
-    solve_brute_force,
     solve_tu_game,
     tracking_profit,
 )
@@ -46,6 +45,23 @@ def hdv(i, x, lane=0, speed=20.0, y=None):
     y = ROAD.lane_center(lane) if y is None else y
     return VehicleState(id=i, kind="HDV", x=x, y=y, speed=speed, lane=lane,
                         target_lane=lane)
+
+
+def brute_force(partition, scene, phase):
+    """Oracle: unpruned argmax over every feasible joint action, as
+    (value, joint action), ties to fewer lane changes, then keep < left <
+    right lexicographically."""
+    order = {KEEP: 0, LEFT: 1, RIGHT: 2}
+
+    def tie_break(joint):
+        return sum(a != KEEP for a in joint), [order[a] for a in joint]
+
+    best = None
+    for joint in sorted(feasible_joint_actions(partition, scene), key=tie_break):
+        total, _, _ = evaluate_joint_action(partition, scene, joint, phase)
+        if best is None or total > best[0] + 1e-12:
+            best = (total, joint)
+    return best
 
 
 def scene_of(platoon, background, cruise=25.0):
@@ -225,8 +241,8 @@ class TestSolve:
         part = form_coalitions(plat, wall)
         decision = solve_tu_game(part, scene, SPLITTING)
         assert decision.joint_action == (LEFT,)
-        oracle = solve_brute_force(part, scene, SPLITTING)
-        assert oracle.value == pytest.approx(decision.value, abs=1e-9)
+        value, _ = brute_force(part, scene, SPLITTING)
+        assert value == pytest.approx(decision.value, abs=1e-9)
 
     def test_tu_consistency(self):
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 78.0)]
@@ -314,10 +330,10 @@ class TestOracleEquivalence:
             scene = random_scene(rng)
             part = form_coalitions(scene.platoon, scene.background)
             solver = solve_tu_game(part, scene, phase)
-            oracle = solve_brute_force(part, scene, phase)
-            assert solver.value == pytest.approx(oracle.value, abs=1e-9)
-            pruned = prune_joint_actions(part, scene)
-            assert oracle.joint_action in pruned
+            value, joint = brute_force(part, scene, phase)
+            assert solver.joint_action == joint
+            assert solver.value == pytest.approx(value, abs=1e-9)
+            assert joint in prune_joint_actions(part, scene)
 
 
 class TestPhaseMachine:

@@ -20,6 +20,7 @@ from platoonreorg.planner import (
 from platoonreorg.world import RoadMap, VehicleState
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
+LIMITS = DynamicsLimits.for_road(ROAD)
 
 
 def cav(vid=0, x=100.0, lane=1, speed=25.0):
@@ -75,7 +76,7 @@ class TestChecker:
         q_lat = QuinticProfile(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 4.0)
         q_lon = QuarticProfile(state.x, 25.0, 0.0, 25.0, 0.0, 4.0)
         cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
-        ok, reason = check_dynamics(cand)
+        ok, reason = check_dynamics(cand, LIMITS)
         assert ok, reason
         # peak lateral accel of a rest-to-rest quintic: ~5.774 * dy / T^2
         peak = max(abs(s[6]) for s in cand.samples)
@@ -86,22 +87,23 @@ class TestChecker:
         q_lat = QuinticProfile(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 1.0)
         q_lon = QuarticProfile(state.x, 35.0, 0.0, 35.0, 0.0, 1.0)
         cand = TrajectoryCandidate(duration=1.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
-        ok, reason = check_dynamics(cand)
+        ok, reason = check_dynamics(cand, LIMITS)
         assert not ok
         assert "lateral" in reason
 
     def test_stationary_keep_passes(self):
         state = cav(speed=0.0)
         cands = generate_lattice(state, KEEP, ROAD)
-        assert any(check_dynamics(c)[0] for c in cands)
+        assert any(check_dynamics(c, LIMITS)[0] for c in cands)
 
     def test_off_road_excursion_fails(self):
         state = cav(lane=2, speed=20.0)
         q_lat = QuinticProfile(state.y, 2.0, 0.0, state.y + 3.0, 0.0, 0.0, 4.0)
         q_lon = QuarticProfile(state.x, 20.0, 0.0, 20.0, 0.0, 4.0)
         cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
-        ok, reason = check_dynamics(cand, DynamicsLimits())
+        ok, reason = check_dynamics(cand, LIMITS)
         assert not ok and "off-road" in reason
+        assert (LIMITS.y_min, LIMITS.y_max) == (-2.0, 10.0)
 
 
 class TestSelection:
@@ -134,10 +136,18 @@ class TestSelection:
         best = select_trajectory(cands, ego, [], ROAD, cfg=cfg)
         assert best.samples[-1][3] == pytest.approx(27.0, abs=1e-6)
 
+    def test_lane_change_into_fourth_lane(self):
+        road = RoadMap(lane_count=4, length=4000.0)
+        ego = cav(lane=2)
+        best = select_trajectory(generate_lattice(ego, LEFT, road), ego, [], road)
+        assert best.lon is not None
+        assert best.target_lane == 3
+        assert best.samples[-1][2] == pytest.approx(road.lane_center(3), abs=1e-9)
+
     def test_fallback_emergency(self):
         ego = cav(speed=25.0)
         best = select_trajectory([], ego, [], ROAD)
-        ok, reason = check_dynamics(best)
+        ok, reason = check_dynamics(best, LIMITS)
         assert ok, reason
         assert best.samples[-1][3] < 25.0  # braking profile
 
@@ -146,7 +156,7 @@ class TestEmergencyProfile:
     def test_within_limits_and_stops(self):
         ego = cav(speed=30.0)
         prof = emergency_profile(ego, ROAD, duration=6.0)
-        ok, reason = check_dynamics(prof)
+        ok, reason = check_dynamics(prof, LIMITS)
         assert ok, reason
         speeds = [s[3] for s in prof.samples]
         assert speeds[-1] < speeds[0]

@@ -7,7 +7,6 @@ from platoonreorg.riskfield import (
     RiskFieldParams,
     risk_at_point,
     risk_contribution,
-    risk_grid,
     risk_reward,
 )
 from platoonreorg.world import VehicleState
@@ -80,12 +79,13 @@ class TestAnisotropy:
 
 class TestGrid:
     def test_empty_scene_zero(self):
-        rows = risk_grid([], (0, 50), (0, 8), 10.0, PARAMS)
-        assert all(r[2] == 0.0 for r in rows)
+        assert all(risk_at_point(x, y, [], PARAMS) == 0.0
+                   for x in range(0, 51, 10) for y in (0.0, 4.0, 8.0))
 
     def test_peak_at_obstacle(self):
         obs = [veh(1, 25.0, 4.0, 30.0)]
-        rows = risk_grid(obs, (0, 50), (0, 8), 1.0, PARAMS)
+        rows = [(x, y, risk_at_point(x, y, obs, PARAMS))
+                for y in range(9) for x in range(51)]
         best = max(rows, key=lambda r: r[2])
         # every cell inside the clamp floor ties at the same max value
         assert math.hypot(best[0] - 25.0, best[1] - 4.0) <= PARAMS.d_min + 1e-9
@@ -99,10 +99,6 @@ class TestGrid:
             v = risk_at_point(r * 0.8, r * 0.6, obs, PARAMS)
             assert v <= last + 1e-15
             last = v
-
-    def test_rejects_bad_resolution(self):
-        with pytest.raises(ValueError):
-            risk_grid([], (0, 10), (0, 10), 0.0, PARAMS)
 
 
 class TestValidation:

@@ -13,7 +13,6 @@ from platoonreorg.traffic import (
     TrafficSpec,
     desired_gap,
     idm_acceleration,
-    idm_acceleration_checked,
     mobil_decide,
     spawn_traffic,
     style_params,
@@ -53,9 +52,8 @@ class TestIdm:
         assert idm_acceleration(20.0, gap, 0.0, IDM) == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_gap_is_emergency(self):
-        a, ok = idm_acceleration_checked(20.0, 0.0, 0.0, IDM)
-        assert a == -B_EMERGENCY
-        assert not ok
+        assert idm_acceleration(20.0, 0.0, 0.0, IDM) == -B_EMERGENCY
+        assert idm_acceleration(20.0, -1.0, 0.0, IDM) == -B_EMERGENCY
 
     @given(v=st.floats(0.0, 40.0), s=st.floats(0.5, 500.0), dv=st.floats(-15.0, 15.0))
     @settings(max_examples=300, deadline=None)

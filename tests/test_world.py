@@ -8,7 +8,6 @@ from platoonreorg.world import (
     SimClock,
     VehicleState,
     WorldError,
-    build_llpf_topology,
     check_collision,
     compute_ttc,
     step_kinematics,
@@ -128,31 +127,6 @@ class TestCollision:
         a = make_vehicle(0, x=0.0, y=0.0)
         b = make_vehicle(1, x=0.0, y=4.0)
         assert not check_collision(a, b)
-
-
-class TestTopology:
-    def test_n3(self):
-        E = build_llpf_topology(3)
-        expected = [[0, 1, 1], [0, 0, 1], [0, 0, 0]]
-        assert E == expected
-
-    def test_n2(self):
-        assert build_llpf_topology(2) == [[0, 1], [0, 0]]
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
-    def test_structure(self, n):
-        E = build_llpf_topology(n)
-        for i in range(n):
-            assert E[i][i] == 0
-            for j in range(n):
-                if i > j:
-                    assert E[i][j] == 0
-        # leader row all ones off-diagonal
-        assert all(E[0][j] == 1 for j in range(1, n))
-
-    def test_rejects_small(self):
-        with pytest.raises(WorldError):
-            build_llpf_topology(1)
 
 
 class TestRoadAndClock:
