@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from . import config
-from .pdi import PdiParams, build_node_graph, compute_pdi
+from .pdi import build_node_graph, compute_pdi
 from .planner import KEEP, LEFT, RIGHT, QuinticProfile
-from .riskfield import RiskFieldParams, risk_at_point
+from .riskfield import risk_at_point
 from .traffic import IdmParams, idm_acceleration
-from .world import VehicleState
+from .world import VehicleState, moving_box, padded_overlap
 
 LATERAL_ACTIONS = (KEEP, LEFT, RIGHT)
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
@@ -52,7 +53,7 @@ class CoalitionPartition:
 def _interleaved_foreign(a, b, background) -> bool:
     lo, hi = min(a.x, b.x), max(a.x, b.x)
     for v in background:
-        if lo < v.x < hi and abs(v.y - a.y) < 2.5:
+        if lo < v.x < hi and abs(v.y - a.y) < config.CORRIDOR_HALF_WIDTH:
             return True
     return False
 
@@ -112,13 +113,21 @@ class GameScene:
     road: object
     platoon: list               # states ordered by platoon index
     background: list
-    cruise_speed: float = 25.0
     idm: IdmParams = field(default_factory=lambda: IdmParams(desired_speed=27.0, time_headway=1.0))
+
+    @cached_property
+    def background_boxes(self):
+        """``padded_overlap`` boxes of the background, shared by every joint action."""
+        return [moving_box(v) for v in self.background]
 
 
 PREDICT_DT = 0.3
 LANE_CHANGE_TIME = 3.0
 STAGGER = 1.0
+# padding of the overlap screens, along and across the road [m]: predicted
+# tracks in the rollout, and the short-horizon poses that prune joint actions
+PREDICT_PAD = (0.5, 0.2)
+PRUNE_PAD = (0.3, 0.2)
 
 
 @dataclass
@@ -127,6 +136,20 @@ class Prediction:
     platoon_tracks: list        # per member: list of (x, y, v)
     background_tracks: list     # per background vehicle: list of (x, y, v)
     collided: list              # per member: True if any predicted overlap
+
+
+def _predicted_leader(x: float, y: float, points, length: float = 0.0):
+    """(gap, point) for the nearest predicted (x, y, v) point strictly ahead
+    of x inside the corridor, with gap = point x - x - length; (inf, None)
+    when the corridor ahead is clear.  Earlier points win equal gaps."""
+    half_width = config.CORRIDOR_HALF_WIDTH
+    gap, lead = math.inf, None
+    for px, py, pv in points:
+        if px > x and abs(py - y) < half_width:
+            g = px - x - length
+            if g < gap:
+                gap, lead = g, (px, py, pv)
+    return gap, lead
 
 
 def predict_outcome(scene: GameScene, partition: CoalitionPartition,
@@ -140,10 +163,10 @@ def predict_outcome(scene: GameScene, partition: CoalitionPartition,
     n_steps = int(round(horizon / PREDICT_DT))
     times = [k * PREDICT_DT for k in range(n_steps + 1)]
 
-    bg_tracks = []
-    for v in scene.background:
-        vx = v.speed * math.cos(v.heading)
-        bg_tracks.append([(v.x + vx * t, v.y, v.speed) for t in times])
+    bg_boxes = scene.background_boxes
+    bg_tracks = [[(bx + bvx * t, by, v.speed) for t in times]
+                 for (bx, by, bvx, _, _), v in zip(bg_boxes, scene.background)]
+    halves = [(v.length / 2.0, v.width / 2.0) for v in scene.platoon]
 
     # lateral plans per member
     lat_plans = []
@@ -168,7 +191,8 @@ def predict_outcome(scene: GameScene, partition: CoalitionPartition,
 
     for k in range(1, n_steps + 1):
         t = times[k]
-        bg_now = [trk[k] for trk in bg_tracks]
+        # leaders come from the platoon's previous poses, then the background
+        now = [trk[-1] for trk in tracks] + [trk[k] for trk in bg_tracks]
         new_xs, new_ys, new_vs = [], [], []
         for i, v in enumerate(scene.platoon):
             plan = lat_plans[i]
@@ -178,20 +202,9 @@ def predict_outcome(scene: GameScene, partition: CoalitionPartition,
                 tau = t - start
                 if tau > 0:
                     y = quintic.pos(min(tau, LANE_CHANGE_TIME))
-            # nearest predicted leader (platoon or background) in the current corridor
-            gap, lead_v = math.inf, 0.0
-            for j in range(len(scene.platoon)):
-                if j != i and abs(ys[j] - ys[i]) < 2.5 and xs[j] > xs[i]:
-                    g = xs[j] - xs[i] - scene.platoon[i].length
-                    if g < gap:
-                        gap, lead_v = g, vs[j]
-            for (bx, by, bv) in bg_now:
-                if abs(by - ys[i]) < 2.5 and bx > xs[i]:
-                    g = bx - xs[i] - scene.platoon[i].length
-                    if g < gap:
-                        gap, lead_v = g, bv
-            if math.isfinite(gap):
-                a = idm_acceleration(vs[i], max(gap, 0.1), vs[i] - lead_v, scene.idm)
+            gap, lead = _predicted_leader(xs[i], ys[i], now, v.length)
+            if lead is not None:
+                a = idm_acceleration(vs[i], max(gap, 0.1), vs[i] - lead[2], scene.idm)
             else:
                 a = idm_acceleration(vs[i], 1e9, 0.0, scene.idm)
             a = min(max(a, -config.ACCEL_LIMIT), config.LQR_ACCEL_MAX)
@@ -200,15 +213,13 @@ def predict_outcome(scene: GameScene, partition: CoalitionPartition,
             new_xs.append(xs[i] + speed * PREDICT_DT)
             new_ys.append(y)
         xs, ys, vs = new_xs, new_ys, new_vs
-        for i, v in enumerate(scene.platoon):
+        plat_boxes = [(x, y, 0.0, hl, hw) for x, y, (hl, hw) in zip(xs, ys, halves)]
+        for i, (hl, hw) in enumerate(halves):
             tracks[i].append((xs[i], ys[i], vs[i]))
-            for (bx, by, bv) in bg_now:
-                if abs(xs[i] - bx) < v.length + 0.5 and abs(ys[i] - by) < v.width + 0.2:
-                    collided[i] = True
-            for j in range(i + 1, len(scene.platoon)):
-                if abs(xs[i] - xs[j]) < v.length + 0.5 and abs(ys[i] - ys[j]) < v.width + 0.2:
-                    collided[i] = True
-                    collided[j] = True
+            mates = plat_boxes[:i] + plat_boxes[i + 1:]
+            if (padded_overlap(xs[i], ys[i], hl, hw, bg_boxes, t, *PREDICT_PAD)
+                    or padded_overlap(xs[i], ys[i], hl, hw, mates, t, *PREDICT_PAD)):
+                collided[i] = True
     return Prediction(times=times, platoon_tracks=tracks,
                       background_tracks=bg_tracks, collided=collided)
 
@@ -217,11 +228,11 @@ def predict_outcome(scene: GameScene, partition: CoalitionPartition,
 
 def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
                   w: config.GameConfig | None = None,
-                  risk_params: RiskFieldParams | None = None) -> float:
+                  risk_params: config.RiskFieldConfig | None = None) -> float:
     """Risk-field value (negative), TTC toward the predicted leader (capped,
     positive), and leader separation (capped, positive)."""
     w = w or config.DEFAULTS.game
-    risk_params = risk_params or RiskFieldParams()
+    risk_params = risk_params or config.DEFAULTS.risk
     x, y, v = prediction.platoon_tracks[member_idx][-1]
 
     others = []
@@ -238,12 +249,7 @@ def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
 
     p_ris = risk_at_point(x, y, [_P(*o) for o in others], risk_params)
 
-    lead = None
-    best = math.inf
-    for (ox, oy, ov) in others:
-        if ox > x and abs(oy - y) < 2.5 and ox - x < best:
-            best = ox - x
-            lead = (ox, oy, ov)
+    best, lead = _predicted_leader(x, y, others)
     if lead is None:
         tau = w.ttc_cap
         sep_sq = w.dist_cap ** 2
@@ -318,7 +324,7 @@ def _window_lanes(coalition, prediction: Prediction, scene: GameScene,
 
 def coalition_value(coalition, prediction: Prediction, scene: GameScene,
                     phase: str, w: config.GameConfig | None = None,
-                    risk_params: RiskFieldParams | None = None,
+                    risk_params: config.RiskFieldConfig | None = None,
                     pdi_value: float | None = None,
                     includes_platoon_leader: bool = False,
                     lane_change_members: int = 0) -> float:
@@ -373,8 +379,7 @@ def _pose_overlap_at(partition: CoalitionPartition, scene: GameScene,
         c = partition.coalition_of(idx)
         action = joint_action[c]
         rank = partition.coalitions[c].index(idx)
-        x = v.x + v.speed * math.cos(v.heading) * dt
-        y = v.y
+        x, y, vx, hl, hw = moving_box(v)
         if action != KEEP:
             tau = dt - rank * STAGGER
             frac = min(max(tau / LANE_CHANGE_TIME, 0.0), 1.0)
@@ -382,13 +387,11 @@ def _pose_overlap_at(partition: CoalitionPartition, scene: GameScene,
             y_target = scene.road.lane_center(v.lane + direction)
             quintic_frac = frac ** 3 * (10 - 15 * frac + 6 * frac * frac)
             y = v.y + (y_target - v.y) * quintic_frac
-        poses.append((x, y, v.length, v.width))
-    others = [(o.x + o.speed * math.cos(o.heading) * dt, o.y, o.length, o.width)
-              for o in scene.background]
-    for i, (x, y, ln, wd) in enumerate(poses):
-        for (ox, oy, oln, owd) in poses[i + 1:] + others:
-            if abs(x - ox) < (ln + oln) / 2 + 0.3 and abs(y - oy) < (wd + owd) / 2 + 0.2:
-                return True
+        poses.append((x, y, vx, hl, hw))
+    for i, (x, y, vx, hl, hw) in enumerate(poses):
+        others = poses[i + 1:] + scene.background_boxes
+        if padded_overlap(x + vx * dt, y, hl, hw, others, dt, *PRUNE_PAD):
+            return True
     return False
 
 
@@ -422,9 +425,9 @@ def _tie_break_key(joint_action):
 def evaluate_joint_action(partition: CoalitionPartition, scene: GameScene,
                           joint_action, phase: str,
                           w: config.GameConfig | None = None,
-                          risk_params: RiskFieldParams | None = None,
+                          risk_params: config.RiskFieldConfig | None = None,
                           use_pdi: bool = False,
-                          pdi_params: PdiParams | None = None):
+                          pdi_params: config.PdiConfig | None = None):
     """(total value, per-coalition breakdown) for one joint action."""
     w = w or config.DEFAULTS.game
     prediction = predict_outcome(scene, partition, joint_action, w.horizon)
@@ -445,21 +448,18 @@ def evaluate_joint_action(partition: CoalitionPartition, scene: GameScene,
 
 
 def _predicted_pdi(prediction: Prediction, scene: GameScene,
-                   pdi_params: PdiParams | None):
+                   pdi_params: config.PdiConfig | None):
     plat = []
     for i, trk in enumerate(prediction.platoon_tracks):
         x, y, v = trk[-1]
         x = min(max(x, 0.0), scene.road.length)
         plat.append(VehicleState(id=i, kind="CAV", x=x, y=y, speed=max(v, 0.0),
-                                 lane=scene.road.lane_of(y),
-                                 target_lane=scene.road.lane_of(y)))
+                                 lane=scene.road.lane_of(y)))
     bg = []
     for j, trk in enumerate(prediction.background_tracks):
         x, y, v = trk[-1]
         if 0.0 <= x <= scene.road.length:
-            bg.append(VehicleState(id=1000 + j, kind="HDV", x=x, y=y,
-                                   speed=max(v, 0.0), lane=scene.road.lane_of(y),
-                                   target_lane=scene.road.lane_of(y)))
+            bg.append(VehicleState(id=1000 + j, kind="HDV", x=x, y=y, speed=max(v, 0.0)))
     graph = build_node_graph(scene.road, plat, bg, pdi_params)
     return compute_pdi(graph).value
 
@@ -476,9 +476,9 @@ class GameDecision:
 
 def solve_tu_game(partition: CoalitionPartition, scene: GameScene, phase: str,
                   w: config.GameConfig | None = None,
-                  risk_params: RiskFieldParams | None = None,
+                  risk_params: config.RiskFieldConfig | None = None,
                   use_pdi: bool = False,
-                  pdi_params: PdiParams | None = None) -> GameDecision:
+                  pdi_params: config.PdiConfig | None = None) -> GameDecision:
     """Exhaustive argmax over the pruned joint-action space.
 
     Deterministic tie-break: fewer lane changes first, then keep < left <

@@ -2,6 +2,8 @@
 
 Every tunable that is not pinned by the problem statement lives here so that
 experiment logs can record the exact parameter set (see ``config_hash``).
+Each concept has exactly one validated defaults class below; modules take
+that class as their parameter type and fall back to its ``DEFAULTS`` entry.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ LANE_WIDTH = 4.0              # lane centers at lane_index * LANE_WIDTH [m]
 VEHICLE_LENGTH = 5.0
 VEHICLE_WIDTH = 2.0
 SPEED_LIMIT = 33.3            # desk-scale highway limit [m/s]
+CORRIDOR_HALF_WIDTH = 2.5     # |dy| below which a vehicle shares ego's corridor [m]
 
 # --- platoon formation -------------------------------------------------------
 D_TARGET = 10.0               # rear-axle-to-rear-axle follow distance [m]
@@ -51,6 +54,14 @@ class RiskFieldConfig:
     v_max: float = 40.0        # normalization speed [m/s]
     lateral_scale: float = 3.0  # elliptic scaling of lateral offsets
 
+    def __post_init__(self):
+        vals = (self.grm, self.k1, self.k2, self.d_min, self.d_support, self.v_max)
+        if any(v <= 0 for v in vals):
+            raise ValueError("risk-field parameters must be positive")
+        if self.grm / self.d_support ** self.k1 < 1.0:
+            # base < 1 would flip the speed monotonicity on the support edge
+            raise ValueError("need grm / d^k1 >= 1 for all d <= d_support")
+
 
 @dataclass(frozen=True)
 class PdiConfig:
@@ -62,6 +73,12 @@ class PdiConfig:
     d_node_max: float = 20.0
     node_spacing: float = 15.0  # preferred free-node tiling spacing
     infeasible_factor: float = 10.0  # sentinel = factor * summed-ED upper bound
+
+    def __post_init__(self):
+        if self.k_lane <= 0 or self.d_norm <= 0:
+            raise ValueError("k_lane and d_norm must be positive")
+        if not (self.d_node_min <= self.node_spacing < self.d_node_max):
+            raise ValueError("node spacing must lie in [d_node_min, d_node_max)")
 
 
 @dataclass(frozen=True)
@@ -129,6 +146,12 @@ class ControlConfig:
     pid_ki: float = 0.01
     pid_kd: float = 0.8
 
+    def __post_init__(self):
+        if self.lqr_q_gap < 0 or self.lqr_q_speed < 0 or self.lqr_r <= 0:
+            raise ValueError("Q must be PSD and R positive")
+        if min(self.pid_kp, self.pid_ki, self.pid_kd) < 0:
+            raise ValueError("PID gains must be nonnegative")
+
 
 @dataclass(frozen=True)
 class PpoConfig:
@@ -137,15 +160,12 @@ class PpoConfig:
     learning_rate: float = 3e-4
     gamma: float = 0.85
     batch_size: int = 64
-    rollout_steps: int = 128    # forward steps per update
     clip_epsilon: float = 0.2
     value_coef: float = 0.5
     entropy_coef: float = 0.0
     gae_lambda: float = 0.95
     epochs: int = 4
     hidden_size: int = 256
-    total_steps: int = 1_000_000
-    desk_steps: int = 50_000
 
 
 @dataclass(frozen=True)

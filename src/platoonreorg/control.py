@@ -15,31 +15,15 @@ class ControlError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ControllerGains:
-    q_gap: float = config.DEFAULTS.control.lqr_q_gap
-    q_speed: float = config.DEFAULTS.control.lqr_q_speed
-    r: float = config.DEFAULTS.control.lqr_r
-    kp: float = config.DEFAULTS.control.pid_kp
-    ki: float = config.DEFAULTS.control.pid_ki
-    kd: float = config.DEFAULTS.control.pid_kd
-
-    def __post_init__(self):
-        if self.q_gap < 0 or self.q_speed < 0 or self.r <= 0:
-            raise ControlError("Q must be PSD and R positive")
-        if min(self.kp, self.ki, self.kd) < 0:
-            raise ControlError("PID gains must be nonnegative")
-
-
-def solve_lqr_gain(gains: ControllerGains, dt: float = config.DT):
+def solve_lqr_gain(gains: config.ControlConfig, dt: float = config.DT):
     """Discrete Riccati iteration for the double-integrator error model.
 
     State is [position error, speed error]; the input is ego acceleration.
     """
     A = np.array([[1.0, dt], [0.0, 1.0]])
     B = np.array([[0.5 * dt * dt], [dt]])
-    Q = np.diag([gains.q_gap, gains.q_speed])
-    R = np.array([[gains.r]])
+    Q = np.diag([gains.lqr_q_gap, gains.lqr_q_speed])
+    R = np.array([[gains.lqr_r]])
     P = Q.copy()
     for _ in range(20000):
         BtP = B.T @ P
@@ -69,14 +53,14 @@ class PidState:
 
 
 def pid_steering(lateral_err: float, heading: float, pid: PidState,
-                 gains: ControllerGains, dt: float = config.DT,
+                 gains: config.ControlConfig, dt: float = config.DT,
                  heading_ref: float = 0.0,
                  rate_limit: float = config.STEER_RATE_LIMIT) -> float:
     """Heading-rate command from lateral error with heading damping."""
     pid.integral += lateral_err * dt
     pid.integral = min(max(pid.integral, -pid.integral_limit), pid.integral_limit)
-    rate = (gains.kp * lateral_err + gains.ki * pid.integral
-            - gains.kd * (heading - heading_ref))
+    rate = (gains.pid_kp * lateral_err + gains.pid_ki * pid.integral
+            - gains.pid_kd * (heading - heading_ref))
     return min(max(rate, -rate_limit), rate_limit)
 
 
@@ -88,7 +72,7 @@ TRACK = "track"
 class CavExecutor:
     """Per-CAV execution state: either gap-following or trajectory tracking."""
 
-    gains: ControllerGains = field(default_factory=ControllerGains)
+    gains: config.ControlConfig = config.DEFAULTS.control
     K: tuple = None
     pid: PidState = field(default_factory=PidState)
     mode: str = FOLLOW
@@ -99,7 +83,7 @@ class CavExecutor:
 
     def __post_init__(self):
         if self.K is None:
-            self.K = tuple(solve_lqr_gain(self.gains))
+            self.K = tuple(solve_lqr_gain(self.gains).tolist())
 
     def start_trajectory(self, traj: TrajectoryCandidate, t_now: float):
         self.trajectory = traj

@@ -5,12 +5,12 @@ observations, reward shaping, and the rule-based fallback policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import config
-from .riskfield import RiskFieldParams, risk_reward
+from .riskfield import risk_reward
 from .world import compute_ttc, lead_vehicle
 
 
@@ -181,7 +181,7 @@ def compute_reward(platoon_prev, platoon_next, background_next,
                    triggered: bool, completed_duration,
                    collision: bool, v_max: float,
                    w: config.RewardConfig | None = None,
-                   risk_params: RiskFieldParams | None = None):
+                   risk_params: config.RiskFieldConfig | None = None):
     """Platoon-layer step reward with per-component breakdown.
 
     Safety couples the collision flag with the risk-field penalty; tracking
@@ -189,7 +189,7 @@ def compute_reward(platoon_prev, platoon_next, background_next,
     trigger incentive pays out only on decisions that start a split.
     """
     w = w or config.DEFAULTS.reward
-    risk_params = risk_params or RiskFieldParams(v_max=max(v_max, 1.0))
+    risk_params = risk_params or replace(config.DEFAULTS.risk, v_max=max(v_max, 1.0))
     n = len(platoon_next)
 
     r_col = 0.0 if collision else 1.0

@@ -9,7 +9,7 @@ decisions staggered in between, physics every frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .coalition import (
     solve_tu_game,
 )
 from .planner import KEEP, LEFT, generate_lattice, select_trajectory
-from .riskfield import RiskFieldParams, risk_reward
+from .riskfield import risk_reward
 from .traffic import HdvDriver, LaneContext, Neighbor, idm_acceleration, mobil_decide
 from .world import (
     CAV,
@@ -131,10 +131,11 @@ class PolicyStack:
 # --- shared platoon-side helpers -------------------------------------------------
 
 def platoon_lead_info(world: World):
-    """(tau0, max member risk, index of the most at-risk member)."""
+    """(leader TTC, lowest member TTC, max member risk, index of the most
+    at-risk member)."""
     states = world.platoon_states()
     background = world.hdv_states()
-    risk_params = RiskFieldParams(v_max=max(world.road.speed_limit, 1.0))
+    risk_params = replace(config.DEFAULTS.risk, v_max=max(world.road.speed_limit, 1.0))
     worst_risk = 0.0
     worst_idx = 0
     for i, v in enumerate(states):
@@ -142,19 +143,16 @@ def platoon_lead_info(world: World):
         if r > worst_risk:
             worst_risk = r
             worst_idx = i
-    leader = states[0]
-    ahead = lead_vehicle(leader, background)
-    tau0 = compute_ttc(leader, ahead) if ahead is not None else math.inf
+    taus = []
+    for v in states:
+        ahead = lead_vehicle(v, background)
+        taus.append(compute_ttc(v, ahead) if ahead is not None else math.inf)
     # a member with a foreign vehicle close ahead takes at-risk priority
-    best_tau = tau0
-    for i, v in enumerate(states):
-        ahead_i = lead_vehicle(v, background)
-        if ahead_i is not None:
-            tau_i = compute_ttc(v, ahead_i)
-            if tau_i < best_tau:
-                best_tau = tau_i
-                worst_idx = i
-    return tau0, best_tau, worst_risk, worst_idx
+    best_tau = taus[0]
+    for i, tau in enumerate(taus):
+        if tau < best_tau:
+            best_tau, worst_idx = tau, i
+    return taus[0], best_tau, worst_risk, worst_idx
 
 
 def resolve_follow_target(member: PlatoonMember, world: World):
@@ -278,8 +276,7 @@ class GrdfPolicy(PolicyStack):
         phase = self.machine.update(self.config_action.single_group, intact)
         partition = form_coalitions(states, background,
                                     target_groups=self.config_action.partition)
-        scene = GameScene(road=world.road, platoon=states, background=background,
-                          cruise_speed=world.cruise_speed)
+        scene = GameScene(road=world.road, platoon=states, background=background)
         game_phase = phase if phase != STEADY else SPLITTING
         decision = solve_tu_game(partition, scene, game_phase,
                                  w=self.game_weights, use_pdi=self.use_pdi)
@@ -310,7 +307,7 @@ def _neighbor_context(driver: HdvDriver, lane: int, world: World):
     state = driver.state
     probe = state.copy()
     probe.y = world.road.lane_center(lane)
-    others = [v for v in world.all_states() if v.id != state.id]
+    others = world.all_states()  # the corridor scans skip the driver's own id
     leader = lead_vehicle(probe, others)
     follower = rear_vehicle(probe, others)
     lead_n = None
@@ -334,21 +331,10 @@ def _neighbor_context(driver: HdvDriver, lane: int, world: World):
 
 def _gap_acceptance(driver: HdvDriver, lane: int, world: World,
                     lead_margin: float, follow_margin: float) -> bool:
-    state = driver.state
-    probe = state.copy()
-    probe.y = world.road.lane_center(lane)
-    others = [v for v in world.all_states() if v.id != state.id]
-    leader = lead_vehicle(probe, others)
-    follower = rear_vehicle(probe, others)
-    if leader is not None:
-        gap = leader.x - state.x - 0.5 * (leader.length + state.length)
-        if gap < lead_margin:
-            return False
-    if follower is not None:
-        gap = state.x - follower.x - 0.5 * (follower.length + state.length)
-        if gap < follow_margin:
-            return False
-    return True
+    """Bare gap acceptance; the 0.01 m gap clamp is below every margin used."""
+    ctx = _neighbor_context(driver, lane, world)
+    return ((ctx.leader is None or ctx.leader.gap >= lead_margin)
+            and (ctx.follower is None or ctx.follower.gap >= follow_margin))
 
 
 def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
@@ -399,8 +385,7 @@ def hdv_accel(driver: HdvDriver, world: World) -> float:
     if driver.scripted_accel is not None:
         return driver.scripted_accel
     state = driver.state
-    others = [v for v in world.all_states() if v.id != state.id]
-    leader = lead_vehicle(state, others)
+    leader = lead_vehicle(state, world.all_states())
     if leader is None:
         return idm_acceleration(state.speed, 1e9, 0.0, driver.idm)
     gap = leader.x - state.x - 0.5 * (leader.length + state.length)
@@ -552,8 +537,6 @@ def run_episode(world: World, policy: PolicyStack, seed: int,
 
 
 def _apply_scripted(world: World, t: float):
-    import dataclasses
-
     ev = world.scripted
     for driver in world.hdvs:
         if driver.state.id != ev.vehicle_id:
@@ -561,8 +544,7 @@ def _apply_scripted(world: World, t: float):
         if ev.t_start <= t < ev.t_start + ev.duration:
             if driver.scripted_accel is None:
                 # drop the desired speed for the post-event cruise as well
-                driver.idm = dataclasses.replace(driver.idm,
-                                                 desired_speed=max(ev.cruise_after, 0.1))
+                driver.idm = replace(driver.idm, desired_speed=max(ev.cruise_after, 0.1))
             driver.scripted_accel = ev.decel
         elif driver.scripted_accel is not None and t >= ev.t_start + ev.duration:
             driver.scripted_accel = None

@@ -36,21 +36,6 @@ class PdiError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PdiParams:
-    k_lane: float = config.DEFAULTS.pdi.k_lane
-    d_norm: float = config.DEFAULTS.pdi.d_norm
-    d_node_min: float = config.DEFAULTS.pdi.d_node_min
-    d_node_max: float = config.DEFAULTS.pdi.d_node_max
-    node_spacing: float = config.DEFAULTS.pdi.node_spacing
-
-    def __post_init__(self):
-        if self.k_lane <= 0 or self.d_norm <= 0:
-            raise PdiError("k_lane and d_norm must be positive")
-        if not (self.d_node_min <= self.node_spacing < self.d_node_max):
-            raise PdiError("node spacing must lie in [d_node_min, d_node_max)")
-
-
 @dataclass
 class RoadNode:
     id: int
@@ -73,7 +58,7 @@ class RoadNodeGraph:
         return self.nodes[nid]
 
 
-def adjacent(a: RoadNode, b: RoadNode, p: PdiParams) -> bool:
+def adjacent(a: RoadNode, b: RoadNode, p: config.PdiConfig) -> bool:
     """Definition of node adjacency: same lane within the max spacing, or
     laterally neighboring lanes within the max spacing."""
     dx = abs(a.x - b.x)
@@ -82,7 +67,7 @@ def adjacent(a: RoadNode, b: RoadNode, p: PdiParams) -> bool:
     return abs(a.lane - b.lane) == 1 and dx < p.d_node_max
 
 
-def equivalence_distance(a: RoadNode, b: RoadNode, p: PdiParams) -> float:
+def equivalence_distance(a: RoadNode, b: RoadNode, p: config.PdiConfig) -> float:
     """Edge weight: Euclidean distance over the normalizer plus the
     lane-change penalty per lane crossed."""
     if not adjacent(a, b, p):
@@ -91,7 +76,7 @@ def equivalence_distance(a: RoadNode, b: RoadNode, p: PdiParams) -> float:
     return d / p.d_norm + p.k_lane * abs(a.lane - b.lane)
 
 
-def _fill_spacings(gap: float, p: PdiParams):
+def _fill_spacings(gap: float, p: config.PdiConfig):
     """Number of interior filler nodes for a same-lane gap, spacing closest
     to the preferred value while staying inside [d_node_min, d_node_max)."""
     if gap < p.d_node_max:
@@ -110,19 +95,19 @@ def _fill_spacings(gap: float, p: PdiParams):
     return best_k
 
 
-def build_node_graph(road, platoon, background, p: PdiParams | None = None,
-                     lane_width: float | None = None) -> RoadNodeGraph:
+def build_node_graph(road, platoon, background, p: config.PdiConfig | None = None) -> RoadNodeGraph:
     """Node map for the current scene.
 
     Platoon vehicles anchor pathable nodes at their rear-axle centers (the
     frontmost is the start, the rearmost the end); background vehicles and
-    obstacles anchor blocked nodes at their outline centers; remaining gaps
-    in every lane are tiled with evenly spaced free nodes.
+    obstacles anchor blocked nodes at their outline centers, in the lane
+    nearest their lateral position (those off the lanes, such as on the ramp
+    shoulder, block nothing); remaining gaps in every lane are tiled with
+    evenly spaced free nodes.
     """
-    p = p or PdiParams()
+    p = p or config.DEFAULTS.pdi
     if not platoon:
         raise PdiError("platoon must be non-empty")
-    lane_width = lane_width if lane_width is not None else road.lane_width
     for v in platoon:
         if not road.contains(v.x):
             raise PdiError(f"platoon vehicle {v.id} outside the road")
@@ -136,8 +121,9 @@ def build_node_graph(road, platoon, background, p: PdiParams | None = None,
     x_hi = max(a[0] for a in anchors)
     x_lo = min(a[0] for a in anchors)
     for v in background:
-        if x_lo - 1.0 <= v.x <= x_hi + 1.0 and 0 <= v.lane < road.lane_count:
-            anchors.append((v.x, v.lane, BLOCKED, INTERIOR))
+        lane = int(round(v.y / road.lane_width))
+        if x_lo - 1.0 <= v.x <= x_hi + 1.0 and 0 <= lane < road.lane_count:
+            anchors.append((v.x, lane, BLOCKED, INTERIOR))
 
     by_lane = {lane: [] for lane in range(road.lane_count)}
     for x, lane, status, role in anchors:
@@ -154,7 +140,7 @@ def build_node_graph(road, platoon, background, p: PdiParams | None = None,
                 if role != INTERIOR:
                     n.role = role
                 return n
-        n = RoadNode(id=len(nodes), lane=lane, x=x, y=lane * lane_width,
+        n = RoadNode(id=len(nodes), lane=lane, x=x, y=lane * road.lane_width,
                      status=status, role=role)
         nodes.append(n)
         return n

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .riskfield import RiskFieldParams, risk_contribution
+from .riskfield import risk_contribution
+from .world import moving_box, padded_overlap
 
 KEEP = "keep"
 LEFT = "left"
@@ -40,7 +41,7 @@ class QuinticProfile:
             v1 - (self.c[1] + 2 * self.c[2] * T),
             a1 - 2 * self.c[2],
         ])
-        self.c[3], self.c[4], self.c[5] = np.linalg.solve(A, b)
+        self.c[3:] = np.linalg.solve(A, b).tolist()
 
     def pos(self, t):
         c = self.c
@@ -72,7 +73,7 @@ class QuarticProfile:
             v1 - (self.c[1] + 2 * self.c[2] * T),
             a1 - 2 * self.c[2],
         ])
-        self.c[3], self.c[4] = np.linalg.solve(A, b)
+        self.c[3:] = np.linalg.solve(A, b).tolist()
 
     def pos(self, t):
         c = self.c
@@ -229,28 +230,25 @@ def check_dynamics(candidate: TrajectoryCandidate, limits: DynamicsLimits):
 
 ASSESS_HORIZON = 4.5  # common scoring horizon for candidates of any duration [s]
 ASSESS_STEP = 0.3
+OVERLAP_PAD = (0.5, 0.5)  # padding of the predicted-overlap screen, along and across [m]
 
 
-def _predicted_overlap(candidate: TrajectoryCandidate, ego, others, margin=0.5,
-                       horizon=ASSESS_HORIZON) -> bool:
+def _predicted_overlap(candidate: TrajectoryCandidate, ego, others) -> bool:
+    boxes = [moving_box(o) for o in others]
     half_len = ego.length / 2.0
     half_wid = ego.width / 2.0
     t = 0.0
-    while t <= horizon:
+    while t <= ASSESS_HORIZON:
         x, y, _, _ = candidate.extended_state(t)
-        for o in others:
-            ox = o.x + o.speed * math.cos(o.heading) * t
-            oy = o.y
-            if (abs(x - ox) < half_len + o.length / 2.0 + margin
-                    and abs(y - oy) < half_wid + o.width / 2.0 + margin):
-                return True
+        if padded_overlap(x, y, half_len, half_wid, boxes, t, *OVERLAP_PAD):
+            return True
         t += ASSESS_STEP
     return False
 
 
 def select_trajectory(candidates, ego, others, road,
                       limits: DynamicsLimits | None = None,
-                      cfg=None, risk_params: RiskFieldParams | None = None):
+                      cfg=None, risk_params: config.RiskFieldConfig | None = None):
     """Best passing candidate by weighted safety/efficiency/comfort cost.
 
     Candidates that collide with constant-velocity predictions of the scene
@@ -259,7 +257,7 @@ def select_trajectory(candidates, ego, others, road,
     candidate passes the dynamics check.
     """
     cfg = cfg or config.DEFAULTS.planner
-    risk_params = risk_params or RiskFieldParams()
+    risk_params = risk_params or config.DEFAULTS.risk
     limits = limits or DynamicsLimits.for_road(road)
     passing = []
     for cand in candidates:

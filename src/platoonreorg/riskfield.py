@@ -9,36 +9,16 @@ weighted up by scaling lateral offsets before the distance clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import config
 
 
-@dataclass(frozen=True)
-class RiskFieldParams:
-    grm: float = config.DEFAULTS.risk.grm
-    k1: float = config.DEFAULTS.risk.k1
-    k2: float = config.DEFAULTS.risk.k2
-    d_min: float = config.DEFAULTS.risk.d_min
-    d_support: float = config.DEFAULTS.risk.d_support
-    v_max: float = config.DEFAULTS.risk.v_max
-    lateral_scale: float = config.DEFAULTS.risk.lateral_scale
-
-    def __post_init__(self):
-        vals = (self.grm, self.k1, self.k2, self.d_min, self.d_support, self.v_max)
-        if any(v <= 0 for v in vals):
-            raise ValueError("risk-field parameters must be positive")
-        if self.grm / self.d_support ** self.k1 < 1.0:
-            # base < 1 would flip the speed monotonicity on the support edge
-            raise ValueError("need grm / d^k1 >= 1 for all d <= d_support")
-
-
-def _effective_distance(dx: float, dy: float, p: RiskFieldParams) -> float:
+def _effective_distance(dx: float, dy: float, p: config.RiskFieldConfig) -> float:
     d = math.hypot(dx, p.lateral_scale * dy)
     return min(max(d, p.d_min), p.d_support)
 
 
-def risk_contribution(dx: float, dy: float, v_other: float, p: RiskFieldParams) -> float:
+def risk_contribution(dx: float, dy: float, v_other: float, p: config.RiskFieldConfig) -> float:
     """Normalized field intensity one vehicle contributes at offset (dx, dy)."""
     if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(v_other)):
         raise ValueError("non-finite risk-field input")
@@ -49,9 +29,9 @@ def risk_contribution(dx: float, dy: float, v_other: float, p: RiskFieldParams) 
     return min(intensity / norm, 1.0)
 
 
-def risk_reward(ego, others, p: RiskFieldParams | None = None) -> float:
+def risk_reward(ego, others, p: config.RiskFieldConfig | None = None) -> float:
     """Max field intensity over surrounding vehicles at ego's position, in [0, 1]."""
-    p = p or RiskFieldParams()
+    p = p or config.DEFAULTS.risk
     value = 0.0
     for other in others:
         if other.id == ego.id:
@@ -62,7 +42,7 @@ def risk_reward(ego, others, p: RiskFieldParams | None = None) -> float:
     return value
 
 
-def risk_at_point(x: float, y: float, vehicles, p: RiskFieldParams) -> float:
+def risk_at_point(x: float, y: float, vehicles, p: config.RiskFieldConfig) -> float:
     """Field value at a bare (x, y) probe (zero-size, no own motion)."""
     value = 0.0
     for v in vehicles:

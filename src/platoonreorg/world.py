@@ -214,33 +214,47 @@ class SimClock:
         self.t = round(self.t + self.dt, 9)
 
 
-def lead_vehicle(ego: VehicleState, others, lateral_tol: float = 2.5):
-    """Nearest vehicle ahead of ego with lateral overlap, or None."""
+def _nearest_in_corridor(ego: VehicleState, others, direction: float):
+    """Nearest vehicle other than ego whose along-road offset times
+    ``direction`` is positive and whose lateral offset is inside the
+    corridor half-width; the first of equal distances wins."""
+    x, y, ego_id = ego.x, ego.y, ego.id
+    half_width = config.CORRIDOR_HALF_WIDTH
     best = None
     best_dx = math.inf
     for v in others:
-        if v.id == ego.id:
-            continue
-        dx = v.x - ego.x
-        if dx <= 0.0 or abs(v.y - ego.y) >= lateral_tol:
-            continue
-        if dx < best_dx:
+        dx = direction * (v.x - x)
+        if 0.0 < dx < best_dx and abs(v.y - y) < half_width and v.id != ego_id:
             best_dx = dx
             best = v
     return best
 
 
-def rear_vehicle(ego: VehicleState, others, lateral_tol: float = 2.5):
-    """Nearest vehicle behind ego with lateral overlap, or None."""
-    best = None
-    best_dx = math.inf
-    for v in others:
-        if v.id == ego.id:
-            continue
-        dx = ego.x - v.x
-        if dx <= 0.0 or abs(v.y - ego.y) >= lateral_tol:
-            continue
-        if dx < best_dx:
-            best_dx = dx
-            best = v
-    return best
+def lead_vehicle(ego: VehicleState, others):
+    """Nearest vehicle ahead of ego in its corridor, or None."""
+    return _nearest_in_corridor(ego, others, 1.0)
+
+
+def rear_vehicle(ego: VehicleState, others):
+    """Nearest vehicle behind ego in its corridor, or None."""
+    return _nearest_in_corridor(ego, others, -1.0)
+
+
+def moving_box(v: VehicleState):
+    """``v`` as a ``padded_overlap`` box moving at its along-road speed."""
+    return (v.x, v.y, v.speed * math.cos(v.heading), v.length / 2.0, v.width / 2.0)
+
+
+def padded_overlap(x: float, y: float, half_length: float, half_width: float,
+                   boxes, t: float, pad_x: float, pad_y: float) -> bool:
+    """Does the axis-aligned box centred at (x, y) overlap any of ``boxes``
+    at time t?  Each box is (x, y, vx, half_length, half_width), moving at
+    constant vx from x at t = 0; two boxes overlap when both centre offsets
+    are strictly below their summed half-extents plus (pad_x, pad_y).
+    ``check_collision`` is the exact contact test of rotated boxes.
+    """
+    for bx, by, bvx, bhl, bhw in boxes:
+        if (abs(x - (bx + bvx * t)) < half_length + bhl + pad_x
+                and abs(y - by) < half_width + bhw + pad_y):
+            return True
+    return False

@@ -66,8 +66,7 @@ def brute_force(partition, scene, phase):
 
 def scene_of(platoon, background, cruise=25.0):
     idm = IdmParams(desired_speed=cruise, time_headway=1.0)
-    return GameScene(road=ROAD, platoon=platoon, background=background,
-                     cruise_speed=cruise, idm=idm)
+    return GameScene(road=ROAD, platoon=platoon, background=background, idm=idm)
 
 
 class TestFormCoalitions:

@@ -6,8 +6,6 @@ import pytest
 from platoonreorg import config
 from platoonreorg.control import (
     CavExecutor,
-    ControlError,
-    ControllerGains,
     PidState,
     lqr_longitudinal,
     pid_steering,
@@ -20,11 +18,11 @@ ROAD = RoadMap(lane_count=3, length=4000.0)
 
 class TestLqr:
     def test_zero_error_zero_command(self):
-        K = solve_lqr_gain(ControllerGains())
+        K = solve_lqr_gain(config.DEFAULTS.control)
         assert lqr_longitudinal(0.0, 0.0, K) == 0.0
 
     def test_stabilizing(self):
-        K = solve_lqr_gain(ControllerGains())
+        K = solve_lqr_gain(config.DEFAULTS.control)
         dt = config.DT
         A = np.array([[1.0, dt], [0.0, 1.0]])
         B = np.array([[0.5 * dt * dt], [dt]])
@@ -33,7 +31,7 @@ class TestLqr:
 
     def test_gap_error_settles(self):
         """5 m initial gap error decays below 0.25 m within 15 s (closed loop)."""
-        K = solve_lqr_gain(ControllerGains())
+        K = solve_lqr_gain(config.DEFAULTS.control)
         e_p, e_v = -5.0, 0.0  # 5 m short of the reference point
         dt = config.DT
         for _ in range(int(15.0 / dt)):
@@ -44,23 +42,23 @@ class TestLqr:
         assert abs(e_v) < 0.25
 
     def test_command_clamped(self):
-        K = solve_lqr_gain(ControllerGains())
+        K = solve_lqr_gain(config.DEFAULTS.control)
         assert lqr_longitudinal(50.0, 10.0, K) == config.LQR_ACCEL_MIN
         assert lqr_longitudinal(-50.0, -10.0, K) == config.LQR_ACCEL_MAX
 
     def test_bad_gains_rejected(self):
-        with pytest.raises(ControlError):
-            ControllerGains(r=0.0)
+        with pytest.raises(ValueError):
+            config.ControlConfig(lqr_r=0.0)
 
 
 class TestPid:
     def test_aligned_zero(self):
         pid = PidState()
-        assert pid_steering(0.0, 0.0, pid, ControllerGains()) == 0.0
+        assert pid_steering(0.0, 0.0, pid, config.DEFAULTS.control) == 0.0
 
     def test_step_offset_settles(self):
         """1 m lateral step at 25 m/s decays below 0.05 m within 8 s."""
-        gains = ControllerGains()
+        gains = config.DEFAULTS.control
         pid = PidState()
         v = VehicleState(id=0, kind="CAV", x=0.0, y=1.0, speed=25.0, lane=0,
                          target_lane=0)
@@ -71,7 +69,7 @@ class TestPid:
         assert abs(v.y) < 0.05
 
     def test_windup_capped(self):
-        gains = ControllerGains()
+        gains = config.DEFAULTS.control
         pid = PidState()
         rates = []
         for _ in range(10000):
@@ -108,6 +106,22 @@ class TestExecutor:
             ego = step_kinematics(ego, speed, heading, dt)
             t += dt
         assert ego.speed == pytest.approx(27.0, abs=0.3)
+
+    @pytest.mark.parametrize("mode", ["follow", "track"])
+    def test_commands_are_python_floats(self, mode):
+        from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
+
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
+                           lane=1, target_lane=1)
+        leader = VehicleState(id=1, kind="CAV", x=112.0, y=4.0, speed=24.0,
+                              lane=1, target_lane=1)
+        if mode == "track":
+            ex.start_trajectory(select_trajectory(generate_lattice(ego, LEFT, ROAD),
+                                                  ego, [], ROAD), 0.0)
+        speed, heading = ex.command(ego, leader, 0.5, ROAD)
+        assert ex.mode == mode
+        assert type(speed) is float and type(heading) is float
 
     def test_trajectory_tracking_reaches_target_lane(self):
         from platoonreorg.planner import LEFT, generate_lattice, select_trajectory

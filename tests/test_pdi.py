@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from platoonreorg.pdi import (
     FREE,
     START,
     PdiError,
-    PdiParams,
     RoadNode,
     RoadNodeGraph,
     adjacent,
@@ -23,7 +23,7 @@ from platoonreorg.pdi import (
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
 from platoonreorg.world import RoadMap, VehicleState
 
-P = PdiParams()
+P = config.DEFAULTS.pdi
 
 
 def node(nid, lane, x, status=FREE, role="interior"):
@@ -223,6 +223,16 @@ class TestOracleEquivalence:
         assert infeasible < len(graphs)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("spacing", [9.99, 20.0, 25.0])
+    def test_node_spacing_outside_range(self, spacing):
+        with pytest.raises(ValueError):
+            replace(config.DEFAULTS.pdi, node_spacing=spacing)
+
+    def test_node_spacing_lower_bound_accepted(self):
+        assert replace(config.DEFAULTS.pdi, node_spacing=10.0).node_spacing == 10.0
+
+
 class TestBuildNodeGraph:
     def setup_method(self):
         self.road = RoadMap(lane_count=3, length=1000.0)
@@ -254,6 +264,18 @@ class TestBuildNodeGraph:
         res = compute_pdi(g)
         assert not res.infeasible  # detour through lanes 0/2
         assert res.value > 20.0
+
+    def test_ramp_shoulder_blocks_nothing(self):
+        # case 1 queues ramp vehicles on the shoulder, one lane width right of lane 0
+        world = build_scenario(case1_spec(), 0)
+        plat = [replace(m.state, x=x) for m, x in zip(world.members, (262.0, 250.0, 238.0))]
+        background = world.hdv_states()
+        edge = -0.5 * world.road.lane_width
+        assert any(v.y < edge and 230.0 <= v.x <= 240.0 for v in background)
+        on_road = [v for v in background if v.y >= edge]
+        with_shoulder = build_node_graph(world.road, plat, background, P)
+        without = build_node_graph(world.road, plat, on_road, P)
+        assert with_shoulder.nodes == without.nodes
 
     def test_gap_tiling_spacing(self):
         plat = self.platoon([200.0, 100.0])

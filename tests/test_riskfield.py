@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from platoonreorg import config
 from platoonreorg.riskfield import (
-    RiskFieldParams,
     risk_at_point,
     risk_contribution,
     risk_reward,
@@ -16,7 +17,7 @@ def veh(vid, x, y=0.0, speed=20.0):
     return VehicleState(id=vid, x=x, y=y, speed=speed)
 
 
-PARAMS = RiskFieldParams(lateral_scale=1.0)  # isotropic for arithmetic checks
+PARAMS = replace(config.DEFAULTS.risk, lateral_scale=1.0)  # isotropic for arithmetic checks
 
 
 class TestNormalization:
@@ -71,7 +72,7 @@ class TestMonotonicity:
 
 class TestAnisotropy:
     def test_lateral_discounted(self):
-        p = RiskFieldParams()  # default lateral_scale = 3
+        p = config.DEFAULTS.risk  # default lateral_scale = 3
         ahead = risk_contribution(12.0, 0.0, 25.0, p)
         beside = risk_contribution(0.0, 12.0, 25.0, p)
         assert ahead > beside
@@ -104,7 +105,7 @@ class TestGrid:
 class TestValidation:
     def test_invariant_guard(self):
         with pytest.raises(ValueError):
-            RiskFieldParams(grm=10.0, d_support=100.0)  # base < 1 at support edge
+            config.RiskFieldConfig(grm=10.0, d_support=100.0)  # base < 1 at support edge
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

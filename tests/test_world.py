@@ -10,6 +10,10 @@ from platoonreorg.world import (
     WorldError,
     check_collision,
     compute_ttc,
+    lead_vehicle,
+    moving_box,
+    padded_overlap,
+    rear_vehicle,
     step_kinematics,
 )
 
@@ -127,6 +131,83 @@ class TestCollision:
         a = make_vehicle(0, x=0.0, y=0.0)
         b = make_vehicle(1, x=0.0, y=4.0)
         assert not check_collision(a, b)
+
+
+class TestCorridorSearch:
+    def test_nearest_ahead_and_behind(self):
+        ego = make_vehicle(0, x=100.0)
+        others = [make_vehicle(1, x=130.0), make_vehicle(2, x=115.0),
+                  make_vehicle(3, x=90.0), make_vehicle(4, x=60.0)]
+        assert lead_vehicle(ego, others).id == 2
+        assert rear_vehicle(ego, others).id == 3
+
+    def test_corridor_half_width_excluded(self):
+        ego = make_vehicle(0, x=100.0, y=4.0)
+        edge = [make_vehicle(1, x=110.0, y=6.5), make_vehicle(2, x=90.0, y=1.5)]
+        assert lead_vehicle(ego, edge) is None
+        assert rear_vehicle(ego, edge) is None
+        inside = [make_vehicle(1, x=110.0, y=6.49), make_vehicle(2, x=90.0, y=1.51)]
+        assert lead_vehicle(ego, inside).id == 1
+        assert rear_vehicle(ego, inside).id == 2
+
+    def test_strictly_ahead_or_behind(self):
+        ego = make_vehicle(0, x=100.0)
+        alongside = [make_vehicle(1, x=100.0, y=1.0)]
+        assert lead_vehicle(ego, alongside) is None
+        assert rear_vehicle(ego, alongside) is None
+
+    def test_ego_id_skipped(self):
+        ego = make_vehicle(0, x=100.0)
+        others = [ego, make_vehicle(0, x=105.0), make_vehicle(0, x=95.0),
+                  make_vehicle(1, x=120.0), make_vehicle(2, x=80.0)]
+        assert lead_vehicle(ego, others).id == 1
+        assert rear_vehicle(ego, others).id == 2
+
+    def test_first_of_equal_distances_wins(self):
+        ego = make_vehicle(0, x=100.0)
+        pair = [make_vehicle(5, x=110.0, y=1.0), make_vehicle(6, x=110.0, y=-1.0),
+                make_vehicle(7, x=90.0, y=1.0), make_vehicle(8, x=90.0, y=-1.0)]
+        assert lead_vehicle(ego, pair).id == 5
+        assert rear_vehicle(ego, pair).id == 7
+        assert lead_vehicle(ego, pair[::-1]).id == 6
+        assert rear_vehicle(ego, pair[::-1]).id == 8
+
+
+class TestPaddedOverlap:
+    # half-extents 2.5 x 1.0 on both boxes, padding 0.5 x 0.25: the centres
+    # must be at least 5.5 m apart along the road or 2.25 m across it
+    BOX = (10.0, 0.0, 0.0, 2.5, 1.0)
+
+    def hits(self, x, y, boxes=None, t=0.0):
+        return padded_overlap(x, y, 2.5, 1.0, [self.BOX] if boxes is None else boxes,
+                              t, 0.5, 0.25)
+
+    def test_bounds_are_strict(self):
+        assert self.hits(4.51, 0.0) and self.hits(15.49, 0.0)
+        assert not self.hits(4.5, 0.0) and not self.hits(15.5, 0.0)
+        assert self.hits(10.0, 2.24) and self.hits(10.0, -2.24)
+        assert not self.hits(10.0, 2.25) and not self.hits(10.0, -2.25)
+
+    def test_needs_both_axes(self):
+        assert not self.hits(5.0, 3.0)
+        assert not self.hits(0.0, 0.5)
+        assert self.hits(5.0, 2.0)
+
+    def test_summed_half_extents(self):
+        long_box = (10.0, 0.0, 0.0, 5.0, 1.0)
+        assert self.hits(2.01, 0.0, [long_box])
+        assert not self.hits(2.0, 0.0, [long_box])
+
+    def test_box_moves_with_its_speed(self):
+        v = make_vehicle(1, x=0.0, speed=10.0)
+        boxes = [moving_box(v)]
+        assert boxes[0] == (0.0, 0.0, 10.0, 2.5, 1.0)
+        assert not self.hits(10.0, 0.0, boxes, t=0.0)
+        assert self.hits(10.0, 0.0, boxes, t=1.0)
+
+    def test_any_box(self):
+        assert not self.hits(30.0, 0.0, [])
+        assert self.hits(30.0, 0.0, [self.BOX, (28.0, 1.0, 0.0, 2.5, 1.0)])
 
 
 class TestRoadAndClock:
