@@ -1,4 +1,10 @@
-"""Low-level tracking: LQR gap/speed regulation and PID steering."""
+"""Low-level tracking: one LQR gap/speed law per CAV and PID steering.
+
+``CavExecutor.command`` is the only longitudinal law of a platoon member:
+the episode loop hands it the vehicle ahead in the member's corridor, and
+it returns the next speed and heading, with the time-to-collision brake
+applied in both follow and track mode.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ import numpy as np
 
 from . import config
 from .planner import TrajectoryCandidate
+from .world import CAV, compute_ttc
 
 
 class ControlError(RuntimeError):
@@ -99,14 +106,19 @@ class CavExecutor:
         self.trajectory = None
         self.pid.integral = 0.0
 
-    def command(self, state, leader, t_now: float, road, dt: float = config.DT,
-                d_ref: float | None = None):
-        """(next_speed, next_heading) for one physics step.
+    def command(self, state, leader, t_now: float, road, dt: float = config.DT):
+        """(next_speed, next_heading) for one physics step: the one
+        longitudinal law of a CAV.
 
-        follow mode: LQR on the gap/speed error toward the leader (or cruise
-        speed when the lane ahead is clear), lane-center steering.  ``d_ref``
-        overrides the gap target (foreign leaders get a speed-based headway).
+        ``leader`` is the nearest vehicle ahead in the ego's corridor, or None.
+        follow mode: the lower of two LQR laws, lane-center steering.  The
+        speed law tracks the road's limit behind a platoon member, so a
+        follower can close up to ``d_target``, and ``cruise_speed`` behind a
+        foreign vehicle or on a clear road.  The gap law tracks ``d_target``
+        behind a CAV and a ``5 + 1.2 v`` headway behind a foreign vehicle.
         track mode: LQR on the trajectory reference, PID toward its path.
+        In both modes a leader closer than 1.5 s time-to-collision forces
+        full braking.
         """
         if self.mode == TRACK and self.trajectory is not None:
             tau = t_now - self.traj_t0
@@ -116,18 +128,17 @@ class CavExecutor:
             rate = pid_steering(y_ref - state.y, state.heading, self.pid,
                                 self.gains, dt, heading_ref=heading_ref)
         else:
+            platoon_ahead = leader is not None and leader.kind == CAV
+            set_speed = road.speed_limit if platoon_ahead else self.cruise_speed
+            accel = lqr_longitudinal(0.0, state.speed - set_speed, self.K)
             if leader is not None:
-                gap_target = d_ref if d_ref is not None else self.d_target
-                gap_err = state.x - (leader.x - gap_target)
-                accel = lqr_longitudinal(gap_err, state.speed - leader.speed, self.K)
-                if leader.speed >= self.cruise_speed and gap_err < -5.0:
-                    # leader faster and far: resume cruise instead of chasing
-                    accel = max(accel, lqr_longitudinal(
-                        0.0, state.speed - self.cruise_speed, self.K))
-            else:
-                accel = lqr_longitudinal(0.0, state.speed - self.cruise_speed, self.K)
+                gap = self.d_target if platoon_ahead else 5.0 + 1.2 * state.speed
+                accel = min(accel, lqr_longitudinal(state.x - (leader.x - gap),
+                                                    state.speed - leader.speed, self.K))
             y_ref = road.lane_center(state.target_lane)
             rate = pid_steering(y_ref - state.y, state.heading, self.pid, self.gains, dt)
+        if leader is not None and compute_ttc(state, leader) < 1.5:
+            accel = -config.ACCEL_LIMIT
 
         speed = max(state.speed + accel * dt, 0.0)
         heading = state.heading + rate * dt

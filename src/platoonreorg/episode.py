@@ -2,8 +2,10 @@
 
 Per frame every vehicle's command is computed from the same snapshot, then
 all states advance together.  The platoon layer runs at its slow cadence,
-the vehicle layer (game or baseline rules) at the fast cadence, HDV lane
-decisions staggered in between, physics every frame.
+the vehicle layer (the coalition game) at the fast cadence, HDV lane
+decisions staggered in between, physics every frame.  Each platoon member's
+command comes from ``CavExecutor.command`` alone, fed with the one vehicle
+ahead in the member's corridor.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .planner import KEEP, LEFT, generate_lattice, select_trajectory
 from .riskfield import risk_reward
 from .traffic import HdvDriver, LaneContext, Neighbor, idm_acceleration, mobil_decide
 from .world import (
-    CAV,
     RoadMap,
     SimClock,
     VehicleState,
@@ -109,25 +110,6 @@ class EpisodeMetrics:
         }
 
 
-class PolicyStack:
-    """Interface every run policy implements."""
-
-    name = "base"
-    has_distribution = False
-
-    def reset(self, world: World, rng: np.random.Generator):
-        pass
-
-    def platoon_decide(self, world: World, t: float):
-        return None
-
-    def vehicle_decide(self, world: World, t: float):
-        raise NotImplementedError
-
-    def audit_rows(self):
-        return []
-
-
 # --- shared platoon-side helpers -------------------------------------------------
 
 def platoon_lead_info(world: World):
@@ -153,27 +135,6 @@ def platoon_lead_info(world: World):
         if tau < best_tau:
             best_tau, worst_idx = tau, i
     return taus[0], best_tau, worst_risk, worst_idx
-
-
-def resolve_follow_target(member: PlatoonMember, world: World):
-    """(leader, gap target): platoon members ahead are tracked at the tight
-    formation distance, foreign vehicles at a speed-scaled safe headway."""
-    leader = lead_vehicle(member.state, world.all_states())
-    if leader is None:
-        return None, None
-    if leader.kind == CAV:
-        return leader, member.executor.d_target
-    return leader, 5.0 + 1.2 * member.state.speed
-
-
-def emergency_guard(state: VehicleState, target, accel: float) -> float:
-    """Cap the commanded accel when the corridor ahead closes dangerously."""
-    if target is None:
-        return accel
-    tau = compute_ttc(state, target)
-    if tau < 1.5 and target.x > state.x:
-        return min(accel, -config.ACCEL_LIMIT)
-    return accel
 
 
 @dataclass
@@ -222,10 +183,8 @@ class ManeuverQueue:
 
 # --- GRDF / GRDF-GT policy --------------------------------------------------------
 
-class GrdfPolicy(PolicyStack):
+class GrdfPolicy:
     """Dual-layer stack: configuration policy on top, coalition game below."""
-
-    has_distribution = True
 
     def __init__(self, use_pdi: bool = False, network=None, sample_actions=False,
                  game_weights: config.GameConfig | None = None,
@@ -329,10 +288,9 @@ def _neighbor_context(driver: HdvDriver, lane: int, world: World):
                        follower_leader_speed=fol_leader_speed)
 
 
-def _gap_acceptance(driver: HdvDriver, lane: int, world: World,
-                    lead_margin: float, follow_margin: float) -> bool:
-    """Bare gap acceptance; the 0.01 m gap clamp is below every margin used."""
-    ctx = _neighbor_context(driver, lane, world)
+def _gap_acceptance(ctx: LaneContext, lead_margin: float, follow_margin: float) -> bool:
+    """Bare gap acceptance on a lane's context; the 0.01 m gap clamp is below
+    every margin used."""
     return ((ctx.leader is None or ctx.leader.gap >= lead_margin)
             and (ctx.follower is None or ctx.follower.gap >= follow_margin))
 
@@ -340,9 +298,12 @@ def _gap_acceptance(driver: HdvDriver, lane: int, world: World,
 def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
     """MOBIL with scenario flavors: ramp vehicles force their merge before
     the ramp ends; congested-lane escapers fall back to bare gap acceptance
-    once they are badly stuck."""
+    once they are badly stuck.  The scripted case-2 leader keeps its lane,
+    so its brake event happens in front of the platoon."""
     state = driver.state
     if driver.changing():
+        return
+    if world.scripted is not None and state.id == world.scripted.vehicle_id:
         return
 
     # ramp vehicle: merge into lane 0 with growing urgency toward the ramp end
@@ -351,7 +312,8 @@ def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
             room = driver.merge_deadline_x - state.x
             lead_m = 4.0 + 0.3 * state.speed if room > 120.0 else 2.0
             follow_m = 8.0 if room > 120.0 else 3.0
-            if _gap_acceptance(driver, 0, world, lead_m, follow_m) or room < 60.0:
+            lane0 = _neighbor_context(driver, 0, world)
+            if _gap_acceptance(lane0, lead_m, follow_m) or room < 60.0:
                 driver.begin_lane_change(0, world.road)
             return
         driver.merge_deadline_x = None
@@ -367,16 +329,18 @@ def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
         candidates.append(state.lane + 1)
     if state.lane - 1 >= 0:
         candidates.append(state.lane - 1)
+    targets = []
     for lane in candidates:
         target = _neighbor_context(driver, lane, world)
         if mobil_decide(state.speed, driver.idm, current, target, driver.mobil):
             driver.begin_lane_change(lane, world.road)
             return
+        targets.append((lane, target))
     if driver.escape_bias and stuck:
-        for lane in candidates:
-            lead_m = 3.0 + 0.2 * state.speed
-            follow_m = 5.0 + 0.6 * max(0.0, world.cruise_speed - state.speed)
-            if _gap_acceptance(driver, lane, world, lead_m, follow_m):
+        lead_m = 3.0 + 0.2 * state.speed
+        follow_m = 5.0 + 0.6 * max(0.0, world.cruise_speed - state.speed)
+        for lane, target in targets:
+            if _gap_acceptance(target, lead_m, follow_m):
                 driver.begin_lane_change(lane, world.road)
                 return
 
@@ -402,7 +366,7 @@ class EpisodeResult:
     frames: int = 0
 
 
-def run_episode(world: World, policy: PolicyStack, seed: int,
+def run_episode(world: World, policy: GrdfPolicy, seed: int,
                 episode_len: float, success_window: float = 60.0,
                 collect_reward=None) -> EpisodeResult:
     """Run one seeded episode to completion or first platoon collision."""
@@ -433,7 +397,7 @@ def run_episode(world: World, policy: PolicyStack, seed: int,
         if world.scripted is not None:
             _apply_scripted(world, t)
 
-        if policy.has_distribution and clock.platoon_decision_due():
+        if clock.platoon_decision_due():
             action = policy.platoon_decide(world, t)
             intact_now = formation_intact(states, background)
             triggered, completed = stats.on_decision(action, intact_now, t)
@@ -453,26 +417,19 @@ def run_episode(world: World, policy: PolicyStack, seed: int,
                 hdv_decide_lane(driver, world, t)
 
         # fire any staggered maneuvers scheduled by the policy
-        if hasattr(policy, "queue"):
-            policy.queue.fire_due(world, t)
+        policy.queue.fire_due(world, t)
 
-        # compute all commands from the same snapshot
+        # compute all commands from the same snapshot, one leader lookup each
         commands = []
+        snapshot = world.all_states()
         for member in world.members:
             ex = member.executor
             if ex.tracking_done(t):
                 ex.finish_trajectory()
                 member.state.lane = world.road.lane_of(member.state.y)
                 member.state.target_lane = member.state.lane
-            target = None
-            if ex.mode == "follow":
-                target = resolve_follow_target(member, world)
-            speed, heading = ex.command(member.state, target, t, world.road, clock.dt)
-            guard_target = lead_vehicle(member.state, world.all_states())
-            accel = (speed - member.state.speed) / clock.dt
-            accel = emergency_guard(member.state, guard_target, accel)
-            speed = max(member.state.speed + accel * clock.dt, 0.0)
-            commands.append((speed, heading))
+            leader = lead_vehicle(member.state, snapshot)
+            commands.append(ex.command(member.state, leader, t, world.road, clock.dt))
 
         hdv_accels = [hdv_accel(d, world) for d in world.hdvs]
 
@@ -512,9 +469,8 @@ def run_episode(world: World, policy: PolicyStack, seed: int,
             break
 
         if reorg_active:
-            cfg_action = getattr(policy, "config_action", None)
-            config_single = cfg_action.single_group if cfg_action is not None else True
-            intact = config_single and formation_intact(states, background)
+            intact = (policy.config_action.single_group
+                      and formation_intact(states, background))
             if intact:
                 if intact_since is None:
                     intact_since = t

@@ -95,7 +95,7 @@ class QuarticProfile:
 @dataclass
 class TrajectoryCandidate:
     duration: float
-    lon: QuarticProfile
+    lon: QuarticProfile | None      # None for the emergency_profile fallback
     lat: QuinticProfile | None      # None for pure longitudinal motion
     lat_y: float = 0.0              # constant lateral position when lat is None
     samples: list = field(default_factory=list)  # (t, x, y, vx, vy, ax, ay, jx, jy)
@@ -119,8 +119,15 @@ class TrajectoryCandidate:
         return self
 
     def state_at(self, t):
-        """Reference (x, y, vx, vy) at an arbitrary time inside the horizon."""
+        """Reference (x, y, vx, vy) at an arbitrary time inside the horizon.
+
+        Without a longitudinal profile (``emergency_profile``) the reference
+        is the precomputed sample nearest to ``t``.
+        """
         t = min(max(t, 0.0), self.duration)
+        if self.lon is None:
+            _, x, y, vx, vy, *_ = self.samples[int(round(t / config.DT))]
+            return x, y, vx, vy
         x, vx = self.lon.pos(t), self.lon.vel(t)
         if self.lat is None:
             return x, self.lat_y, vx, 0.0

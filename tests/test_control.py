@@ -139,3 +139,59 @@ class TestExecutor:
             ego = step_kinematics(ego, speed, heading, dt)
             t += dt
         assert ego.y == pytest.approx(ROAD.lane_center(2), abs=0.35)
+
+    def test_follow_mode_ignores_a_far_faster_foreign_leader(self):
+        """A foreign vehicle 680 m ahead and faster than cruise is not chased."""
+        ex = CavExecutor(cruise_speed=25.0)
+        leader = VehicleState(id=1, kind="HDV", x=780.0, y=4.0, speed=30.0,
+                              lane=1, target_lane=1)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=22.0,
+                           lane=1, target_lane=1)
+        dt = config.DT
+        t = 0.0
+        for _ in range(int(30.0 / dt)):
+            speed, heading = ex.command(ego, leader, t, ROAD, dt)
+            assert speed <= ex.cruise_speed
+            leader = step_kinematics(leader, 30.0, 0.0, dt)
+            ego = step_kinematics(ego, speed, heading, dt)
+            t += dt
+        assert ego.speed == pytest.approx(25.0, abs=0.3)
+
+    @pytest.mark.parametrize("mode", ["follow", "track"])
+    def test_short_ttc_forces_full_braking(self, mode):
+        from platoonreorg.planner import KEEP, generate_lattice, select_trajectory
+
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=20.0,
+                           lane=1, target_lane=1)
+        # platoon member 9 m ahead, 3 m/s slower: 4 m bumper gap, TTC 1.33 s
+        leader = VehicleState(id=1, kind="CAV", x=109.0, y=4.0, speed=17.0,
+                              lane=1, target_lane=1)
+        if mode == "track":
+            ex.start_trajectory(select_trajectory(generate_lattice(ego, KEEP, ROAD),
+                                                  ego, [], ROAD), 0.0)
+        speed, _ = ex.command(ego, leader, 0.0, ROAD)
+        assert ex.mode == mode
+        assert (speed - ego.speed) / config.DT == pytest.approx(-config.ACCEL_LIMIT)
+
+    def test_tracks_the_emergency_profile(self):
+        """The sampled braking fallback (no longitudinal profile) is trackable."""
+        from platoonreorg.planner import emergency_profile
+
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
+                           lane=1, target_lane=1)
+        traj = emergency_profile(ego, ROAD)
+        assert traj.lon is None
+        ex = CavExecutor(cruise_speed=25.0)
+        ex.start_trajectory(traj, 0.0)
+        dt = config.DT
+        t = 0.0
+        speeds = [ego.speed]
+        while not ex.tracking_done(t):
+            speed, heading = ex.command(ego, None, t, ROAD, dt)
+            ego = step_kinematics(ego, speed, heading, dt)
+            speeds.append(ego.speed)
+            t = round(t + dt, 9)
+        assert all(math.isfinite(v) for v in speeds)
+        assert all(b <= a for a, b in zip(speeds, speeds[1:]))
+        assert speeds[-1] < 25.0 - 5.0
