@@ -4,10 +4,14 @@
 the episode loop hands it the vehicle ahead in the member's corridor, and
 it returns the next speed and heading, with the time-to-collision brake
 applied in both follow and track mode.
+
+The LQR gain is solved once per ``(ControlConfig, dt)`` and memoised, so
+every executor built with the same gains shares one immutable gain tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,10 +26,12 @@ class ControlError(RuntimeError):
     pass
 
 
-def solve_lqr_gain(gains: config.ControlConfig, dt: float = config.DT):
+@functools.cache
+def solve_lqr_gain(gains: config.ControlConfig, dt: float = config.DT) -> tuple:
     """Discrete Riccati iteration for the double-integrator error model.
 
     State is [position error, speed error]; the input is ego acceleration.
+    Returns the gain as a tuple of floats, memoised per ``(gains, dt)``.
     """
     A = np.array([[1.0, dt], [0.0, 1.0]])
     B = np.array([[0.5 * dt * dt], [dt]])
@@ -40,7 +46,7 @@ def solve_lqr_gain(gains: config.ControlConfig, dt: float = config.DT):
             closed = A - B @ K
             if max(abs(np.linalg.eigvals(closed))) >= 1.0:
                 raise ControlError("LQR gain is not stabilizing")
-            return K.ravel()
+            return tuple(K.ravel().tolist())
         P = P_next
     raise ControlError("Riccati iteration did not converge")
 
@@ -90,7 +96,7 @@ class CavExecutor:
 
     def __post_init__(self):
         if self.K is None:
-            self.K = tuple(solve_lqr_gain(self.gains).tolist())
+            self.K = solve_lqr_gain(self.gains)
 
     def start_trajectory(self, traj: TrajectoryCandidate, t_now: float):
         self.trajectory = traj

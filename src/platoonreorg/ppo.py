@@ -291,32 +291,3 @@ class PpoTrainer:
         value_loss = float(0.5 * cfg.value_coef * np.mean(v_err ** 2))
         entropy = float(-np.mean((probs * np.log(probs + 1e-12)).sum(axis=1)))
         return policy_loss, value_loss, entropy
-
-
-# --- generic gradient path for verification -----------------------------------
-
-class ToyActor:
-    """Three-parameter softmax actor over a 3-action space, obs-free.
-
-    Exercises the same masked policy-gradient formula as the MLP path so the
-    analytic gradient can be matched to central finite differences.
-    """
-
-    def __init__(self, theta):
-        self.theta = np.asarray(theta, dtype=np.float64)
-
-    def probs(self):
-        return softmax(self.theta[None, :])[0]
-
-    def policy_loss(self, actions, advantages, old_probs, eps):
-        p = self.probs()
-        ratios = p[actions] / old_probs
-        return -clipped_surrogate(ratios, advantages, eps)
-
-    def policy_grad(self, actions, advantages, old_probs, eps):
-        p = self.probs()
-        ratios = p[actions] / old_probs
-        active = surrogate_active_mask(ratios, advantages, eps)
-        coeff = np.where(active, ratios * np.asarray(advantages), 0.0) / len(actions)
-        onehot = np.eye(3)[actions]
-        return -(coeff[:, None] * (onehot - p[None, :])).sum(axis=0)

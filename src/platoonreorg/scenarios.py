@@ -19,7 +19,7 @@ import numpy as np
 from . import config
 from .control import CavExecutor
 from .episode import PlatoonMember, ScriptedBrake, World
-from .traffic import HdvDriver, TrafficSpec, spawn_traffic, style_params
+from .traffic import HdvDriver, TrafficSpec, in_keep_clear, spawn_traffic, style_params
 from .world import CAV, HDV, RampSegment, RoadMap, SimClock, VehicleState
 
 
@@ -67,6 +67,9 @@ class ScenarioSpec:
             raise ScenarioError("platoon size must be within [2, 5]")
         if self.headway <= 0 or self.episode_len <= 0:
             raise ScenarioError("headway and episode length must be positive")
+        if not (0 <= self.platoon_lane < self.lane_count):
+            raise ScenarioError(f"platoon lane {self.platoon_lane} outside "
+                                f"[0, {self.lane_count})")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -134,7 +137,8 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
         hdvs.extend(_case1_ramp_queue(spec, road, rng, next_id))
         next_id += 100
         # keep the escape pressure out of the platoon's immediate spawn box
-        hdvs = [d for d in hdvs if not _inside_keep_clear(d, keep_clear)]
+        hdvs = [d for d in hdvs
+                if not in_keep_clear(d.state.x, d.state.lane, keep_clear)]
     else:
         lead = _case2_scripted_leader(spec, road, next_id)
         hdvs.append(lead)
@@ -146,14 +150,6 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     clock = SimClock()
     return World(road=road, clock=clock, members=members, hdvs=hdvs,
                  cruise_speed=spec.platoon_speed, scripted=scripted)
-
-
-def _inside_keep_clear(driver: HdvDriver, boxes) -> bool:
-    s = driver.state
-    for (x0, x1, l0, l1) in boxes:
-        if l0 <= s.lane <= l1 and x0 <= s.x <= x1:
-            return True
-    return False
 
 
 def _case1_congestion(spec: ScenarioSpec, road: RoadMap, rng, id_start: int):

@@ -4,6 +4,7 @@ style presets, and seeded traffic-flow generation.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -222,11 +223,9 @@ class SpawnResult:
         return self.requested - self.placed
 
 
-def _blocked(x: float, lane: int, keep_clear) -> bool:
-    for (x0, x1, lane0, lane1) in keep_clear:
-        if lane0 <= lane <= lane1 and x0 <= x <= x1:
-            return True
-    return False
+def in_keep_clear(x: float, lane: int, boxes) -> bool:
+    """True when (x, lane) lies inside any (x_min, x_max, lane_min, lane_max) box."""
+    return any(l0 <= lane <= l1 and x0 <= x <= x1 for (x0, x1, l0, l1) in boxes)
 
 
 def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
@@ -238,9 +237,15 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     lane with at least the style's equilibrium headway between neighbors;
     when the corridor cannot hold the requested count the remainder is
     dropped and reported as shortfall.
+
+    The per-vehicle draw order (lane, style, speed, then one x per attempt)
+    is part of the seeded contract: the same spec and road give the same
+    traffic, and golden scenarios depend on the exact stream.
     """
     rng = np.random.default_rng(spec.seed)
     x_max = spec.x_max if spec.x_max is not None else road.length
+    if x_max <= spec.x_min:
+        raise ValueError(f"spawn corridor [{spec.x_min}, {x_max}] is empty")
     corridor_km = (x_max - spec.x_min) / 1000.0
     requested = int(round(spec.density * road.lane_count * corridor_km))
 
@@ -248,28 +253,27 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     probs = np.array([spec.style_mix[s] for s in styles])
     drivers = []
     vid = id_start
-    per_lane = [[] for _ in range(road.lane_count)]
+    per_lane = [[] for _ in range(road.lane_count)]   # placed x values, sorted
     for k in range(requested):
         lane = int(rng.integers(0, road.lane_count))
         style = styles[int(rng.choice(len(styles), p=probs))]
         idm, mobil = style_params(style, spec.speed_limit)
         speed = float(rng.uniform(0.75, 0.95)) * idm.desired_speed
-        min_headway = idm.min_gap + speed * idm.time_headway
-        placed = False
+        clearance = idm.min_gap + speed * idm.time_headway + config.VEHICLE_LENGTH
+        xs = per_lane[lane]
         for _attempt in range(25):
             x = float(rng.uniform(spec.x_min, x_max))
-            if _blocked(x, lane, keep_clear):
+            if in_keep_clear(x, lane, keep_clear):
                 continue
-            if any(abs(x - ox) < min_headway + config.VEHICLE_LENGTH for ox in per_lane[lane]):
+            # the nearest placed vehicle on either side decides the spacing test
+            i = bisect.bisect_left(xs, x)
+            if any(abs(x - ox) < clearance for ox in xs[max(i - 1, 0):i + 1]):
                 continue
-            per_lane[lane].append(x)
+            xs.insert(i, x)
             st = VehicleState(id=vid, kind=HDV, x=x, y=road.lane_center(lane),
                               speed=speed, lane=lane, target_lane=lane)
             drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style))
             vid += 1
-            placed = True
             break
-        if not placed:
-            continue
     drivers.sort(key=lambda d: d.state.id)
     return SpawnResult(drivers=drivers, requested=requested, placed=len(drivers))

@@ -46,6 +46,16 @@ class TestLqr:
         assert lqr_longitudinal(50.0, 10.0, K) == config.LQR_ACCEL_MIN
         assert lqr_longitudinal(-50.0, -10.0, K) == config.LQR_ACCEL_MAX
 
+    def test_gain_is_one_shared_tuple_per_gain_set(self):
+        g = config.DEFAULTS.control
+        K = solve_lqr_gain(g)
+        assert isinstance(K, tuple) and len(K) == 2
+        assert all(type(k) is float for k in K)
+        assert solve_lqr_gain(g) == K
+        assert solve_lqr_gain(config.ControlConfig(lqr_q_gap=4.0)) != K
+        assert solve_lqr_gain(g, config.DT / 2) != K
+        assert CavExecutor(gains=g).K == K
+
     def test_bad_gains_rejected(self):
         with pytest.raises(ValueError):
             config.ControlConfig(lqr_r=0.0)

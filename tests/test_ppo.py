@@ -8,14 +8,41 @@ from platoonreorg.ppo import (
     PolicyNetwork,
     PpoTrainer,
     RolloutBuffer,
-    ToyActor,
     clipped_surrogate,
     gae_advantages,
     select_configuration,
     softmax,
+    surrogate_active_mask,
 )
 
 EPS = config.DEFAULTS.ppo.clip_epsilon
+
+
+class ToyActor:
+    """Three-parameter softmax actor over a 3-action space, obs-free.
+
+    Exercises the same masked policy-gradient formula as the MLP path so the
+    analytic gradient can be matched to central finite differences.
+    """
+
+    def __init__(self, theta):
+        self.theta = np.asarray(theta, dtype=np.float64)
+
+    def probs(self):
+        return softmax(self.theta[None, :])[0]
+
+    def policy_loss(self, actions, advantages, old_probs, eps):
+        p = self.probs()
+        ratios = p[actions] / old_probs
+        return -clipped_surrogate(ratios, advantages, eps)
+
+    def policy_grad(self, actions, advantages, old_probs, eps):
+        p = self.probs()
+        ratios = p[actions] / old_probs
+        active = surrogate_active_mask(ratios, advantages, eps)
+        coeff = np.where(active, ratios * np.asarray(advantages), 0.0) / len(actions)
+        onehot = np.eye(3)[actions]
+        return -(coeff[:, None] * (onehot - p[None, :])).sum(axis=0)
 
 
 class TestSurrogate:

@@ -23,7 +23,7 @@ import pytest
 from platoonreorg.coalition import MERGING, GameScene, form_coalitions, solve_tu_game
 from platoonreorg.episode import GrdfPolicy, hdv_accel, hdv_decide_lane, platoon_lead_info
 from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory
-from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
+from platoonreorg.scenarios import ScenarioError, build_scenario, case1_spec, case2_spec
 
 GOLDEN = Path(__file__).parent / "golden" / "scenarios.json"
 
@@ -103,6 +103,13 @@ def test_frame0_pins(name, seed, golden):
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("lane", [-1, 3])
+def test_platoon_lane_off_the_road_rejected(lane):
+    with pytest.raises(ScenarioError):
+        case2_spec(platoon_lane=lane)
+    assert case2_spec(platoon_lane=lane % 3).platoon_lane == lane % 3
 
 
 if __name__ == "__main__":

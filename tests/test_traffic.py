@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platoonreorg import config
 from platoonreorg.traffic import (
     B_EMERGENCY,
     IdmParams,
@@ -13,6 +15,7 @@ from platoonreorg.traffic import (
     TrafficSpec,
     desired_gap,
     idm_acceleration,
+    in_keep_clear,
     mobil_decide,
     spawn_traffic,
     style_params,
@@ -116,6 +119,33 @@ class TestStyles:
             style_params("reckless", 30.0)
 
 
+def spawn_by_linear_scan(spec, road, keep_clear=()):
+    """Reference placement: every candidate is tested against every vehicle
+    already in its lane.  Returns (x, lane, speed, style) per placed vehicle."""
+    rng = np.random.default_rng(spec.seed)
+    x_max = spec.x_max if spec.x_max is not None else road.length
+    requested = int(round(spec.density * road.lane_count * (x_max - spec.x_min) / 1000.0))
+    styles = sorted(spec.style_mix)
+    probs = np.array([spec.style_mix[s] for s in styles])
+    placed, per_lane = [], [[] for _ in range(road.lane_count)]
+    for _ in range(requested):
+        lane = int(rng.integers(0, road.lane_count))
+        style = styles[int(rng.choice(len(styles), p=probs))]
+        idm, _mobil = style_params(style, spec.speed_limit)
+        speed = float(rng.uniform(0.75, 0.95)) * idm.desired_speed
+        min_headway = idm.min_gap + speed * idm.time_headway
+        for _attempt in range(25):
+            x = float(rng.uniform(spec.x_min, x_max))
+            if in_keep_clear(x, lane, keep_clear):
+                continue
+            if any(abs(x - ox) < min_headway + config.VEHICLE_LENGTH for ox in per_lane[lane]):
+                continue
+            per_lane[lane].append(x)
+            placed.append((x, lane, speed, style))
+            break
+    return placed
+
+
 class TestSpawn:
     def setup_method(self):
         self.road = RoadMap(lane_count=3, length=1000.0)
@@ -148,12 +178,38 @@ class TestSpawn:
                 assert not (400.0 <= d.state.x <= 600.0)
 
     def test_min_spacing_by_style(self):
-        spec = TrafficSpec(density=20.0, seed=9)
-        res = spawn_traffic(spec, self.road)
-        per_lane = {}
-        for d in res.drivers:
-            per_lane.setdefault(d.state.lane, []).append(d)
-        for drivers in per_lane.values():
-            drivers.sort(key=lambda d: d.state.x)
-            for a, b in zip(drivers, drivers[1:]):
-                assert b.state.x - a.state.x > 2.0  # never overlapping
+        """Each vehicle keeps its own headway plus a car length to every
+        same-lane vehicle placed before it."""
+        for density, seed in [(20.0, 9), (40.0, 0), (40.0, 1), (60.0, 2)]:
+            res = spawn_traffic(TrafficSpec(density=density, seed=seed), self.road)
+            assert res.placed > 0
+            for a in res.drivers:
+                for b in res.drivers:
+                    if a.state.lane != b.state.lane or a.state.id >= b.state.id:
+                        continue
+                    clearance = (b.idm.min_gap + b.state.speed * b.idm.time_headway
+                                 + config.VEHICLE_LENGTH)
+                    assert abs(b.state.x - a.state.x) >= clearance, (seed, a.state.id, b.state.id)
+
+    @pytest.mark.parametrize("density,seed,keep_clear", [
+        (8.0, 0, ()), (30.0, 4, ()), (60.0, 7, [(300.0, 500.0, 0, 1)]),
+        (120.0, 11, [(0.0, 200.0, 2, 2)]),
+    ])
+    def test_matches_linear_scan(self, density, seed, keep_clear):
+        spec = TrafficSpec(density=density, seed=seed, x_min=50.0)
+        res = spawn_traffic(spec, self.road, keep_clear=keep_clear)
+        got = [(d.state.x, d.state.lane, d.state.speed, d.style) for d in res.drivers]
+        assert got == spawn_by_linear_scan(spec, self.road, keep_clear)
+
+    def test_inverted_corridor_rejected(self):
+        with pytest.raises(ValueError):
+            spawn_traffic(TrafficSpec(density=5.0, x_min=500.0, x_max=100.0), self.road)
+        with pytest.raises(ValueError):
+            spawn_traffic(TrafficSpec(density=5.0, x_min=1000.0), self.road)
+
+    def test_in_keep_clear_bounds_are_inclusive(self):
+        boxes = [(400.0, 600.0, 1, 2)]
+        assert in_keep_clear(400.0, 1, boxes) and in_keep_clear(600.0, 2, boxes)
+        assert not in_keep_clear(399.9, 1, boxes)
+        assert not in_keep_clear(500.0, 0, boxes)
+        assert not in_keep_clear(500.0, 1, ())
