@@ -25,6 +25,7 @@ from .world import VehicleState, moving_box, padded_overlap
 LATERAL_ACTIONS = (KEEP, LEFT, RIGHT)
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
 
+# game phases; ``distribution.ReorgRecord.phase`` says which one holds
 SPLITTING = "splitting"
 MERGING = "merging"
 STEADY = "steady"
@@ -498,23 +499,3 @@ def solve_tu_game(partition: CoalitionPartition, scene: GameScene, phase: str,
                         pdi_value=pdi_value, candidates=len(pruned),
                         pruned_out=len(feasible) - len(pruned))
 
-
-# --- phase machine ----------------------------------------------------------------
-
-@dataclass
-class GamePhaseMachine:
-    phase: str = STEADY
-
-    def update(self, target_single_group: bool, intact: bool) -> str:
-        if self.phase == STEADY:
-            if not target_single_group:
-                self.phase = SPLITTING
-        elif self.phase == SPLITTING:
-            if target_single_group:
-                self.phase = MERGING
-        elif self.phase == MERGING:
-            if intact:
-                self.phase = STEADY
-            elif not target_single_group:
-                self.phase = SPLITTING
-        return self.phase

@@ -29,6 +29,7 @@ CORRIDOR_HALF_WIDTH = 2.5     # |dy| below which a vehicle shares ego's corridor
 D_TARGET = 10.0               # rear-axle-to-rear-axle follow distance [m]
 X_LIM = 30.0                  # coalition longitudinal compactness bound [m]
 Y_LIM = 1.5                   # coalition lateral compactness bound [m]
+FORMATION_HOLD = 3.0          # intact time that ends a reorganization [s]
 
 # --- CAV actuation limits (also the dynamics-checker limits) ------------------
 ACCEL_LIMIT = 4.0             # |a| bound [m/s^2]

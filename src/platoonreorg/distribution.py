@@ -1,5 +1,6 @@
 """Platoon-layer decision machinery: configuration action space, noisy
-observations, reward shaping, and the rule-based fallback policy.
+observations, the reorganization record, reward shaping, and the rule-based
+fallback policy.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import config
+from .coalition import MERGING, SPLITTING, STEADY
 from .riskfield import risk_reward
 from .world import compute_ttc, lead_vehicle
 
@@ -104,10 +106,6 @@ class Observer:
     _prev_v: dict = field(default_factory=dict)
     _prev_a: dict = field(default_factory=dict)
 
-    def reset(self):
-        self._prev_v.clear()
-        self._prev_a.clear()
-
     def observe(self, platoon, background, rng, dt: float) -> Observation:
         ego = platoon[0]
         objects = list(platoon[1:])
@@ -140,45 +138,70 @@ class Observer:
         return Observation(rows=rows)
 
 
-# --- reward -------------------------------------------------------------------
+# --- reorganization record and reward ----------------------------------------
 
 @dataclass
-class EpisodeStats:
-    """Reorganization bookkeeping across one episode's platoon decisions."""
+class ReorgRecord:
+    """The platoon's target configuration and its one reorganization clock.
+
+    A decision that switches the target from one group to several is a
+    trigger; it starts a reorganization unless one is running.  That ends
+    once the target is a single group and the formation has stayed intact
+    for ``config.FORMATION_HOLD`` s; its duration runs from the trigger to
+    the start of that intact stretch.
+    """
 
     episode_len: float
-    n_step: int = 0
-    n_trigger: int = 0
-    reorganizing: bool = False
-    reorg_started: float = 0.0
-    reorg_count: int = 0
-    completed_durations: list = field(default_factory=list)
-    _was_single: bool = True
+    target: PlatoonConfigAction   # the latest platoon decision
+    decisions: int = 0
+    triggers: int = 0
+    count: int = 0
+    durations: list = field(default_factory=list)
+    triggered: bool = False       # whether the latest decision was a trigger
+    recent: tuple = ()            # durations completed between the two latest decisions
+    running: bool = False
+    start: float = 0.0
+    intact_since: float | None = None
+    _reported: int = 0            # durations already handed out through ``recent``
 
-    def on_decision(self, action: PlatoonConfigAction, formation_intact: bool,
-                    t: float):
-        """Returns (triggered, completed_duration or None)."""
-        self.n_step += 1
-        triggered = self._was_single and not action.single_group
-        completed = None
-        if triggered:
-            self.n_trigger += 1
-            if not self.reorganizing:
-                self.reorganizing = True
-                self.reorg_started = t
-                self.reorg_count += 1
-        elif self.reorganizing and action.single_group and formation_intact:
-            duration = t - self.reorg_started
-            self.completed_durations.append(duration)
-            self.reorganizing = False
-            completed = duration
-        self._was_single = action.single_group
-        return triggered, completed
+    def on_decision(self, action: PlatoonConfigAction, t: float) -> bool:
+        """Record one platoon decision; returns whether it is a trigger."""
+        self.decisions += 1
+        self.recent = tuple(self.durations[self._reported:])
+        self._reported = len(self.durations)
+        self.triggered = self.target.single_group and not action.single_group
+        self.target = action
+        if self.triggered:
+            self.triggers += 1
+            if not self.running:
+                self.running, self.start = True, t
+                self.count += 1
+        return self.triggered
+
+    def on_frame(self, intact: bool, t: float):
+        """Advance a running reorganization to time ``t``; ``intact`` means
+        the target is a single group and the formation is intact."""
+        if not self.running:
+            return
+        if not intact:
+            self.intact_since = None
+            return
+        if self.intact_since is None:
+            self.intact_since = t
+        if t - self.intact_since >= config.FORMATION_HOLD:
+            self.durations.append(self.intact_since - self.start)
+            self.running, self.intact_since = False, None
+
+    @property
+    def phase(self) -> str:
+        """STEADY while none runs, else SPLITTING toward several groups, MERGING toward one."""
+        if not self.running:
+            return STEADY
+        return MERGING if self.target.single_group else SPLITTING
 
 
 def compute_reward(platoon_prev, platoon_next, background_next,
-                   action: PlatoonConfigAction, stats: EpisodeStats,
-                   triggered: bool, completed_duration,
+                   action: PlatoonConfigAction, reorg: ReorgRecord,
                    collision: bool, v_max: float,
                    w: config.RewardConfig | None = None,
                    risk_params: config.RiskFieldConfig | None = None):
@@ -186,7 +209,8 @@ def compute_reward(platoon_prev, platoon_next, background_next,
 
     Safety couples the collision flag with the risk-field penalty; tracking
     and reorganization-frequency terms enter as costs (negative); the
-    trigger incentive pays out only on decisions that start a split.
+    trigger incentive pays out only on decisions that start a split.  The
+    reorganization terms read ``reorg`` right after its ``on_decision``.
     """
     w = w or config.DEFAULTS.reward
     risk_params = risk_params or replace(config.DEFAULTS.risk, v_max=max(v_max, 1.0))
@@ -206,9 +230,9 @@ def compute_reward(platoon_prev, platoon_next, background_next,
                   + w.w_v * abs(a.speed - b.speed))
     r_drive = -track / max(n - 1, 1)
 
-    r_rf = stats.n_trigger / max(stats.n_step, 1)
-    r_re = (completed_duration / stats.episode_len) if completed_duration else 0.0
-    if triggered:
+    r_rf = reorg.triggers / max(reorg.decisions, 1)
+    r_re = sum(reorg.recent) / reorg.episode_len
+    if reorg.triggered:
         leader = platoon_next[0]
         ahead = lead_vehicle(leader, background_next)
         tau0 = compute_ttc(leader, ahead) if ahead is not None else math.inf
@@ -254,10 +278,6 @@ class HeuristicDistributionPolicy:
     risk_threshold: float = 0.5
     _active: PlatoonConfigAction | None = None
     _clear_since: float | None = None
-
-    def reset(self):
-        self._active = None
-        self._clear_since = None
 
     def single(self) -> PlatoonConfigAction:
         return PlatoonConfigAction(partition=(tuple(range(self.n)),))

@@ -1,11 +1,19 @@
 """Episode execution: the deterministic frame loop over one scenario.
 
-Per frame every vehicle's command is computed from the same snapshot, then
-all states advance together.  The platoon layer runs at its slow cadence,
-the vehicle layer (the coalition game) at the fast cadence, HDV lane
-decisions staggered in between, physics every frame.  Each platoon member's
-command comes from ``CavExecutor.command`` alone, fed with the one vehicle
-ahead in the member's corridor.
+Every consumer in a frame reads one snapshot, the ``World.all_states()``
+list (members front to rear, then HDVs) built before the first frame and
+after each step.  Positions change only in the step and lane updates are
+made in place, so the post-step list also serves the next frame's decisions.
+All commands come from that snapshot, then all states advance together.
+The platoon layer runs at its slow cadence, the vehicle layer (the coalition
+game) at the fast cadence, HDV lane decisions staggered in between, physics
+every frame.  Each platoon member's command comes from ``CavExecutor.command``
+alone, fed with the one vehicle ahead in the member's corridor.
+
+A reorganization runs from the decision that splits a single-group target
+until the single-group target has been intact for ``config.FORMATION_HOLD``
+s; its time ends where that intact stretch began.  The policy's
+``ReorgRecord`` is the only clock: game phase, reward and metrics read it.
 """
 
 from __future__ import annotations
@@ -18,21 +26,21 @@ import numpy as np
 from . import config
 from .control import CavExecutor
 from .distribution import (
-    EpisodeStats,
     HeuristicDistributionPolicy,
     Observer,
+    ReorgRecord,
     enumerate_configurations,
 )
 from .coalition import (
     SPLITTING,
     STEADY,
-    GamePhaseMachine,
     GameScene,
     form_coalitions,
     formation_intact,
     solve_tu_game,
 )
 from .planner import KEEP, LEFT, generate_lattice, select_trajectory
+from .ppo import select_configuration
 from .riskfield import risk_reward
 from .traffic import HdvDriver, LaneContext, Neighbor, idm_acceleration, mobil_decide
 from .world import (
@@ -161,7 +169,7 @@ class ManeuverQueue:
         for rank, idx in enumerate(coalition):
             self.pending.append(PendingManeuver(t + rank * stagger, idx, direction))
 
-    def fire_due(self, world: World, t: float):
+    def fire_due(self, world: World, t: float, snapshot):
         remaining = []
         for pm in self.pending:
             if pm.due_t > t + 1e-9:
@@ -173,7 +181,7 @@ class ManeuverQueue:
             target = state.lane + (1 if direction == LEFT else -1)
             if not (0 <= target < world.road.lane_count):
                 continue
-            others = [v for v in world.all_states() if v.id != state.id]
+            others = [v for v in snapshot if v.id != state.id]
             cands = generate_lattice(state, direction, world.road)
             traj = select_trajectory(cands, state, others, world.road)
             member.executor.start_trajectory(traj, t)
@@ -197,14 +205,13 @@ class GrdfPolicy:
         self.keep_audit = keep_audit
         self._audit = []
 
-    def reset(self, world: World, rng: np.random.Generator):
+    def reset(self, world: World, rng: np.random.Generator, episode_len: float):
         n = len(world.members)
         self.actions = enumerate_configurations(n)
         self.heuristic = HeuristicDistributionPolicy(n=n)
         self.observer = Observer()
-        self.machine = GamePhaseMachine()
+        self.reorg = ReorgRecord(episode_len, target=self.heuristic.single())
         self.queue = ManeuverQueue()
-        self.config_action = self.heuristic.single()
         self.rng = rng
         self._audit.clear()
 
@@ -214,27 +221,24 @@ class GrdfPolicy:
         if self.network is not None:
             obs = self.observer.observe(states, background, self.rng,
                                         world.clock.decision_period_platoon)
-            from .ppo import select_configuration
-
             mode = "sample" if self.sample_actions else "greedy"
             action, _, _ = select_configuration(obs.flatten(), self.network,
                                                 self.actions, mode, self.rng)
         else:
             tau0, best_tau, risk, idx = platoon_lead_info(world)
             action = self.heuristic.decide(t, best_tau, risk, idx)
-        self.config_action = action
+        self.reorg.on_decision(action, t)
         return action
 
-    def vehicle_decide(self, world: World, t: float):
-        self.queue.fire_due(world, t)
+    def vehicle_decide(self, world: World, t: float, snapshot):
+        self.queue.fire_due(world, t, snapshot)
         if self.queue.busy(world):
             return
-        states = world.platoon_states()
-        background = world.hdv_states()
-        intact = formation_intact(states, background)
-        phase = self.machine.update(self.config_action.single_group, intact)
+        n = len(world.members)
+        states, background = snapshot[:n], snapshot[n:]
+        phase = self.reorg.phase
         partition = form_coalitions(states, background,
-                                    target_groups=self.config_action.partition)
+                                    target_groups=self.reorg.target.partition)
         scene = GameScene(road=world.road, platoon=states, background=background)
         game_phase = phase if phase != STEADY else SPLITTING
         decision = solve_tu_game(partition, scene, game_phase,
@@ -253,7 +257,7 @@ class GrdfPolicy:
             act = decision.joint_action[c]
             if act != KEEP:
                 self.queue.schedule(t, grp, act)
-        self.queue.fire_due(world, t)
+        self.queue.fire_due(world, t, snapshot)
 
     def audit_rows(self):
         return self._audit
@@ -261,14 +265,14 @@ class GrdfPolicy:
 
 # --- HDV decisions ----------------------------------------------------------------
 
-def _neighbor_context(driver: HdvDriver, lane: int, world: World):
+def _neighbor_context(driver: HdvDriver, lane: int, world: World, snapshot):
     """LaneContext for a hypothetical slot of this driver in ``lane``."""
     state = driver.state
     probe = state.copy()
     probe.y = world.road.lane_center(lane)
-    others = world.all_states()  # the corridor scans skip the driver's own id
-    leader = lead_vehicle(probe, others)
-    follower = rear_vehicle(probe, others)
+    # the corridor scans skip the driver's own id
+    leader = lead_vehicle(probe, snapshot)
+    follower = rear_vehicle(probe, snapshot)
     lead_n = None
     fol_n = None
     fol_gap_to_leader = math.inf
@@ -295,7 +299,7 @@ def _gap_acceptance(ctx: LaneContext, lead_margin: float, follow_margin: float) 
             and (ctx.follower is None or ctx.follower.gap >= follow_margin))
 
 
-def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
+def hdv_decide_lane(driver: HdvDriver, world: World, t: float, snapshot):
     """MOBIL with scenario flavors: ramp vehicles force their merge before
     the ramp ends; congested-lane escapers fall back to bare gap acceptance
     once they are badly stuck.  The scripted case-2 leader keeps its lane,
@@ -312,14 +316,14 @@ def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
             room = driver.merge_deadline_x - state.x
             lead_m = 4.0 + 0.3 * state.speed if room > 120.0 else 2.0
             follow_m = 8.0 if room > 120.0 else 3.0
-            lane0 = _neighbor_context(driver, 0, world)
+            lane0 = _neighbor_context(driver, 0, world, snapshot)
             if _gap_acceptance(lane0, lead_m, follow_m) or room < 60.0:
                 driver.begin_lane_change(0, world.road)
             return
         driver.merge_deadline_x = None
         return
 
-    current = _neighbor_context(driver, state.lane, world)
+    current = _neighbor_context(driver, state.lane, world, snapshot)
     stuck = (current.leader is not None
              and state.speed < 0.72 * driver.idm.desired_speed
              and current.leader.gap < 2.5 * state.speed + 10.0)
@@ -331,7 +335,7 @@ def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
         candidates.append(state.lane - 1)
     targets = []
     for lane in candidates:
-        target = _neighbor_context(driver, lane, world)
+        target = _neighbor_context(driver, lane, world, snapshot)
         if mobil_decide(state.speed, driver.idm, current, target, driver.mobil):
             driver.begin_lane_change(lane, world.road)
             return
@@ -345,11 +349,11 @@ def hdv_decide_lane(driver: HdvDriver, world: World, t: float):
                 return
 
 
-def hdv_accel(driver: HdvDriver, world: World) -> float:
+def hdv_accel(driver: HdvDriver, snapshot) -> float:
     if driver.scripted_accel is not None:
         return driver.scripted_accel
     state = driver.state
-    leader = lead_vehicle(state, world.all_states())
+    leader = lead_vehicle(state, snapshot)
     if leader is None:
         return idm_acceleration(state.speed, 1e9, 0.0, driver.idm)
     gap = leader.x - state.x - 0.5 * (leader.length + state.length)
@@ -369,59 +373,51 @@ class EpisodeResult:
 def run_episode(world: World, policy: GrdfPolicy, seed: int,
                 episode_len: float, success_window: float = 60.0,
                 collect_reward=None) -> EpisodeResult:
-    """Run one seeded episode to completion or first platoon collision."""
+    """Run one seeded episode to completion or first platoon collision.
+
+    ``collect_reward(world, action, policy.reorg, t)`` follows each platoon
+    decision, which the record has already seen.
+    """
+    if not (math.isfinite(episode_len) and episode_len >= 0.0):
+        raise ValueError(f"episode length must be finite and >= 0, got {episode_len!r}")
     rng = np.random.default_rng((seed, 17))
-    policy.reset(world, rng)
+    policy.reset(world, rng, episode_len)
+    reorg = policy.reorg
 
     clock = world.clock
     n_frames = int(round(episode_len / clock.dt))
     hdv_period = int(round(1.0 / clock.dt))
+    n_members = len(world.members)
 
     metrics = EpisodeMetrics()
     speed_acc = 0.0
     dist_acc = 0.0
     samples = 0
 
-    reorg_active = False
-    reorg_start = 0.0
-    intact_since = None
-    debounce = 3.0
-
-    stats = EpisodeStats(episode_len=episode_len)
-
+    snapshot = world.all_states()
     for frame in range(n_frames):
         t = clock.t
-        states = world.platoon_states()
-        background = world.hdv_states()
 
         if world.scripted is not None:
             _apply_scripted(world, t)
 
         if clock.platoon_decision_due():
             action = policy.platoon_decide(world, t)
-            intact_now = formation_intact(states, background)
-            triggered, completed = stats.on_decision(action, intact_now, t)
-            if triggered and not reorg_active:
-                # reorganization clock starts at the split trigger
-                reorg_active = True
-                reorg_start = t
-                intact_since = None
             if collect_reward is not None:
-                collect_reward(world, action, stats, triggered, completed, t)
+                collect_reward(world, action, reorg, t)
 
         if clock.vehicle_decision_due():
-            policy.vehicle_decide(world, t)
+            policy.vehicle_decide(world, t, snapshot)
         # HDV lane decisions run once per second each, staggered across frames
         for k, driver in enumerate(world.hdvs):
             if (frame + k) % hdv_period == 0:
-                hdv_decide_lane(driver, world, t)
+                hdv_decide_lane(driver, world, t, snapshot)
 
         # fire any staggered maneuvers scheduled by the policy
-        policy.queue.fire_due(world, t)
+        policy.queue.fire_due(world, t, snapshot)
 
         # compute all commands from the same snapshot, one leader lookup each
         commands = []
-        snapshot = world.all_states()
         for member in world.members:
             ex = member.executor
             if ex.tracking_done(t):
@@ -431,7 +427,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
             leader = lead_vehicle(member.state, snapshot)
             commands.append(ex.command(member.state, leader, t, world.road, clock.dt))
 
-        hdv_accels = [hdv_accel(d, world) for d in world.hdvs]
+        hdv_accels = [hdv_accel(d, snapshot) for d in world.hdvs]
 
         # advance everyone together
         for member, (speed, heading) in zip(world.members, commands):
@@ -445,10 +441,10 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
             driver.state.lane = world.road.lane_of(driver.state.y)
         clock.tick()
         t = clock.t
+        snapshot = world.all_states()
 
         # metrics and termination
-        states = world.platoon_states()
-        background = world.hdv_states()
+        states, background = snapshot[:n_members], snapshot[n_members:]
         speed_acc += sum(v.speed for v in states) / len(states)
         gaps = [abs(a.x - b.x) for a, b in zip(states, states[1:])]
         if gaps:
@@ -456,7 +452,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         samples += 1
 
         for v in states:
-            ahead = lead_vehicle(v, world.all_states())
+            ahead = lead_vehicle(v, snapshot)
             if ahead is not None:
                 tau = compute_ttc(v, ahead)
                 if tau < metrics.min_ttc:
@@ -468,24 +464,14 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
             metrics.collision_time = t
             break
 
-        if reorg_active:
-            intact = (policy.config_action.single_group
-                      and formation_intact(states, background))
-            if intact:
-                if intact_since is None:
-                    intact_since = t
-                if t - intact_since >= debounce:
-                    duration = intact_since - reorg_start
-                    if metrics.formation_time is None:
-                        metrics.formation_time = duration
-                        metrics.formation_success = duration <= success_window
-                    reorg_active = False
-                    intact_since = None
-            else:
-                intact_since = None
+        if reorg.running:  # the formation scan is needed only while one runs
+            reorg.on_frame(reorg.target.single_group and formation_intact(states, background), t)
 
     metrics.duration = clock.t
-    metrics.reorganizations = stats.reorg_count
+    metrics.reorganizations = reorg.count
+    if reorg.durations:
+        metrics.formation_time = reorg.durations[0]
+        metrics.formation_success = metrics.formation_time <= success_window
     if samples:
         metrics.avg_speed = speed_acc / samples
         metrics.avg_distance = dist_acc / samples

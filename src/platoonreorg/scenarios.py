@@ -67,6 +67,8 @@ class ScenarioSpec:
             raise ScenarioError("platoon size must be within [2, 5]")
         if self.headway <= 0 or self.episode_len <= 0:
             raise ScenarioError("headway and episode length must be positive")
+        if not self.success_window > 0:
+            raise ScenarioError(f"success window must be positive, got {self.success_window!r}")
         if not (0 <= self.platoon_lane < self.lane_count):
             raise ScenarioError(f"platoon lane {self.platoon_lane} outside "
                                 f"[0, {self.lane_count})")

@@ -12,7 +12,6 @@ from platoonreorg.coalition import (
     SPLITTING,
     STEADY,
     CoalitionPartition,
-    GamePhaseMachine,
     GameScene,
     Prediction,
     coalition_value,
@@ -334,17 +333,3 @@ class TestOracleEquivalence:
             assert solver.value == pytest.approx(value, abs=1e-9)
             assert joint in prune_joint_actions(part, scene)
 
-
-class TestPhaseMachine:
-    def test_cycle(self):
-        m = GamePhaseMachine()
-        assert m.phase == STEADY
-        assert m.update(target_single_group=False, intact=True) == SPLITTING
-        assert m.update(target_single_group=False, intact=False) == SPLITTING
-        assert m.update(target_single_group=True, intact=False) == MERGING
-        assert m.update(target_single_group=True, intact=False) == MERGING
-        assert m.update(target_single_group=True, intact=True) == STEADY
-
-    def test_merging_back_to_splitting(self):
-        m = GamePhaseMachine(phase=MERGING)
-        assert m.update(target_single_group=False, intact=False) == SPLITTING

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from platoonreorg import config
+from platoonreorg.coalition import MERGING, SPLITTING, STEADY
 from platoonreorg.distribution import (
-    EpisodeStats,
     HeuristicDistributionPolicy,
     Observation,
     Observer,
     PlatoonConfigAction,
+    ReorgRecord,
     compute_reward,
     enumerate_configurations,
     reward_bound,
@@ -91,8 +92,8 @@ class TestObserver:
         assert o2.rows[0][4] == pytest.approx(1.0)  # backward difference
 
 
-def make_stats():
-    return EpisodeStats(episode_len=120.0)
+def make_record():
+    return ReorgRecord(episode_len=120.0, target=single())
 
 
 def single(n=3):
@@ -107,41 +108,41 @@ class TestReward:
     def test_full_speed_efficiency(self):
         platoon = [cav(0, 120.0, speed=30.0), cav(1, 110.0, speed=30.0),
                    cav(2, 100.0, speed=30.0)]
-        stats = make_stats()
-        stats.on_decision(single(), True, 0.0)
-        total, bd = compute_reward(platoon, platoon, [], single(), stats,
-                                   False, None, False, v_max=30.0)
+        record = make_record()
+        record.on_decision(single(), 0.0)
+        total, bd = compute_reward(platoon, platoon, [], single(), record,
+                                   False, v_max=30.0)
         assert bd["R_e"] == pytest.approx(1.0)
 
     def test_perfect_formation_zero_tracking(self):
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
-        stats = make_stats()
-        stats.on_decision(single(), True, 0.0)
-        _, bd = compute_reward(platoon, platoon, [], single(), stats,
-                               False, None, False, v_max=30.0)
+        record = make_record()
+        record.on_decision(single(), 0.0)
+        _, bd = compute_reward(platoon, platoon, [], single(), record,
+                               False, v_max=30.0)
         assert bd["R_d"] == pytest.approx(0.0)
 
     def test_frequency_arithmetic(self):
-        stats = make_stats()
-        stats.n_trigger = 2
-        stats.n_step = 100
+        record = make_record()
+        record.triggers = 2
+        record.decisions = 100
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
-        _, bd = compute_reward(platoon, platoon, [], single(), stats,
-                               False, None, False, v_max=30.0)
+        _, bd = compute_reward(platoon, platoon, [], single(), record,
+                               False, v_max=30.0)
         assert bd["r_rf"] == pytest.approx(0.02)
 
     def test_collision_zeroes_r_col(self):
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
-        stats = make_stats()
-        stats.on_decision(single(), True, 0.0)
-        _, bd = compute_reward(platoon, platoon, [], single(), stats,
-                               False, None, True, v_max=30.0)
+        record = make_record()
+        record.on_decision(single(), 0.0)
+        _, bd = compute_reward(platoon, platoon, [], single(), record,
+                               True, v_max=30.0)
         assert bd["r_col"] == 0.0
 
     def test_bounded(self):
         bound = reward_bound(3)
         rng = np.random.default_rng(5)
-        stats = make_stats()
+        record = make_record()
         for k in range(50):
             platoon = [cav(0, 120.0 + rng.uniform(-5, 5), speed=rng.uniform(0, 30)),
                        cav(1, 105.0 + rng.uniform(-5, 5), y=rng.uniform(0, 8),
@@ -150,24 +151,116 @@ class TestReward:
             bg = [hdv(10, 120.0 + rng.uniform(-40, 40), y=rng.uniform(0, 8),
                       speed=rng.uniform(0, 35))]
             action = split() if k % 3 else single()
-            triggered, completed = stats.on_decision(action, True, float(k))
-            total, _ = compute_reward(platoon, platoon, bg, action, stats,
-                                      triggered, completed, False, v_max=30.0)
+            record.on_decision(action, 5.0 * k)
+            total, _ = compute_reward(platoon, platoon, bg, action, record,
+                                      False, v_max=30.0)
             assert abs(total) <= bound
+            for dt in (1.0, 2.0, 3.0, 4.0):
+                record.on_frame(record.target.single_group, 5.0 * k + dt)
+        assert record.durations
+
+    def test_reorganization_time_is_paid_once(self):
+        platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_decision(single(), 5.0)
+        for t in (6.0, 7.0, 8.0, 9.0):
+            record.on_frame(True, t)
+        record.on_decision(single(), 10.0)
+        _, bd = compute_reward(platoon, platoon, [], single(), record, False, v_max=30.0)
+        assert bd["r_re"] == pytest.approx(6.0 / 120.0)
+        record.on_decision(single(), 15.0)
+        _, bd = compute_reward(platoon, platoon, [], single(), record, False, v_max=30.0)
+        assert bd["r_re"] == 0.0
 
 
-class TestEpisodeStats:
-    def test_trigger_and_completion(self):
-        stats = make_stats()
-        t1, c1 = stats.on_decision(single(), True, 0.0)
-        assert not t1 and c1 is None
-        t2, c2 = stats.on_decision(split(), True, 5.0)
-        assert t2 and stats.n_trigger == 1 and stats.reorganizing
-        t3, c3 = stats.on_decision(split(), False, 10.0)
-        assert not t3 and c3 is None
-        t4, c4 = stats.on_decision(single(), True, 15.0)
-        assert c4 == pytest.approx(10.0)
-        assert not stats.reorganizing
+class TestReorgRecord:
+    """The one reorganization clock: triggers, the formation hold, the phase."""
+
+    def test_trigger_counts_once_per_reorganization(self):
+        record = make_record()
+        assert not record.on_decision(single(), 0.0)
+        assert record.on_decision(split(), 5.0)
+        assert (record.triggers, record.count, record.running) == (1, 1, True)
+        assert not record.on_decision(split(), 10.0)
+        assert not record.on_decision(single(), 15.0)
+        assert record.on_decision(split(), 20.0)       # a re-split while it runs
+        assert (record.triggers, record.count, record.start) == (2, 1, 5.0)
+        record.on_decision(single(), 25.0)
+        for t in (26.0, 27.0, 28.0, 29.0):
+            record.on_frame(True, t)
+        assert not record.running
+        assert record.on_decision(split(), 30.0)       # a new reorganization
+        assert (record.triggers, record.count, record.start) == (3, 2, 30.0)
+        assert record.decisions == 7
+
+    def test_resplit_during_hold_restarts_hold_not_count(self):
+        record = make_record()
+        record.on_decision(split(), 5.0)
+        record.on_decision(single(), 10.0)
+        for t in (10.5, 11.0, 11.5, 12.0):
+            record.on_frame(record.target.single_group, t)
+        assert record.intact_since == 10.5 and record.phase == MERGING
+        assert record.on_decision(split(), 12.5)
+        assert record.phase == SPLITTING
+        record.on_frame(record.target.single_group, 13.0)
+        assert record.intact_since is None and record.running
+        record.on_decision(single(), 15.0)
+        t = 15.5
+        while record.running:
+            record.on_frame(record.target.single_group, t)
+            t += 0.5
+        assert t - 0.5 == 15.5 + config.FORMATION_HOLD
+        assert record.durations == [15.5 - 5.0]
+        assert (record.count, record.triggers) == (1, 2)
+
+    def test_completion_needs_hold_of_continuous_intact(self):
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_decision(single(), 5.0)
+        frames = [(5.0 + 0.25 * j, True) for j in range(1, 5)]     # 5.25 .. 6.0
+        frames.append((6.25, False))
+        frames += [(6.25 + 0.25 * j, True) for j in range(1, 13)]  # 6.5 .. 9.25
+        for t, intact in frames:
+            record.on_frame(intact, t)
+        assert record.running and record.intact_since == 6.5
+        record.on_frame(True, 6.5 + config.FORMATION_HOLD)
+        assert not record.running
+        assert record.durations == [6.5]
+
+    def test_frames_without_a_reorganization_change_nothing(self):
+        record = make_record()
+        record.on_decision(single(), 0.0)
+        for t in (1.0, 2.0, 3.0, 4.0):
+            record.on_frame(True, t)
+        assert (record.running, record.durations, record.intact_since) == (False, [], None)
+
+    def test_recent_holds_durations_since_the_previous_decision(self):
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_decision(single(), 5.0)
+        assert record.recent == ()
+        for t in (6.0, 7.0, 8.0, 9.0):
+            record.on_frame(True, t)
+        record.on_decision(single(), 10.0)
+        assert record.recent == (6.0,)
+        record.on_decision(single(), 15.0)
+        assert record.recent == ()
+
+    def test_phase_sequence(self):
+        record = make_record()
+        phases = [record.phase]
+        record.on_decision(single(), 0.0)
+        phases.append(record.phase)
+        record.on_decision(split(), 5.0)
+        phases.append(record.phase)
+        record.on_decision(single(), 10.0)
+        phases.append(record.phase)
+        for t in (10.5, 12.0, 13.0, 13.5):     # intact from 10.5, held 3 s at 13.5
+            record.on_frame(True, t)
+            phases.append(record.phase)
+        assert phases == [STEADY, STEADY, SPLITTING, MERGING,
+                          MERGING, MERGING, MERGING, STEADY]
 
 
 class TestHeuristic:

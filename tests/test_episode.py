@@ -6,7 +6,9 @@ at a dense level with GRDF, seeds 0-1, each 20 s long so the case-2 brake at
 invariants: frames x dt equals the duration, every metric and every final
 vehicle field is finite, and no platoon member ends above the speed limit.
 Its ``EpisodeMetrics.row()`` is compared exactly against
-``golden/episodes.json``.
+``golden/episodes.json``.  A case-1 network-policy episode that splits and
+re-merges is pinned below; it also checks that the reward, the metrics and
+the game phase read one reorganization clock.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_episode.py > tests/golden/episodes.json``.
@@ -22,7 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from platoonreorg.episode import GrdfPolicy, run_episode
+from platoonreorg import config
+from platoonreorg.coalition import MERGING, SPLITTING, STEADY
+from platoonreorg.episode import GrdfPolicy, World, run_episode
+from platoonreorg.ppo import PolicyNetwork
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
 
 GOLDEN = Path(__file__).parent / "golden" / "episodes.json"
@@ -76,6 +81,81 @@ def test_episode_runs_and_matches_pin(name, seed, golden):
     world, result = run_case(name, seed)
     assert invariant_failures(world, result) == []
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
+
+
+# Case 1, seed 0, 30 s under an untrained network policy (8 observed objects x
+# 9 features in, 4 configurations out).  The network splits at 10 s and picks
+# the single group again at 20 s, so the run covers ``Observer``,
+# ``select_configuration`` and one full reorganization inside the loop.
+NETWORK_LEN = 30.0
+NETWORK_ROW = {"collision": 0, "avg_speed": 24.238033, "min_ttc": 1.228009,
+               "avg_distance": 9.962367, "formation_success": 1, "formation_time": 10.1,
+               "reorganizations": 1, "duration": 30.0}
+
+
+def run_network_case(collect_reward=None):
+    spec = case1_spec(episode_len=NETWORK_LEN)
+    world = build_scenario(spec, 0)
+    policy = GrdfPolicy(network=PolicyNetwork(obs_dim=72, n_actions=4, seed=0),
+                        keep_audit=True)
+    result = run_episode(world, policy, 0, spec.episode_len, spec.success_window,
+                         collect_reward=collect_reward)
+    return world, result
+
+
+def test_network_policy_episode_matches_pin():
+    world, result = run_network_case()
+    assert invariant_failures(world, result) == []
+    assert result.metrics.row() == NETWORK_ROW
+
+
+def test_reward_metrics_and_game_phase_share_one_clock():
+    decisions = []
+
+    def collect(world, action, reorg, t):
+        decisions.append((t, action.single_group, reorg.triggered, reorg.recent))
+
+    _, result = run_network_case(collect)
+    metrics = result.metrics
+    # the reward is handed the same reorganization time the metrics report
+    assert [d for *_, recent in decisions for d in recent] == [metrics.formation_time]
+    start = next(t for t, _, triggered, _ in decisions if triggered)
+    merge = next(t for t, single, _, _ in decisions if t > start and single)
+    end = start + metrics.formation_time + config.FORMATION_HOLD
+    # the game stays in the merging phase until the reorganization ends
+    for row in result.audit:
+        t = row["t"]
+        want = (STEADY if t < start or t >= end else SPLITTING if t < merge else MERGING)
+        assert row["phase"] == want, t
+    assert max(r["t"] for r in result.audit if r["phase"] == MERGING) == 23.0
+
+
+def test_one_snapshot_per_frame(monkeypatch, golden):
+    calls = 0
+    all_states = World.all_states
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return all_states(self)
+
+    monkeypatch.setattr(World, "all_states", counted)
+    _, result = run_case("case1-grdf", 0)
+    assert result.metrics.row() == golden["case1-grdf/seed0"]
+    assert calls == result.frames + 1
+
+
+@pytest.mark.parametrize("episode_len", [-5.0, -0.01, math.nan, math.inf])
+def test_bad_episode_length_rejected(episode_len):
+    world = build_scenario(case1_spec(), 0)
+    with pytest.raises(ValueError):
+        run_episode(world, GrdfPolicy(), 0, episode_len)
+
+
+def test_episode_shorter_than_a_frame_returns_empty():
+    world = build_scenario(case1_spec(), 0)
+    result = run_episode(world, GrdfPolicy(), 0, 0.01)
+    assert (result.frames, result.metrics.duration) == (0, 0.0)
 
 
 if __name__ == "__main__":

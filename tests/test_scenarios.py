@@ -42,22 +42,23 @@ def _world(name, seed):
 def scene_pins(name: str, seed: int) -> dict:
     """Every pinned value for one (scenario, seed); each part on a fresh world."""
     world = _world(name, seed)
+    snapshot = world.all_states()
     pins = {
         "hdv_count": len(world.hdvs),
-        "hdv_accel": [hdv_accel(d, world) for d in world.hdvs],
+        "hdv_accel": [hdv_accel(d, snapshot) for d in world.hdvs],
         "platoon_lead_info": list(platoon_lead_info(world)),
     }
 
     lanes = []
     for d in sorted(world.hdvs, key=lambda d: d.state.id):
-        hdv_decide_lane(d, world, 0.0)
+        hdv_decide_lane(d, world, 0.0, snapshot)
         lanes.append(d.state.target_lane if d.changing() else None)
     pins["hdv_lane_decisions"] = lanes
 
     world = _world(name, seed)
     policy = GrdfPolicy(use_pdi=False, keep_audit=True)
-    policy.reset(world, np.random.default_rng((seed, 17)))
-    policy.vehicle_decide(world, 0.0)
+    policy.reset(world, np.random.default_rng((seed, 17)), SPECS[name]().episode_len)
+    policy.vehicle_decide(world, 0.0, world.all_states())
     pins["grdf_audit"] = policy.audit_rows()
     pins["grdf_members"] = [[m.executor.mode, m.state.target_lane] for m in world.members]
 
@@ -110,6 +111,13 @@ def test_platoon_lane_off_the_road_rejected(lane):
     with pytest.raises(ScenarioError):
         case2_spec(platoon_lane=lane)
     assert case2_spec(platoon_lane=lane % 3).platoon_lane == lane % 3
+
+
+
+@pytest.mark.parametrize("window", [0.0, -60.0, float("nan")])
+def test_non_positive_success_window_rejected(window):
+    with pytest.raises(ScenarioError):
+        case2_spec(success_window=window)
 
 
 if __name__ == "__main__":
