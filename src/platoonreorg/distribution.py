@@ -200,8 +200,7 @@ class ReorgRecord:
         return MERGING if self.target.single_group else SPLITTING
 
 
-def compute_reward(platoon_prev, platoon_next, background_next,
-                   action: PlatoonConfigAction, reorg: ReorgRecord,
+def compute_reward(platoon_next, background_next, reorg: ReorgRecord,
                    collision: bool, v_max: float,
                    w: config.RewardConfig | None = None,
                    risk_params: config.RiskFieldConfig | None = None):

@@ -380,6 +380,8 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
     """
     if not (math.isfinite(episode_len) and episode_len >= 0.0):
         raise ValueError(f"episode length must be finite and >= 0, got {episode_len!r}")
+    if not success_window > 0.0:
+        raise ValueError(f"success window must be positive, got {success_window!r}")
     rng = np.random.default_rng((seed, 17))
     policy.reset(world, rng, episode_len)
     reorg = policy.reorg

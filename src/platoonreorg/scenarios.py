@@ -160,18 +160,21 @@ def _case1_congestion(spec: ScenarioSpec, road: RoadMap, rng, id_start: int):
     vid = id_start
     count = int(round(spec.congestion_density
                       * (spec.congestion_to - spec.congestion_from) / 1000.0))
-    xs = np.sort(rng.uniform(spec.congestion_from, spec.congestion_to, size=count))
+    xs = np.sort(rng.uniform(spec.congestion_from, spec.congestion_to, size=count)).tolist()
+    # one random() per draw is rng.uniform(lo, hi) bit for bit: lo + (hi - lo) * random()
+    draw = rng.random
+    y = road.lane_center(0)
     last_x = -1e9
     for x in xs:
         if x - last_x < 14.0:
             continue
-        last_x = float(x)
-        style = "aggressive" if rng.uniform() < 0.55 else "normal"
+        last_x = x
+        style = "aggressive" if draw() < 0.55 else "normal"
         idm, mobil = style_params(style, spec.speed_limit)
-        idm = dataclasses.replace(idm, desired_speed=float(
-            rng.uniform(0.85, 1.1)) * spec.congestion_speed)
-        st = VehicleState(id=vid, kind=HDV, x=float(x), y=road.lane_center(0),
-                          speed=float(rng.uniform(0.8, 1.0)) * spec.congestion_speed,
+        idm = dataclasses.replace(idm, desired_speed=(
+            0.85 + (1.1 - 0.85) * draw()) * spec.congestion_speed)
+        st = VehicleState(id=vid, kind=HDV, x=x, y=y,
+                          speed=(0.8 + (1.0 - 0.8) * draw()) * spec.congestion_speed,
                           lane=0, target_lane=0)
         drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style,
                                  escape_bias=True))

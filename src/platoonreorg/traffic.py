@@ -5,6 +5,7 @@ style presets, and seeded traffic-flow generation.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -139,8 +140,12 @@ def mobil_decide(ego_speed: float, ego_params: IdmParams,
 STYLES = ("timid", "normal", "aggressive")
 
 
+@functools.cache
 def style_params(style: str, speed_limit: float):
-    """(IdmParams, MobilParams) presets for one driving style."""
+    """(IdmParams, MobilParams) presets for one driving style.
+
+    Memoised: equal arguments share one frozen pair.
+    """
     if style == "timid":
         idm = IdmParams(desired_speed=0.9 * speed_limit, time_headway=2.0)
         mobil = MobilParams(politeness=0.5, accel_threshold=0.2, safe_decel_limit=2.0)
@@ -167,6 +172,11 @@ class TrafficSpec:
     def __post_init__(self):
         if self.density < 0:
             raise ValueError("density must be nonnegative")
+        unknown = set(self.style_mix) - set(STYLES)
+        if unknown:
+            raise ValueError(f"unknown driving styles {sorted(unknown)} in style mix")
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.style_mix.values()):
+            raise ValueError(f"style mix weights must be finite and >= 0, got {self.style_mix}")
         total = sum(self.style_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("style mix probabilities must sum to 1")
@@ -240,7 +250,12 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
 
     The per-vehicle draw order (lane, style, speed, then one x per attempt)
     is part of the seeded contract: the same spec and road give the same
-    traffic, and golden scenarios depend on the exact stream.
+    traffic, and golden scenarios depend on the exact stream.  The lane is
+    one ``integers`` draw; the style, the speed and each x are one
+    ``random()`` each.  Those equal ``rng.choice(len(styles), p=probs)``
+    (bisect of the normalised cumulative weights) and ``rng.uniform(lo, hi)``
+    (``lo + (hi - lo) * random()``) bit for bit, without their per-call
+    argument checks.
     """
     rng = np.random.default_rng(spec.seed)
     x_max = spec.x_max if spec.x_max is not None else road.length
@@ -250,24 +265,30 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     requested = int(round(spec.density * road.lane_count * corridor_km))
 
     styles = sorted(spec.style_mix)
-    probs = np.array([spec.style_mix[s] for s in styles])
+    cdf = np.cumsum([float(spec.style_mix[s]) for s in styles])
+    cdf = (cdf / cdf[-1]).tolist()
+    lane_boxes = [[b for b in keep_clear if b[2] <= lane <= b[3]]
+                  for lane in range(road.lane_count)]
+    x_min, x_span = spec.x_min, x_max - spec.x_min
+    draw = rng.random
     drivers = []
     vid = id_start
     per_lane = [[] for _ in range(road.lane_count)]   # placed x values, sorted
     for k in range(requested):
         lane = int(rng.integers(0, road.lane_count))
-        style = styles[int(rng.choice(len(styles), p=probs))]
+        style = styles[bisect.bisect_right(cdf, draw())]
         idm, mobil = style_params(style, spec.speed_limit)
-        speed = float(rng.uniform(0.75, 0.95)) * idm.desired_speed
+        speed = (0.75 + (0.95 - 0.75) * draw()) * idm.desired_speed
         clearance = idm.min_gap + speed * idm.time_headway + config.VEHICLE_LENGTH
         xs = per_lane[lane]
+        boxes = lane_boxes[lane]
         for _attempt in range(25):
-            x = float(rng.uniform(spec.x_min, x_max))
-            if in_keep_clear(x, lane, keep_clear):
+            x = x_min + x_span * draw()
+            if boxes and in_keep_clear(x, lane, boxes):
                 continue
             # the nearest placed vehicle on either side decides the spacing test
             i = bisect.bisect_left(xs, x)
-            if any(abs(x - ox) < clearance for ox in xs[max(i - 1, 0):i + 1]):
+            if (i and x - xs[i - 1] < clearance) or (i < len(xs) and xs[i] - x < clearance):
                 continue
             xs.insert(i, x)
             st = VehicleState(id=vid, kind=HDV, x=x, y=road.lane_center(lane),

@@ -110,16 +110,14 @@ class TestReward:
                    cav(2, 100.0, speed=30.0)]
         record = make_record()
         record.on_decision(single(), 0.0)
-        total, bd = compute_reward(platoon, platoon, [], single(), record,
-                                   False, v_max=30.0)
+        total, bd = compute_reward(platoon, [], record, False, v_max=30.0)
         assert bd["R_e"] == pytest.approx(1.0)
 
     def test_perfect_formation_zero_tracking(self):
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
         record = make_record()
         record.on_decision(single(), 0.0)
-        _, bd = compute_reward(platoon, platoon, [], single(), record,
-                               False, v_max=30.0)
+        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
         assert bd["R_d"] == pytest.approx(0.0)
 
     def test_frequency_arithmetic(self):
@@ -127,16 +125,14 @@ class TestReward:
         record.triggers = 2
         record.decisions = 100
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
-        _, bd = compute_reward(platoon, platoon, [], single(), record,
-                               False, v_max=30.0)
+        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
         assert bd["r_rf"] == pytest.approx(0.02)
 
     def test_collision_zeroes_r_col(self):
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
         record = make_record()
         record.on_decision(single(), 0.0)
-        _, bd = compute_reward(platoon, platoon, [], single(), record,
-                               True, v_max=30.0)
+        _, bd = compute_reward(platoon, [], record, True, v_max=30.0)
         assert bd["r_col"] == 0.0
 
     def test_bounded(self):
@@ -152,8 +148,7 @@ class TestReward:
                       speed=rng.uniform(0, 35))]
             action = split() if k % 3 else single()
             record.on_decision(action, 5.0 * k)
-            total, _ = compute_reward(platoon, platoon, bg, action, record,
-                                      False, v_max=30.0)
+            total, _ = compute_reward(platoon, bg, record, False, v_max=30.0)
             assert abs(total) <= bound
             for dt in (1.0, 2.0, 3.0, 4.0):
                 record.on_frame(record.target.single_group, 5.0 * k + dt)
@@ -167,10 +162,10 @@ class TestReward:
         for t in (6.0, 7.0, 8.0, 9.0):
             record.on_frame(True, t)
         record.on_decision(single(), 10.0)
-        _, bd = compute_reward(platoon, platoon, [], single(), record, False, v_max=30.0)
+        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
         assert bd["r_re"] == pytest.approx(6.0 / 120.0)
         record.on_decision(single(), 15.0)
-        _, bd = compute_reward(platoon, platoon, [], single(), record, False, v_max=30.0)
+        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
         assert bd["r_re"] == 0.0
 
 

@@ -152,6 +152,13 @@ def test_bad_episode_length_rejected(episode_len):
         run_episode(world, GrdfPolicy(), 0, episode_len)
 
 
+@pytest.mark.parametrize("window", [0.0, -60.0, math.nan])
+def test_non_positive_success_window_rejected(window):
+    world = build_scenario(case1_spec(), 0)
+    with pytest.raises(ValueError):
+        run_episode(world, GrdfPolicy(), 0, 1.0, window)
+
+
 def test_episode_shorter_than_a_frame_returns_empty():
     world = build_scenario(case1_spec(), 0)
     result = run_episode(world, GrdfPolicy(), 0, 0.01)

@@ -118,6 +118,13 @@ class TestStyles:
         with pytest.raises(ValueError):
             style_params("reckless", 30.0)
 
+    def test_presets_are_shared_and_errors_are_not_cached(self):
+        assert style_params("timid", 30.0) is style_params("timid", 30.0)
+        assert style_params("timid", 30.0) is not style_params("timid", 25.0)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                style_params("reckless", 30.0)
+
 
 def spawn_by_linear_scan(spec, road, keep_clear=()):
     """Reference placement: every candidate is tested against every vehicle
@@ -191,15 +198,35 @@ class TestSpawn:
                                  + config.VEHICLE_LENGTH)
                     assert abs(b.state.x - a.state.x) >= clearance, (seed, a.state.id, b.state.id)
 
-    @pytest.mark.parametrize("density,seed,keep_clear", [
-        (8.0, 0, ()), (30.0, 4, ()), (60.0, 7, [(300.0, 500.0, 0, 1)]),
-        (120.0, 11, [(0.0, 200.0, 2, 2)]),
-    ])
-    def test_matches_linear_scan(self, density, seed, keep_clear):
-        spec = TrafficSpec(density=density, seed=seed, x_min=50.0)
-        res = spawn_traffic(spec, self.road, keep_clear=keep_clear)
+    DEFAULT_MIX = TrafficSpec().style_mix
+
+    @pytest.mark.parametrize("density,seed,keep_clear,mix,lanes", [
+        (8.0, 0, (), DEFAULT_MIX, 3), (30.0, 4, (), DEFAULT_MIX, 3),
+        (60.0, 7, [(300.0, 500.0, 0, 1)], DEFAULT_MIX, 3),
+        (120.0, 11, [(0.0, 200.0, 2, 2)], DEFAULT_MIX, 3),
+        (40.0, 3, (), {"normal": 0.4, "aggressive": 0.6}, 3),
+        (40.0, 8, (), {"aggressive": 0.0, "normal": 0.7, "timid": 0.3}, 3),
+        (40.0, 9, (), {"timid": 0.3, "normal": 0.3, "aggressive": 0.4 - 5e-10}, 3),
+        (50.0, 12, [(200.0, 700.0, 1, 2)], DEFAULT_MIX, 4),
+    ], ids=["8.0-0-keep_clear0", "30.0-4-keep_clear1", "60.0-7-keep_clear2",
+            "120.0-11-keep_clear3", "two-styles", "zero-weight-style", "sum-below-one",
+            "box-over-two-of-four-lanes"])
+    def test_matches_linear_scan(self, density, seed, keep_clear, mix, lanes):
+        road = RoadMap(lane_count=lanes, length=1000.0)
+        spec = TrafficSpec(density=density, style_mix=dict(mix), seed=seed, x_min=50.0)
+        res = spawn_traffic(spec, road, keep_clear=keep_clear)
         got = [(d.state.x, d.state.lane, d.state.speed, d.style) for d in res.drivers]
-        assert got == spawn_by_linear_scan(spec, self.road, keep_clear)
+        assert got == spawn_by_linear_scan(spec, road, keep_clear)
+
+    @pytest.mark.parametrize("mix", [
+        {"timid": -0.5, "normal": 1.5},
+        {"timid": math.nan, "normal": 1.0},
+        {"timid": math.inf, "normal": 1.0},
+        {"normal": 1.0, "x": 0.0},
+    ], ids=["negative", "nan", "inf", "unknown-style"])
+    def test_bad_style_mix_rejected(self, mix):
+        with pytest.raises(ValueError):
+            spawn_traffic(TrafficSpec(density=30.0, style_mix=mix), self.road)
 
     def test_inverted_corridor_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,83 @@
+"""Whole seeded worlds from ``build_scenario``, pinned by digest.
+
+For each (spec, seed) below, one sha256 digest covers every HDV of the
+frame-0 world: ``astuple(state)``, its IDM and MOBIL presets, style,
+``escape_bias`` and ``merge_deadline_x``.  Floats enter by their IEEE-754
+bytes, so a change in the last bit, or -0.0 for 0.0, changes the digest.
+``golden/scenarios.json`` pins frame-0 decisions; this pins every vehicle.
+
+Regenerate the pins only for an intended change of the seeded stream:
+``PYTHONPATH=src python tests/test_worlds.py > tests/golden/worlds.json``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import numbers
+import struct
+from pathlib import Path
+
+import pytest
+
+from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
+
+GOLDEN = Path(__file__).parent / "golden" / "worlds.json"
+
+SPECS = {
+    "case1": case1_spec,
+    "case2-sparse": lambda: case2_spec(density=3.0),
+    "case2-dense": lambda: case2_spec(density=14.0),
+    "case2-4lane": lambda: case2_spec(density=40.0, lane_count=4),
+}
+SEEDS = (0, 1, 2)
+
+
+def _encode(value) -> bytes:
+    """Type-tagged bytes of one field; floats by their exact bit pattern."""
+    if value is None:
+        return b"n"
+    if isinstance(value, bool):
+        return b"b1" if value else b"b0"
+    if isinstance(value, numbers.Integral):
+        return b"i" + str(int(value)).encode()
+    if isinstance(value, numbers.Real):
+        return b"f" + struct.pack("<d", float(value))
+    if isinstance(value, str):
+        return b"s" + value.encode()
+    if isinstance(value, tuple):
+        return b"(" + b",".join(_encode(v) for v in value) + b")"
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def world_digest(spec, seed: int) -> str:
+    world = build_scenario(spec, seed)
+    h = hashlib.sha256()
+    for d in world.hdvs:
+        h.update(_encode((dataclasses.astuple(d.state), dataclasses.astuple(d.idm),
+                          dataclasses.astuple(d.mobil), d.style, d.escape_bias,
+                          d.merge_deadline_x)))
+        h.update(b";")
+    return h.hexdigest()
+
+
+def _all_pins():
+    return {f"{name}/seed{seed}": world_digest(SPECS[name](), seed)
+            for name in SPECS for seed in SEEDS}
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_world_matches_pin(name, seed):
+    want = json.loads(GOLDEN.read_text())[f"{name}/seed{seed}"]
+    assert world_digest(SPECS[name](), seed) == want
+
+
+def test_digest_tells_signed_zeros_apart():
+    assert _encode(0.0) != _encode(-0.0)
+    assert _encode(1) != _encode(1.0) != _encode(True)
+
+
+if __name__ == "__main__":
+    print(json.dumps(_all_pins(), indent=1))
