@@ -81,6 +81,7 @@ class World:
     hdvs: list                    # HdvDriver
     cruise_speed: float = 25.0
     scripted: ScriptedBrake | None = None
+    spawn_shortfall: int = 0      # ambient HDVs requested but not placed
 
     def platoon_states(self):
         return [m.state for m in self.members]

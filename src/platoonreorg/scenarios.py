@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import config
 from .control import CavExecutor
 from .episode import PlatoonMember, ScriptedBrake, World
-from .traffic import HdvDriver, TrafficSpec, in_keep_clear, spawn_traffic, style_params
+from .traffic import (HdvDriver, IdmParams, TrafficSpec, _RawDraws, in_keep_clear,
+                      spawn_traffic, style_params)
 from .world import CAV, HDV, RampSegment, RoadMap, SimClock, VehicleState
 
 
@@ -72,6 +72,17 @@ class ScenarioSpec:
         if not (0 <= self.platoon_lane < self.lane_count):
             raise ScenarioError(f"platoon lane {self.platoon_lane} outside "
                                 f"[0, {self.lane_count})")
+        if self.case == 1:
+            if not (math.isfinite(self.congestion_density) and self.congestion_density >= 0):
+                raise ScenarioError("congestion density must be finite and >= 0, "
+                                    f"got {self.congestion_density!r}")
+            if not (math.isfinite(self.congestion_speed) and self.congestion_speed > 0):
+                raise ScenarioError("congestion speed must be finite and > 0, "
+                                    f"got {self.congestion_speed!r}")
+            lo, hi = self.congestion_from, self.congestion_to
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ScenarioError(f"congestion block [{lo}, {hi}] must be finite "
+                                    "and non-empty")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -130,13 +141,11 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     hdvs.extend(res.drivers)
     next_id += max(res.requested, 1)
 
-    rng = np.random.default_rng((int(seed), 101))
-
     scripted = None
     if spec.case == 1:
-        hdvs.extend(_case1_congestion(spec, road, rng, next_id))
+        hdvs.extend(_case1_congestion(spec, road, int(seed), next_id))
         next_id += 500
-        hdvs.extend(_case1_ramp_queue(spec, road, rng, next_id))
+        hdvs.extend(_case1_ramp_queue(spec, road, next_id))
         next_id += 100
         # keep the escape pressure out of the platoon's immediate spawn box
         hdvs = [d for d in hdvs
@@ -151,38 +160,52 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     hdvs.sort(key=lambda d: d.state.id)
     clock = SimClock()
     return World(road=road, clock=clock, members=members, hdvs=hdvs,
-                 cruise_speed=spec.platoon_speed, scripted=scripted)
+                 cruise_speed=spec.platoon_speed, scripted=scripted,
+                 spawn_shortfall=res.shortfall)
 
 
-def _case1_congestion(spec: ScenarioSpec, road: RoadMap, rng, id_start: int):
-    """Slow, dense rightmost lane whose drivers keep squeezing left."""
+def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int, id_start: int):
+    """Slow, dense rightmost lane whose drivers keep squeezing left.
+
+    The draws are those of ``np.random.default_rng((seed, 101))``:
+    ``uniform(lo, hi, size=count)`` for the sorted x values, then a style, a
+    desired speed and a speed ``random()`` per placed driver, each uniform
+    written ``lo + (hi - lo) * random()`` as numpy computes it.
+    """
     drivers = []
     vid = id_start
     count = int(round(spec.congestion_density
                       * (spec.congestion_to - spec.congestion_from) / 1000.0))
-    xs = np.sort(rng.uniform(spec.congestion_from, spec.congestion_to, size=count)).tolist()
-    # one random() per draw is rng.uniform(lo, hi) bit for bit: lo + (hi - lo) * random()
-    draw = rng.random
+    draws = _RawDraws((seed, 101))
+    draws.reserve(4 * count)   # count x values, then at most three draws per driver
+    doubles = draws.doubles
+    lo, span = spec.congestion_from, spec.congestion_to - spec.congestion_from
+    xs = sorted([lo + span * u for u in doubles[:count]])
+    d = count
     y = road.lane_center(0)
     last_x = -1e9
     for x in xs:
         if x - last_x < 14.0:
             continue
         last_x = x
-        style = "aggressive" if draw() < 0.55 else "normal"
-        idm, mobil = style_params(style, spec.speed_limit)
-        idm = dataclasses.replace(idm, desired_speed=(
-            0.85 + (1.1 - 0.85) * draw()) * spec.congestion_speed)
+        style = "aggressive" if doubles[d] < 0.55 else "normal"
+        base, mobil = style_params(style, spec.speed_limit)
+        idm = IdmParams(desired_speed=(0.85 + (1.1 - 0.85) * doubles[d + 1])
+                        * spec.congestion_speed,
+                        time_headway=base.time_headway, min_gap=base.min_gap,
+                        max_accel=base.max_accel, comfort_decel=base.comfort_decel,
+                        exponent=base.exponent)
         st = VehicleState(id=vid, kind=HDV, x=x, y=y,
-                          speed=(0.8 + (1.0 - 0.8) * draw()) * spec.congestion_speed,
+                          speed=(0.8 + (1.0 - 0.8) * doubles[d + 2]) * spec.congestion_speed,
                           lane=0, target_lane=0)
         drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style,
                                  escape_bias=True))
+        d += 3
         vid += 1
     return drivers
 
 
-def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, rng, id_start: int):
+def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
     """Vehicles on the ramp shoulder, committed to merging before it ends."""
     drivers = []
     y_ramp = -road.lane_width

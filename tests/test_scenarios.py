@@ -120,5 +120,24 @@ def test_non_positive_success_window_rejected(window):
         case2_spec(success_window=window)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(congestion_density=-1.0),
+    dict(congestion_density=float("nan")),
+    dict(congestion_density=float("inf")),
+    dict(congestion_from=2600.0, congestion_to=2600.0),
+    dict(congestion_from=2600.0, congestion_to=220.0),
+    dict(congestion_from=float("nan")),
+    dict(congestion_to=float("inf")),
+    dict(congestion_speed=0.0),
+    dict(congestion_speed=float("nan")),
+], ids=["negative-density", "nan-density", "inf-density", "empty-block", "inverted-block",
+        "nan-start", "inf-end", "zero-speed", "nan-speed"])
+def test_bad_congestion_block_rejected(overrides):
+    with pytest.raises(ScenarioError):
+        case1_spec(**overrides)
+    # case 2 spawns no congestion block, so its fields are not read
+    assert case2_spec(**overrides).case == 2
+
+
 if __name__ == "__main__":
     print(json.dumps(_all_pins(), indent=1))

@@ -13,6 +13,7 @@ from platoonreorg.traffic import (
     MobilParams,
     Neighbor,
     TrafficSpec,
+    _RawDraws,
     desired_gap,
     idm_acceleration,
     in_keep_clear,
@@ -208,9 +209,14 @@ class TestSpawn:
         (40.0, 8, (), {"aggressive": 0.0, "normal": 0.7, "timid": 0.3}, 3),
         (40.0, 9, (), {"timid": 0.3, "normal": 0.3, "aggressive": 0.4 - 5e-10}, 3),
         (50.0, 12, [(200.0, 700.0, 1, 2)], DEFAULT_MIX, 4),
+        (60.0, 13, [(100.0, 300.0, 0, 0)], DEFAULT_MIX, 2),
+        (30.0, 14, [(400.0, 600.0, 2, 4)], DEFAULT_MIX, 5),
+        # 342 vehicles take at least 1,197 words (half a lane word, a style,
+        # a speed and one x each), more than four chunks of _RawDraws
+        (120.0, 15, (), {"timid": 0.5, "aggressive": 0.5}, 3),
     ], ids=["8.0-0-keep_clear0", "30.0-4-keep_clear1", "60.0-7-keep_clear2",
             "120.0-11-keep_clear3", "two-styles", "zero-weight-style", "sum-below-one",
-            "box-over-two-of-four-lanes"])
+            "box-over-two-of-four-lanes", "two-lanes", "five-lanes", "past-four-chunks"])
     def test_matches_linear_scan(self, density, seed, keep_clear, mix, lanes):
         road = RoadMap(lane_count=lanes, length=1000.0)
         spec = TrafficSpec(density=density, style_mix=dict(mix), seed=seed, x_min=50.0)
@@ -228,6 +234,11 @@ class TestSpawn:
         with pytest.raises(ValueError):
             spawn_traffic(TrafficSpec(density=30.0, style_mix=mix), self.road)
 
+    @pytest.mark.parametrize("density", [-1.0, math.nan, math.inf])
+    def test_bad_density_rejected(self, density):
+        with pytest.raises(ValueError, match="density"):
+            TrafficSpec(density=density)
+
     def test_inverted_corridor_rejected(self):
         with pytest.raises(ValueError):
             spawn_traffic(TrafficSpec(density=5.0, x_min=500.0, x_max=100.0), self.road)
@@ -240,3 +251,75 @@ class TestSpawn:
         assert not in_keep_clear(399.9, 1, boxes)
         assert not in_keep_clear(500.0, 0, boxes)
         assert not in_keep_clear(500.0, 1, ())
+
+
+PCG_MULT = 47026247687942121848144207491837523525
+
+
+def pcg64_yielding(word: int) -> np.random.PCG64:
+    """A PCG64 whose next ``random_raw()`` word is ``word``.
+
+    PCG64 steps its 128-bit LCG state, then outputs the XSL-RR of the new
+    state: ``hi ^ lo`` rotated right by ``hi >> 58`` (O'Neill 2014).  With
+    ``hi < 2**58`` the rotation is 0, so the state ``(hi, hi ^ word)``
+    outputs ``word``; the generator is set one LCG step before it.
+    """
+    bg = np.random.PCG64(0)
+    state = bg.state
+    hi = 0x0123456789ABCDEF
+    after = (hi << 64) | (hi ^ word)
+    state["state"]["state"] = ((after - state["state"]["inc"])
+                               * pow(PCG_MULT, -1, 2**128)) % 2**128
+    bg.state = state
+    return bg
+
+
+def decoded_double(draws: _RawDraws) -> float:
+    draws.reserve(1)
+    draws.pos += 1
+    return draws.doubles[draws.pos - 1]
+
+
+class TestRawDraws:
+    """``_RawDraws`` against the installed numpy: a numpy release that changes
+    how ``random()`` or ``integers(0, n)`` use PCG64 words fails here."""
+
+    @pytest.mark.parametrize("seed", list(range(200)) + [(s, 101) for s in range(20)])
+    def test_matches_generator(self, seed):
+        rng = np.random.default_rng(seed)
+        draws = _RawDraws(seed)
+        plan = np.random.default_rng(seed).integers(0, 6, size=700).tolist()
+        for op in plan:
+            if op == 0:
+                assert decoded_double(draws) == rng.random()
+            else:
+                n = op if op > 1 else 5
+                got = draws.integer(n)
+                assert type(got) is int and got == rng.integers(0, n)
+        assert draws.pos > _RawDraws.CHUNK   # the plan crossed a refill
+
+    def test_reserve_draws_whole_chunks_in_place(self):
+        draws = _RawDraws(3)
+        doubles = draws.doubles
+        draws.reserve(_RawDraws.CHUNK + 1)
+        assert draws.doubles is doubles and len(doubles) == 2 * _RawDraws.CHUNK
+        words = np.random.PCG64(3).random_raw(2 * _RawDraws.CHUNK).tolist()
+        assert draws.words == words
+        assert doubles == [(w >> 11) * 2.0**-53 for w in words]
+
+    @pytest.mark.parametrize("n,high", [(3, 0xDEADBEEF), (5, 0x9E3779B9), (3, 0)])
+    def test_lemire_redraw_on_crafted_word(self, n, high):
+        """u = 0 leaves 0 < (2**32 - n) % n = 1, so the draw is rejected and
+        the upper half-word is used; with high == 0 that is rejected too and
+        the draw moves to a fresh word."""
+        word = high << 32
+        assert pcg64_yielding(word).random_raw() == word
+        rng = np.random.Generator(pcg64_yielding(word))
+        draws = _RawDraws(0)
+        draws._random_raw = pcg64_yielding(word).random_raw
+        got = [draws.integer(n), draws.integer(n), decoded_double(draws)]
+        assert got == [rng.integers(0, n), rng.integers(0, n), rng.random()]
+        if high:
+            assert got[0] == (high * n) >> 32
+            # word 0 fed the first integer twice, word 1 the second, word 2 the double
+            assert draws.pos == 3

@@ -30,6 +30,9 @@ SPECS = {
     "case2-sparse": lambda: case2_spec(density=3.0),
     "case2-dense": lambda: case2_spec(density=14.0),
     "case2-4lane": lambda: case2_spec(density=40.0, lane_count=4),
+    "case2-2lane": lambda: case2_spec(density=14.0, lane_count=2),
+    "case2-5lane": lambda: case2_spec(density=20.0, lane_count=5),
+    "case1-congested": lambda: case1_spec(congestion_density=60.0),
 }
 SEEDS = (0, 1, 2)
 
@@ -72,6 +75,15 @@ def _all_pins():
 def test_world_matches_pin(name, seed):
     want = json.loads(GOLDEN.read_text())[f"{name}/seed{seed}"]
     assert world_digest(SPECS[name](), seed) == want
+
+
+@pytest.mark.parametrize("seed,shortfall", [(0, 10), (1, 6), (2, 10)])
+def test_world_reports_spawn_shortfall(seed, shortfall):
+    """case2-dense requests 147 ambient HDVs; the rest of the world is the
+    scripted leader."""
+    world = build_scenario(case2_spec(density=14.0), seed)
+    assert world.spawn_shortfall == shortfall
+    assert len(world.hdvs) - 1 == 147 - shortfall
 
 
 def test_digest_tells_signed_zeros_apart():
