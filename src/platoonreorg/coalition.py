@@ -59,13 +59,11 @@ def _interleaved_foreign(a, b, background) -> bool:
     return False
 
 
-def coalition_conditions_hold(a, b, background,
-                              x_lim: float = config.X_LIM,
-                              y_lim: float = config.Y_LIM) -> bool:
+def coalition_conditions_hold(a, b, background) -> bool:
     """Can consecutive platoon members a (front) and b (rear) share a coalition?"""
-    if abs(a.x - b.x) >= x_lim:
+    if abs(a.x - b.x) >= config.X_LIM:
         return False
-    if abs(a.y - b.y) >= y_lim:
+    if abs(a.y - b.y) >= config.Y_LIM:
         return False
     if a.lane != b.lane:
         return False
@@ -228,12 +226,10 @@ def predict_outcome(scene: GameScene, partition: CoalitionPartition,
 # --- profit terms ----------------------------------------------------------------
 
 def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
-                  w: config.GameConfig | None = None,
-                  risk_params: config.RiskFieldConfig | None = None) -> float:
+                  w: config.GameConfig | None = None) -> float:
     """Risk-field value (negative), TTC toward the predicted leader (capped,
     positive), and leader separation (capped, positive)."""
     w = w or config.DEFAULTS.game
-    risk_params = risk_params or config.DEFAULTS.risk
     x, y, v = prediction.platoon_tracks[member_idx][-1]
 
     others = []
@@ -248,7 +244,7 @@ def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
         def __init__(self, x, y, speed):
             self.x, self.y, self.speed = x, y, speed
 
-    p_ris = risk_at_point(x, y, [_P(*o) for o in others], risk_params)
+    p_ris = risk_at_point(x, y, [_P(*o) for o in others], config.DEFAULTS.risk)
 
     best, lead = _predicted_leader(x, y, others)
     if lead is None:
@@ -292,8 +288,7 @@ def integration_profit(coalition_lanes, window_lanes, n_lanes: int) -> float:
 
 
 def tracking_profit(coalition, prediction: Prediction,
-                    w: config.GameConfig | None = None,
-                    d_target: float = config.D_TARGET) -> float:
+                    w: config.GameConfig | None = None) -> float:
     """Formation error over consecutive predicted pairs, as a negative value."""
     w = w or config.DEFAULTS.game
     if len(coalition) < 2:
@@ -302,7 +297,7 @@ def tracking_profit(coalition, prediction: Prediction,
     for a, b in zip(coalition, coalition[1:]):
         xa, ya, va = prediction.platoon_tracks[a][-1]
         xb, yb, vb = prediction.platoon_tracks[b][-1]
-        total += (abs(xa - xb - d_target) + w.k_y * abs(ya - yb)
+        total += (abs(xa - xb - config.D_TARGET) + w.k_y * abs(ya - yb)
                   + w.k_v * abs(va - vb))
     return -total
 
@@ -325,7 +320,6 @@ def _window_lanes(coalition, prediction: Prediction, scene: GameScene,
 
 def coalition_value(coalition, prediction: Prediction, scene: GameScene,
                     phase: str, w: config.GameConfig | None = None,
-                    risk_params: config.RiskFieldConfig | None = None,
                     pdi_value: float | None = None,
                     includes_platoon_leader: bool = False,
                     lane_change_members: int = 0) -> float:
@@ -340,7 +334,7 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
     w = w or config.DEFAULTS.game
     value = 0.0
     for i in coalition:
-        value += w.w_s * safety_profit(i, prediction, scene, w, risk_params)
+        value += w.w_s * safety_profit(i, prediction, scene, w)
         value += w.w_e * efficiency_profit(i, prediction, scene.road.speed_limit)
         if prediction.collided[i]:
             value -= w.collision_penalty
@@ -426,20 +420,18 @@ def _tie_break_key(joint_action):
 def evaluate_joint_action(partition: CoalitionPartition, scene: GameScene,
                           joint_action, phase: str,
                           w: config.GameConfig | None = None,
-                          risk_params: config.RiskFieldConfig | None = None,
-                          use_pdi: bool = False,
-                          pdi_params: config.PdiConfig | None = None):
+                          use_pdi: bool = False):
     """(total value, per-coalition breakdown) for one joint action."""
     w = w or config.DEFAULTS.game
     prediction = predict_outcome(scene, partition, joint_action, w.horizon)
     pdi_value = None
     if use_pdi and phase == MERGING:
-        pdi_value = _predicted_pdi(prediction, scene, pdi_params)
+        pdi_value = _predicted_pdi(prediction, scene)
     total = 0.0
     breakdown = []
     for c, grp in enumerate(partition.coalitions):
         changing = len(grp) if joint_action[c] != KEEP else 0
-        val = coalition_value(grp, prediction, scene, phase, w, risk_params,
+        val = coalition_value(grp, prediction, scene, phase, w,
                               pdi_value=pdi_value,
                               includes_platoon_leader=(0 in grp),
                               lane_change_members=changing)
@@ -448,8 +440,7 @@ def evaluate_joint_action(partition: CoalitionPartition, scene: GameScene,
     return total, breakdown, pdi_value
 
 
-def _predicted_pdi(prediction: Prediction, scene: GameScene,
-                   pdi_params: config.PdiConfig | None):
+def _predicted_pdi(prediction: Prediction, scene: GameScene):
     plat = []
     for i, trk in enumerate(prediction.platoon_tracks):
         x, y, v = trk[-1]
@@ -461,7 +452,7 @@ def _predicted_pdi(prediction: Prediction, scene: GameScene,
         x, y, v = trk[-1]
         if 0.0 <= x <= scene.road.length:
             bg.append(VehicleState(id=1000 + j, kind="HDV", x=x, y=y, speed=max(v, 0.0)))
-    graph = build_node_graph(scene.road, plat, bg, pdi_params)
+    graph = build_node_graph(scene.road, plat, bg)
     return compute_pdi(graph).value
 
 
@@ -477,9 +468,7 @@ class GameDecision:
 
 def solve_tu_game(partition: CoalitionPartition, scene: GameScene, phase: str,
                   w: config.GameConfig | None = None,
-                  risk_params: config.RiskFieldConfig | None = None,
-                  use_pdi: bool = False,
-                  pdi_params: config.PdiConfig | None = None) -> GameDecision:
+                  use_pdi: bool = False) -> GameDecision:
     """Exhaustive argmax over the pruned joint-action space.
 
     Deterministic tie-break: fewer lane changes first, then keep < left <
@@ -491,7 +480,7 @@ def solve_tu_game(partition: CoalitionPartition, scene: GameScene, phase: str,
     best = None
     for joint in sorted(pruned, key=_tie_break_key):
         total, breakdown, pdi_value = evaluate_joint_action(
-            partition, scene, joint, phase, w, risk_params, use_pdi, pdi_params)
+            partition, scene, joint, phase, w, use_pdi)
         if best is None or total > best[0] + 1e-12:
             best = (total, joint, breakdown, pdi_value)
     total, joint, breakdown, pdi_value = best

@@ -51,12 +51,10 @@ def solve_lqr_gain(gains: config.ControlConfig, dt: float = config.DT) -> tuple:
     raise ControlError("Riccati iteration did not converge")
 
 
-def lqr_longitudinal(pos_err: float, speed_err: float, K,
-                     a_min: float = config.LQR_ACCEL_MIN,
-                     a_max: float = config.LQR_ACCEL_MAX) -> float:
+def lqr_longitudinal(pos_err: float, speed_err: float, K) -> float:
     """Acceleration command for [position error, speed error], clamped."""
     u = -(K[0] * pos_err + K[1] * speed_err)
-    return min(max(u, a_min), a_max)
+    return min(max(u, config.LQR_ACCEL_MIN), config.LQR_ACCEL_MAX)
 
 
 @dataclass
@@ -67,14 +65,13 @@ class PidState:
 
 def pid_steering(lateral_err: float, heading: float, pid: PidState,
                  gains: config.ControlConfig, dt: float = config.DT,
-                 heading_ref: float = 0.0,
-                 rate_limit: float = config.STEER_RATE_LIMIT) -> float:
+                 heading_ref: float = 0.0) -> float:
     """Heading-rate command from lateral error with heading damping."""
     pid.integral += lateral_err * dt
     pid.integral = min(max(pid.integral, -pid.integral_limit), pid.integral_limit)
     rate = (gains.pid_kp * lateral_err + gains.pid_ki * pid.integral
             - gains.pid_kd * (heading - heading_ref))
-    return min(max(rate, -rate_limit), rate_limit)
+    return min(max(rate, -config.STEER_RATE_LIMIT), config.STEER_RATE_LIMIT)
 
 
 FOLLOW = "follow"
@@ -86,17 +83,15 @@ class CavExecutor:
     """Per-CAV execution state: either gap-following or trajectory tracking."""
 
     gains: config.ControlConfig = config.DEFAULTS.control
-    K: tuple = None
+    K: tuple = field(init=False)
     pid: PidState = field(default_factory=PidState)
     mode: str = FOLLOW
     trajectory: TrajectoryCandidate | None = None
     traj_t0: float = 0.0
     cruise_speed: float = 25.0
-    d_target: float = config.D_TARGET
 
     def __post_init__(self):
-        if self.K is None:
-            self.K = solve_lqr_gain(self.gains)
+        self.K = solve_lqr_gain(self.gains)
 
     def start_trajectory(self, traj: TrajectoryCandidate, t_now: float):
         self.trajectory = traj
@@ -119,9 +114,10 @@ class CavExecutor:
         ``leader`` is the nearest vehicle ahead in the ego's corridor, or None.
         follow mode: the lower of two LQR laws, lane-center steering.  The
         speed law tracks the road's limit behind a platoon member, so a
-        follower can close up to ``d_target``, and ``cruise_speed`` behind a
-        foreign vehicle or on a clear road.  The gap law tracks ``d_target``
-        behind a CAV and a ``5 + 1.2 v`` headway behind a foreign vehicle.
+        follower can close up to ``config.D_TARGET``, and ``cruise_speed``
+        behind a foreign vehicle or on a clear road.  The gap law tracks
+        ``config.D_TARGET`` behind a CAV and a ``5 + 1.2 v`` headway behind a
+        foreign vehicle.
         track mode: LQR on the trajectory reference, PID toward its path.
         In both modes a leader closer than 1.5 s time-to-collision forces
         full braking.
@@ -138,7 +134,7 @@ class CavExecutor:
             set_speed = road.speed_limit if platoon_ahead else self.cruise_speed
             accel = lqr_longitudinal(0.0, state.speed - set_speed, self.K)
             if leader is not None:
-                gap = self.d_target if platoon_ahead else 5.0 + 1.2 * state.speed
+                gap = config.D_TARGET if platoon_ahead else 5.0 + 1.2 * state.speed
                 accel = min(accel, lqr_longitudinal(state.x - (leader.x - gap),
                                                     state.speed - leader.speed, self.K))
             y_ref = road.lane_center(state.target_lane)

@@ -37,12 +37,6 @@ class PlatoonConfigAction:
     def single_group(self) -> bool:
         return len(self.partition) == 1
 
-    def group_of(self, idx: int) -> int:
-        for g, grp in enumerate(self.partition):
-            if idx in grp:
-                return g
-        raise KeyError(idx)
-
     def __str__(self):
         return "".join("(" + ",".join(str(i) for i in grp) + ")" for grp in self.partition)
 
@@ -201,9 +195,7 @@ class ReorgRecord:
 
 
 def compute_reward(platoon_next, background_next, reorg: ReorgRecord,
-                   collision: bool, v_max: float,
-                   w: config.RewardConfig | None = None,
-                   risk_params: config.RiskFieldConfig | None = None):
+                   collision: bool, v_max: float):
     """Platoon-layer step reward with per-component breakdown.
 
     Safety couples the collision flag with the risk-field penalty; tracking
@@ -211,8 +203,8 @@ def compute_reward(platoon_next, background_next, reorg: ReorgRecord,
     trigger incentive pays out only on decisions that start a split.  The
     reorganization terms read ``reorg`` right after its ``on_decision``.
     """
-    w = w or config.DEFAULTS.reward
-    risk_params = risk_params or replace(config.DEFAULTS.risk, v_max=max(v_max, 1.0))
+    w = config.DEFAULTS.reward
+    risk_params = replace(config.DEFAULTS.risk, v_max=max(v_max, 1.0))
     n = len(platoon_next)
 
     r_col = 0.0 if collision else 1.0

@@ -1,14 +1,16 @@
 """Episode execution: the deterministic frame loop over one scenario.
 
-Every consumer in a frame reads one snapshot, the ``World.all_states()``
-list (members front to rear, then HDVs) built before the first frame and
-after each step.  Positions change only in the step and lane updates are
-made in place, so the post-step list also serves the next frame's decisions.
-All commands come from that snapshot, then all states advance together.
-The platoon layer runs at its slow cadence, the vehicle layer (the coalition
+Every consumer reads one snapshot, the ``World.all_states()`` list
+(members front to rear, then HDVs), built once per episode: every state is
+advanced in place, so the list always shows the current world.  All
+commands come from the same states, then all states advance together.  The
+platoon layer runs at its slow cadence, the vehicle layer (the coalition
 game) at the fast cadence, HDV lane decisions staggered in between, physics
-every frame.  Each platoon member's command comes from ``CavExecutor.command``
-alone, fed with the one vehicle ahead in the member's corridor.
+every frame.  Due lane changes fire once per frame, after the decisions.
+Each platoon member's command comes from ``CavExecutor.command`` alone, fed
+with the one vehicle ahead in the member's corridor.  That leader is looked
+up once per frame, after the step, for ``min_ttc``; nothing moves before the
+next frame's command reads it.
 
 A reorganization runs from the decision that splits a single-group target
 until the single-group target has been intact for ``config.FORMATION_HOLD``
@@ -26,6 +28,7 @@ import numpy as np
 from . import config
 from .control import CavExecutor
 from .distribution import (
+    N_FEATURES,
     HeuristicDistributionPolicy,
     Observer,
     ReorgRecord,
@@ -33,6 +36,7 @@ from .distribution import (
 )
 from .coalition import (
     SPLITTING,
+    STAGGER,
     STEADY,
     GameScene,
     form_coalitions,
@@ -166,9 +170,11 @@ class ManeuverQueue:
         return bool(self.pending) or any(m.executor.mode == "track"
                                          for m in world.members)
 
-    def schedule(self, t: float, coalition, direction: str, stagger: float = 1.0):
+    def schedule(self, t: float, coalition, direction: str):
+        """Queue one lane change per member, front first, ``STAGGER`` s apart,
+        as the game predicted them."""
         for rank, idx in enumerate(coalition):
-            self.pending.append(PendingManeuver(t + rank * stagger, idx, direction))
+            self.pending.append(PendingManeuver(t + rank * STAGGER, idx, direction))
 
     def fire_due(self, world: World, t: float, snapshot):
         remaining = []
@@ -195,14 +201,10 @@ class ManeuverQueue:
 class GrdfPolicy:
     """Dual-layer stack: configuration policy on top, coalition game below."""
 
-    def __init__(self, use_pdi: bool = False, network=None, sample_actions=False,
-                 game_weights: config.GameConfig | None = None,
-                 keep_audit: bool = False):
+    def __init__(self, use_pdi: bool = False, network=None, keep_audit: bool = False):
         self.use_pdi = use_pdi
         self.name = "grdf-gt" if use_pdi else "grdf"
         self.network = network
-        self.sample_actions = sample_actions
-        self.game_weights = game_weights or config.DEFAULTS.game
         self.keep_audit = keep_audit
         self._audit = []
 
@@ -211,6 +213,12 @@ class GrdfPolicy:
         self.actions = enumerate_configurations(n)
         self.heuristic = HeuristicDistributionPolicy(n=n)
         self.observer = Observer()
+        if self.network is not None:
+            have = (self.network.obs_dim, self.network.n_actions)
+            want = (self.observer.k * N_FEATURES, len(self.actions))
+            if have != want:
+                raise ValueError(f"network maps {have[0]} inputs to {have[1]} actions; "
+                                 f"a {n}-member platoon needs {want[0]} to {want[1]}")
         self.reorg = ReorgRecord(episode_len, target=self.heuristic.single())
         self.queue = ManeuverQueue()
         self.rng = rng
@@ -222,9 +230,7 @@ class GrdfPolicy:
         if self.network is not None:
             obs = self.observer.observe(states, background, self.rng,
                                         world.clock.decision_period_platoon)
-            mode = "sample" if self.sample_actions else "greedy"
-            action, _, _ = select_configuration(obs.flatten(), self.network,
-                                                self.actions, mode, self.rng)
+            action, _, _ = select_configuration(obs.flatten(), self.network, self.actions)
         else:
             tau0, best_tau, risk, idx = platoon_lead_info(world)
             action = self.heuristic.decide(t, best_tau, risk, idx)
@@ -232,7 +238,8 @@ class GrdfPolicy:
         return action
 
     def vehicle_decide(self, world: World, t: float, snapshot):
-        self.queue.fire_due(world, t, snapshot)
+        """Run the coalition game unless a lane change is pending or running,
+        and queue the lane changes it picks; the loop fires them."""
         if self.queue.busy(world):
             return
         n = len(world.members)
@@ -242,8 +249,7 @@ class GrdfPolicy:
                                     target_groups=self.reorg.target.partition)
         scene = GameScene(road=world.road, platoon=states, background=background)
         game_phase = phase if phase != STEADY else SPLITTING
-        decision = solve_tu_game(partition, scene, game_phase,
-                                 w=self.game_weights, use_pdi=self.use_pdi)
+        decision = solve_tu_game(partition, scene, game_phase, use_pdi=self.use_pdi)
         if self.keep_audit:
             self._audit.append({
                 "t": round(t, 3), "phase": phase,
@@ -258,7 +264,6 @@ class GrdfPolicy:
             act = decision.joint_action[c]
             if act != KEEP:
                 self.queue.schedule(t, grp, act)
-        self.queue.fire_due(world, t, snapshot)
 
     def audit_rows(self):
         return self._audit
@@ -398,6 +403,8 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
     samples = 0
 
     snapshot = world.all_states()
+    states, background = snapshot[:n_members], snapshot[n_members:]
+    leaders = [lead_vehicle(v, snapshot) for v in states]
     for frame in range(n_frames):
         t = clock.t
 
@@ -419,43 +426,38 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         # fire any staggered maneuvers scheduled by the policy
         policy.queue.fire_due(world, t, snapshot)
 
-        # compute all commands from the same snapshot, one leader lookup each
+        # compute all commands from the same states, each with its leader
         commands = []
-        for member in world.members:
+        for member, leader in zip(world.members, leaders):
             ex = member.executor
             if ex.tracking_done(t):
                 ex.finish_trajectory()
-                member.state.lane = world.road.lane_of(member.state.y)
                 member.state.target_lane = member.state.lane
-            leader = lead_vehicle(member.state, snapshot)
             commands.append(ex.command(member.state, leader, t, world.road, clock.dt))
 
         hdv_accels = [hdv_accel(d, snapshot) for d in world.hdvs]
 
         # advance everyone together
-        for member, (speed, heading) in zip(world.members, commands):
-            member.state = step_kinematics(member.state, speed, heading, clock.dt)
-            member.state.lane = world.road.lane_of(member.state.y)
+        for s, (speed, heading) in zip(states, commands):
+            step_kinematics(s, speed, heading, clock.dt)
+            s.lane = world.road.lane_of(s.y)
         for driver, a in zip(world.hdvs, hdv_accels):
             s = driver.state
-            new_speed = max(s.speed + a * clock.dt, 0.0)
-            driver.state = step_kinematics(s, new_speed, 0.0, clock.dt)
+            step_kinematics(s, max(s.speed + a * clock.dt, 0.0), 0.0, clock.dt)
             driver.lateral_update(clock.dt, world.road)
-            driver.state.lane = world.road.lane_of(driver.state.y)
+            s.lane = world.road.lane_of(s.y)
         clock.tick()
         t = clock.t
-        snapshot = world.all_states()
 
         # metrics and termination
-        states, background = snapshot[:n_members], snapshot[n_members:]
         speed_acc += sum(v.speed for v in states) / len(states)
         gaps = [abs(a.x - b.x) for a, b in zip(states, states[1:])]
         if gaps:
             dist_acc += sum(gaps) / len(gaps)
         samples += 1
 
-        for v in states:
-            ahead = lead_vehicle(v, snapshot)
+        leaders = [lead_vehicle(v, snapshot) for v in states]
+        for v, ahead in zip(states, leaders):
             if ahead is not None:
                 tau = compute_ttc(v, ahead)
                 if tau < metrics.min_ttc:

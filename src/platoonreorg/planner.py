@@ -253,9 +253,7 @@ def _predicted_overlap(candidate: TrajectoryCandidate, ego, others) -> bool:
     return False
 
 
-def select_trajectory(candidates, ego, others, road,
-                      limits: DynamicsLimits | None = None,
-                      cfg=None, risk_params: config.RiskFieldConfig | None = None):
+def select_trajectory(candidates, ego, others, road, cfg=None):
     """Best passing candidate by weighted safety/efficiency/comfort cost.
 
     Candidates that collide with constant-velocity predictions of the scene
@@ -264,8 +262,8 @@ def select_trajectory(candidates, ego, others, road,
     candidate passes the dynamics check.
     """
     cfg = cfg or config.DEFAULTS.planner
-    risk_params = risk_params or config.DEFAULTS.risk
-    limits = limits or DynamicsLimits.for_road(road)
+    risk_params = config.DEFAULTS.risk
+    limits = DynamicsLimits.for_road(road)
     passing = []
     for cand in candidates:
         ok, _ = check_dynamics(cand, limits)

@@ -51,11 +51,6 @@ class Mlp:
     def params(self):
         return self.weights + self.biases
 
-    def set_params(self, flat_arrays):
-        n = len(self.weights)
-        self.weights = [a.copy() for a in flat_arrays[:n]]
-        self.biases = [a.copy() for a in flat_arrays[n:]]
-
 
 class Adam:
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):

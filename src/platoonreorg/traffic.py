@@ -29,7 +29,7 @@ class IdmParams:
     def __post_init__(self):
         vals = (self.desired_speed, self.time_headway, self.min_gap,
                 self.max_accel, self.comfort_decel)
-        if any(v <= 0 for v in vals) or self.exponent < 1:
+        if any(not (v > 0) for v in vals) or not (self.exponent >= 1):
             raise ValueError("IDM parameters must be positive with exponent >= 1")
 
 
@@ -42,7 +42,7 @@ class MobilParams:
     def __post_init__(self):
         if not (0.0 <= self.politeness <= 1.0):
             raise ValueError("politeness must be within [0, 1]")
-        if self.accel_threshold <= 0 or self.safe_decel_limit <= 0:
+        if not (self.accel_threshold > 0 and self.safe_decel_limit > 0):
             raise ValueError("MOBIL thresholds must be positive")
 
 

@@ -107,12 +107,13 @@ class VehicleState:
         return self.x - 0.5 * self.length
 
 
-def step_kinematics(state: VehicleState, speed: float, heading: float, dt: float) -> VehicleState:
-    """Advance one physics step at commanded speed/heading.
+def step_kinematics(state: VehicleState, speed: float, heading: float, dt: float) -> None:
+    """Advance ``state`` in place by one physics step at commanded speed/heading.
 
     Positions integrate u*cos(theta) along-lane and u*sin(theta) laterally;
     acceleration and jerk come from backward differences of consecutive
-    speeds, never from the commands themselves.
+    speeds, never from the commands themselves.  Each difference reads the
+    previous value before it is overwritten.
     """
     if not (math.isfinite(speed) and math.isfinite(heading) and math.isfinite(dt)):
         raise WorldError("non-finite kinematics input")
@@ -126,20 +127,18 @@ def step_kinematics(state: VehicleState, speed: float, heading: float, dt: float
     ax = (vx - state.vx) / dt
     ay = (vy - state.vy) / dt
     accel = (speed - state.speed) / dt
-    new = state.copy()
-    new.x = state.x + vx * dt
-    new.y = state.y + vy * dt
-    new.heading = heading
-    new.speed = speed
-    new.jerk = (accel - state.accel) / dt
-    new.accel = accel
-    new.jx = (ax - state.ax) / dt
-    new.jy = (ay - state.ay) / dt
-    new.ax = ax
-    new.ay = ay
-    new.vx = vx
-    new.vy = vy
-    return new
+    state.x += vx * dt
+    state.y += vy * dt
+    state.heading = heading
+    state.speed = speed
+    state.jerk = (accel - state.accel) / dt
+    state.accel = accel
+    state.jx = (ax - state.ax) / dt
+    state.jy = (ay - state.ay) / dt
+    state.ax = ax
+    state.ay = ay
+    state.vx = vx
+    state.vy = vy
 
 
 def compute_ttc(follower: VehicleState, leader: VehicleState) -> float:

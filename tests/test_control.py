@@ -75,7 +75,7 @@ class TestPid:
         dt = config.DT
         for _ in range(int(8.0 / dt)):
             rate = pid_steering(0.0 - v.y, v.heading, pid, gains, dt)
-            v = step_kinematics(v, 25.0, v.heading + rate * dt, dt)
+            step_kinematics(v, 25.0, v.heading + rate * dt, dt)
         assert abs(v.y) < 0.05
 
     def test_windup_capped(self):
@@ -100,8 +100,8 @@ class TestExecutor:
         for _ in range(int(30.0 / dt)):
             # command from the same frame snapshot, then step everyone
             speed, heading = ex.command(ego, leader, t, ROAD, dt)
-            leader = step_kinematics(leader, 25.0, 0.0, dt)
-            ego = step_kinematics(ego, speed, heading, dt)
+            step_kinematics(leader, 25.0, 0.0, dt)
+            step_kinematics(ego, speed, heading, dt)
             t += dt
         assert leader.x - ego.x == pytest.approx(config.D_TARGET, abs=0.3)
 
@@ -113,7 +113,7 @@ class TestExecutor:
         t = 0.0
         for _ in range(int(25.0 / dt)):
             speed, heading = ex.command(ego, None, t, ROAD, dt)
-            ego = step_kinematics(ego, speed, heading, dt)
+            step_kinematics(ego, speed, heading, dt)
             t += dt
         assert ego.speed == pytest.approx(27.0, abs=0.3)
 
@@ -146,7 +146,7 @@ class TestExecutor:
         t = 0.0
         while not ex.tracking_done(t):
             speed, heading = ex.command(ego, None, t, ROAD, dt)
-            ego = step_kinematics(ego, speed, heading, dt)
+            step_kinematics(ego, speed, heading, dt)
             t += dt
         assert ego.y == pytest.approx(ROAD.lane_center(2), abs=0.35)
 
@@ -162,8 +162,8 @@ class TestExecutor:
         for _ in range(int(30.0 / dt)):
             speed, heading = ex.command(ego, leader, t, ROAD, dt)
             assert speed <= ex.cruise_speed
-            leader = step_kinematics(leader, 30.0, 0.0, dt)
-            ego = step_kinematics(ego, speed, heading, dt)
+            step_kinematics(leader, 30.0, 0.0, dt)
+            step_kinematics(ego, speed, heading, dt)
             t += dt
         assert ego.speed == pytest.approx(25.0, abs=0.3)
 
@@ -199,7 +199,7 @@ class TestExecutor:
         speeds = [ego.speed]
         while not ex.tracking_done(t):
             speed, heading = ex.command(ego, None, t, ROAD, dt)
-            ego = step_kinematics(ego, speed, heading, dt)
+            step_kinematics(ego, speed, heading, dt)
             speeds.append(ego.speed)
             t = round(t + dt, 9)
         assert all(math.isfinite(v) for v in speeds)

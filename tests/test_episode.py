@@ -24,11 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from platoonreorg import config
+from platoonreorg import config, episode
 from platoonreorg.coalition import MERGING, SPLITTING, STEADY
 from platoonreorg.episode import GrdfPolicy, World, run_episode
 from platoonreorg.ppo import PolicyNetwork
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
+from platoonreorg.world import CAV
 
 GOLDEN = Path(__file__).parent / "golden" / "episodes.json"
 EPISODE_LEN = 20.0
@@ -131,6 +132,8 @@ def test_reward_metrics_and_game_phase_share_one_clock():
 
 
 def test_one_snapshot_per_frame(monkeypatch, golden):
+    """Every frame reads the one snapshot built per episode: states advance
+    in place, so the list never goes stale."""
     calls = 0
     all_states = World.all_states
 
@@ -142,7 +145,52 @@ def test_one_snapshot_per_frame(monkeypatch, golden):
     monkeypatch.setattr(World, "all_states", counted)
     _, result = run_case("case1-grdf", 0)
     assert result.metrics.row() == golden["case1-grdf/seed0"]
-    assert calls == result.frames + 1
+    assert calls == 1
+
+
+@pytest.mark.parametrize("name,seed", [("case1-grdf", 0), ("case2-dense-grdf", 1)])
+def test_one_leader_lookup_per_member_and_frame(monkeypatch, golden, name, seed):
+    """The post-step leader serves ``min_ttc`` and the next command; only the
+    heuristic's ``platoon_lead_info`` looks again, once per member."""
+    cav_lookups = 0
+    decisions = 0
+    lead_vehicle = episode.lead_vehicle
+    platoon_lead_info = episode.platoon_lead_info
+
+    def counted_lookup(ego, others):
+        nonlocal cav_lookups
+        cav_lookups += ego.kind == CAV
+        return lead_vehicle(ego, others)
+
+    def counted_decision(world):
+        nonlocal decisions
+        decisions += 1
+        return platoon_lead_info(world)
+
+    monkeypatch.setattr(episode, "lead_vehicle", counted_lookup)
+    monkeypatch.setattr(episode, "platoon_lead_info", counted_decision)
+    world, result = run_case(name, seed)
+    assert result.metrics.row() == golden[f"{name}/seed{seed}"]
+    n = len(world.members)
+    assert decisions > 0
+    assert cav_lookups == n * (result.frames + 1) + n * decisions
+
+
+def test_states_advance_in_place():
+    world = build_scenario(case1_spec(), 0)
+    states = world.all_states()
+    run_episode(world, GrdfPolicy(), 0, 5.0)
+    assert all(a is b for a, b in zip(world.all_states(), states, strict=True))
+
+
+@pytest.mark.parametrize("obs_dim,n_actions", [(72, 3), (10, 4)])
+def test_network_shape_checked_against_platoon(obs_dim, n_actions):
+    """A 3-member platoon has 4 configurations and 8 x 9 observed features."""
+    world = build_scenario(case1_spec(), 0)
+    policy = GrdfPolicy(network=PolicyNetwork(obs_dim=obs_dim, n_actions=n_actions))
+    with pytest.raises(ValueError, match=f"maps {obs_dim} inputs to {n_actions} actions; "
+                                         "a 3-member platoon needs 72 to 4"):
+        run_episode(world, policy, 0, 1.0)
 
 
 @pytest.mark.parametrize("episode_len", [-5.0, -0.01, math.nan, math.inf])

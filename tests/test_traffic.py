@@ -55,6 +55,12 @@ class TestIdm:
         assert gap == pytest.approx(closed, abs=1e-6)
         assert idm_acceleration(20.0, gap, 0.0, IDM) == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("name", ["desired_speed", "time_headway", "min_gap",
+                                      "max_accel", "comfort_decel", "exponent"])
+    def test_nan_parameter_rejected(self, name):
+        with pytest.raises(ValueError):
+            IdmParams(**{name: math.nan})
+
     def test_zero_gap_is_emergency(self):
         assert idm_acceleration(20.0, 0.0, 0.0, IDM) == -B_EMERGENCY
         assert idm_acceleration(20.0, -1.0, 0.0, IDM) == -B_EMERGENCY
@@ -79,6 +85,11 @@ class TestIdm:
 class TestMobil:
     def setup_method(self):
         self.mobil = MobilParams(politeness=0.35, accel_threshold=0.2, safe_decel_limit=3.0)
+
+    @pytest.mark.parametrize("name", ["politeness", "accel_threshold", "safe_decel_limit"])
+    def test_nan_parameter_rejected(self, name):
+        with pytest.raises(ValueError):
+            MobilParams(**{name: math.nan})
 
     def test_identical_lanes_keep(self):
         ctx = LaneContext(leader=Neighbor(gap=40.0, speed=25.0, params=IDM))

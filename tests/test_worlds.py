@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from platoonreorg.episode import GrdfPolicy, run_episode
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
 
 GOLDEN = Path(__file__).parent / "golden" / "worlds.json"
@@ -84,6 +85,16 @@ def test_world_reports_spawn_shortfall(seed, shortfall):
     world = build_scenario(case2_spec(density=14.0), seed)
     assert world.spawn_shortfall == shortfall
     assert len(world.hdvs) - 1 == 147 - shortfall
+
+
+@pytest.mark.parametrize("name", ["case1", "case2-sparse"])
+def test_episode_leaves_later_worlds_unchanged(name):
+    """Vehicle states advance in place; nothing a later build shares, such
+    as the memoised style presets, may change with them.  15 s covers the
+    case-2 brake at 10 s."""
+    spec = SPECS[name]()
+    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 15.0)
+    assert world_digest(spec, 0) == json.loads(GOLDEN.read_text())[f"{name}/seed0"]
 
 
 def test_digest_tells_signed_zeros_apart():
