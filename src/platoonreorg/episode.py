@@ -445,7 +445,6 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
             s = driver.state
             step_kinematics(s, max(s.speed + a * clock.dt, 0.0), 0.0, clock.dt)
             driver.lateral_update(clock.dt, world.road)
-            s.lane = world.road.lane_of(s.y)
         clock.tick()
         t = clock.t
 
