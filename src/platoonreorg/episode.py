@@ -85,7 +85,7 @@ class World:
     hdvs: list                    # HdvDriver
     cruise_speed: float = 25.0
     scripted: ScriptedBrake | None = None
-    spawn_shortfall: int = 0      # ambient HDVs requested but not placed
+    spawn_shortfall: int = 0      # HDVs the spec requested but did not place
 
     def platoon_states(self):
         return [m.state for m in self.members]

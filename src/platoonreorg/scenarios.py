@@ -15,10 +15,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import config
 from .control import CavExecutor
 from .episode import PlatoonMember, ScriptedBrake, World
-from .traffic import (HdvDriver, IdmParams, TrafficSpec, _RawDraws, in_keep_clear,
+from .traffic import (HdvDriver, IdmParams, SpawnResult, TrafficSpec, in_keep_clear,
                       spawn_traffic, style_params)
 from .world import CAV, HDV, RampSegment, RoadMap, SimClock, VehicleState
 
@@ -140,10 +142,13 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     res = spawn_traffic(ambient, road, keep_clear=keep_clear, id_start=next_id)
     hdvs.extend(res.drivers)
     next_id += max(res.requested, 1)
+    shortfall = res.shortfall
 
     scripted = None
     if spec.case == 1:
-        hdvs.extend(_case1_congestion(spec, road, int(seed), next_id))
+        congestion = _case1_congestion(spec, road, int(seed), next_id)
+        hdvs.extend(congestion.drivers)
+        shortfall += congestion.shortfall
         next_id += 500
         hdvs.extend(_case1_ramp_queue(spec, road, next_id))
         next_id += 100
@@ -161,24 +166,25 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     clock = SimClock()
     return World(road=road, clock=clock, members=members, hdvs=hdvs,
                  cruise_speed=spec.platoon_speed, scripted=scripted,
-                 spawn_shortfall=res.shortfall)
+                 spawn_shortfall=shortfall)
 
 
-def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int, id_start: int):
+def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,
+                      id_start: int) -> SpawnResult:
     """Slow, dense rightmost lane whose drivers keep squeezing left.
 
-    The draws are those of ``np.random.default_rng((seed, 101))``:
-    ``uniform(lo, hi, size=count)`` for the sorted x values, then a style, a
-    desired speed and a speed ``random()`` per placed driver, each uniform
-    written ``lo + (hi - lo) * random()`` as numpy computes it.
+    The draws are one block ``np.random.default_rng((seed, 101)).random(4 * count)``:
+    the first ``count`` doubles give the x values, sorted, then each placed
+    driver takes three in turn for its style, desired speed and speed, each
+    uniform written ``lo + (hi - lo) * u`` as numpy computes it.  Draws
+    closer than 14 m to the last placed driver are dropped and reported as
+    shortfall.
     """
     drivers = []
     vid = id_start
     count = int(round(spec.congestion_density
                       * (spec.congestion_to - spec.congestion_from) / 1000.0))
-    draws = _RawDraws((seed, 101))
-    draws.reserve(4 * count)   # count x values, then at most three draws per driver
-    doubles = draws.doubles
+    doubles = np.random.default_rng((seed, 101)).random(4 * count).tolist()
     lo, span = spec.congestion_from, spec.congestion_to - spec.congestion_from
     xs = sorted([lo + span * u for u in doubles[:count]])
     d = count
@@ -202,7 +208,7 @@ def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int, id_start: in
                                  escape_bias=True))
         d += 3
         vid += 1
-    return drivers
+    return SpawnResult(drivers=drivers, requested=count, placed=len(drivers))
 
 
 def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):

@@ -15,6 +15,7 @@ from . import config
 from .world import HDV, RoadMap, VehicleState
 
 B_EMERGENCY = 9.0  # hardest braking any driver can produce [m/s^2]
+ATTEMPTS = 25      # candidate x positions per spawned vehicle
 
 
 @dataclass(frozen=True)
@@ -222,59 +223,6 @@ class HdvDriver:
                 self.state.lane = road.lane_of(self.lc_to_y)
 
 
-class _RawDraws:
-    """The scalar draws of ``np.random.default_rng(seed)``, decoded from bulk words.
-
-    PCG64 defines ``Generator.random()`` and ``Generator.integers(0, n)`` as
-    fixed functions of its 64-bit output words, so drawing those words in
-    chunks with ``random_raw`` and decoding them here gives the values of the
-    scalar calls, in the same order, without a numpy call per draw:
-
-    - a double takes the next word ``w`` and is ``(w >> 11) * 2**-53``;
-    - ``integer(n)`` takes the upper half of the last word an integer draw
-      split, if it has not been used, or else the lower 32 bits of the next
-      word, keeping its upper half for the next integer draw.  From that
-      ``u`` it returns ``(u * n) >> 32`` (Lemire's bounded draw) and draws
-      again while ``(u * n) & 0xFFFFFFFF < (2**32 - n) % n``.
-
-    ``doubles[k]`` is the double of word ``k`` and ``pos`` the next unused
-    word.  A caller reads doubles by index, then moves ``pos`` past them.
-    ``reserve`` extends ``doubles`` in place, so a caller may keep a
-    reference to it.
-    """
-
-    CHUNK = 256   # words per refill
-
-    def __init__(self, seed):
-        self._random_raw = np.random.PCG64(seed).random_raw
-        self.words: list[int] = []
-        self.doubles: list[float] = []
-        self.pos = 0
-        self._high: int | None = None   # unused upper half-word
-
-    def reserve(self, count: int) -> None:
-        """Make words ``pos`` to ``pos + count - 1`` available."""
-        while len(self.words) < self.pos + count:
-            raw = self._random_raw(self.CHUNK)
-            self.words += raw.tolist()
-            self.doubles += ((raw >> 11) * (1.0 / 9007199254740992.0)).tolist()
-
-    def integer(self, n: int) -> int:
-        """``int(Generator.integers(0, n))`` for ``2 <= n < 2**32``."""
-        threshold = (0x100000000 - n) % n
-        while True:
-            if self._high is None:
-                self.reserve(1)
-                w = self.words[self.pos]
-                self.pos += 1
-                u, self._high = w & 0xFFFFFFFF, w >> 32
-            else:
-                u, self._high = self._high, None
-            m = u * n
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-
 @dataclass
 class SpawnResult:
     drivers: list
@@ -301,20 +249,19 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     when the corridor cannot hold the requested count the remainder is
     dropped and reported as shortfall.
 
-    The per-vehicle draw order (lane, style, speed, then one x per attempt)
-    is part of the seeded contract: the same spec and road give the same
-    traffic, and golden scenarios depend on the exact stream.  The draws are
-    those of ``np.random.default_rng(spec.seed)``: the lane is one
-    ``integers(0, lane_count)``, and the style, the speed and each x are one
-    ``random()`` each.  Bisecting the style's ``random()`` on the normalised
-    cumulative weights is ``rng.choice(len(styles), p=probs)``, and
-    ``lo + (hi - lo) * random()`` is ``rng.uniform(lo, hi)``, bit for bit.
-    ``_RawDraws`` decodes the draws from bulk PCG64 words: a double is
-    ``(w >> 11) * 2**-53`` of the next word ``w``, and a lane is Lemire's
-    bounded draw ``(u * n) >> 32``, with rejection, on a 32-bit half-word
-    ``u``; a word's upper half waits for the next lane.
-    ``tests/test_traffic.py::TestRawDraws`` checks both rules against the
-    installed numpy, so a numpy release that changes them fails there.
+    The draws are part of the seeded contract: the same spec and road give
+    the same traffic, and golden scenarios depend on the exact stream.  Row
+    k of ``np.random.default_rng(spec.seed).random((requested, 3 + ATTEMPTS))``
+    belongs to requested vehicle k, whether or not it is placed.  With ``u``
+    its columns in order:
+
+    - lane ``int(u * lane_count)``;
+    - style: the first whose normalised cumulative weight exceeds ``u``,
+      which is ``rng.choice(len(styles), p=probs)`` on the same double;
+    - speed ``0.75 + (0.95 - 0.75) u`` of the style's desired speed, which
+      is ``rng.uniform(0.75, 0.95)``;
+    - ``ATTEMPTS`` candidate x values ``x_min + (x_max - x_min) u``, tried
+      in order until one fits.
     """
     x_max = spec.x_max if spec.x_max is not None else road.length
     if x_max <= spec.x_min:
@@ -324,27 +271,24 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
 
     styles = sorted(spec.style_mix)
     cdf = np.cumsum([float(spec.style_mix[s]) for s in styles])
-    cdf = (cdf / cdf[-1]).tolist()
+    u = np.random.default_rng(spec.seed).random((requested, 3 + ATTEMPTS))
+    lanes = (u[:, 0] * road.lane_count).astype(np.intp).tolist()
+    style_idx = np.searchsorted(cdf / cdf[-1], u[:, 1], side="right").tolist()
+    speed_frac = (0.75 + (0.95 - 0.75) * u[:, 2]).tolist()
+    candidates = spec.x_min + (x_max - spec.x_min) * u[:, 3:]
     lane_boxes = [[b for b in keep_clear if b[2] <= lane <= b[3]]
                   for lane in range(road.lane_count)]
-    x_min, x_span = spec.x_min, x_max - spec.x_min
-    draws = _RawDraws(spec.seed)
-    doubles = draws.doubles
     drivers = []
     vid = id_start
     per_lane = [[] for _ in range(road.lane_count)]   # placed x values, sorted
-    for k in range(requested):
-        lane = draws.integer(road.lane_count)
-        draws.reserve(27)   # style, speed and up to 25 x attempts
-        d = draws.pos
-        style = styles[bisect.bisect_right(cdf, doubles[d])]
+    for lane, s, frac, row in zip(lanes, style_idx, speed_frac, candidates):
+        style = styles[s]
         idm, mobil = style_params(style, spec.speed_limit)
-        speed = (0.75 + (0.95 - 0.75) * doubles[d + 1]) * idm.desired_speed
+        speed = frac * idm.desired_speed
         clearance = idm.min_gap + speed * idm.time_headway + config.VEHICLE_LENGTH
         xs = per_lane[lane]
         boxes = lane_boxes[lane]
-        for d in range(d + 2, d + 27):
-            x = x_min + x_span * doubles[d]
+        for x in row.tolist():
             # the nearest placed vehicle on either side decides the spacing
             # test, which rejects most candidates in dense traffic, so it
             # runs before the keep-clear test
@@ -359,5 +303,4 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
             drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style))
             vid += 1
             break
-        draws.pos = d + 1
     return SpawnResult(drivers=drivers, requested=requested, placed=len(drivers))

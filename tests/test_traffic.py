@@ -13,7 +13,6 @@ from platoonreorg.traffic import (
     MobilParams,
     Neighbor,
     TrafficSpec,
-    _RawDraws,
     desired_gap,
     idm_acceleration,
     in_keep_clear,
@@ -140,7 +139,9 @@ class TestStyles:
 
 def spawn_by_linear_scan(spec, road, keep_clear=()):
     """Reference placement: every candidate is tested against every vehicle
-    already in its lane.  Returns (x, lane, speed, style) per placed vehicle."""
+    already in its lane.  Each requested vehicle takes, from one scalar
+    Generator, a lane, a style, a speed and exactly 25 x candidates, whichever
+    of them is accepted.  Returns (x, lane, speed, style) per placed vehicle."""
     rng = np.random.default_rng(spec.seed)
     x_max = spec.x_max if spec.x_max is not None else road.length
     requested = int(round(spec.density * road.lane_count * (x_max - spec.x_min) / 1000.0))
@@ -148,13 +149,13 @@ def spawn_by_linear_scan(spec, road, keep_clear=()):
     probs = np.array([spec.style_mix[s] for s in styles])
     placed, per_lane = [], [[] for _ in range(road.lane_count)]
     for _ in range(requested):
-        lane = int(rng.integers(0, road.lane_count))
+        lane = int(rng.random() * road.lane_count)
         style = styles[int(rng.choice(len(styles), p=probs))]
         idm, _mobil = style_params(style, spec.speed_limit)
         speed = float(rng.uniform(0.75, 0.95)) * idm.desired_speed
         min_headway = idm.min_gap + speed * idm.time_headway
-        for _attempt in range(25):
-            x = float(rng.uniform(spec.x_min, x_max))
+        xs = [float(rng.uniform(spec.x_min, x_max)) for _attempt in range(25)]
+        for x in xs:
             if in_keep_clear(x, lane, keep_clear):
                 continue
             if any(abs(x - ox) < min_headway + config.VEHICLE_LENGTH for ox in per_lane[lane]):
@@ -222,8 +223,6 @@ class TestSpawn:
         (50.0, 12, [(200.0, 700.0, 1, 2)], DEFAULT_MIX, 4),
         (60.0, 13, [(100.0, 300.0, 0, 0)], DEFAULT_MIX, 2),
         (30.0, 14, [(400.0, 600.0, 2, 4)], DEFAULT_MIX, 5),
-        # 342 vehicles take at least 1,197 words (half a lane word, a style,
-        # a speed and one x each), more than four chunks of _RawDraws
         (120.0, 15, (), {"timid": 0.5, "aggressive": 0.5}, 3),
     ], ids=["8.0-0-keep_clear0", "30.0-4-keep_clear1", "60.0-7-keep_clear2",
             "120.0-11-keep_clear3", "two-styles", "zero-weight-style", "sum-below-one",
@@ -263,74 +262,3 @@ class TestSpawn:
         assert not in_keep_clear(500.0, 0, boxes)
         assert not in_keep_clear(500.0, 1, ())
 
-
-PCG_MULT = 47026247687942121848144207491837523525
-
-
-def pcg64_yielding(word: int) -> np.random.PCG64:
-    """A PCG64 whose next ``random_raw()`` word is ``word``.
-
-    PCG64 steps its 128-bit LCG state, then outputs the XSL-RR of the new
-    state: ``hi ^ lo`` rotated right by ``hi >> 58`` (O'Neill 2014).  With
-    ``hi < 2**58`` the rotation is 0, so the state ``(hi, hi ^ word)``
-    outputs ``word``; the generator is set one LCG step before it.
-    """
-    bg = np.random.PCG64(0)
-    state = bg.state
-    hi = 0x0123456789ABCDEF
-    after = (hi << 64) | (hi ^ word)
-    state["state"]["state"] = ((after - state["state"]["inc"])
-                               * pow(PCG_MULT, -1, 2**128)) % 2**128
-    bg.state = state
-    return bg
-
-
-def decoded_double(draws: _RawDraws) -> float:
-    draws.reserve(1)
-    draws.pos += 1
-    return draws.doubles[draws.pos - 1]
-
-
-class TestRawDraws:
-    """``_RawDraws`` against the installed numpy: a numpy release that changes
-    how ``random()`` or ``integers(0, n)`` use PCG64 words fails here."""
-
-    @pytest.mark.parametrize("seed", list(range(200)) + [(s, 101) for s in range(20)])
-    def test_matches_generator(self, seed):
-        rng = np.random.default_rng(seed)
-        draws = _RawDraws(seed)
-        plan = np.random.default_rng(seed).integers(0, 6, size=700).tolist()
-        for op in plan:
-            if op == 0:
-                assert decoded_double(draws) == rng.random()
-            else:
-                n = op if op > 1 else 5
-                got = draws.integer(n)
-                assert type(got) is int and got == rng.integers(0, n)
-        assert draws.pos > _RawDraws.CHUNK   # the plan crossed a refill
-
-    def test_reserve_draws_whole_chunks_in_place(self):
-        draws = _RawDraws(3)
-        doubles = draws.doubles
-        draws.reserve(_RawDraws.CHUNK + 1)
-        assert draws.doubles is doubles and len(doubles) == 2 * _RawDraws.CHUNK
-        words = np.random.PCG64(3).random_raw(2 * _RawDraws.CHUNK).tolist()
-        assert draws.words == words
-        assert doubles == [(w >> 11) * 2.0**-53 for w in words]
-
-    @pytest.mark.parametrize("n,high", [(3, 0xDEADBEEF), (5, 0x9E3779B9), (3, 0)])
-    def test_lemire_redraw_on_crafted_word(self, n, high):
-        """u = 0 leaves 0 < (2**32 - n) % n = 1, so the draw is rejected and
-        the upper half-word is used; with high == 0 that is rejected too and
-        the draw moves to a fresh word."""
-        word = high << 32
-        assert pcg64_yielding(word).random_raw() == word
-        rng = np.random.Generator(pcg64_yielding(word))
-        draws = _RawDraws(0)
-        draws._random_raw = pcg64_yielding(word).random_raw
-        got = [draws.integer(n), draws.integer(n), decoded_double(draws)]
-        assert got == [rng.integers(0, n), rng.integers(0, n), rng.random()]
-        if high:
-            assert got[0] == (high * n) >> 32
-            # word 0 fed the first integer twice, word 1 the second, word 2 the double
-            assert draws.pos == 3

@@ -78,13 +78,19 @@ def test_world_matches_pin(name, seed):
     assert world_digest(SPECS[name](), seed) == want
 
 
-@pytest.mark.parametrize("seed,shortfall", [(0, 10), (1, 6), (2, 10)])
-def test_world_reports_spawn_shortfall(seed, shortfall):
-    """case2-dense requests 147 ambient HDVs; the rest of the world is the
-    scripted leader."""
-    world = build_scenario(case2_spec(density=14.0), seed)
+@pytest.mark.parametrize("name,seed,shortfall", [
+    ("case2-dense", 0, 8), ("case2-dense", 1, 8), ("case2-dense", 2, 11),
+    ("case1", 0, 18), ("case1", 1, 18), ("case1", 2, 14),
+])
+def test_world_reports_spawn_shortfall(name, seed, shortfall):
+    """case2-dense requests 147 ambient HDVs and adds the scripted leader.
+    case 1 requests 63 ambient HDVs, all placed at these seeds, and 62
+    congestion drivers, of which the 14 m thinning drops the shortfall; the
+    four ramp-queue drivers always fit."""
+    requested = {"case2-dense": 147 + 1, "case1": 63 + 62 + 4}[name]
+    world = build_scenario(SPECS[name](), seed)
     assert world.spawn_shortfall == shortfall
-    assert len(world.hdvs) - 1 == 147 - shortfall
+    assert len(world.hdvs) == requested - shortfall
 
 
 @pytest.mark.parametrize("name", ["case1", "case2-sparse"])
