@@ -262,3 +262,33 @@ class TestSpawn:
         assert not in_keep_clear(500.0, 0, boxes)
         assert not in_keep_clear(500.0, 1, ())
 
+
+
+class TestRawDraws:
+    """The draws both spawners take from one ``rng.random`` block, against
+    scalar calls of the installed numpy.  ``spawn_traffic`` decodes a lane,
+    a style and uniforms from the doubles of its block, and the case-1
+    congestion block reads its doubles as they are; the golden worlds and
+    the linear-scan oracle rely on both.  A numpy release that changes how
+    ``random()``, ``uniform()`` or ``choice(p=...)`` use PCG64 words fails
+    here."""
+
+    @pytest.mark.parametrize("seed", list(range(200)) + [(s, 101) for s in range(20)])
+    def test_matches_generator(self, seed):
+        plan = np.random.default_rng(seed).integers(0, 6, size=700).tolist()
+        doubles = np.random.default_rng(seed).random(len(plan)).tolist()
+        words = np.random.PCG64(seed).random_raw(len(plan)).tolist()
+        assert doubles == [(w >> 11) * 2.0**-53 for w in words]
+        rng = np.random.default_rng(seed)
+        for op, u in zip(plan, doubles):
+            if op == 0:
+                assert rng.random() == u
+            elif op == 1:
+                assert rng.uniform(0.75, 0.95) == 0.75 + (0.95 - 0.75) * u
+            else:
+                # op styles, the first with zero weight
+                weights = np.arange(op, dtype=float)
+                probs = weights / weights.sum()
+                cdf = np.cumsum(probs)
+                want = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+                assert rng.choice(op, p=probs) == want and want > 0
