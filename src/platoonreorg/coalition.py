@@ -6,6 +6,13 @@ as single players.  Each player picks a lateral action; the joint action
 maximizing the summed coalition profits wins (transferable utility, so the
 grand total is the objective).  In disposition-index mode the merging-phase
 value additionally pays for how scattered the predicted platoon would be.
+
+The game predicts with the geometry the lower layers act on: every "vehicle
+ahead in my corridor" question goes to ``world.nearest_in_corridor``, and
+every lane change a joint action implies comes from one plan,
+``lane_change_plan`` (front first, ``STAGGER`` s apart) along one curve,
+``lane_change_y``.  The rollout, the pruning screen and the episode's
+maneuver queue all read that plan.
 """
 
 from __future__ import annotations
@@ -17,10 +24,10 @@ from itertools import product
 
 from . import config
 from .pdi import build_node_graph, compute_pdi
-from .planner import KEEP, LEFT, RIGHT, QuinticProfile
+from .planner import KEEP, LEFT, RIGHT
 from .riskfield import risk_at_point
 from .traffic import IdmParams, idm_acceleration
-from .world import VehicleState, moving_box, padded_overlap
+from .world import Point, VehicleState, moving_box, nearest_in_corridor, padded_overlap
 
 LATERAL_ACTIONS = (KEEP, LEFT, RIGHT)
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
@@ -41,22 +48,15 @@ class CoalitionPartition:
     def leaders(self):
         return [grp[0] for grp in self.coalitions]
 
-    def coalition_of(self, idx):
-        for c, grp in enumerate(self.coalitions):
-            if idx in grp:
-                return c
-        raise KeyError(idx)
-
     def __len__(self):
         return len(self.coalitions)
 
 
 def _interleaved_foreign(a, b, background) -> bool:
-    lo, hi = min(a.x, b.x), max(a.x, b.x)
-    for v in background:
-        if lo < v.x < hi and abs(v.y - a.y) < config.CORRIDOR_HALF_WIDTH:
-            return True
-    return False
+    """Does the nearest foreign vehicle ahead of the rear member, in the
+    front member's corridor, lie before the front member?"""
+    ahead = nearest_in_corridor(min(a.x, b.x), a.y, background)
+    return ahead is not None and ahead.x < max(a.x, b.x)
 
 
 def coalition_conditions_hold(a, b, background) -> bool:
@@ -129,33 +129,49 @@ PREDICT_PAD = (0.5, 0.2)
 PRUNE_PAD = (0.3, 0.2)
 
 
+def lane_change_plan(partition: CoalitionPartition, joint_action):
+    """Per platoon member, None when it keeps its lane, else (start, direction):
+    a changing coalition moves toward its action's side (``LEFT`` or
+    ``RIGHT``) front first, its members starting ``STAGGER`` s apart."""
+    plan = [None] * sum(len(grp) for grp in partition.coalitions)
+    for grp, action in zip(partition.coalitions, joint_action):
+        if action != KEEP:
+            for rank, idx in enumerate(grp):
+                plan[idx] = (rank * STAGGER, action)
+    return plan
+
+
+def lane_change_y(y0: float, y1: float, tau: float) -> float:
+    """Lateral position tau s into a ``LANE_CHANGE_TIME`` change from y0 to
+    y1: the quintic with zero lateral speed and acceleration at both ends,
+    held at y0 before the start and at its end after."""
+    frac = min(max(tau / LANE_CHANGE_TIME, 0.0), 1.0)
+    return y0 + (y1 - y0) * (frac ** 3 * (10 - 15 * frac + 6 * frac * frac))
+
+
+def _planned_y(v, step, road, t: float) -> float:
+    """Lateral position of member ``v`` t s after the decision, under its
+    ``lane_change_plan`` entry."""
+    if step is None:
+        return v.y
+    start, direction = step
+    target = road.lane_center(v.lane + (1 if direction == LEFT else -1))
+    return lane_change_y(v.y, target, t - start)
+
+
 @dataclass
 class Prediction:
     times: list
-    platoon_tracks: list        # per member: list of (x, y, v)
-    background_tracks: list     # per background vehicle: list of (x, y, v)
+    platoon_tracks: list        # per member: list of Point
+    background_tracks: list     # per background vehicle: list of Point
     collided: list              # per member: True if any predicted overlap
-
-
-def _predicted_leader(x: float, y: float, points, length: float = 0.0):
-    """(gap, point) for the nearest predicted (x, y, v) point strictly ahead
-    of x inside the corridor, with gap = point x - x - length; (inf, None)
-    when the corridor ahead is clear.  Earlier points win equal gaps."""
-    half_width = config.CORRIDOR_HALF_WIDTH
-    gap, lead = math.inf, None
-    for px, py, pv in points:
-        if px > x and abs(py - y) < half_width:
-            g = px - x - length
-            if g < gap:
-                gap, lead = g, (px, py, pv)
-    return gap, lead
 
 
 def predict_outcome(scene: GameScene, partition: CoalitionPartition,
                     joint_action, horizon: float):
-    """Forward rollout: constant velocity for background vehicles, lateral
-    polynomials for lane-changing members (front first, staggered starts),
-    car-following-consistent speeds for everyone in the platoon.
+    """Forward rollout: constant velocity for background vehicles, the
+    ``lane_change_plan`` for lane-changing members, car-following-consistent
+    speeds for everyone in the platoon.
     """
     if horizon <= 0:
         raise ValueError("prediction horizon must be positive")
@@ -163,61 +179,35 @@ def predict_outcome(scene: GameScene, partition: CoalitionPartition,
     times = [k * PREDICT_DT for k in range(n_steps + 1)]
 
     bg_boxes = scene.background_boxes
-    bg_tracks = [[(bx + bvx * t, by, v.speed) for t in times]
+    bg_tracks = [[Point(bx + bvx * t, by, v.speed) for t in times]
                  for (bx, by, bvx, _, _), v in zip(bg_boxes, scene.background)]
     halves = [(v.length / 2.0, v.width / 2.0) for v in scene.platoon]
-
-    # lateral plans per member
-    lat_plans = []
-    for idx, v in enumerate(scene.platoon):
-        c = partition.coalition_of(idx)
-        action = joint_action[c]
-        if action == KEEP:
-            lat_plans.append(None)
-            continue
-        rank = partition.coalitions[c].index(idx)
-        direction = 1 if action == LEFT else -1
-        target_y = scene.road.lane_center(v.lane + direction)
-        start = rank * STAGGER
-        lat_plans.append((start, QuinticProfile(v.y, 0.0, 0.0, target_y, 0.0, 0.0,
-                                                LANE_CHANGE_TIME)))
-
-    xs = [v.x for v in scene.platoon]
-    ys = [v.y for v in scene.platoon]
-    vs = [v.speed for v in scene.platoon]
-    tracks = [[(x, y, v)] for x, y, v in zip(xs, ys, vs)]
+    plan = lane_change_plan(partition, joint_action)
+    tracks = [[Point(v.x, v.y, v.speed)] for v in scene.platoon]
     collided = [False] * len(scene.platoon)
 
     for k in range(1, n_steps + 1):
         t = times[k]
-        # leaders come from the platoon's previous poses, then the background
+        # leaders come from the platoon's previous poses (the first entries),
+        # then the background
         now = [trk[-1] for trk in tracks] + [trk[k] for trk in bg_tracks]
-        new_xs, new_ys, new_vs = [], [], []
-        for i, v in enumerate(scene.platoon):
-            plan = lat_plans[i]
-            y = ys[i]
-            if plan is not None:
-                start, quintic = plan
-                tau = t - start
-                if tau > 0:
-                    y = quintic.pos(min(tau, LANE_CHANGE_TIME))
-            gap, lead = _predicted_leader(xs[i], ys[i], now, v.length)
+        poses = []
+        for v, step, (x, y, speed) in zip(scene.platoon, plan, now):
+            lead = nearest_in_corridor(x, y, now)
             if lead is not None:
-                a = idm_acceleration(vs[i], max(gap, 0.1), vs[i] - lead[2], scene.idm)
+                a = idm_acceleration(speed, max(lead.x - x - v.length, 0.1),
+                                     speed - lead.speed, scene.idm)
             else:
-                a = idm_acceleration(vs[i], 1e9, 0.0, scene.idm)
+                a = idm_acceleration(speed, 1e9, 0.0, scene.idm)
             a = min(max(a, -config.ACCEL_LIMIT), config.LQR_ACCEL_MAX)
-            speed = max(vs[i] + a * PREDICT_DT, 0.0)
-            new_vs.append(speed)
-            new_xs.append(xs[i] + speed * PREDICT_DT)
-            new_ys.append(y)
-        xs, ys, vs = new_xs, new_ys, new_vs
-        plat_boxes = [(x, y, 0.0, hl, hw) for x, y, (hl, hw) in zip(xs, ys, halves)]
-        for i, (hl, hw) in enumerate(halves):
-            tracks[i].append((xs[i], ys[i], vs[i]))
+            speed = max(speed + a * PREDICT_DT, 0.0)
+            poses.append(Point(x + speed * PREDICT_DT, _planned_y(v, step, scene.road, t), speed))
+        plat_boxes = [(p.x, p.y, 0.0, hl, hw) for p, (hl, hw) in zip(poses, halves)]
+        for i, (p, (hl, hw)) in enumerate(zip(poses, halves)):
+            tracks[i].append(p)
             mates = plat_boxes[:i] + plat_boxes[i + 1:]
-            if (padded_overlap(xs[i], ys[i], hl, hw, bg_boxes, t, *PREDICT_PAD)
-                    or padded_overlap(xs[i], ys[i], hl, hw, mates, t, *PREDICT_PAD)):
+            if (padded_overlap(p.x, p.y, hl, hw, bg_boxes, t, *PREDICT_PAD)
+                    or padded_overlap(p.x, p.y, hl, hw, mates, t, *PREDICT_PAD)):
                 collided[i] = True
     return Prediction(times=times, platoon_tracks=tracks,
                       background_tracks=bg_tracks, collided=collided)
@@ -231,31 +221,21 @@ def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
     positive), and leader separation (capped, positive)."""
     w = w or config.DEFAULTS.game
     x, y, v = prediction.platoon_tracks[member_idx][-1]
-
-    others = []
-    for j, trk in enumerate(prediction.platoon_tracks):
-        if j != member_idx:
-            others.append(trk[-1])
+    others = [trk[-1] for j, trk in enumerate(prediction.platoon_tracks) if j != member_idx]
     others.extend(trk[-1] for trk in prediction.background_tracks)
 
-    class _P:  # light probe objects for the field evaluation
-        __slots__ = ("x", "y", "speed")
+    p_ris = risk_at_point(x, y, others, config.DEFAULTS.risk)
 
-        def __init__(self, x, y, speed):
-            self.x, self.y, self.speed = x, y, speed
-
-    p_ris = risk_at_point(x, y, [_P(*o) for o in others], config.DEFAULTS.risk)
-
-    best, lead = _predicted_leader(x, y, others)
+    lead = nearest_in_corridor(x, y, others)
     if lead is None:
         tau = w.ttc_cap
         sep_sq = w.dist_cap ** 2
     else:
-        gap = best - 5.0
-        closing = v - lead[2]
+        gap = lead.x - x - scene.platoon[member_idx].length
+        closing = v - lead.speed
         tau = min(gap / closing if (gap > 0 and closing > 0) else w.ttc_cap, w.ttc_cap)
         tau = max(tau, 0.0)
-        sep_sq = min((x - lead[0]) ** 2 + (y - lead[1]) ** 2, w.dist_cap ** 2)
+        sep_sq = min((x - lead.x) ** 2 + (y - lead.y) ** 2, w.dist_cap ** 2)
     return -p_ris + w.k_tau * tau + w.k_d * sep_sq
 
 
@@ -369,20 +349,11 @@ def feasible_joint_actions(partition: CoalitionPartition, scene: GameScene):
 
 def _pose_overlap_at(partition: CoalitionPartition, scene: GameScene,
                      joint_action, dt: float) -> bool:
+    plan = lane_change_plan(partition, joint_action)
     poses = []
-    for idx, v in enumerate(scene.platoon):
-        c = partition.coalition_of(idx)
-        action = joint_action[c]
-        rank = partition.coalitions[c].index(idx)
-        x, y, vx, hl, hw = moving_box(v)
-        if action != KEEP:
-            tau = dt - rank * STAGGER
-            frac = min(max(tau / LANE_CHANGE_TIME, 0.0), 1.0)
-            direction = 1 if action == LEFT else -1
-            y_target = scene.road.lane_center(v.lane + direction)
-            quintic_frac = frac ** 3 * (10 - 15 * frac + 6 * frac * frac)
-            y = v.y + (y_target - v.y) * quintic_frac
-        poses.append((x, y, vx, hl, hw))
+    for v, step in zip(scene.platoon, plan):
+        x, _, vx, hl, hw = moving_box(v)
+        poses.append((x, _planned_y(v, step, scene.road, dt), vx, hl, hw))
     for i, (x, y, vx, hl, hw) in enumerate(poses):
         others = poses[i + 1:] + scene.background_boxes
         if padded_overlap(x + vx * dt, y, hl, hw, others, dt, *PRUNE_PAD):

@@ -36,18 +36,19 @@ from .distribution import (
 )
 from .coalition import (
     SPLITTING,
-    STAGGER,
     STEADY,
     GameScene,
     form_coalitions,
     formation_intact,
+    lane_change_plan,
     solve_tu_game,
 )
-from .planner import KEEP, LEFT, generate_lattice, select_trajectory
+from .planner import LEFT, generate_lattice, select_trajectory
 from .ppo import select_configuration
 from .riskfield import risk_reward
 from .traffic import HdvDriver, LaneContext, Neighbor, idm_acceleration, mobil_decide
 from .world import (
+    Point,
     RoadMap,
     SimClock,
     VehicleState,
@@ -170,11 +171,13 @@ class ManeuverQueue:
         return bool(self.pending) or any(m.executor.mode == "track"
                                          for m in world.members)
 
-    def schedule(self, t: float, coalition, direction: str):
-        """Queue one lane change per member, front first, ``STAGGER`` s apart,
-        as the game predicted them."""
-        for rank, idx in enumerate(coalition):
-            self.pending.append(PendingManeuver(t + rank * STAGGER, idx, direction))
+    def schedule(self, t: float, plan):
+        """Queue the lane changes of a ``lane_change_plan``, each at its
+        start after t, as the game predicted them."""
+        for idx, step in enumerate(plan):
+            if step is not None:
+                start, direction = step
+                self.pending.append(PendingManeuver(t + start, idx, direction))
 
     def fire_due(self, world: World, t: float, snapshot):
         remaining = []
@@ -260,10 +263,7 @@ class GrdfPolicy:
                 "values": [round(v, 6) for v in decision.breakdown],
                 "pdi": round(decision.pdi_value, 6) if decision.pdi_value is not None else None,
             })
-        for c, grp in enumerate(partition.coalitions):
-            act = decision.joint_action[c]
-            if act != KEEP:
-                self.queue.schedule(t, grp, act)
+        self.queue.schedule(t, lane_change_plan(partition, decision.joint_action))
 
     def audit_rows(self):
         return self._audit
@@ -274,9 +274,8 @@ class GrdfPolicy:
 def _neighbor_context(driver: HdvDriver, lane: int, world: World, snapshot):
     """LaneContext for a hypothetical slot of this driver in ``lane``."""
     state = driver.state
-    probe = state.copy()
-    probe.y = world.road.lane_center(lane)
-    # the corridor scans skip the driver's own id
+    # the driver itself sits at the probe's x, so the scans never return it
+    probe = Point(state.x, world.road.lane_center(lane), state.speed)
     leader = lead_vehicle(probe, snapshot)
     follower = rear_vehicle(probe, snapshot)
     lead_n = None

@@ -4,12 +4,18 @@ Axis convention: x runs along the road, y runs to the left of travel, lane
 centers sit at ``lane * lane_width``.  Lane 0 is the rightmost lane (the ramp
 merges into it).  Headings are measured from +x toward +y, so a left lane
 change uses a positive heading.
+
+One corridor scan, ``nearest_in_corridor``, answers "which vehicle is next
+ahead of (or behind) this pose in its corridor" for the whole package: the
+frame loop, the HDV lane probes, the coalition conditions and the game's
+rollout all call it, on ``VehicleState``s or on bare ``Point`` poses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import config
 
@@ -55,6 +61,14 @@ class RoadMap:
         return 0.0 <= x <= self.length
 
 
+class Point(NamedTuple):
+    """A bare pose: a predicted track point or a lane probe."""
+
+    x: float
+    y: float
+    speed: float
+
+
 CAV = "CAV"
 HDV = "HDV"
 
@@ -94,9 +108,6 @@ class VehicleState:
         if self.vx == 0.0 and self.vy == 0.0 and self.speed > 0.0:
             self.vx = self.speed * math.cos(self.heading)
             self.vy = self.speed * math.sin(self.heading)
-
-    def copy(self) -> "VehicleState":
-        return replace(self)
 
     @property
     def front(self) -> float:
@@ -213,30 +224,31 @@ class SimClock:
         self.t = round(self.t + self.dt, 9)
 
 
-def _nearest_in_corridor(ego: VehicleState, others, direction: float):
-    """Nearest vehicle other than ego whose along-road offset times
-    ``direction`` is positive and whose lateral offset is inside the
-    corridor half-width; the first of equal distances wins."""
-    x, y, ego_id = ego.x, ego.y, ego.id
+def nearest_in_corridor(x: float, y: float, others, direction: float = 1.0):
+    """Nearest of ``others`` whose along-road offset from x, times
+    ``direction``, is positive and whose lateral offset from y is inside the
+    corridor half-width, or None; the first of equal distances wins.  The
+    offset test is strict, so a vehicle at x, the ego included, is never its
+    own neighbour."""
     half_width = config.CORRIDOR_HALF_WIDTH
     best = None
     best_dx = math.inf
     for v in others:
         dx = direction * (v.x - x)
-        if 0.0 < dx < best_dx and abs(v.y - y) < half_width and v.id != ego_id:
+        if 0.0 < dx < best_dx and abs(v.y - y) < half_width:
             best_dx = dx
             best = v
     return best
 
 
-def lead_vehicle(ego: VehicleState, others):
+def lead_vehicle(ego, others):
     """Nearest vehicle ahead of ego in its corridor, or None."""
-    return _nearest_in_corridor(ego, others, 1.0)
+    return nearest_in_corridor(ego.x, ego.y, others, 1.0)
 
 
-def rear_vehicle(ego: VehicleState, others):
+def rear_vehicle(ego, others):
     """Nearest vehicle behind ego in its corridor, or None."""
-    return _nearest_in_corridor(ego, others, -1.0)
+    return nearest_in_corridor(ego.x, ego.y, others, -1.0)
 
 
 def moving_box(v: VehicleState):

@@ -10,10 +10,13 @@ from platoonreorg.coalition import (
     MERGING,
     RIGHT,
     SPLITTING,
+    STAGGER,
     STEADY,
     CoalitionPartition,
     GameScene,
     Prediction,
+    LANE_CHANGE_TIME,
+    coalition_conditions_hold,
     coalition_value,
     efficiency_profit,
     evaluate_joint_action,
@@ -21,12 +24,15 @@ from platoonreorg.coalition import (
     form_coalitions,
     formation_intact,
     integration_profit,
+    lane_change_plan,
+    lane_change_y,
     predict_outcome,
     prune_joint_actions,
     safety_profit,
     solve_tu_game,
     tracking_profit,
 )
+from platoonreorg.planner import QuinticProfile
 from platoonreorg.traffic import IdmParams
 from platoonreorg.world import RoadMap, VehicleState
 
@@ -100,6 +106,56 @@ class TestFormCoalitions:
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         assert formation_intact(plat, [])
         assert not formation_intact(plat, [hdv(9, 120.0, lane=1)])
+
+
+class TestInterleaveBoundaries:
+    """A foreign vehicle splits members 0 (x = 130) and 1 (x = 115) only when
+    it lies strictly between them and strictly inside member 0's corridor."""
+
+    PAIR = (cav(0, 130.0), cav(1, 115.0))
+
+    @pytest.mark.parametrize("x", [130.0, 115.0])
+    def test_at_either_members_x_does_not_interleave(self, x):
+        assert coalition_conditions_hold(*self.PAIR, [hdv(9, x, lane=1)])
+
+    @pytest.mark.parametrize("dy,interleaved", [(2.5, False), (-2.5, False),
+                                                (2.49, True), (-2.49, True)])
+    def test_corridor_half_width_is_strict(self, dy, interleaved):
+        y = ROAD.lane_center(1) + dy
+        assert coalition_conditions_hold(*self.PAIR, [hdv(9, 122.0, y=y)]) is not interleaved
+
+    def test_nearest_decides(self):
+        """A vehicle past the front member does not hide one in between."""
+        background = [hdv(8, 140.0, lane=1), hdv(9, 130.0, lane=1), hdv(7, 120.0, lane=1)]
+        assert not coalition_conditions_hold(*self.PAIR, background)
+        assert coalition_conditions_hold(*self.PAIR, background[:2])
+
+
+class TestLaneChangePlan:
+    PARTITION = CoalitionPartition(coalitions=[(0,), (1, 2)])
+
+    @pytest.mark.parametrize("joint,plan", [
+        ((KEEP, KEEP), [None, None, None]),
+        ((KEEP, LEFT), [None, (0.0, LEFT), (STAGGER, LEFT)]),
+        ((KEEP, RIGHT), [None, (0.0, RIGHT), (STAGGER, RIGHT)]),
+        ((LEFT, KEEP), [(0.0, LEFT), None, None]),
+        ((RIGHT, KEEP), [(0.0, RIGHT), None, None]),
+        ((LEFT, RIGHT), [(0.0, LEFT), (0.0, RIGHT), (STAGGER, RIGHT)]),
+        ((RIGHT, LEFT), [(0.0, RIGHT), (0.0, LEFT), (STAGGER, LEFT)]),
+        ((LEFT, LEFT), [(0.0, LEFT), (0.0, LEFT), (STAGGER, LEFT)]),
+        ((RIGHT, RIGHT), [(0.0, RIGHT), (0.0, RIGHT), (STAGGER, RIGHT)]),
+    ])
+    def test_table(self, joint, plan):
+        assert lane_change_plan(self.PARTITION, joint) == plan
+
+    @pytest.mark.parametrize("y0,y1", [(4.0, 8.0), (4.0, 0.0), (-4.0, 0.0), (3.7, 8.2)])
+    def test_curve_matches_quintic_profile(self, y0, y1):
+        q = QuinticProfile(y0, 0.0, 0.0, y1, 0.0, 0.0, LANE_CHANGE_TIME)
+        for k in range(-10, 51):
+            tau = k * 0.1
+            want = q.pos(min(max(tau, 0.0), LANE_CHANGE_TIME))
+            assert abs(lane_change_y(y0, y1, tau) - want) <= 1e-12
+        assert lane_change_y(y0, y1, -1.0) == y0
 
 
 class TestPrediction:

@@ -163,7 +163,7 @@ def test_one_leader_lookup_per_member_and_frame(monkeypatch, golden, name, seed)
 
     def counted_lookup(ego, others):
         nonlocal cav_lookups
-        cav_lookups += ego.kind == CAV
+        cav_lookups += getattr(ego, "kind", None) == CAV  # HDV lane probes are Points
         return lead_vehicle(ego, others)
 
     def counted_decision(world):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from platoonreorg.world import (
+    Point,
     RampSegment,
     RoadMap,
     SimClock,
@@ -12,6 +13,7 @@ from platoonreorg.world import (
     compute_ttc,
     lead_vehicle,
     moving_box,
+    nearest_in_corridor,
     padded_overlap,
     rear_vehicle,
     step_kinematics,
@@ -162,12 +164,18 @@ class TestCorridorSearch:
         assert lead_vehicle(ego, alongside) is None
         assert rear_vehicle(ego, alongside) is None
 
-    def test_ego_id_skipped(self):
+    def test_ego_is_never_its_own_neighbour(self):
+        """The strict offset test, not an id test, keeps the ego out: its own
+        entry in the list, and a bare ``Point`` probe at its x, both skip it."""
         ego = make_vehicle(0, x=100.0)
-        others = [ego, make_vehicle(0, x=105.0), make_vehicle(0, x=95.0),
-                  make_vehicle(1, x=120.0), make_vehicle(2, x=80.0)]
+        others = [ego, make_vehicle(1, x=120.0), make_vehicle(2, x=80.0)]
         assert lead_vehicle(ego, others).id == 1
         assert rear_vehicle(ego, others).id == 2
+        assert lead_vehicle(ego, [ego]) is None and rear_vehicle(ego, [ego]) is None
+        probe = Point(ego.x, ego.y + 1.0, ego.speed)
+        assert nearest_in_corridor(probe.x, probe.y, others).id == 1
+        assert nearest_in_corridor(probe.x, probe.y, others, -1.0).id == 2
+        assert lead_vehicle(probe, [ego]) is None
 
     def test_first_of_equal_distances_wins(self):
         ego = make_vehicle(0, x=100.0)

@@ -78,6 +78,15 @@ def test_world_matches_pin(name, seed):
     assert world_digest(SPECS[name](), seed) == want
 
 
+@pytest.mark.parametrize("name", list(SPECS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vehicle_ids_unique(name, seed):
+    """Ids name vehicles in collisions and the trace, and ``risk_reward``
+    skips the ego by id, so no two vehicles of a world share one."""
+    ids = [v.id for v in build_scenario(SPECS[name](), seed).all_states()]
+    assert len(set(ids)) == len(ids)
+
+
 @pytest.mark.parametrize("name,seed,shortfall", [
     ("case2-dense", 0, 8), ("case2-dense", 1, 8), ("case2-dense", 2, 11),
     ("case1", 0, 18), ("case1", 1, 18), ("case1", 2, 14),
