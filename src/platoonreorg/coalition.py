@@ -233,8 +233,11 @@ def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
     else:
         gap = lead.x - x - scene.platoon[member_idx].length
         closing = v - lead.speed
-        tau = min(gap / closing if (gap > 0 and closing > 0) else w.ttc_cap, w.ttc_cap)
-        tau = max(tau, 0.0)
+        # overlapping vehicles have no time left, as in ``compute_ttc``
+        if gap <= 0:
+            tau = 0.0
+        else:
+            tau = min(gap / closing if closing > 0 else w.ttc_cap, w.ttc_cap)
         sep_sq = min((x - lead.x) ** 2 + (y - lead.y) ** 2, w.dist_cap ** 2)
     return -p_ris + w.k_tau * tau + w.k_d * sep_sq
 

@@ -33,8 +33,9 @@ from platoonreorg.coalition import (
     tracking_profit,
 )
 from platoonreorg.planner import QuinticProfile
+from platoonreorg.riskfield import risk_at_point
 from platoonreorg.traffic import IdmParams
-from platoonreorg.world import RoadMap, VehicleState
+from platoonreorg.world import Point, RoadMap, VehicleState
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
 W = config.DEFAULTS.game
@@ -203,6 +204,18 @@ class TestProfits:
         pred = predict_outcome(scene, part, (KEEP,), 3.0)
         val = safety_profit(0, pred, scene)
         assert val == pytest.approx(W.k_tau * W.ttc_cap + W.k_d * W.dist_cap ** 2)
+
+    @pytest.mark.parametrize("dx", [5.0, 3.0, 0.5])
+    def test_safety_pays_no_ttc_bonus_on_overlap(self, dx):
+        """A predicted leader at or inside bumper contact (centres ``dx`` <= one
+        length apart) is a TTC of 0, as ``compute_ttc`` has it, not the cap."""
+        scene = scene_of([cav(0, 100.0)], [])
+        y = ROAD.lane_center(1)
+        pred = Prediction(times=[0.0], platoon_tracks=[[Point(100.0, y, 25.0)]],
+                          background_tracks=[[Point(100.0 + dx, y, 20.0)]],
+                          collided=[False])
+        risk = risk_at_point(100.0, y, [Point(100.0 + dx, y, 20.0)], config.DEFAULTS.risk)
+        assert safety_profit(0, pred, scene) == pytest.approx(-risk + W.k_d * dx ** 2)
 
     def test_safety_monotone_in_ttc(self):
         def track(v_lead):
