@@ -128,7 +128,8 @@ class EpisodeMetrics:
 
 def platoon_lead_info(world: World):
     """(leader TTC, lowest member TTC, max member risk, index of the most
-    at-risk member)."""
+    at-risk member).  The at-risk member is the first with the lowest finite
+    TTC, and the one with the highest risk only when no TTC is finite."""
     states = world.platoon_states()
     background = world.hdv_states()
     risk_params = replace(config.DEFAULTS.risk, v_max=max(world.road.speed_limit, 1.0))
@@ -143,11 +144,10 @@ def platoon_lead_info(world: World):
     for v in states:
         ahead = lead_vehicle(v, background)
         taus.append(compute_ttc(v, ahead) if ahead is not None else math.inf)
-    # a member with a foreign vehicle close ahead takes at-risk priority
-    best_tau = taus[0]
-    for i, tau in enumerate(taus):
-        if tau < best_tau:
-            best_tau, worst_idx = tau, i
+    # a member closing on a foreign vehicle ahead takes at-risk priority
+    best_tau = min(taus)
+    if math.isfinite(best_tau):
+        worst_idx = taus.index(best_tau)
     return taus[0], best_tau, worst_risk, worst_idx
 
 

@@ -26,10 +26,13 @@ import pytest
 
 from platoonreorg import config, episode
 from platoonreorg.coalition import MERGING, SPLITTING, STEADY
-from platoonreorg.episode import GrdfPolicy, World, run_episode
+from platoonreorg.control import CavExecutor
+from platoonreorg.episode import GrdfPolicy, PlatoonMember, World, platoon_lead_info, run_episode
 from platoonreorg.ppo import PolicyNetwork
+from platoonreorg.riskfield import risk_reward
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
-from platoonreorg.world import CAV
+from platoonreorg.traffic import HdvDriver, style_params
+from platoonreorg.world import CAV, RoadMap, SimClock, VehicleState
 
 GOLDEN = Path(__file__).parent / "golden" / "episodes.json"
 EPISODE_LEN = 20.0
@@ -178,6 +181,43 @@ def test_one_leader_lookup_per_member_and_frame(monkeypatch, golden, name, seed)
     n = len(world.members)
     assert decisions > 0
     assert cav_lookups == n * (result.frames + 1) + n * decisions
+
+
+def _lead_info_world(hdv_poses):
+    """Members in lanes 0, 1 and 2 at x = 100, 60, 20, all at 25 m/s, among
+    HDVs given as (x, lane, speed)."""
+    road = RoadMap()
+    idm, mobil = style_params("normal", road.speed_limit)
+    members = [PlatoonMember(i, VehicleState(id=i, kind=CAV, x=x, y=road.lane_center(i),
+                                             speed=25.0, lane=i, target_lane=i),
+                             CavExecutor())
+               for i, x in enumerate((100.0, 60.0, 20.0))]
+    hdvs = [HdvDriver(VehicleState(id=1000 + k, x=x, y=road.lane_center(lane), speed=v,
+                                   lane=lane, target_lane=lane), idm, mobil)
+            for k, (x, lane, v) in enumerate(hdv_poses)]
+    return World(road=road, clock=SimClock(), members=members, hdvs=hdvs)
+
+
+def test_lead_info_prefers_first_lowest_finite_ttc():
+    """TTCs (1, 2, inf) with the highest risk at member 2: member 0 is at risk.
+    An HDV 1 m behind member 2 in its lane raises its risk, not its TTC."""
+    world = _lead_info_world([(115.0, 0, 15.0), (85.0, 1, 15.0), (19.0, 2, 33.0)])
+    params = dataclasses.replace(config.DEFAULTS.risk, v_max=world.road.speed_limit)
+    risks = [risk_reward(v, world.hdv_states(), params) for v in world.platoon_states()]
+    assert max(risks) == risks[2] > max(risks[:2])
+    tau0, best_tau, risk, idx = platoon_lead_info(world)
+    assert (tau0, best_tau, risk) == (pytest.approx(1.0), pytest.approx(1.0), risks[2])
+    assert idx == 0
+    # equal lowest TTCs: the first wins
+    world = _lead_info_world([(115.0, 0, 15.0), (75.0, 1, 15.0), (19.0, 2, 33.0)])
+    assert platoon_lead_info(world)[3] == 0
+
+
+def test_lead_info_falls_back_to_risk_without_finite_ttc():
+    world = _lead_info_world([(115.0, 0, 30.0), (19.0, 2, 33.0)])
+    tau0, best_tau, _, idx = platoon_lead_info(world)
+    assert tau0 == best_tau == math.inf
+    assert idx == 2
 
 
 def test_states_advance_in_place():
