@@ -67,8 +67,11 @@ class ScenarioSpec:
             raise ScenarioError("case must be 1 or 2")
         if not (2 <= self.platoon_size <= 5):
             raise ScenarioError("platoon size must be within [2, 5]")
-        if self.headway <= 0 or self.episode_len <= 0:
-            raise ScenarioError("headway and episode length must be positive")
+        if not self.headway > config.VEHICLE_LENGTH:
+            raise ScenarioError(f"headway must exceed the {config.VEHICLE_LENGTH} m car "
+                                f"length, got {self.headway!r}")
+        if self.episode_len <= 0:
+            raise ScenarioError("episode length must be positive")
         if not self.success_window > 0:
             raise ScenarioError(f"success window must be positive, got {self.success_window!r}")
         if not (0 <= self.platoon_lane < self.lane_count):
@@ -85,6 +88,15 @@ class ScenarioSpec:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ScenarioError(f"congestion block [{lo}, {hi}] must be finite "
                                     "and non-empty")
+        else:
+            for name, rule, ok in (("event_time", ">= 0", self.event_time >= 0),
+                                   ("event_decel", "< 0", self.event_decel < 0),
+                                   ("event_duration", "> 0", self.event_duration > 0),
+                                   ("event_cruise_after", ">= 0", self.event_cruise_after >= 0),
+                                   ("event_lead_gap", "> 0", self.event_lead_gap > 0)):
+                value = getattr(self, name)
+                if not (ok and math.isfinite(value)):
+                    raise ScenarioError(f"{name} must be finite and {rule}, got {value!r}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)

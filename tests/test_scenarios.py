@@ -139,5 +139,34 @@ def test_bad_congestion_block_rejected(overrides):
     assert case2_spec(**overrides).case == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(event_time=-1.0),
+    dict(event_time=float("inf")),
+    dict(event_decel=0.0),
+    dict(event_decel=float("-inf")),
+    dict(event_duration=0.0),
+    dict(event_duration=float("nan")),
+    dict(event_cruise_after=-1.0),
+    dict(event_cruise_after=float("nan")),
+    dict(event_lead_gap=-20.0),
+    dict(event_lead_gap=0.0),
+], ids=["negative-time", "inf-time", "zero-decel", "inf-decel", "zero-duration",
+        "nan-duration", "negative-cruise", "nan-cruise", "negative-gap", "zero-gap"])
+def test_bad_event_block_rejected(overrides):
+    with pytest.raises(ScenarioError):
+        case2_spec(**overrides)
+    # case 1 schedules no brake event, so its fields are not read
+    assert case1_spec(**overrides).case == 1
+
+
+@pytest.mark.parametrize("spec", [case1_spec, case2_spec])
+@pytest.mark.parametrize("headway", [3.0, 4.9, 5.0, float("nan")])
+def test_headway_within_a_car_length_rejected(spec, headway):
+    """Members spawned a car length or less apart collide at once."""
+    with pytest.raises(ScenarioError, match="headway"):
+        spec(headway=headway)
+    assert spec(headway=5.01).headway == 5.01
+
+
 if __name__ == "__main__":
     print(json.dumps(_all_pins(), indent=1))
