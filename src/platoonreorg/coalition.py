@@ -7,12 +7,10 @@ maximizing the summed coalition profits wins (transferable utility, so the
 grand total is the objective).  In disposition-index mode the merging-phase
 value additionally pays for how scattered the predicted platoon would be.
 
-The game predicts with the geometry the lower layers act on: every "vehicle
-ahead in my corridor" question goes to ``world.nearest_in_corridor``, and
-every lane change a joint action implies comes from one plan,
-``lane_change_plan`` (front first, ``STAGGER`` s apart) along one curve,
-``lane_change_y``.  The rollout, the pruning screen and the episode's
-maneuver queue all read that plan.
+Prediction uses the geometry the lower layers act on: one corridor scan,
+``world.nearest_in_corridor``, and one lane-change plan, ``lane_change_plan``
+along ``lane_change_y``, which the rollout, the pruning screen and the
+episode's maneuver queue all read.
 """
 
 from __future__ import annotations
@@ -234,10 +232,8 @@ def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
         gap = lead.x - x - scene.platoon[member_idx].length
         closing = v - lead.speed
         # overlapping vehicles have no time left, as in ``compute_ttc``
-        if gap <= 0:
-            tau = 0.0
-        else:
-            tau = min(gap / closing if closing > 0 else w.ttc_cap, w.ttc_cap)
+        tau = 0.0 if gap <= 0 else min(gap / closing if closing > 0 else w.ttc_cap, w.ttc_cap)
+        tau = max(tau, 0.0)
         sep_sq = min((x - lead.x) ** 2 + (y - lead.y) ** 2, w.dist_cap ** 2)
     return -p_ris + w.k_tau * tau + w.k_d * sep_sq
 
