@@ -8,7 +8,9 @@ vehicle field is finite, and no platoon member ends above the speed limit.
 Its ``EpisodeMetrics.row()`` is compared exactly against
 ``golden/episodes.json``.  A case-1 network-policy episode that splits and
 re-merges is pinned below; it also checks that the reward, the metrics and
-the game phase read one reorganization clock.
+the game phase read one reorganization clock.  A case-2 network-policy
+episode pins every lane-change plan the loop starts and the final member
+states, so the planner-to-executor path has an end-to-end guard.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_episode.py > tests/golden/episodes.json``.
@@ -17,6 +19,7 @@ Regenerate the pins only for an intended behaviour change:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import numbers
@@ -218,6 +221,58 @@ def test_lead_info_falls_back_to_risk_without_finite_ttc():
     tau0, best_tau, _, idx = platoon_lead_info(world)
     assert tau0 == best_tau == math.inf
     assert idx == 2
+
+
+# Case 2 at density 3, 30 s under GRDF-GT and an untrained network policy
+# (network seed 1).  Of network seeds 0-2 (outer) and episode seeds 0-2
+# (inner), this is the first run that starts lane-change plans toward both
+# sides without a collision: all three members move right at 11 s and left
+# again at 29 s, so the planner, the executor's tracking mode and the end of
+# a plan all run inside the loop.  The digest covers every field of each
+# member's final state, its executor mode, plan start and PID integral, with
+# floats in hex.
+PLAN_NET_SEED = 1
+PLAN_SEED = 1
+PLAN_ROW = {"collision": 0, "avg_speed": 25.005983, "min_ttc": 2.996165,
+            "avg_distance": 9.999429, "formation_success": 0, "formation_time": "",
+            "reorganizations": 1, "duration": 30.0}
+PLANS = [(11.0, 0, 0, 4.0), (11.0, 1, 0, 4.0), (11.0, 2, 0, 4.0),
+         (29.0, 0, 1, 4.0), (29.0, 1, 1, 4.0), (29.0, 2, 1, 4.0)]
+PLAN_DIGEST = "db1e5391965ccc06"
+
+
+def member_digest(world) -> str:
+    def hexed(value):
+        return value.hex() if isinstance(value, float) else value
+
+    fields = []
+    for m in world.members:
+        state = {f.name: hexed(getattr(m.state, f.name)) for f in dataclasses.fields(m.state)}
+        ex = m.executor
+        fields.append([state, ex.mode, hexed(ex.traj_t0), hexed(ex.pid.integral)])
+    blob = json.dumps(fields, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_lane_change_plans_run_end_to_end(monkeypatch):
+    spec = case2_spec(density=3.0, episode_len=30.0)
+    world = build_scenario(spec, PLAN_SEED)
+    index = {id(m.executor): m.index for m in world.members}
+    plans = []
+    start_trajectory = CavExecutor.start_trajectory
+
+    def recorded(self, traj, t_now):
+        plans.append((t_now, index[id(self)], traj.target_lane, traj.duration))
+        return start_trajectory(self, traj, t_now)
+
+    monkeypatch.setattr(CavExecutor, "start_trajectory", recorded)
+    policy = GrdfPolicy(use_pdi=True,
+                        network=PolicyNetwork(obs_dim=72, n_actions=4, seed=PLAN_NET_SEED))
+    result = run_episode(world, policy, PLAN_SEED, spec.episode_len, spec.success_window)
+    assert invariant_failures(world, result) == []
+    assert result.metrics.row() == PLAN_ROW
+    assert plans == PLANS
+    assert member_digest(world) == PLAN_DIGEST
 
 
 def test_states_advance_in_place():
