@@ -42,10 +42,6 @@ class CoalitionPartition:
 
     coalitions: list            # list of tuples of platoon indices (ordered)
 
-    @property
-    def leaders(self):
-        return [grp[0] for grp in self.coalitions]
-
     def __len__(self):
         return len(self.coalitions)
 
@@ -370,12 +366,12 @@ def _one_step_overlap(partition: CoalitionPartition, scene: GameScene,
     return False
 
 
-def prune_joint_actions(partition: CoalitionPartition, scene: GameScene):
-    """Feasible joint actions minus those whose short-horizon pose overlaps.
+def prune_joint_actions(partition: CoalitionPartition, scene: GameScene, feasible):
+    """``feasible`` (from ``feasible_joint_actions``) minus the joint actions
+    whose short-horizon pose overlaps.
 
     An empty result falls back to the all-keep assignment.
     """
-    feasible = feasible_joint_actions(partition, scene)
     pruned = [a for a in feasible if not _one_step_overlap(partition, scene, a)]
     if not pruned:
         pruned = [tuple(KEEP for _ in partition.coalitions)]
@@ -446,7 +442,7 @@ def solve_tu_game(partition: CoalitionPartition, scene: GameScene, phase: str,
     """
     w = w or config.DEFAULTS.game
     feasible = feasible_joint_actions(partition, scene)
-    pruned = prune_joint_actions(partition, scene)
+    pruned = prune_joint_actions(partition, scene, feasible)
     best = None
     for joint in sorted(pruned, key=_tie_break_key):
         total, breakdown, pdi_value = evaluate_joint_action(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 # --- simulation clock -------------------------------------------------------
@@ -124,6 +125,17 @@ class GameConfig:
     collision_penalty: float = 1e6  # charged when a predicted pose overlaps
     entropy_window: float = 50.0    # +/- window for lane-occupancy counts [m]
 
+    def __post_init__(self):
+        weights = (self.w_s, self.w_e, self.w_it, self.w_er, self.k_tau, self.k_d,
+                   self.k_y, self.k_v, self.w_pdi, self.w_lane_change)
+        if not all(0.0 <= w < math.inf for w in weights):
+            raise ValueError("game weights must be finite and non-negative")
+        scales = (self.horizon, self.ttc_cap, self.dist_cap, self.entropy_window,
+                  self.collision_penalty)
+        if not all(0.0 < v < math.inf for v in scales):
+            raise ValueError("horizon, ttc_cap, dist_cap, entropy_window and "
+                             "collision_penalty must be finite and positive")
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -134,6 +146,15 @@ class PlannerConfig:
     w_safety: float = 1.0
     w_efficiency: float = 0.5
     w_comfort: float = 0.1
+
+    def __post_init__(self):
+        if not (self.durations and all(0.0 < T < math.inf for T in self.durations)):
+            raise ValueError("durations must be a non-empty set of finite, positive times")
+        if not all(math.isfinite(dv) for dv in self.speed_offsets):
+            raise ValueError("speed offsets must be finite")
+        if not all(0.0 <= w < math.inf for w in (self.w_safety, self.w_efficiency,
+                                                 self.w_comfort)):
+            raise ValueError("planner weights must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 ``CavExecutor.command`` is the only longitudinal law of a platoon member:
 the episode loop hands it the vehicle ahead in the member's corridor, and
 it returns the next speed and heading, with the time-to-collision brake
-applied in both follow and track mode.
+applied in both follow and track mode.  A plan starts with
+``start_trajectory`` and ends inside ``command``, at the first command after
+its duration has elapsed; lane keeping is the follow law, never a plan.
 
 The LQR gain is solved once per ``(ControlConfig, dt)`` and memoised, so
 every executor built with the same gains shares one immutable gain tuple.
@@ -99,14 +101,6 @@ class CavExecutor:
         self.mode = TRACK
         self.pid.integral = 0.0
 
-    def tracking_done(self, t_now: float) -> bool:
-        return self.mode == TRACK and (t_now - self.traj_t0) >= self.trajectory.duration
-
-    def finish_trajectory(self):
-        self.mode = FOLLOW
-        self.trajectory = None
-        self.pid.integral = 0.0
-
     def command(self, state, leader, t_now: float, road, dt: float = config.DT):
         """(next_speed, next_heading) for one physics step: the one
         longitudinal law of a CAV.
@@ -119,10 +113,18 @@ class CavExecutor:
         ``config.D_TARGET`` behind a CAV and a ``5 + 1.2 v`` headway behind a
         foreign vehicle.
         track mode: LQR on the trajectory reference, PID toward its path.
+        Once the plan's duration has elapsed the executor ends it before
+        commanding: back to follow mode, with ``state.target_lane`` set to
+        the lane the vehicle is in.
         In both modes a leader closer than 1.5 s time-to-collision forces
         full braking.
         """
-        if self.mode == TRACK and self.trajectory is not None:
+        if self.mode == TRACK and t_now - self.traj_t0 >= self.trajectory.duration:
+            self.mode = FOLLOW
+            self.trajectory = None
+            self.pid.integral = 0.0
+            state.target_lane = state.lane
+        if self.mode == TRACK:
             tau = t_now - self.traj_t0
             x_ref, y_ref, vx_ref, vy_ref = self.trajectory.state_at(tau)
             accel = lqr_longitudinal(state.x - x_ref, state.vx - vx_ref, self.K)

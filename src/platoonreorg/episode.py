@@ -10,7 +10,10 @@ every frame.  Due lane changes fire once per frame, after the decisions.
 Each platoon member's command comes from ``CavExecutor.command`` alone, fed
 with the one vehicle ahead in the member's corridor.  That leader is looked
 up once per frame, after the step, for ``min_ttc``; nothing moves before the
-next frame's command reads it.
+next frame's command reads it.  A fired lane change is planned once, over a
+LEFT or RIGHT lattice (lane keeping is the follow law and has none), and the
+executor ends the plan by itself when its duration has elapsed; the loop
+never touches executor mode.
 
 A reorganization runs from the decision that splits a single-group target
 until the single-group target has been intact for ``config.FORMATION_HOLD``
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import config
-from .control import CavExecutor
+from .control import TRACK, CavExecutor
 from .distribution import (
     N_FEATURES,
     HeuristicDistributionPolicy,
@@ -164,12 +167,8 @@ class ManeuverQueue:
     def __init__(self):
         self.pending = []
 
-    def clear(self):
-        self.pending.clear()
-
     def busy(self, world: World) -> bool:
-        return bool(self.pending) or any(m.executor.mode == "track"
-                                         for m in world.members)
+        return bool(self.pending) or any(m.executor.mode == TRACK for m in world.members)
 
     def schedule(self, t: float, plan):
         """Queue the lane changes of a ``lane_change_plan``, each at its
@@ -403,12 +402,18 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
 
     snapshot = world.all_states()
     states, background = snapshot[:n_members], snapshot[n_members:]
+    scripted = None
+    if world.scripted is not None:
+        scripted = next((d for d in world.hdvs if d.state.id == world.scripted.vehicle_id),
+                        None)
+        if scripted is None:
+            raise ValueError(f"scripted vehicle {world.scripted.vehicle_id} is not in the world")
     leaders = [lead_vehicle(v, snapshot) for v in states]
     for frame in range(n_frames):
         t = clock.t
 
-        if world.scripted is not None:
-            _apply_scripted(world, t)
+        if scripted is not None:
+            _apply_scripted(world.scripted, scripted, t)
 
         if clock.platoon_decision_due():
             action = policy.platoon_decide(world, t)
@@ -426,13 +431,8 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         policy.queue.fire_due(world, t, snapshot)
 
         # compute all commands from the same states, each with its leader
-        commands = []
-        for member, leader in zip(world.members, leaders):
-            ex = member.executor
-            if ex.tracking_done(t):
-                ex.finish_trajectory()
-                member.state.target_lane = member.state.lane
-            commands.append(ex.command(member.state, leader, t, world.road, clock.dt))
+        commands = [m.executor.command(m.state, leader, t, world.road, clock.dt)
+                    for m, leader in zip(world.members, leaders)]
 
         hdv_accels = [hdv_accel(d, snapshot) for d in world.hdvs]
 
@@ -481,19 +481,14 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
     return EpisodeResult(metrics=metrics, audit=policy.audit_rows(), frames=samples)
 
 
-def _apply_scripted(world: World, t: float):
-    ev = world.scripted
-    for driver in world.hdvs:
-        if driver.state.id != ev.vehicle_id:
-            continue
-        if ev.t_start <= t < ev.t_start + ev.duration:
-            if driver.scripted_accel is None:
-                # drop the desired speed for the post-event cruise as well
-                driver.idm = replace(driver.idm, desired_speed=max(ev.cruise_after, 0.1))
-            driver.scripted_accel = ev.decel
-        elif driver.scripted_accel is not None and t >= ev.t_start + ev.duration:
-            driver.scripted_accel = None
-        return
+def _apply_scripted(ev: ScriptedBrake, driver: HdvDriver, t: float):
+    if ev.t_start <= t < ev.t_start + ev.duration:
+        if driver.scripted_accel is None:
+            # drop the desired speed for the post-event cruise as well
+            driver.idm = replace(driver.idm, desired_speed=max(ev.cruise_after, 0.1))
+        driver.scripted_accel = ev.decel
+    elif driver.scripted_accel is not None and t >= ev.t_start + ev.duration:
+        driver.scripted_accel = None
 
 
 def _platoon_collision(platoon, background) -> bool:

@@ -54,9 +54,6 @@ class RoadNodeGraph:
     start: int
     end: int
 
-    def node(self, nid: int) -> RoadNode:
-        return self.nodes[nid]
-
 
 def adjacent(a: RoadNode, b: RoadNode, p: config.PdiConfig) -> bool:
     """Definition of node adjacency: same lane within the max spacing, or

@@ -1,9 +1,10 @@
 """Lattice trajectory generation, feasibility checking, and selection.
 
-Lane changes use a quintic lateral profile (terminal lane center, zero
-lateral speed/accel) paired with a quartic longitudinal profile (terminal
-speed/accel pinned, terminal position free).  Keep-lane decisions emit
-longitudinal-only candidates on the same duration/terminal-speed grid.
+Only lane changes are planned: a quintic lateral profile (terminal lane
+center, zero lateral speed/accel) paired with a quartic longitudinal profile
+(terminal speed/accel pinned, terminal position free), both of one
+``Polynomial`` type.  Lane keeping has no lattice; it is the executor's
+follow law, and the executor ends each plan when its duration has elapsed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .riskfield import risk_contribution
-from .world import moving_box, padded_overlap
+from .riskfield import risk_at_point
+from .world import Point, moving_box, padded_overlap
 
 KEEP = "keep"
 LEFT = "left"
@@ -26,96 +27,77 @@ class PlanningError(ValueError):
     pass
 
 
-class QuinticProfile:
+class Polynomial:
+    """p(t) = c[0] + c[1] t + ... + c[n] t^n and its first three derivatives.
+
+    Each derivative keeps its own coefficients, k!/(k-d)! c[k] for the d-th,
+    and sums its terms from the constant one up.
+    """
+
+    def __init__(self, c):
+        self.c = c
+        self._terms = [[math.perm(k, d) * c[k] for k in range(d, len(c))]
+                       for d in range(4)]
+
+    def _derivative(self, d, t):
+        terms = self._terms[d]
+        value = terms[0]
+        for k in range(1, len(terms)):
+            value += terms[k] * t ** k
+        return value
+
+    def pos(self, t):
+        return self._derivative(0, t)
+
+    def vel(self, t):
+        return self._derivative(1, t)
+
+    def acc(self, t):
+        return self._derivative(2, t)
+
+    def jerk(self, t):
+        return self._derivative(3, t)
+
+
+def _boundary_solve(p0, v0, a0, T, terminal) -> Polynomial:
+    """The polynomial with p(0) = p0, p'(0) = v0, p''(0) = a0 and the d-th
+    derivative equal to ``value`` at T for each (d, value) of ``terminal``;
+    the terminal conditions fix the coefficients of t^3 and up."""
+    head = Polynomial([p0, v0, a0 / 2.0])
+    powers = range(3, 3 + len(terminal))
+    A = np.array([[math.perm(k, d) * T ** (k - d) for k in powers] for d, _ in terminal])
+    b = np.array([value - head._derivative(d, T) for d, value in terminal])
+    return Polynomial(head.c + np.linalg.solve(A, b).tolist())
+
+
+def quintic(p0, v0, a0, p1, v1, a1, T) -> Polynomial:
     """Position polynomial with all six boundary conditions pinned."""
-
-    def __init__(self, p0, v0, a0, p1, v1, a1, T):
-        self.c = [p0, v0, a0 / 2.0, 0.0, 0.0, 0.0]
-        A = np.array([
-            [T ** 3, T ** 4, T ** 5],
-            [3 * T ** 2, 4 * T ** 3, 5 * T ** 4],
-            [6 * T, 12 * T ** 2, 20 * T ** 3],
-        ])
-        b = np.array([
-            p1 - (self.c[0] + self.c[1] * T + self.c[2] * T ** 2),
-            v1 - (self.c[1] + 2 * self.c[2] * T),
-            a1 - 2 * self.c[2],
-        ])
-        self.c[3:] = np.linalg.solve(A, b).tolist()
-
-    def pos(self, t):
-        c = self.c
-        return c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3 + c[4] * t ** 4 + c[5] * t ** 5
-
-    def vel(self, t):
-        c = self.c
-        return c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2 + 4 * c[4] * t ** 3 + 5 * c[5] * t ** 4
-
-    def acc(self, t):
-        c = self.c
-        return 2 * c[2] + 6 * c[3] * t + 12 * c[4] * t ** 2 + 20 * c[5] * t ** 3
-
-    def jerk(self, t):
-        c = self.c
-        return 6 * c[3] + 24 * c[4] * t + 60 * c[5] * t ** 2
+    return _boundary_solve(p0, v0, a0, T, ((0, p1), (1, v1), (2, a1)))
 
 
-class QuarticProfile:
+def quartic(p0, v0, a0, v1, a1, T) -> Polynomial:
     """Position polynomial with terminal speed/accel pinned, position free."""
-
-    def __init__(self, p0, v0, a0, v1, a1, T):
-        self.c = [p0, v0, a0 / 2.0, 0.0, 0.0]
-        A = np.array([
-            [3 * T ** 2, 4 * T ** 3],
-            [6 * T, 12 * T ** 2],
-        ])
-        b = np.array([
-            v1 - (self.c[1] + 2 * self.c[2] * T),
-            a1 - 2 * self.c[2],
-        ])
-        self.c[3:] = np.linalg.solve(A, b).tolist()
-
-    def pos(self, t):
-        c = self.c
-        return c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3 + c[4] * t ** 4
-
-    def vel(self, t):
-        c = self.c
-        return c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2 + 4 * c[4] * t ** 3
-
-    def acc(self, t):
-        c = self.c
-        return 2 * c[2] + 6 * c[3] * t + 12 * c[4] * t ** 2
-
-    def jerk(self, t):
-        c = self.c
-        return 6 * c[3] + 24 * c[4] * t
+    return _boundary_solve(p0, v0, a0, T, ((1, v1), (2, a1)))
 
 
 @dataclass
 class TrajectoryCandidate:
     duration: float
-    lon: QuarticProfile | None      # None for the emergency_profile fallback
-    lat: QuinticProfile | None      # None for pure longitudinal motion
-    lat_y: float = 0.0              # constant lateral position when lat is None
+    lon: Polynomial | None          # None for the emergency_profile fallback
+    lat: Polynomial | None          # None for the emergency_profile fallback
     samples: list = field(default_factory=list)  # (t, x, y, vx, vy, ax, ay, jx, jy)
     target_lane: int = 0
 
-    def sample(self, dt=config.DT):
+    def sample(self):
+        dt = config.DT
         self.samples = []
         n = int(round(self.duration / dt))
         for k in range(n + 1):
             t = k * dt
-            x = self.lon.pos(t)
-            vx = self.lon.vel(t)
-            ax = self.lon.acc(t)
-            jx = self.lon.jerk(t)
-            if self.lat is None:
-                y, vy, ay, jy = self.lat_y, 0.0, 0.0, 0.0
-            else:
-                y, vy, ay, jy = (self.lat.pos(t), self.lat.vel(t),
-                                 self.lat.acc(t), self.lat.jerk(t))
-            self.samples.append((t, x, y, vx, vy, ax, ay, jx, jy))
+            self.samples.append((t, self.lon.pos(t), self.lat.pos(t),
+                                 self.lon.vel(t), self.lat.vel(t),
+                                 self.lon.acc(t), self.lat.acc(t),
+                                 self.lon.jerk(t), self.lat.jerk(t)))
         return self
 
     def state_at(self, t):
@@ -128,10 +110,7 @@ class TrajectoryCandidate:
         if self.lon is None:
             _, x, y, vx, vy, *_ = self.samples[int(round(t / config.DT))]
             return x, y, vx, vy
-        x, vx = self.lon.pos(t), self.lon.vel(t)
-        if self.lat is None:
-            return x, self.lat_y, vx, 0.0
-        return x, self.lat.pos(t), vx, self.lat.vel(t)
+        return self.lon.pos(t), self.lat.pos(t), self.lon.vel(t), self.lat.vel(t)
 
     def extended_state(self, t):
         """Like state_at but continues at constant speed past the end, so
@@ -159,21 +138,15 @@ class DynamicsLimits:
 
 
 def generate_lattice(state, decision: str, road, cfg=None) -> list:
-    """Candidate trajectories for one lateral decision.
-
-    Lane changes span the duration x terminal-speed grid; keep-lane uses the
-    same grid with no lateral profile.
-    """
+    """Candidate lane changes for a LEFT or RIGHT decision, one per point of
+    the duration x terminal-speed grid.  Lane keeping has no lattice: it is
+    the executor's follow law."""
     cfg = cfg or config.DEFAULTS.planner
-    lane = state.lane
-    if decision == LEFT:
-        target = lane + 1
-    elif decision == RIGHT:
-        target = lane - 1
-    else:
-        target = lane
+    if decision not in (LEFT, RIGHT):
+        raise PlanningError(f"no lattice for decision {decision!r}: only lane changes are planned")
+    target = state.lane + (1 if decision == LEFT else -1)
     if not (0 <= target < road.lane_count):
-        raise PlanningError(f"decision {decision} leaves the road from lane {lane}")
+        raise PlanningError(f"decision {decision} leaves the road from lane {state.lane}")
 
     vx0 = state.speed * math.cos(state.heading)
     vy0 = state.speed * math.sin(state.heading)
@@ -181,32 +154,26 @@ def generate_lattice(state, decision: str, road, cfg=None) -> list:
     for T in cfg.durations:
         for dv in cfg.speed_offsets:
             v_end = min(max(vx0 + dv, 0.0), road.speed_limit)
-            lon = QuarticProfile(state.x, vx0, state.ax, v_end, 0.0, T)
-            if decision == KEEP:
-                cand = TrajectoryCandidate(duration=T, lon=lon, lat=None,
-                                           lat_y=state.y, target_lane=target)
-            else:
-                lat = QuinticProfile(state.y, vy0, state.ay,
-                                     road.lane_center(target), 0.0, 0.0, T)
-                cand = TrajectoryCandidate(duration=T, lon=lon, lat=lat,
-                                           target_lane=target)
-            out.append(cand.sample())
+            lon = quartic(state.x, vx0, state.ax, v_end, 0.0, T)
+            lat = quintic(state.y, vy0, state.ay, road.lane_center(target), 0.0, 0.0, T)
+            out.append(TrajectoryCandidate(duration=T, lon=lon, lat=lat,
+                                           target_lane=target).sample())
     return out
 
 
-def emergency_profile(state, road, duration: float = 4.0) -> TrajectoryCandidate:
+EMERGENCY_DURATION = 4.0  # length of the braking fallback [s]
+
+
+def emergency_profile(state, road) -> TrajectoryCandidate:
     """Jerk-limited straight braking fallback; respects all checker limits."""
     dt = config.DT
     a = state.ax
     v = state.speed * math.cos(state.heading)
     x = state.x
-    cand = TrajectoryCandidate(duration=duration, lon=None, lat=None,
-                               lat_y=state.y, target_lane=state.lane)
     samples = []
     t = 0.0
-    n = int(round(duration / dt))
     prev_a = a
-    for k in range(n + 1):
+    for k in range(int(round(EMERGENCY_DURATION / dt)) + 1):
         samples.append((t, x, state.y, v, 0.0, a, 0.0, (a - prev_a) / dt if k else 0.0, 0.0))
         prev_a = a
         a = max(a - 0.9 * config.JERK_LIMIT * dt, -0.9 * config.ACCEL_LIMIT)
@@ -215,14 +182,13 @@ def emergency_profile(state, road, duration: float = 4.0) -> TrajectoryCandidate
         v = max(v + a * dt, 0.0)
         x += v * dt
         t += dt
-    cand.samples = samples
-    return cand
+    return TrajectoryCandidate(duration=EMERGENCY_DURATION, lon=None, lat=None,
+                               samples=samples, target_lane=state.lane)
 
 
 def check_dynamics(candidate: TrajectoryCandidate, limits: DynamicsLimits):
-    """(passed, reason) against accel/jerk/lateral-accel/road-extent limits."""
-    if not candidate.samples:
-        candidate.sample()
+    """(passed, reason) of a sampled candidate against the accel, jerk,
+    lateral-accel and road-extent limits."""
     for (t, x, y, vx, vy, ax, ay, jx, jy) in candidate.samples:
         if abs(ax) > limits.accel:
             return False, f"accel {ax:.2f} at t={t:.1f}"
@@ -240,69 +206,65 @@ ASSESS_STEP = 0.3
 OVERLAP_PAD = (0.5, 0.5)  # padding of the predicted-overlap screen, along and across [m]
 
 
-def _predicted_overlap(candidate: TrajectoryCandidate, ego, others) -> bool:
-    boxes = [moving_box(o) for o in others]
-    half_len = ego.length / 2.0
-    half_wid = ego.width / 2.0
+def _assess_times() -> tuple:
+    times = []
     t = 0.0
     while t <= ASSESS_HORIZON:
-        x, y, _, _ = candidate.extended_state(t)
-        if padded_overlap(x, y, half_len, half_wid, boxes, t, *OVERLAP_PAD):
-            return True
+        times.append(t)
         t += ASSESS_STEP
-    return False
+    return tuple(times)
+
+
+ASSESS_TIMES = _assess_times()  # 0, 0.3, ... by accumulation, up to the horizon
 
 
 def select_trajectory(candidates, ego, others, road, cfg=None):
     """Best passing candidate by weighted safety/efficiency/comfort cost.
 
-    Candidates that collide with constant-velocity predictions of the scene
-    are only eligible when nothing else passes; ties break toward shorter
-    durations.  Falls back to the emergency braking profile when no
-    candidate passes the dynamics check.
+    The scene is predicted once, at constant velocity: the others' boxes for
+    the overlap screen and their poses at each of ``ASSESS_TIMES`` for the
+    risk field.  Each candidate's poses at those times serve both.
+    Candidates that overlap the scene are only eligible when nothing else
+    passes; ties break toward shorter durations.  Falls back to the
+    emergency braking profile when no candidate passes the dynamics check.
     """
     cfg = cfg or config.DEFAULTS.planner
     risk_params = config.DEFAULTS.risk
     limits = DynamicsLimits.for_road(road)
-    passing = []
-    for cand in candidates:
-        ok, _ = check_dynamics(cand, limits)
-        if ok:
-            passing.append(cand)
+    passing = [c for c in candidates if check_dynamics(c, limits)[0]]
     if not passing:
         return emergency_profile(ego, road)
 
-    clear = [c for c in passing if not _predicted_overlap(c, ego, others)]
-    pool = clear if clear else passing
+    boxes = [moving_box(o) for o in others]
+    scene = [[Point(o.x + o.speed * math.cos(o.heading) * t, o.y, o.speed) for o in others]
+             for t in ASSESS_TIMES]
+    half_len = ego.length / 2.0
+    half_wid = ego.width / 2.0
 
-    def cost(cand: TrajectoryCandidate):
+    def overlaps(poses):
+        return any(padded_overlap(x, y, half_len, half_wid, boxes, t, *OVERLAP_PAD)
+                   for t, (x, y, _, _) in zip(ASSESS_TIMES, poses))
+
+    def cost(cand: TrajectoryCandidate, poses):
         # risk and efficiency over the common horizon (constant-velocity
         # continuation past the plan end); comfort over the plan itself
-        peak_risk = 0.0
+        peak_risk = max(risk_at_point(x, y, points, risk_params)
+                        for (x, y, _, _), points in zip(poses, scene))
         speed_sum = 0.0
-        n = 0
-        t = 0.0
-        while t <= ASSESS_HORIZON:
-            x, y, vx, vy = cand.extended_state(t)
-            for o in others:
-                ox = o.x + o.speed * math.cos(o.heading) * t
-                r = risk_contribution(ox - x, o.y - y, o.speed, risk_params)
-                if r > peak_risk:
-                    peak_risk = r
+        for _, _, vx, vy in poses:
             speed_sum += math.hypot(vx, vy)
-            n += 1
-            t += ASSESS_STEP
         jerk_sq = 0.0
         stride = max(1, len(cand.samples) // 10)
         picks = cand.samples[::stride]
         for (_t, _x, _y, _vx, _vy, _ax, _ay, jx, jy) in picks:
             jerk_sq += jx * jx + jy * jy
-        mean_speed = speed_sum / n
+        mean_speed = speed_sum / len(poses)
         mean_jerk_sq = jerk_sq / len(picks)
         v_max = road.speed_limit
         return (cfg.w_safety * peak_risk
                 + cfg.w_efficiency * (v_max - mean_speed) / v_max
                 + cfg.w_comfort * mean_jerk_sq)
 
-    pool.sort(key=lambda c: (cost(c), c.duration))
-    return pool[0]
+    assessed = [(c, [c.extended_state(t) for t in ASSESS_TIMES]) for c in passing]
+    pool = [(c, poses) for c, poses in assessed if not overlaps(poses)] or assessed
+    return min(pool, key=lambda pair: (cost(*pair), pair[0].duration))[0]

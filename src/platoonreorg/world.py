@@ -109,14 +109,6 @@ class VehicleState:
             self.vx = self.speed * math.cos(self.heading)
             self.vy = self.speed * math.sin(self.heading)
 
-    @property
-    def front(self) -> float:
-        return self.x + 0.5 * self.length
-
-    @property
-    def rear(self) -> float:
-        return self.x - 0.5 * self.length
-
 
 def step_kinematics(state: VehicleState, speed: float, heading: float, dt: float) -> None:
     """Advance ``state`` in place by one physics step at commanded speed/heading.

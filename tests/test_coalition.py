@@ -32,7 +32,7 @@ from platoonreorg.coalition import (
     solve_tu_game,
     tracking_profit,
 )
-from platoonreorg.planner import QuinticProfile
+from platoonreorg.planner import quintic
 from platoonreorg.riskfield import risk_at_point
 from platoonreorg.traffic import IdmParams
 from platoonreorg.world import Point, RoadMap, VehicleState
@@ -80,7 +80,7 @@ class TestFormCoalitions:
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         part = form_coalitions(plat, [])
         assert part.coalitions == [(0, 1, 2)]
-        assert part.leaders == [0]
+        assert [grp[0] for grp in part.coalitions] == [0]
 
     def test_large_gap_splits(self):
         plat = [cav(0, 150.0), cav(1, 135.0), cav(2, 100.0)]  # 15 m then 35 m
@@ -151,7 +151,7 @@ class TestLaneChangePlan:
 
     @pytest.mark.parametrize("y0,y1", [(4.0, 8.0), (4.0, 0.0), (-4.0, 0.0), (3.7, 8.2)])
     def test_curve_matches_quintic_profile(self, y0, y1):
-        q = QuinticProfile(y0, 0.0, 0.0, y1, 0.0, 0.0, LANE_CHANGE_TIME)
+        q = quintic(y0, 0.0, 0.0, y1, 0.0, 0.0, LANE_CHANGE_TIME)
         for k in range(-10, 51):
             tau = k * 0.1
             want = q.pos(min(max(tau, 0.0), LANE_CHANGE_TIME))
@@ -278,7 +278,7 @@ class TestPruning:
         blocker = hdv(9, 130.0, lane=2, speed=25.0)
         scene = scene_of(plat, [blocker])
         part = form_coalitions(plat, [blocker])
-        pruned = prune_joint_actions(part, scene)
+        pruned = prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
         assert (LEFT,) not in pruned
         assert (KEEP,) in pruned
 
@@ -289,7 +289,7 @@ class TestPruning:
         assert len(part) == 2
         actions = feasible_joint_actions(part, scene)
         assert len(actions) == 9
-        pruned = prune_joint_actions(part, scene)
+        pruned = prune_joint_actions(part, scene, actions)
         assert set(pruned) == set(actions)  # nothing nearby
 
 
@@ -400,5 +400,5 @@ class TestOracleEquivalence:
             value, joint = brute_force(part, scene, phase)
             assert solver.joint_action == joint
             assert solver.value == pytest.approx(value, abs=1e-9)
-            assert joint in prune_joint_actions(part, scene)
+            assert joint in prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
 

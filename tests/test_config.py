@@ -1,0 +1,62 @@
+"""Construction-time checks of the game and planner defaults classes."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from platoonreorg import config
+
+
+def test_defaults_hash_is_stable():
+    assert config.config_hash(config.DEFAULTS) == "0857c709e5cc6c6f"
+
+
+GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_d", "k_y", "k_v", "w_pdi",
+                "w_lane_change")
+GAME_SCALES = ("horizon", "ttc_cap", "dist_cap", "entropy_window", "collision_penalty")
+
+
+@pytest.mark.parametrize("name", GAME_WEIGHTS)
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+def test_game_weight_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValueError):
+        config.GameConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", GAME_WEIGHTS)
+def test_zero_game_weight_accepted(name):
+    assert getattr(config.GameConfig(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("name", GAME_SCALES)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_game_scale_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError):
+        config.GameConfig(**{name: value})
+
+
+@pytest.mark.parametrize("durations", [(), (0.0, 3.0), (-2.0,), (math.nan,), (math.inf,)])
+def test_planner_durations_must_be_finite_and_positive(durations):
+    with pytest.raises(ValueError):
+        config.PlannerConfig(durations=durations)
+
+
+@pytest.mark.parametrize("offsets", [(math.nan,), (0.0, math.inf), (-math.inf,)])
+def test_planner_speed_offsets_must_be_finite(offsets):
+    with pytest.raises(ValueError):
+        config.PlannerConfig(speed_offsets=offsets)
+
+
+@pytest.mark.parametrize("name", ("w_safety", "w_efficiency", "w_comfort"))
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+def test_planner_weight_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValueError):
+        config.PlannerConfig(**{name: value})
+
+
+def test_planner_accepts_zero_weights_and_negative_offsets():
+    cfg = config.PlannerConfig(speed_offsets=(-2.0,), w_safety=0.0, w_efficiency=0.0,
+                               w_comfort=0.0)
+    assert cfg.speed_offsets == (-2.0,)

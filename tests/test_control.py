@@ -5,6 +5,8 @@ import pytest
 
 from platoonreorg import config
 from platoonreorg.control import (
+    FOLLOW,
+    TRACK,
     CavExecutor,
     PidState,
     lqr_longitudinal,
@@ -144,11 +146,30 @@ class TestExecutor:
         ex.start_trajectory(traj, 0.0)
         dt = config.DT
         t = 0.0
-        while not ex.tracking_done(t):
+        while t < traj.duration:
             speed, heading = ex.command(ego, None, t, ROAD, dt)
             step_kinematics(ego, speed, heading, dt)
             t += dt
+        assert ex.mode == TRACK
         assert ego.y == pytest.approx(ROAD.lane_center(2), abs=0.35)
+
+    def test_command_ends_an_elapsed_plan(self):
+        """The first command at or after the plan's end follows again, toward
+        the lane the vehicle is in."""
+        from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
+
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
+                           lane=1, target_lane=1)
+        traj = select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, [], ROAD)
+        ex.start_trajectory(traj, 1.0)
+        ego.target_lane = traj.target_lane
+        ex.command(ego, None, 1.0 + traj.duration - config.DT, ROAD)
+        assert (ex.mode, ex.trajectory, ego.target_lane) == (TRACK, traj, 2)
+        assert ex.pid.integral != 0.0
+        ex.command(ego, None, 1.0 + traj.duration, ROAD)
+        assert (ex.mode, ex.trajectory, ego.target_lane) == (FOLLOW, None, 1)
+        assert ex.pid.integral == 0.0  # reset; ego sits on its lane's center
 
     def test_follow_mode_ignores_a_far_faster_foreign_leader(self):
         """A foreign vehicle 680 m ahead and faster than cruise is not chased."""
@@ -169,7 +190,7 @@ class TestExecutor:
 
     @pytest.mark.parametrize("mode", ["follow", "track"])
     def test_short_ttc_forces_full_braking(self, mode):
-        from platoonreorg.planner import KEEP, generate_lattice, select_trajectory
+        from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
 
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=20.0,
@@ -178,7 +199,7 @@ class TestExecutor:
         leader = VehicleState(id=1, kind="CAV", x=109.0, y=4.0, speed=17.0,
                               lane=1, target_lane=1)
         if mode == "track":
-            ex.start_trajectory(select_trajectory(generate_lattice(ego, KEEP, ROAD),
+            ex.start_trajectory(select_trajectory(generate_lattice(ego, LEFT, ROAD),
                                                   ego, [], ROAD), 0.0)
         speed, _ = ex.command(ego, leader, 0.0, ROAD)
         assert ex.mode == mode
@@ -197,7 +218,7 @@ class TestExecutor:
         dt = config.DT
         t = 0.0
         speeds = [ego.speed]
-        while not ex.tracking_done(t):
+        while t < traj.duration:
             speed, heading = ex.command(ego, None, t, ROAD, dt)
             step_kinematics(ego, speed, heading, dt)
             speeds.append(ego.speed)

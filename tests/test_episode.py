@@ -275,6 +275,13 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
     assert member_digest(world) == PLAN_DIGEST
 
 
+def test_missing_scripted_vehicle_rejected():
+    world = build_scenario(case2_spec(density=3.0), 0)
+    world.scripted = dataclasses.replace(world.scripted, vehicle_id=-1)
+    with pytest.raises(ValueError, match="scripted vehicle -1"):
+        run_episode(world, GrdfPolicy(), 0, 1.0)
+
+
 def test_states_advance_in_place():
     world = build_scenario(case1_spec(), 0)
     states = world.all_states()

@@ -245,7 +245,7 @@ class TestBuildNodeGraph:
     def test_compact_platoon_roles(self):
         plat = self.platoon([120.0, 110.0, 100.0])
         g = build_node_graph(self.road, plat, [], P)
-        start, end = g.node(g.start), g.node(g.end)
+        start, end = g.nodes[g.start], g.nodes[g.end]
         assert start.role == START and end.role == END
         assert start.x > end.x
         assert all(n.status != BLOCKED for n in g.nodes)

@@ -1,26 +1,105 @@
-import math
+import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from platoonreorg import config
 from platoonreorg.planner import (
+    ASSESS_TIMES,
     KEEP,
     LEFT,
     RIGHT,
     DynamicsLimits,
     PlanningError,
-    QuarticProfile,
-    QuinticProfile,
     TrajectoryCandidate,
     check_dynamics,
     emergency_profile,
     generate_lattice,
+    quartic,
+    quintic,
     select_trajectory,
 )
 from platoonreorg.world import RoadMap, VehicleState
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
 LIMITS = DynamicsLimits.for_road(ROAD)
+
+
+class QuinticProfile:
+    """Oracle: the quintic with its evaluators written out term by term."""
+
+    def __init__(self, p0, v0, a0, p1, v1, a1, T):
+        self.c = [p0, v0, a0 / 2.0, 0.0, 0.0, 0.0]
+        A = np.array([
+            [T ** 3, T ** 4, T ** 5],
+            [3 * T ** 2, 4 * T ** 3, 5 * T ** 4],
+            [6 * T, 12 * T ** 2, 20 * T ** 3],
+        ])
+        b = np.array([
+            p1 - (self.c[0] + self.c[1] * T + self.c[2] * T ** 2),
+            v1 - (self.c[1] + 2 * self.c[2] * T),
+            a1 - 2 * self.c[2],
+        ])
+        self.c[3:] = np.linalg.solve(A, b).tolist()
+
+    def pos(self, t):
+        c = self.c
+        return c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3 + c[4] * t ** 4 + c[5] * t ** 5
+
+    def vel(self, t):
+        c = self.c
+        return c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2 + 4 * c[4] * t ** 3 + 5 * c[5] * t ** 4
+
+    def acc(self, t):
+        c = self.c
+        return 2 * c[2] + 6 * c[3] * t + 12 * c[4] * t ** 2 + 20 * c[5] * t ** 3
+
+    def jerk(self, t):
+        c = self.c
+        return 6 * c[3] + 24 * c[4] * t + 60 * c[5] * t ** 2
+
+
+class QuarticProfile:
+    """Oracle: the quartic with its evaluators written out term by term."""
+
+    def __init__(self, p0, v0, a0, v1, a1, T):
+        self.c = [p0, v0, a0 / 2.0, 0.0, 0.0]
+        A = np.array([
+            [3 * T ** 2, 4 * T ** 3],
+            [6 * T, 12 * T ** 2],
+        ])
+        b = np.array([
+            v1 - (self.c[1] + 2 * self.c[2] * T),
+            a1 - 2 * self.c[2],
+        ])
+        self.c[3:] = np.linalg.solve(A, b).tolist()
+
+    def pos(self, t):
+        c = self.c
+        return c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3 + c[4] * t ** 4
+
+    def vel(self, t):
+        c = self.c
+        return c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2 + 4 * c[4] * t ** 3
+
+    def acc(self, t):
+        c = self.c
+        return 2 * c[2] + 6 * c[3] * t + 12 * c[4] * t ** 2
+
+    def jerk(self, t):
+        c = self.c
+        return 6 * c[3] + 24 * c[4] * t
+
+
+def doubles(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def evaluations(profile, times) -> bytes:
+    """Every evaluator at every time, as the bytes of the doubles."""
+    return doubles([f(t) for t in times
+                    for f in (profile.pos, profile.vel, profile.acc, profile.jerk)])
 
 
 def cav(vid=0, x=100.0, lane=1, speed=25.0):
@@ -30,7 +109,7 @@ def cav(vid=0, x=100.0, lane=1, speed=25.0):
 
 class TestPolynomials:
     def test_quintic_boundary_conditions(self):
-        q = QuinticProfile(4.0, 0.3, -0.1, 8.0, 0.0, 0.0, 3.0)
+        q = quintic(4.0, 0.3, -0.1, 8.0, 0.0, 0.0, 3.0)
         assert q.pos(0.0) == pytest.approx(4.0, abs=1e-12)
         assert q.vel(0.0) == pytest.approx(0.3, abs=1e-12)
         assert q.acc(0.0) == pytest.approx(-0.1, abs=1e-12)
@@ -39,12 +118,31 @@ class TestPolynomials:
         assert q.acc(3.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_quartic_boundary_conditions(self):
-        q = QuarticProfile(100.0, 25.0, 0.5, 23.0, 0.0, 4.0)
+        q = quartic(100.0, 25.0, 0.5, 23.0, 0.0, 4.0)
         assert q.pos(0.0) == pytest.approx(100.0, abs=1e-12)
         assert q.vel(0.0) == pytest.approx(25.0, abs=1e-12)
         assert q.acc(0.0) == pytest.approx(0.5, abs=1e-12)
         assert q.vel(4.0) == pytest.approx(23.0, abs=1e-9)
         assert q.acc(4.0) == pytest.approx(0.0, abs=1e-9)
+
+    def test_bit_identical_to_the_term_by_term_profiles(self):
+        """10k random boundary sets of each degree: every coefficient, and
+        every evaluator at four sample times of the 0.1 s grid (plan end
+        included) and four assessment times."""
+        rng = np.random.default_rng(2010)
+        for _ in range(10_000):
+            p0, p1, v0, v1, a0, a1 = (float(u) for u in rng.uniform(-40.0, 40.0, 6))
+            T = float(rng.choice(config.DEFAULTS.planner.durations)) if rng.random() < 0.5 \
+                else float(rng.uniform(0.5, 6.0))
+            n = int(round(T / config.DT))
+            times = [k * config.DT for k in rng.integers(0, n + 1, 3)] + [n * config.DT]
+            times += [ASSESS_TIMES[k] for k in rng.integers(0, len(ASSESS_TIMES), 4)]
+            pairs = ((quintic(p0, v0, a0, p1, v1, a1, T),
+                      QuinticProfile(p0, v0, a0, p1, v1, a1, T)),
+                     (quartic(p0, v0, a0, v1, a1, T), QuarticProfile(p0, v0, a0, v1, a1, T)))
+            for new, oracle in pairs:
+                assert doubles(new.c) == doubles(oracle.c)
+                assert evaluations(new, times) == evaluations(oracle, times)
 
 
 class TestLattice:
@@ -59,9 +157,10 @@ class TestLattice:
             assert vy == pytest.approx(0.0, abs=1e-9)
             assert ay == pytest.approx(0.0, abs=1e-9)
 
-    def test_keep_lane_no_lateral(self):
-        for cand in generate_lattice(cav(), KEEP, ROAD):
-            assert all(abs(s[2] - ROAD.lane_center(1)) < 1e-12 for s in cand.samples)
+    def test_keep_has_no_lattice(self):
+        """Lane keeping is the executor's follow law, not a plan."""
+        with pytest.raises(PlanningError):
+            generate_lattice(cav(), KEEP, ROAD)
 
     def test_off_road_decision_rejected(self):
         with pytest.raises(PlanningError):
@@ -73,8 +172,8 @@ class TestLattice:
 class TestChecker:
     def test_gentle_change_passes(self):
         state = cav(speed=25.0)
-        q_lat = QuinticProfile(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 4.0)
-        q_lon = QuarticProfile(state.x, 25.0, 0.0, 25.0, 0.0, 4.0)
+        q_lat = quintic(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 4.0)
+        q_lon = quartic(state.x, 25.0, 0.0, 25.0, 0.0, 4.0)
         cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
         ok, reason = check_dynamics(cand, LIMITS)
         assert ok, reason
@@ -84,22 +183,17 @@ class TestChecker:
 
     def test_violent_change_fails_on_lateral(self):
         state = cav(speed=35.0)
-        q_lat = QuinticProfile(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 1.0)
-        q_lon = QuarticProfile(state.x, 35.0, 0.0, 35.0, 0.0, 1.0)
+        q_lat = quintic(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 1.0)
+        q_lon = quartic(state.x, 35.0, 0.0, 35.0, 0.0, 1.0)
         cand = TrajectoryCandidate(duration=1.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
         ok, reason = check_dynamics(cand, LIMITS)
         assert not ok
         assert "lateral" in reason
 
-    def test_stationary_keep_passes(self):
-        state = cav(speed=0.0)
-        cands = generate_lattice(state, KEEP, ROAD)
-        assert any(check_dynamics(c, LIMITS)[0] for c in cands)
-
     def test_off_road_excursion_fails(self):
         state = cav(lane=2, speed=20.0)
-        q_lat = QuinticProfile(state.y, 2.0, 0.0, state.y + 3.0, 0.0, 0.0, 4.0)
-        q_lon = QuarticProfile(state.x, 20.0, 0.0, 20.0, 0.0, 4.0)
+        q_lat = quintic(state.y, 2.0, 0.0, state.y + 3.0, 0.0, 0.0, 4.0)
+        q_lon = quartic(state.x, 20.0, 0.0, 20.0, 0.0, 4.0)
         cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
         ok, reason = check_dynamics(cand, LIMITS)
         assert not ok and "off-road" in reason
@@ -109,30 +203,35 @@ class TestChecker:
 class TestSelection:
     def test_lowest_jerk_among_equals(self):
         ego = cav()
-        cands = generate_lattice(ego, KEEP, ROAD)
+        cands = generate_lattice(ego, LEFT, ROAD)
         best = select_trajectory(cands, ego, [], ROAD)
-        # zero terminal-speed offset has the least jerk; grid ties break to
-        # the shortest duration
+        # on an empty road the zero terminal-speed offset (no longitudinal
+        # jerk) over the longest duration (least lateral jerk) wins
         t, x, y, vx, vy, *_ = best.samples[-1]
         assert vx == pytest.approx(25.0, abs=1e-6)
-        assert best.duration == 2.0
+        assert best.duration == 4.0
+        # when every candidate costs the same, ties break to the shortest
+        # duration that passes the dynamics check (2 s is too sharp)
+        flat = replace(config.DEFAULTS.planner, w_safety=0.0, w_efficiency=0.0,
+                       w_comfort=0.0)
+        assert select_trajectory(cands, ego, [], ROAD, cfg=flat).duration == 3.0
 
     def test_obstacle_path_avoided(self):
+        """A car stopped ahead in one neighbouring lane sends the change to the
+        other, whichever lattice comes first."""
         ego = cav(x=100.0, lane=1, speed=25.0)
-        blocker = VehicleState(id=9, x=180.0, y=ROAD.lane_center(1), speed=0.0,
-                               lane=1, target_lane=1)
-        keep = generate_lattice(ego, KEEP, ROAD)
         left = generate_lattice(ego, LEFT, ROAD)
-        best = select_trajectory(keep + left, ego, [blocker], ROAD)
-        assert best.target_lane == 2
+        right = generate_lattice(ego, RIGHT, ROAD)
+        for blocked, cands, free in ((2, left + right, 0), (0, right + left, 2)):
+            blocker = VehicleState(id=9, x=180.0, y=ROAD.lane_center(blocked), speed=0.0,
+                                   lane=blocked, target_lane=blocked)
+            assert select_trajectory(cands, ego, [blocker], ROAD).target_lane == free
 
     def test_efficiency_only_prefers_fastest(self):
-        from dataclasses import replace
-
         cfg = replace(config.DEFAULTS.planner, w_safety=0.0, w_comfort=0.0,
                       w_efficiency=1.0)
         ego = cav()
-        cands = generate_lattice(ego, KEEP, ROAD, cfg)
+        cands = generate_lattice(ego, LEFT, ROAD, cfg)
         best = select_trajectory(cands, ego, [], ROAD, cfg=cfg)
         assert best.samples[-1][3] == pytest.approx(27.0, abs=1e-6)
 
@@ -155,7 +254,7 @@ class TestSelection:
 class TestEmergencyProfile:
     def test_within_limits_and_stops(self):
         ego = cav(speed=30.0)
-        prof = emergency_profile(ego, ROAD, duration=6.0)
+        prof = emergency_profile(ego, ROAD)
         ok, reason = check_dynamics(prof, LIMITS)
         assert ok, reason
         speeds = [s[3] for s in prof.samples]
