@@ -102,6 +102,28 @@ class TestGrid:
             last = v
 
 
+class TestMaxOverVehicles:
+    @pytest.mark.parametrize("params", [PARAMS, config.DEFAULTS.risk])
+    def test_equals_the_max_of_contributions(self, params):
+        """Normalizing the max raw intensity once gives the max of the
+        normalized contributions bit for bit, vehicles inside the d_min
+        clamp included."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(0, 12))
+            others = [veh(k + 1, float(rng.uniform(-150, 150)), float(rng.uniform(-12, 12)),
+                          float(rng.uniform(0, 60))) for k in range(n)]
+            x, y = float(rng.uniform(-5, 5)), float(rng.uniform(-2, 2))
+            if rng.random() < 0.3:
+                others.append(veh(99, x + float(rng.uniform(-1, 1)), y, float(rng.uniform(0, 60))))
+            want = 0.0
+            for o in others:
+                want = max(want, risk_contribution(o.x - x, o.y - y, o.speed, params))
+            assert risk_at_point(x, y, others, params).hex() == want.hex()
+            ego = veh(0, x, y)
+            assert risk_reward(ego, [ego] + others, params).hex() == want.hex()
+
+
 class TestValidation:
     def test_invariant_guard(self):
         with pytest.raises(ValueError):
