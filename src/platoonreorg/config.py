@@ -39,9 +39,13 @@ LAT_ACCEL_LIMIT = 3.0         # |a_lat| bound [m/s^2]
 LQR_ACCEL_MIN = -4.0
 LQR_ACCEL_MAX = 2.0
 STEER_RATE_LIMIT = 0.3        # |heading rate| bound [rad/s]
+PID_INTEGRAL_LIMIT = 5.0      # |integral| cap of the steering PID [m s]
 
-TTC_CRITICAL = 2.5            # critical time-to-collision [s]
+TTC_CRITICAL = 2.5            # critical time-to-collision: the heuristic splits below it [s]
+RISK_CRITICAL = 0.5           # risk-field value above which the heuristic splits
+MERGE_HOLD = 5.0              # clear time before the heuristic merges back [s]
 TTC_SENTINEL = 100.0          # numeric stand-in for an infinite TTC in vectors
+HDV_LANE_CHANGE_TIME = 2.5    # duration of an HDV's linear lane change [s]
 
 
 @dataclass(frozen=True)

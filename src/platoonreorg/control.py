@@ -7,8 +7,8 @@ applied in both follow and track mode.  A plan starts with
 ``start_trajectory`` and ends inside ``command``, at the first command after
 its duration has elapsed; lane keeping is the follow law, never a plan.
 
-The LQR gain is solved once per ``(ControlConfig, dt)`` and memoised, so
-every executor built with the same gains shares one immutable gain tuple.
+The LQR gain is solved once per ``ControlConfig`` and memoised, so every
+executor built with the same gains shares one immutable gain tuple.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ class ControlError(RuntimeError):
 
 
 @functools.cache
-def solve_lqr_gain(gains: config.ControlConfig, dt: float = config.DT) -> tuple:
+def solve_lqr_gain(gains: config.ControlConfig) -> tuple:
     """Discrete Riccati iteration for the double-integrator error model.
 
-    State is [position error, speed error]; the input is ego acceleration.
-    Returns the gain as a tuple of floats, memoised per ``(gains, dt)``.
+    State is [position error, speed error] over one ``config.DT`` step; the
+    input is ego acceleration.  Returns the gain as a tuple of floats.
     """
-    A = np.array([[1.0, dt], [0.0, 1.0]])
-    B = np.array([[0.5 * dt * dt], [dt]])
+    A = np.array([[1.0, config.DT], [0.0, 1.0]])
+    B = np.array([[0.5 * config.DT * config.DT], [config.DT]])
     Q = np.diag([gains.lqr_q_gap, gains.lqr_q_speed])
     R = np.array([[gains.lqr_r]])
     P = Q.copy()
@@ -62,15 +62,13 @@ def lqr_longitudinal(pos_err: float, speed_err: float, K) -> float:
 @dataclass
 class PidState:
     integral: float = 0.0
-    integral_limit: float = 5.0
 
 
 def pid_steering(lateral_err: float, heading: float, pid: PidState,
-                 gains: config.ControlConfig, dt: float = config.DT,
-                 heading_ref: float = 0.0) -> float:
+                 gains: config.ControlConfig, heading_ref: float = 0.0) -> float:
     """Heading-rate command from lateral error with heading damping."""
-    pid.integral += lateral_err * dt
-    pid.integral = min(max(pid.integral, -pid.integral_limit), pid.integral_limit)
+    pid.integral += lateral_err * config.DT
+    pid.integral = min(max(pid.integral, -config.PID_INTEGRAL_LIMIT), config.PID_INTEGRAL_LIMIT)
     rate = (gains.pid_kp * lateral_err + gains.pid_ki * pid.integral
             - gains.pid_kd * (heading - heading_ref))
     return min(max(rate, -config.STEER_RATE_LIMIT), config.STEER_RATE_LIMIT)
@@ -84,13 +82,13 @@ TRACK = "track"
 class CavExecutor:
     """Per-CAV execution state: either gap-following or trajectory tracking."""
 
+    cruise_speed: float
     gains: config.ControlConfig = config.DEFAULTS.control
     K: tuple = field(init=False)
     pid: PidState = field(default_factory=PidState)
     mode: str = FOLLOW
     trajectory: TrajectoryCandidate | None = None
     traj_t0: float = 0.0
-    cruise_speed: float = 25.0
 
     def __post_init__(self):
         self.K = solve_lqr_gain(self.gains)
@@ -101,9 +99,9 @@ class CavExecutor:
         self.mode = TRACK
         self.pid.integral = 0.0
 
-    def command(self, state, leader, t_now: float, road, dt: float = config.DT):
-        """(next_speed, next_heading) for one physics step: the one
-        longitudinal law of a CAV.
+    def command(self, state, leader, t_now: float, road):
+        """(next_speed, next_heading) for one ``config.DT`` physics step: the
+        one longitudinal law of a CAV.
 
         ``leader`` is the nearest vehicle ahead in the ego's corridor, or None.
         follow mode: the lower of two LQR laws, lane-center steering.  The
@@ -130,7 +128,7 @@ class CavExecutor:
             accel = lqr_longitudinal(state.x - x_ref, state.vx - vx_ref, self.K)
             heading_ref = math.atan2(vy_ref, max(vx_ref, 1.0))
             rate = pid_steering(y_ref - state.y, state.heading, self.pid,
-                                self.gains, dt, heading_ref=heading_ref)
+                                self.gains, heading_ref=heading_ref)
         else:
             platoon_ahead = leader is not None and leader.kind == CAV
             set_speed = road.speed_limit if platoon_ahead else self.cruise_speed
@@ -140,11 +138,11 @@ class CavExecutor:
                 accel = min(accel, lqr_longitudinal(state.x - (leader.x - gap),
                                                     state.speed - leader.speed, self.K))
             y_ref = road.lane_center(state.target_lane)
-            rate = pid_steering(y_ref - state.y, state.heading, self.pid, self.gains, dt)
+            rate = pid_steering(y_ref - state.y, state.heading, self.pid, self.gains)
         if leader is not None and compute_ttc(state, leader) < 1.5:
             accel = -config.ACCEL_LIMIT
 
-        speed = max(state.speed + accel * dt, 0.0)
-        heading = state.heading + rate * dt
+        speed = max(state.speed + accel * config.DT, 0.0)
+        heading = state.heading + rate * config.DT
         heading = min(max(heading, -0.35), 0.35)
         return speed, heading

@@ -258,15 +258,12 @@ def reward_bound(n: int, w: config.RewardConfig | None = None) -> float:
 class HeuristicDistributionPolicy:
     """Training-free configuration policy.
 
-    Splits to isolate the at-risk vehicle when the leader TTC dips under the
-    critical value or the risk field exceeds 0.5; merges back only after the
-    risk has stayed clear for a hold time.
+    Splits to isolate the at-risk vehicle when the TTC dips under
+    ``config.TTC_CRITICAL`` or the risk field exceeds ``config.RISK_CRITICAL``;
+    merges back only after the risk has stayed clear for ``config.MERGE_HOLD`` s.
     """
 
     n: int
-    hold_time: float = 5.0
-    ttc_threshold: float = config.TTC_CRITICAL
-    risk_threshold: float = 0.5
     _active: PlatoonConfigAction | None = None
     _clear_since: float | None = None
 
@@ -285,7 +282,7 @@ class HeuristicDistributionPolicy:
 
     def decide(self, t: float, tau0: float, r_ris: float,
                at_risk_index: int = 0) -> PlatoonConfigAction:
-        risky = tau0 < self.ttc_threshold or r_ris > self.risk_threshold
+        risky = tau0 < config.TTC_CRITICAL or r_ris > config.RISK_CRITICAL
         if risky:
             self._clear_since = None
             self._active = self.split_isolating(at_risk_index)
@@ -294,7 +291,7 @@ class HeuristicDistributionPolicy:
             return self.single()
         if self._clear_since is None:
             self._clear_since = t
-        if t - self._clear_since >= self.hold_time:
+        if t - self._clear_since >= config.MERGE_HOLD:
             self._active = None
             self._clear_since = None
             return self.single()

@@ -76,9 +76,9 @@ class ScriptedBrake:
 
     vehicle_id: int
     t_start: float
-    decel: float = -6.0
-    duration: float = 3.0
-    cruise_after: float = 10.0
+    decel: float
+    duration: float
+    cruise_after: float
 
 
 @dataclass
@@ -87,7 +87,7 @@ class World:
     clock: SimClock
     members: list                 # PlatoonMember, ordered front (0) to rear
     hdvs: list                    # HdvDriver
-    cruise_speed: float = 25.0
+    cruise_speed: float           # the platoon's set speed, which HDV escapers gauge gaps by
     scripted: ScriptedBrake | None = None
     spawn_shortfall: int = 0      # HDVs the spec requested but did not place
 
@@ -231,7 +231,7 @@ class GrdfPolicy:
         background = world.hdv_states()
         if self.network is not None:
             obs = self.observer.observe(states, background, self.rng,
-                                        world.clock.decision_period_platoon)
+                                        config.PLATOON_DECISION_PERIOD)
             action, _, _ = select_configuration(obs.flatten(), self.network, self.actions)
         else:
             tau0, best_tau, risk, idx = platoon_lead_info(world)
@@ -391,8 +391,8 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
     reorg = policy.reorg
 
     clock = world.clock
-    n_frames = int(round(episode_len / clock.dt))
-    hdv_period = int(round(1.0 / clock.dt))
+    n_frames = int(round(episode_len / config.DT))
+    hdv_period = int(round(1.0 / config.DT))
     n_members = len(world.members)
 
     metrics = EpisodeMetrics()
@@ -431,19 +431,19 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         policy.queue.fire_due(world, t, snapshot)
 
         # compute all commands from the same states, each with its leader
-        commands = [m.executor.command(m.state, leader, t, world.road, clock.dt)
+        commands = [m.executor.command(m.state, leader, t, world.road)
                     for m, leader in zip(world.members, leaders)]
 
         hdv_accels = [hdv_accel(d, snapshot) for d in world.hdvs]
 
         # advance everyone together
         for s, (speed, heading) in zip(states, commands):
-            step_kinematics(s, speed, heading, clock.dt)
+            step_kinematics(s, speed, heading)
             s.lane = world.road.lane_of(s.y)
         for driver, a in zip(world.hdvs, hdv_accels):
             s = driver.state
-            step_kinematics(s, max(s.speed + a * clock.dt, 0.0), 0.0, clock.dt)
-            driver.lateral_update(clock.dt, world.road)
+            step_kinematics(s, max(s.speed + a * config.DT, 0.0), 0.0)
+            driver.lateral_update(world.road)
         clock.tick()
         t = clock.t
 

@@ -28,35 +28,40 @@ class PlanningError(ValueError):
 
 
 class Polynomial:
-    """p(t) = c[0] + c[1] t + ... + c[n] t^n and its first three derivatives.
+    """p(t) = c[0] + c[1] t + ... + c[n] t^n, n <= 5, and its first three derivatives.
 
     Each derivative keeps its own coefficients, k!/(k-d)! c[k] for the d-th,
-    and sums its terms from the constant one up.
+    and sums its terms from the constant one up; a derivative of a higher
+    order than the degree has none and is left out.
     """
 
     def __init__(self, c):
         self.c = c
         self._terms = [[math.perm(k, d) * c[k] for k in range(d, len(c))]
-                       for d in range(4)]
+                       for d in range(min(len(c), 4))]
 
-    def _derivative(self, d, t):
-        terms = self._terms[d]
-        value = terms[0]
-        for k in range(1, len(terms)):
-            value += terms[k] * t ** k
-        return value
+    def derivatives(self, t):
+        """[p, dp, ddp, dddp] at t, all from one list of the powers ``t ** k``."""
+        powers = [1.0, t, t ** 2, t ** 3, t ** 4, t ** 5]
+        out = []
+        for terms in self._terms:
+            value = terms[0]
+            for k in range(1, len(terms)):
+                value += terms[k] * powers[k]
+            out.append(value)
+        return out
 
     def pos(self, t):
-        return self._derivative(0, t)
+        return self.derivatives(t)[0]
 
     def vel(self, t):
-        return self._derivative(1, t)
+        return self.derivatives(t)[1]
 
     def acc(self, t):
-        return self._derivative(2, t)
+        return self.derivatives(t)[2]
 
     def jerk(self, t):
-        return self._derivative(3, t)
+        return self.derivatives(t)[3]
 
 
 def _boundary_solve(p0, v0, a0, T, terminal) -> Polynomial:
@@ -66,7 +71,7 @@ def _boundary_solve(p0, v0, a0, T, terminal) -> Polynomial:
     head = Polynomial([p0, v0, a0 / 2.0])
     powers = range(3, 3 + len(terminal))
     A = np.array([[math.perm(k, d) * T ** (k - d) for k in powers] for d, _ in terminal])
-    b = np.array([value - head._derivative(d, T) for d, value in terminal])
+    b = np.array([value - head.derivatives(T)[d] for d, value in terminal])
     return Polynomial(head.c + np.linalg.solve(A, b).tolist())
 
 
@@ -94,10 +99,9 @@ class TrajectoryCandidate:
         n = int(round(self.duration / dt))
         for k in range(n + 1):
             t = k * dt
-            self.samples.append((t, self.lon.pos(t), self.lat.pos(t),
-                                 self.lon.vel(t), self.lat.vel(t),
-                                 self.lon.acc(t), self.lat.acc(t),
-                                 self.lon.jerk(t), self.lat.jerk(t)))
+            x, vx, ax, jx = self.lon.derivatives(t)
+            y, vy, ay, jy = self.lat.derivatives(t)
+            self.samples.append((t, x, y, vx, vy, ax, ay, jx, jy))
         return self
 
     def state_at(self, t):
@@ -110,7 +114,9 @@ class TrajectoryCandidate:
         if self.lon is None:
             _, x, y, vx, vy, *_ = self.samples[int(round(t / config.DT))]
             return x, y, vx, vy
-        return self.lon.pos(t), self.lat.pos(t), self.lon.vel(t), self.lat.vel(t)
+        x, vx, _, _ = self.lon.derivatives(t)
+        y, vy, _, _ = self.lat.derivatives(t)
+        return x, y, vx, vy
 
     def extended_state(self, t):
         """Like state_at but continues at constant speed past the end, so
@@ -123,16 +129,15 @@ class TrajectoryCandidate:
 
 @dataclass(frozen=True)
 class DynamicsLimits:
+    """The lateral extent a plan must stay inside; the actuation limits are config's."""
+
     y_min: float
     y_max: float
-    accel: float = config.ACCEL_LIMIT
-    jerk: float = config.JERK_LIMIT
-    lat_accel: float = config.LAT_ACCEL_LIMIT
 
     @classmethod
     def for_road(cls, road) -> "DynamicsLimits":
-        """Default limits with the road's lateral extent: the outer edges of
-        lane 0 and of the last lane."""
+        """The road's lateral extent: the outer edges of lane 0 and of the
+        last lane."""
         return cls(y_min=-0.5 * road.lane_width,
                    y_max=(road.lane_count - 0.5) * road.lane_width)
 
@@ -187,14 +192,14 @@ def emergency_profile(state, road) -> TrajectoryCandidate:
 
 
 def check_dynamics(candidate: TrajectoryCandidate, limits: DynamicsLimits):
-    """(passed, reason) of a sampled candidate against the accel, jerk,
-    lateral-accel and road-extent limits."""
+    """(passed, reason) of a sampled candidate against the ``config`` accel,
+    jerk and lateral-accel limits and the road extent of ``limits``."""
     for (t, x, y, vx, vy, ax, ay, jx, jy) in candidate.samples:
-        if abs(ax) > limits.accel:
+        if abs(ax) > config.ACCEL_LIMIT:
             return False, f"accel {ax:.2f} at t={t:.1f}"
-        if abs(ay) > limits.lat_accel:
+        if abs(ay) > config.LAT_ACCEL_LIMIT:
             return False, f"lateral accel {ay:.2f} at t={t:.1f}"
-        if abs(jx) > limits.jerk:
+        if abs(jx) > config.JERK_LIMIT:
             return False, f"jerk {jx:.2f} at t={t:.1f}"
         if not (limits.y_min <= y <= limits.y_max):
             return False, f"off-road y={y:.2f} at t={t:.1f}"

@@ -70,8 +70,13 @@ class ScenarioSpec:
         if not self.headway > config.VEHICLE_LENGTH:
             raise ScenarioError(f"headway must exceed the {config.VEHICLE_LENGTH} m car "
                                 f"length, got {self.headway!r}")
-        if self.episode_len <= 0:
-            raise ScenarioError("episode length must be positive")
+        for name in ("lane_width", "road_length", "speed_limit", "episode_len"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ScenarioError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 <= self.platoon_speed <= self.speed_limit:
+            raise ScenarioError(f"platoon_speed must lie in [0, {self.speed_limit}], "
+                                f"got {self.platoon_speed!r}")
         if not self.success_window > 0:
             raise ScenarioError(f"success window must be positive, got {self.success_window!r}")
         if not (0 <= self.platoon_lane < self.lane_count):
@@ -175,8 +180,7 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
                                  cruise_after=spec.event_cruise_after)
 
     hdvs.sort(key=lambda d: d.state.id)
-    clock = SimClock()
-    return World(road=road, clock=clock, members=members, hdvs=hdvs,
+    return World(road=road, clock=SimClock(), members=members, hdvs=hdvs,
                  cruise_speed=spec.platoon_speed, scripted=scripted,
                  spawn_shortfall=shortfall)
 

@@ -194,7 +194,6 @@ class HdvDriver:
     lc_from_y: float = 0.0
     lc_to_y: float = 0.0
     lc_progress: float = -1.0       # <0: not changing
-    lc_duration: float = 2.5
     merge_deadline_x: float | None = None   # ramp vehicles must be merged by here
     escape_bias: bool = False               # congested-lane escapers accept tighter gaps
     scripted_accel: float | None = None     # event override; wins over IDM when set
@@ -208,10 +207,11 @@ class HdvDriver:
         self.lc_progress = 0.0
         self.state.target_lane = target_lane
 
-    def lateral_update(self, dt: float, road: RoadMap):
+    def lateral_update(self, road: RoadMap):
+        """Advance a lane change by ``config.DT`` of its ``config.HDV_LANE_CHANGE_TIME``."""
         if not self.changing():
             return
-        self.lc_progress += dt / self.lc_duration
+        self.lc_progress += config.DT / config.HDV_LANE_CHANGE_TIME
         if self.lc_progress >= 1.0:
             self.lc_progress = -1.0
             self.state.y = self.lc_to_y

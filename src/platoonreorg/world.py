@@ -110,21 +110,21 @@ class VehicleState:
             self.vy = self.speed * math.sin(self.heading)
 
 
-def step_kinematics(state: VehicleState, speed: float, heading: float, dt: float) -> None:
-    """Advance ``state`` in place by one physics step at commanded speed/heading.
+def step_kinematics(state: VehicleState, speed: float, heading: float) -> None:
+    """Advance ``state`` in place by one ``config.DT`` step at commanded
+    speed/heading.
 
     Positions integrate u*cos(theta) along-lane and u*sin(theta) laterally;
     acceleration and jerk come from backward differences of consecutive
     speeds, never from the commands themselves.  Each difference reads the
     previous value before it is overwritten.
     """
-    if not (math.isfinite(speed) and math.isfinite(heading) and math.isfinite(dt)):
+    if not (math.isfinite(speed) and math.isfinite(heading)):
         raise WorldError("non-finite kinematics input")
-    if dt <= 0:
-        raise WorldError("dt must be positive")
     if speed < 0:
         raise WorldError("speed must be nonnegative")
 
+    dt = config.DT
     vx = speed * math.cos(heading)
     vy = speed * math.sin(heading)
     ax = (vx - state.vx) / dt
@@ -189,31 +189,22 @@ def check_collision(a: VehicleState, b: VehicleState) -> bool:
 
 @dataclass
 class SimClock:
-    t: float = 0.0
-    dt: float = config.DT
-    decision_period_vehicle: float = config.VEHICLE_DECISION_PERIOD
-    decision_period_platoon: float = config.PLATOON_DECISION_PERIOD
+    """Episode time on the ``config.DT`` grid, with the two decision cadences."""
 
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise WorldError("dt must be positive")
-        for period in (self.decision_period_vehicle, self.decision_period_platoon):
-            steps = period / self.dt
-            if abs(steps - round(steps)) > 1e-9:
-                raise WorldError("decision periods must be integer multiples of dt")
+    t: float = 0.0
 
     @property
-    def frame(self) -> int:
-        return int(round(self.t / self.dt))
+    def dt(self) -> float:
+        return config.DT
 
     def vehicle_decision_due(self) -> bool:
-        return self.frame % int(round(self.decision_period_vehicle / self.dt)) == 0
+        return round(self.t / config.DT) % round(config.VEHICLE_DECISION_PERIOD / config.DT) == 0
 
     def platoon_decision_due(self) -> bool:
-        return self.frame % int(round(self.decision_period_platoon / self.dt)) == 0
+        return round(self.t / config.DT) % round(config.PLATOON_DECISION_PERIOD / config.DT) == 0
 
     def tick(self):
-        self.t = round(self.t + self.dt, 9)
+        self.t = round(self.t + config.DT, 9)
 
 
 def nearest_in_corridor(x: float, y: float, others, direction: float = 1.0):

@@ -55,8 +55,7 @@ class TestLqr:
         assert all(type(k) is float for k in K)
         assert solve_lqr_gain(g) == K
         assert solve_lqr_gain(config.ControlConfig(lqr_q_gap=4.0)) != K
-        assert solve_lqr_gain(g, config.DT / 2) != K
-        assert CavExecutor(gains=g).K == K
+        assert CavExecutor(cruise_speed=25.0, gains=g).K == K
 
     def test_bad_gains_rejected(self):
         with pytest.raises(ValueError):
@@ -76,8 +75,8 @@ class TestPid:
                          target_lane=0)
         dt = config.DT
         for _ in range(int(8.0 / dt)):
-            rate = pid_steering(0.0 - v.y, v.heading, pid, gains, dt)
-            step_kinematics(v, 25.0, v.heading + rate * dt, dt)
+            rate = pid_steering(0.0 - v.y, v.heading, pid, gains)
+            step_kinematics(v, 25.0, v.heading + rate * dt)
         assert abs(v.y) < 0.05
 
     def test_windup_capped(self):
@@ -87,7 +86,7 @@ class TestPid:
         for _ in range(10000):
             rates.append(pid_steering(3.0, 0.0, pid, gains))
         assert max(abs(r) for r in rates) <= config.STEER_RATE_LIMIT
-        assert abs(pid.integral) <= pid.integral_limit
+        assert abs(pid.integral) <= config.PID_INTEGRAL_LIMIT
 
 
 class TestExecutor:
@@ -101,9 +100,9 @@ class TestExecutor:
         t = 0.0
         for _ in range(int(30.0 / dt)):
             # command from the same frame snapshot, then step everyone
-            speed, heading = ex.command(ego, leader, t, ROAD, dt)
-            step_kinematics(leader, 25.0, 0.0, dt)
-            step_kinematics(ego, speed, heading, dt)
+            speed, heading = ex.command(ego, leader, t, ROAD)
+            step_kinematics(leader, 25.0, 0.0)
+            step_kinematics(ego, speed, heading)
             t += dt
         assert leader.x - ego.x == pytest.approx(config.D_TARGET, abs=0.3)
 
@@ -114,8 +113,8 @@ class TestExecutor:
         dt = config.DT
         t = 0.0
         for _ in range(int(25.0 / dt)):
-            speed, heading = ex.command(ego, None, t, ROAD, dt)
-            step_kinematics(ego, speed, heading, dt)
+            speed, heading = ex.command(ego, None, t, ROAD)
+            step_kinematics(ego, speed, heading)
             t += dt
         assert ego.speed == pytest.approx(27.0, abs=0.3)
 
@@ -147,8 +146,8 @@ class TestExecutor:
         dt = config.DT
         t = 0.0
         while t < traj.duration:
-            speed, heading = ex.command(ego, None, t, ROAD, dt)
-            step_kinematics(ego, speed, heading, dt)
+            speed, heading = ex.command(ego, None, t, ROAD)
+            step_kinematics(ego, speed, heading)
             t += dt
         assert ex.mode == TRACK
         assert ego.y == pytest.approx(ROAD.lane_center(2), abs=0.35)
@@ -181,10 +180,10 @@ class TestExecutor:
         dt = config.DT
         t = 0.0
         for _ in range(int(30.0 / dt)):
-            speed, heading = ex.command(ego, leader, t, ROAD, dt)
+            speed, heading = ex.command(ego, leader, t, ROAD)
             assert speed <= ex.cruise_speed
-            step_kinematics(leader, 30.0, 0.0, dt)
-            step_kinematics(ego, speed, heading, dt)
+            step_kinematics(leader, 30.0, 0.0)
+            step_kinematics(ego, speed, heading)
             t += dt
         assert ego.speed == pytest.approx(25.0, abs=0.3)
 
@@ -219,8 +218,8 @@ class TestExecutor:
         t = 0.0
         speeds = [ego.speed]
         while t < traj.duration:
-            speed, heading = ex.command(ego, None, t, ROAD, dt)
-            step_kinematics(ego, speed, heading, dt)
+            speed, heading = ex.command(ego, None, t, ROAD)
+            step_kinematics(ego, speed, heading)
             speeds.append(ego.speed)
             t = round(t + dt, 9)
         assert all(math.isfinite(v) for v in speeds)

@@ -276,7 +276,7 @@ class TestHeuristic:
         assert a.partition == ((0,), (1,), (2,))
 
     def test_hysteresis_hold_time(self):
-        pol = HeuristicDistributionPolicy(n=3, hold_time=5.0)
+        pol = HeuristicDistributionPolicy(n=3)
         assert not pol.decide(0.0, 2.0, 0.0).single_group
         # risk clears at t=1; merge only 5 s later
         assert not pol.decide(1.0, math.inf, 0.0).single_group

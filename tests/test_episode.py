@@ -193,12 +193,12 @@ def _lead_info_world(hdv_poses):
     idm, mobil = style_params("normal", road.speed_limit)
     members = [PlatoonMember(i, VehicleState(id=i, kind=CAV, x=x, y=road.lane_center(i),
                                              speed=25.0, lane=i, target_lane=i),
-                             CavExecutor())
+                             CavExecutor(cruise_speed=25.0))
                for i, x in enumerate((100.0, 60.0, 20.0))]
     hdvs = [HdvDriver(VehicleState(id=1000 + k, x=x, y=road.lane_center(lane), speed=v,
                                    lane=lane, target_lane=lane), idm, mobil)
             for k, (x, lane, v) in enumerate(hdv_poses)]
-    return World(road=road, clock=SimClock(), members=members, hdvs=hdvs)
+    return World(road=road, clock=SimClock(), members=members, hdvs=hdvs, cruise_speed=25.0)
 
 
 def test_lead_info_prefers_first_lowest_finite_ttc():

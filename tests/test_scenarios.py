@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from platoonreorg import config
 from platoonreorg.coalition import MERGING, GameScene, form_coalitions, solve_tu_game
 from platoonreorg.episode import GrdfPolicy, hdv_accel, hdv_decide_lane, platoon_lead_info
 from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory
@@ -157,6 +158,32 @@ def test_bad_event_block_rejected(overrides):
         case2_spec(**overrides)
     # case 1 schedules no brake event, so its fields are not read
     assert case1_spec(**overrides).case == 1
+
+
+@pytest.mark.parametrize("spec", [case1_spec, case2_spec])
+@pytest.mark.parametrize("overrides", [
+    dict(lane_width=float("nan")),
+    dict(lane_width=0.0),
+    dict(road_length=float("inf")),
+    dict(road_length=-100.0),
+    dict(speed_limit=float("nan")),
+    dict(speed_limit=0.0),
+    dict(episode_len=float("nan")),
+    dict(episode_len=float("inf")),
+    dict(platoon_speed=float("nan")),
+    dict(platoon_speed=-1.0),
+    dict(platoon_speed=50.0),
+    dict(speed_limit=20.0),
+], ids=["nan-lane-width", "zero-lane-width", "inf-road", "negative-road", "nan-limit",
+        "zero-limit", "nan-episode", "inf-episode", "nan-platoon-speed",
+        "negative-platoon-speed", "platoon-speed-over-limit", "limit-under-platoon-speed"])
+def test_bad_road_or_platoon_speed_rejected(spec, overrides):
+    """Rejected at construction; otherwise they fail later, in set-up or
+    mid-episode, or run the platoon above the road's limit."""
+    with pytest.raises(ScenarioError):
+        spec(**overrides)
+    assert spec(platoon_speed=0.0).platoon_speed == 0.0
+    assert spec(platoon_speed=config.SPEED_LIMIT).platoon_speed == config.SPEED_LIMIT
 
 
 @pytest.mark.parametrize("spec", [case1_spec, case2_spec])

@@ -29,27 +29,27 @@ def make_vehicle(vid=0, **kw):
 class TestKinematics:
     def test_zero_heading_pure_longitudinal(self):
         v = make_vehicle(speed=20.0)
-        step_kinematics(v, 20.0, 0.0, 0.1)
+        step_kinematics(v, 20.0, 0.0)
         assert v.x == pytest.approx(2.0, abs=1e-12)
         assert v.y == 0.0
 
     def test_zero_speed_static(self):
         v = make_vehicle(speed=0.0, x=5.0, y=4.0)
-        step_kinematics(v, 0.0, 0.3, 0.1)
+        step_kinematics(v, 0.0, 0.3)
         assert v.x == 5.0
         assert v.y == 4.0
 
     def test_heading_split(self):
         v = make_vehicle(speed=10.0)
-        step_kinematics(v, 10.0, 0.05, 0.1)
+        step_kinematics(v, 10.0, 0.05)
         assert v.x == pytest.approx(10 * math.cos(0.05) * 0.1, abs=1e-12)
         assert v.y == pytest.approx(10 * math.sin(0.05) * 0.1, abs=1e-12)
 
     def test_finite_difference_accel_jerk(self):
         v = make_vehicle(speed=20.0)
-        step_kinematics(v, 21.0, 0.0, 0.1)
+        step_kinematics(v, 21.0, 0.0)
         assert v.accel == pytest.approx(10.0)
-        step_kinematics(v, 21.0, 0.0, 0.1)
+        step_kinematics(v, 21.0, 0.0)
         assert v.accel == pytest.approx(0.0)
         assert v.jerk == pytest.approx(-100.0)
 
@@ -57,25 +57,23 @@ class TestKinematics:
         v = make_vehicle(speed=25.0)
         theta = 0.02
         for k in range(200):
-            step_kinematics(v, 25.0, theta, 0.1)
+            step_kinematics(v, 25.0, theta)
         t = 200 * 0.1
         assert abs(v.x - 25.0 * math.cos(theta) * t) < 1e-9
         assert abs(v.y - 25.0 * math.sin(theta) * t) < 1e-9
 
     def test_advances_in_place(self):
         v = make_vehicle(speed=20.0)
-        assert step_kinematics(v, 22.0, 0.0, 0.1) is None
+        assert step_kinematics(v, 22.0, 0.0) is None
         assert v.x == pytest.approx(2.2)
         assert (v.speed, v.accel) == (22.0, pytest.approx(20.0))
 
     def test_rejects_nonfinite(self):
         v = make_vehicle()
         with pytest.raises(WorldError):
-            step_kinematics(v, math.nan, 0.0, 0.1)
+            step_kinematics(v, math.nan, 0.0)
         with pytest.raises(WorldError):
-            step_kinematics(v, 10.0, math.inf, 0.1)
-        with pytest.raises(WorldError):
-            step_kinematics(v, 10.0, 0.0, -0.1)
+            step_kinematics(v, 10.0, math.inf)
 
 
 class TestTtc:
@@ -241,8 +239,6 @@ class TestRoadAndClock:
 
     def test_decision_periods_align(self):
         clock = SimClock()
-        with pytest.raises(WorldError):
-            SimClock(dt=0.1, decision_period_vehicle=0.25)
         due = []
         for _ in range(25):
             due.append(clock.vehicle_decision_due())
