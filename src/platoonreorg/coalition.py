@@ -36,16 +36,6 @@ MERGING = "merging"
 STEADY = "steady"
 
 
-@dataclass
-class CoalitionPartition:
-    """Groups of platoon indices; the frontmost member leads each group."""
-
-    coalitions: list            # list of tuples of platoon indices (ordered)
-
-    def __len__(self):
-        return len(self.coalitions)
-
-
 def _interleaved_foreign(a, b, background) -> bool:
     """Does the nearest foreign vehicle ahead of the rear member, in the
     front member's corridor, lie before the front member?"""
@@ -66,8 +56,10 @@ def coalition_conditions_hold(a, b, background) -> bool:
     return True
 
 
-def form_coalitions(platoon, background, target_groups=None) -> CoalitionPartition:
-    """Maximal coalition partition of the platoon (front-to-back order).
+def form_coalitions(platoon, background, target_groups=None) -> tuple:
+    """Maximal coalition partition of the platoon (front-to-back order): an
+    ordered tuple of index tuples, each led by its frontmost member, the
+    shape of ``PlatoonConfigAction.partition``.
 
     ``target_groups`` (an ordered partition from the distribution layer)
     caps the coarseness: members of different target groups never share a
@@ -89,7 +81,7 @@ def form_coalitions(platoon, background, target_groups=None) -> CoalitionPartiti
             coalitions.append(tuple(current))
             current = [i]
     coalitions.append(tuple(current))
-    return CoalitionPartition(coalitions=coalitions)
+    return tuple(coalitions)
 
 
 def formation_intact(platoon, background) -> bool:
@@ -123,12 +115,12 @@ PREDICT_PAD = (0.5, 0.2)
 PRUNE_PAD = (0.3, 0.2)
 
 
-def lane_change_plan(partition: CoalitionPartition, joint_action):
+def lane_change_plan(partition, joint_action):
     """Per platoon member, None when it keeps its lane, else (start, direction):
     a changing coalition moves toward its action's side (``LEFT`` or
     ``RIGHT``) front first, its members starting ``STAGGER`` s apart."""
-    plan = [None] * sum(len(grp) for grp in partition.coalitions)
-    for grp, action in zip(partition.coalitions, joint_action):
+    plan = [None] * sum(len(grp) for grp in partition)
+    for grp, action in zip(partition, joint_action):
         if action != KEEP:
             for rank, idx in enumerate(grp):
                 plan[idx] = (rank * STAGGER, action)
@@ -161,8 +153,7 @@ class Prediction:
     collided: list              # per member: True if any predicted overlap
 
 
-def predict_outcome(scene: GameScene, partition: CoalitionPartition,
-                    joint_action, horizon: float):
+def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
     """Forward rollout: constant velocity for background vehicles, the
     ``lane_change_plan`` for lane-changing members, car-following-consistent
     speeds for everyone in the platoon.
@@ -328,10 +319,10 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
 
 # --- joint action enumeration, pruning, and the solve ---------------------------
 
-def feasible_joint_actions(partition: CoalitionPartition, scene: GameScene):
+def feasible_joint_actions(partition, scene: GameScene):
     """All coalition-level assignments that stay on the road."""
     per_coalition = []
-    for grp in partition.coalitions:
+    for grp in partition:
         lanes = {scene.platoon[i].lane for i in grp}
         options = [KEEP]
         if max(lanes) + 1 < scene.road.lane_count:
@@ -342,8 +333,7 @@ def feasible_joint_actions(partition: CoalitionPartition, scene: GameScene):
     return [tuple(a) for a in product(*per_coalition)]
 
 
-def _pose_overlap_at(partition: CoalitionPartition, scene: GameScene,
-                     joint_action, dt: float) -> bool:
+def _pose_overlap_at(partition, scene: GameScene, joint_action, dt: float) -> bool:
     plan = lane_change_plan(partition, joint_action)
     poses = []
     for v, step in zip(scene.platoon, plan):
@@ -356,8 +346,7 @@ def _pose_overlap_at(partition: CoalitionPartition, scene: GameScene,
     return False
 
 
-def _one_step_overlap(partition: CoalitionPartition, scene: GameScene,
-                      joint_action) -> bool:
+def _one_step_overlap(partition, scene: GameScene, joint_action) -> bool:
     """Overlap at the short-horizon pose or at the lane-change commit pose."""
     if _pose_overlap_at(partition, scene, joint_action, 1.0):
         return True
@@ -366,7 +355,7 @@ def _one_step_overlap(partition: CoalitionPartition, scene: GameScene,
     return False
 
 
-def prune_joint_actions(partition: CoalitionPartition, scene: GameScene, feasible):
+def prune_joint_actions(partition, scene: GameScene, feasible):
     """``feasible`` (from ``feasible_joint_actions``) minus the joint actions
     whose short-horizon pose overlaps.
 
@@ -374,7 +363,7 @@ def prune_joint_actions(partition: CoalitionPartition, scene: GameScene, feasibl
     """
     pruned = [a for a in feasible if not _one_step_overlap(partition, scene, a)]
     if not pruned:
-        pruned = [tuple(KEEP for _ in partition.coalitions)]
+        pruned = [tuple(KEEP for _ in partition)]
     return pruned
 
 
@@ -383,8 +372,7 @@ def _tie_break_key(joint_action):
     return (changes, tuple(_ACTION_ORDER[a] for a in joint_action))
 
 
-def evaluate_joint_action(partition: CoalitionPartition, scene: GameScene,
-                          joint_action, phase: str,
+def evaluate_joint_action(partition, scene: GameScene, joint_action, phase: str,
                           w: config.GameConfig | None = None,
                           use_pdi: bool = False):
     """(total value, per-coalition breakdown) for one joint action."""
@@ -395,7 +383,7 @@ def evaluate_joint_action(partition: CoalitionPartition, scene: GameScene,
         pdi_value = _predicted_pdi(prediction, scene)
     total = 0.0
     breakdown = []
-    for c, grp in enumerate(partition.coalitions):
+    for c, grp in enumerate(partition):
         changing = len(grp) if joint_action[c] != KEEP else 0
         val = coalition_value(grp, prediction, scene, phase, w,
                               pdi_value=pdi_value,
@@ -432,7 +420,7 @@ class GameDecision:
     pruned_out: int
 
 
-def solve_tu_game(partition: CoalitionPartition, scene: GameScene, phase: str,
+def solve_tu_game(partition, scene: GameScene, phase: str,
                   w: config.GameConfig | None = None,
                   use_pdi: bool = False) -> GameDecision:
     """Exhaustive argmax over the pruned joint-action space.

@@ -2,11 +2,16 @@
 
 Every consumer reads one snapshot, the ``World.all_states()`` list
 (members front to rear, then HDVs), built once per episode: every state is
-advanced in place, so the list always shows the current world.  All
-commands come from the same states, then all states advance together.  The
-platoon layer runs at its slow cadence, the vehicle layer (the coalition
-game) at the fast cadence, HDV lane decisions staggered in between, physics
-every frame.  Due lane changes fire once per frame, after the decisions.
+advanced in place, so the list always shows the current world.  The
+platoon layer (``GrdfPolicy.platoon_decide``) and the vehicle layer
+(``vehicle_decide``) are handed that very list and slice it the same way,
+so both decide from one scene.  All commands come from the same states,
+then all states advance together.  The platoon layer runs at its slow
+cadence, the vehicle layer (the coalition game) at the fast cadence, HDV
+lane decisions staggered in between, physics every frame.  A scripted brake
+(``HdvDriver.brake``, the case-2 leader's event) is played on its own
+driver at the start of each frame, and that driver keeps its lane.  Due
+lane changes fire once per frame, after the decisions.
 Each platoon member's command comes from ``CavExecutor.command`` alone, fed
 with the one vehicle ahead in the member's corridor.  That leader is looked
 up once per frame, after the step, for ``min_ttc``; nothing moves before the
@@ -24,7 +29,7 @@ s; its time ends where that intact stretch began.  The policy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,34 +76,17 @@ class PlatoonMember:
 
 
 @dataclass
-class ScriptedBrake:
-    """Case-2 style lead-vehicle deceleration event."""
-
-    vehicle_id: int
-    t_start: float
-    decel: float
-    duration: float
-    cruise_after: float
-
-
-@dataclass
 class World:
     road: RoadMap
     clock: SimClock
     members: list                 # PlatoonMember, ordered front (0) to rear
     hdvs: list                    # HdvDriver
     cruise_speed: float           # the platoon's set speed, which HDV escapers gauge gaps by
-    scripted: ScriptedBrake | None = None
     spawn_shortfall: int = 0      # HDVs the spec requested but did not place
 
-    def platoon_states(self):
-        return [m.state for m in self.members]
-
-    def hdv_states(self):
-        return [d.state for d in self.hdvs]
-
     def all_states(self):
-        return self.platoon_states() + self.hdv_states()
+        """The loop's snapshot: members front to rear, then HDVs."""
+        return [m.state for m in self.members] + [d.state for d in self.hdvs]
 
 
 @dataclass
@@ -129,13 +117,12 @@ class EpisodeMetrics:
 
 # --- shared platoon-side helpers -------------------------------------------------
 
-def platoon_lead_info(world: World):
+def platoon_lead_info(states, background, road: RoadMap):
     """(leader TTC, lowest member TTC, max member risk, index of the most
-    at-risk member).  The at-risk member is the first with the lowest finite
-    TTC, and the one with the highest risk only when no TTC is finite."""
-    states = world.platoon_states()
-    background = world.hdv_states()
-    risk_params = replace(config.DEFAULTS.risk, v_max=max(world.road.speed_limit, 1.0))
+    at-risk member) of the member ``states`` among ``background``.  The
+    at-risk member is the first with the lowest finite TTC, and the one with
+    the highest risk only when no TTC is finite."""
+    risk_params = replace(config.DEFAULTS.risk, v_max=max(road.speed_limit, 1.0))
     worst_risk = 0.0
     worst_idx = 0
     for i, v in enumerate(states):
@@ -226,15 +213,15 @@ class GrdfPolicy:
         self.rng = rng
         self._audit.clear()
 
-    def platoon_decide(self, world: World, t: float):
-        states = world.platoon_states()
-        background = world.hdv_states()
+    def platoon_decide(self, world: World, t: float, snapshot):
+        n = len(world.members)
+        states, background = snapshot[:n], snapshot[n:]
         if self.network is not None:
             obs = self.observer.observe(states, background, self.rng,
                                         config.PLATOON_DECISION_PERIOD)
             action, _, _ = select_configuration(obs.flatten(), self.network, self.actions)
         else:
-            tau0, best_tau, risk, idx = platoon_lead_info(world)
+            tau0, best_tau, risk, idx = platoon_lead_info(states, background, world.road)
             action = self.heuristic.decide(t, best_tau, risk, idx)
         self.reorg.on_decision(action, t)
         return action
@@ -255,7 +242,7 @@ class GrdfPolicy:
         if self.keep_audit:
             self._audit.append({
                 "t": round(t, 3), "phase": phase,
-                "coalitions": [list(c) for c in partition.coalitions],
+                "coalitions": [list(c) for c in partition],
                 "candidates": decision.candidates,
                 "pruned_out": decision.pruned_out,
                 "action": list(decision.joint_action),
@@ -306,12 +293,11 @@ def _gap_acceptance(ctx: LaneContext, lead_margin: float, follow_margin: float) 
 def hdv_decide_lane(driver: HdvDriver, world: World, t: float, snapshot):
     """MOBIL with scenario flavors: ramp vehicles force their merge before
     the ramp ends; congested-lane escapers fall back to bare gap acceptance
-    once they are badly stuck.  The scripted case-2 leader keeps its lane,
-    so its brake event happens in front of the platoon."""
+    once they are badly stuck.  A driver with a scripted brake (the case-2
+    leader) keeps its lane, so its brake event happens in front of the
+    platoon."""
     state = driver.state
-    if driver.changing():
-        return
-    if world.scripted is not None and state.id == world.scripted.vehicle_id:
+    if driver.changing() or driver.brake is not None:
         return
 
     # ramp vehicle: merge into lane 0 with growing urgency toward the ramp end
@@ -370,7 +356,6 @@ def hdv_accel(driver: HdvDriver, snapshot) -> float:
 @dataclass
 class EpisodeResult:
     metrics: EpisodeMetrics
-    audit: list = field(default_factory=list)
     frames: int = 0
 
 
@@ -402,21 +387,16 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
 
     snapshot = world.all_states()
     states, background = snapshot[:n_members], snapshot[n_members:]
-    scripted = None
-    if world.scripted is not None:
-        scripted = next((d for d in world.hdvs if d.state.id == world.scripted.vehicle_id),
-                        None)
-        if scripted is None:
-            raise ValueError(f"scripted vehicle {world.scripted.vehicle_id} is not in the world")
+    braking = [d for d in world.hdvs if d.brake is not None]
     leaders = [lead_vehicle(v, snapshot) for v in states]
     for frame in range(n_frames):
         t = clock.t
 
-        if scripted is not None:
-            _apply_scripted(world.scripted, scripted, t)
+        for driver in braking:
+            _apply_brake(driver, t)
 
         if clock.platoon_decision_due():
-            action = policy.platoon_decide(world, t)
+            action = policy.platoon_decide(world, t, snapshot)
             if collect_reward is not None:
                 collect_reward(world, action, reorg, t)
 
@@ -478,10 +458,13 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
     if samples:
         metrics.avg_speed = speed_acc / samples
         metrics.avg_distance = dist_acc / samples
-    return EpisodeResult(metrics=metrics, audit=policy.audit_rows(), frames=samples)
+    return EpisodeResult(metrics=metrics, frames=samples)
 
 
-def _apply_scripted(ev: ScriptedBrake, driver: HdvDriver, t: float):
+def _apply_brake(driver: HdvDriver, t: float):
+    """Play the driver's ``brake`` at time t: its deceleration inside the
+    event window, IDM toward the post-event cruise speed after it."""
+    ev = driver.brake
     if ev.t_start <= t < ev.t_start + ev.duration:
         if driver.scripted_accel is None:
             # drop the desired speed for the post-event cruise as well

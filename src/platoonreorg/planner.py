@@ -51,18 +51,6 @@ class Polynomial:
             out.append(value)
         return out
 
-    def pos(self, t):
-        return self.derivatives(t)[0]
-
-    def vel(self, t):
-        return self.derivatives(t)[1]
-
-    def acc(self, t):
-        return self.derivatives(t)[2]
-
-    def jerk(self, t):
-        return self.derivatives(t)[3]
-
 
 def _boundary_solve(p0, v0, a0, T, terminal) -> Polynomial:
     """The polynomial with p(0) = p0, p'(0) = v0, p''(0) = a0 and the d-th
@@ -127,21 +115,6 @@ class TrajectoryCandidate:
         return x + vx * (t - self.duration), y, vx, 0.0
 
 
-@dataclass(frozen=True)
-class DynamicsLimits:
-    """The lateral extent a plan must stay inside; the actuation limits are config's."""
-
-    y_min: float
-    y_max: float
-
-    @classmethod
-    def for_road(cls, road) -> "DynamicsLimits":
-        """The road's lateral extent: the outer edges of lane 0 and of the
-        last lane."""
-        return cls(y_min=-0.5 * road.lane_width,
-                   y_max=(road.lane_count - 0.5) * road.lane_width)
-
-
 def generate_lattice(state, decision: str, road, cfg=None) -> list:
     """Candidate lane changes for a LEFT or RIGHT decision, one per point of
     the duration x terminal-speed grid.  Lane keeping has no lattice: it is
@@ -191,9 +164,12 @@ def emergency_profile(state, road) -> TrajectoryCandidate:
                                samples=samples, target_lane=state.lane)
 
 
-def check_dynamics(candidate: TrajectoryCandidate, limits: DynamicsLimits):
+def check_dynamics(candidate: TrajectoryCandidate, road):
     """(passed, reason) of a sampled candidate against the ``config`` accel,
-    jerk and lateral-accel limits and the road extent of ``limits``."""
+    jerk and lateral-accel limits and the road's lateral extent, from the
+    outer edge of lane 0 to that of the last lane."""
+    y_min = -0.5 * road.lane_width
+    y_max = (road.lane_count - 0.5) * road.lane_width
     for (t, x, y, vx, vy, ax, ay, jx, jy) in candidate.samples:
         if abs(ax) > config.ACCEL_LIMIT:
             return False, f"accel {ax:.2f} at t={t:.1f}"
@@ -201,7 +177,7 @@ def check_dynamics(candidate: TrajectoryCandidate, limits: DynamicsLimits):
             return False, f"lateral accel {ay:.2f} at t={t:.1f}"
         if abs(jx) > config.JERK_LIMIT:
             return False, f"jerk {jx:.2f} at t={t:.1f}"
-        if not (limits.y_min <= y <= limits.y_max):
+        if not (y_min <= y <= y_max):
             return False, f"off-road y={y:.2f} at t={t:.1f}"
     return True, ""
 
@@ -235,8 +211,7 @@ def select_trajectory(candidates, ego, others, road, cfg=None):
     """
     cfg = cfg or config.DEFAULTS.planner
     risk_params = config.DEFAULTS.risk
-    limits = DynamicsLimits.for_road(road)
-    passing = [c for c in candidates if check_dynamics(c, limits)[0]]
+    passing = [c for c in candidates if check_dynamics(c, road)[0]]
     if not passing:
         return emergency_profile(ego, road)
 

@@ -6,6 +6,8 @@ platoon's middle lane for the whole run.
 
 Case 2 (longitudinal risk): a scripted lead vehicle ahead of the platoon
 brakes hard at a scheduled time and then crawls, forcing a reorganization.
+The event is the leader's own ``HdvDriver.brake``; the episode loop plays
+it on that driver, and no other driver carries one.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 
 from . import config
 from .control import CavExecutor
-from .episode import PlatoonMember, ScriptedBrake, World
-from .traffic import (HdvDriver, IdmParams, SpawnResult, TrafficSpec, in_keep_clear,
-                      spawn_traffic, style_params)
+from .episode import PlatoonMember, World
+from .traffic import (HdvDriver, IdmParams, ScriptedBrake, SpawnResult, TrafficSpec,
+                      in_keep_clear, spawn_traffic, style_params)
 from .world import CAV, HDV, RampSegment, RoadMap, SimClock, VehicleState
 
 
@@ -161,7 +163,6 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     next_id += max(res.requested, 1)
     shortfall = res.shortfall
 
-    scripted = None
     if spec.case == 1:
         congestion = _case1_congestion(spec, road, int(seed), next_id)
         hdvs.extend(congestion.drivers)
@@ -173,16 +174,11 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
         hdvs = [d for d in hdvs
                 if not in_keep_clear(d.state.x, d.state.lane, keep_clear)]
     else:
-        lead = _case2_scripted_leader(spec, road, next_id)
-        hdvs.append(lead)
-        scripted = ScriptedBrake(vehicle_id=lead.state.id, t_start=spec.event_time,
-                                 decel=spec.event_decel, duration=spec.event_duration,
-                                 cruise_after=spec.event_cruise_after)
+        hdvs.append(_case2_scripted_leader(spec, road, next_id))
 
     hdvs.sort(key=lambda d: d.state.id)
     return World(road=road, clock=SimClock(), members=members, hdvs=hdvs,
-                 cruise_speed=spec.platoon_speed, scripted=scripted,
-                 spawn_shortfall=shortfall)
+                 cruise_speed=spec.platoon_speed, spawn_shortfall=shortfall)
 
 
 def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,
@@ -246,9 +242,13 @@ def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
 
 
 def _case2_scripted_leader(spec: ScenarioSpec, road: RoadMap, vid: int) -> HdvDriver:
+    """The lead vehicle ``event_lead_gap`` bumper to bumper ahead of the
+    platoon's head, carrying the spec's brake event."""
     idm, mobil = style_params("normal", spec.speed_limit)
     x = spec.platoon_head_x + spec.event_lead_gap + config.VEHICLE_LENGTH
     st = VehicleState(id=vid, kind=HDV, x=x, y=road.lane_center(spec.platoon_lane),
                       speed=spec.platoon_speed, lane=spec.platoon_lane,
                       target_lane=spec.platoon_lane)
-    return HdvDriver(state=st, idm=idm, mobil=mobil, style="normal")
+    brake = ScriptedBrake(t_start=spec.event_time, decel=spec.event_decel,
+                          duration=spec.event_duration, cruise_after=spec.event_cruise_after)
+    return HdvDriver(state=st, idm=idm, mobil=mobil, style="normal", brake=brake)

@@ -183,6 +183,17 @@ class TrafficSpec:
             raise ValueError("style mix probabilities must sum to 1")
 
 
+@dataclass(frozen=True)
+class ScriptedBrake:
+    """A scripted deceleration event: ``decel`` from ``t_start`` for
+    ``duration`` s, then IDM toward ``cruise_after``."""
+
+    t_start: float
+    decel: float
+    duration: float
+    cruise_after: float
+
+
 @dataclass
 class HdvDriver:
     """Background-vehicle agent: IDM longitudinally, MOBIL laterally."""
@@ -197,6 +208,7 @@ class HdvDriver:
     merge_deadline_x: float | None = None   # ramp vehicles must be merged by here
     escape_bias: bool = False               # congested-lane escapers accept tighter gaps
     scripted_accel: float | None = None     # event override; wins over IDM when set
+    brake: ScriptedBrake | None = None      # event this driver plays; it then keeps its lane
 
     def changing(self) -> bool:
         return self.lc_progress >= 0.0

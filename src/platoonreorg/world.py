@@ -45,8 +45,10 @@ class RoadMap:
     def __post_init__(self):
         if self.lane_count < 2:
             raise WorldError("need at least 2 lanes")
-        if self.lane_width <= 0 or self.length <= 0:
-            raise WorldError("lane width and length must be positive")
+        for name in ("lane_width", "length", "speed_limit"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise WorldError(f"{name} must be finite and > 0, got {value!r}")
         if self.ramp is not None and self.ramp.end > self.length:
             raise WorldError("ramp segment extends past the road end")
 
@@ -101,6 +103,10 @@ class VehicleState:
     jy: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and math.isfinite(self.heading) and math.isfinite(self.speed)):
+            raise WorldError(f"vehicle {self.id} pose must be finite, got x={self.x!r}, "
+                             f"y={self.y!r}, heading={self.heading!r}, speed={self.speed!r}")
         if self.length <= 0:
             raise WorldError("vehicle length must be positive")
         if self.speed < 0:

@@ -12,7 +12,6 @@ from platoonreorg.coalition import (
     SPLITTING,
     STAGGER,
     STEADY,
-    CoalitionPartition,
     GameScene,
     Prediction,
     LANE_CHANGE_TIME,
@@ -79,19 +78,19 @@ class TestFormCoalitions:
     def test_compact_single(self):
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         part = form_coalitions(plat, [])
-        assert part.coalitions == [(0, 1, 2)]
-        assert [grp[0] for grp in part.coalitions] == [0]
+        assert part == ((0, 1, 2),)
+        assert [grp[0] for grp in part] == [0]
 
     def test_large_gap_splits(self):
         plat = [cav(0, 150.0), cav(1, 135.0), cav(2, 100.0)]  # 15 m then 35 m
         part = form_coalitions(plat, [])
-        assert part.coalitions == [(0, 1), (2,)]
+        assert part == ((0, 1), (2,))
 
     def test_interleaved_hdv_splits(self):
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         intruder = hdv(9, 122.0, lane=1)
         part = form_coalitions(plat, [intruder])
-        assert part.coalitions == [(0,), (1, 2)]
+        assert part == ((0,), (1, 2))
 
     def test_lane_mismatch_splits(self):
         plat = [cav(0, 130.0), cav(1, 115.0, lane=2), cav(2, 100.0)]
@@ -101,7 +100,7 @@ class TestFormCoalitions:
     def test_target_groups_cap_coarseness(self):
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         part = form_coalitions(plat, [], target_groups=((0,), (1, 2)))
-        assert part.coalitions == [(0,), (1, 2)]
+        assert part == ((0,), (1, 2))
 
     def test_intact_helper(self):
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
@@ -133,7 +132,7 @@ class TestInterleaveBoundaries:
 
 
 class TestLaneChangePlan:
-    PARTITION = CoalitionPartition(coalitions=[(0,), (1, 2)])
+    PARTITION = ((0,), (1, 2))
 
     @pytest.mark.parametrize("joint,plan", [
         ((KEEP, KEEP), [None, None, None]),
@@ -154,7 +153,7 @@ class TestLaneChangePlan:
         q = quintic(y0, 0.0, 0.0, y1, 0.0, 0.0, LANE_CHANGE_TIME)
         for k in range(-10, 51):
             tau = k * 0.1
-            want = q.pos(min(max(tau, 0.0), LANE_CHANGE_TIME))
+            want = q.derivatives(min(max(tau, 0.0), LANE_CHANGE_TIME))[0]
             assert abs(lane_change_y(y0, y1, tau) - want) <= 1e-12
         assert lane_change_y(y0, y1, -1.0) == y0
 

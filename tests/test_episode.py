@@ -67,7 +67,7 @@ def invariant_failures(world, result) -> list[str]:
     if not math.isclose(result.frames * world.clock.dt, metrics.duration, abs_tol=1e-6):
         failures.append(f"frames*dt {result.frames * world.clock.dt} != {metrics.duration}")
     failures += [f"row[{k}] = {v!r}" for k, v in metrics.row().items() if not _finite(v)]
-    for state in world.platoon_states() + world.hdv_states():
+    for state in world.all_states():
         for f in dataclasses.fields(state):
             if not _finite(getattr(state, f.name)):
                 failures.append(f"vehicle {state.id} {f.name} = {getattr(state, f.name)!r}")
@@ -111,11 +111,11 @@ def run_network_case(collect_reward=None):
                         keep_audit=True)
     result = run_episode(world, policy, NETWORK_SEED, spec.episode_len, spec.success_window,
                          collect_reward=collect_reward)
-    return world, result
+    return world, policy, result
 
 
 def test_network_policy_episode_matches_pin():
-    world, result = run_network_case()
+    world, _, result = run_network_case()
     assert invariant_failures(world, result) == []
     assert result.metrics.row() == NETWORK_ROW
 
@@ -126,7 +126,7 @@ def test_reward_metrics_and_game_phase_share_one_clock():
     def collect(world, action, reorg, t):
         decisions.append((t, action.single_group, reorg.triggered, reorg.recent))
 
-    _, result = run_network_case(collect)
+    _, policy, result = run_network_case(collect)
     metrics = result.metrics
     # the reward is handed the same reorganization time the metrics report
     assert [d for *_, recent in decisions for d in recent] == [metrics.formation_time]
@@ -134,11 +134,12 @@ def test_reward_metrics_and_game_phase_share_one_clock():
     merge = next(t for t, single, _, _ in decisions if t > start and single)
     end = start + metrics.formation_time + config.FORMATION_HOLD
     # the game stays in the merging phase until the reorganization ends
-    for row in result.audit:
+    audit = policy.audit_rows()
+    for row in audit:
         t = row["t"]
         want = (STEADY if t < start or t >= end else SPLITTING if t < merge else MERGING)
         assert row["phase"] == want, t
-    assert max(r["t"] for r in result.audit if r["phase"] == MERGING) == 18.0
+    assert max(r["t"] for r in audit if r["phase"] == MERGING) == 18.0
 
 
 def test_one_snapshot_per_frame(monkeypatch, golden):
@@ -172,10 +173,10 @@ def test_one_leader_lookup_per_member_and_frame(monkeypatch, golden, name, seed)
         cav_lookups += getattr(ego, "kind", None) == CAV  # HDV lane probes are Points
         return lead_vehicle(ego, others)
 
-    def counted_decision(world):
+    def counted_decision(*args):
         nonlocal decisions
         decisions += 1
-        return platoon_lead_info(world)
+        return platoon_lead_info(*args)
 
     monkeypatch.setattr(episode, "lead_vehicle", counted_lookup)
     monkeypatch.setattr(episode, "platoon_lead_info", counted_decision)
@@ -201,24 +202,32 @@ def _lead_info_world(hdv_poses):
     return World(road=road, clock=SimClock(), members=members, hdvs=hdvs, cruise_speed=25.0)
 
 
+def lead_info(world):
+    """``platoon_lead_info`` on the world's snapshot, sliced as the policy does."""
+    snapshot = world.all_states()
+    n = len(world.members)
+    return platoon_lead_info(snapshot[:n], snapshot[n:], world.road)
+
+
 def test_lead_info_prefers_first_lowest_finite_ttc():
     """TTCs (1, 2, inf) with the highest risk at member 2: member 0 is at risk.
     An HDV 1 m behind member 2 in its lane raises its risk, not its TTC."""
     world = _lead_info_world([(115.0, 0, 15.0), (85.0, 1, 15.0), (19.0, 2, 33.0)])
     params = dataclasses.replace(config.DEFAULTS.risk, v_max=world.road.speed_limit)
-    risks = [risk_reward(v, world.hdv_states(), params) for v in world.platoon_states()]
+    background = [d.state for d in world.hdvs]
+    risks = [risk_reward(m.state, background, params) for m in world.members]
     assert max(risks) == risks[2] > max(risks[:2])
-    tau0, best_tau, risk, idx = platoon_lead_info(world)
+    tau0, best_tau, risk, idx = lead_info(world)
     assert (tau0, best_tau, risk) == (pytest.approx(1.0), pytest.approx(1.0), risks[2])
     assert idx == 0
     # equal lowest TTCs: the first wins
     world = _lead_info_world([(115.0, 0, 15.0), (75.0, 1, 15.0), (19.0, 2, 33.0)])
-    assert platoon_lead_info(world)[3] == 0
+    assert lead_info(world)[3] == 0
 
 
 def test_lead_info_falls_back_to_risk_without_finite_ttc():
     world = _lead_info_world([(115.0, 0, 30.0), (19.0, 2, 33.0)])
-    tau0, best_tau, _, idx = platoon_lead_info(world)
+    tau0, best_tau, _, idx = lead_info(world)
     assert tau0 == best_tau == math.inf
     assert idx == 2
 
@@ -275,11 +284,35 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
     assert member_digest(world) == PLAN_DIGEST
 
 
-def test_missing_scripted_vehicle_rejected():
+@pytest.mark.parametrize("network_seed", [None, 0], ids=["heuristic", "network"])
+def test_both_layers_read_the_loops_snapshot(monkeypatch, network_seed):
+    """``platoon_decide`` and ``vehicle_decide`` are handed the very list the
+    loop built, so the two layers decide from one scene."""
+    built, handed = [], []
+    all_states = World.all_states
+
+    def recorded_build(self):
+        built.append(all_states(self))
+        return built[-1]
+
+    def recording(name):
+        method = getattr(GrdfPolicy, name)
+
+        def recorded(self, world, t, snapshot):
+            handed.append((name, snapshot))
+            return method(self, world, t, snapshot)
+        return recorded
+
+    monkeypatch.setattr(World, "all_states", recorded_build)
+    for name in ("platoon_decide", "vehicle_decide"):
+        monkeypatch.setattr(GrdfPolicy, name, recording(name))
+    network = (None if network_seed is None
+               else PolicyNetwork(obs_dim=72, n_actions=4, seed=network_seed))
     world = build_scenario(case2_spec(density=3.0), 0)
-    world.scripted = dataclasses.replace(world.scripted, vehicle_id=-1)
-    with pytest.raises(ValueError, match="scripted vehicle -1"):
-        run_episode(world, GrdfPolicy(), 0, 1.0)
+    run_episode(world, GrdfPolicy(network=network), 0, 12.0)
+    assert len(built) == 1
+    assert {name for name, _ in handed} == {"platoon_decide", "vehicle_decide"}
+    assert all(snapshot is built[0] for _, snapshot in handed)
 
 
 def test_states_advance_in_place():

@@ -97,7 +97,7 @@ def scene_graphs(spec, seeds, rng, per_world=3):
                 plat.append(VehicleState(id=m.index, kind="CAV", x=x,
                                          y=road.lane_center(lane), speed=m.state.speed,
                                          lane=lane, target_lane=lane))
-            yield build_node_graph(road, plat, world.hdv_states(), P)
+            yield build_node_graph(road, plat, [d.state for d in world.hdvs], P)
 
 
 def lp_oracle(graph):
@@ -269,7 +269,7 @@ class TestBuildNodeGraph:
         # case 1 queues ramp vehicles on the shoulder, one lane width right of lane 0
         world = build_scenario(case1_spec(), 0)
         plat = [replace(m.state, x=x) for m, x in zip(world.members, (262.0, 250.0, 238.0))]
-        background = world.hdv_states()
+        background = [d.state for d in world.hdvs]
         edge = -0.5 * world.road.lane_width
         assert any(v.y < edge and 230.0 <= v.x <= 240.0 for v in background)
         on_road = [v for v in background if v.y >= edge]

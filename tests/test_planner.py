@@ -10,7 +10,6 @@ from platoonreorg.planner import (
     KEEP,
     LEFT,
     RIGHT,
-    DynamicsLimits,
     PlanningError,
     TrajectoryCandidate,
     check_dynamics,
@@ -23,7 +22,6 @@ from platoonreorg.planner import (
 from platoonreorg.world import RoadMap, VehicleState
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
-LIMITS = DynamicsLimits.for_road(ROAD)
 
 
 class QuinticProfile:
@@ -96,8 +94,13 @@ def doubles(values) -> bytes:
     return struct.pack(f"{len(values)}d", *values)
 
 
-def evaluations(profile, times) -> bytes:
-    """Every evaluator at every time, as the bytes of the doubles."""
+def evaluations(poly, times) -> bytes:
+    """All four derivatives at every time, as the bytes of the doubles."""
+    return doubles([d for t in times for d in poly.derivatives(t)])
+
+
+def oracle_evaluations(profile, times) -> bytes:
+    """The oracle's written-out evaluators in the same order."""
     return doubles([f(t) for t in times
                     for f in (profile.pos, profile.vel, profile.acc, profile.jerk)])
 
@@ -110,20 +113,20 @@ def cav(vid=0, x=100.0, lane=1, speed=25.0):
 class TestPolynomials:
     def test_quintic_boundary_conditions(self):
         q = quintic(4.0, 0.3, -0.1, 8.0, 0.0, 0.0, 3.0)
-        assert q.pos(0.0) == pytest.approx(4.0, abs=1e-12)
-        assert q.vel(0.0) == pytest.approx(0.3, abs=1e-12)
-        assert q.acc(0.0) == pytest.approx(-0.1, abs=1e-12)
-        assert q.pos(3.0) == pytest.approx(8.0, abs=1e-9)
-        assert q.vel(3.0) == pytest.approx(0.0, abs=1e-9)
-        assert q.acc(3.0) == pytest.approx(0.0, abs=1e-9)
+        assert q.derivatives(0.0)[0] == pytest.approx(4.0, abs=1e-12)
+        assert q.derivatives(0.0)[1] == pytest.approx(0.3, abs=1e-12)
+        assert q.derivatives(0.0)[2] == pytest.approx(-0.1, abs=1e-12)
+        assert q.derivatives(3.0)[0] == pytest.approx(8.0, abs=1e-9)
+        assert q.derivatives(3.0)[1] == pytest.approx(0.0, abs=1e-9)
+        assert q.derivatives(3.0)[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_quartic_boundary_conditions(self):
         q = quartic(100.0, 25.0, 0.5, 23.0, 0.0, 4.0)
-        assert q.pos(0.0) == pytest.approx(100.0, abs=1e-12)
-        assert q.vel(0.0) == pytest.approx(25.0, abs=1e-12)
-        assert q.acc(0.0) == pytest.approx(0.5, abs=1e-12)
-        assert q.vel(4.0) == pytest.approx(23.0, abs=1e-9)
-        assert q.acc(4.0) == pytest.approx(0.0, abs=1e-9)
+        assert q.derivatives(0.0)[0] == pytest.approx(100.0, abs=1e-12)
+        assert q.derivatives(0.0)[1] == pytest.approx(25.0, abs=1e-12)
+        assert q.derivatives(0.0)[2] == pytest.approx(0.5, abs=1e-12)
+        assert q.derivatives(4.0)[1] == pytest.approx(23.0, abs=1e-9)
+        assert q.derivatives(4.0)[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_bit_identical_to_the_term_by_term_profiles(self):
         """10k random boundary sets of each degree: every coefficient, and
@@ -142,7 +145,7 @@ class TestPolynomials:
                      (quartic(p0, v0, a0, v1, a1, T), QuarticProfile(p0, v0, a0, v1, a1, T)))
             for new, oracle in pairs:
                 assert doubles(new.c) == doubles(oracle.c)
-                assert evaluations(new, times) == evaluations(oracle, times)
+                assert evaluations(new, times) == oracle_evaluations(oracle, times)
 
 
 class TestLattice:
@@ -175,7 +178,7 @@ class TestChecker:
         q_lat = quintic(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 4.0)
         q_lon = quartic(state.x, 25.0, 0.0, 25.0, 0.0, 4.0)
         cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
-        ok, reason = check_dynamics(cand, LIMITS)
+        ok, reason = check_dynamics(cand, ROAD)
         assert ok, reason
         # peak lateral accel of a rest-to-rest quintic: ~5.774 * dy / T^2
         peak = max(abs(s[6]) for s in cand.samples)
@@ -186,7 +189,7 @@ class TestChecker:
         q_lat = quintic(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 1.0)
         q_lon = quartic(state.x, 35.0, 0.0, 35.0, 0.0, 1.0)
         cand = TrajectoryCandidate(duration=1.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
-        ok, reason = check_dynamics(cand, LIMITS)
+        ok, reason = check_dynamics(cand, ROAD)
         assert not ok
         assert "lateral" in reason
 
@@ -195,9 +198,19 @@ class TestChecker:
         q_lat = quintic(state.y, 2.0, 0.0, state.y + 3.0, 0.0, 0.0, 4.0)
         q_lon = quartic(state.x, 20.0, 0.0, 20.0, 0.0, 4.0)
         cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
-        ok, reason = check_dynamics(cand, LIMITS)
+        ok, reason = check_dynamics(cand, ROAD)
         assert not ok and "off-road" in reason
-        assert (LIMITS.y_min, LIMITS.y_max) == (-2.0, 10.0)
+
+    @pytest.mark.parametrize("lanes,y,ok", [
+        (3, -2.0, True), (3, 10.0, True), (3, -2.0 - 1e-9, False), (3, 10.0 + 1e-9, False),
+        (4, 14.0, True), (4, 14.0 + 1e-9, False),
+    ])
+    def test_road_extent_is_read_from_the_road(self, lanes, y, ok):
+        """The extent runs from -lane_width/2 to (lane_count - 1/2) lane widths,
+        both edges included."""
+        cand = TrajectoryCandidate(duration=0.0, lon=None, lat=None,
+                                   samples=[(0.0, 100.0, y, 25.0, 0.0, 0.0, 0.0, 0.0, 0.0)])
+        assert check_dynamics(cand, RoadMap(lane_count=lanes))[0] is ok
 
 
 class TestSelection:
@@ -246,7 +259,7 @@ class TestSelection:
     def test_fallback_emergency(self):
         ego = cav(speed=25.0)
         best = select_trajectory([], ego, [], ROAD)
-        ok, reason = check_dynamics(best, LIMITS)
+        ok, reason = check_dynamics(best, ROAD)
         assert ok, reason
         assert best.samples[-1][3] < 25.0  # braking profile
 
@@ -255,7 +268,7 @@ class TestEmergencyProfile:
     def test_within_limits_and_stops(self):
         ego = cav(speed=30.0)
         prof = emergency_profile(ego, ROAD)
-        ok, reason = check_dynamics(prof, LIMITS)
+        ok, reason = check_dynamics(prof, ROAD)
         assert ok, reason
         speeds = [s[3] for s in prof.samples]
         assert speeds[-1] < speeds[0]

@@ -25,6 +25,8 @@ from platoonreorg.coalition import MERGING, GameScene, form_coalitions, solve_tu
 from platoonreorg.episode import GrdfPolicy, hdv_accel, hdv_decide_lane, platoon_lead_info
 from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory
 from platoonreorg.scenarios import ScenarioError, build_scenario, case1_spec, case2_spec
+from platoonreorg.traffic import ScriptedBrake
+from platoonreorg.world import lead_vehicle
 
 GOLDEN = Path(__file__).parent / "golden" / "scenarios.json"
 
@@ -44,10 +46,11 @@ def scene_pins(name: str, seed: int) -> dict:
     """Every pinned value for one (scenario, seed); each part on a fresh world."""
     world = _world(name, seed)
     snapshot = world.all_states()
+    n = len(world.members)
     pins = {
         "hdv_count": len(world.hdvs),
         "hdv_accel": [hdv_accel(d, snapshot) for d in world.hdvs],
-        "platoon_lead_info": list(platoon_lead_info(world)),
+        "platoon_lead_info": list(platoon_lead_info(snapshot[:n], snapshot[n:], world.road)),
     }
 
     lanes = []
@@ -64,7 +67,8 @@ def scene_pins(name: str, seed: int) -> dict:
     pins["grdf_members"] = [[m.executor.mode, m.state.target_lane] for m in world.members]
 
     world = _world(name, seed)
-    states, background = world.platoon_states(), world.hdv_states()
+    snapshot = world.all_states()
+    states, background = snapshot[:n], snapshot[n:]
     if name != "case1":
         decision = solve_tu_game(form_coalitions(states, background),
                                  GameScene(road=world.road, platoon=states,
@@ -105,6 +109,30 @@ def test_frame0_pins(name, seed, golden):
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("density", [3.0, 14.0])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_case2_brake_rides_on_the_platoons_leader(density, seed):
+    """Exactly one driver carries the spec's brake event: at frame 0 it is
+    the vehicle ahead of the platoon's head, ``event_lead_gap`` bumper to
+    bumper."""
+    spec = case2_spec(density=density)
+    world = build_scenario(spec, seed)
+    braking = [d for d in world.hdvs if d.brake is not None]
+    assert len(braking) == 1
+    assert braking[0].brake == ScriptedBrake(t_start=spec.event_time, decel=spec.event_decel,
+                                             duration=spec.event_duration,
+                                             cruise_after=spec.event_cruise_after)
+    head = world.members[0].state
+    leader = lead_vehicle(head, world.all_states())
+    assert leader is braking[0].state
+    assert leader.x - head.x - 0.5 * (leader.length + head.length) == spec.event_lead_gap
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_case1_has_no_brake(seed):
+    assert all(d.brake is None for d in build_scenario(case1_spec(), seed).hdvs)
 
 
 @pytest.mark.parametrize("lane", [-1, 3])

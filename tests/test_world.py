@@ -237,6 +237,25 @@ class TestRoadAndClock:
         with pytest.raises(WorldError):
             RoadMap(lane_count=1)
 
+    @pytest.mark.parametrize("field", ["lane_width", "length", "speed_limit"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_road_dimension_rejected(self, field, value):
+        with pytest.raises(WorldError, match=field):
+            RoadMap(**{field: value})
+
+
+class TestVehicleStateBoundary:
+    @pytest.mark.parametrize("field", ["x", "y", "heading", "speed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pose_rejected(self, field, value):
+        with pytest.raises(WorldError, match="must be finite"):
+            VehicleState(id=0, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [("length", -1.0), ("length", 0.0), ("speed", -0.1)])
+    def test_bad_size_or_speed_rejected(self, field, value):
+        with pytest.raises(WorldError):
+            VehicleState(id=0, **{field: value})
+
     def test_decision_periods_align(self):
         clock = SimClock()
         due = []
