@@ -243,6 +243,15 @@ class TestRoadAndClock:
         with pytest.raises(WorldError, match=field):
             RoadMap(**{field: value})
 
+    def test_decision_periods_align(self):
+        clock = SimClock()
+        due = []
+        for _ in range(25):
+            due.append(clock.vehicle_decision_due())
+            clock.tick()
+        assert due[0] and due[10] and due[20]
+        assert not any(due[1:10])
+
 
 class TestVehicleStateBoundary:
     @pytest.mark.parametrize("field", ["x", "y", "heading", "speed"])
@@ -255,12 +264,3 @@ class TestVehicleStateBoundary:
     def test_bad_size_or_speed_rejected(self, field, value):
         with pytest.raises(WorldError):
             VehicleState(id=0, **{field: value})
-
-    def test_decision_periods_align(self):
-        clock = SimClock()
-        due = []
-        for _ in range(25):
-            due.append(clock.vehicle_decision_due())
-            clock.tick()
-        assert due[0] and due[10] and due[20]
-        assert not any(due[1:10])
