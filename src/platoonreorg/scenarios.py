@@ -110,7 +110,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ScenarioError(f"unknown ScenarioSpec fields {unknown}")
+        return cls(**data)
 
 
 def case1_spec(**overrides) -> ScenarioSpec:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -194,7 +195,7 @@ class ScriptedBrake:
     cruise_after: float
 
 
-@dataclass
+@dataclass(slots=True)
 class HdvDriver:
     """Background-vehicle agent: IDM longitudinally, MOBIL laterally."""
 
@@ -262,10 +263,11 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     dropped and reported as shortfall.
 
     The draws are part of the seeded contract: the same spec and road give
-    the same traffic, and golden scenarios depend on the exact stream.  Row
-    k of ``np.random.default_rng(spec.seed).random((requested, 3 + ATTEMPTS))``
-    belongs to requested vehicle k, whether or not it is placed.  With ``u``
-    its columns in order:
+    the same traffic, and golden scenarios depend on the exact stream.  The
+    draws are one block ``np.random.default_rng(spec.seed).random(requested
+    * (3 + ATTEMPTS))``; requested vehicle k owns its ``3 + ATTEMPTS``
+    doubles from ``k * (3 + ATTEMPTS)`` on, whether or not it is placed.
+    With ``u`` those doubles in order:
 
     - lane ``int(u * lane_count)``;
     - style: the first whose normalised cumulative weight exceeds ``u``,
@@ -282,25 +284,31 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     requested = int(round(spec.density * road.lane_count * corridor_km))
 
     styles = sorted(spec.style_mix)
-    cdf = np.cumsum([float(spec.style_mix[s]) for s in styles])
-    u = np.random.default_rng(spec.seed).random((requested, 3 + ATTEMPTS))
-    lanes = (u[:, 0] * road.lane_count).astype(np.intp).tolist()
-    style_idx = np.searchsorted(cdf / cdf[-1], u[:, 1], side="right").tolist()
-    speed_frac = (0.75 + (0.95 - 0.75) * u[:, 2]).tolist()
-    candidates = spec.x_min + (x_max - spec.x_min) * u[:, 3:]
+    presets = [style_params(s, spec.speed_limit) for s in styles]
+    # summed left to right as np.cumsum sums, so bisect_right picks the
+    # index that rng.choice's searchsorted(side="right") picks
+    cdf = list(itertools.accumulate(float(spec.style_mix[s]) for s in styles))
+    cdf = [c / cdf[-1] for c in cdf]
+    lane_count = road.lane_count
+    centres = [road.lane_center(lane) for lane in range(lane_count)]
     lane_boxes = [[b for b in keep_clear if b[2] <= lane <= b[3]]
-                  for lane in range(road.lane_count)]
+                  for lane in range(lane_count)]
+    x_min, span = spec.x_min, x_max - spec.x_min
+    stride = 3 + ATTEMPTS
+    u = np.random.default_rng(spec.seed).random(requested * stride).tolist()
     drivers = []
     vid = id_start
-    per_lane = [[] for _ in range(road.lane_count)]   # placed x values, sorted
-    for lane, s, frac, row in zip(lanes, style_idx, speed_frac, candidates):
-        style = styles[s]
-        idm, mobil = style_params(style, spec.speed_limit)
-        speed = frac * idm.desired_speed
+    per_lane = [[] for _ in range(lane_count)]   # placed x values, sorted
+    for k in range(0, requested * stride, stride):
+        lane = int(u[k] * lane_count)
+        s = bisect.bisect_right(cdf, u[k + 1])
+        idm, mobil = presets[s]
+        speed = (0.75 + (0.95 - 0.75) * u[k + 2]) * idm.desired_speed
         clearance = idm.min_gap + speed * idm.time_headway + config.VEHICLE_LENGTH
         xs = per_lane[lane]
         boxes = lane_boxes[lane]
-        for x in row.tolist():
+        for v in u[k + 3:k + stride]:
+            x = x_min + span * v
             # the nearest placed vehicle on either side decides the spacing
             # test, which rejects most candidates in dense traffic, so it
             # runs before the keep-clear test
@@ -310,9 +318,9 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
             if boxes and in_keep_clear(x, lane, boxes):
                 continue
             xs.insert(i, x)
-            st = VehicleState(id=vid, kind=HDV, x=x, y=road.lane_center(lane),
+            st = VehicleState(id=vid, kind=HDV, x=x, y=centres[lane],
                               speed=speed, lane=lane, target_lane=lane)
-            drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style))
+            drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=styles[s]))
             vid += 1
             break
     return SpawnResult(drivers=drivers, requested=requested, placed=len(drivers))

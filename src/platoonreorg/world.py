@@ -75,7 +75,7 @@ CAV = "CAV"
 HDV = "HDV"
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleState:
     """Pose and derived kinematics of one vehicle.
 
@@ -104,11 +104,12 @@ class VehicleState:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and math.isfinite(self.heading) and math.isfinite(self.speed)):
-            raise WorldError(f"vehicle {self.id} pose must be finite, got x={self.x!r}, "
-                             f"y={self.y!r}, heading={self.heading!r}, speed={self.speed!r}")
-        if self.length <= 0:
-            raise WorldError("vehicle length must be positive")
+                and math.isfinite(self.heading) and math.isfinite(self.speed)
+                and 0 < self.length < math.inf and 0 < self.width < math.inf):
+            raise WorldError(f"vehicle {self.id} pose must be finite and its size finite "
+                             f"and > 0, got x={self.x!r}, y={self.y!r}, "
+                             f"heading={self.heading!r}, speed={self.speed!r}, "
+                             f"length={self.length!r}, width={self.width!r}")
         if self.speed < 0:
             raise WorldError("speed must be nonnegative")
         if self.vx == 0.0 and self.vy == 0.0 and self.speed > 0.0:

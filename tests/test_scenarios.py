@@ -24,7 +24,8 @@ from platoonreorg import config
 from platoonreorg.coalition import MERGING, GameScene, form_coalitions, solve_tu_game
 from platoonreorg.episode import GrdfPolicy, hdv_accel, hdv_decide_lane, platoon_lead_info
 from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory
-from platoonreorg.scenarios import ScenarioError, build_scenario, case1_spec, case2_spec
+from platoonreorg.scenarios import (ScenarioError, ScenarioSpec, build_scenario, case1_spec,
+                                    case2_spec)
 from platoonreorg.traffic import ScriptedBrake
 from platoonreorg.world import lead_vehicle
 
@@ -141,6 +142,19 @@ def test_platoon_lane_off_the_road_rejected(lane):
         case2_spec(platoon_lane=lane)
     assert case2_spec(platoon_lane=lane % 3).platoon_lane == lane % 3
 
+
+
+@pytest.mark.parametrize("spec", [case1_spec(), case2_spec(density=3.0),
+                                  case2_spec(density=14.0)],
+                         ids=["case1", "case2-density3", "case2-density14"])
+def test_spec_json_round_trip(spec):
+    assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+
+def test_spec_json_unknown_key_rejected():
+    text = json.dumps({**json.loads(case1_spec().to_json()), "densty": 3.0})
+    with pytest.raises(ScenarioError, match="densty"):
+        ScenarioSpec.from_json(text)
 
 
 @pytest.mark.parametrize("window", [0.0, -60.0, float("nan")])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from platoonreorg import config
 from platoonreorg.traffic import (
     B_EMERGENCY,
+    HdvDriver,
     IdmParams,
     LaneContext,
     MobilParams,
@@ -20,7 +21,7 @@ from platoonreorg.traffic import (
     spawn_traffic,
     style_params,
 )
-from platoonreorg.world import RoadMap
+from platoonreorg.world import RoadMap, VehicleState
 
 IDM = IdmParams(desired_speed=30.0, time_headway=1.5, min_gap=2.0,
                 max_accel=1.5, comfort_decel=2.0, exponent=4.0)
@@ -263,13 +264,20 @@ class TestSpawn:
         assert not in_keep_clear(500.0, 1, ())
 
 
+def test_misspelled_driver_field_write_fails():
+    driver = HdvDriver(state=VehicleState(id=1), idm=IdmParams(), mobil=MobilParams())
+    with pytest.raises(AttributeError):
+        driver.acel = 1.0
+
 
 class TestRawDraws:
-    """The draws both spawners take from one ``rng.random`` block, against
-    scalar calls of the installed numpy.  ``spawn_traffic`` decodes a lane,
-    a style and uniforms from the doubles of its block, and the case-1
-    congestion block reads its doubles as they are; the golden worlds and
-    the linear-scan oracle rely on both.  A numpy release that changes how
+    """The draws both spawners take from one flat ``rng.random(n)`` block,
+    against scalar calls of the installed numpy.  ``spawn_traffic`` gives
+    requested vehicle k the ``3 + ATTEMPTS`` doubles from
+    ``k * (3 + ATTEMPTS)`` on and decodes a lane, a style and uniforms from
+    them in plain Python; the case-1 congestion block reads its doubles as
+    they are.  The golden worlds and the linear-scan oracle, which makes
+    the scalar calls, rely on both.  A numpy release that changes how
     ``random()``, ``uniform()`` or ``choice(p=...)`` use PCG64 words fails
     here."""
 

@@ -260,7 +260,14 @@ class TestVehicleStateBoundary:
         with pytest.raises(WorldError, match="must be finite"):
             VehicleState(id=0, **{field: value})
 
-    @pytest.mark.parametrize("field,value", [("length", -1.0), ("length", 0.0), ("speed", -0.1)])
+    @pytest.mark.parametrize("field,value", [
+        ("length", -1.0), ("length", 0.0), ("speed", -0.1),
+        ("length", math.nan), ("length", math.inf),
+        ("width", math.nan), ("width", math.inf), ("width", 0.0), ("width", -1.0)])
     def test_bad_size_or_speed_rejected(self, field, value):
         with pytest.raises(WorldError):
             VehicleState(id=0, **{field: value})
+
+    def test_misspelled_field_write_fails(self):
+        with pytest.raises(AttributeError):
+            VehicleState(id=1).acel = 1.0
