@@ -29,7 +29,8 @@ s; its time ends where that intact stretch began.  The policy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,8 @@ from .coalition import (
 from .planner import LEFT, generate_lattice, select_trajectory
 from .ppo import select_configuration
 from .riskfield import risk_reward
-from .traffic import HdvDriver, LaneContext, Neighbor, idm_acceleration, mobil_decide
+from .traffic import (HdvDriver, LaneContext, Neighbor, free_accel, idm_acceleration,
+                      mobil_decide, style_params)
 from .world import (
     Point,
     RoadMap,
@@ -81,8 +83,11 @@ class World:
     clock: SimClock
     members: list                 # PlatoonMember, ordered front (0) to rear
     hdvs: list                    # HdvDriver
-    cruise_speed: float           # the platoon's set speed, which HDV escapers gauge gaps by
     spawn_shortfall: int = 0      # HDVs the spec requested but did not place
+    drivers: dict = field(init=False, repr=False)   # HDV id -> its HdvDriver
+
+    def __post_init__(self):
+        self.drivers = {d.state.id: d for d in self.hdvs}
 
     def all_states(self):
         """The loop's snapshot: members front to rear, then HDVs."""
@@ -257,98 +262,81 @@ class GrdfPolicy:
 
 # --- HDV decisions ----------------------------------------------------------------
 
-def _neighbor_context(driver: HdvDriver, lane: int, world: World, snapshot):
-    """LaneContext for a hypothetical slot of this driver in ``lane``."""
+class _RampEnd(NamedTuple):
+    """The ramp's end, as its shoulder sees it: a standing zero-length obstacle."""
+
+    x: float
+    speed: float = 0.0
+    length: float = 0.0
+
+
+def _hdv_leader(pose, road: RoadMap, snapshot):
+    """The nearest vehicle ahead of ``pose`` in its corridor.  On the ramp
+    shoulder (below half a lane width, on a road with a ramp) the ramp end
+    is the leader when it is nearer, so IDM stops a driver short of it and
+    MOBIL's own gain in leaving grows as it comes near."""
+    leader = lead_vehicle(pose, snapshot)
+    ramp = road.ramp
+    if (ramp is not None and pose.y < -0.5 * road.lane_width
+            and (leader is None or leader.x - 0.5 * leader.length > ramp.end)):
+        return _RampEnd(ramp.end)
+    return leader
+
+
+def _bumper_gap(ahead, behind) -> float:
+    return max(ahead.x - behind.x - 0.5 * (ahead.length + behind.length), 0.01)
+
+
+def _lane_context(driver: HdvDriver, y: float, world: World, snapshot) -> LaneContext:
+    """LaneContext for this driver moved to lateral offset ``y``.  The
+    follower brings its own IDM parameters: its driver's, or the normal
+    preset for a CAV."""
     state = driver.state
     # the driver itself sits at the probe's x, so the scans never return it
-    probe = Point(state.x, world.road.lane_center(lane), state.speed)
-    leader = lead_vehicle(probe, snapshot)
+    probe = Point(state.x, y, state.speed)
+    leader = _hdv_leader(probe, world.road, snapshot)
     follower = rear_vehicle(probe, snapshot)
-    lead_n = None
-    fol_n = None
-    fol_gap_to_leader = math.inf
-    fol_leader_speed = math.inf
-    if leader is not None:
-        lead_n = Neighbor(gap=max(leader.x - state.x - 0.5 * (leader.length + state.length), 0.01),
-                          speed=leader.speed, params=driver.idm)
-    if follower is not None:
-        fol_n = Neighbor(gap=max(state.x - follower.x - 0.5 * (follower.length + state.length), 0.01),
-                         speed=follower.speed, params=driver.idm)
-        if leader is not None:
-            fol_gap_to_leader = max(leader.x - follower.x
-                                    - 0.5 * (leader.length + follower.length), 0.01)
-            fol_leader_speed = leader.speed
-    return LaneContext(leader=lead_n, follower=fol_n,
-                       follower_leader_gap=fol_gap_to_leader,
-                       follower_leader_speed=fol_leader_speed)
+    lead_n = None if leader is None else Neighbor(_bumper_gap(leader, state), leader.speed)
+    if follower is None:
+        return LaneContext(leader=lead_n)
+    owner = world.drivers.get(follower.id)
+    params = owner.idm if owner is not None else style_params("normal", world.road.speed_limit)[0]
+    fol_n = Neighbor(_bumper_gap(state, follower), follower.speed, params)
+    if leader is None:
+        return LaneContext(follower=fol_n)
+    return LaneContext(lead_n, fol_n, _bumper_gap(leader, follower), leader.speed)
 
 
-def _gap_acceptance(ctx: LaneContext, lead_margin: float, follow_margin: float) -> bool:
-    """Bare gap acceptance on a lane's context; the 0.01 m gap clamp is below
-    every margin used."""
-    return ((ctx.leader is None or ctx.leader.gap >= lead_margin)
-            and (ctx.follower is None or ctx.follower.gap >= follow_margin))
-
-
-def hdv_decide_lane(driver: HdvDriver, world: World, t: float, snapshot):
-    """MOBIL with scenario flavors: ramp vehicles force their merge before
-    the ramp ends; congested-lane escapers fall back to bare gap acceptance
-    once they are badly stuck.  A driver with a scripted brake (the case-2
-    leader) keeps its lane, so its brake event happens in front of the
-    platoon."""
+def hdv_decide_lane(driver: HdvDriver, world: World, snapshot):
+    """MOBIL toward each lane one lane width to the left, then to the right,
+    of the driver; the first change MOBIL accepts begins.  From the ramp
+    shoulder that is lane 0 alone.  A driver with a scripted brake (the
+    case-2 leader) keeps its lane, so its brake event happens in front of
+    the platoon."""
     state = driver.state
     if driver.changing() or driver.brake is not None:
         return
-
-    # ramp vehicle: merge into lane 0 with growing urgency toward the ramp end
-    if driver.merge_deadline_x is not None:
-        if state.y < -0.5 * world.road.lane_width + 1e-6:
-            room = driver.merge_deadline_x - state.x
-            lead_m = 4.0 + 0.3 * state.speed if room > 120.0 else 2.0
-            follow_m = 8.0 if room > 120.0 else 3.0
-            lane0 = _neighbor_context(driver, 0, world, snapshot)
-            if _gap_acceptance(lane0, lead_m, follow_m) or room < 60.0:
-                driver.begin_lane_change(0, world.road)
-            return
-        driver.merge_deadline_x = None
-        return
-
-    current = _neighbor_context(driver, state.lane, world, snapshot)
-    stuck = (current.leader is not None
-             and state.speed < 0.72 * driver.idm.desired_speed
-             and current.leader.gap < 2.5 * state.speed + 10.0)
-
-    candidates = []
-    if state.lane + 1 < world.road.lane_count:
-        candidates.append(state.lane + 1)
-    if state.lane - 1 >= 0:
-        candidates.append(state.lane - 1)
-    targets = []
-    for lane in candidates:
-        target = _neighbor_context(driver, lane, world, snapshot)
+    road = world.road
+    here = round(state.y / road.lane_width)   # -1 on the ramp shoulder
+    current = _lane_context(driver, state.y, world, snapshot)
+    for lane in (here + 1, here - 1):
+        if not 0 <= lane < road.lane_count:
+            continue
+        target = _lane_context(driver, road.lane_center(lane), world, snapshot)
         if mobil_decide(state.speed, driver.idm, current, target, driver.mobil):
-            driver.begin_lane_change(lane, world.road)
+            driver.begin_lane_change(lane, road)
             return
-        targets.append((lane, target))
-    if driver.escape_bias and stuck:
-        lead_m = 3.0 + 0.2 * state.speed
-        follow_m = 5.0 + 0.6 * max(0.0, world.cruise_speed - state.speed)
-        for lane, target in targets:
-            if _gap_acceptance(target, lead_m, follow_m):
-                driver.begin_lane_change(lane, world.road)
-                return
 
 
-def hdv_accel(driver: HdvDriver, snapshot) -> float:
+def hdv_accel(driver: HdvDriver, road: RoadMap, snapshot) -> float:
     if driver.scripted_accel is not None:
         return driver.scripted_accel
     state = driver.state
-    leader = lead_vehicle(state, snapshot)
+    leader = _hdv_leader(state, road, snapshot)
     if leader is None:
-        return idm_acceleration(state.speed, 1e9, 0.0, driver.idm)
-    gap = leader.x - state.x - 0.5 * (leader.length + state.length)
-    return idm_acceleration(state.speed, max(gap, 0.01), state.speed - leader.speed,
-                            driver.idm)
+        return free_accel(state.speed, driver.idm)
+    return idm_acceleration(state.speed, _bumper_gap(leader, state),
+                            state.speed - leader.speed, driver.idm)
 
 
 # --- main loop ----------------------------------------------------------------------
@@ -405,7 +393,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         # HDV lane decisions run once per second each, staggered across frames
         for k, driver in enumerate(world.hdvs):
             if (frame + k) % hdv_period == 0:
-                hdv_decide_lane(driver, world, t, snapshot)
+                hdv_decide_lane(driver, world, snapshot)
 
         # fire any staggered maneuvers scheduled by the policy
         policy.queue.fire_due(world, t, snapshot)
@@ -414,7 +402,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         commands = [m.executor.command(m.state, leader, t, world.road)
                     for m, leader in zip(world.members, leaders)]
 
-        hdv_accels = [hdv_accel(d, snapshot) for d in world.hdvs]
+        hdv_accels = [hdv_accel(d, world.road, snapshot) for d in world.hdvs]
 
         # advance everyone together
         for s, (speed, heading) in zip(states, commands):

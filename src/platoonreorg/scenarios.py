@@ -1,8 +1,10 @@
 """Scenario construction for the two case studies, plus JSON (de)serialization.
 
-Case 1 (lateral risk): three lanes with a merge ramp feeding the rightmost
-lane; that lane runs congested so squeezed drivers keep escaping into the
-platoon's middle lane for the whole run.
+Case 1 (lateral risk): three lanes with a ramp shoulder merging into the
+rightmost lane, which runs congested beside the platoon's middle lane.  Every
+HDV lane change, the ramp merge included, is a MOBIL decision; to a driver
+on the shoulder the ramp end is a standing obstacle, so it slows toward the
+end and merges once MOBIL finds lane 0 safe.
 
 Case 2 (longitudinal risk): a scripted lead vehicle ahead of the platoon
 brakes hard at a scheduled time and then crawls, forcing a reorganization.
@@ -84,6 +86,10 @@ class ScenarioSpec:
         if not (0 <= self.platoon_lane < self.lane_count):
             raise ScenarioError(f"platoon lane {self.platoon_lane} outside "
                                 f"[0, {self.lane_count})")
+        try:  # the ambient traffic's own rules for density and style mix
+            TrafficSpec(density=self.density, style_mix=self.style_mix)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"background traffic: {exc}") from exc
         if self.case == 1:
             if not (math.isfinite(self.congestion_density) and self.congestion_density >= 0):
                 raise ScenarioError("congestion density must be finite and >= 0, "
@@ -111,6 +117,8 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ScenarioError(f"ScenarioSpec JSON must be an object, got {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ScenarioError(f"unknown ScenarioSpec fields {unknown}")
@@ -174,7 +182,7 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
         next_id += 500
         hdvs.extend(_case1_ramp_queue(spec, road, next_id))
         next_id += 100
-        # keep the escape pressure out of the platoon's immediate spawn box
+        # keep the congestion and the ramp queue out of the platoon's spawn box
         hdvs = [d for d in hdvs
                 if not in_keep_clear(d.state.x, d.state.lane, keep_clear)]
     else:
@@ -182,12 +190,12 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
 
     hdvs.sort(key=lambda d: d.state.id)
     return World(road=road, clock=SimClock(), members=members, hdvs=hdvs,
-                 cruise_speed=spec.platoon_speed, spawn_shortfall=shortfall)
+                 spawn_shortfall=shortfall)
 
 
 def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,
                       id_start: int) -> SpawnResult:
-    """Slow, dense rightmost lane whose drivers keep squeezing left.
+    """Slow, dense rightmost lane beside the platoon.
 
     The draws are one block ``np.random.default_rng((seed, 101)).random(4 * count)``:
     the first ``count`` doubles give the x values, sorted, then each placed
@@ -220,15 +228,14 @@ def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,
         st = VehicleState(id=vid, kind=HDV, x=x, y=y,
                           speed=(0.8 + (1.0 - 0.8) * doubles[d + 2]) * spec.congestion_speed,
                           lane=0, target_lane=0)
-        drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style,
-                                 escape_bias=True))
+        drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style))
         d += 3
         vid += 1
     return SpawnResult(drivers=drivers, requested=count, placed=len(drivers))
 
 
 def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
-    """Vehicles on the ramp shoulder, committed to merging before it ends."""
+    """Vehicles on the ramp shoulder, one lane width right of lane 0."""
     drivers = []
     y_ramp = -road.lane_width
     for k in range(spec.ramp_queue):
@@ -239,9 +246,7 @@ def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
         idm = dataclasses.replace(idm, desired_speed=18.0)
         st = VehicleState(id=id_start + k, kind=HDV, x=x, y=y_ramp,
                           speed=14.0, lane=0, target_lane=0)
-        drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style="normal",
-                                 escape_bias=True,
-                                 merge_deadline_x=spec.ramp_end))
+        drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style="normal"))
     return drivers
 
 

@@ -86,14 +86,20 @@ class LaneContext:
 
     leader: Neighbor | None = None
     follower: Neighbor | None = None
-    follower_leader_gap: float = math.inf   # follower's gap to its current leader
-    follower_leader_speed: float = math.inf
+    follower_leader_gap: float = math.inf   # follower's gap to ``leader`` without ego between
+    follower_leader_speed: float = math.inf  # ``leader``'s speed
+
+
+def _accel(v: float, p: IdmParams, gap: float, lead_speed: float) -> float:
+    """IDM acceleration at ``gap`` behind a leader at ``lead_speed``; an
+    infinite gap means no leader."""
+    if not math.isfinite(gap):
+        return free_accel(v, p)
+    return idm_acceleration(v, gap, v - lead_speed, p)
 
 
 def _accel_toward(v: float, leader: Neighbor | None, p: IdmParams) -> float:
-    if leader is None or not math.isfinite(leader.gap):
-        return free_accel(v, p)
-    return idm_acceleration(v, leader.gap, v - leader.speed, p)
+    return free_accel(v, p) if leader is None else _accel(v, p, leader.gap, leader.speed)
 
 
 def mobil_decide(ego_speed: float, ego_params: IdmParams,
@@ -101,39 +107,29 @@ def mobil_decide(ego_speed: float, ego_params: IdmParams,
                  p: MobilParams) -> bool:
     """MOBIL acceptance: safety veto on the new follower, then incentive.
 
-    Missing neighbors count as infinitely distant.  Both criteria are
-    evaluated with the IDM acceleration of the affected vehicles.
+    Missing neighbors count as infinitely distant.  Each follower is judged
+    with its own ``Neighbor.params``; a follower's gap and leader speed
+    without the ego are its context's ``follower_leader_gap`` and
+    ``follower_leader_speed``, in the target lane before the change and in
+    the current lane after it.
     """
-    # safety: braking the new follower would need behind ego
-    if target.follower is not None and math.isfinite(target.follower.gap):
-        a_follower_new = idm_acceleration(
-            target.follower.speed, target.follower.gap,
-            target.follower.speed - ego_speed, target.follower.params)
-        if a_follower_new < -p.safe_decel_limit:
-            return False
-
-    a_self_old = _accel_toward(ego_speed, current.leader, ego_params)
-    a_self_new = _accel_toward(ego_speed, target.leader, ego_params)
-    own_gain = a_self_new - a_self_old
-
     others_gain = 0.0
-    if target.follower is not None and math.isfinite(target.follower.gap):
-        f = target.follower
-        a_before = idm_acceleration(f.speed, target.follower_leader_gap,
-                                    f.speed - target.follower_leader_speed, f.params) \
-            if math.isfinite(target.follower_leader_gap) else free_accel(f.speed, f.params)
-        a_after = idm_acceleration(f.speed, f.gap, f.speed - ego_speed, f.params)
-        others_gain += a_after - a_before
-    if current.follower is not None and math.isfinite(current.follower.gap):
-        f = current.follower
-        a_before = idm_acceleration(f.speed, f.gap, f.speed - ego_speed, f.params)
-        gap_after = f.gap + (current.leader.gap if current.leader is not None
-                             and math.isfinite(current.leader.gap) else math.inf)
-        a_after = idm_acceleration(f.speed, gap_after, f.speed - current.leader.speed, f.params) \
-            if current.leader is not None and math.isfinite(current.leader.gap) \
-            else free_accel(f.speed, f.params)
-        others_gain += a_after - a_before
+    f = target.follower
+    if f is not None and math.isfinite(f.gap):
+        a_after = _accel(f.speed, f.params, f.gap, ego_speed)
+        # safety: braking the new follower would need behind ego
+        if a_after < -p.safe_decel_limit:
+            return False
+        others_gain += a_after - _accel(f.speed, f.params, target.follower_leader_gap,
+                                        target.follower_leader_speed)
+    f = current.follower
+    if f is not None and math.isfinite(f.gap):
+        others_gain += (_accel(f.speed, f.params, current.follower_leader_gap,
+                               current.follower_leader_speed)
+                        - _accel(f.speed, f.params, f.gap, ego_speed))
 
+    own_gain = (_accel_toward(ego_speed, target.leader, ego_params)
+                - _accel_toward(ego_speed, current.leader, ego_params))
     return own_gain + p.politeness * others_gain > p.accel_threshold
 
 
@@ -206,8 +202,6 @@ class HdvDriver:
     lc_from_y: float = 0.0
     lc_to_y: float = 0.0
     lc_progress: float = -1.0       # <0: not changing
-    merge_deadline_x: float | None = None   # ramp vehicles must be merged by here
-    escape_bias: bool = False               # congested-lane escapers accept tighter gaps
     scripted_accel: float | None = None     # event override; wins over IDM when set
     brake: ScriptedBrake | None = None      # event this driver plays; it then keeps its lane
 

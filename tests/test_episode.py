@@ -94,13 +94,13 @@ def test_episode_runs_and_matches_pin(name, seed, golden):
 # features in, 4 configurations out, network seed 0).  The episode seed is the
 # first that runs the 30 s without a collision and completes exactly one
 # reorganization early enough for a later platoon decision to hand its time to
-# the reward.  Under it the network splits into three groups at 10 s and picks
-# the single group again at 15 s, so the run covers ``Observer``,
+# the reward.  Under it the network splits into three groups at 5 s and picks
+# the single group again at 10 s, so the run covers ``Observer``,
 # ``select_configuration`` and one full reorganization inside the loop.
 NETWORK_LEN = 30.0
-NETWORK_SEED = 25
-NETWORK_ROW = {"collision": 0, "avg_speed": 17.146326, "min_ttc": 2.385769,
-               "avg_distance": 9.91621, "formation_success": 1, "formation_time": 5.1,
+NETWORK_SEED = 7
+NETWORK_ROW = {"collision": 0, "avg_speed": 24.430111, "min_ttc": 1.355887,
+               "avg_distance": 10.369273, "formation_success": 1, "formation_time": 5.1,
                "reorganizations": 1, "duration": 30.0}
 
 
@@ -139,7 +139,7 @@ def test_reward_metrics_and_game_phase_share_one_clock():
         t = row["t"]
         want = (STEADY if t < start or t >= end else SPLITTING if t < merge else MERGING)
         assert row["phase"] == want, t
-    assert max(r["t"] for r in audit if r["phase"] == MERGING) == 18.0
+    assert max(r["t"] for r in audit if r["phase"] == MERGING) == 13.0
 
 
 def test_one_snapshot_per_frame(monkeypatch, golden):
@@ -199,7 +199,7 @@ def _lead_info_world(hdv_poses):
     hdvs = [HdvDriver(VehicleState(id=1000 + k, x=x, y=road.lane_center(lane), speed=v,
                                    lane=lane, target_lane=lane), idm, mobil)
             for k, (x, lane, v) in enumerate(hdv_poses)]
-    return World(road=road, clock=SimClock(), members=members, hdvs=hdvs, cruise_speed=25.0)
+    return World(road=road, clock=SimClock(), members=members, hdvs=hdvs)
 
 
 def lead_info(world):
@@ -236,18 +236,18 @@ def test_lead_info_falls_back_to_risk_without_finite_ttc():
 # (network seed 1).  Of network seeds 0-2 (outer) and episode seeds 0-2
 # (inner), this is the first run that starts lane-change plans toward both
 # sides without a collision: all three members move right at 11 s and left
-# again at 29 s, so the planner, the executor's tracking mode and the end of
+# again at 28 s, so the planner, the executor's tracking mode and the end of
 # a plan all run inside the loop.  The digest covers every field of each
 # member's final state, its executor mode, plan start and PID integral, with
 # floats in hex.
 PLAN_NET_SEED = 1
 PLAN_SEED = 1
-PLAN_ROW = {"collision": 0, "avg_speed": 25.005983, "min_ttc": 2.996165,
+PLAN_ROW = {"collision": 0, "avg_speed": 25.006898, "min_ttc": 2.753086,
             "avg_distance": 9.999429, "formation_success": 0, "formation_time": "",
             "reorganizations": 1, "duration": 30.0}
 PLANS = [(11.0, 0, 0, 4.0), (11.0, 1, 0, 4.0), (11.0, 2, 0, 4.0),
-         (29.0, 0, 1, 4.0), (29.0, 1, 1, 4.0), (29.0, 2, 1, 4.0)]
-PLAN_DIGEST = "db1e5391965ccc06"
+         (28.0, 0, 1, 4.0), (28.0, 1, 1, 4.0), (28.0, 2, 1, 4.0)]
+PLAN_DIGEST = "9f85c22cbb855e64"
 
 
 def member_digest(world) -> str:

@@ -3,10 +3,10 @@
 Every value below comes from the frame-0 world that ``build_scenario`` makes
 for case 1 and for case 2 at a sparse and a dense traffic level, seeds 0-2,
 and is compared exactly against ``golden/scenarios.json``.  The pins cover
-the HDV set, IDM accelerations, MOBIL/gap-acceptance lane decisions, the
-platoon-layer risk/TTC summary, one vehicle-layer decision of the GRDF
-stack, the merging-phase game with the disposition index (case 2), and the
-planner's choice over each member's lane-change lattices.
+the HDV set, IDM accelerations, MOBIL lane decisions, the platoon-layer
+risk/TTC summary, one vehicle-layer decision of the GRDF stack, the
+merging-phase game with the disposition index (case 2), and the planner's
+choice over each member's lane-change lattices.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_scenarios.py > tests/golden/scenarios.json``.
@@ -50,13 +50,13 @@ def scene_pins(name: str, seed: int) -> dict:
     n = len(world.members)
     pins = {
         "hdv_count": len(world.hdvs),
-        "hdv_accel": [hdv_accel(d, snapshot) for d in world.hdvs],
+        "hdv_accel": [hdv_accel(d, world.road, snapshot) for d in world.hdvs],
         "platoon_lead_info": list(platoon_lead_info(snapshot[:n], snapshot[n:], world.road)),
     }
 
     lanes = []
     for d in sorted(world.hdvs, key=lambda d: d.state.id):
-        hdv_decide_lane(d, world, 0.0, snapshot)
+        hdv_decide_lane(d, world, snapshot)
         lanes.append(d.state.target_lane if d.changing() else None)
     pins["hdv_lane_decisions"] = lanes
 
@@ -155,6 +155,31 @@ def test_spec_json_unknown_key_rejected():
     text = json.dumps({**json.loads(case1_spec().to_json()), "densty": 3.0})
     with pytest.raises(ScenarioError, match="densty"):
         ScenarioSpec.from_json(text)
+
+
+@pytest.mark.parametrize("text", ["3", '["density"]', "null"])
+def test_spec_json_not_an_object_rejected(text):
+    with pytest.raises(ScenarioError, match="object"):
+        ScenarioSpec.from_json(text)
+
+
+@pytest.mark.parametrize("spec", [case1_spec, case2_spec])
+@pytest.mark.parametrize("overrides", [
+    dict(density=-1.0),
+    dict(density=float("nan")),
+    dict(density=float("inf")),
+    dict(style_mix={"timid": 2.0}),
+    dict(style_mix={"timid": 0.5, "reckless": 0.5}),
+    dict(style_mix={"timid": float("nan"), "normal": 1.0}),
+    dict(style_mix={"normal": "1"}),
+], ids=["negative-density", "nan-density", "inf-density", "mix-over-one", "unknown-style",
+        "nan-weight", "text-weight"])
+def test_bad_background_traffic_rejected(spec, overrides):
+    """Checked at the spec by ``TrafficSpec``'s own rules; otherwise they
+    fail only in ``build_scenario``, with ``TrafficSpec``'s ``ValueError``."""
+    with pytest.raises(ScenarioError, match="background traffic"):
+        spec(**overrides)
+    assert spec(density=0.0, style_mix={"normal": 1.0}).density == 0.0
 
 
 @pytest.mark.parametrize("window", [0.0, -60.0, float("nan")])

@@ -112,6 +112,26 @@ class TestMobil:
         assert a_needed < -self.mobil.safe_decel_limit
         assert not mobil_decide(v, IDM, current, target, self.mobil)
 
+    def test_politeness_counts_the_egos_length(self):
+        """Once the ego leaves, its old follower faces the ego's leader across
+        both gaps and the ego's 5 m: the context's ``follower_leader_gap``,
+        not ``f.gap + leader.gap``.  The incentive is computed by hand and
+        the decision must flip exactly at it."""
+        v = 20.0
+        length = config.VEHICLE_LENGTH
+        current = LaneContext(leader=Neighbor(gap=10.0, speed=15.0),
+                              follower=Neighbor(gap=10.0, speed=v, params=IDM),
+                              follower_leader_gap=10.0 + length + 10.0,
+                              follower_leader_speed=15.0)
+        own = idm_acceleration(v, 1e9, 0.0, IDM) - idm_acceleration(v, 10.0, 5.0, IDM)
+        others = (idm_acceleration(v, 10.0 + length + 10.0, 5.0, IDM)
+                  - idm_acceleration(v, 10.0, 0.0, IDM))
+        assert others > 0.0
+        gain = own + 0.35 * others
+        for threshold, accept in ((gain - 1e-6, True), (gain + 1e-6, False)):
+            p = MobilParams(politeness=0.35, accel_threshold=threshold, safe_decel_limit=3.0)
+            assert mobil_decide(v, IDM, current, LaneContext(), p) is accept
+
 
 class TestStyles:
     def test_presets(self):

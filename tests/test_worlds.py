@@ -1,9 +1,9 @@
 """Whole seeded worlds from ``build_scenario``, pinned by digest.
 
 For each (spec, seed) below, one sha256 digest covers every HDV of the
-frame-0 world: ``astuple(state)``, its IDM and MOBIL presets, style,
-``escape_bias`` and ``merge_deadline_x``.  Floats enter by their IEEE-754
-bytes, so a change in the last bit, or -0.0 for 0.0, changes the digest.
+frame-0 world: ``astuple(state)``, its IDM and MOBIL presets and its style.
+Floats enter by their IEEE-754 bytes, so a change in the last bit, or -0.0
+for 0.0, changes the digest.
 ``golden/scenarios.json`` pins frame-0 decisions; this pins every vehicle.
 
 Regenerate the pins only for an intended change of the seeded stream:
@@ -60,8 +60,7 @@ def world_digest(spec, seed: int) -> str:
     h = hashlib.sha256()
     for d in world.hdvs:
         h.update(_encode((dataclasses.astuple(d.state), dataclasses.astuple(d.idm),
-                          dataclasses.astuple(d.mobil), d.style, d.escape_bias,
-                          d.merge_deadline_x)))
+                          dataclasses.astuple(d.mobil), d.style)))
         h.update(b";")
     return h.hexdigest()
 
