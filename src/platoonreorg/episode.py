@@ -202,7 +202,7 @@ class GrdfPolicy:
         self.keep_audit = keep_audit
         self._audit = []
 
-    def reset(self, world: World, rng: np.random.Generator, episode_len: float):
+    def reset(self, world: World, rng: np.random.Generator | None, episode_len: float):
         n = len(world.members)
         self.actions = enumerate_configurations(n)
         self.heuristic = HeuristicDistributionPolicy(n=n)
@@ -353,13 +353,17 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
     """Run one seeded episode to completion or first platoon collision.
 
     ``collect_reward(world, action, policy.reorg, t)`` follows each platoon
-    decision, which the record has already seen.
+    decision, which the record has already seen.  ``seed`` is an int >= 0.
+    Only a policy with a ``network`` gets a Generator, for its ``Observer``
+    noise; the heuristic one gets None and never loads ``numpy.random``.
     """
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if not (math.isfinite(episode_len) and episode_len >= 0.0):
         raise ValueError(f"episode length must be finite and >= 0, got {episode_len!r}")
     if not success_window > 0.0:
         raise ValueError(f"success window must be positive, got {success_window!r}")
-    rng = np.random.default_rng((seed, 17))
+    rng = None if policy.network is None else np.random.default_rng((seed, 17))
     policy.reset(world, rng, episode_len)
     reorg = policy.reorg
 

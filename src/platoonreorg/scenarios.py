@@ -14,12 +14,12 @@ it on that driver, and no other driver carries one.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import config
 from .control import CavExecutor
@@ -154,7 +154,9 @@ def _platoon(spec: ScenarioSpec, road: RoadMap):
 
 
 def build_scenario(spec: ScenarioSpec, seed: int) -> World:
-    """Deterministic initial world for (spec, seed)."""
+    """Deterministic initial world for (spec, seed); ``seed`` is an int >= 0."""
+    if type(seed) is not int or seed < 0:
+        raise ScenarioError(f"seed must be a non-negative int, got {seed!r}")
     road = _road(spec)
     if not road.contains(spec.platoon_head_x):
         raise ScenarioError("platoon spawn outside the road")
@@ -167,7 +169,7 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
 
     # ambient traffic over the run corridor
     ambient = TrafficSpec(density=spec.density, style_mix=dict(spec.style_mix),
-                          seed=int(seed), speed_limit=spec.speed_limit,
+                          seed=seed, speed_limit=spec.speed_limit,
                           x_min=spec.platoon_head_x - 300.0,
                           x_max=min(spec.platoon_head_x + 3200.0, road.length))
     res = spawn_traffic(ambient, road, keep_clear=keep_clear, id_start=next_id)
@@ -176,7 +178,7 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     shortfall = res.shortfall
 
     if spec.case == 1:
-        congestion = _case1_congestion(spec, road, int(seed), next_id)
+        congestion = _case1_congestion(spec, road, seed, next_id, res.drivers)
         hdvs.extend(congestion.drivers)
         shortfall += congestion.shortfall
         next_id += 500
@@ -194,43 +196,39 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
 
 
 def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,
-                      id_start: int) -> SpawnResult:
+                      id_start: int, ambient: list) -> SpawnResult:
     """Slow, dense rightmost lane beside the platoon.
 
-    The draws are one block ``np.random.default_rng((seed, 101)).random(4 * count)``:
-    the first ``count`` doubles give the x values, sorted, then each placed
-    driver takes three in turn for its style, desired speed and speed, each
-    uniform written ``lo + (hi - lo) * u`` as numpy computes it.  Draws
-    closer than 14 m to the last placed driver are dropped and reported as
-    shortfall.
+    The draws come from ``random.Random(f"congestion/{seed}").random()``, a
+    stream no int seed of the ambient traffic can equal, by the one method
+    Python keeps reproducible across versions.  The first ``count`` doubles
+    give the x values, sorted; each placed driver then draws three in turn
+    for its style, desired speed and speed, each uniform written
+    ``lo + (hi - lo) * u``.  A draw closer than 14 m to a placed driver or
+    to an ``ambient`` driver in lane 0 is dropped and reported as shortfall.
     """
     drivers = []
-    vid = id_start
-    count = int(round(spec.congestion_density
-                      * (spec.congestion_to - spec.congestion_from) / 1000.0))
-    doubles = np.random.default_rng((seed, 101)).random(4 * count).tolist()
     lo, span = spec.congestion_from, spec.congestion_to - spec.congestion_from
-    xs = sorted([lo + span * u for u in doubles[:count]])
-    d = count
+    count = int(round(spec.congestion_density * span / 1000.0))
+    draw = random.Random(f"congestion/{seed}").random
+    xs = sorted([lo + span * draw() for _ in range(count)])
     y = road.lane_center(0)
-    last_x = -1e9
+    taken = sorted(d.state.x for d in ambient if d.state.lane == 0)
     for x in xs:
-        if x - last_x < 14.0:
+        i = bisect.bisect_left(taken, x)
+        if (i and x - taken[i - 1] < 14.0) or (i < len(taken) and taken[i] - x < 14.0):
             continue
-        last_x = x
-        style = "aggressive" if doubles[d] < 0.55 else "normal"
+        taken.insert(i, x)
+        style = "aggressive" if draw() < 0.55 else "normal"
         base, mobil = style_params(style, spec.speed_limit)
-        idm = IdmParams(desired_speed=(0.85 + (1.1 - 0.85) * doubles[d + 1])
-                        * spec.congestion_speed,
+        idm = IdmParams(desired_speed=(0.85 + (1.1 - 0.85) * draw()) * spec.congestion_speed,
                         time_headway=base.time_headway, min_gap=base.min_gap,
                         max_accel=base.max_accel, comfort_decel=base.comfort_decel,
                         exponent=base.exponent)
-        st = VehicleState(id=vid, kind=HDV, x=x, y=y,
-                          speed=(0.8 + (1.0 - 0.8) * doubles[d + 2]) * spec.congestion_speed,
+        st = VehicleState(id=id_start + len(drivers), kind=HDV, x=x, y=y,
+                          speed=(0.8 + (1.0 - 0.8) * draw()) * spec.congestion_speed,
                           lane=0, target_lane=0)
         drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style))
-        d += 3
-        vid += 1
     return SpawnResult(drivers=drivers, requested=count, placed=len(drivers))
 
 

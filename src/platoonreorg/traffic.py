@@ -8,9 +8,8 @@ import bisect
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import config
 from .world import HDV, RoadMap, VehicleState
@@ -168,6 +167,8 @@ class TrafficSpec:
     x_max: float | None = None
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         if not (math.isfinite(self.density) and self.density >= 0):
             raise ValueError(f"density must be finite and >= 0, got {self.density!r}")
         unknown = set(self.style_mix) - set(STYLES)
@@ -257,19 +258,17 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     dropped and reported as shortfall.
 
     The draws are part of the seeded contract: the same spec and road give
-    the same traffic, and golden scenarios depend on the exact stream.  The
-    draws are one block ``np.random.default_rng(spec.seed).random(requested
-    * (3 + ATTEMPTS))``; requested vehicle k owns its ``3 + ATTEMPTS``
-    doubles from ``k * (3 + ATTEMPTS)`` on, whether or not it is placed.
-    With ``u`` those doubles in order:
+    the same traffic, and golden scenarios depend on the exact stream.  They
+    come from ``random.Random(spec.seed).random()``, the one method whose
+    output Python keeps reproducible across versions, each drawn when it is
+    used and decoded here.  Each requested vehicle, placed or not, draws
+    with ``u`` the next double:
 
     - lane ``int(u * lane_count)``;
-    - style: the first whose normalised cumulative weight exceeds ``u``,
-      which is ``rng.choice(len(styles), p=probs)`` on the same double;
-    - speed ``0.75 + (0.95 - 0.75) u`` of the style's desired speed, which
-      is ``rng.uniform(0.75, 0.95)``;
-    - ``ATTEMPTS`` candidate x values ``x_min + (x_max - x_min) u``, tried
-      in order until one fits.
+    - style: the first whose normalised cumulative weight exceeds ``u``;
+    - speed ``0.75 + (0.95 - 0.75) u`` of the style's desired speed;
+    - then one candidate x ``x_min + (x_max - x_min) u`` per try, at most
+      ``ATTEMPTS`` tries, until one fits.
     """
     x_max = spec.x_max if spec.x_max is not None else road.length
     if x_max <= spec.x_min:
@@ -279,8 +278,6 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
 
     styles = sorted(spec.style_mix)
     presets = [style_params(s, spec.speed_limit) for s in styles]
-    # summed left to right as np.cumsum sums, so bisect_right picks the
-    # index that rng.choice's searchsorted(side="right") picks
     cdf = list(itertools.accumulate(float(spec.style_mix[s]) for s in styles))
     cdf = [c / cdf[-1] for c in cdf]
     lane_count = road.lane_count
@@ -288,21 +285,20 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     lane_boxes = [[b for b in keep_clear if b[2] <= lane <= b[3]]
                   for lane in range(lane_count)]
     x_min, span = spec.x_min, x_max - spec.x_min
-    stride = 3 + ATTEMPTS
-    u = np.random.default_rng(spec.seed).random(requested * stride).tolist()
+    draw = random.Random(spec.seed).random
     drivers = []
     vid = id_start
     per_lane = [[] for _ in range(lane_count)]   # placed x values, sorted
-    for k in range(0, requested * stride, stride):
-        lane = int(u[k] * lane_count)
-        s = bisect.bisect_right(cdf, u[k + 1])
+    for _ in range(requested):
+        lane = int(draw() * lane_count)
+        s = bisect.bisect_right(cdf, draw())
         idm, mobil = presets[s]
-        speed = (0.75 + (0.95 - 0.75) * u[k + 2]) * idm.desired_speed
+        speed = (0.75 + (0.95 - 0.75) * draw()) * idm.desired_speed
         clearance = idm.min_gap + speed * idm.time_headway + config.VEHICLE_LENGTH
         xs = per_lane[lane]
         boxes = lane_boxes[lane]
-        for v in u[k + 3:k + stride]:
-            x = x_min + span * v
+        for _ in range(ATTEMPTS):
+            x = x_min + span * draw()
             # the nearest placed vehicle on either side decides the spacing
             # test, which rejects most candidates in dense traffic, so it
             # runs before the keep-clear test

@@ -94,13 +94,13 @@ def test_episode_runs_and_matches_pin(name, seed, golden):
 # features in, 4 configurations out, network seed 0).  The episode seed is the
 # first that runs the 30 s without a collision and completes exactly one
 # reorganization early enough for a later platoon decision to hand its time to
-# the reward.  Under it the network splits into three groups at 5 s and picks
-# the single group again at 10 s, so the run covers ``Observer``,
+# the reward.  Under it the network splits into (0) and (1, 2) at 5 s and
+# picks the single group again at 10 s, so the run covers ``Observer``,
 # ``select_configuration`` and one full reorganization inside the loop.
 NETWORK_LEN = 30.0
-NETWORK_SEED = 7
-NETWORK_ROW = {"collision": 0, "avg_speed": 24.430111, "min_ttc": 1.355887,
-               "avg_distance": 10.369273, "formation_success": 1, "formation_time": 5.1,
+NETWORK_SEED = 16
+NETWORK_ROW = {"collision": 0, "avg_speed": 23.415537, "min_ttc": 1.445174,
+               "avg_distance": 10.180421, "formation_success": 1, "formation_time": 5.1,
                "reorganizations": 1, "duration": 30.0}
 
 
@@ -235,19 +235,19 @@ def test_lead_info_falls_back_to_risk_without_finite_ttc():
 # Case 2 at density 3, 30 s under GRDF-GT and an untrained network policy
 # (network seed 1).  Of network seeds 0-2 (outer) and episode seeds 0-2
 # (inner), this is the first run that starts lane-change plans toward both
-# sides without a collision: all three members move right at 11 s and left
+# sides without a collision: all three members move left at 8 s and right
 # again at 28 s, so the planner, the executor's tracking mode and the end of
 # a plan all run inside the loop.  The digest covers every field of each
 # member's final state, its executor mode, plan start and PID integral, with
 # floats in hex.
 PLAN_NET_SEED = 1
-PLAN_SEED = 1
-PLAN_ROW = {"collision": 0, "avg_speed": 25.006898, "min_ttc": 2.753086,
+PLAN_SEED = 2
+PLAN_ROW = {"collision": 0, "avg_speed": 24.904014, "min_ttc": 3.345779,
             "avg_distance": 9.999429, "formation_success": 0, "formation_time": "",
             "reorganizations": 1, "duration": 30.0}
-PLANS = [(11.0, 0, 0, 4.0), (11.0, 1, 0, 4.0), (11.0, 2, 0, 4.0),
+PLANS = [(8.0, 0, 2, 4.0), (8.0, 1, 2, 4.0), (8.0, 2, 2, 4.0),
          (28.0, 0, 1, 4.0), (28.0, 1, 1, 4.0), (28.0, 2, 1, 4.0)]
-PLAN_DIGEST = "9f85c22cbb855e64"
+PLAN_DIGEST = "3fc5d1b38dcc7aa7"
 
 
 def member_digest(world) -> str:
@@ -344,6 +344,19 @@ def test_non_positive_success_window_rejected(window):
     world = build_scenario(case1_spec(), 0)
     with pytest.raises(ValueError):
         run_episode(world, GrdfPolicy(), 0, 1.0, window)
+
+
+@pytest.mark.parametrize("network_seed", [None, 0], ids=["heuristic", "network"])
+@pytest.mark.parametrize("seed", [1.5, True, "3", -1],
+                         ids=["float", "bool", "str", "negative"])
+def test_bad_seed_rejected(seed, network_seed):
+    """The check runs before any Generator is built, so the heuristic
+    policy, which gets none, rejects a bad seed too."""
+    world = build_scenario(case1_spec(), 0)
+    network = None if network_seed is None else PolicyNetwork(obs_dim=72, n_actions=4,
+                                                              seed=network_seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        run_episode(world, GrdfPolicy(network=network), seed, 1.0)
 
 
 def test_episode_shorter_than_a_frame_returns_empty():

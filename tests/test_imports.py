@@ -1,4 +1,5 @@
-"""The simulation stack loads without scipy; only test oracles import it."""
+"""The simulation stack loads without scipy, only test oracles import it, and
+heuristic episodes run without ``numpy.random``."""
 
 import os
 import subprocess
@@ -10,11 +11,28 @@ from platoonreorg import episode
 SRC = Path(episode.__file__).resolve().parent.parent
 
 
+def run_fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.strip()
+
+
 def test_stack_does_not_import_scipy():
     code = ("import sys\n"
             "import platoonreorg.episode, platoonreorg.scenarios, platoonreorg.ppo\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
+
+
+def test_heuristic_episodes_do_not_import_numpy_random():
+    """Seeded worlds draw from the standard library, and only a network
+    policy gets a numpy Generator, so a heuristic run never loads
+    ``numpy.random``."""
+    code = ("import sys\n"
+            "from platoonreorg.episode import GrdfPolicy, run_episode\n"
+            "from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec\n"
+            "for spec in (case1_spec(), case2_spec()):\n"
+            "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
+            "print('numpy.random' in sys.modules)\n")
+    assert run_fresh(code) == "False"

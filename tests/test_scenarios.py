@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from platoonreorg import config
@@ -62,7 +61,7 @@ def scene_pins(name: str, seed: int) -> dict:
 
     world = _world(name, seed)
     policy = GrdfPolicy(use_pdi=False, keep_audit=True)
-    policy.reset(world, np.random.default_rng((seed, 17)), SPECS[name]().episode_len)
+    policy.reset(world, None, SPECS[name]().episode_len)
     policy.vehicle_decide(world, 0.0, world.all_states())
     pins["grdf_audit"] = policy.audit_rows()
     pins["grdf_members"] = [[m.executor.mode, m.state.target_lane] for m in world.members]
@@ -134,6 +133,15 @@ def test_case2_brake_rides_on_the_platoons_leader(density, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_case1_has_no_brake(seed):
     assert all(d.brake is None for d in build_scenario(case1_spec(), seed).hdvs)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", -1],
+                         ids=["float", "bool", "str", "negative"])
+def test_bad_seed_rejected(seed):
+    """A seed is an int >= 0: ``random.Random(-s)`` would equal
+    ``random.Random(s)``, and 1.5, True and "3" would run another seed."""
+    with pytest.raises(ScenarioError, match="seed must be a non-negative int"):
+        build_scenario(case1_spec(), seed)
 
 
 @pytest.mark.parametrize("lane", [-1, 3])

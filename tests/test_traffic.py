@@ -1,11 +1,13 @@
+import itertools
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonreorg import config
+from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
 from platoonreorg.traffic import (
     B_EMERGENCY,
     HdvDriver,
@@ -160,23 +162,26 @@ class TestStyles:
 
 def spawn_by_linear_scan(spec, road, keep_clear=()):
     """Reference placement: every candidate is tested against every vehicle
-    already in its lane.  Each requested vehicle takes, from one scalar
-    Generator, a lane, a style, a speed and exactly 25 x candidates, whichever
-    of them is accepted.  Returns (x, lane, speed, style) per placed vehicle."""
-    rng = np.random.default_rng(spec.seed)
+    already in its lane.  Each requested vehicle draws from
+    ``random.Random(spec.seed).random()`` a lane, a style (the first whose
+    cumulative weight over the total exceeds the draw), a speed, and then one
+    x per candidate it tries, at most 25.  Returns (x, lane, speed, style)
+    per placed vehicle."""
+    draw = random.Random(spec.seed).random
     x_max = spec.x_max if spec.x_max is not None else road.length
     requested = int(round(spec.density * road.lane_count * (x_max - spec.x_min) / 1000.0))
     styles = sorted(spec.style_mix)
-    probs = np.array([spec.style_mix[s] for s in styles])
+    cumulative = list(itertools.accumulate(spec.style_mix[s] for s in styles))
     placed, per_lane = [], [[] for _ in range(road.lane_count)]
     for _ in range(requested):
-        lane = int(rng.random() * road.lane_count)
-        style = styles[int(rng.choice(len(styles), p=probs))]
+        lane = int(draw() * road.lane_count)
+        u = draw()
+        style = next(s for s, c in zip(styles, cumulative) if c / cumulative[-1] > u)
         idm, _mobil = style_params(style, spec.speed_limit)
-        speed = float(rng.uniform(0.75, 0.95)) * idm.desired_speed
+        speed = (0.75 + (0.95 - 0.75) * draw()) * idm.desired_speed
         min_headway = idm.min_gap + speed * idm.time_headway
-        xs = [float(rng.uniform(spec.x_min, x_max)) for _attempt in range(25)]
-        for x in xs:
+        for _attempt in range(25):
+            x = spec.x_min + (x_max - spec.x_min) * draw()
             if in_keep_clear(x, lane, keep_clear):
                 continue
             if any(abs(x - ox) < min_headway + config.VEHICLE_LENGTH for ox in per_lane[lane]):
@@ -270,6 +275,12 @@ class TestSpawn:
         with pytest.raises(ValueError, match="density"):
             TrafficSpec(density=density)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1],
+                             ids=["float", "bool", "str", "negative"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrafficSpec(seed=seed)
+
     def test_inverted_corridor_rejected(self):
         with pytest.raises(ValueError):
             spawn_traffic(TrafficSpec(density=5.0, x_min=500.0, x_max=100.0), self.road)
@@ -291,32 +302,53 @@ def test_misspelled_driver_field_write_fails():
 
 
 class TestRawDraws:
-    """The draws both spawners take from one flat ``rng.random(n)`` block,
-    against scalar calls of the installed numpy.  ``spawn_traffic`` gives
-    requested vehicle k the ``3 + ATTEMPTS`` doubles from
-    ``k * (3 + ATTEMPTS)`` on and decodes a lane, a style and uniforms from
-    them in plain Python; the case-1 congestion block reads its doubles as
-    they are.  The golden worlds and the linear-scan oracle, which makes
-    the scalar calls, rely on both.  A numpy release that changes how
-    ``random()``, ``uniform()`` or ``choice(p=...)`` use PCG64 words fails
-    here."""
+    """Each spawner of a seeded world against a scalar oracle of its own
+    standard-library stream.  Integer ids are ambient seeds: the ambient
+    traffic of ``build_scenario(case2_spec(density=14.0), seed)`` is
+    ``spawn_by_linear_scan`` drawing from ``random.Random(seed)``.  The
+    ``(seed, "congestion")`` ids are case-1 congestion blocks, drawn from
+    ``random.Random(f"congestion/{seed}")``: ``count`` sorted x values, then
+    a style, a desired speed and a speed per driver placed, each x at least
+    14 m from the last placed driver and from every ambient lane-0 driver.
+    A change to either stream's order, key or decoding fails here."""
 
-    @pytest.mark.parametrize("seed", list(range(200)) + [(s, 101) for s in range(20)])
+    @staticmethod
+    def ambient(spec, world, seed):
+        head = spec.platoon_head_x
+        traffic = TrafficSpec(density=spec.density, style_mix=dict(spec.style_mix), seed=seed,
+                              speed_limit=spec.speed_limit, x_min=head - 300.0,
+                              x_max=min(head + 3200.0, world.road.length))
+        box = (head - spec.platoon_size * spec.headway - 40.0, head + 60.0,
+               spec.platoon_lane, spec.platoon_lane)
+        return spawn_by_linear_scan(traffic, world.road, [box])
+
+    @pytest.mark.parametrize("seed", list(range(200)) + [(s, "congestion") for s in range(20)])
     def test_matches_generator(self, seed):
-        plan = np.random.default_rng(seed).integers(0, 6, size=700).tolist()
-        doubles = np.random.default_rng(seed).random(len(plan)).tolist()
-        words = np.random.PCG64(seed).random_raw(len(plan)).tolist()
-        assert doubles == [(w >> 11) * 2.0**-53 for w in words]
-        rng = np.random.default_rng(seed)
-        for op, u in zip(plan, doubles):
-            if op == 0:
-                assert rng.random() == u
-            elif op == 1:
-                assert rng.uniform(0.75, 0.95) == 0.75 + (0.95 - 0.75) * u
-            else:
-                # op styles, the first with zero weight
-                weights = np.arange(op, dtype=float)
-                probs = weights / weights.sum()
-                cdf = np.cumsum(probs)
-                want = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
-                assert rng.choice(op, p=probs) == want and want > 0
+        if isinstance(seed, int):
+            spec = case2_spec(density=14.0)
+            world = build_scenario(spec, seed)
+            got = [(d.state.x, d.state.lane, d.state.speed, d.style) for d in world.hdvs]
+            assert got[:-1] == self.ambient(spec, world, seed)   # the last is the leader
+            return
+        seed = seed[0]
+        spec = case1_spec()
+        world = build_scenario(spec, seed)
+        ambient = self.ambient(spec, world, seed)
+        lane0 = [x for x, lane, _, _ in ambient if lane == 0]
+        draw = random.Random(f"congestion/{seed}").random
+        lo, hi = spec.congestion_from, spec.congestion_to
+        count = int(round(spec.congestion_density * (hi - lo) / 1000.0))
+        want, last = [], -math.inf
+        for x in sorted([lo + (hi - lo) * draw() for _ in range(count)]):
+            if x - last < 14.0 or any(abs(x - a) < 14.0 for a in lane0):
+                continue
+            last = x
+            style = "aggressive" if draw() < 0.55 else "normal"
+            want.append((x, style, (0.85 + (1.1 - 0.85) * draw()) * spec.congestion_speed,
+                         (0.8 + (1.0 - 0.8) * draw()) * spec.congestion_speed))
+        ambient_x = {x for x, _, _, _ in ambient}
+        got = [(d.state.x, d.style, d.idm.desired_speed, d.state.speed) for d in world.hdvs
+               if d.state.y == world.road.lane_center(0) and d.state.x not in ambient_x]
+        assert got == want
+        # case 1 requests 63 ambient HDVs (6 /km, 3 lanes, 3.5 km); the ramp queue fits
+        assert world.spawn_shortfall == count - len(want) + 63 - len(ambient)

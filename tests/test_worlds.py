@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import numbers
+import random
 import struct
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 
 from platoonreorg.episode import GrdfPolicy, run_episode
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
+from platoonreorg.world import check_collision
 
 GOLDEN = Path(__file__).parent / "golden" / "worlds.json"
 
@@ -86,19 +88,47 @@ def test_vehicle_ids_unique(name, seed):
     assert len(set(ids)) == len(ids)
 
 
-@pytest.mark.parametrize("name,seed,shortfall", [
-    ("case2-dense", 0, 8), ("case2-dense", 1, 8), ("case2-dense", 2, 11),
-    ("case1", 0, 18), ("case1", 1, 18), ("case1", 2, 14),
-])
+SHORTFALLS = [("case2-dense", 0, 11), ("case2-dense", 1, 6), ("case2-dense", 2, 6),
+              ("case1", 0, 29), ("case1", 1, 19), ("case1", 2, 24)]
+
+
+@pytest.mark.parametrize("name,seed,shortfall", SHORTFALLS,
+                         ids=[f"{name}-{seed}" for name, seed, _ in SHORTFALLS])
 def test_world_reports_spawn_shortfall(name, seed, shortfall):
     """case2-dense requests 147 ambient HDVs and adds the scripted leader.
     case 1 requests 63 ambient HDVs, all placed at these seeds, and 62
-    congestion drivers, of which the 14 m thinning drops the shortfall; the
-    four ramp-queue drivers always fit."""
+    congestion drivers, of which the 14 m spacing (to each other and to the
+    ambient lane-0 drivers) drops the shortfall; the four ramp-queue drivers
+    always fit."""
     requested = {"case2-dense": 147 + 1, "case1": 63 + 62 + 4}[name]
     world = build_scenario(SPECS[name](), seed)
     assert world.spawn_shortfall == shortfall
     assert len(world.hdvs) == requested - shortfall
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_case1_frame0_has_no_touching_pair(seed):
+    """The congestion block keeps 14 m from the ambient lane-0 drivers, so
+    no two vehicles of a case-1 world start in contact."""
+    states = build_scenario(case1_spec(), seed).all_states()
+    touching = [(a.id, b.id) for i, a in enumerate(states) for b in states[i + 1:]
+                if check_collision(a, b)]
+    assert touching == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_same_world_twice_from_separate_streams(seed):
+    """A (spec, seed) builds the same world every time.  The congestion
+    block draws from its own stream: none of its x values is one the first
+    draws of an ambient stream, at seeds 0-99, would have given it."""
+    spec = case1_spec()
+    assert world_digest(spec, seed) == world_digest(spec, seed)
+    lo, hi = spec.congestion_from, spec.congestion_to
+    count = int(round(spec.congestion_density * (hi - lo) / 1000.0))
+    lane0 = {v.x for v in build_scenario(spec, seed).all_states() if v.lane == 0}
+    for ambient_seed in range(100):
+        draw = random.Random(ambient_seed).random
+        assert lane0.isdisjoint(lo + (hi - lo) * draw() for _ in range(count)), ambient_seed
 
 
 @pytest.mark.parametrize("name", ["case1", "case2-sparse"])
