@@ -173,10 +173,10 @@ class ControlConfig:
     pid_kd: float = 0.8
 
     def __post_init__(self):
-        if self.lqr_q_gap < 0 or self.lqr_q_speed < 0 or self.lqr_r <= 0:
-            raise ValueError("Q must be PSD and R positive")
-        if min(self.pid_kp, self.pid_ki, self.pid_kd) < 0:
-            raise ValueError("PID gains must be nonnegative")
+        gains = (self.lqr_q_gap, self.lqr_q_speed, self.lqr_r, self.pid_kp, self.pid_ki,
+                 self.pid_kd)
+        if not (all(0.0 <= g < math.inf for g in gains) and self.lqr_r > 0.0):
+            raise ValueError("control gains must be finite and non-negative, lqr_r positive")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ applied in both follow and track mode.  A plan starts with
 ``start_trajectory`` and ends inside ``command``, at the first command after
 its duration has elapsed; lane keeping is the follow law, never a plan.
 
-The LQR gain is solved once per ``ControlConfig`` and memoised, so every
-executor built with the same gains shares one immutable gain tuple.
+The LQR gain is solved once per ``ControlConfig``, in plain float arithmetic,
+and memoised, so every executor built with the same gains shares one tuple.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import config
 from .planner import TrajectoryCandidate
@@ -32,25 +30,35 @@ class ControlError(RuntimeError):
 def solve_lqr_gain(gains: config.ControlConfig) -> tuple:
     """Discrete Riccati iteration for the double-integrator error model.
 
-    State is [position error, speed error] over one ``config.DT`` step; the
-    input is ego acceleration.  Returns the gain as a tuple of floats.
+    State is [position error, speed error] over one step h = ``config.DT``
+    (A = [[1, h], [0, 1]], B = [h²/2, h]); the input is ego acceleration.  P is
+    symmetric, so three floats carry it, and R + BᵀPB is 1×1.  The iteration
+    stops once no entry of P moves by more than max(1e-12, 1e-14·max|P|).
     """
-    A = np.array([[1.0, config.DT], [0.0, 1.0]])
-    B = np.array([[0.5 * config.DT * config.DT], [config.DT]])
-    Q = np.diag([gains.lqr_q_gap, gains.lqr_q_speed])
-    R = np.array([[gains.lqr_r]])
-    P = Q.copy()
+    h, b0 = config.DT, 0.5 * config.DT * config.DT
+    q00, q11, r = gains.lqr_q_gap, gains.lqr_q_speed, gains.lqr_r
+    p00, p01, p11 = q00, 0.0, q11
     for _ in range(20000):
-        BtP = B.T @ P
-        K = np.linalg.solve(R + BtP @ B, BtP @ A)
-        P_next = Q + A.T @ P @ (A - B @ K)
-        if np.max(np.abs(P_next - P)) < 1e-12:
-            closed = A - B @ K
-            if max(abs(np.linalg.eigvals(closed))) >= 1.0:
+        bp0, bp1 = b0 * p00 + h * p01, b0 * p01 + h * p11  # BᵀP
+        s = r + bp0 * b0 + bp1 * h
+        k0, k1 = bp0 / s, (bp0 * h + bp1) / s
+        c00, c01, c10, c11 = 1.0 - b0 * k0, h - b0 * k1, -h * k0, 1.0 - h * k1  # A - BK
+        n00 = q00 + p00 * c00 + p01 * c10  # P' = Q + AᵀP(A - BK)
+        n01 = p00 * c01 + p01 * c11
+        n11 = q11 + (h * p00 + p01) * c01 + (h * p01 + p11) * c11
+        step = max(abs(n00 - p00), abs(n01 - p01), abs(n11 - p11))
+        p00, p01, p11 = n00, n01, n11
+        if step < max(1e-12, 1e-14 * max(abs(p00), abs(p01), abs(p11))):
+            if not schur_stable(c00 + c11, c00 * c11 - c01 * c10):
                 raise ControlError("LQR gain is not stabilizing")
-            return tuple(K.ravel().tolist())
-        P = P_next
+            return (k0, k1)
     raise ControlError("Riccati iteration did not converge")
+
+
+def schur_stable(trace: float, det: float) -> bool:
+    """Whether both eigenvalues of a real 2×2 matrix lie inside the unit circle:
+    the Jury (Schur–Cohn) test on z² − trace·z + det (E. I. Jury, 1964)."""
+    return abs(det) < 1.0 and abs(trace) < 1.0 + det
 
 
 def lqr_longitudinal(pos_err: float, speed_err: float, K) -> float:

@@ -1,4 +1,4 @@
-"""Construction-time checks of the game and planner defaults classes."""
+"""Construction-time checks of the game, planner and control defaults classes."""
 
 from __future__ import annotations
 
@@ -60,3 +60,15 @@ def test_planner_accepts_zero_weights_and_negative_offsets():
     cfg = config.PlannerConfig(speed_offsets=(-2.0,), w_safety=0.0, w_efficiency=0.0,
                                w_comfort=0.0)
     assert cfg.speed_offsets == (-2.0,)
+
+
+CONTROL_GAINS = ("lqr_q_gap", "lqr_q_speed", "lqr_r", "pid_kp", "pid_ki", "pid_kd")
+
+
+@pytest.mark.parametrize("name", CONTROL_GAINS)
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+def test_control_gain_must_be_finite_and_non_negative(name, value):
+    """Refused when the config is built: a NaN LQR weight would otherwise
+    surface only after 20000 Riccati steps in the first executor."""
+    with pytest.raises(ValueError):
+        config.ControlConfig(**{name: value})

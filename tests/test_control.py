@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from platoonreorg import config
 from platoonreorg.control import (
     FOLLOW,
     TRACK,
     CavExecutor,
+    ControlError,
     PidState,
     lqr_longitudinal,
     pid_steering,
+    schur_stable,
     solve_lqr_gain,
 )
 from platoonreorg.world import RoadMap, VehicleState, step_kinematics
@@ -60,6 +63,39 @@ class TestLqr:
     def test_bad_gains_rejected(self):
         with pytest.raises(ValueError):
             config.ControlConfig(lqr_r=0.0)
+
+    @pytest.mark.parametrize("gains", [
+        {}, {"lqr_q_gap": 4.0}, {"lqr_q_gap": 1e7}, {"lqr_q_gap": 1e9},
+        {"lqr_r": 1e-6}, {"lqr_r": 100.0},
+    ])
+    def test_gain_matches_the_are_oracle(self, gains):
+        """The gain from scipy's direct solve of the discrete algebraic Riccati
+        equation.  At ``lqr_q_gap=1e7`` an entry of P is about 1e7, whose ulp
+        is far above a purely absolute 1e-12 stopping step."""
+        g = config.ControlConfig(**gains)
+        dt = config.DT
+        A = np.array([[1.0, dt], [0.0, 1.0]])
+        B = np.array([[0.5 * dt * dt], [dt]])
+        R = np.array([[g.lqr_r]])
+        P = solve_discrete_are(A, B, np.diag([g.lqr_q_gap, g.lqr_q_speed]), R)
+        K_ref = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A).ravel()
+        assert solve_lqr_gain(g) == pytest.approx(K_ref.tolist(), rel=1e-9)
+
+    def test_unobservable_gap_is_not_stabilizing(self):
+        """Without a gap weight the position error is free, and the converged
+        gain leaves the closed loop a unit eigenvalue."""
+        with pytest.raises(ControlError, match="not stabilizing"):
+            solve_lqr_gain(config.ControlConfig(lqr_q_gap=0.0))
+
+    def test_schur_test_matches_the_eigenvalues(self):
+        mats = np.random.default_rng(0).uniform(-1.5, 1.5, size=(10000, 2, 2))
+        radius = np.abs(np.linalg.eigvals(mats)).max(axis=1)
+        clear = np.abs(radius - 1.0) > 1e-9  # every draw of this seed
+        stable = np.array([schur_stable(a + d, a * d - b * c)
+                           for (a, b), (c, d) in mats.tolist()])
+        assert clear.all()
+        assert (stable == (radius < 1.0)).all()
+        assert 0.2 < stable.mean() < 0.8
 
 
 class TestPid:

@@ -1,5 +1,6 @@
 """The simulation stack loads without scipy, only test oracles import it, and
-heuristic episodes run without ``numpy.random``."""
+heuristic episodes run without ``numpy.random`` and call nothing in
+``numpy.linalg``."""
 
 import os
 import subprocess
@@ -36,3 +37,23 @@ def test_heuristic_episodes_do_not_import_numpy_random():
             "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
             "print('numpy.random' in sys.modules)\n")
     assert run_fresh(code) == "False"
+
+
+def test_heuristic_episodes_do_not_call_numpy_linalg():
+    """The LQR gain is solved in float arithmetic and these episodes plan no
+    lattice, so none of them pays for paging in LAPACK."""
+    code = ("import numpy.linalg\n"
+            "calls = []\n"
+            "def recording(name, fn):\n"
+            "    def stub(*args, **kwargs):\n"
+            "        calls.append(name)\n"
+            "        return fn(*args, **kwargs)\n"
+            "    return stub\n"
+            "for name in ('solve', 'eigvals', 'eig', 'inv', 'lstsq', 'det'):\n"
+            "    setattr(numpy.linalg, name, recording(name, getattr(numpy.linalg, name)))\n"
+            "from platoonreorg.episode import GrdfPolicy, run_episode\n"
+            "from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec\n"
+            "for spec in (case1_spec(), case2_spec()):\n"
+            "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
+            "print(calls)\n")
+    assert run_fresh(code) == "[]"
