@@ -16,16 +16,17 @@ episode's maneuver queue all read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
 
 from . import config
 from .pdi import build_node_graph, compute_pdi
 from .planner import KEEP, LEFT, RIGHT
-from .riskfield import risk_at_point
+from .riskfield import risk_at_point, risk_reward
 from .traffic import IdmParams, idm_acceleration
-from .world import Point, VehicleState, moving_box, nearest_in_corridor, padded_overlap
+from .world import (Point, VehicleState, compute_ttc, lead_vehicle, moving_box,
+                    nearest_in_corridor, padded_overlap)
 
 LATERAL_ACTIONS = (KEEP, LEFT, RIGHT)
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
@@ -93,7 +94,13 @@ def formation_intact(platoon, background) -> bool:
 
 @dataclass
 class GameScene:
-    """Inputs the game needs for one decision."""
+    """The scene of one decision tick: what the platoon layer, its reward and
+    the game read.
+
+    The episode loop builds one per decision tick from its snapshot, and it
+    is read only on that tick: states advance in place, so the values cached
+    here would be stale on the next frame.
+    """
 
     road: object
     platoon: list               # states ordered by platoon index
@@ -104,6 +111,29 @@ class GameScene:
     def background_boxes(self):
         """``padded_overlap`` boxes of the background, shared by every joint action."""
         return [moving_box(v) for v in self.background]
+
+    @cached_property
+    def lead_ttcs(self):
+        """Per member, the TTC toward the nearest foreign vehicle ahead in its
+        corridor, or inf without one."""
+        leaders = [lead_vehicle(v, self.background) for v in self.platoon]
+        return [math.inf if ahead is None else compute_ttc(v, ahead)
+                for v, ahead in zip(self.platoon, leaders)]
+
+    @cached_property
+    def risks(self):
+        """Per member, the risk field of the background at its position."""
+        params = replace(config.DEFAULTS.risk, v_max=max(self.road.speed_limit, 1.0))
+        return [risk_reward(v, self.background, params) for v in self.platoon]
+
+    @cached_property
+    def at_risk(self) -> int:
+        """The first member with the lowest finite TTC; without one, the first
+        with the highest risk."""
+        best = min(self.lead_ttcs)
+        if math.isfinite(best):
+            return self.lead_ttcs.index(best)
+        return self.risks.index(max(self.risks))
 
 
 PREDICT_DT = 0.3

@@ -105,8 +105,6 @@ class RewardConfig:
     w_ri: float = 0.5
     k_t: float = 0.5
     k_v: float = 0.5
-    ttc_critical: float = TTC_CRITICAL
-    d_target: float = D_TARGET
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,11 @@ class ControlConfig:
     def __post_init__(self):
         gains = (self.lqr_q_gap, self.lqr_q_speed, self.lqr_r, self.pid_kp, self.pid_ki,
                  self.pid_kd)
-        if not (all(0.0 <= g < math.inf for g in gains) and self.lqr_r > 0.0):
-            raise ValueError("control gains must be finite and non-negative, lqr_r positive")
+        # an unweighted gap is undetectable, and the LQR gain would not stabilize
+        if not (all(0.0 <= g < math.inf for g in gains) and self.lqr_r > 0.0
+                and self.lqr_q_gap > 0.0):
+            raise ValueError("control gains must be finite and non-negative, "
+                             "lqr_q_gap and lqr_r positive")
 
 
 @dataclass(frozen=True)

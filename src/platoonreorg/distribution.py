@@ -5,15 +5,13 @@ fallback policy.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config
-from .coalition import MERGING, SPLITTING, STEADY
-from .riskfield import risk_reward
-from .world import compute_ttc, lead_vehicle
+from .coalition import MERGING, SPLITTING, STEADY, GameScene
+from .world import compute_ttc
 
 
 @dataclass(frozen=True)
@@ -194,9 +192,9 @@ class ReorgRecord:
         return MERGING if self.target.single_group else SPLITTING
 
 
-def compute_reward(platoon_next, background_next, reorg: ReorgRecord,
-                   collision: bool, v_max: float):
-    """Platoon-layer step reward with per-component breakdown.
+def compute_reward(scene: GameScene, reorg: ReorgRecord, collision: bool):
+    """Platoon-layer step reward with per-component breakdown, read from the
+    decision tick's scene.
 
     Safety couples the collision flag with the risk-field penalty; tracking
     and reorganization-frequency terms enter as costs (negative); the
@@ -204,19 +202,18 @@ def compute_reward(platoon_next, background_next, reorg: ReorgRecord,
     reorganization terms read ``reorg`` right after its ``on_decision``.
     """
     w = config.DEFAULTS.reward
-    risk_params = replace(config.DEFAULTS.risk, v_max=max(v_max, 1.0))
-    n = len(platoon_next)
+    platoon = scene.platoon
+    n = len(platoon)
 
     r_col = 0.0 if collision else 1.0
-    r_ris = max((risk_reward(v, background_next, risk_params) for v in platoon_next),
-                default=0.0)
+    r_ris = max(scene.risks)
     r_safety = w.w_col * r_col - w.w_ris * r_ris
 
-    r_eff = sum(v.speed for v in platoon_next) / (n * v_max)
+    r_eff = sum(v.speed for v in platoon) / (n * scene.road.speed_limit)
 
     track = 0.0
-    for a, b in zip(platoon_next, platoon_next[1:]):
-        track += (w.w_x * abs(a.x - b.x - w.d_target)
+    for a, b in zip(platoon, platoon[1:]):
+        track += (w.w_x * abs(a.x - b.x - config.D_TARGET)
                   + w.w_y * abs(a.y - b.y)
                   + w.w_v * abs(a.speed - b.speed))
     r_drive = -track / max(n - 1, 1)
@@ -224,12 +221,8 @@ def compute_reward(platoon_next, background_next, reorg: ReorgRecord,
     r_rf = reorg.triggers / max(reorg.decisions, 1)
     r_re = sum(reorg.recent) / reorg.episode_len
     if reorg.triggered:
-        leader = platoon_next[0]
-        ahead = lead_vehicle(leader, background_next)
-        tau0 = compute_ttc(leader, ahead) if ahead is not None else math.inf
-        tau0 = max(tau0, 0.5)
-        r_ri = (w.k_t * min(w.ttc_critical / tau0, 5.0)
-                + w.k_v * sum(v.speed for v in platoon_next) / (n * v_max))
+        tau0 = max(scene.lead_ttcs[0], 0.5)
+        r_ri = w.k_t * min(config.TTC_CRITICAL / tau0, 5.0) + w.k_v * r_eff
     else:
         r_ri = 0.0
     r_reorg = -w.w_rf * r_rf - w.w_re * r_re + w.w_ri * r_ri
@@ -243,7 +236,7 @@ def compute_reward(platoon_next, background_next, reorg: ReorgRecord,
     return total, breakdown
 
 
-def reward_bound(n: int, w: config.RewardConfig | None = None) -> float:
+def reward_bound(w: config.RewardConfig | None = None) -> float:
     """Documented |R| bound per step under the default normalizations."""
     w = w or config.DEFAULTS.reward
     r_s = w.w_col + w.w_ris
@@ -280,9 +273,9 @@ class HeuristicDistributionPolicy:
             groups.append(tuple(range(idx + 1, self.n)))
         return PlatoonConfigAction(partition=tuple(groups))
 
-    def decide(self, t: float, tau0: float, r_ris: float,
+    def decide(self, t: float, min_ttc: float, r_ris: float,
                at_risk_index: int = 0) -> PlatoonConfigAction:
-        risky = tau0 < config.TTC_CRITICAL or r_ris > config.RISK_CRITICAL
+        risky = min_ttc < config.TTC_CRITICAL or r_ris > config.RISK_CRITICAL
         if risky:
             self._clear_since = None
             self._active = self.split_isolating(at_risk_index)

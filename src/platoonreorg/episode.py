@@ -2,13 +2,15 @@
 
 Every consumer reads one snapshot, the ``World.all_states()`` list
 (members front to rear, then HDVs), built once per episode: every state is
-advanced in place, so the list always shows the current world.  The
-platoon layer (``GrdfPolicy.platoon_decide``) and the vehicle layer
-(``vehicle_decide``) are handed that very list and slice it the same way,
-so both decide from one scene.  All commands come from the same states,
-then all states advance together.  The platoon layer runs at its slow
-cadence, the vehicle layer (the coalition game) at the fast cadence, HDV
-lane decisions staggered in between, physics every frame.  A scripted brake
+advanced in place, so the list always shows the current world.  On a frame
+where either decision layer runs, the loop builds one ``GameScene`` from it,
+which the platoon layer (``GrdfPolicy.platoon_decide``), its reward and the
+vehicle layer (``vehicle_decide``) all read; a scene is read only on the
+tick it was built for, since the states under it advance in place.  All
+commands come from the same states, then all states advance together.  The
+platoon layer runs at its slow cadence, the vehicle layer (the coalition
+game) at the fast cadence, HDV lane decisions staggered in between, physics
+every frame.  A scripted brake
 (``HdvDriver.brake``, the case-2 leader's event) is played on its own
 driver at the start of each frame, and that driver keeps its lane.  Due
 lane changes fire once per frame, after the decisions.
@@ -54,7 +56,6 @@ from .coalition import (
 )
 from .planner import LEFT, generate_lattice, select_trajectory
 from .ppo import select_configuration
-from .riskfield import risk_reward
 from .traffic import (HdvDriver, LaneContext, Neighbor, free_accel, idm_acceleration,
                       mobil_decide, style_params)
 from .world import (
@@ -118,32 +119,6 @@ class EpisodeMetrics:
             "reorganizations": self.reorganizations,
             "duration": round(self.duration, 6),
         }
-
-
-# --- shared platoon-side helpers -------------------------------------------------
-
-def platoon_lead_info(states, background, road: RoadMap):
-    """(leader TTC, lowest member TTC, max member risk, index of the most
-    at-risk member) of the member ``states`` among ``background``.  The
-    at-risk member is the first with the lowest finite TTC, and the one with
-    the highest risk only when no TTC is finite."""
-    risk_params = replace(config.DEFAULTS.risk, v_max=max(road.speed_limit, 1.0))
-    worst_risk = 0.0
-    worst_idx = 0
-    for i, v in enumerate(states):
-        r = risk_reward(v, background, risk_params)
-        if r > worst_risk:
-            worst_risk = r
-            worst_idx = i
-    taus = []
-    for v in states:
-        ahead = lead_vehicle(v, background)
-        taus.append(compute_ttc(v, ahead) if ahead is not None else math.inf)
-    # a member closing on a foreign vehicle ahead takes at-risk priority
-    best_tau = min(taus)
-    if math.isfinite(best_tau):
-        worst_idx = taus.index(best_tau)
-    return taus[0], best_tau, worst_risk, worst_idx
 
 
 @dataclass
@@ -218,30 +193,26 @@ class GrdfPolicy:
         self.rng = rng
         self._audit.clear()
 
-    def platoon_decide(self, world: World, t: float, snapshot):
-        n = len(world.members)
-        states, background = snapshot[:n], snapshot[n:]
+    def platoon_decide(self, scene: GameScene, t: float):
         if self.network is not None:
-            obs = self.observer.observe(states, background, self.rng,
+            # the network's input is the Observer's features, not the scene's values
+            obs = self.observer.observe(scene.platoon, scene.background, self.rng,
                                         config.PLATOON_DECISION_PERIOD)
             action, _, _ = select_configuration(obs.flatten(), self.network, self.actions)
         else:
-            tau0, best_tau, risk, idx = platoon_lead_info(states, background, world.road)
-            action = self.heuristic.decide(t, best_tau, risk, idx)
+            action = self.heuristic.decide(t, min(scene.lead_ttcs), max(scene.risks),
+                                           scene.at_risk)
         self.reorg.on_decision(action, t)
         return action
 
-    def vehicle_decide(self, world: World, t: float, snapshot):
+    def vehicle_decide(self, world: World, t: float, scene: GameScene):
         """Run the coalition game unless a lane change is pending or running,
         and queue the lane changes it picks; the loop fires them."""
         if self.queue.busy(world):
             return
-        n = len(world.members)
-        states, background = snapshot[:n], snapshot[n:]
         phase = self.reorg.phase
-        partition = form_coalitions(states, background,
+        partition = form_coalitions(scene.platoon, scene.background,
                                     target_groups=self.reorg.target.partition)
-        scene = GameScene(road=world.road, platoon=states, background=background)
         game_phase = phase if phase != STEADY else SPLITTING
         decision = solve_tu_game(partition, scene, game_phase, use_pdi=self.use_pdi)
         if self.keep_audit:
@@ -352,7 +323,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
                 collect_reward=None) -> EpisodeResult:
     """Run one seeded episode to completion or first platoon collision.
 
-    ``collect_reward(world, action, policy.reorg, t)`` follows each platoon
+    ``collect_reward(scene, action, policy.reorg, t)`` follows each platoon
     decision, which the record has already seen.  ``seed`` is an int >= 0.
     Only a policy with a ``network`` gets a Generator, for its ``Observer``
     noise; the heuristic one gets None and never loads ``numpy.random``.
@@ -387,13 +358,15 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         for driver in braking:
             _apply_brake(driver, t)
 
-        if clock.platoon_decision_due():
-            action = policy.platoon_decide(world, t, snapshot)
+        platoon_due, vehicle_due = clock.platoon_decision_due(), clock.vehicle_decision_due()
+        if platoon_due or vehicle_due:
+            scene = GameScene(road=world.road, platoon=states, background=background)
+        if platoon_due:
+            action = policy.platoon_decide(scene, t)
             if collect_reward is not None:
-                collect_reward(world, action, reorg, t)
-
-        if clock.vehicle_decision_due():
-            policy.vehicle_decide(world, t, snapshot)
+                collect_reward(scene, action, reorg, t)
+        if vehicle_due:
+            policy.vehicle_decide(world, t, scene)
         # HDV lane decisions run once per second each, staggered across frames
         for k, driver in enumerate(world.hdvs):
             if (frame + k) % hdv_period == 0:

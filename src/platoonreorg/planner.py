@@ -142,7 +142,7 @@ def generate_lattice(state, decision: str, road, cfg=None) -> list:
 EMERGENCY_DURATION = 4.0  # length of the braking fallback [s]
 
 
-def emergency_profile(state, road) -> TrajectoryCandidate:
+def emergency_profile(state) -> TrajectoryCandidate:
     """Jerk-limited straight braking fallback; respects all checker limits."""
     dt = config.DT
     a = state.ax
@@ -213,7 +213,7 @@ def select_trajectory(candidates, ego, others, road, cfg=None):
     risk_params = config.DEFAULTS.risk
     passing = [c for c in candidates if check_dynamics(c, road)[0]]
     if not passing:
-        return emergency_profile(ego, road)
+        return emergency_profile(ego)
 
     boxes = [moving_box(o) for o in others]
     scene = [[Point(o.x + o.speed * math.cos(o.heading) * t, o.y, o.speed) for o in others]

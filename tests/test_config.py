@@ -10,7 +10,7 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "0857c709e5cc6c6f"
+    assert config.config_hash(config.DEFAULTS) == "7dfd9ab6c48d81e5"
 
 
 GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_d", "k_y", "k_v", "w_pdi",

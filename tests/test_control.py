@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -83,9 +84,14 @@ class TestLqr:
 
     def test_unobservable_gap_is_not_stabilizing(self):
         """Without a gap weight the position error is free, and the converged
-        gain leaves the closed loop a unit eigenvalue."""
+        gain leaves the closed loop a unit eigenvalue.  ``ControlConfig``
+        refuses the weight; a stand-in with the three LQR fields still
+        reaches the solver's check."""
+        with pytest.raises(ValueError, match="lqr_q_gap"):
+            config.ControlConfig(lqr_q_gap=0.0)
+        LqrGains = namedtuple("LqrGains", "lqr_q_gap lqr_q_speed lqr_r")
         with pytest.raises(ControlError, match="not stabilizing"):
-            solve_lqr_gain(config.ControlConfig(lqr_q_gap=0.0))
+            solve_lqr_gain(LqrGains(lqr_q_gap=0.0, lqr_q_speed=0.5, lqr_r=1.0))
 
     def test_schur_test_matches_the_eigenvalues(self):
         mats = np.random.default_rng(0).uniform(-1.5, 1.5, size=(10000, 2, 2))
@@ -246,7 +252,7 @@ class TestExecutor:
 
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        traj = emergency_profile(ego, ROAD)
+        traj = emergency_profile(ego)
         assert traj.lon is None
         ex = CavExecutor(cruise_speed=25.0)
         ex.start_trajectory(traj, 0.0)

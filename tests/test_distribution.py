@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from platoonreorg import config
-from platoonreorg.coalition import MERGING, SPLITTING, STEADY
+from platoonreorg.coalition import MERGING, SPLITTING, STEADY, GameScene
 from platoonreorg.distribution import (
     HeuristicDistributionPolicy,
     Observation,
@@ -15,7 +15,7 @@ from platoonreorg.distribution import (
     enumerate_configurations,
     reward_bound,
 )
-from platoonreorg.world import VehicleState
+from platoonreorg.world import RoadMap, VehicleState
 
 
 def cav(i, x, y=4.0, speed=25.0):
@@ -104,20 +104,25 @@ def split():
     return PlatoonConfigAction(partition=((0,), (1, 2)))
 
 
+def scene(platoon, background=()):
+    return GameScene(road=RoadMap(speed_limit=30.0), platoon=platoon,
+                     background=list(background))
+
+
 class TestReward:
     def test_full_speed_efficiency(self):
         platoon = [cav(0, 120.0, speed=30.0), cav(1, 110.0, speed=30.0),
                    cav(2, 100.0, speed=30.0)]
         record = make_record()
         record.on_decision(single(), 0.0)
-        total, bd = compute_reward(platoon, [], record, False, v_max=30.0)
+        total, bd = compute_reward(scene(platoon), record, False)
         assert bd["R_e"] == pytest.approx(1.0)
 
     def test_perfect_formation_zero_tracking(self):
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
         record = make_record()
         record.on_decision(single(), 0.0)
-        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
+        _, bd = compute_reward(scene(platoon), record, False)
         assert bd["R_d"] == pytest.approx(0.0)
 
     def test_frequency_arithmetic(self):
@@ -125,18 +130,18 @@ class TestReward:
         record.triggers = 2
         record.decisions = 100
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
-        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
+        _, bd = compute_reward(scene(platoon), record, False)
         assert bd["r_rf"] == pytest.approx(0.02)
 
     def test_collision_zeroes_r_col(self):
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
         record = make_record()
         record.on_decision(single(), 0.0)
-        _, bd = compute_reward(platoon, [], record, True, v_max=30.0)
+        _, bd = compute_reward(scene(platoon), record, True)
         assert bd["r_col"] == 0.0
 
     def test_bounded(self):
-        bound = reward_bound(3)
+        bound = reward_bound()
         rng = np.random.default_rng(5)
         record = make_record()
         for k in range(50):
@@ -148,7 +153,7 @@ class TestReward:
                       speed=rng.uniform(0, 35))]
             action = split() if k % 3 else single()
             record.on_decision(action, 5.0 * k)
-            total, _ = compute_reward(platoon, bg, record, False, v_max=30.0)
+            total, _ = compute_reward(scene(platoon, bg), record, False)
             assert abs(total) <= bound
             for dt in (1.0, 2.0, 3.0, 4.0):
                 record.on_frame(record.target.single_group, 5.0 * k + dt)
@@ -162,10 +167,10 @@ class TestReward:
         for t in (6.0, 7.0, 8.0, 9.0):
             record.on_frame(True, t)
         record.on_decision(single(), 10.0)
-        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
+        _, bd = compute_reward(scene(platoon), record, False)
         assert bd["r_re"] == pytest.approx(6.0 / 120.0)
         record.on_decision(single(), 15.0)
-        _, bd = compute_reward(platoon, [], record, False, v_max=30.0)
+        _, bd = compute_reward(scene(platoon), record, False)
         assert bd["r_re"] == 0.0
 
 

@@ -27,10 +27,10 @@ from pathlib import Path
 
 import pytest
 
-from platoonreorg import config, episode
-from platoonreorg.coalition import MERGING, SPLITTING, STEADY
+from platoonreorg import coalition, config, episode, riskfield
+from platoonreorg.coalition import MERGING, SPLITTING, STEADY, GameScene
 from platoonreorg.control import CavExecutor
-from platoonreorg.episode import GrdfPolicy, PlatoonMember, World, platoon_lead_info, run_episode
+from platoonreorg.episode import GrdfPolicy, PlatoonMember, World, run_episode
 from platoonreorg.ppo import PolicyNetwork
 from platoonreorg.riskfield import risk_reward
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
@@ -159,32 +159,61 @@ def test_one_snapshot_per_frame(monkeypatch, golden):
     assert calls == 1
 
 
+def _count_platoon_decisions(monkeypatch):
+    """Wrap ``GrdfPolicy.platoon_decide``; the returned list grows by one per call."""
+    decisions = []
+    platoon_decide = GrdfPolicy.platoon_decide
+
+    def counted(self, scene, t):
+        decisions.append(t)
+        return platoon_decide(self, scene, t)
+
+    monkeypatch.setattr(GrdfPolicy, "platoon_decide", counted)
+    return decisions
+
+
 @pytest.mark.parametrize("name,seed", [("case1-grdf", 0), ("case2-dense-grdf", 1)])
 def test_one_leader_lookup_per_member_and_frame(monkeypatch, golden, name, seed):
     """The post-step leader serves ``min_ttc`` and the next command; only the
-    heuristic's ``platoon_lead_info`` looks again, once per member."""
+    heuristic's read of the tick's ``GameScene.lead_ttcs`` looks again, once
+    per member."""
     cav_lookups = 0
-    decisions = 0
     lead_vehicle = episode.lead_vehicle
-    platoon_lead_info = episode.platoon_lead_info
 
     def counted_lookup(ego, others):
         nonlocal cav_lookups
         cav_lookups += getattr(ego, "kind", None) == CAV  # HDV lane probes are Points
         return lead_vehicle(ego, others)
 
-    def counted_decision(*args):
-        nonlocal decisions
-        decisions += 1
-        return platoon_lead_info(*args)
-
     monkeypatch.setattr(episode, "lead_vehicle", counted_lookup)
-    monkeypatch.setattr(episode, "platoon_lead_info", counted_decision)
+    monkeypatch.setattr(coalition, "lead_vehicle", counted_lookup)
+    decisions = _count_platoon_decisions(monkeypatch)
     world, result = run_case(name, seed)
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
     n = len(world.members)
-    assert decisions > 0
-    assert cav_lookups == n * (result.frames + 1) + n * decisions
+    assert decisions
+    assert cav_lookups == n * (result.frames + 1) + n * len(decisions)
+
+
+@pytest.mark.parametrize("name,seed", [("case1-grdf", 0), ("case2-dense-grdf", 1)])
+def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, name, seed):
+    """The heuristic reads each member's risk once per platoon decision; the
+    vehicle ticks in between build scenes that never compute it."""
+    risk_calls = 0
+    risk_reward = riskfield.risk_reward
+
+    def counted(*args):
+        nonlocal risk_calls
+        risk_calls += 1
+        return risk_reward(*args)
+
+    for module in (riskfield, coalition):
+        monkeypatch.setattr(module, "risk_reward", counted)
+    decisions = _count_platoon_decisions(monkeypatch)
+    world, result = run_case(name, seed)
+    assert result.metrics.row() == golden[f"{name}/seed{seed}"]
+    assert decisions
+    assert risk_calls == len(world.members) * len(decisions)
 
 
 def _lead_info_world(hdv_poses):
@@ -203,10 +232,12 @@ def _lead_info_world(hdv_poses):
 
 
 def lead_info(world):
-    """``platoon_lead_info`` on the world's snapshot, sliced as the policy does."""
+    """(leader TTC, lowest member TTC, highest member risk, at-risk member) of
+    the ``GameScene`` the loop builds on the world's snapshot."""
     snapshot = world.all_states()
     n = len(world.members)
-    return platoon_lead_info(snapshot[:n], snapshot[n:], world.road)
+    scene = GameScene(road=world.road, platoon=snapshot[:n], background=snapshot[n:])
+    return scene.lead_ttcs[0], min(scene.lead_ttcs), max(scene.risks), scene.at_risk
 
 
 def test_lead_info_prefers_first_lowest_finite_ttc():
@@ -286,33 +317,38 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
 
 @pytest.mark.parametrize("network_seed", [None, 0], ids=["heuristic", "network"])
 def test_both_layers_read_the_loops_snapshot(monkeypatch, network_seed):
-    """``platoon_decide`` and ``vehicle_decide`` are handed the very list the
-    loop built, so the two layers decide from one scene."""
-    built, handed = [], []
+    """On a tick where both layers decide, ``platoon_decide`` and
+    ``vehicle_decide`` are handed the same ``GameScene``, built on the very
+    list the loop built, so the two layers decide from one scene."""
+    built, platoon_scenes, vehicle_scenes = [], {}, {}
     all_states = World.all_states
+    platoon_decide, vehicle_decide = GrdfPolicy.platoon_decide, GrdfPolicy.vehicle_decide
 
     def recorded_build(self):
         built.append(all_states(self))
         return built[-1]
 
-    def recording(name):
-        method = getattr(GrdfPolicy, name)
+    def recorded_platoon(self, scene, t):
+        platoon_scenes[t] = scene
+        return platoon_decide(self, scene, t)
 
-        def recorded(self, world, t, snapshot):
-            handed.append((name, snapshot))
-            return method(self, world, t, snapshot)
-        return recorded
+    def recorded_vehicle(self, world, t, scene):
+        vehicle_scenes[t] = scene
+        return vehicle_decide(self, world, t, scene)
 
     monkeypatch.setattr(World, "all_states", recorded_build)
-    for name in ("platoon_decide", "vehicle_decide"):
-        monkeypatch.setattr(GrdfPolicy, name, recording(name))
+    monkeypatch.setattr(GrdfPolicy, "platoon_decide", recorded_platoon)
+    monkeypatch.setattr(GrdfPolicy, "vehicle_decide", recorded_vehicle)
     network = (None if network_seed is None
                else PolicyNetwork(obs_dim=72, n_actions=4, seed=network_seed))
     world = build_scenario(case2_spec(density=3.0), 0)
     run_episode(world, GrdfPolicy(network=network), 0, 12.0)
     assert len(built) == 1
-    assert {name for name, _ in handed} == {"platoon_decide", "vehicle_decide"}
-    assert all(snapshot is built[0] for _, snapshot in handed)
+    assert platoon_scenes and platoon_scenes.keys() <= vehicle_scenes.keys()
+    assert all(scene is vehicle_scenes[t] for t, scene in platoon_scenes.items())
+    for scene in vehicle_scenes.values():
+        assert all(a is b for a, b in zip(scene.platoon + scene.background, built[0],
+                                          strict=True))
 
 
 def test_states_advance_in_place():

@@ -267,7 +267,7 @@ class TestSelection:
 class TestEmergencyProfile:
     def test_within_limits_and_stops(self):
         ego = cav(speed=30.0)
-        prof = emergency_profile(ego, ROAD)
+        prof = emergency_profile(ego)
         ok, reason = check_dynamics(prof, ROAD)
         assert ok, reason
         speeds = [s[3] for s in prof.samples]

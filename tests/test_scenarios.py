@@ -21,7 +21,7 @@ import pytest
 
 from platoonreorg import config
 from platoonreorg.coalition import MERGING, GameScene, form_coalitions, solve_tu_game
-from platoonreorg.episode import GrdfPolicy, hdv_accel, hdv_decide_lane, platoon_lead_info
+from platoonreorg.episode import GrdfPolicy, hdv_accel, hdv_decide_lane
 from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory
 from platoonreorg.scenarios import (ScenarioError, ScenarioSpec, build_scenario, case1_spec,
                                     case2_spec)
@@ -47,10 +47,13 @@ def scene_pins(name: str, seed: int) -> dict:
     world = _world(name, seed)
     snapshot = world.all_states()
     n = len(world.members)
+    scene = GameScene(road=world.road, platoon=snapshot[:n], background=snapshot[n:])
     pins = {
         "hdv_count": len(world.hdvs),
         "hdv_accel": [hdv_accel(d, world.road, snapshot) for d in world.hdvs],
-        "platoon_lead_info": list(platoon_lead_info(snapshot[:n], snapshot[n:], world.road)),
+        # the platoon layer's summary: leader TTC, lowest TTC, highest risk, at-risk member
+        "platoon_lead_info": [scene.lead_ttcs[0], min(scene.lead_ttcs), max(scene.risks),
+                              scene.at_risk],
     }
 
     lanes = []
@@ -62,7 +65,9 @@ def scene_pins(name: str, seed: int) -> dict:
     world = _world(name, seed)
     policy = GrdfPolicy(use_pdi=False, keep_audit=True)
     policy.reset(world, None, SPECS[name]().episode_len)
-    policy.vehicle_decide(world, 0.0, world.all_states())
+    snapshot = world.all_states()
+    policy.vehicle_decide(world, 0.0, GameScene(road=world.road, platoon=snapshot[:n],
+                                                background=snapshot[n:]))
     pins["grdf_audit"] = policy.audit_rows()
     pins["grdf_members"] = [[m.executor.mode, m.state.target_lane] for m in world.members]
 
