@@ -7,24 +7,27 @@ maximizing the summed coalition profits wins (transferable utility, so the
 grand total is the objective).  In disposition-index mode the merging-phase
 value additionally pays for how scattered the predicted platoon would be.
 
-Prediction uses the geometry the lower layers act on: one corridor scan,
-``world.nearest_in_corridor``, and one lane-change plan, ``lane_change_plan``
-along ``lane_change_y``, which the rollout, the pruning screen and the
-episode's maneuver queue all read.
+Prediction uses the laws and the geometry the lower layers act on: members
+move under ``control.follow_accel`` with their own executors' constants,
+behind the leader found by the one corridor scan,
+``world.nearest_in_corridor``; lateral motion follows one lane-change plan,
+``lane_change_plan`` along ``lane_change_y``, which the rollout, the pruning
+screen and the episode's maneuver queue all read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from . import config
+from .control import follow_accel
 from .pdi import build_node_graph, compute_pdi
 from .planner import KEEP, LEFT, RIGHT
 from .riskfield import risk_at_point, risk_reward
-from .traffic import IdmParams, idm_acceleration
 from .world import (Point, VehicleState, compute_ttc, lead_vehicle, moving_box,
                     nearest_in_corridor, padded_overlap)
 
@@ -99,13 +102,14 @@ class GameScene:
 
     The episode loop builds one per decision tick from its snapshot, and it
     is read only on that tick: states advance in place, so the values cached
-    here would be stale on the next frame.
+    here would be stale on the next frame.  ``executors`` lends the rollout
+    each member's follow-law constants, ``cruise_speed`` and ``K``.
     """
 
     road: object
     platoon: list               # states ordered by platoon index
     background: list
-    idm: IdmParams = field(default_factory=lambda: IdmParams(desired_speed=27.0, time_headway=1.0))
+    executors: list             # the members' ``CavExecutor``s, in platoon order
 
     @cached_property
     def background_boxes(self):
@@ -183,10 +187,23 @@ class Prediction:
     collided: list              # per member: True if any predicted overlap
 
 
+class _Pose(NamedTuple):
+    """A predicted vehicle, as ``follow_accel`` and ``compute_ttc`` read a
+    ``VehicleState``."""
+
+    x: float
+    y: float
+    speed: float
+    accel: float
+    heading: float
+    length: float
+    kind: str
+
+
 def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
-    """Forward rollout: constant velocity for background vehicles, the
-    ``lane_change_plan`` for lane-changing members, car-following-consistent
-    speeds for everyone in the platoon.
+    """Forward rollout in ``PREDICT_DT`` steps: constant velocity for
+    background vehicles; for members, the ``lane_change_plan`` laterally and
+    ``follow_accel`` along the road, behind the nearest pose ahead.
     """
     if horizon <= 0:
         raise ValueError("prediction horizon must be positive")
@@ -198,6 +215,7 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
                  for (bx, by, bvx, _, _), v in zip(bg_boxes, scene.background)]
     halves = [(v.length / 2.0, v.width / 2.0) for v in scene.platoon]
     plan = lane_change_plan(partition, joint_action)
+    poses = [_Pose(v.x, v.y, v.speed, v.accel, 0.0, v.length, v.kind) for v in scene.platoon]
     tracks = [[Point(v.x, v.y, v.speed)] for v in scene.platoon]
     collided = [False] * len(scene.platoon)
 
@@ -205,21 +223,20 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
         t = times[k]
         # leaders come from the platoon's previous poses (the first entries),
         # then the background
-        now = [trk[-1] for trk in tracks] + [trk[k] for trk in bg_tracks]
-        poses = []
-        for v, step, (x, y, speed) in zip(scene.platoon, plan, now):
-            lead = nearest_in_corridor(x, y, now)
-            if lead is not None:
-                a = idm_acceleration(speed, max(lead.x - x - v.length, 0.1),
-                                     speed - lead.speed, scene.idm)
-            else:
-                a = idm_acceleration(speed, 1e9, 0.0, scene.idm)
-            a = min(max(a, -config.ACCEL_LIMIT), config.LQR_ACCEL_MAX)
-            speed = max(speed + a * PREDICT_DT, 0.0)
-            poses.append(Point(x + speed * PREDICT_DT, _planned_y(v, step, scene.road, t), speed))
+        now = poses + [_Pose(bx + bvx * t, by, v.speed, 0.0, v.heading, v.length, v.kind)
+                       for (bx, by, bvx, _, _), v in zip(bg_boxes, scene.background)]
+        moved = []
+        for v, ex, step, pose in zip(scene.platoon, scene.executors, plan, poses, strict=True):
+            a = follow_accel(pose, nearest_in_corridor(pose.x, pose.y, now), scene.road,
+                             ex.cruise_speed, ex.K, PREDICT_DT)
+            speed = max(pose.speed + a * PREDICT_DT, 0.0)
+            moved.append(_Pose(pose.x + speed * PREDICT_DT, _planned_y(v, step, scene.road, t),
+                               speed, (speed - pose.speed) / PREDICT_DT, 0.0, pose.length,
+                               pose.kind))
+        poses = moved
         plat_boxes = [(p.x, p.y, 0.0, hl, hw) for p, (hl, hw) in zip(poses, halves)]
         for i, (p, (hl, hw)) in enumerate(zip(poses, halves)):
-            tracks[i].append(p)
+            tracks[i].append(Point(p.x, p.y, p.speed))
             mates = plat_boxes[:i] + plat_boxes[i + 1:]
             if (padded_overlap(p.x, p.y, hl, hw, bg_boxes, t, *PREDICT_PAD)
                     or padded_overlap(p.x, p.y, hl, hw, mates, t, *PREDICT_PAD)):

@@ -141,21 +141,16 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Lattice generation grid and trajectory scoring weights."""
+    """Lane-change durations of the lattice and trajectory scoring weights."""
 
     durations: tuple = (2.0, 3.0, 4.0)
-    speed_offsets: tuple = (-2.0, 0.0, 2.0)
     w_safety: float = 1.0
-    w_efficiency: float = 0.5
     w_comfort: float = 0.1
 
     def __post_init__(self):
         if not (self.durations and all(0.0 < T < math.inf for T in self.durations)):
             raise ValueError("durations must be a non-empty set of finite, positive times")
-        if not all(math.isfinite(dv) for dv in self.speed_offsets):
-            raise ValueError("speed offsets must be finite")
-        if not all(0.0 <= w < math.inf for w in (self.w_safety, self.w_efficiency,
-                                                 self.w_comfort)):
+        if not all(0.0 <= w < math.inf for w in (self.w_safety, self.w_comfort)):
             raise ValueError("planner weights must be finite and non-negative")
 
 

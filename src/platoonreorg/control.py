@@ -1,11 +1,13 @@
-"""Low-level tracking: one LQR gap/speed law per CAV and PID steering.
+"""Low-level control: one longitudinal law for every CAV, and PID steering.
 
-``CavExecutor.command`` is the only longitudinal law of a platoon member:
-the episode loop hands it the vehicle ahead in the member's corridor, and
-it returns the next speed and heading, with the time-to-collision brake
-applied in both follow and track mode.  A plan starts with
-``start_trajectory`` and ends inside ``command``, at the first command after
-its duration has elapsed; lane keeping is the follow law, never a plan.
+``follow_accel`` is the only longitudinal law of a platoon member (Ploeg et
+al. 2011's CACC structure over an LQR spacing law): the executor calls it in
+follow and in track mode, and the coalition game's rollout moves members with
+it, so the game predicts the law that runs.  ``CavExecutor.command`` feeds it
+the vehicle ahead in the member's corridor and steers with PID: toward its
+lane's center in follow mode, along a lane-change plan's lateral reference in
+track mode.  A plan starts with ``start_trajectory`` and ends inside
+``command``, at the first command after its duration has elapsed.
 
 The LQR gain is solved once per ``ControlConfig``, in plain float arithmetic,
 and memoised, so every executor built with the same gains shares one tuple.
@@ -61,10 +63,41 @@ def schur_stable(trace: float, det: float) -> bool:
     return abs(det) < 1.0 and abs(trace) < 1.0 + det
 
 
-def lqr_longitudinal(pos_err: float, speed_err: float, K) -> float:
-    """Acceleration command for [position error, speed error], clamped."""
-    u = -(K[0] * pos_err + K[1] * speed_err)
+def lqr_longitudinal(pos_err: float, speed_err: float, K, feedforward: float = 0.0) -> float:
+    """Acceleration command for [position error, speed error] plus a
+    feedforward acceleration, clamped."""
+    u = feedforward - (K[0] * pos_err + K[1] * speed_err)
     return min(max(u, config.LQR_ACCEL_MIN), config.LQR_ACCEL_MAX)
+
+
+def follow_accel(state, leader, road, cruise_speed: float, K, dt: float = config.DT) -> float:
+    """The longitudinal law of a CAV: its acceleration over the next ``dt`` s.
+
+    ``state`` and ``leader`` (the nearest vehicle ahead in the ego's corridor,
+    or None) read as ``VehicleState``s.  The lower of two LQR laws wins:
+    - the speed law tracks the road's limit behind a platoon member, so a
+      follower can close up to ``config.D_TARGET``, and ``cruise_speed``
+      behind a foreign vehicle or on a clear road;
+    - the gap law tracks ``config.D_TARGET`` behind a CAV, feeding its
+      leader's ``accel`` forward (the V2V term of CACC), and a ``5 + 1.2 v``
+      headway behind a foreign vehicle.
+    A leader closer than 1.5 s time-to-collision asks for full braking.  Last,
+    the command moves at most ``config.JERK_LIMIT · dt`` from ``state.accel``
+    and is clamped to ``[-config.ACCEL_LIMIT, config.LQR_ACCEL_MAX]``.
+    """
+    platoon_ahead = leader is not None and leader.kind == CAV
+    set_speed = road.speed_limit if platoon_ahead else cruise_speed
+    accel = lqr_longitudinal(0.0, state.speed - set_speed, K)
+    if leader is not None:
+        gap = config.D_TARGET if platoon_ahead else 5.0 + 1.2 * state.speed
+        accel = min(accel, lqr_longitudinal(state.x - (leader.x - gap),
+                                            state.speed - leader.speed, K,
+                                            leader.accel if platoon_ahead else 0.0))
+        if compute_ttc(state, leader) < 1.5:
+            accel = -config.ACCEL_LIMIT
+    step = config.JERK_LIMIT * dt
+    accel = min(max(accel, state.accel - step), state.accel + step)
+    return min(max(accel, -config.ACCEL_LIMIT), config.LQR_ACCEL_MAX)
 
 
 @dataclass
@@ -88,7 +121,7 @@ TRACK = "track"
 
 @dataclass
 class CavExecutor:
-    """Per-CAV execution state: either gap-following or trajectory tracking."""
+    """Per-CAV execution state: lane keeping (follow) or a lane-change plan (track)."""
 
     cruise_speed: float
     gains: config.ControlConfig = config.DEFAULTS.control
@@ -108,22 +141,17 @@ class CavExecutor:
         self.pid.integral = 0.0
 
     def command(self, state, leader, t_now: float, road):
-        """(next_speed, next_heading) for one ``config.DT`` physics step: the
-        one longitudinal law of a CAV.
+        """(next_speed, next_heading) for one ``config.DT`` physics step.
 
         ``leader`` is the nearest vehicle ahead in the ego's corridor, or None.
-        follow mode: the lower of two LQR laws, lane-center steering.  The
-        speed law tracks the road's limit behind a platoon member, so a
-        follower can close up to ``config.D_TARGET``, and ``cruise_speed``
-        behind a foreign vehicle or on a clear road.  The gap law tracks
-        ``config.D_TARGET`` behind a CAV and a ``5 + 1.2 v`` headway behind a
-        foreign vehicle.
-        track mode: LQR on the trajectory reference, PID toward its path.
+        The acceleration is ``follow_accel`` in both modes, TTC brake and jerk
+        stage included.  Steering is PID toward a lateral reference:
+        follow mode: the center of ``state.target_lane``, heading 0.
+        track mode: the plan's lateral position, with the heading of its
+        lateral speed at the ego's speed.
         Once the plan's duration has elapsed the executor ends it before
         commanding: back to follow mode, with ``state.target_lane`` set to
         the lane the vehicle is in.
-        In both modes a leader closer than 1.5 s time-to-collision forces
-        full braking.
         """
         if self.mode == TRACK and t_now - self.traj_t0 >= self.trajectory.duration:
             self.mode = FOLLOW
@@ -131,26 +159,21 @@ class CavExecutor:
             self.pid.integral = 0.0
             state.target_lane = state.lane
         if self.mode == TRACK:
-            tau = t_now - self.traj_t0
-            x_ref, y_ref, vx_ref, vy_ref = self.trajectory.state_at(tau)
-            accel = lqr_longitudinal(state.x - x_ref, state.vx - vx_ref, self.K)
-            heading_ref = math.atan2(vy_ref, max(vx_ref, 1.0))
-            rate = pid_steering(y_ref - state.y, state.heading, self.pid,
-                                self.gains, heading_ref=heading_ref)
+            y_ref, vy_ref = self.trajectory.state_at(t_now - self.traj_t0)
+            heading_ref = math.atan2(vy_ref, max(state.speed, 1.0))
         else:
-            platoon_ahead = leader is not None and leader.kind == CAV
-            set_speed = road.speed_limit if platoon_ahead else self.cruise_speed
-            accel = lqr_longitudinal(0.0, state.speed - set_speed, self.K)
-            if leader is not None:
-                gap = config.D_TARGET if platoon_ahead else 5.0 + 1.2 * state.speed
-                accel = min(accel, lqr_longitudinal(state.x - (leader.x - gap),
-                                                    state.speed - leader.speed, self.K))
-            y_ref = road.lane_center(state.target_lane)
-            rate = pid_steering(y_ref - state.y, state.heading, self.pid, self.gains)
-        if leader is not None and compute_ttc(state, leader) < 1.5:
-            accel = -config.ACCEL_LIMIT
+            y_ref, heading_ref = road.lane_center(state.target_lane), 0.0
+        rate = pid_steering(y_ref - state.y, state.heading, self.pid, self.gains,
+                            heading_ref=heading_ref)
+        accel = follow_accel(state, leader, road, self.cruise_speed, self.K)
 
         speed = max(state.speed + accel * config.DT, 0.0)
         heading = state.heading + rate * config.DT
+        if speed > 0.0:
+            # lateral stage: the lateral speed moves at most LAT_ACCEL_LIMIT·DT
+            reach = config.LAT_ACCEL_LIMIT * config.DT
+            lo, hi = (math.asin(min(max((state.vy + d) / speed, -1.0), 1.0))
+                      for d in (-reach, reach))
+            heading = min(max(heading, lo), hi)
         heading = min(max(heading, -0.35), 0.35)
         return speed, heading

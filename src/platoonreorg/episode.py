@@ -350,6 +350,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
 
     snapshot = world.all_states()
     states, background = snapshot[:n_members], snapshot[n_members:]
+    executors = [m.executor for m in world.members]
     braking = [d for d in world.hdvs if d.brake is not None]
     leaders = [lead_vehicle(v, snapshot) for v in states]
     for frame in range(n_frames):
@@ -360,7 +361,8 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
 
         platoon_due, vehicle_due = clock.platoon_decision_due(), clock.vehicle_decision_due()
         if platoon_due or vehicle_due:
-            scene = GameScene(road=world.road, platoon=states, background=background)
+            scene = GameScene(road=world.road, platoon=states, background=background,
+                              executors=executors)
         if platoon_due:
             action = policy.platoon_decide(scene, t)
             if collect_reward is not None:

@@ -31,9 +31,9 @@ from platoonreorg.coalition import (
     solve_tu_game,
     tracking_profit,
 )
+from platoonreorg.control import CavExecutor
 from platoonreorg.planner import quintic
 from platoonreorg.riskfield import risk_at_point
-from platoonreorg.traffic import IdmParams
 from platoonreorg.world import Point, RoadMap, VehicleState
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
@@ -70,8 +70,8 @@ def brute_force(partition, scene, phase):
 
 
 def scene_of(platoon, background, cruise=25.0):
-    idm = IdmParams(desired_speed=cruise, time_headway=1.0)
-    return GameScene(road=ROAD, platoon=platoon, background=background, idm=idm)
+    return GameScene(road=ROAD, platoon=platoon, background=background,
+                     executors=[CavExecutor(cruise_speed=cruise) for _ in platoon])
 
 
 class TestFormCoalitions:
@@ -332,7 +332,7 @@ class TestSolve:
         scaled_w = dataclasses.replace(
             W, w_s=W.w_s * 3, w_e=W.w_e * 3, w_it=W.w_it * 3, w_er=W.w_er * 3,
             k_tau=W.k_tau, k_d=W.k_d, collision_penalty=W.collision_penalty * 3,
-            w_pdi=W.w_pdi * 3)
+            w_pdi=W.w_pdi * 3, w_lane_change=W.w_lane_change * 3)
         scaled = solve_tu_game(part, scene, SPLITTING, scaled_w)
         assert scaled.joint_action == base.joint_action
         assert scaled.value == pytest.approx(3 * base.value, rel=1e-9)

@@ -10,7 +10,7 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "7dfd9ab6c48d81e5"
+    assert config.config_hash(config.DEFAULTS) == "b2a6fbbc341292bc"
 
 
 GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_d", "k_y", "k_v", "w_pdi",
@@ -43,23 +43,16 @@ def test_planner_durations_must_be_finite_and_positive(durations):
         config.PlannerConfig(durations=durations)
 
 
-@pytest.mark.parametrize("offsets", [(math.nan,), (0.0, math.inf), (-math.inf,)])
-def test_planner_speed_offsets_must_be_finite(offsets):
-    with pytest.raises(ValueError):
-        config.PlannerConfig(speed_offsets=offsets)
-
-
-@pytest.mark.parametrize("name", ("w_safety", "w_efficiency", "w_comfort"))
+@pytest.mark.parametrize("name", ("w_safety", "w_comfort"))
 @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
 def test_planner_weight_must_be_finite_and_non_negative(name, value):
     with pytest.raises(ValueError):
         config.PlannerConfig(**{name: value})
 
 
-def test_planner_accepts_zero_weights_and_negative_offsets():
-    cfg = config.PlannerConfig(speed_offsets=(-2.0,), w_safety=0.0, w_efficiency=0.0,
-                               w_comfort=0.0)
-    assert cfg.speed_offsets == (-2.0,)
+def test_planner_accepts_zero_weights():
+    cfg = config.PlannerConfig(w_safety=0.0, w_comfort=0.0)
+    assert (cfg.w_safety, cfg.w_comfort) == (0.0, 0.0)
 
 
 CONTROL_GAINS = ("lqr_q_gap", "lqr_q_speed", "lqr_r", "pid_kp", "pid_ki", "pid_kd")

@@ -12,6 +12,7 @@ from platoonreorg.control import (
     CavExecutor,
     ControlError,
     PidState,
+    follow_accel,
     lqr_longitudinal,
     pid_steering,
     schur_stable,
@@ -231,6 +232,8 @@ class TestExecutor:
 
     @pytest.mark.parametrize("mode", ["follow", "track"])
     def test_short_ttc_forces_full_braking(self, mode):
+        """Full braking is reached through the jerk stage: -JERK_LIMIT·DT per
+        frame from rest, so -ACCEL_LIMIT within 5 frames."""
         from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
 
         ex = CavExecutor(cruise_speed=25.0)
@@ -242,28 +245,117 @@ class TestExecutor:
         if mode == "track":
             ex.start_trajectory(select_trajectory(generate_lattice(ego, LEFT, ROAD),
                                                   ego, [], ROAD), 0.0)
-        speed, _ = ex.command(ego, leader, 0.0, ROAD)
-        assert ex.mode == mode
-        assert (speed - ego.speed) / config.DT == pytest.approx(-config.ACCEL_LIMIT)
+        accels = []
+        t = 0.0
+        for _ in range(5):
+            speed, heading = ex.command(ego, leader, t, ROAD)
+            assert ex.mode == mode
+            step_kinematics(ego, speed, heading)
+            step_kinematics(leader, leader.speed, 0.0)
+            accels.append(ego.accel)
+            t = round(t + config.DT, 9)
+        step = config.JERK_LIMIT * config.DT
+        assert accels == pytest.approx([-step * k for k in range(1, 6)])
+        assert accels[-1] == pytest.approx(-config.ACCEL_LIMIT)
 
-    def test_tracks_the_emergency_profile(self):
-        """The sampled braking fallback (no longitudinal profile) is trackable."""
-        from platoonreorg.planner import emergency_profile
+    def test_steering_keeps_the_lateral_accel_limit(self):
+        """A 1 m offset at 30 m/s asks the PID for its full heading rate, a
+        lateral acceleration of 9 m/s²: the lateral speed moves at most
+        LAT_ACCEL_LIMIT·DT per step, and the ego still settles in its lane."""
+        ex = CavExecutor(cruise_speed=30.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=5.0, speed=30.0,
+                           lane=1, target_lane=1)
+        dt = config.DT
+        t = 0.0
+        peak = 0.0
+        for _ in range(int(10.0 / dt)):
+            speed, heading = ex.command(ego, None, t, ROAD)
+            step_kinematics(ego, speed, heading)
+            peak = max(peak, abs(ego.ay))
+            t = round(t + dt, 9)
+        assert peak == pytest.approx(config.LAT_ACCEL_LIMIT)
+        assert ego.y == pytest.approx(4.0, abs=0.05)
+
+    def test_hold_lane_fallback_follows_in_the_lane(self):
+        """The fallback plan ends at the first command: the executor follows
+        in the ego's own lane, and the follow law brakes behind a slower
+        vehicle."""
+        from platoonreorg.planner import LEFT, select_trajectory
 
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        traj = emergency_profile(ego)
-        assert traj.lon is None
+        leader = VehicleState(id=1, kind="HDV", x=150.0, y=4.0, speed=15.0,
+                              lane=1, target_lane=1)
+        traj = select_trajectory([], ego, [leader], ROAD)
+        assert (traj.lon, traj.target_lane) == (None, 1)
         ex = CavExecutor(cruise_speed=25.0)
         ex.start_trajectory(traj, 0.0)
+        ego.target_lane = traj.target_lane
         dt = config.DT
         t = 0.0
-        speeds = [ego.speed]
-        while t < traj.duration:
-            speed, heading = ex.command(ego, None, t, ROAD)
+        for _ in range(int(20.0 / dt)):
+            speed, heading = ex.command(ego, leader, t, ROAD)
+            assert (ex.mode, ego.target_lane) == (FOLLOW, 1)
             step_kinematics(ego, speed, heading)
-            speeds.append(ego.speed)
+            step_kinematics(leader, 15.0, 0.0)
             t = round(t + dt, 9)
-        assert all(math.isfinite(v) for v in speeds)
-        assert all(b <= a for a, b in zip(speeds, speeds[1:]))
-        assert speeds[-1] < 25.0 - 5.0
+        assert ego.y == 4.0
+        assert ego.speed == pytest.approx(15.0, abs=0.3)
+        assert leader.x - ego.x == pytest.approx(5.0 + 1.2 * 15.0, abs=0.5)
+
+
+def cav_at(vid, x, speed=25.0, accel=0.0):
+    state = VehicleState(id=vid, kind="CAV", x=x, y=4.0, speed=speed, lane=1, target_lane=1)
+    state.accel = accel
+    return state
+
+
+class TestFollowLaw:
+    K = solve_lqr_gain(config.DEFAULTS.control)
+
+    def test_feeds_a_cav_leaders_accel_forward(self):
+        """At the target gap and speed, a follower takes on its CAV leader's
+        acceleration; behind a foreign vehicle at its headway it does not."""
+        ego = cav_at(0, 100.0)
+        cav_leader = cav_at(1, 100.0 + config.D_TARGET, accel=-0.5)
+        assert follow_accel(ego, cav_leader, ROAD, 25.0, self.K) == pytest.approx(-0.5)
+        hdv_leader = VehicleState(id=2, x=100.0 + 5.0 + 1.2 * 25.0, y=4.0, speed=25.0,
+                                  accel=-0.5, lane=1, target_lane=1)
+        assert follow_accel(ego, hdv_leader, ROAD, 25.0, self.K) == 0.0
+
+    @pytest.mark.parametrize("accel,brake,want", [(0.0, True, -0.8), (-1.0, True, -1.8),
+                                                  (-3.9, True, -4.0), (3.0, False, 2.0)])
+    def test_jerk_stage_then_clamp(self, accel, brake, want):
+        """The command moves at most JERK_LIMIT·dt from the current
+        acceleration, then is clamped to [-ACCEL_LIMIT, LQR_ACCEL_MAX]: toward
+        full braking 1 m behind a stopped CAV, or toward the speed law's
+        LQR_ACCEL_MAX on a clear road well below cruise."""
+        ego = cav_at(0, 100.0, accel=accel)
+        leader = cav_at(1, 106.0, speed=0.0) if brake else None
+        assert follow_accel(ego, leader, ROAD, 33.0, self.K) == pytest.approx(want)
+
+    def test_string_stable_behind_a_braking_cav(self):
+        """Four followers at the target gap behind a CAV that brakes at
+        -4 m/s² for 2 s: no follower's peak spacing error exceeds the first
+        follower's, and no bumper gap closes."""
+        head = cav_at(0, 200.0)
+        followers = [cav_at(i, 200.0 - i * config.D_TARGET) for i in range(1, 5)]
+        executors = [CavExecutor(cruise_speed=25.0) for _ in followers]
+        chain = [head] + followers
+        peak = [0.0] * len(followers)
+        min_gap = math.inf
+        dt = config.DT
+        t = 0.0
+        for _ in range(int(20.0 / dt)):
+            commands = [ex.command(v, ahead, t, ROAD)
+                        for ex, v, ahead in zip(executors, followers, chain)]
+            step_kinematics(head, head.speed - (4.0 * dt if t < 2.0 - 1e-9 else 0.0), 0.0)
+            for v, (speed, heading) in zip(followers, commands):
+                step_kinematics(v, speed, heading)
+            for i, (ahead, v) in enumerate(zip(chain, followers)):
+                peak[i] = max(peak[i], abs(ahead.x - v.x - config.D_TARGET))
+                min_gap = min(min_gap, ahead.x - v.x - 0.5 * (ahead.length + v.length))
+            t = round(t + dt, 9)
+        assert head.speed == pytest.approx(17.0)
+        assert max(peak[1:]) <= peak[0]
+        assert min_gap > 0.0

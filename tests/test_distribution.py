@@ -5,6 +5,7 @@ import pytest
 
 from platoonreorg import config
 from platoonreorg.coalition import MERGING, SPLITTING, STEADY, GameScene
+from platoonreorg.control import CavExecutor
 from platoonreorg.distribution import (
     HeuristicDistributionPolicy,
     Observation,
@@ -106,7 +107,8 @@ def split():
 
 def scene(platoon, background=()):
     return GameScene(road=RoadMap(speed_limit=30.0), platoon=platoon,
-                     background=list(background))
+                     background=list(background),
+                     executors=[CavExecutor(cruise_speed=25.0) for _ in platoon])
 
 
 class TestReward:

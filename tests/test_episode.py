@@ -5,7 +5,8 @@ at a dense level with GRDF, seeds 0-1, each 20 s long so the case-2 brake at
 10 s is covered.  Every run must return and hold the benchmark's output
 invariants: frames x dt equals the duration, every metric and every final
 vehicle field is finite, and no platoon member ends above the speed limit.
-Its ``EpisodeMetrics.row()`` is compared exactly against
+A limit monitor checks every member on every frame against the physical
+limits.  Its ``EpisodeMetrics.row()`` is compared exactly against
 ``golden/episodes.json``.  A case-1 network-policy episode that splits and
 re-merges is pinned below; it also checks that the reward, the metrics and
 the game phase read one reorganization clock.  A case-2 network-policy
@@ -28,14 +29,15 @@ from pathlib import Path
 import pytest
 
 from platoonreorg import coalition, config, episode, riskfield
-from platoonreorg.coalition import MERGING, SPLITTING, STEADY, GameScene
-from platoonreorg.control import CavExecutor
+from platoonreorg.coalition import (KEEP, MERGING, SPLITTING, STEADY, GameScene,
+                                    form_coalitions, predict_outcome)
+from platoonreorg.control import FOLLOW, CavExecutor
 from platoonreorg.episode import GrdfPolicy, PlatoonMember, World, run_episode
 from platoonreorg.ppo import PolicyNetwork
 from platoonreorg.riskfield import risk_reward
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
 from platoonreorg.traffic import HdvDriver, style_params
-from platoonreorg.world import CAV, RoadMap, SimClock, VehicleState
+from platoonreorg.world import CAV, RoadMap, SimClock, VehicleState, lead_vehicle, step_kinematics
 
 GOLDEN = Path(__file__).parent / "golden" / "episodes.json"
 EPISODE_LEN = 20.0
@@ -48,17 +50,57 @@ CASES = {
 SEEDS = (0, 1)
 
 
+def _finite(value) -> bool:
+    return not isinstance(value, numbers.Real) or math.isfinite(value)
+
+
+# float rounding of the backward differences that ``step_kinematics`` takes
+LIMIT_SLACK = 1e-9
+
+
+def limit_breaks(world) -> list[str]:
+    """Each physical limit a platoon member breaks on the current frame:
+    speed above the road's limit, |accel| above ``ACCEL_LIMIT``, |jerk|
+    above ``JERK_LIMIT``, |lateral accel| above ``LAT_ACCEL_LIMIT``, or a
+    field that is not finite."""
+    t = world.clock.t
+    breaks = []
+    for m in world.members:
+        s = m.state
+        for name, value, limit in (("speed", s.speed, world.road.speed_limit),
+                                   ("accel", abs(s.accel), config.ACCEL_LIMIT),
+                                   ("jerk", abs(s.jerk), config.JERK_LIMIT),
+                                   ("ay", abs(s.ay), config.LAT_ACCEL_LIMIT)):
+            if value > limit + LIMIT_SLACK:
+                breaks.append(f"t={t} member {m.index} {name} {value!r} > {limit}")
+        breaks += [f"t={t} member {m.index} {f.name} = {getattr(s, f.name)!r}"
+                   for f in dataclasses.fields(s) if not _finite(getattr(s, f.name))]
+    return breaks
+
+
+def monitor_limits(world) -> list[str]:
+    """Run ``limit_breaks`` after every frame of the world's clock; the
+    returned list collects the breaks as the episode runs."""
+    breaks = []
+    tick = world.clock.tick
+
+    def checked():
+        tick()
+        breaks.extend(limit_breaks(world))
+
+    world.clock.tick = checked
+    return breaks
+
+
 def run_case(name: str, seed: int):
+    """(world, result, limit breaks) of one monitored golden episode."""
     make_spec, use_pdi = CASES[name]
     spec = make_spec()
     world = build_scenario(spec, seed)
+    breaks = monitor_limits(world)
     result = run_episode(world, GrdfPolicy(use_pdi=use_pdi), seed, spec.episode_len,
                          spec.success_window)
-    return world, result
-
-
-def _finite(value) -> bool:
-    return not isinstance(value, numbers.Real) or math.isfinite(value)
+    return world, result, breaks
 
 
 def invariant_failures(world, result) -> list[str]:
@@ -85,8 +127,9 @@ def golden():
 @pytest.mark.parametrize("name", list(CASES))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_episode_runs_and_matches_pin(name, seed, golden):
-    world, result = run_case(name, seed)
+    world, result, breaks = run_case(name, seed)
     assert invariant_failures(world, result) == []
+    assert breaks == []
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
 
 
@@ -99,24 +142,26 @@ def test_episode_runs_and_matches_pin(name, seed, golden):
 # ``select_configuration`` and one full reorganization inside the loop.
 NETWORK_LEN = 30.0
 NETWORK_SEED = 16
-NETWORK_ROW = {"collision": 0, "avg_speed": 23.415537, "min_ttc": 1.445174,
-               "avg_distance": 10.180421, "formation_success": 1, "formation_time": 5.1,
+NETWORK_ROW = {"collision": 0, "avg_speed": 23.600468, "min_ttc": 2.282545,
+               "avg_distance": 10.341336, "formation_success": 1, "formation_time": 5.1,
                "reorganizations": 1, "duration": 30.0}
 
 
 def run_network_case(collect_reward=None):
     spec = case1_spec(episode_len=NETWORK_LEN)
     world = build_scenario(spec, NETWORK_SEED)
+    breaks = monitor_limits(world)
     policy = GrdfPolicy(network=PolicyNetwork(obs_dim=72, n_actions=4, seed=0),
                         keep_audit=True)
     result = run_episode(world, policy, NETWORK_SEED, spec.episode_len, spec.success_window,
                          collect_reward=collect_reward)
-    return world, policy, result
+    return world, policy, result, breaks
 
 
 def test_network_policy_episode_matches_pin():
-    world, _, result = run_network_case()
+    world, _, result, breaks = run_network_case()
     assert invariant_failures(world, result) == []
+    assert breaks == []
     assert result.metrics.row() == NETWORK_ROW
 
 
@@ -126,7 +171,7 @@ def test_reward_metrics_and_game_phase_share_one_clock():
     def collect(world, action, reorg, t):
         decisions.append((t, action.single_group, reorg.triggered, reorg.recent))
 
-    _, policy, result = run_network_case(collect)
+    _, policy, result, _ = run_network_case(collect)
     metrics = result.metrics
     # the reward is handed the same reorganization time the metrics report
     assert [d for *_, recent in decisions for d in recent] == [metrics.formation_time]
@@ -154,7 +199,7 @@ def test_one_snapshot_per_frame(monkeypatch, golden):
         return all_states(self)
 
     monkeypatch.setattr(World, "all_states", counted)
-    _, result = run_case("case1-grdf", 0)
+    _, result, _ = run_case("case1-grdf", 0)
     assert result.metrics.row() == golden["case1-grdf/seed0"]
     assert calls == 1
 
@@ -188,7 +233,7 @@ def test_one_leader_lookup_per_member_and_frame(monkeypatch, golden, name, seed)
     monkeypatch.setattr(episode, "lead_vehicle", counted_lookup)
     monkeypatch.setattr(coalition, "lead_vehicle", counted_lookup)
     decisions = _count_platoon_decisions(monkeypatch)
-    world, result = run_case(name, seed)
+    world, result, _ = run_case(name, seed)
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
     n = len(world.members)
     assert decisions
@@ -210,7 +255,7 @@ def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, nam
     for module in (riskfield, coalition):
         monkeypatch.setattr(module, "risk_reward", counted)
     decisions = _count_platoon_decisions(monkeypatch)
-    world, result = run_case(name, seed)
+    world, result, _ = run_case(name, seed)
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
     assert decisions
     assert risk_calls == len(world.members) * len(decisions)
@@ -236,7 +281,8 @@ def lead_info(world):
     the ``GameScene`` the loop builds on the world's snapshot."""
     snapshot = world.all_states()
     n = len(world.members)
-    scene = GameScene(road=world.road, platoon=snapshot[:n], background=snapshot[n:])
+    scene = GameScene(road=world.road, platoon=snapshot[:n], background=snapshot[n:],
+                      executors=[m.executor for m in world.members])
     return scene.lead_ttcs[0], min(scene.lead_ttcs), max(scene.risks), scene.at_risk
 
 
@@ -266,19 +312,20 @@ def test_lead_info_falls_back_to_risk_without_finite_ttc():
 # Case 2 at density 3, 30 s under GRDF-GT and an untrained network policy
 # (network seed 1).  Of network seeds 0-2 (outer) and episode seeds 0-2
 # (inner), this is the first run that starts lane-change plans toward both
-# sides without a collision: all three members move left at 8 s and right
-# again at 28 s, so the planner, the executor's tracking mode and the end of
-# a plan all run inside the loop.  The digest covers every field of each
-# member's final state, its executor mode, plan start and PID integral, with
-# floats in hex.
+# sides without a collision: all three members move right at 5 s, left at
+# 18 s and left again at 24 s, so the planner, the executor's tracking mode
+# and the end of a plan all run inside the loop.  The digest covers every
+# field of each member's final state, its executor mode, plan start and PID
+# integral, with floats in hex.
 PLAN_NET_SEED = 1
-PLAN_SEED = 2
-PLAN_ROW = {"collision": 0, "avg_speed": 24.904014, "min_ttc": 3.345779,
-            "avg_distance": 9.999429, "formation_success": 0, "formation_time": "",
+PLAN_SEED = 1
+PLAN_ROW = {"collision": 0, "avg_speed": 24.72403, "min_ttc": 9.51181,
+            "avg_distance": 10.115773, "formation_success": 0, "formation_time": "",
             "reorganizations": 1, "duration": 30.0}
-PLANS = [(8.0, 0, 2, 4.0), (8.0, 1, 2, 4.0), (8.0, 2, 2, 4.0),
-         (28.0, 0, 1, 4.0), (28.0, 1, 1, 4.0), (28.0, 2, 1, 4.0)]
-PLAN_DIGEST = "3fc5d1b38dcc7aa7"
+PLANS = [(5.0, 0, 0, 4.0), (5.0, 1, 0, 4.0), (5.0, 2, 0, 4.0),
+         (18.0, 0, 1, 4.0), (18.0, 1, 1, 4.0), (18.0, 2, 1, 4.0),
+         (24.0, 0, 2, 4.0), (24.0, 1, 2, 4.0), (24.0, 2, 2, 4.0)]
+PLAN_DIGEST = "a3489426824a9745"
 
 
 def member_digest(world) -> str:
@@ -297,6 +344,7 @@ def member_digest(world) -> str:
 def test_lane_change_plans_run_end_to_end(monkeypatch):
     spec = case2_spec(density=3.0, episode_len=30.0)
     world = build_scenario(spec, PLAN_SEED)
+    breaks = monitor_limits(world)
     index = {id(m.executor): m.index for m in world.members}
     plans = []
     start_trajectory = CavExecutor.start_trajectory
@@ -310,9 +358,44 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
                         network=PolicyNetwork(obs_dim=72, n_actions=4, seed=PLAN_NET_SEED))
     result = run_episode(world, policy, PLAN_SEED, spec.episode_len, spec.success_window)
     assert invariant_failures(world, result) == []
+    assert breaks == []
     assert result.metrics.row() == PLAN_ROW
     assert plans == PLANS
     assert member_digest(world) == PLAN_DIGEST
+
+
+@pytest.mark.parametrize("make_spec,seed,t0", [(lambda: case2_spec(density=14.0), 1, 12.0),
+                                             (case1_spec, 0, 5.0)],
+                         ids=["case2-dense-seed1-12s", "case1-seed0-5s"])
+def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
+    """The game's all-KEEP rollout and the executors, run over the game's
+    horizon with the background at constant velocity in both, end within
+    5 m and 1 m/s of each other for every member: the rollout moves members
+    with the law that runs, in coarser steps."""
+    world = build_scenario(make_spec(), seed)
+    run_episode(world, GrdfPolicy(), seed, t0)
+    assert all(m.executor.mode == FOLLOW for m in world.members)
+    snapshot = world.all_states()
+    n = len(world.members)
+    states, background = snapshot[:n], snapshot[n:]
+    scene = GameScene(road=world.road, platoon=states, background=background,
+                      executors=[m.executor for m in world.members])
+    partition = form_coalitions(states, background)
+    horizon = config.DEFAULTS.game.horizon
+    tracks = predict_outcome(scene, partition, (KEEP,) * len(partition), horizon).platoon_tracks
+    t = t0
+    for _ in range(round(horizon / config.DT)):
+        commands = [m.executor.command(m.state, lead_vehicle(m.state, snapshot), t, world.road)
+                    for m in world.members]
+        for state, (speed, heading) in zip(states, commands):
+            step_kinematics(state, speed, heading)
+            state.lane = world.road.lane_of(state.y)
+        for state in background:
+            step_kinematics(state, state.speed, state.heading)
+        t = round(t + config.DT, 9)
+    for track, state in zip(tracks, states, strict=True):
+        assert abs(track[-1].x - state.x) <= 5.0
+        assert abs(track[-1].speed - state.speed) <= 1.0
 
 
 @pytest.mark.parametrize("network_seed", [None, 0], ids=["heuristic", "network"])

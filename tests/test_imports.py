@@ -1,6 +1,6 @@
-"""The simulation stack loads without scipy, only test oracles import it, and
+"""The simulation stack loads without scipy, only test oracles import it,
 heuristic episodes run without ``numpy.random`` and call nothing in
-``numpy.linalg``."""
+``numpy.linalg``, and lane-change planning runs without numpy."""
 
 import os
 import subprocess
@@ -39,21 +39,41 @@ def test_heuristic_episodes_do_not_import_numpy_random():
     assert run_fresh(code) == "False"
 
 
+RECORD_LINALG = ("import numpy.linalg\n"
+                 "calls = []\n"
+                 "def recording(name, fn):\n"
+                 "    def stub(*args, **kwargs):\n"
+                 "        calls.append(name)\n"
+                 "        return fn(*args, **kwargs)\n"
+                 "    return stub\n"
+                 "for name in ('solve', 'eigvals', 'eig', 'inv', 'lstsq', 'det'):\n"
+                 "    setattr(numpy.linalg, name, recording(name, getattr(numpy.linalg, name)))\n")
+
+
 def test_heuristic_episodes_do_not_call_numpy_linalg():
-    """The LQR gain is solved in float arithmetic and these episodes plan no
-    lattice, so none of them pays for paging in LAPACK."""
-    code = ("import numpy.linalg\n"
-            "calls = []\n"
-            "def recording(name, fn):\n"
-            "    def stub(*args, **kwargs):\n"
-            "        calls.append(name)\n"
-            "        return fn(*args, **kwargs)\n"
-            "    return stub\n"
-            "for name in ('solve', 'eigvals', 'eig', 'inv', 'lstsq', 'det'):\n"
-            "    setattr(numpy.linalg, name, recording(name, getattr(numpy.linalg, name)))\n"
+    """The LQR gain is solved in float arithmetic, so none of these episodes
+    pays for paging in LAPACK."""
+    code = (RECORD_LINALG +
             "from platoonreorg.episode import GrdfPolicy, run_episode\n"
             "from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec\n"
             "for spec in (case1_spec(), case2_spec()):\n"
             "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
             "print(calls)\n")
     assert run_fresh(code) == "[]"
+
+
+def test_planning_imports_no_numpy_and_calls_no_linalg():
+    """The quintic's boundary system is solved in closed form: ``planner``
+    and what it imports load no numpy, and planning both lane changes calls
+    nothing in ``numpy.linalg``."""
+    code = ("import sys\n"
+            "from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory\n"
+            "from platoonreorg.world import RoadMap, VehicleState\n"
+            "loaded = 'numpy' in sys.modules\n" + RECORD_LINALG +
+            "road = RoadMap()\n"
+            "ego = VehicleState(id=0, kind='CAV', x=100.0, y=4.0, speed=25.0, lane=1)\n"
+            "other = VehicleState(id=1, x=150.0, y=8.0, speed=20.0, lane=2)\n"
+            "for side in (LEFT, RIGHT):\n"
+            "    select_trajectory(generate_lattice(ego, side, road), ego, [other], road)\n"
+            "print(loaded, calls)\n")
+    assert run_fresh(code) == "False []"

@@ -11,11 +11,10 @@ from platoonreorg.planner import (
     LEFT,
     RIGHT,
     PlanningError,
+    Polynomial,
     TrajectoryCandidate,
     check_dynamics,
-    emergency_profile,
     generate_lattice,
-    quartic,
     quintic,
     select_trajectory,
 )
@@ -24,22 +23,28 @@ from platoonreorg.world import RoadMap, VehicleState
 ROAD = RoadMap(lane_count=3, length=4000.0)
 
 
-class QuinticProfile:
-    """Oracle: the quintic with its evaluators written out term by term."""
+def lapack_quintic(p0, v0, a0, p1, v1, a1, T) -> list:
+    """Oracle: the quintic's coefficients, t³..t⁵ from a LAPACK solve of
+    their 3×3 boundary system."""
+    c = [p0, v0, a0 / 2.0]
+    A = np.array([
+        [T ** 3, T ** 4, T ** 5],
+        [3 * T ** 2, 4 * T ** 3, 5 * T ** 4],
+        [6 * T, 12 * T ** 2, 20 * T ** 3],
+    ])
+    b = np.array([
+        p1 - (c[0] + c[1] * T + c[2] * T ** 2),
+        v1 - (c[1] + 2 * c[2] * T),
+        a1 - 2 * c[2],
+    ])
+    return c + np.linalg.solve(A, b).tolist()
 
-    def __init__(self, p0, v0, a0, p1, v1, a1, T):
-        self.c = [p0, v0, a0 / 2.0, 0.0, 0.0, 0.0]
-        A = np.array([
-            [T ** 3, T ** 4, T ** 5],
-            [3 * T ** 2, 4 * T ** 3, 5 * T ** 4],
-            [6 * T, 12 * T ** 2, 20 * T ** 3],
-        ])
-        b = np.array([
-            p1 - (self.c[0] + self.c[1] * T + self.c[2] * T ** 2),
-            v1 - (self.c[1] + 2 * self.c[2] * T),
-            a1 - 2 * self.c[2],
-        ])
-        self.c[3:] = np.linalg.solve(A, b).tolist()
+
+class QuinticProfile:
+    """Oracle: a quintic's evaluators written out term by term."""
+
+    def __init__(self, c):
+        self.c = c
 
     def pos(self, t):
         c = self.c
@@ -56,38 +61,6 @@ class QuinticProfile:
     def jerk(self, t):
         c = self.c
         return 6 * c[3] + 24 * c[4] * t + 60 * c[5] * t ** 2
-
-
-class QuarticProfile:
-    """Oracle: the quartic with its evaluators written out term by term."""
-
-    def __init__(self, p0, v0, a0, v1, a1, T):
-        self.c = [p0, v0, a0 / 2.0, 0.0, 0.0]
-        A = np.array([
-            [3 * T ** 2, 4 * T ** 3],
-            [6 * T, 12 * T ** 2],
-        ])
-        b = np.array([
-            v1 - (self.c[1] + 2 * self.c[2] * T),
-            a1 - 2 * self.c[2],
-        ])
-        self.c[3:] = np.linalg.solve(A, b).tolist()
-
-    def pos(self, t):
-        c = self.c
-        return c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3 + c[4] * t ** 4
-
-    def vel(self, t):
-        c = self.c
-        return c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2 + 4 * c[4] * t ** 3
-
-    def acc(self, t):
-        c = self.c
-        return 2 * c[2] + 6 * c[3] * t + 12 * c[4] * t ** 2
-
-    def jerk(self, t):
-        c = self.c
-        return 6 * c[3] + 24 * c[4] * t
 
 
 def doubles(values) -> bytes:
@@ -120,18 +93,12 @@ class TestPolynomials:
         assert q.derivatives(3.0)[1] == pytest.approx(0.0, abs=1e-9)
         assert q.derivatives(3.0)[2] == pytest.approx(0.0, abs=1e-9)
 
-    def test_quartic_boundary_conditions(self):
-        q = quartic(100.0, 25.0, 0.5, 23.0, 0.0, 4.0)
-        assert q.derivatives(0.0)[0] == pytest.approx(100.0, abs=1e-12)
-        assert q.derivatives(0.0)[1] == pytest.approx(25.0, abs=1e-12)
-        assert q.derivatives(0.0)[2] == pytest.approx(0.5, abs=1e-12)
-        assert q.derivatives(4.0)[1] == pytest.approx(23.0, abs=1e-9)
-        assert q.derivatives(4.0)[2] == pytest.approx(0.0, abs=1e-9)
-
     def test_bit_identical_to_the_term_by_term_profiles(self):
-        """10k random boundary sets of each degree: every coefficient, and
-        every evaluator at four sample times of the 0.1 s grid (plan end
-        included) and four assessment times."""
+        """10k random boundary sets: every coefficient within 1e-12 of the
+        LAPACK solve, relative to the largest solved one, and every evaluator
+        bit-identical to the term-by-term evaluation of the same coefficients
+        at four sample times of the 0.1 s grid (plan end included) and four
+        assessment times."""
         rng = np.random.default_rng(2010)
         for _ in range(10_000):
             p0, p1, v0, v1, a0, a1 = (float(u) for u in rng.uniform(-40.0, 40.0, 6))
@@ -140,25 +107,38 @@ class TestPolynomials:
             n = int(round(T / config.DT))
             times = [k * config.DT for k in rng.integers(0, n + 1, 3)] + [n * config.DT]
             times += [ASSESS_TIMES[k] for k in rng.integers(0, len(ASSESS_TIMES), 4)]
-            pairs = ((quintic(p0, v0, a0, p1, v1, a1, T),
-                      QuinticProfile(p0, v0, a0, p1, v1, a1, T)),
-                     (quartic(p0, v0, a0, v1, a1, T), QuarticProfile(p0, v0, a0, v1, a1, T)))
-            for new, oracle in pairs:
-                assert doubles(new.c) == doubles(oracle.c)
-                assert evaluations(new, times) == oracle_evaluations(oracle, times)
+            new = quintic(p0, v0, a0, p1, v1, a1, T)
+            want = lapack_quintic(p0, v0, a0, p1, v1, a1, T)
+            assert doubles(new.c[:3]) == doubles(want[:3])
+            scale = max(abs(c) for c in want[3:])
+            assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(new.c[3:], want[3:]))
+            assert evaluations(new, times) == oracle_evaluations(QuinticProfile(new.c), times)
+
+    def test_lower_degrees_leave_out_the_missing_derivatives(self):
+        line = Polynomial([100.0, 25.0])
+        assert line.derivatives(2.0) == [150.0, 25.0]
 
 
 class TestLattice:
     def test_lane_change_candidate_count(self):
         cands = generate_lattice(cav(), LEFT, ROAD)
-        assert len(cands) == 9  # 3 durations x 3 terminal speeds
+        assert [c.duration for c in cands] == list(config.DEFAULTS.planner.durations)
 
     def test_terminal_lane_center(self):
         for cand in generate_lattice(cav(), LEFT, ROAD):
-            t, x, y, vx, vy, ax, ay, jx, jy = cand.samples[-1]
+            t, y, vy, ay, jy = cand.samples[-1]
+            assert t == pytest.approx(cand.duration)
             assert y == pytest.approx(ROAD.lane_center(2), abs=1e-9)
             assert vy == pytest.approx(0.0, abs=1e-9)
             assert ay == pytest.approx(0.0, abs=1e-9)
+
+    def test_candidates_share_the_straight_scoring_line(self):
+        """One line x0 + vx0 t: the longitudinal motion is the follow law's."""
+        ego = cav(x=100.0, speed=25.0)
+        for cand in generate_lattice(ego, RIGHT, ROAD):
+            assert cand.lon.c == [100.0, 25.0]
+            assert cand.pose_at(ASSESS_TIMES[-1]) == (
+                pytest.approx(100.0 + 25.0 * ASSESS_TIMES[-1]), ROAD.lane_center(0))
 
     def test_keep_has_no_lattice(self):
         """Lane keeping is the executor's follow law, not a plan."""
@@ -172,33 +152,30 @@ class TestLattice:
             generate_lattice(cav(lane=2), LEFT, ROAD)
 
 
+def lateral(y0, vy0, y1, T, lane=2):
+    return TrajectoryCandidate(duration=T, lon=Polynomial([100.0, 25.0]),
+                               lat=quintic(y0, vy0, 0.0, y1, 0.0, 0.0, T),
+                               target_lane=lane).sample()
+
+
 class TestChecker:
     def test_gentle_change_passes(self):
-        state = cav(speed=25.0)
-        q_lat = quintic(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 4.0)
-        q_lon = quartic(state.x, 25.0, 0.0, 25.0, 0.0, 4.0)
-        cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
+        cand = lateral(ROAD.lane_center(1), 0.0, ROAD.lane_center(2), 4.0)
         ok, reason = check_dynamics(cand, ROAD)
         assert ok, reason
         # peak lateral accel of a rest-to-rest quintic: ~5.774 * dy / T^2
-        peak = max(abs(s[6]) for s in cand.samples)
+        peak = max(abs(s[3]) for s in cand.samples)
         assert peak == pytest.approx(5.7735 * 4.0 / 16.0, rel=0.01)
 
     def test_violent_change_fails_on_lateral(self):
-        state = cav(speed=35.0)
-        q_lat = quintic(state.y, 0.0, 0.0, ROAD.lane_center(2), 0.0, 0.0, 1.0)
-        q_lon = quartic(state.x, 35.0, 0.0, 35.0, 0.0, 1.0)
-        cand = TrajectoryCandidate(duration=1.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
+        cand = lateral(ROAD.lane_center(1), 0.0, ROAD.lane_center(2), 1.0)
         ok, reason = check_dynamics(cand, ROAD)
         assert not ok
         assert "lateral" in reason
 
     def test_off_road_excursion_fails(self):
-        state = cav(lane=2, speed=20.0)
-        q_lat = quintic(state.y, 2.0, 0.0, state.y + 3.0, 0.0, 0.0, 4.0)
-        q_lon = quartic(state.x, 20.0, 0.0, 20.0, 0.0, 4.0)
-        cand = TrajectoryCandidate(duration=4.0, lon=q_lon, lat=q_lat, target_lane=2).sample()
-        ok, reason = check_dynamics(cand, ROAD)
+        y = ROAD.lane_center(2)
+        ok, reason = check_dynamics(lateral(y, 2.0, y + 3.0, 4.0), ROAD)
         assert not ok and "off-road" in reason
 
     @pytest.mark.parametrize("lanes,y,ok", [
@@ -209,7 +186,7 @@ class TestChecker:
         """The extent runs from -lane_width/2 to (lane_count - 1/2) lane widths,
         both edges included."""
         cand = TrajectoryCandidate(duration=0.0, lon=None, lat=None,
-                                   samples=[(0.0, 100.0, y, 25.0, 0.0, 0.0, 0.0, 0.0, 0.0)])
+                                   samples=[(0.0, y, 0.0, 0.0, 0.0)])
         assert check_dynamics(cand, RoadMap(lane_count=lanes))[0] is ok
 
 
@@ -217,16 +194,11 @@ class TestSelection:
     def test_lowest_jerk_among_equals(self):
         ego = cav()
         cands = generate_lattice(ego, LEFT, ROAD)
-        best = select_trajectory(cands, ego, [], ROAD)
-        # on an empty road the zero terminal-speed offset (no longitudinal
-        # jerk) over the longest duration (least lateral jerk) wins
-        t, x, y, vx, vy, *_ = best.samples[-1]
-        assert vx == pytest.approx(25.0, abs=1e-6)
-        assert best.duration == 4.0
+        # on an empty road the longest duration (least lateral jerk) wins
+        assert select_trajectory(cands, ego, [], ROAD).duration == 4.0
         # when every candidate costs the same, ties break to the shortest
         # duration that passes the dynamics check (2 s is too sharp)
-        flat = replace(config.DEFAULTS.planner, w_safety=0.0, w_efficiency=0.0,
-                       w_comfort=0.0)
+        flat = replace(config.DEFAULTS.planner, w_safety=0.0, w_comfort=0.0)
         assert select_trajectory(cands, ego, [], ROAD, cfg=flat).duration == 3.0
 
     def test_obstacle_path_avoided(self):
@@ -240,36 +212,21 @@ class TestSelection:
                                    lane=blocked, target_lane=blocked)
             assert select_trajectory(cands, ego, [blocker], ROAD).target_lane == free
 
-    def test_efficiency_only_prefers_fastest(self):
-        cfg = replace(config.DEFAULTS.planner, w_safety=0.0, w_comfort=0.0,
-                      w_efficiency=1.0)
-        ego = cav()
-        cands = generate_lattice(ego, LEFT, ROAD, cfg)
-        best = select_trajectory(cands, ego, [], ROAD, cfg=cfg)
-        assert best.samples[-1][3] == pytest.approx(27.0, abs=1e-6)
-
     def test_lane_change_into_fourth_lane(self):
         road = RoadMap(lane_count=4, length=4000.0)
         ego = cav(lane=2)
         best = select_trajectory(generate_lattice(ego, LEFT, road), ego, [], road)
         assert best.lon is not None
         assert best.target_lane == 3
-        assert best.samples[-1][2] == pytest.approx(road.lane_center(3), abs=1e-9)
+        assert best.samples[-1][1] == pytest.approx(road.lane_center(3), abs=1e-9)
 
     def test_fallback_emergency(self):
+        """Without a passing candidate, none given or none within the
+        lateral limit, the plan is ``hold_lane``: no duration, no profile,
+        the ego's own lane."""
         ego = cav(speed=25.0)
-        best = select_trajectory([], ego, [], ROAD)
-        ok, reason = check_dynamics(best, ROAD)
-        assert ok, reason
-        assert best.samples[-1][3] < 25.0  # braking profile
-
-
-class TestEmergencyProfile:
-    def test_within_limits_and_stops(self):
-        ego = cav(speed=30.0)
-        prof = emergency_profile(ego)
-        ok, reason = check_dynamics(prof, ROAD)
-        assert ok, reason
-        speeds = [s[3] for s in prof.samples]
-        assert speeds[-1] < speeds[0]
-        assert all(v >= 0.0 for v in speeds)
+        sharp = lateral(ROAD.lane_center(1), 0.0, ROAD.lane_center(2), 1.0)
+        for cands in ([], [sharp]):
+            best = select_trajectory(cands, ego, [], ROAD)
+            assert (best.duration, best.lon, best.lat, best.target_lane) == (0.0, None, None, 1)
+            assert best.samples == [] and check_dynamics(best, ROAD)[0]

@@ -47,7 +47,8 @@ def scene_pins(name: str, seed: int) -> dict:
     world = _world(name, seed)
     snapshot = world.all_states()
     n = len(world.members)
-    scene = GameScene(road=world.road, platoon=snapshot[:n], background=snapshot[n:])
+    scene = GameScene(road=world.road, platoon=snapshot[:n], background=snapshot[n:],
+                      executors=[m.executor for m in world.members])
     pins = {
         "hdv_count": len(world.hdvs),
         "hdv_accel": [hdv_accel(d, world.road, snapshot) for d in world.hdvs],
@@ -67,7 +68,8 @@ def scene_pins(name: str, seed: int) -> dict:
     policy.reset(world, None, SPECS[name]().episode_len)
     snapshot = world.all_states()
     policy.vehicle_decide(world, 0.0, GameScene(road=world.road, platoon=snapshot[:n],
-                                                background=snapshot[n:]))
+                                                background=snapshot[n:],
+                                                executors=[m.executor for m in world.members]))
     pins["grdf_audit"] = policy.audit_rows()
     pins["grdf_members"] = [[m.executor.mode, m.state.target_lane] for m in world.members]
 
@@ -77,7 +79,8 @@ def scene_pins(name: str, seed: int) -> dict:
     if name != "case1":
         decision = solve_tu_game(form_coalitions(states, background),
                                  GameScene(road=world.road, platoon=states,
-                                           background=background),
+                                           background=background,
+                                           executors=[m.executor for m in world.members]),
                                  MERGING, use_pdi=True)
         pins["merging_game"] = [list(decision.joint_action), decision.value,
                                 decision.pdi_value]
