@@ -12,24 +12,24 @@ move under ``control.follow_accel`` with their own executors' constants,
 behind the leader found by the one corridor scan,
 ``world.nearest_in_corridor``; lateral motion follows one lane-change plan,
 ``lane_change_plan`` along ``lane_change_y``, which the rollout, the pruning
-screen and the episode's maneuver queue all read.
+screen and the episode's maneuver queue all read.  The background moves by
+``world.predict``, once per predicted time and tick (``GameScene.background_at``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple
 
 from . import config
 from .control import follow_accel
 from .pdi import build_node_graph, compute_pdi
 from .planner import KEEP, LEFT, RIGHT
 from .riskfield import risk_at_point, risk_reward
-from .world import (Point, VehicleState, compute_ttc, lead_vehicle, moving_box,
-                    nearest_in_corridor, padded_overlap)
+from .world import (Point, Pose, VehicleState, compute_ttc, lead_vehicle,
+                    nearest_in_corridor, padded_overlap, predict)
 
 LATERAL_ACTIONS = (KEEP, LEFT, RIGHT)
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
@@ -110,11 +110,15 @@ class GameScene:
     platoon: list               # states ordered by platoon index
     background: list
     executors: list             # the members' ``CavExecutor``s, in platoon order
+    _predicted: dict = field(init=False, repr=False, default_factory=dict)
 
-    @cached_property
-    def background_boxes(self):
-        """``padded_overlap`` boxes of the background, shared by every joint action."""
-        return [moving_box(v) for v in self.background]
+    def background_at(self, t: float) -> list:
+        """The background ``world.predict``ed t s ahead, computed once per t:
+        every joint action's rollout, the pruning screen and the profits share it."""
+        poses = self._predicted.get(t)
+        if poses is None:
+            poses = self._predicted[t] = [predict(v, t) for v in self.background]
+        return poses
 
     @cached_property
     def lead_ttcs(self):
@@ -181,68 +185,48 @@ def _planned_y(v, step, road, t: float) -> float:
 
 @dataclass
 class Prediction:
-    times: list
     platoon_tracks: list        # per member: list of Point
-    background_tracks: list     # per background vehicle: list of Point
+    background: list            # the background's ``Pose``s at the horizon
     collided: list              # per member: True if any predicted overlap
 
 
-class _Pose(NamedTuple):
-    """A predicted vehicle, as ``follow_accel`` and ``compute_ttc`` read a
-    ``VehicleState``."""
-
-    x: float
-    y: float
-    speed: float
-    accel: float
-    heading: float
-    length: float
-    kind: str
-
-
 def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
-    """Forward rollout in ``PREDICT_DT`` steps: constant velocity for
-    background vehicles; for members, the ``lane_change_plan`` laterally and
-    ``follow_accel`` along the road, behind the nearest pose ahead.
+    """Forward rollout in ``PREDICT_DT`` steps: the background by
+    ``GameScene.background_at``; for members, the ``lane_change_plan``
+    laterally and ``follow_accel`` along the road, behind the nearest pose
+    ahead.
     """
     if horizon <= 0:
         raise ValueError("prediction horizon must be positive")
     n_steps = int(round(horizon / PREDICT_DT))
-    times = [k * PREDICT_DT for k in range(n_steps + 1)]
-
-    bg_boxes = scene.background_boxes
-    bg_tracks = [[Point(bx + bvx * t, by, v.speed) for t in times]
-                 for (bx, by, bvx, _, _), v in zip(bg_boxes, scene.background)]
-    halves = [(v.length / 2.0, v.width / 2.0) for v in scene.platoon]
     plan = lane_change_plan(partition, joint_action)
-    poses = [_Pose(v.x, v.y, v.speed, v.accel, 0.0, v.length, v.kind) for v in scene.platoon]
+    poses = [Pose(v.x, v.y, v.speed, v.accel, 0.0, v.length, v.width, v.kind)
+             for v in scene.platoon]
     tracks = [[Point(v.x, v.y, v.speed)] for v in scene.platoon]
     collided = [False] * len(scene.platoon)
 
     for k in range(1, n_steps + 1):
-        t = times[k]
+        t = k * PREDICT_DT
+        background = scene.background_at(t)
         # leaders come from the platoon's previous poses (the first entries),
         # then the background
-        now = poses + [_Pose(bx + bvx * t, by, v.speed, 0.0, v.heading, v.length, v.kind)
-                       for (bx, by, bvx, _, _), v in zip(bg_boxes, scene.background)]
+        now = poses + background
         moved = []
         for v, ex, step, pose in zip(scene.platoon, scene.executors, plan, poses, strict=True):
             a = follow_accel(pose, nearest_in_corridor(pose.x, pose.y, now), scene.road,
                              ex.cruise_speed, ex.K, PREDICT_DT)
             speed = max(pose.speed + a * PREDICT_DT, 0.0)
-            moved.append(_Pose(pose.x + speed * PREDICT_DT, _planned_y(v, step, scene.road, t),
-                               speed, (speed - pose.speed) / PREDICT_DT, 0.0, pose.length,
-                               pose.kind))
+            moved.append(Pose(pose.x + speed * PREDICT_DT, _planned_y(v, step, scene.road, t),
+                              speed, (speed - pose.speed) / PREDICT_DT, 0.0, pose.length,
+                              pose.width, pose.kind))
         poses = moved
-        plat_boxes = [(p.x, p.y, 0.0, hl, hw) for p, (hl, hw) in zip(poses, halves)]
-        for i, (p, (hl, hw)) in enumerate(zip(poses, halves)):
+        for i, p in enumerate(poses):
             tracks[i].append(Point(p.x, p.y, p.speed))
-            mates = plat_boxes[:i] + plat_boxes[i + 1:]
-            if (padded_overlap(p.x, p.y, hl, hw, bg_boxes, t, *PREDICT_PAD)
-                    or padded_overlap(p.x, p.y, hl, hw, mates, t, *PREDICT_PAD)):
+            hl, hw = p.length / 2.0, p.width / 2.0
+            if (padded_overlap(p.x, p.y, hl, hw, background, *PREDICT_PAD)
+                    or padded_overlap(p.x, p.y, hl, hw, poses[:i] + poses[i + 1:], *PREDICT_PAD)):
                 collided[i] = True
-    return Prediction(times=times, platoon_tracks=tracks,
-                      background_tracks=bg_tracks, collided=collided)
+    return Prediction(tracks, scene.background_at(n_steps * PREDICT_DT), collided)
 
 
 # --- profit terms ----------------------------------------------------------------
@@ -254,7 +238,7 @@ def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
     w = w or config.DEFAULTS.game
     x, y, v = prediction.platoon_tracks[member_idx][-1]
     others = [trk[-1] for j, trk in enumerate(prediction.platoon_tracks) if j != member_idx]
-    others.extend(trk[-1] for trk in prediction.background_tracks)
+    others.extend(prediction.background)
 
     p_ris = risk_at_point(x, y, others, config.DEFAULTS.risk)
 
@@ -318,17 +302,9 @@ def tracking_profit(coalition, prediction: Prediction,
 def _window_lanes(coalition, prediction: Prediction, scene: GameScene,
                   window: float):
     centroid = sum(prediction.platoon_tracks[i][-1][0] for i in coalition) / len(coalition)
-    lanes = []
     width = scene.road.lane_width
-    for trk in prediction.platoon_tracks:
-        x, y, _ = trk[-1]
-        if abs(x - centroid) <= window:
-            lanes.append(int(round(y / width)))
-    for trk in prediction.background_tracks:
-        x, y, _ = trk[-1]
-        if abs(x - centroid) <= window:
-            lanes.append(int(round(y / width)))
-    return lanes
+    finals = [trk[-1] for trk in prediction.platoon_tracks] + prediction.background
+    return [int(round(p.y / width)) for p in finals if abs(p.x - centroid) <= window]
 
 
 def coalition_value(coalition, prediction: Prediction, scene: GameScene,
@@ -381,14 +357,15 @@ def feasible_joint_actions(partition, scene: GameScene):
 
 
 def _pose_overlap_at(partition, scene: GameScene, joint_action, dt: float) -> bool:
+    """Does any member, ``world.predict``ed dt s ahead at its planned lateral
+    position, overlap a member behind it or the background?"""
     plan = lane_change_plan(partition, joint_action)
-    poses = []
-    for v, step in zip(scene.platoon, plan):
-        x, _, vx, hl, hw = moving_box(v)
-        poses.append((x, _planned_y(v, step, scene.road, dt), vx, hl, hw))
-    for i, (x, y, vx, hl, hw) in enumerate(poses):
-        others = poses[i + 1:] + scene.background_boxes
-        if padded_overlap(x + vx * dt, y, hl, hw, others, dt, *PRUNE_PAD):
+    poses = [predict(v, dt)._replace(y=_planned_y(v, step, scene.road, dt))
+             for v, step in zip(scene.platoon, plan)]
+    background = scene.background_at(dt)
+    for i, p in enumerate(poses):
+        if padded_overlap(p.x, p.y, p.length / 2.0, p.width / 2.0,
+                          poses[i + 1:] + background, *PRUNE_PAD):
             return True
     return False
 
@@ -449,10 +426,10 @@ def _predicted_pdi(prediction: Prediction, scene: GameScene):
         plat.append(VehicleState(id=i, kind="CAV", x=x, y=y, speed=max(v, 0.0),
                                  lane=scene.road.lane_of(y)))
     bg = []
-    for j, trk in enumerate(prediction.background_tracks):
-        x, y, v = trk[-1]
-        if 0.0 <= x <= scene.road.length:
-            bg.append(VehicleState(id=1000 + j, kind="HDV", x=x, y=y, speed=max(v, 0.0)))
+    for j, p in enumerate(prediction.background):
+        if 0.0 <= p.x <= scene.road.length:
+            bg.append(VehicleState(id=1000 + j, kind="HDV", x=p.x, y=p.y,
+                                   speed=max(p.speed, 0.0)))
     graph = build_node_graph(scene.road, plat, bg)
     return compute_pdi(graph).value
 

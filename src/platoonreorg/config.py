@@ -36,7 +36,6 @@ FORMATION_HOLD = 3.0          # intact time that ends a reorganization [s]
 ACCEL_LIMIT = 4.0             # |a| bound [m/s^2]
 JERK_LIMIT = 8.0              # |jerk| bound [m/s^3]
 LAT_ACCEL_LIMIT = 3.0         # |a_lat| bound [m/s^2]
-LQR_ACCEL_MIN = -4.0
 LQR_ACCEL_MAX = 2.0
 STEER_RATE_LIMIT = 0.3        # |heading rate| bound [rad/s]
 PID_INTEGRAL_LIMIT = 5.0      # |integral| cap of the steering PID [m s]

@@ -65,9 +65,8 @@ def schur_stable(trace: float, det: float) -> bool:
 
 def lqr_longitudinal(pos_err: float, speed_err: float, K, feedforward: float = 0.0) -> float:
     """Acceleration command for [position error, speed error] plus a
-    feedforward acceleration, clamped."""
-    u = feedforward - (K[0] * pos_err + K[1] * speed_err)
-    return min(max(u, config.LQR_ACCEL_MIN), config.LQR_ACCEL_MAX)
+    feedforward acceleration, unclamped: ``follow_accel`` clamps its result."""
+    return feedforward - (K[0] * pos_err + K[1] * speed_err)
 
 
 def follow_accel(state, leader, road, cruise_speed: float, K, dt: float = config.DT) -> float:

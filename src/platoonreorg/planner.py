@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import config
 from .riskfield import risk_at_point
-from .world import Point, moving_box, padded_overlap
+from .world import padded_overlap, predict
 
 KEEP = "keep"
 LEFT = "left"
@@ -154,9 +154,9 @@ ASSESS_TIMES = _assess_times()  # 0, 0.3, ... by accumulation, up to the horizon
 def select_trajectory(candidates, ego, others, road, cfg=None):
     """Best passing candidate by weighted safety/comfort cost.
 
-    The scene is predicted once, at constant velocity: the others' boxes for
-    the overlap screen and their poses at each of ``ASSESS_TIMES`` for the
-    risk field.  Each candidate's poses at those times serve both.
+    The scene is predicted once: the others' ``world.predict`` poses at each
+    of ``ASSESS_TIMES`` serve both the overlap screen and the risk field, as
+    each candidate's poses at those times do.
     Candidates that overlap the scene are only eligible when nothing else
     passes; ties break toward shorter durations.  Falls back to
     ``hold_lane`` when no candidate passes the dynamics check.
@@ -167,15 +167,13 @@ def select_trajectory(candidates, ego, others, road, cfg=None):
     if not passing:
         return hold_lane(ego)
 
-    boxes = [moving_box(o) for o in others]
-    scene = [[Point(o.x + o.speed * math.cos(o.heading) * t, o.y, o.speed) for o in others]
-             for t in ASSESS_TIMES]
+    scene = [[predict(o, t) for o in others] for t in ASSESS_TIMES]
     half_len = ego.length / 2.0
     half_wid = ego.width / 2.0
 
     def overlaps(poses):
-        return any(padded_overlap(x, y, half_len, half_wid, boxes, t, *OVERLAP_PAD)
-                   for t, (x, y) in zip(ASSESS_TIMES, poses))
+        return any(padded_overlap(x, y, half_len, half_wid, points, *OVERLAP_PAD)
+                   for (x, y), points in zip(poses, scene))
 
     def cost(cand: TrajectoryCandidate, poses):
         # risk over the common horizon; comfort over the plan itself

@@ -7,7 +7,7 @@ weighted up by scaling lateral offsets before the distance clamp.
 
 The normalization (divide, then cap at 1) is monotone in the raw intensity,
 so the max over vehicles takes the raw intensities and normalizes once; the
-result equals the max of the per-vehicle ``risk_contribution`` bit for bit.
+result equals the max of the per-vehicle normalized intensities bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ def _intensity(dx: float, dy: float, v_other: float, p: config.RiskFieldConfig) 
 def _normalized(intensity: float, p: config.RiskFieldConfig) -> float:
     norm = (p.grm / p.d_min ** p.k1) ** (p.k2 * p.v_max)
     return min(intensity / norm, 1.0)
-
-
-def risk_contribution(dx: float, dy: float, v_other: float, p: config.RiskFieldConfig) -> float:
-    """Normalized field intensity one vehicle contributes at offset (dx, dy)."""
-    return _normalized(_intensity(dx, dy, v_other, p), p)
 
 
 def risk_reward(ego, others, p: config.RiskFieldConfig | None = None) -> float:

@@ -9,6 +9,10 @@ One corridor scan, ``nearest_in_corridor``, answers "which vehicle is next
 ahead of (or behind) this pose in its corridor" for the whole package: the
 frame loop, the HDV lane probes, the coalition conditions and the game's
 rollout all call it, on ``VehicleState``s or on bare ``Point`` poses.
+
+One motion model, ``predict``, says where a vehicle that no layer here
+commands will be: the game's rollout, its pruning screen and the planner all
+read their scenes from it, and ``padded_overlap`` screens the poses it gives.
 """
 
 from __future__ import annotations
@@ -69,6 +73,20 @@ class Point(NamedTuple):
     x: float
     y: float
     speed: float
+
+
+class Pose(NamedTuple):
+    """A predicted vehicle, as ``follow_accel``, ``compute_ttc`` and
+    ``padded_overlap`` read a ``VehicleState``."""
+
+    x: float
+    y: float
+    speed: float
+    accel: float
+    heading: float
+    length: float
+    width: float
+    kind: str
 
 
 CAV = "CAV"
@@ -155,14 +173,14 @@ def compute_ttc(follower: VehicleState, leader: VehicleState) -> float:
     """Time-to-collision of follower onto leader along the lane.
 
     The bumper gap is unsigned, so the roles decide only the closing speed:
-    an opening (or static) gap gives ``math.inf`` and already-overlapping
-    vehicles give 0.0.
+    an opening (or static) gap, or one closing at no more than 1e-9 m/s,
+    gives ``math.inf``, and already-overlapping vehicles give 0.0.
     """
     gap = abs(leader.x - follower.x) - 0.5 * (leader.length + follower.length)
     if gap <= 0.0:
         return 0.0
     closing = follower.speed * math.cos(follower.heading) - leader.speed * math.cos(leader.heading)
-    if closing <= 0.0:
+    if closing <= 1e-9:  # float noise between equal speeds is not closing
         return math.inf
     return gap / closing
 
@@ -241,21 +259,23 @@ def rear_vehicle(ego, others):
     return nearest_in_corridor(ego.x, ego.y, others, -1.0)
 
 
-def moving_box(v: VehicleState):
-    """``v`` as a ``padded_overlap`` box moving at its along-road speed."""
-    return (v.x, v.y, v.speed * math.cos(v.heading), v.length / 2.0, v.width / 2.0)
+def predict(v, t: float) -> Pose:
+    """Where ``v`` is t s from now, when no layer here commands it: constant
+    along-road velocity, lane held, no acceleration."""
+    return Pose(v.x + v.speed * math.cos(v.heading) * t, v.y, v.speed, 0.0, v.heading,
+                v.length, v.width, v.kind)
 
 
 def padded_overlap(x: float, y: float, half_length: float, half_width: float,
-                   boxes, t: float, pad_x: float, pad_y: float) -> bool:
-    """Does the axis-aligned box centred at (x, y) overlap any of ``boxes``
-    at time t?  Each box is (x, y, vx, half_length, half_width), moving at
-    constant vx from x at t = 0; two boxes overlap when both centre offsets
-    are strictly below their summed half-extents plus (pad_x, pad_y).
-    ``check_collision`` is the exact contact test of rotated boxes.
+                   others, pad_x: float, pad_y: float) -> bool:
+    """Does the axis-aligned box centred at (x, y) overlap that of any of
+    ``others`` (poses with a length and a width)?  Two boxes overlap when both
+    centre offsets are strictly below their summed half-extents plus
+    (pad_x, pad_y).  ``check_collision`` is the exact contact test of rotated
+    boxes.
     """
-    for bx, by, bvx, bhl, bhw in boxes:
-        if (abs(x - (bx + bvx * t)) < half_length + bhl + pad_x
-                and abs(y - by) < half_width + bhw + pad_y):
+    for o in others:
+        if (abs(x - o.x) < half_length + o.length / 2.0 + pad_x
+                and abs(y - o.y) < half_width + o.width / 2.0 + pad_y):
             return True
     return False

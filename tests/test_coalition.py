@@ -1,13 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from platoonreorg import config
+from platoonreorg import coalition, config, world
 from platoonreorg.coalition import (
     KEEP,
     LEFT,
     MERGING,
+    PREDICT_DT,
     RIGHT,
     SPLITTING,
     STAGGER,
@@ -34,7 +36,7 @@ from platoonreorg.coalition import (
 from platoonreorg.control import CavExecutor
 from platoonreorg.planner import quintic
 from platoonreorg.riskfield import risk_at_point
-from platoonreorg.world import Point, RoadMap, VehicleState
+from platoonreorg.world import CAV, HDV, Point, RoadMap, VehicleState
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
 W = config.DEFAULTS.game
@@ -195,6 +197,75 @@ class TestPrediction:
             predict_outcome(scene, part, (KEEP,), 0.0)
 
 
+def shifted(kind, dx):
+    """A replacement of ``world.predict`` that moves every vehicle of ``kind``
+    a further dx m along the road."""
+    def model(v, t):
+        p = world.predict(v, t)
+        return p._replace(x=p.x + dx) if v.kind == kind else p
+    return model
+
+
+class TestOnePrediction:
+    """``world.predict`` is the one model of the vehicles the platoon does not
+    command: replacing it moves what every reader of the background sees."""
+
+    def test_rollout_reads_the_model(self, monkeypatch):
+        """An HDV 60 m behind, moved 60 m ahead by the model, is the member's
+        leader (it brakes) and overlaps it (collided), and it is where
+        ``Prediction.background`` puts it."""
+        plat = [cav(0, 100.0)]
+        bg = [hdv(9, 40.0, lane=1, speed=25.0)]
+        part = form_coalitions(plat, bg)
+        free = predict_outcome(scene_of(plat, bg), part, (KEEP,), 3.0)
+        assert free.collided == [False] and free.platoon_tracks[0][-1].speed == 25.0
+
+        model = shifted(HDV, 60.0)
+        monkeypatch.setattr(coalition, "predict", model)
+        pred = predict_outcome(scene_of(plat, bg), part, (KEEP,), 3.0)
+        assert pred.collided == [True]
+        assert pred.platoon_tracks[0][-1].speed < 25.0
+        assert pred.background == [model(bg[0], 10 * PREDICT_DT)]
+
+    @pytest.mark.parametrize("kind,dx", [(HDV, 60.0), (CAV, -60.0)])
+    def test_pruning_screen_reads_the_model(self, monkeypatch, kind, dx):
+        """An HDV 60 m behind in the left lane does not block a left change
+        until the model brings it level with the member, by moving either the
+        HDV or the member."""
+        plat = [cav(0, 130.0)]
+        bg = [hdv(9, 70.0, lane=2, speed=25.0)]
+        part = form_coalitions(plat, bg)
+        scene = scene_of(plat, bg)
+        assert (LEFT,) in prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
+
+        monkeypatch.setattr(coalition, "predict", shifted(kind, dx))
+        scene = scene_of(plat, bg)
+        pruned = prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
+        assert (LEFT,) not in pruned and (KEEP,) in pruned
+
+    def test_each_background_vehicle_once_per_time(self, monkeypatch):
+        """One solve predicts each background vehicle once per distinct time
+        (the rollout's steps, the pruning screen's 1 s and its lane-change
+        commit pose), however many joint actions it evaluates."""
+        calls = Counter()
+
+        def counting(v, t):
+            calls[v.id, t] += 1
+            return world.predict(v, t)
+
+        monkeypatch.setattr(coalition, "predict", counting)
+        plat = [cav(0, 150.0), cav(1, 100.0), cav(2, 50.0)]
+        bg = [hdv(9, 220.0, lane=1, speed=15.0), hdv(10, 120.0, lane=0, speed=24.0),
+              hdv(11, 90.0, lane=2, speed=27.0)]
+        scene = scene_of(plat, bg)
+        decision = solve_tu_game(form_coalitions(plat, bg), scene, SPLITTING)
+        assert decision.candidates > 9
+        times = {k * PREDICT_DT for k in range(1, round(W.horizon / PREDICT_DT) + 1)}
+        times |= {1.0, LANE_CHANGE_TIME}
+        assert {key: n for key, n in calls.items() if key[0] >= 9} == {
+            (v.id, t): 1 for v in bg for t in times}
+
+
 class TestProfits:
     def test_safety_caps_with_no_neighbors(self):
         plat = [cav(0, 130.0)]
@@ -210,9 +281,8 @@ class TestProfits:
         length apart) is a TTC of 0, as ``compute_ttc`` has it, not the cap."""
         scene = scene_of([cav(0, 100.0)], [])
         y = ROAD.lane_center(1)
-        pred = Prediction(times=[0.0], platoon_tracks=[[Point(100.0, y, 25.0)]],
-                          background_tracks=[[Point(100.0 + dx, y, 20.0)]],
-                          collided=[False])
+        pred = Prediction(platoon_tracks=[[Point(100.0, y, 25.0)]],
+                          background=[Point(100.0 + dx, y, 20.0)], collided=[False])
         risk = risk_at_point(100.0, y, [Point(100.0 + dx, y, 20.0)], config.DEFAULTS.risk)
         assert safety_profit(0, pred, scene) == pytest.approx(-risk + W.k_d * dx ** 2)
 
@@ -228,15 +298,14 @@ class TestProfits:
         assert track(24.0) > track(15.0)
 
     def test_efficiency_examples(self):
-        const = Prediction(times=[0, 1, 2], platoon_tracks=[[(0, 0, 30.0)] * 3],
-                           background_tracks=[], collided=[False])
+        const = Prediction(platoon_tracks=[[(0, 0, 30.0)] * 3],
+                           background=[], collided=[False])
         assert efficiency_profit(0, const, 30.0) == pytest.approx(1.0)
-        decel = Prediction(times=[0, 1, 2],
-                           platoon_tracks=[[(0, 0, 30.0), (0, 0, 25.0), (0, 0, 20.0)]],
-                           background_tracks=[], collided=[False])
+        decel = Prediction(platoon_tracks=[[(0, 0, 30.0), (0, 0, 25.0), (0, 0, 20.0)]],
+                           background=[], collided=[False])
         assert efficiency_profit(0, decel, 30.0) == pytest.approx(25.0 / 30.0)
-        stopped = Prediction(times=[0, 1], platoon_tracks=[[(0, 0, 0.0)] * 2],
-                             background_tracks=[], collided=[False])
+        stopped = Prediction(platoon_tracks=[[(0, 0, 0.0)] * 2],
+                             background=[], collided=[False])
         assert efficiency_profit(0, stopped, 30.0) == 0.0
 
     def test_integration_arithmetic(self):
@@ -248,18 +317,18 @@ class TestProfits:
 
     def test_tracking_examples(self):
         perfect = Prediction(
-            times=[0], background_tracks=[], collided=[False] * 2,
+            background=[], collided=[False] * 2,
             platoon_tracks=[[(110.0, 4.0, 25.0)], [(100.0, 4.0, 25.0)]])
         assert tracking_profit((0, 1), perfect) == 0.0
         off = Prediction(
-            times=[0], background_tracks=[], collided=[False] * 2,
+            background=[], collided=[False] * 2,
             platoon_tracks=[[(112.0, 4.0, 25.0)], [(100.0, 4.0, 25.0)]])
         assert tracking_profit((0, 1), off) == pytest.approx(-2.0)
         lateral = Prediction(
-            times=[0], background_tracks=[], collided=[False] * 2,
+            background=[], collided=[False] * 2,
             platoon_tracks=[[(110.0, 5.0, 25.0)], [(100.0, 4.0, 25.0)]])
         assert tracking_profit((0, 1), lateral) == pytest.approx(-W.k_y * 1.0)
-        singleton = Prediction(times=[0], background_tracks=[], collided=[False],
+        singleton = Prediction(background=[], collided=[False],
                                platoon_tracks=[[(110.0, 4.0, 25.0)]])
         assert tracking_profit((0,), singleton) == 0.0
 

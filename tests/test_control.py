@@ -49,9 +49,18 @@ class TestLqr:
         assert abs(e_v) < 0.25
 
     def test_command_clamped(self):
+        """The LQR laws are unclamped; ``follow_accel`` clamps their command
+        to [-ACCEL_LIMIT, LQR_ACCEL_MAX], its jerk window allowing."""
         K = solve_lqr_gain(config.DEFAULTS.control)
-        assert lqr_longitudinal(50.0, 10.0, K) == config.LQR_ACCEL_MIN
-        assert lqr_longitudinal(-50.0, -10.0, K) == config.LQR_ACCEL_MAX
+        assert lqr_longitudinal(50.0, 10.0, K) < -config.ACCEL_LIMIT
+        assert lqr_longitudinal(-50.0, -10.0, K) > config.LQR_ACCEL_MAX
+        ahead = VehicleState(id=1, kind="CAV", x=130.0, y=4.0, speed=35.0, lane=1, target_lane=1)
+        slow = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=10.0, accel=1.5, lane=1,
+                            target_lane=1)
+        assert follow_accel(slow, ahead, ROAD, 33.0, K) == config.LQR_ACCEL_MAX
+        fast = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=35.0, accel=-3.5, lane=1,
+                            target_lane=1)
+        assert follow_accel(fast, None, ROAD, 10.0, K) == -config.ACCEL_LIMIT
 
     def test_gain_is_one_shared_tuple_per_gain_set(self):
         g = config.DEFAULTS.control

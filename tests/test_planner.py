@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platoonreorg import config
+from platoonreorg import config, planner, world
 from platoonreorg.planner import (
     ASSESS_TIMES,
     KEEP,
@@ -211,6 +211,36 @@ class TestSelection:
             blocker = VehicleState(id=9, x=180.0, y=ROAD.lane_center(blocked), speed=0.0,
                                    lane=blocked, target_lane=blocked)
             assert select_trajectory(cands, ego, [blocker], ROAD).target_lane == free
+
+    def test_scene_is_the_one_prediction(self, monkeypatch):
+        """The overlap screen and the risk field both read the others as
+        ``world.predict`` puts them, once per ``ASSESS_TIMES`` entry: a
+        replacement model is all they see."""
+        def model(v, t):
+            p = world.predict(v, t)
+            return p._replace(x=p.x + 40.0)
+
+        ego = cav(x=100.0, lane=1, speed=25.0)
+        others = [VehicleState(id=9, x=150.0, y=ROAD.lane_center(2), speed=20.0, lane=2,
+                               target_lane=2),
+                  VehicleState(id=10, x=60.0, y=ROAD.lane_center(1), speed=25.0, lane=1,
+                               target_lane=1)]
+        scenes = [[model(o, t) for o in others] for t in ASSESS_TIMES]
+        seen = {"overlap": [], "risk": []}
+
+        def spy(name, fn, index):
+            def wrapped(*args):
+                seen[name].append(args[index])
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(planner, "predict", model)
+        monkeypatch.setattr(planner, "padded_overlap", spy("overlap", planner.padded_overlap, 4))
+        monkeypatch.setattr(planner, "risk_at_point", spy("risk", planner.risk_at_point, 2))
+        select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, others, ROAD)
+        for name in ("overlap", "risk"):
+            assert seen[name] and all(scene in scenes for scene in seen[name])
+        assert seen["risk"][:len(scenes)] == scenes
 
     def test_lane_change_into_fourth_lane(self):
         road = RoadMap(lane_count=4, length=4000.0)

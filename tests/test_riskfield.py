@@ -7,14 +7,22 @@ import pytest
 from platoonreorg import config
 from platoonreorg.riskfield import (
     risk_at_point,
-    risk_contribution,
     risk_reward,
 )
-from platoonreorg.world import VehicleState
+from platoonreorg.world import Point, VehicleState
 
 
 def veh(vid, x, y=0.0, speed=20.0):
     return VehicleState(id=vid, x=x, y=y, speed=speed)
+
+
+def risk_contribution(dx: float, dy: float, v_other: float, p: config.RiskFieldConfig) -> float:
+    """Oracle: the normalized field intensity one vehicle contributes at
+    offset (dx, dy), written out from the law."""
+    d = min(max(math.hypot(dx, p.lateral_scale * dy), p.d_min), p.d_support)
+    v = min(max(v_other, 0.0), p.v_max)
+    norm = (p.grm / p.d_min ** p.k1) ** (p.k2 * p.v_max)
+    return min((p.grm / d ** p.k1) ** (p.k2 * v) / norm, 1.0)
 
 
 PARAMS = replace(config.DEFAULTS.risk, lateral_scale=1.0)  # isotropic for arithmetic checks
@@ -131,4 +139,4 @@ class TestValidation:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            risk_contribution(math.nan, 0.0, 10.0, PARAMS)
+            risk_at_point(0.0, 0.0, [Point(math.nan, 0.0, 10.0)], PARAMS)

@@ -1,5 +1,6 @@
 """Static checks of the package source: every parameter a function takes is
-read somewhere in its body."""
+read somewhere in its body, and every constant and config field of
+``config.py`` is read by another module of the package."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,47 @@ def test_scan_sees_only_unread_parameters():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def config_names(source: str) -> list[str]:
+    """The module-level constants of a config source, and the fields of its
+    dataclasses."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            names += [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+    return names
+
+
+def names_read(sources) -> set[str]:
+    """Every name the sources load, as a bare name, an attribute or an import."""
+    read = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return read
+
+
+def test_config_scan_sees_only_unread_names():
+    source = ("X = 1\nY: int = 2\n@dataclass(frozen=True)\nclass C:\n    a: float = 1.0\n"
+              "    def f(self):\n        return self.a\nclass Plain:\n    b = 1\n")
+    assert config_names(source) == ["X", "Y", "a"]
+    assert names_read(["from .config import X\nv = cfg.a\nY = 1\n"]) == {"X", "a", "cfg"}
+
+
+def test_every_config_name_is_read_elsewhere():
+    """A constant or config field that no other module reads is dead weight
+    in the one place every tunable lives."""
+    others = [p.read_text() for p in PACKAGE.glob("*.py") if p.name != "config.py"]
+    read = names_read(others)
+    assert [n for n in config_names((PACKAGE / "config.py").read_text()) if n not in read] == []

@@ -4,6 +4,7 @@ import pytest
 
 from platoonreorg.world import (
     Point,
+    Pose,
     RampSegment,
     RoadMap,
     SimClock,
@@ -12,9 +13,9 @@ from platoonreorg.world import (
     check_collision,
     compute_ttc,
     lead_vehicle,
-    moving_box,
     nearest_in_corridor,
     padded_overlap,
+    predict,
     rear_vehicle,
     step_kinematics,
 )
@@ -105,6 +106,14 @@ class TestTtc:
         assert compute_ttc(a, b) == pytest.approx(5.0)
         assert compute_ttc(b, a) == math.inf
 
+    def test_float_noise_is_not_closing(self):
+        """A closing speed of one ulp between two members at 25 m/s is no
+        closing: no TTC of about 1e15 s."""
+        follower = make_vehicle(0, x=0.0, speed=25.0)
+        leader = make_vehicle(1, x=20.0, speed=math.nextafter(25.0, 0))
+        assert compute_ttc(follower, leader) == math.inf
+        assert compute_ttc(follower, make_vehicle(1, x=20.0, speed=25.0 - 1e-6)) < math.inf
+
 
 class TestCollision:
     def test_identical_poses(self):
@@ -185,14 +194,23 @@ class TestCorridorSearch:
         assert rear_vehicle(ego, pair[::-1]).id == 8
 
 
+class TestPredict:
+    def test_constant_along_road_velocity(self):
+        v = make_vehicle(3, kind="CAV", x=100.0, y=4.0, speed=20.0, heading=0.1, accel=-3.0,
+                         width=2.5)
+        p = predict(v, 2.0)
+        assert p == Pose(100.0 + 20.0 * math.cos(0.1) * 2.0, 4.0, 20.0, 0.0, 0.1, 5.0, 2.5, "CAV")
+        assert predict(v, 0.0).x == 100.0
+
+
 class TestPaddedOverlap:
     # half-extents 2.5 x 1.0 on both boxes, padding 0.5 x 0.25: the centres
     # must be at least 5.5 m apart along the road or 2.25 m across it
-    BOX = (10.0, 0.0, 0.0, 2.5, 1.0)
+    BOX = make_vehicle(9, x=10.0)
 
-    def hits(self, x, y, boxes=None, t=0.0):
+    def hits(self, x, y, boxes=None):
         return padded_overlap(x, y, 2.5, 1.0, [self.BOX] if boxes is None else boxes,
-                              t, 0.5, 0.25)
+                              0.5, 0.25)
 
     def test_bounds_are_strict(self):
         assert self.hits(4.51, 0.0) and self.hits(15.49, 0.0)
@@ -206,20 +224,18 @@ class TestPaddedOverlap:
         assert self.hits(5.0, 2.0)
 
     def test_summed_half_extents(self):
-        long_box = (10.0, 0.0, 0.0, 5.0, 1.0)
+        long_box = make_vehicle(9, x=10.0, length=10.0)
         assert self.hits(2.01, 0.0, [long_box])
         assert not self.hits(2.0, 0.0, [long_box])
 
     def test_box_moves_with_its_speed(self):
         v = make_vehicle(1, x=0.0, speed=10.0)
-        boxes = [moving_box(v)]
-        assert boxes[0] == (0.0, 0.0, 10.0, 2.5, 1.0)
-        assert not self.hits(10.0, 0.0, boxes, t=0.0)
-        assert self.hits(10.0, 0.0, boxes, t=1.0)
+        assert not self.hits(10.0, 0.0, [predict(v, 0.0)])
+        assert self.hits(10.0, 0.0, [predict(v, 1.0)])
 
     def test_any_box(self):
         assert not self.hits(30.0, 0.0, [])
-        assert self.hits(30.0, 0.0, [self.BOX, (28.0, 1.0, 0.0, 2.5, 1.0)])
+        assert self.hits(30.0, 0.0, [self.BOX, make_vehicle(2, x=28.0, y=1.0)])
 
 
 class TestRoadAndClock:
