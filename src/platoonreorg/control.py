@@ -171,7 +171,8 @@ class CavExecutor:
         if speed > 0.0:
             # lateral stage: the lateral speed moves at most LAT_ACCEL_LIMIT·DT
             reach = config.LAT_ACCEL_LIMIT * config.DT
-            lo, hi = (math.asin(min(max((state.vy + d) / speed, -1.0), 1.0))
+            vy = state.speed * math.sin(state.heading)
+            lo, hi = (math.asin(min(max((vy + d) / speed, -1.0), 1.0))
                       for d in (-reach, reach))
             heading = min(max(heading, lo), hi)
         heading = min(max(heading, -0.35), 0.35)

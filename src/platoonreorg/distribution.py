@@ -5,6 +5,7 @@ fallback policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,14 +106,18 @@ class Observer:
         objects.extend(others[: max(self.k - len(objects), 0)])
         objects = objects[: self.k]
 
+        ego_vx = ego.speed * math.cos(ego.heading)
+        ego_vy = ego.speed * math.sin(ego.heading)
         rows = []
         seen = set()
         for obj in objects:
             seen.add(obj.id)
             nx = obj.x - ego.x + (rng.normal(0.0, self.sigma_pos) if self.sigma_pos else 0.0)
             ny = obj.y - ego.y + (rng.normal(0.0, self.sigma_pos) if self.sigma_pos else 0.0)
-            nvx = obj.vx - ego.vx + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0)
-            nvy = obj.vy - ego.vy + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0)
+            nvx = (obj.speed * math.cos(obj.heading) - ego_vx
+                   + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0))
+            nvy = (obj.speed * math.sin(obj.heading) - ego_vy
+                   + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0))
             pvx, pvy = self._prev_v.get(obj.id, (nvx, nvy))
             ax = (nvx - pvx) / dt
             ay = (nvy - pvy) / dt

@@ -69,11 +69,21 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.case not in (1, 2):
             raise ScenarioError("case must be 1 or 2")
+        # no later layer checks these: a float count fails in range() and a
+        # float lane reaches every vehicle state
+        for name in ("lane_count", "platoon_size", "platoon_lane", "ramp_queue"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ScenarioError(f"{name} must be an int, got {value!r}")
+        if self.lane_count < 2:
+            raise ScenarioError(f"need at least 2 lanes, got {self.lane_count}")
+        if self.ramp_queue < 0:
+            raise ScenarioError(f"ramp queue must be >= 0, got {self.ramp_queue}")
         if not (2 <= self.platoon_size <= 5):
             raise ScenarioError("platoon size must be within [2, 5]")
-        if not self.headway > config.VEHICLE_LENGTH:
-            raise ScenarioError(f"headway must exceed the {config.VEHICLE_LENGTH} m car "
-                                f"length, got {self.headway!r}")
+        if not (math.isfinite(self.headway) and self.headway > config.VEHICLE_LENGTH):
+            raise ScenarioError(f"headway must be finite and exceed the "
+                                f"{config.VEHICLE_LENGTH} m car length, got {self.headway!r}")
         for name in ("lane_width", "road_length", "speed_limit", "episode_len"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -179,18 +189,15 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
 
     if spec.case == 1:
         congestion = _case1_congestion(spec, road, seed, next_id, res.drivers)
-        hdvs.extend(congestion.drivers)
         shortfall += congestion.shortfall
-        next_id += 500
-        hdvs.extend(_case1_ramp_queue(spec, road, next_id))
-        next_id += 100
-        # keep the congestion and the ramp queue out of the platoon's spawn box
-        hdvs = [d for d in hdvs
-                if not in_keep_clear(d.state.x, d.state.lane, keep_clear)]
+        ramp = _case1_ramp_queue(spec, road, next_id + 500)
+        # keep the congestion and the ramp queue out of the platoon's spawn
+        # box; spawn_traffic already kept the ambient drivers out of it
+        hdvs.extend(d for d in congestion.drivers + ramp
+                    if not in_keep_clear(d.state.x, d.state.lane, keep_clear))
     else:
         hdvs.append(_case2_scripted_leader(spec, road, next_id))
 
-    hdvs.sort(key=lambda d: d.state.id)
     return World(road=road, clock=SimClock(), members=members, hdvs=hdvs,
                  spawn_shortfall=shortfall)
 
@@ -221,14 +228,12 @@ def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,
         taken.insert(i, x)
         style = "aggressive" if draw() < 0.55 else "normal"
         base, mobil = style_params(style, spec.speed_limit)
-        idm = IdmParams(desired_speed=(0.85 + (1.1 - 0.85) * draw()) * spec.congestion_speed,
-                        time_headway=base.time_headway, min_gap=base.min_gap,
-                        max_accel=base.max_accel, comfort_decel=base.comfort_decel,
-                        exponent=base.exponent)
-        st = VehicleState(id=id_start + len(drivers), kind=HDV, x=x, y=y,
-                          speed=(0.8 + (1.0 - 0.8) * draw()) * spec.congestion_speed,
-                          lane=0, target_lane=0)
-        drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=style))
+        idm = IdmParams((0.85 + (1.1 - 0.85) * draw()) * spec.congestion_speed,
+                        base.time_headway, base.min_gap, base.max_accel,
+                        base.comfort_decel, base.exponent)
+        st = VehicleState(id_start + len(drivers), HDV, x, y,
+                          (0.8 + (1.0 - 0.8) * draw()) * spec.congestion_speed, 0, 0)
+        drivers.append(HdvDriver(st, idm, mobil, style))
     return SpawnResult(drivers=drivers, requested=count, placed=len(drivers))
 
 
@@ -236,15 +241,14 @@ def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
     """Vehicles on the ramp shoulder, one lane width right of lane 0."""
     drivers = []
     y_ramp = -road.lane_width
+    idm, mobil = style_params("normal", spec.speed_limit)
+    idm = dataclasses.replace(idm, desired_speed=18.0)
     for k in range(spec.ramp_queue):
         x = spec.ramp_start + 30.0 + 28.0 * k
         if x >= spec.ramp_end - 20.0:
             break
-        idm, mobil = style_params("normal", spec.speed_limit)
-        idm = dataclasses.replace(idm, desired_speed=18.0)
-        st = VehicleState(id=id_start + k, kind=HDV, x=x, y=y_ramp,
-                          speed=14.0, lane=0, target_lane=0)
-        drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style="normal"))
+        drivers.append(HdvDriver(VehicleState(id_start + k, HDV, x, y_ramp, 14.0, 0, 0),
+                                 idm, mobil, "normal"))
     return drivers
 
 

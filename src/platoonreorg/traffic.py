@@ -28,9 +28,8 @@ class IdmParams:
     exponent: float = 4.0         # delta
 
     def __post_init__(self):
-        vals = (self.desired_speed, self.time_headway, self.min_gap,
-                self.max_accel, self.comfort_decel)
-        if any(not (v > 0) for v in vals) or not (self.exponent >= 1):
+        if not (self.desired_speed > 0 and self.time_headway > 0 and self.min_gap > 0
+                and self.max_accel > 0 and self.comfort_decel > 0 and self.exponent >= 1):
             raise ValueError("IDM parameters must be positive with exponent >= 1")
 
 
@@ -308,9 +307,8 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
             if boxes and in_keep_clear(x, lane, boxes):
                 continue
             xs.insert(i, x)
-            st = VehicleState(id=vid, kind=HDV, x=x, y=centres[lane],
-                              speed=speed, lane=lane, target_lane=lane)
-            drivers.append(HdvDriver(state=st, idm=idm, mobil=mobil, style=styles[s]))
+            st = VehicleState(vid, HDV, x, centres[lane], speed, lane, lane)
+            drivers.append(HdvDriver(st, idm, mobil, styles[s]))
             vid += 1
             break
     return SpawnResult(drivers=drivers, requested=requested, placed=len(drivers))

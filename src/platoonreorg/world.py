@@ -95,30 +95,29 @@ HDV = "HDV"
 
 @dataclass(slots=True)
 class VehicleState:
-    """Pose and derived kinematics of one vehicle.
+    """Pose and kinematics of one vehicle.
 
-    ``accel``/``jerk`` are longitudinal backward differences of ``speed``;
-    the per-axis values (ax..jy) are backward differences of (vx, vy).
+    It stores speed and heading, not velocity components: the speed along
+    the road is ``speed·cos(heading)`` and the lateral speed
+    ``speed·sin(heading)``.  ``accel``/``jerk`` are backward differences of
+    ``speed``, and ``ay`` of the lateral speed, over one ``config.DT`` step.
+    The fields a spawner sets (id..target_lane) come first, so spawners
+    build a state positionally.
     """
 
     id: int
     kind: str = HDV
     x: float = 0.0
     y: float = 0.0
-    heading: float = 0.0
     speed: float = 0.0
-    accel: float = 0.0
-    jerk: float = 0.0
-    length: float = config.VEHICLE_LENGTH
-    width: float = config.VEHICLE_WIDTH
     lane: int = 0
     target_lane: int = 0
-    vx: float = 0.0
-    vy: float = 0.0
-    ax: float = 0.0
+    heading: float = 0.0
+    accel: float = 0.0
+    jerk: float = 0.0
     ay: float = 0.0
-    jx: float = 0.0
-    jy: float = 0.0
+    length: float = config.VEHICLE_LENGTH
+    width: float = config.VEHICLE_WIDTH
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)
@@ -130,9 +129,6 @@ class VehicleState:
                              f"length={self.length!r}, width={self.width!r}")
         if self.speed < 0:
             raise WorldError("speed must be nonnegative")
-        if self.vx == 0.0 and self.vy == 0.0 and self.speed > 0.0:
-            self.vx = self.speed * math.cos(self.heading)
-            self.vy = self.speed * math.sin(self.heading)
 
 
 def step_kinematics(state: VehicleState, speed: float, heading: float) -> None:
@@ -150,23 +146,15 @@ def step_kinematics(state: VehicleState, speed: float, heading: float) -> None:
         raise WorldError("speed must be nonnegative")
 
     dt = config.DT
-    vx = speed * math.cos(heading)
     vy = speed * math.sin(heading)
-    ax = (vx - state.vx) / dt
-    ay = (vy - state.vy) / dt
     accel = (speed - state.speed) / dt
-    state.x += vx * dt
+    state.ay = (vy - state.speed * math.sin(state.heading)) / dt
+    state.x += speed * math.cos(heading) * dt
     state.y += vy * dt
     state.heading = heading
     state.speed = speed
     state.jerk = (accel - state.accel) / dt
     state.accel = accel
-    state.jx = (ax - state.ax) / dt
-    state.jy = (ay - state.ay) / dt
-    state.ax = ax
-    state.ay = ay
-    state.vx = vx
-    state.vy = vy
 
 
 def compute_ttc(follower: VehicleState, leader: VehicleState) -> float:

@@ -152,6 +152,18 @@ def test_bad_seed_rejected(seed):
         build_scenario(case1_spec(), seed)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_case1_keep_clear_box_in_the_ramp_lane(seed):
+    """With the platoon in lane 0 its spawn box, x in [80, 210] of lane 0,
+    covers the first two ramp-queue slots (x = 180 and 208): no HDV starts
+    in the box, and of the four ramp drivers only the last two remain."""
+    world = build_scenario(case1_spec(platoon_lane=0), seed)
+    assert [d.state.id for d in world.hdvs
+            if d.state.lane == 0 and 80.0 <= d.state.x <= 210.0] == []
+    assert [(d.state.id, d.state.x) for d in world.hdvs
+            if d.state.y < 0.0] == [(1565, 236.0), (1566, 264.0)]
+
+
 @pytest.mark.parametrize("lane", [-1, 3])
 def test_platoon_lane_off_the_road_rejected(lane):
     with pytest.raises(ScenarioError):
@@ -257,12 +269,22 @@ def test_bad_event_block_rejected(overrides):
     dict(platoon_speed=-1.0),
     dict(platoon_speed=50.0),
     dict(speed_limit=20.0),
+    dict(lane_count=2.5),
+    dict(lane_count=1, platoon_lane=0),
+    dict(platoon_size=2.5),
+    dict(platoon_lane=1.0),
+    dict(platoon_lane=True),
+    dict(ramp_queue=1.5),
+    dict(ramp_queue=-1),
 ], ids=["nan-lane-width", "zero-lane-width", "inf-road", "negative-road", "nan-limit",
         "zero-limit", "nan-episode", "inf-episode", "nan-platoon-speed",
-        "negative-platoon-speed", "platoon-speed-over-limit", "limit-under-platoon-speed"])
+        "negative-platoon-speed", "platoon-speed-over-limit", "limit-under-platoon-speed",
+        "float-lane-count", "one-lane", "float-platoon-size", "float-platoon-lane",
+        "bool-platoon-lane", "float-ramp-queue", "negative-ramp-queue"])
 def test_bad_road_or_platoon_speed_rejected(spec, overrides):
     """Rejected at construction; otherwise they fail later, in set-up or
-    mid-episode, or run the platoon above the road's limit."""
+    mid-episode, or run the platoon above the road's limit.  A float count
+    or lane would fail in set-up or reach the vehicle states."""
     with pytest.raises(ScenarioError):
         spec(**overrides)
     assert spec(platoon_speed=0.0).platoon_speed == 0.0
@@ -270,9 +292,10 @@ def test_bad_road_or_platoon_speed_rejected(spec, overrides):
 
 
 @pytest.mark.parametrize("spec", [case1_spec, case2_spec])
-@pytest.mark.parametrize("headway", [3.0, 4.9, 5.0, float("nan")])
+@pytest.mark.parametrize("headway", [3.0, 4.9, 5.0, float("nan"), float("inf")])
 def test_headway_within_a_car_length_rejected(spec, headway):
-    """Members spawned a car length or less apart collide at once."""
+    """Members spawned a car length or less apart collide at once; an
+    infinite headway puts every member after the head at x = nan."""
     with pytest.raises(ScenarioError, match="headway"):
         spec(headway=headway)
     assert spec(headway=5.01).headway == 5.01

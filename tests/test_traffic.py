@@ -63,6 +63,17 @@ class TestIdm:
         with pytest.raises(ValueError):
             IdmParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("name,value", [
+        *((name, value) for name in ("desired_speed", "time_headway", "min_gap",
+                                     "max_accel", "comfort_decel") for value in (0.0, -1.0)),
+        ("exponent", 0.5)])
+    def test_out_of_range_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            IdmParams(**{name: value})
+
+    def test_boundary_parameters_accepted(self):
+        assert IdmParams(exponent=1.0).exponent == 1.0
+
     def test_zero_gap_is_emergency(self):
         assert idm_acceleration(20.0, 0.0, 0.0, IDM) == -B_EMERGENCY
         assert idm_acceleration(20.0, -1.0, 0.0, IDM) == -B_EMERGENCY

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from platoonreorg import config
 from platoonreorg.world import (
     Point,
     Pose,
@@ -53,6 +54,15 @@ class TestKinematics:
         step_kinematics(v, 21.0, 0.0)
         assert v.accel == pytest.approx(0.0)
         assert v.jerk == pytest.approx(-100.0)
+
+    @pytest.mark.parametrize("speed0,heading0,speed1,heading1,ay", [
+        (20.0, 0.1, 21.0, 0.12, (21.0 * math.sin(0.12) - 20.0 * math.sin(0.1)) / config.DT),
+        (0.0, 0.3, 2.0, 0.05, 2.0 * math.sin(0.05) / config.DT)])
+    def test_lateral_accel_from_constructed_state(self, speed0, heading0, speed1, heading1, ay):
+        """A state's lateral speed is speed·sin(heading), from its first step on."""
+        v = make_vehicle(speed=speed0, heading=heading0)
+        step_kinematics(v, speed1, heading1)
+        assert v.ay == ay
 
     def test_constant_speed_matches_closed_form(self):
         v = make_vehicle(speed=25.0)

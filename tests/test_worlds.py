@@ -1,7 +1,9 @@
 """Whole seeded worlds from ``build_scenario``, pinned by digest.
 
 For each (spec, seed) below, one sha256 digest covers every HDV of the
-frame-0 world: ``astuple(state)``, its IDM and MOBIL presets and its style.
+frame-0 world: ``astuple(state)``, in field order (id, kind, x, y, speed,
+lane, target_lane, heading, accel, jerk, ay, length, width), its IDM and
+MOBIL presets and its style.
 Floats enter by their IEEE-754 bytes, so a change in the last bit, or -0.0
 for 0.0, changes the digest.
 ``golden/scenarios.json`` pins frame-0 decisions; this pins every vehicle.
@@ -36,6 +38,7 @@ SPECS = {
     "case2-2lane": lambda: case2_spec(density=14.0, lane_count=2),
     "case2-5lane": lambda: case2_spec(density=20.0, lane_count=5),
     "case1-congested": lambda: case1_spec(congestion_density=60.0),
+    "case1-lane0": lambda: case1_spec(platoon_lane=0),
 }
 SEEDS = (0, 1, 2)
 
@@ -83,9 +86,14 @@ def test_world_matches_pin(name, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vehicle_ids_unique(name, seed):
     """Ids name vehicles in collisions and the trace, and ``risk_reward``
-    skips the ego by id, so no two vehicles of a world share one."""
-    ids = [v.id for v in build_scenario(SPECS[name](), seed).all_states()]
+    skips the ego by id, so no two vehicles of a world share one.  The
+    spawners hand out ids in build order, so the HDVs, which act in list
+    order, come in id order."""
+    world = build_scenario(SPECS[name](), seed)
+    ids = [v.id for v in world.all_states()]
     assert len(set(ids)) == len(ids)
+    hdv_ids = [d.state.id for d in world.hdvs]
+    assert hdv_ids == sorted(hdv_ids)
 
 
 SHORTFALLS = [("case2-dense", 0, 11), ("case2-dense", 1, 6), ("case2-dense", 2, 6),
