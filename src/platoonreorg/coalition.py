@@ -31,7 +31,6 @@ from .riskfield import risk_at_point, risk_reward
 from .world import (Point, Pose, VehicleState, compute_ttc, lead_vehicle,
                     nearest_in_corridor, padded_overlap, predict)
 
-LATERAL_ACTIONS = (KEEP, LEFT, RIGHT)
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
 
 # game phases; ``distribution.ReorgRecord.phase`` says which one holds

@@ -45,6 +45,7 @@ RISK_CRITICAL = 0.5           # risk-field value above which the heuristic split
 MERGE_HOLD = 5.0              # clear time before the heuristic merges back [s]
 TTC_SENTINEL = 100.0          # numeric stand-in for an infinite TTC in vectors
 HDV_LANE_CHANGE_TIME = 2.5    # duration of an HDV's linear lane change [s]
+CAV_LANE_CHANGE_TIME = 4.0    # duration of a platoon member's quintic lane change [s]
 
 
 @dataclass(frozen=True)
@@ -139,21 +140,6 @@ class GameConfig:
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
-    """Lane-change durations of the lattice and trajectory scoring weights."""
-
-    durations: tuple = (2.0, 3.0, 4.0)
-    w_safety: float = 1.0
-    w_comfort: float = 0.1
-
-    def __post_init__(self):
-        if not (self.durations and all(0.0 < T < math.inf for T in self.durations)):
-            raise ValueError("durations must be a non-empty set of finite, positive times")
-        if not all(0.0 <= w < math.inf for w in (self.w_safety, self.w_comfort)):
-            raise ValueError("planner weights must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class ControlConfig:
     """LQR / PID tracking gains."""
 
@@ -195,7 +181,6 @@ class Defaults:
     pdi: PdiConfig = field(default_factory=PdiConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
     game: GameConfig = field(default_factory=GameConfig)
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)
 

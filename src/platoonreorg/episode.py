@@ -17,10 +17,10 @@ lane changes fire once per frame, after the decisions.
 Each platoon member's command comes from ``CavExecutor.command`` alone, fed
 with the one vehicle ahead in the member's corridor.  That leader is looked
 up once per frame, after the step, for ``min_ttc``; nothing moves before the
-next frame's command reads it.  A fired lane change is planned once, over a
-LEFT or RIGHT lattice (lane keeping is the follow law and has none), and the
-executor ends the plan by itself when its duration has elapsed; the loop
-never touches executor mode.
+next frame's command reads it.  A fired lane change is planned once, as the
+one LEFT or RIGHT plan or its ``hold_lane`` fallback (lane keeping is the
+follow law and has none), and the executor ends the plan by itself when its
+duration has elapsed; the loop never touches executor mode.
 
 A reorganization runs from the decision that splits a single-group target
 until the single-group target has been intact for ``config.FORMATION_HOLD``
@@ -145,7 +145,7 @@ class ManeuverQueue:
                 start, direction = step
                 self.pending.append(PendingManeuver(t + start, idx, direction))
 
-    def fire_due(self, world: World, t: float, snapshot):
+    def fire_due(self, world: World, t: float):
         remaining = []
         for pm in self.pending:
             if pm.due_t > t + 1e-9:
@@ -157,9 +157,8 @@ class ManeuverQueue:
             target = state.lane + (1 if direction == LEFT else -1)
             if not (0 <= target < world.road.lane_count):
                 continue
-            others = [v for v in snapshot if v.id != state.id]
-            cands = generate_lattice(state, direction, world.road)
-            traj = select_trajectory(cands, state, others, world.road)
+            traj = select_trajectory(generate_lattice(state, direction, world.road),
+                                     state, world.road)
             member.executor.start_trajectory(traj, t)
             state.target_lane = traj.target_lane
         self.pending = remaining
@@ -375,7 +374,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
                 hdv_decide_lane(driver, world, snapshot)
 
         # fire any staggered maneuvers scheduled by the policy
-        policy.queue.fire_due(world, t, snapshot)
+        policy.queue.fire_due(world, t)
 
         # compute all commands from the same states, each with its leader
         commands = [m.executor.command(m.state, leader, t, world.road)

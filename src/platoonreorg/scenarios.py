@@ -185,21 +185,24 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     res = spawn_traffic(ambient, road, keep_clear=keep_clear, id_start=next_id)
     hdvs.extend(res.drivers)
     next_id += max(res.requested, 1)
-    shortfall = res.shortfall
+    requested = res.requested
 
     if spec.case == 1:
         congestion = _case1_congestion(spec, road, seed, next_id, res.drivers)
-        shortfall += congestion.shortfall
+        requested += congestion.requested + spec.ramp_queue
         ramp = _case1_ramp_queue(spec, road, next_id + 500)
         # keep the congestion and the ramp queue out of the platoon's spawn
         # box; spawn_traffic already kept the ambient drivers out of it
         hdvs.extend(d for d in congestion.drivers + ramp
                     if not in_keep_clear(d.state.x, d.state.lane, keep_clear))
     else:
+        requested += 1
         hdvs.append(_case2_scripted_leader(spec, road, next_id))
 
+    # every requested driver that is not placed is shortfall: the spawners'
+    # own, the keep-clear drops and the ramp queue's cut at the ramp end
     return World(road=road, clock=SimClock(), members=members, hdvs=hdvs,
-                 spawn_shortfall=shortfall)
+                 spawn_shortfall=requested - len(hdvs))
 
 
 def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,

@@ -11,8 +11,9 @@ frame loop, the HDV lane probes, the coalition conditions and the game's
 rollout all call it, on ``VehicleState``s or on bare ``Point`` poses.
 
 One motion model, ``predict``, says where a vehicle that no layer here
-commands will be: the game's rollout, its pruning screen and the planner all
-read their scenes from it, and ``padded_overlap`` screens the poses it gives.
+commands will be: the game's rollout and its pruning screen read their
+scenes from it, and ``padded_overlap`` screens the poses it gives.  The
+lane-change planner reads no other vehicle.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Construction-time checks of the game, planner and control defaults classes."""
+"""Construction-time checks of the game and control defaults classes."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "b2a6fbbc341292bc"
+    assert config.config_hash(config.DEFAULTS) == "87bee14b0fd0888b"
 
 
 GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_d", "k_y", "k_v", "w_pdi",
@@ -35,24 +35,6 @@ def test_zero_game_weight_accepted(name):
 def test_game_scale_must_be_finite_and_positive(name, value):
     with pytest.raises(ValueError):
         config.GameConfig(**{name: value})
-
-
-@pytest.mark.parametrize("durations", [(), (0.0, 3.0), (-2.0,), (math.nan,), (math.inf,)])
-def test_planner_durations_must_be_finite_and_positive(durations):
-    with pytest.raises(ValueError):
-        config.PlannerConfig(durations=durations)
-
-
-@pytest.mark.parametrize("name", ("w_safety", "w_comfort"))
-@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
-def test_planner_weight_must_be_finite_and_non_negative(name, value):
-    with pytest.raises(ValueError):
-        config.PlannerConfig(**{name: value})
-
-
-def test_planner_accepts_zero_weights():
-    cfg = config.PlannerConfig(w_safety=0.0, w_comfort=0.0)
-    assert (cfg.w_safety, cfg.w_comfort) == (0.0, 0.0)
 
 
 CONTROL_GAINS = ("lqr_q_gap", "lqr_q_speed", "lqr_r", "pid_kp", "pid_ki", "pid_kd")

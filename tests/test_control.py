@@ -181,7 +181,7 @@ class TestExecutor:
                               lane=1, target_lane=1)
         if mode == "track":
             ex.start_trajectory(select_trajectory(generate_lattice(ego, LEFT, ROAD),
-                                                  ego, [], ROAD), 0.0)
+                                                  ego, ROAD), 0.0)
         speed, heading = ex.command(ego, leader, 0.5, ROAD)
         assert ex.mode == mode
         assert type(speed) is float and type(heading) is float
@@ -192,8 +192,7 @@ class TestExecutor:
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        cands = generate_lattice(ego, LEFT, ROAD)
-        traj = select_trajectory(cands, ego, [], ROAD)
+        traj = select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, ROAD)
         ex.start_trajectory(traj, 0.0)
         dt = config.DT
         t = 0.0
@@ -212,7 +211,7 @@ class TestExecutor:
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        traj = select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, [], ROAD)
+        traj = select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, ROAD)
         ex.start_trajectory(traj, 1.0)
         ego.target_lane = traj.target_lane
         ex.command(ego, None, 1.0 + traj.duration - config.DT, ROAD)
@@ -253,7 +252,7 @@ class TestExecutor:
                               lane=1, target_lane=1)
         if mode == "track":
             ex.start_trajectory(select_trajectory(generate_lattice(ego, LEFT, ROAD),
-                                                  ego, [], ROAD), 0.0)
+                                                  ego, ROAD), 0.0)
         accels = []
         t = 0.0
         for _ in range(5):
@@ -289,13 +288,13 @@ class TestExecutor:
         """The fallback plan ends at the first command: the executor follows
         in the ego's own lane, and the follow law brakes behind a slower
         vehicle."""
-        from platoonreorg.planner import LEFT, select_trajectory
+        from platoonreorg.planner import hold_lane
 
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
         leader = VehicleState(id=1, kind="HDV", x=150.0, y=4.0, speed=15.0,
                               lane=1, target_lane=1)
-        traj = select_trajectory([], ego, [leader], ROAD)
+        traj = hold_lane(ego)
         assert (traj.lon, traj.target_lane) == (None, 1)
         ex = CavExecutor(cruise_speed=25.0)
         ex.start_trajectory(traj, 0.0)

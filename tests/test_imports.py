@@ -72,8 +72,7 @@ def test_planning_imports_no_numpy_and_calls_no_linalg():
             "loaded = 'numpy' in sys.modules\n" + RECORD_LINALG +
             "road = RoadMap()\n"
             "ego = VehicleState(id=0, kind='CAV', x=100.0, y=4.0, speed=25.0, lane=1)\n"
-            "other = VehicleState(id=1, x=150.0, y=8.0, speed=20.0, lane=2)\n"
             "for side in (LEFT, RIGHT):\n"
-            "    select_trajectory(generate_lattice(ego, side, road), ego, [other], road)\n"
+            "    select_trajectory(generate_lattice(ego, side, road), ego, road)\n"
             "print(loaded, calls)\n")
     assert run_fresh(code) == "False []"

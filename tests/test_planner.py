@@ -1,12 +1,10 @@
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from platoonreorg import config, planner, world
+from platoonreorg import config
 from platoonreorg.planner import (
-    ASSESS_TIMES,
     KEEP,
     LEFT,
     RIGHT,
@@ -58,29 +56,25 @@ class QuinticProfile:
         c = self.c
         return 2 * c[2] + 6 * c[3] * t + 12 * c[4] * t ** 2 + 20 * c[5] * t ** 3
 
-    def jerk(self, t):
-        c = self.c
-        return 6 * c[3] + 24 * c[4] * t + 60 * c[5] * t ** 2
-
 
 def doubles(values) -> bytes:
     return struct.pack(f"{len(values)}d", *values)
 
 
 def evaluations(poly, times) -> bytes:
-    """All four derivatives at every time, as the bytes of the doubles."""
+    """All three derivatives at every time, as the bytes of the doubles."""
     return doubles([d for t in times for d in poly.derivatives(t)])
 
 
 def oracle_evaluations(profile, times) -> bytes:
     """The oracle's written-out evaluators in the same order."""
     return doubles([f(t) for t in times
-                    for f in (profile.pos, profile.vel, profile.acc, profile.jerk)])
+                    for f in (profile.pos, profile.vel, profile.acc)])
 
 
-def cav(vid=0, x=100.0, lane=1, speed=25.0):
+def cav(vid=0, x=100.0, lane=1, speed=25.0, heading=0.0):
     return VehicleState(id=vid, kind="CAV", x=x, y=ROAD.lane_center(lane),
-                        speed=speed, lane=lane, target_lane=lane)
+                        speed=speed, lane=lane, target_lane=lane, heading=heading)
 
 
 class TestPolynomials:
@@ -97,16 +91,14 @@ class TestPolynomials:
         """10k random boundary sets: every coefficient within 1e-12 of the
         LAPACK solve, relative to the largest solved one, and every evaluator
         bit-identical to the term-by-term evaluation of the same coefficients
-        at four sample times of the 0.1 s grid (plan end included) and four
-        assessment times."""
+        at four sample times of the 0.1 s grid (plan end included)."""
         rng = np.random.default_rng(2010)
         for _ in range(10_000):
             p0, p1, v0, v1, a0, a1 = (float(u) for u in rng.uniform(-40.0, 40.0, 6))
-            T = float(rng.choice(config.DEFAULTS.planner.durations)) if rng.random() < 0.5 \
+            T = config.CAV_LANE_CHANGE_TIME if rng.random() < 0.5 \
                 else float(rng.uniform(0.5, 6.0))
             n = int(round(T / config.DT))
             times = [k * config.DT for k in rng.integers(0, n + 1, 3)] + [n * config.DT]
-            times += [ASSESS_TIMES[k] for k in rng.integers(0, len(ASSESS_TIMES), 4)]
             new = quintic(p0, v0, a0, p1, v1, a1, T)
             want = lapack_quintic(p0, v0, a0, p1, v1, a1, T)
             assert doubles(new.c[:3]) == doubles(want[:3])
@@ -121,24 +113,21 @@ class TestPolynomials:
 
 class TestLattice:
     def test_lane_change_candidate_count(self):
-        cands = generate_lattice(cav(), LEFT, ROAD)
-        assert [c.duration for c in cands] == list(config.DEFAULTS.planner.durations)
+        """One plan of ``CAV_LANE_CHANGE_TIME``, on the straight line
+        x0 + vx0 t that the hold_lane fallback lacks."""
+        cand = generate_lattice(cav(x=100.0, speed=25.0), LEFT, ROAD)
+        assert isinstance(cand, TrajectoryCandidate)
+        assert cand.duration == config.CAV_LANE_CHANGE_TIME
+        assert cand.lon.c == [100.0, 25.0]
 
     def test_terminal_lane_center(self):
-        for cand in generate_lattice(cav(), LEFT, ROAD):
-            t, y, vy, ay, jy = cand.samples[-1]
-            assert t == pytest.approx(cand.duration)
-            assert y == pytest.approx(ROAD.lane_center(2), abs=1e-9)
+        for side, lane in ((LEFT, 2), (RIGHT, 0)):
+            cand = generate_lattice(cav(), side, ROAD)
+            t, y, vy, ay = cand.samples[-1]
+            assert (t, cand.target_lane) == (pytest.approx(config.CAV_LANE_CHANGE_TIME), lane)
+            assert y == pytest.approx(ROAD.lane_center(lane), abs=1e-9)
             assert vy == pytest.approx(0.0, abs=1e-9)
             assert ay == pytest.approx(0.0, abs=1e-9)
-
-    def test_candidates_share_the_straight_scoring_line(self):
-        """One line x0 + vx0 t: the longitudinal motion is the follow law's."""
-        ego = cav(x=100.0, speed=25.0)
-        for cand in generate_lattice(ego, RIGHT, ROAD):
-            assert cand.lon.c == [100.0, 25.0]
-            assert cand.pose_at(ASSESS_TIMES[-1]) == (
-                pytest.approx(100.0 + 25.0 * ASSESS_TIMES[-1]), ROAD.lane_center(0))
 
     def test_keep_has_no_lattice(self):
         """Lane keeping is the executor's follow law, not a plan."""
@@ -186,77 +175,31 @@ class TestChecker:
         """The extent runs from -lane_width/2 to (lane_count - 1/2) lane widths,
         both edges included."""
         cand = TrajectoryCandidate(duration=0.0, lon=None, lat=None,
-                                   samples=[(0.0, y, 0.0, 0.0, 0.0)])
+                                   samples=[(0.0, y, 0.0, 0.0)])
         assert check_dynamics(cand, RoadMap(lane_count=lanes))[0] is ok
 
 
 class TestSelection:
-    def test_lowest_jerk_among_equals(self):
-        ego = cav()
-        cands = generate_lattice(ego, LEFT, ROAD)
-        # on an empty road the longest duration (least lateral jerk) wins
-        assert select_trajectory(cands, ego, [], ROAD).duration == 4.0
-        # when every candidate costs the same, ties break to the shortest
-        # duration that passes the dynamics check (2 s is too sharp)
-        flat = replace(config.DEFAULTS.planner, w_safety=0.0, w_comfort=0.0)
-        assert select_trajectory(cands, ego, [], ROAD, cfg=flat).duration == 3.0
-
-    def test_obstacle_path_avoided(self):
-        """A car stopped ahead in one neighbouring lane sends the change to the
-        other, whichever lattice comes first."""
-        ego = cav(x=100.0, lane=1, speed=25.0)
-        left = generate_lattice(ego, LEFT, ROAD)
-        right = generate_lattice(ego, RIGHT, ROAD)
-        for blocked, cands, free in ((2, left + right, 0), (0, right + left, 2)):
-            blocker = VehicleState(id=9, x=180.0, y=ROAD.lane_center(blocked), speed=0.0,
-                                   lane=blocked, target_lane=blocked)
-            assert select_trajectory(cands, ego, [blocker], ROAD).target_lane == free
-
-    def test_scene_is_the_one_prediction(self, monkeypatch):
-        """The overlap screen and the risk field both read the others as
-        ``world.predict`` puts them, once per ``ASSESS_TIMES`` entry: a
-        replacement model is all they see."""
-        def model(v, t):
-            p = world.predict(v, t)
-            return p._replace(x=p.x + 40.0)
-
-        ego = cav(x=100.0, lane=1, speed=25.0)
-        others = [VehicleState(id=9, x=150.0, y=ROAD.lane_center(2), speed=20.0, lane=2,
-                               target_lane=2),
-                  VehicleState(id=10, x=60.0, y=ROAD.lane_center(1), speed=25.0, lane=1,
-                               target_lane=1)]
-        scenes = [[model(o, t) for o in others] for t in ASSESS_TIMES]
-        seen = {"overlap": [], "risk": []}
-
-        def spy(name, fn, index):
-            def wrapped(*args):
-                seen[name].append(args[index])
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(planner, "predict", model)
-        monkeypatch.setattr(planner, "padded_overlap", spy("overlap", planner.padded_overlap, 4))
-        monkeypatch.setattr(planner, "risk_at_point", spy("risk", planner.risk_at_point, 2))
-        select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, others, ROAD)
-        for name in ("overlap", "risk"):
-            assert seen[name] and all(scene in scenes for scene in seen[name])
-        assert seen["risk"][:len(scenes)] == scenes
-
     def test_lane_change_into_fourth_lane(self):
         road = RoadMap(lane_count=4, length=4000.0)
         ego = cav(lane=2)
-        best = select_trajectory(generate_lattice(ego, LEFT, road), ego, [], road)
+        best = select_trajectory(generate_lattice(ego, LEFT, road), ego, road)
         assert best.lon is not None
         assert best.target_lane == 3
         assert best.samples[-1][1] == pytest.approx(road.lane_center(3), abs=1e-9)
 
     def test_fallback_emergency(self):
-        """Without a passing candidate, none given or none within the
-        lateral limit, the plan is ``hold_lane``: no duration, no profile,
-        the ego's own lane."""
+        """A candidate outside the lateral limit gives ``hold_lane``: no
+        duration, no profile, the ego's own lane.  The generated plan itself
+        can fail: a member heading -0.3 rad at 25 m/s starts its LEFT plan at
+        a lateral speed of -7.4 m/s, and turning that round within 4 s needs
+        3.54 m/s² of lateral acceleration by t = 0.2 s."""
         ego = cav(speed=25.0)
         sharp = lateral(ROAD.lane_center(1), 0.0, ROAD.lane_center(2), 1.0)
-        for cands in ([], [sharp]):
-            best = select_trajectory(cands, ego, [], ROAD)
+        skewed = cav(speed=25.0, heading=-0.3)
+        plan = generate_lattice(skewed, LEFT, ROAD)
+        assert check_dynamics(plan, ROAD) == (False, "lateral accel 3.54 at t=0.2")
+        for member, cand in ((ego, sharp), (skewed, plan)):
+            best = select_trajectory(cand, member, ROAD)
             assert (best.duration, best.lon, best.lat, best.target_lane) == (0.0, None, None, 1)
             assert best.samples == [] and check_dynamics(best, ROAD)[0]

@@ -6,7 +6,7 @@ and is compared exactly against ``golden/scenarios.json``.  The pins cover
 the HDV set, IDM accelerations, MOBIL lane decisions, the platoon-layer
 risk/TTC summary, one vehicle-layer decision of the GRDF stack, the
 merging-phase game with the disposition index (case 2), and the planner's
-choice over each member's lane-change lattices.
+plan for each member's lane changes.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_scenarios.py > tests/golden/scenarios.json``.
@@ -87,12 +87,11 @@ def scene_pins(name: str, seed: int) -> dict:
 
     picks = []
     for state in states:
-        others = [v for v in world.all_states() if v.id != state.id]
         for direction, step in ((LEFT, 1), (RIGHT, -1)):
             if not 0 <= state.lane + step < world.road.lane_count:
                 continue
             traj = select_trajectory(generate_lattice(state, direction, world.road),
-                                     state, others, world.road)
+                                     state, world.road)
             picks.append([state.id, direction, traj.duration, traj.target_lane,
                           traj.lon is None])
     pins["lattice_picks"] = picks

@@ -1,6 +1,7 @@
 """Static checks of the package source: every parameter a function takes is
-read somewhere in its body, and every constant and config field of
-``config.py`` is read by another module of the package."""
+read somewhere in its body, every constant and config field of
+``config.py`` is read by another module of the package, and every
+upper-case module-level constant of any module is read by some module."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,28 @@ def test_every_config_name_is_read_elsewhere():
     others = [p.read_text() for p in PACKAGE.glob("*.py") if p.name != "config.py"]
     read = names_read(others)
     assert [n for n in config_names((PACKAGE / "config.py").read_text()) if n not in read] == []
+
+
+def module_constants(source: str) -> list[str]:
+    """The upper-case names a source assigns at module level."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        names += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def test_constant_scan_sees_only_upper_case_module_names():
+    source = ("A = 1\n_B_C: int = 2\nlower = 3\nMixed = 4\n"
+              "def f():\n    G = 7\nclass K:\n    H = 8\n")
+    assert module_constants(source) == ["A", "_B_C"]
+
+
+def test_every_module_constant_is_read():
+    """An upper-case module-level constant that no module of the package
+    reads, its own included, is dead code."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    read = names_read(sources.values())
+    assert [f"{name} {c}" for name, source in sources.items()
+            for c in module_constants(source) if c not in read] == []

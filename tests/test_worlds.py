@@ -96,22 +96,48 @@ def test_vehicle_ids_unique(name, seed):
     assert hdv_ids == sorted(hdv_ids)
 
 
+def requested_hdvs(spec) -> int:
+    """Every HDV a spec asks for: the ambient density over the spawn
+    corridor, then case 1's congestion block and ramp queue, or case 2's
+    scripted leader."""
+    head = spec.platoon_head_x
+    corridor_km = (min(head + 3200.0, spec.road_length) - (head - 300.0)) / 1000.0
+    ambient = int(round(spec.density * spec.lane_count * corridor_km))
+    if spec.case == 2:
+        return ambient + 1
+    span = spec.congestion_to - spec.congestion_from
+    return ambient + int(round(spec.congestion_density * span / 1000.0)) + spec.ramp_queue
+
+
+SHORTFALL_SPECS = {**SPECS, "case1-ramp12": lambda: case1_spec(ramp_queue=12)}
 SHORTFALLS = [("case2-dense", 0, 11), ("case2-dense", 1, 6), ("case2-dense", 2, 6),
-              ("case1", 0, 29), ("case1", 1, 19), ("case1", 2, 24)]
+              ("case1", 0, 29), ("case1", 1, 19), ("case1", 2, 24),
+              ("case1-lane0", 0, 31), ("case1-lane0", 1, 20), ("case1-lane0", 2, 26),
+              ("case1-ramp12", 0, 32), ("case1-ramp12", 1, 22), ("case1-ramp12", 2, 27)]
 
 
 @pytest.mark.parametrize("name,seed,shortfall", SHORTFALLS,
                          ids=[f"{name}-{seed}" for name, seed, _ in SHORTFALLS])
 def test_world_reports_spawn_shortfall(name, seed, shortfall):
     """case2-dense requests 147 ambient HDVs and adds the scripted leader.
-    case 1 requests 63 ambient HDVs, all placed at these seeds, and 62
-    congestion drivers, of which the 14 m spacing (to each other and to the
-    ambient lane-0 drivers) drops the shortfall; the four ramp-queue drivers
-    always fit."""
-    requested = {"case2-dense": 147 + 1, "case1": 63 + 62 + 4}[name]
-    world = build_scenario(SPECS[name](), seed)
+    case 1 requests 63 ambient HDVs, all placed at these seeds, 62
+    congestion drivers and the ramp queue.  The 14 m spacing (to each other
+    and to the ambient lane-0 drivers) drops congestion drivers; with the
+    platoon in lane 0, its keep-clear box drops congestion and ramp-queue
+    drivers too; a ramp queue of 12 does not fit before the ramp end, so
+    three of it are never placed.  Each of these counts as shortfall."""
+    spec = SHORTFALL_SPECS[name]()
+    world = build_scenario(spec, seed)
     assert world.spawn_shortfall == shortfall
-    assert len(world.hdvs) == requested - shortfall
+    assert len(world.hdvs) == requested_hdvs(spec) - shortfall
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_placed_and_shortfall_add_up_to_the_request(name, seed):
+    spec = SPECS[name]()
+    world = build_scenario(spec, seed)
+    assert len(world.hdvs) + world.spawn_shortfall == requested_hdvs(spec)
 
 
 @pytest.mark.parametrize("seed", range(10))
