@@ -31,7 +31,7 @@ s; its time ends where that intact stretch began.  The policy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -434,7 +434,7 @@ def _apply_brake(driver: HdvDriver, t: float):
     if ev.t_start <= t < ev.t_start + ev.duration:
         if driver.scripted_accel is None:
             # drop the desired speed for the post-event cruise as well
-            driver.idm = replace(driver.idm, desired_speed=max(ev.cruise_after, 0.1))
+            driver.idm = driver.idm.with_desired_speed(max(ev.cruise_after, 0.1))
         driver.scripted_accel = ev.decel
     elif driver.scripted_accel is not None and t >= ev.t_start + ev.duration:
         driver.scripted_accel = None

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from . import config
 from .control import CavExecutor
 from .episode import PlatoonMember, World
-from .traffic import (HdvDriver, IdmParams, ScriptedBrake, SpawnResult, TrafficSpec,
-                      in_keep_clear, spawn_traffic, style_params)
+from .traffic import (HdvDriver, ScriptedBrake, SpawnResult, TrafficSpec, in_keep_clear,
+                      spawn_traffic, style_params)
 from .world import CAV, HDV, RampSegment, RoadMap, SimClock, VehicleState
 
 
@@ -84,6 +84,14 @@ class ScenarioSpec:
         if not (math.isfinite(self.headway) and self.headway > config.VEHICLE_LENGTH):
             raise ScenarioError(f"headway must be finite and exceed the "
                                 f"{config.VEHICLE_LENGTH} m car length, got {self.headway!r}")
+        # a headway a rounding step over the car length still puts two
+        # members' x values a car length apart, bumpers touching
+        head = self.platoon_head_x
+        if math.isfinite(head) and not all(
+                _apart(head - (i + 1) * self.headway, head - i * self.headway)
+                for i in range(self.platoon_size - 1)):
+            raise ScenarioError(f"headway {self.headway!r} leaves two members touching "
+                                f"behind a head at x = {head!r}")
         for name in ("lane_width", "road_length", "speed_limit", "episode_len"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -111,6 +119,10 @@ class ScenarioSpec:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ScenarioError(f"congestion block [{lo}, {hi}] must be finite "
                                     "and non-empty")
+            lo, hi = self.ramp_start, self.ramp_end
+            if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo < hi <= self.road_length):
+                raise ScenarioError(f"ramp [{lo}, {hi}] must be finite, non-empty and "
+                                    f"within the road [0, {self.road_length}]")
         else:
             for name, rule, ok in (("event_time", ">= 0", self.event_time >= 0),
                                    ("event_decel", "< 0", self.event_decel < 0),
@@ -120,6 +132,10 @@ class ScenarioSpec:
                 value = getattr(self, name)
                 if not (ok and math.isfinite(value)):
                     raise ScenarioError(f"{name} must be finite and {rule}, got {value!r}")
+            if math.isfinite(self.platoon_head_x) and not _apart(self.platoon_head_x,
+                                                                 _case2_leader_x(self)):
+                raise ScenarioError(f"event_lead_gap {self.event_lead_gap!r} leaves the "
+                                    "leader touching the platoon's head")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -133,6 +149,14 @@ class ScenarioSpec:
         if unknown:
             raise ScenarioError(f"unknown ScenarioSpec fields {unknown}")
         return cls(**data)
+
+
+def _apart(rear_x: float, front_x: float) -> bool:
+    """True when two cars with these x values in one lane start clear of
+    each other: the rear one's front bumper, rounded as ``check_collision``
+    computes it, lies behind the front one's rear bumper."""
+    half = config.VEHICLE_LENGTH / 2.0
+    return rear_x + half < front_x - half
 
 
 def case1_spec(**overrides) -> ScenarioSpec:
@@ -171,8 +195,15 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
     if not road.contains(spec.platoon_head_x):
         raise ScenarioError("platoon spawn outside the road")
     members = _platoon(spec, road)
+    # the platoon lane's box runs from behind the platoon to 60 m past its
+    # head; when case 2's scripted leader sits farther out, the box reaches
+    # a car length past it, so no ambient driver starts in contact with it
+    box_end = spec.platoon_head_x + 60.0
+    if spec.case == 2:
+        box_end = max(box_end, _case2_leader_x(spec) + config.VEHICLE_LENGTH)
+    lane = spec.platoon_lane
     keep_clear = [(spec.platoon_head_x - spec.platoon_size * spec.headway - 40.0,
-                   spec.platoon_head_x + 60.0, spec.platoon_lane, spec.platoon_lane)]
+                   box_end, lane, lane)]
 
     hdvs = []
     next_id = 1000
@@ -194,7 +225,7 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
         # keep the congestion and the ramp queue out of the platoon's spawn
         # box; spawn_traffic already kept the ambient drivers out of it
         hdvs.extend(d for d in congestion.drivers + ramp
-                    if not in_keep_clear(d.state.x, d.state.lane, keep_clear))
+                    if d.state.lane != lane or not in_keep_clear(d.state.x, lane, keep_clear))
     else:
         requested += 1
         hdvs.append(_case2_scripted_leader(spec, road, next_id))
@@ -224,20 +255,20 @@ def _case1_congestion(spec: ScenarioSpec, road: RoadMap, seed: int,
     xs = sorted([lo + span * draw() for _ in range(count)])
     y = road.lane_center(0)
     taken = sorted(d.state.x for d in ambient if d.state.lane == 0)
+    v_c = spec.congestion_speed
+    aggressive = ("aggressive", *style_params("aggressive", spec.speed_limit))
+    normal = ("normal", *style_params("normal", spec.speed_limit))
     for x in xs:
         i = bisect.bisect_left(taken, x)
         if (i and x - taken[i - 1] < 14.0) or (i < len(taken) and taken[i] - x < 14.0):
             continue
         taken.insert(i, x)
-        style = "aggressive" if draw() < 0.55 else "normal"
-        base, mobil = style_params(style, spec.speed_limit)
-        idm = IdmParams((0.85 + (1.1 - 0.85) * draw()) * spec.congestion_speed,
-                        base.time_headway, base.min_gap, base.max_accel,
-                        base.comfort_decel, base.exponent)
+        style, base, mobil = aggressive if draw() < 0.55 else normal
+        idm = base.with_desired_speed((0.85 + (1.1 - 0.85) * draw()) * v_c)
         st = VehicleState(id_start + len(drivers), HDV, x, y,
-                          (0.8 + (1.0 - 0.8) * draw()) * spec.congestion_speed, 0, 0)
+                          (0.8 + (1.0 - 0.8) * draw()) * v_c, 0, 0)
         drivers.append(HdvDriver(st, idm, mobil, style))
-    return SpawnResult(drivers=drivers, requested=count, placed=len(drivers))
+    return SpawnResult(drivers=drivers, requested=count)
 
 
 def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
@@ -245,7 +276,7 @@ def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
     drivers = []
     y_ramp = -road.lane_width
     idm, mobil = style_params("normal", spec.speed_limit)
-    idm = dataclasses.replace(idm, desired_speed=18.0)
+    idm = idm.with_desired_speed(18.0)
     for k in range(spec.ramp_queue):
         x = spec.ramp_start + 30.0 + 28.0 * k
         if x >= spec.ramp_end - 20.0:
@@ -255,12 +286,18 @@ def _case1_ramp_queue(spec: ScenarioSpec, road: RoadMap, id_start: int):
     return drivers
 
 
+def _case2_leader_x(spec: ScenarioSpec) -> float:
+    """The scripted leader's x: ``event_lead_gap`` bumper to bumper ahead of
+    the platoon's head."""
+    return spec.platoon_head_x + spec.event_lead_gap + config.VEHICLE_LENGTH
+
+
 def _case2_scripted_leader(spec: ScenarioSpec, road: RoadMap, vid: int) -> HdvDriver:
     """The lead vehicle ``event_lead_gap`` bumper to bumper ahead of the
     platoon's head, carrying the spec's brake event."""
     idm, mobil = style_params("normal", spec.speed_limit)
-    x = spec.platoon_head_x + spec.event_lead_gap + config.VEHICLE_LENGTH
-    st = VehicleState(id=vid, kind=HDV, x=x, y=road.lane_center(spec.platoon_lane),
+    st = VehicleState(id=vid, kind=HDV, x=_case2_leader_x(spec),
+                      y=road.lane_center(spec.platoon_lane),
                       speed=spec.platoon_speed, lane=spec.platoon_lane,
                       target_lane=spec.platoon_lane)
     brake = ScriptedBrake(t_start=spec.event_time, decel=spec.event_decel,

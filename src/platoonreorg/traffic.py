@@ -32,6 +32,21 @@ class IdmParams:
                 and self.max_accel > 0 and self.comfort_decel > 0 and self.exponent >= 1):
             raise ValueError("IDM parameters must be positive with exponent >= 1")
 
+    def with_desired_speed(self, v0: float) -> "IdmParams":
+        """This preset with desired speed ``v0``, equal to the constructor's.
+
+        The other fields were checked when this preset was built, so only
+        ``v0`` is checked; the copy skips ``__init__``, which costs more than
+        twice as much, for every driver that gets its own desired speed.
+        """
+        if not v0 > 0:
+            raise ValueError(f"IDM desired speed must be positive, got {v0!r}")
+        p = object.__new__(type(self))
+        fields = p.__dict__
+        fields.update(self.__dict__)
+        fields["desired_speed"] = v0
+        return p
+
 
 @dataclass(frozen=True)
 class MobilParams:
@@ -234,11 +249,6 @@ class HdvDriver:
 class SpawnResult:
     drivers: list
     requested: int
-    placed: int
-
-    @property
-    def shortfall(self) -> int:
-        return self.requested - self.placed
 
 
 def in_keep_clear(x: float, lane: int, boxes) -> bool:
@@ -254,7 +264,7 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     covering e.g. the platoon's spawn corridor.  Vehicles are placed lane by
     lane with at least the style's equilibrium headway between neighbors;
     when the corridor cannot hold the requested count the remainder is
-    dropped and reported as shortfall.
+    dropped, and ``requested - len(drivers)`` is the shortfall.
 
     The draws are part of the seeded contract: the same spec and road give
     the same traffic, and golden scenarios depend on the exact stream.  They
@@ -281,34 +291,41 @@ def spawn_traffic(spec: TrafficSpec, road: RoadMap, keep_clear=(),
     cdf = [c / cdf[-1] for c in cdf]
     lane_count = road.lane_count
     centres = [road.lane_center(lane) for lane in range(lane_count)]
-    lane_boxes = [[b for b in keep_clear if b[2] <= lane <= b[3]]
+    # each lane's keep-clear boxes as (x_min, x_max) pairs
+    lane_spans = [[(b[0], b[1]) for b in keep_clear if b[2] <= lane <= b[3]]
                   for lane in range(lane_count)]
     x_min, span = spec.x_min, x_max - spec.x_min
     draw = random.Random(spec.seed).random
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
+    length = config.VEHICLE_LENGTH
+    attempts = range(ATTEMPTS)
     drivers = []
     vid = id_start
     per_lane = [[] for _ in range(lane_count)]   # placed x values, sorted
     for _ in range(requested):
         lane = int(draw() * lane_count)
-        s = bisect.bisect_right(cdf, draw())
+        s = bisect_right(cdf, draw())
         idm, mobil = presets[s]
         speed = (0.75 + (0.95 - 0.75) * draw()) * idm.desired_speed
-        clearance = idm.min_gap + speed * idm.time_headway + config.VEHICLE_LENGTH
+        clearance = idm.min_gap + speed * idm.time_headway + length
         xs = per_lane[lane]
-        boxes = lane_boxes[lane]
-        for _ in range(ATTEMPTS):
+        n = len(xs)
+        spans = lane_spans[lane]
+        for _ in attempts:
             x = x_min + span * draw()
             # the nearest placed vehicle on either side decides the spacing
             # test, which rejects most candidates in dense traffic, so it
             # runs before the keep-clear test
-            i = bisect.bisect_left(xs, x)
-            if (i and x - xs[i - 1] < clearance) or (i < len(xs) and xs[i] - x < clearance):
+            i = bisect_left(xs, x)
+            if (i and x - xs[i - 1] < clearance) or (i < n and xs[i] - x < clearance):
                 continue
-            if boxes and in_keep_clear(x, lane, boxes):
-                continue
-            xs.insert(i, x)
-            st = VehicleState(vid, HDV, x, centres[lane], speed, lane, lane)
-            drivers.append(HdvDriver(st, idm, mobil, styles[s]))
-            vid += 1
-            break
-    return SpawnResult(drivers=drivers, requested=requested, placed=len(drivers))
+            for x0, x1 in spans:
+                if x0 <= x <= x1:
+                    break   # inside a keep-clear box: next candidate
+            else:
+                xs.insert(i, x)
+                st = VehicleState(vid, HDV, x, centres[lane], speed, lane, lane)
+                drivers.append(HdvDriver(st, idm, mobil, styles[s]))
+                vid += 1
+                break
+    return SpawnResult(drivers=drivers, requested=requested)

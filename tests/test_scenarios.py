@@ -26,7 +26,7 @@ from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajector
 from platoonreorg.scenarios import (ScenarioError, ScenarioSpec, build_scenario, case1_spec,
                                     case2_spec)
 from platoonreorg.traffic import ScriptedBrake
-from platoonreorg.world import lead_vehicle
+from platoonreorg.world import check_collision, lead_vehicle
 
 GOLDEN = Path(__file__).parent / "golden" / "scenarios.json"
 
@@ -137,6 +137,20 @@ def test_case2_brake_rides_on_the_platoons_leader(density, seed):
     assert leader.x - head.x - 0.5 * (leader.length + head.length) == spec.event_lead_gap
 
 
+@pytest.mark.parametrize("gap", [60.0, 100.0, 200.0])
+def test_distant_case2_leader_starts_clear_of_the_traffic(gap):
+    """Beyond the 60 m past the head that the platoon lane's keep-clear box
+    covers at the default gap, the box reaches past the scripted leader, so
+    no ambient driver starts in contact with it."""
+    spec = case2_spec(density=14.0, event_lead_gap=gap)
+    for seed in range(50):
+        world = build_scenario(spec, seed)
+        leader = world.hdvs[-1].state
+        assert leader.x - world.members[0].state.x == gap + leader.length
+        assert [d.state.id for d in world.hdvs[:-1]
+                if check_collision(d.state, leader)] == [], seed
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_case1_has_no_brake(seed):
     assert all(d.brake is None for d in build_scenario(case1_spec(), seed).hdvs)
@@ -225,12 +239,26 @@ def test_non_positive_success_window_rejected(window):
     dict(congestion_to=float("inf")),
     dict(congestion_speed=0.0),
     dict(congestion_speed=float("nan")),
+    dict(ramp_start=float("nan")),
+    dict(ramp_end=float("inf")),
+    dict(ramp_start=-10.0),
+    dict(ramp_start=450.0),
+    dict(ramp_start=500.0),
+    dict(ramp_end=4500.0),
+    dict(road_length=400.0),
 ], ids=["negative-density", "nan-density", "inf-density", "empty-block", "inverted-block",
-        "nan-start", "inf-end", "zero-speed", "nan-speed"])
+        "nan-start", "inf-end", "zero-speed", "nan-speed", "nan-ramp-start", "inf-ramp-end",
+        "negative-ramp-start", "empty-ramp", "inverted-ramp", "ramp-past-road-end",
+        "road-shorter-than-ramp"])
 def test_bad_congestion_block_rejected(overrides):
+    """The congestion block and the ramp are case 1's; rejected at
+    construction and from JSON, rather than as a ``WorldError`` in set-up."""
     with pytest.raises(ScenarioError):
         case1_spec(**overrides)
-    # case 2 spawns no congestion block, so its fields are not read
+    text = json.dumps({**json.loads(case1_spec().to_json()), **overrides})
+    with pytest.raises(ScenarioError):
+        ScenarioSpec.from_json(text)
+    # case 2 spawns no congestion block and has no ramp, so their fields are not read
     assert case2_spec(**overrides).case == 2
 
 
@@ -291,13 +319,25 @@ def test_bad_road_or_platoon_speed_rejected(spec, overrides):
 
 
 @pytest.mark.parametrize("spec", [case1_spec, case2_spec])
-@pytest.mark.parametrize("headway", [3.0, 4.9, 5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("headway", [3.0, 4.9, 5.0, 5.000000000000001, float("nan"),
+                                     float("inf")])
 def test_headway_within_a_car_length_rejected(spec, headway):
     """Members spawned a car length or less apart collide at once; an
-    infinite headway puts every member after the head at x = nan."""
+    infinite headway puts every member after the head at x = nan.  One
+    rounding step over 5 m still rounds the second member's x to 145.0, a
+    car length behind the head at 150.0."""
     with pytest.raises(ScenarioError, match="headway"):
         spec(headway=headway)
     assert spec(headway=5.01).headway == 5.01
+
+
+@pytest.mark.parametrize("gap", [5e-324, 1e-14])
+def test_lead_gap_lost_to_rounding_rejected(gap):
+    """A positive gap below the rounding step of the leader's x puts it
+    bumper to bumper with the platoon's head."""
+    with pytest.raises(ScenarioError, match="event_lead_gap"):
+        case2_spec(event_lead_gap=gap)
+    assert case2_spec(event_lead_gap=1e-9).event_lead_gap == 1e-9
 
 
 if __name__ == "__main__":

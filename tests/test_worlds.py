@@ -17,15 +17,23 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
+import os
 import random
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from platoonreorg import config
 from platoonreorg.episode import GrdfPolicy, run_episode
-from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
+from platoonreorg.scenarios import (ScenarioError, ScenarioSpec, build_scenario, case1_spec,
+                                    case2_spec)
 from platoonreorg.world import check_collision
 
 GOLDEN = Path(__file__).parent / "golden" / "worlds.json"
@@ -173,6 +181,97 @@ def test_episode_leaves_later_worlds_unchanged(name):
     spec = SPECS[name]()
     run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 15.0)
     assert world_digest(spec, 0) == json.loads(GOLDEN.read_text())[f"{name}/seed0"]
+
+
+def touching_pairs(states) -> list:
+    """Id pairs of vehicles in contact.  A sweep along x: two vehicles
+    farther apart in x than the sum of their bounding radii cannot touch."""
+    states = sorted(states, key=lambda v: v.x)
+    reach = math.hypot(config.VEHICLE_LENGTH, config.VEHICLE_WIDTH)
+    pairs = []
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            if b.x - a.x > reach:
+                break
+            if check_collision(a, b):
+                pairs.append((a.id, b.id))
+    return pairs
+
+
+@st.composite
+def spec_fields(draw):
+    """ScenarioSpec fields over their valid ranges and just past them: a
+    platoon lane one past the road's last, and a headway or lead gap one
+    rounding step above its bound, which leaves two cars touching."""
+    lane_count = draw(st.integers(2, 5))
+    return dict(case=draw(st.sampled_from((1, 2))),
+                lane_count=lane_count,
+                platoon_size=draw(st.integers(2, 5)),
+                platoon_lane=draw(st.integers(0, lane_count)),
+                density=draw(st.floats(0.0, 30.0)),
+                headway=draw(st.floats(5.0, 40.0, exclude_min=True)),
+                ramp_queue=draw(st.integers(0, 12)),
+                event_lead_gap=draw(st.floats(0.0, 300.0, exclude_min=True)))
+
+
+@given(fields=spec_fields(), first_seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_any_spec_builds_sound_worlds_or_is_rejected(fields, first_seed):
+    """Each drawn spec is rejected with ``ScenarioError``, or each of its
+    worlds, at ten seeds from the drawn one, starts with no two vehicles in
+    contact, HDV ids unique and rising, every state finite, and every
+    requested HDV placed or counted as shortfall."""
+    try:
+        spec = ScenarioSpec(**fields)
+    except ScenarioError:
+        return
+    for seed in range(first_seed, first_seed + 10):
+        world = build_scenario(spec, seed)
+        states = world.all_states()
+        assert touching_pairs(states) == [], seed
+        hdv_ids = [d.state.id for d in world.hdvs]
+        assert all(a < b for a, b in zip(hdv_ids, hdv_ids[1:]))
+        assert len({v.id for v in states}) == len(states)
+        for v in states:
+            assert all(math.isfinite(getattr(v, f.name)) for f in dataclasses.fields(v)
+                       if isinstance(getattr(v, f.name), float)), v
+        assert len(world.hdvs) + world.spawn_shortfall == requested_hdvs(spec)
+
+
+HASH_SEED_RUN = """\
+import json, sys
+sys.path.insert(0, {tests!r})
+from test_worlds import world_digest
+from platoonreorg.episode import GrdfPolicy, run_episode
+from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
+print(world_digest(case1_spec(), 0))
+print(world_digest(case2_spec(density=14.0), 0))
+spec = case2_spec(density=3.0)
+world = build_scenario(spec, 0)
+result = run_episode(world, GrdfPolicy(use_pdi=True), 0, 15.0, spec.success_window)
+print(json.dumps(result.metrics.row(), sort_keys=True))
+print([(m.state.x, m.state.y, m.state.speed) for m in world.members])
+"""
+
+
+def test_worlds_and_episodes_do_not_depend_on_the_hash_seed():
+    """Two interpreters with different ``PYTHONHASHSEED`` build the same
+    case-1 and dense case-2 worlds and play the same 15 s case-2 episode,
+    so no set-up or episode step iterates a set or dict of str keys in hash
+    order."""
+    src = Path(config.__file__).resolve().parent.parent
+    code = HASH_SEED_RUN.format(tests=str(Path(__file__).resolve().parent))
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=h))
+             for h in ("0", "1")]
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 4
 
 
 def test_digest_tells_signed_zeros_apart():
