@@ -11,8 +11,9 @@ Prediction uses the laws and the geometry the lower layers act on: members
 move under ``control.follow_accel`` with their own executors' constants,
 behind the leader found by the one corridor scan,
 ``world.nearest_in_corridor``; lateral motion follows one lane-change plan,
-``lane_change_plan`` along ``lane_change_y``, which the rollout, the pruning
-screen and the episode's maneuver queue all read.  The background moves by
+``lane_change_plan`` along ``lane_change_y``, which the rollout and the
+pruning screen read and whose steps the vehicle layer schedules on the
+members' executors.  The background moves by
 ``world.predict``, once per predicted time and tick (``GameScene.background_at``).
 """
 
@@ -102,7 +103,8 @@ class GameScene:
     The episode loop builds one per decision tick from its snapshot, and it
     is read only on that tick: states advance in place, so the values cached
     here would be stale on the next frame.  ``executors`` lends the rollout
-    each member's follow-law constants, ``cruise_speed`` and ``K``.
+    each member's follow-law constants, ``cruise_speed`` and ``K``, and
+    receives the vehicle layer's schedule of lane changes.
     """
 
     road: object

@@ -6,8 +6,13 @@ follow and in track mode, and the coalition game's rollout moves members with
 it, so the game predicts the law that runs.  ``CavExecutor.command`` feeds it
 the vehicle ahead in the member's corridor and steers with PID: toward its
 lane's center in follow mode, along a lane-change plan's lateral reference in
-track mode.  A plan starts with ``start_trajectory`` and ends inside
-``command``, at the first command after its duration has elapsed.
+track mode.
+
+The executor owns its member's lane change from the vehicle layer's
+``schedule`` to the plan's end: the first command at or after the due time
+plans the change (``planner.generate_lattice``, then ``select_trajectory``)
+and starts tracking it, and the first command once the plan's duration has
+elapsed ends it.  ``busy`` covers both, so the game waits for it.
 
 The LQR gain is solved once per ``ControlConfig``, in plain float arithmetic,
 and memoised, so every executor built with the same gains shares one tuple.
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import config
-from .planner import TrajectoryCandidate
+from .planner import TrajectoryCandidate, generate_lattice, select_trajectory
 from .world import CAV, compute_ttc
 
 
@@ -120,7 +125,8 @@ TRACK = "track"
 
 @dataclass
 class CavExecutor:
-    """Per-CAV execution state: lane keeping (follow) or a lane-change plan (track)."""
+    """Per-CAV execution state: lane keeping (follow) or a lane-change plan
+    (track), and the lane change scheduled next, if any."""
 
     cruise_speed: float
     gains: config.ControlConfig = config.DEFAULTS.control
@@ -129,9 +135,18 @@ class CavExecutor:
     mode: str = FOLLOW
     trajectory: TrajectoryCandidate | None = None
     traj_t0: float = 0.0
+    pending: tuple | None = field(default=None, init=False)   # (due_t, LEFT or RIGHT)
 
     def __post_init__(self):
         self.K = solve_lqr_gain(self.gains)
+
+    def schedule(self, due_t: float, direction: str):
+        """Change lane toward ``direction`` at the first command at or after ``due_t``."""
+        self.pending = (due_t, direction)
+
+    def busy(self) -> bool:
+        """Whether a lane change is scheduled or its plan is being tracked."""
+        return self.pending is not None or self.mode == TRACK
 
     def start_trajectory(self, traj: TrajectoryCandidate, t_now: float):
         self.trajectory = traj
@@ -143,6 +158,9 @@ class CavExecutor:
         """(next_speed, next_heading) for one ``config.DT`` physics step.
 
         ``leader`` is the nearest vehicle ahead in the ego's corridor, or None.
+        A scheduled lane change that is due is planned first: its plan, or
+        the ``hold_lane`` fallback, starts now and sets ``state.target_lane``.
+        A change that would leave the road raises ``PlanningError``.
         The acceleration is ``follow_accel`` in both modes, TTC brake and jerk
         stage included.  Steering is PID toward a lateral reference:
         follow mode: the center of ``state.target_lane``, heading 0.
@@ -152,6 +170,12 @@ class CavExecutor:
         commanding: back to follow mode, with ``state.target_lane`` set to
         the lane the vehicle is in.
         """
+        if self.pending is not None and self.pending[0] <= t_now + 1e-9:
+            direction = self.pending[1]
+            self.pending = None
+            traj = select_trajectory(generate_lattice(state, direction, road), state, road)
+            self.start_trajectory(traj, t_now)
+            state.target_lane = traj.target_lane
         if self.mode == TRACK and t_now - self.traj_t0 >= self.trajectory.duration:
             self.mode = FOLLOW
             self.trajectory = None

@@ -12,15 +12,13 @@ platoon layer runs at its slow cadence, the vehicle layer (the coalition
 game) at the fast cadence, HDV lane decisions staggered in between, physics
 every frame.  A scripted brake
 (``HdvDriver.brake``, the case-2 leader's event) is played on its own
-driver at the start of each frame, and that driver keeps its lane.  Due
-lane changes fire once per frame, after the decisions.
+driver at the start of each frame, and that driver keeps its lane.
 Each platoon member's command comes from ``CavExecutor.command`` alone, fed
 with the one vehicle ahead in the member's corridor.  That leader is looked
 up once per frame, after the step, for ``min_ttc``; nothing moves before the
-next frame's command reads it.  A fired lane change is planned once, as the
-one LEFT or RIGHT plan or its ``hold_lane`` fallback (lane keeping is the
-follow law and has none), and the executor ends the plan by itself when its
-duration has elapsed; the loop never touches executor mode.
+next frame's command reads it.  The vehicle layer schedules each lane change
+it picks on the member's executor, which plans, tracks and ends it inside
+``command``; the loop only asks for commands.
 
 A reorganization runs from the decision that splits a single-group target
 until the single-group target has been intact for ``config.FORMATION_HOLD``
@@ -37,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .control import TRACK, CavExecutor
+from .control import CavExecutor
 from .distribution import (
     N_FEATURES,
     HeuristicDistributionPolicy,
@@ -54,7 +52,6 @@ from .coalition import (
     lane_change_plan,
     solve_tu_game,
 )
-from .planner import LEFT, generate_lattice, select_trajectory
 from .ppo import select_configuration
 from .traffic import (HdvDriver, LaneContext, Neighbor, free_accel, idm_acceleration,
                       mobil_decide, style_params)
@@ -121,49 +118,6 @@ class EpisodeMetrics:
         }
 
 
-@dataclass
-class PendingManeuver:
-    due_t: float
-    member_index: int
-    direction: str
-
-
-class ManeuverQueue:
-    """Schedules staggered lane changes and fires them when due."""
-
-    def __init__(self):
-        self.pending = []
-
-    def busy(self, world: World) -> bool:
-        return bool(self.pending) or any(m.executor.mode == TRACK for m in world.members)
-
-    def schedule(self, t: float, plan):
-        """Queue the lane changes of a ``lane_change_plan``, each at its
-        start after t, as the game predicted them."""
-        for idx, step in enumerate(plan):
-            if step is not None:
-                start, direction = step
-                self.pending.append(PendingManeuver(t + start, idx, direction))
-
-    def fire_due(self, world: World, t: float):
-        remaining = []
-        for pm in self.pending:
-            if pm.due_t > t + 1e-9:
-                remaining.append(pm)
-                continue
-            member = world.members[pm.member_index]
-            state = member.state
-            direction = pm.direction
-            target = state.lane + (1 if direction == LEFT else -1)
-            if not (0 <= target < world.road.lane_count):
-                continue
-            traj = select_trajectory(generate_lattice(state, direction, world.road),
-                                     state, world.road)
-            member.executor.start_trajectory(traj, t)
-            state.target_lane = traj.target_lane
-        self.pending = remaining
-
-
 # --- GRDF / GRDF-GT policy --------------------------------------------------------
 
 class GrdfPolicy:
@@ -188,7 +142,6 @@ class GrdfPolicy:
                 raise ValueError(f"network maps {have[0]} inputs to {have[1]} actions; "
                                  f"a {n}-member platoon needs {want[0]} to {want[1]}")
         self.reorg = ReorgRecord(episode_len, target=self.heuristic.single())
-        self.queue = ManeuverQueue()
         self.rng = rng
         self._audit.clear()
 
@@ -204,10 +157,11 @@ class GrdfPolicy:
         self.reorg.on_decision(action, t)
         return action
 
-    def vehicle_decide(self, world: World, t: float, scene: GameScene):
-        """Run the coalition game unless a lane change is pending or running,
-        and queue the lane changes it picks; the loop fires them."""
-        if self.queue.busy(world):
+    def vehicle_decide(self, scene: GameScene, t: float):
+        """Run the coalition game unless a member's executor is busy with a
+        lane change, and schedule the changes it picks on their executors,
+        each at its start after t, as the game predicted them."""
+        if any(ex.busy() for ex in scene.executors):
             return
         phase = self.reorg.phase
         partition = form_coalitions(scene.platoon, scene.background,
@@ -224,7 +178,11 @@ class GrdfPolicy:
                 "values": [round(v, 6) for v in decision.breakdown],
                 "pdi": round(decision.pdi_value, 6) if decision.pdi_value is not None else None,
             })
-        self.queue.schedule(t, lane_change_plan(partition, decision.joint_action))
+        plan = lane_change_plan(partition, decision.joint_action)
+        for ex, step in zip(scene.executors, plan, strict=True):
+            if step is not None:
+                start, direction = step
+                ex.schedule(t + start, direction)
 
     def audit_rows(self):
         return self._audit
@@ -367,14 +325,11 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
             if collect_reward is not None:
                 collect_reward(scene, action, reorg, t)
         if vehicle_due:
-            policy.vehicle_decide(world, t, scene)
+            policy.vehicle_decide(scene, t)
         # HDV lane decisions run once per second each, staggered across frames
         for k, driver in enumerate(world.hdvs):
             if (frame + k) % hdv_period == 0:
                 hdv_decide_lane(driver, world, snapshot)
-
-        # fire any staggered maneuvers scheduled by the policy
-        policy.queue.fire_due(world, t)
 
         # compute all commands from the same states, each with its leader
         commands = [m.executor.command(m.state, leader, t, world.road)

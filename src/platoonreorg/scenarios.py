@@ -196,11 +196,11 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> World:
         raise ScenarioError("platoon spawn outside the road")
     members = _platoon(spec, road)
     # the platoon lane's box runs from behind the platoon to 60 m past its
-    # head; when case 2's scripted leader sits farther out, the box reaches
-    # a car length past it, so no ambient driver starts in contact with it
+    # head; in case 2 it reaches at least 25 m past the scripted leader (the
+    # same end at the default gap), so the leader starts with room ahead
     box_end = spec.platoon_head_x + 60.0
     if spec.case == 2:
-        box_end = max(box_end, _case2_leader_x(spec) + config.VEHICLE_LENGTH)
+        box_end = max(box_end, _case2_leader_x(spec) + 25.0)
     lane = spec.platoon_lane
     keep_clear = [(spec.platoon_head_x - spec.platoon_size * spec.headway - 40.0,
                    box_end, lane, lane)]

@@ -312,6 +312,78 @@ class TestExecutor:
         assert leader.x - ego.x == pytest.approx(5.0 + 1.2 * 15.0, abs=0.5)
 
 
+class TestLaneChangeLifecycle:
+    """The executor owns a scheduled lane change: it fires at the first
+    command at or after its due time, and the executor is busy from the
+    schedule until the plan ends."""
+
+    @staticmethod
+    def drive(ex, ego, t, until):
+        """Command and step the ego from t while t < until; per command, the
+        (t, mode, busy) after it.  Times advance as the episode clock does."""
+        seen = []
+        while t < until - 1e-9:
+            speed, heading = ex.command(ego, None, t, ROAD)
+            seen.append((t, ex.mode, ex.busy()))
+            step_kinematics(ego, speed, heading)
+            ego.lane = ROAD.lane_of(ego.y)
+            t = round(t + config.DT, 9)
+        return seen
+
+    @pytest.mark.parametrize("due_t", [1.0, 0.1 + 0.2], ids=["exact", "float-sum"])
+    def test_change_fires_at_the_first_command_at_or_after_its_due_time(self, due_t):
+        from platoonreorg.planner import LEFT
+
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
+                           lane=1, target_lane=1)
+        ex.schedule(due_t, LEFT)
+        due = round(due_t, 9)
+        seen = self.drive(ex, ego, 0.0, due + 1.0)
+        assert [t for t, mode, _ in seen if mode == TRACK][0] == due
+        assert ex.traj_t0 == due
+        assert (ex.pending, ego.target_lane, ex.trajectory.target_lane) == (None, 2, 2)
+
+    def test_busy_from_schedule_until_the_plan_ends(self):
+        from platoonreorg.planner import LEFT
+
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
+                           lane=1, target_lane=1)
+        assert not ex.busy()
+        ex.schedule(0.5, LEFT)
+        assert ex.busy()
+        end = 0.5 + config.CAV_LANE_CHANGE_TIME
+        seen = self.drive(ex, ego, 0.0, end + 1.0)
+        assert all(busy for t, _, busy in seen if t < end)
+        assert not any(busy for t, _, busy in seen if t >= end)
+        assert (ex.mode, ex.trajectory, ego.lane, ego.target_lane) == (FOLLOW, None, 2, 2)
+
+    def test_hold_lane_fallback_ends_in_the_command_that_fires_it(self):
+        """Heading -0.3 rad at 25 m/s, the LEFT plan fails its dynamics
+        check: the ``hold_lane`` fallback starts and ends in one command."""
+        from platoonreorg.planner import LEFT
+
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0, heading=-0.3,
+                           lane=1, target_lane=1)
+        ex.schedule(0.5, LEFT)
+        ex.command(ego, None, 0.5, ROAD)
+        assert (ex.mode, ex.trajectory, ex.pending, ex.busy()) == (FOLLOW, None, None, False)
+        assert (ex.traj_t0, ego.target_lane) == (0.5, 1)
+
+    def test_change_off_the_road_raises_at_its_due_command(self):
+        from platoonreorg.planner import LEFT, PlanningError
+
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=ROAD.lane_center(2), speed=25.0,
+                           lane=2, target_lane=2)
+        ex.schedule(0.3, LEFT)
+        assert self.drive(ex, ego, 0.0, 0.3) == [(t, FOLLOW, True) for t in (0.0, 0.1, 0.2)]
+        with pytest.raises(PlanningError, match="leaves the road from lane 2"):
+            ex.command(ego, None, 0.3, ROAD)
+
+
 def cav_at(vid, x, speed=25.0, accel=0.0):
     state = VehicleState(id=vid, kind="CAV", x=x, y=4.0, speed=speed, lane=1, target_lane=1)
     state.accel = accel

@@ -10,7 +10,7 @@ limits.  Its ``EpisodeMetrics.row()`` is compared exactly against
 ``golden/episodes.json``.  A case-1 network-policy episode that splits and
 re-merges is pinned below; it also checks that the reward, the metrics and
 the game phase read one reorganization clock.  A case-2 network-policy
-episode pins every lane-change plan the loop starts and the final member
+episode pins every lane-change plan the executors start and the final member
 states, so the planner-to-executor path has an end-to-end guard.
 
 Regenerate the pins only for an intended behaviour change:
@@ -415,9 +415,9 @@ def test_both_layers_read_the_loops_snapshot(monkeypatch, network_seed):
         platoon_scenes[t] = scene
         return platoon_decide(self, scene, t)
 
-    def recorded_vehicle(self, world, t, scene):
+    def recorded_vehicle(self, scene, t):
         vehicle_scenes[t] = scene
-        return vehicle_decide(self, world, t, scene)
+        return vehicle_decide(self, scene, t)
 
     monkeypatch.setattr(World, "all_states", recorded_build)
     monkeypatch.setattr(GrdfPolicy, "platoon_decide", recorded_platoon)

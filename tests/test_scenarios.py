@@ -67,9 +67,9 @@ def scene_pins(name: str, seed: int) -> dict:
     policy = GrdfPolicy(use_pdi=False, keep_audit=True)
     policy.reset(world, None, SPECS[name]().episode_len)
     snapshot = world.all_states()
-    policy.vehicle_decide(world, 0.0, GameScene(road=world.road, platoon=snapshot[:n],
-                                                background=snapshot[n:],
-                                                executors=[m.executor for m in world.members]))
+    policy.vehicle_decide(GameScene(road=world.road, platoon=snapshot[:n],
+                                    background=snapshot[n:],
+                                    executors=[m.executor for m in world.members]), 0.0)
     pins["grdf_audit"] = policy.audit_rows()
     pins["grdf_members"] = [[m.executor.mode, m.state.target_lane] for m in world.members]
 
@@ -137,11 +137,12 @@ def test_case2_brake_rides_on_the_platoons_leader(density, seed):
     assert leader.x - head.x - 0.5 * (leader.length + head.length) == spec.event_lead_gap
 
 
-@pytest.mark.parametrize("gap", [60.0, 100.0, 200.0])
+@pytest.mark.parametrize("gap", [45.0, 60.0, 100.0, 200.0])
 def test_distant_case2_leader_starts_clear_of_the_traffic(gap):
     """Beyond the 60 m past the head that the platoon lane's keep-clear box
-    covers at the default gap, the box reaches past the scripted leader, so
-    no ambient driver starts in contact with it."""
+    covers at the default gap, the box reaches 25 m past the scripted
+    leader, as it does at the default gap: no ambient driver starts in
+    contact with the leader, nor in its lane within 25 m ahead of it."""
     spec = case2_spec(density=14.0, event_lead_gap=gap)
     for seed in range(50):
         world = build_scenario(spec, seed)
@@ -149,6 +150,9 @@ def test_distant_case2_leader_starts_clear_of_the_traffic(gap):
         assert leader.x - world.members[0].state.x == gap + leader.length
         assert [d.state.id for d in world.hdvs[:-1]
                 if check_collision(d.state, leader)] == [], seed
+        assert [d.state.id for d in world.hdvs[:-1]
+                if d.state.lane == spec.platoon_lane
+                and leader.x < d.state.x <= leader.x + 25.0] == [], seed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
