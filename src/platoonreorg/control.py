@@ -1,12 +1,12 @@
 """Low-level control: one longitudinal law for every CAV, and PID steering.
 
 ``follow_accel`` is the only longitudinal law of a platoon member (Ploeg et
-al. 2011's CACC structure over an LQR spacing law): the executor calls it in
-follow and in track mode, and the coalition game's rollout moves members with
-it, so the game predicts the law that runs.  ``CavExecutor.command`` feeds it
-the vehicle ahead in the member's corridor and steers with PID: toward its
-lane's center in follow mode, along a lane-change plan's lateral reference in
-track mode.
+al. 2011's CACC structure over an LQR spacing law): the executor calls it
+whether or not it tracks a lane-change plan, and the coalition game's
+rollout moves members with it, so the game predicts the law that runs.
+``CavExecutor.command`` feeds it the vehicle ahead in the member's corridor
+and steers with PID: along a lane-change plan's lateral reference while it
+tracks one, toward its lane's center otherwise.
 
 The executor owns its member's lane change from the vehicle layer's
 ``schedule`` to the plan's end: the first command at or after the due time
@@ -104,37 +104,28 @@ def follow_accel(state, leader, road, cruise_speed: float, K, dt: float = config
     return min(max(accel, -config.ACCEL_LIMIT), config.LQR_ACCEL_MAX)
 
 
-@dataclass
-class PidState:
-    integral: float = 0.0
-
-
-def pid_steering(lateral_err: float, heading: float, pid: PidState,
-                 gains: config.ControlConfig, heading_ref: float = 0.0) -> float:
-    """Heading-rate command from lateral error with heading damping."""
-    pid.integral += lateral_err * config.DT
-    pid.integral = min(max(pid.integral, -config.PID_INTEGRAL_LIMIT), config.PID_INTEGRAL_LIMIT)
-    rate = (gains.pid_kp * lateral_err + gains.pid_ki * pid.integral
+def pid_steering(lateral_err: float, heading: float, integral: float,
+                 gains: config.ControlConfig, heading_ref: float = 0.0) -> tuple:
+    """(heading-rate command, new integral) from lateral error with heading
+    damping; ``integral`` is the lateral error's clamped running integral."""
+    integral += lateral_err * config.DT
+    integral = min(max(integral, -config.PID_INTEGRAL_LIMIT), config.PID_INTEGRAL_LIMIT)
+    rate = (gains.pid_kp * lateral_err + gains.pid_ki * integral
             - gains.pid_kd * (heading - heading_ref))
-    return min(max(rate, -config.STEER_RATE_LIMIT), config.STEER_RATE_LIMIT)
-
-
-FOLLOW = "follow"
-TRACK = "track"
+    return min(max(rate, -config.STEER_RATE_LIMIT), config.STEER_RATE_LIMIT), integral
 
 
 @dataclass
 class CavExecutor:
-    """Per-CAV execution state: lane keeping (follow) or a lane-change plan
-    (track), and the lane change scheduled next, if any."""
+    """Per-CAV execution state: the lane change scheduled next, if any, and
+    the plan being tracked, if any (``trajectory``, started at ``traj_t0``)."""
 
     cruise_speed: float
     gains: config.ControlConfig = config.DEFAULTS.control
     K: tuple = field(init=False)
-    pid: PidState = field(default_factory=PidState)
-    mode: str = FOLLOW
-    trajectory: TrajectoryCandidate | None = None
-    traj_t0: float = 0.0
+    integral: float = field(default=0.0, init=False)    # PID's lateral-error integral
+    trajectory: TrajectoryCandidate | None = field(default=None, init=False)
+    traj_t0: float = field(default=0.0, init=False)
     pending: tuple | None = field(default=None, init=False)   # (due_t, LEFT or RIGHT)
 
     def __post_init__(self):
@@ -146,13 +137,7 @@ class CavExecutor:
 
     def busy(self) -> bool:
         """Whether a lane change is scheduled or its plan is being tracked."""
-        return self.pending is not None or self.mode == TRACK
-
-    def start_trajectory(self, traj: TrajectoryCandidate, t_now: float):
-        self.trajectory = traj
-        self.traj_t0 = t_now
-        self.mode = TRACK
-        self.pid.integral = 0.0
+        return self.pending is not None or self.trajectory is not None
 
     def command(self, state, leader, t_now: float, road):
         """(next_speed, next_heading) for one ``config.DT`` physics step.
@@ -161,33 +146,35 @@ class CavExecutor:
         A scheduled lane change that is due is planned first: its plan, or
         the ``hold_lane`` fallback, starts now and sets ``state.target_lane``.
         A change that would leave the road raises ``PlanningError``.
-        The acceleration is ``follow_accel`` in both modes, TTC brake and jerk
-        stage included.  Steering is PID toward a lateral reference:
-        follow mode: the center of ``state.target_lane``, heading 0.
-        track mode: the plan's lateral position, with the heading of its
-        lateral speed at the ego's speed.
+        The acceleration is always ``follow_accel``, TTC brake and jerk stage
+        included.  Steering is PID toward a lateral reference: the plan's
+        lateral position, with the heading of its lateral speed at the ego's
+        speed, while a plan is tracked; else the center of
+        ``state.target_lane``, heading 0.
         Once the plan's duration has elapsed the executor ends it before
-        commanding: back to follow mode, with ``state.target_lane`` set to
-        the lane the vehicle is in.
+        commanding, with ``state.target_lane`` set to the lane the vehicle
+        is in.
         """
         if self.pending is not None and self.pending[0] <= t_now + 1e-9:
             direction = self.pending[1]
             self.pending = None
             traj = select_trajectory(generate_lattice(state, direction, road), state, road)
-            self.start_trajectory(traj, t_now)
+            self.trajectory = traj
+            self.traj_t0 = t_now
+            self.integral = 0.0
             state.target_lane = traj.target_lane
-        if self.mode == TRACK and t_now - self.traj_t0 >= self.trajectory.duration:
-            self.mode = FOLLOW
-            self.trajectory = None
-            self.pid.integral = 0.0
+        traj = self.trajectory
+        if traj is not None and t_now - self.traj_t0 >= traj.duration:
+            traj = self.trajectory = None
+            self.integral = 0.0
             state.target_lane = state.lane
-        if self.mode == TRACK:
-            y_ref, vy_ref = self.trajectory.state_at(t_now - self.traj_t0)
+        if traj is not None:
+            y_ref, vy_ref = traj.state_at(t_now - self.traj_t0)
             heading_ref = math.atan2(vy_ref, max(state.speed, 1.0))
         else:
             y_ref, heading_ref = road.lane_center(state.target_lane), 0.0
-        rate = pid_steering(y_ref - state.y, state.heading, self.pid, self.gains,
-                            heading_ref=heading_ref)
+        rate, self.integral = pid_steering(y_ref - state.y, state.heading, self.integral,
+                                           self.gains, heading_ref=heading_ref)
         accel = follow_accel(state, leader, road, self.cruise_speed, self.K)
 
         speed = max(state.speed + accel * config.DT, 0.0)

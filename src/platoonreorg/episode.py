@@ -252,7 +252,7 @@ def hdv_decide_lane(driver: HdvDriver, world: World, snapshot):
             continue
         target = _lane_context(driver, road.lane_center(lane), world, snapshot)
         if mobil_decide(state.speed, driver.idm, current, target, driver.mobil):
-            driver.begin_lane_change(lane, road)
+            driver.begin_lane_change(lane)
             return
 
 

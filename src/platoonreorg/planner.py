@@ -4,8 +4,9 @@ The coalition game decides which member changes lane and when; this module
 only carries the change out.  Only lane changes are planned, and only
 laterally, as in the decoupled Frenét planner of Werling et al. 2010: one
 quintic of ``config.CAV_LANE_CHANGE_TIME`` toward the target lane's center,
-with zero lateral speed and acceleration at its end.  A plan that fails the
-dynamics check becomes ``hold_lane``.  No other vehicle is read: the
+with zero lateral speed and acceleration at its end.  The dynamics check
+evaluates that quintic at each ``config.DT`` step of the plan, and a plan
+that fails it becomes ``hold_lane``.  No other vehicle is read: the
 longitudinal motion is the executor's follow law, which brakes for whatever
 is ahead.  Lane keeping has no plan; it is the follow law, and the executor
 ends each plan when its duration has elapsed.
@@ -14,7 +15,7 @@ ends each plan when its duration has elapsed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import config
 
@@ -73,14 +74,7 @@ class TrajectoryCandidate:
     duration: float
     lon: Polynomial | None          # x0 + vx0 t; None marks hold_lane to perfbench
     lat: Polynomial | None          # None for the hold_lane fallback
-    samples: list = field(default_factory=list)  # (t, y, vy, ay)
     target_lane: int = 0
-
-    def sample(self):
-        n = int(round(self.duration / config.DT))
-        self.samples = [(k * config.DT, *self.lat.derivatives(k * config.DT))
-                        for k in range(n + 1)]
-        return self
 
     def state_at(self, t):
         """Lateral reference (y, vy) at a time inside the plan, clamped to it."""
@@ -104,7 +98,7 @@ def generate_lattice(state, decision: str, road) -> TrajectoryCandidate:
     vy0 = state.speed * math.sin(state.heading)
     return TrajectoryCandidate(duration=T, lon=lon, target_lane=target,
                                lat=quintic(state.y, vy0, state.ay, road.lane_center(target),
-                                           0.0, 0.0, T)).sample()
+                                           0.0, 0.0, T))
 
 
 def hold_lane(state) -> TrajectoryCandidate:
@@ -115,13 +109,18 @@ def hold_lane(state) -> TrajectoryCandidate:
 
 
 def check_dynamics(candidate: TrajectoryCandidate, road):
-    """(passed, reason) of a sampled candidate against the ``config``
+    """(passed, reason) of a candidate's lateral profile, evaluated at every
+    ``config.DT`` step from its start to its end, against the ``config``
     lateral-accel limit and the road's lateral extent, from the outer edge of
-    lane 0 to that of the last lane.  The longitudinal limits are the follow
-    law's."""
+    lane 0 to that of the last lane.  ``hold_lane`` has no profile and
+    passes.  The longitudinal limits are the follow law's."""
+    if candidate.lat is None:
+        return True, ""
     y_min = -0.5 * road.lane_width
     y_max = (road.lane_count - 0.5) * road.lane_width
-    for (t, y, vy, ay) in candidate.samples:
+    for k in range(round(candidate.duration / config.DT) + 1):
+        t = k * config.DT
+        y, _, ay = candidate.lat.derivatives(t)
         if abs(ay) > config.LAT_ACCEL_LIMIT:
             return False, f"lateral accel {ay:.2f} at t={t:.1f}"
         if not (y_min <= y <= y_max):

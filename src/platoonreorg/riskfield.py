@@ -37,15 +37,8 @@ def _normalized(intensity: float, p: config.RiskFieldConfig) -> float:
 
 def risk_reward(ego, others, p: config.RiskFieldConfig | None = None) -> float:
     """Max field intensity over surrounding vehicles at ego's position, in [0, 1]."""
-    p = p or config.DEFAULTS.risk
-    value = 0.0
-    for other in others:
-        if other.id == ego.id:
-            continue
-        c = _intensity(other.x - ego.x, other.y - ego.y, other.speed, p)
-        if c > value:
-            value = c
-    return _normalized(value, p)
+    return risk_at_point(ego.x, ego.y, (o for o in others if o.id != ego.id),
+                         p or config.DEFAULTS.risk)
 
 
 def risk_at_point(x: float, y: float, vehicles, p: config.RiskFieldConfig) -> float:

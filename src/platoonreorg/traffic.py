@@ -90,7 +90,7 @@ class Neighbor:
 
     gap: float                  # bumper gap toward ego [m], may be +inf
     speed: float
-    params: IdmParams = field(default_factory=IdmParams)
+    params: IdmParams | None = None   # a follower's own; ``mobil_decide`` reads no leader's
 
 
 @dataclass(frozen=True)
@@ -214,35 +214,35 @@ class HdvDriver:
     idm: IdmParams
     mobil: MobilParams
     style: str = "normal"
-    lc_from_y: float = 0.0
-    lc_to_y: float = 0.0
-    lc_progress: float = -1.0       # <0: not changing
-    scripted_accel: float | None = None     # event override; wins over IDM when set
+    lc_from_y: float = field(default=0.0, init=False)
+    lc_progress: float = field(default=-1.0, init=False)    # <0: not changing
+    scripted_accel: float | None = field(default=None, init=False)  # event override, wins over IDM
     brake: ScriptedBrake | None = None      # event this driver plays; it then keeps its lane
 
     def changing(self) -> bool:
         return self.lc_progress >= 0.0
 
-    def begin_lane_change(self, target_lane: int, road: RoadMap):
+    def begin_lane_change(self, target_lane: int):
         self.lc_from_y = self.state.y
-        self.lc_to_y = road.lane_center(target_lane)
         self.lc_progress = 0.0
         self.state.target_lane = target_lane
 
     def lateral_update(self, road: RoadMap):
-        """Advance a lane change by ``config.DT`` of its ``config.HDV_LANE_CHANGE_TIME``."""
+        """Advance a lane change by ``config.DT`` of its ``config.HDV_LANE_CHANGE_TIME``,
+        toward the center of ``state.target_lane``."""
         if not self.changing():
             return
+        to_y = road.lane_center(self.state.target_lane)
         self.lc_progress += config.DT / config.HDV_LANE_CHANGE_TIME
         if self.lc_progress >= 1.0:
             self.lc_progress = -1.0
-            self.state.y = self.lc_to_y
+            self.state.y = to_y
             self.state.lane = road.lane_of(self.state.y)
         else:
             frac = self.lc_progress
-            self.state.y = self.lc_from_y + (self.lc_to_y - self.lc_from_y) * frac
+            self.state.y = self.lc_from_y + (to_y - self.lc_from_y) * frac
             if frac >= 0.5:
-                self.state.lane = road.lane_of(self.lc_to_y)
+                self.state.lane = road.lane_of(to_y)
 
 
 @dataclass

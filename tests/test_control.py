@@ -7,11 +7,8 @@ from scipy.linalg import solve_discrete_are
 
 from platoonreorg import config
 from platoonreorg.control import (
-    FOLLOW,
-    TRACK,
     CavExecutor,
     ControlError,
-    PidState,
     follow_accel,
     lqr_longitudinal,
     pid_steering,
@@ -116,29 +113,29 @@ class TestLqr:
 
 class TestPid:
     def test_aligned_zero(self):
-        pid = PidState()
-        assert pid_steering(0.0, 0.0, pid, config.DEFAULTS.control) == 0.0
+        assert pid_steering(0.0, 0.0, 0.0, config.DEFAULTS.control) == (0.0, 0.0)
 
     def test_step_offset_settles(self):
         """1 m lateral step at 25 m/s decays below 0.05 m within 8 s."""
         gains = config.DEFAULTS.control
-        pid = PidState()
+        integral = 0.0
         v = VehicleState(id=0, kind="CAV", x=0.0, y=1.0, speed=25.0, lane=0,
                          target_lane=0)
         dt = config.DT
         for _ in range(int(8.0 / dt)):
-            rate = pid_steering(0.0 - v.y, v.heading, pid, gains)
+            rate, integral = pid_steering(0.0 - v.y, v.heading, integral, gains)
             step_kinematics(v, 25.0, v.heading + rate * dt)
         assert abs(v.y) < 0.05
 
     def test_windup_capped(self):
         gains = config.DEFAULTS.control
-        pid = PidState()
+        integral = 0.0
         rates = []
         for _ in range(10000):
-            rates.append(pid_steering(3.0, 0.0, pid, gains))
+            rate, integral = pid_steering(3.0, 0.0, integral, gains)
+            rates.append(rate)
         assert max(abs(r) for r in rates) <= config.STEER_RATE_LIMIT
-        assert abs(pid.integral) <= config.PID_INTEGRAL_LIMIT
+        assert abs(integral) <= config.PID_INTEGRAL_LIMIT
 
 
 class TestExecutor:
@@ -170,56 +167,54 @@ class TestExecutor:
             t += dt
         assert ego.speed == pytest.approx(27.0, abs=0.3)
 
-    @pytest.mark.parametrize("mode", ["follow", "track"])
-    def test_commands_are_python_floats(self, mode):
-        from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
+    @pytest.mark.parametrize("tracking", [False, True], ids=["follow", "track"])
+    def test_commands_are_python_floats(self, tracking):
+        from platoonreorg.planner import LEFT
 
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
         leader = VehicleState(id=1, kind="CAV", x=112.0, y=4.0, speed=24.0,
                               lane=1, target_lane=1)
-        if mode == "track":
-            ex.start_trajectory(select_trajectory(generate_lattice(ego, LEFT, ROAD),
-                                                  ego, ROAD), 0.0)
+        if tracking:
+            ex.schedule(0.5, LEFT)
         speed, heading = ex.command(ego, leader, 0.5, ROAD)
-        assert ex.mode == mode
+        assert (ex.trajectory is not None) == tracking
         assert type(speed) is float and type(heading) is float
 
     def test_trajectory_tracking_reaches_target_lane(self):
-        from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
+        from platoonreorg.planner import LEFT
 
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        traj = select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, ROAD)
-        ex.start_trajectory(traj, 0.0)
+        ex.schedule(0.0, LEFT)
         dt = config.DT
         t = 0.0
-        while t < traj.duration:
+        while t < config.CAV_LANE_CHANGE_TIME:
             speed, heading = ex.command(ego, None, t, ROAD)
             step_kinematics(ego, speed, heading)
             t += dt
-        assert ex.mode == TRACK
+        assert ex.trajectory.duration == config.CAV_LANE_CHANGE_TIME
         assert ego.y == pytest.approx(ROAD.lane_center(2), abs=0.35)
 
     def test_command_ends_an_elapsed_plan(self):
         """The first command at or after the plan's end follows again, toward
         the lane the vehicle is in."""
-        from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
+        from platoonreorg.planner import LEFT
 
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        traj = select_trajectory(generate_lattice(ego, LEFT, ROAD), ego, ROAD)
-        ex.start_trajectory(traj, 1.0)
-        ego.target_lane = traj.target_lane
+        ex.schedule(1.0, LEFT)
+        ex.command(ego, None, 1.0, ROAD)
+        traj = ex.trajectory
         ex.command(ego, None, 1.0 + traj.duration - config.DT, ROAD)
-        assert (ex.mode, ex.trajectory, ego.target_lane) == (TRACK, traj, 2)
-        assert ex.pid.integral != 0.0
+        assert (ex.trajectory, ego.target_lane) == (traj, 2)
+        assert ex.integral != 0.0
         ex.command(ego, None, 1.0 + traj.duration, ROAD)
-        assert (ex.mode, ex.trajectory, ego.target_lane) == (FOLLOW, None, 1)
-        assert ex.pid.integral == 0.0  # reset; ego sits on its lane's center
+        assert (ex.trajectory, ego.target_lane) == (None, 1)
+        assert ex.integral == 0.0  # reset; ego sits on its lane's center
 
     def test_follow_mode_ignores_a_far_faster_foreign_leader(self):
         """A foreign vehicle 680 m ahead and faster than cruise is not chased."""
@@ -238,11 +233,11 @@ class TestExecutor:
             t += dt
         assert ego.speed == pytest.approx(25.0, abs=0.3)
 
-    @pytest.mark.parametrize("mode", ["follow", "track"])
-    def test_short_ttc_forces_full_braking(self, mode):
+    @pytest.mark.parametrize("tracking", [False, True], ids=["follow", "track"])
+    def test_short_ttc_forces_full_braking(self, tracking):
         """Full braking is reached through the jerk stage: -JERK_LIMIT·DT per
         frame from rest, so -ACCEL_LIMIT within 5 frames."""
-        from platoonreorg.planner import LEFT, generate_lattice, select_trajectory
+        from platoonreorg.planner import LEFT
 
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=20.0,
@@ -250,14 +245,13 @@ class TestExecutor:
         # platoon member 9 m ahead, 3 m/s slower: 4 m bumper gap, TTC 1.33 s
         leader = VehicleState(id=1, kind="CAV", x=109.0, y=4.0, speed=17.0,
                               lane=1, target_lane=1)
-        if mode == "track":
-            ex.start_trajectory(select_trajectory(generate_lattice(ego, LEFT, ROAD),
-                                                  ego, ROAD), 0.0)
+        if tracking:
+            ex.schedule(0.0, LEFT)
         accels = []
         t = 0.0
         for _ in range(5):
             speed, heading = ex.command(ego, leader, t, ROAD)
-            assert ex.mode == mode
+            assert (ex.trajectory is not None) == tracking
             step_kinematics(ego, speed, heading)
             step_kinematics(leader, leader.speed, 0.0)
             accels.append(ego.accel)
@@ -287,23 +281,23 @@ class TestExecutor:
     def test_hold_lane_fallback_follows_in_the_lane(self):
         """The fallback plan ends at the first command: the executor follows
         in the ego's own lane, and the follow law brakes behind a slower
-        vehicle."""
-        from platoonreorg.planner import hold_lane
+        vehicle.  The ego's lateral acceleration of twice the limit fails
+        the LEFT plan at its start."""
+        from platoonreorg.planner import LEFT, hold_lane
 
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
-                           lane=1, target_lane=1)
+                           ay=2.0 * config.LAT_ACCEL_LIMIT, lane=1, target_lane=1)
         leader = VehicleState(id=1, kind="HDV", x=150.0, y=4.0, speed=15.0,
                               lane=1, target_lane=1)
         traj = hold_lane(ego)
         assert (traj.lon, traj.target_lane) == (None, 1)
         ex = CavExecutor(cruise_speed=25.0)
-        ex.start_trajectory(traj, 0.0)
-        ego.target_lane = traj.target_lane
+        ex.schedule(0.0, LEFT)
         dt = config.DT
         t = 0.0
         for _ in range(int(20.0 / dt)):
             speed, heading = ex.command(ego, leader, t, ROAD)
-            assert (ex.mode, ego.target_lane) == (FOLLOW, 1)
+            assert (ex.trajectory, ex.busy(), ego.target_lane) == (None, False, 1)
             step_kinematics(ego, speed, heading)
             step_kinematics(leader, 15.0, 0.0)
             t = round(t + dt, 9)
@@ -320,11 +314,11 @@ class TestLaneChangeLifecycle:
     @staticmethod
     def drive(ex, ego, t, until):
         """Command and step the ego from t while t < until; per command, the
-        (t, mode, busy) after it.  Times advance as the episode clock does."""
+        (t, tracking, busy) after it.  Times advance as the episode clock does."""
         seen = []
         while t < until - 1e-9:
             speed, heading = ex.command(ego, None, t, ROAD)
-            seen.append((t, ex.mode, ex.busy()))
+            seen.append((t, ex.trajectory is not None, ex.busy()))
             step_kinematics(ego, speed, heading)
             ego.lane = ROAD.lane_of(ego.y)
             t = round(t + config.DT, 9)
@@ -340,7 +334,7 @@ class TestLaneChangeLifecycle:
         ex.schedule(due_t, LEFT)
         due = round(due_t, 9)
         seen = self.drive(ex, ego, 0.0, due + 1.0)
-        assert [t for t, mode, _ in seen if mode == TRACK][0] == due
+        assert [t for t, tracking, _ in seen if tracking][0] == due
         assert ex.traj_t0 == due
         assert (ex.pending, ego.target_lane, ex.trajectory.target_lane) == (None, 2, 2)
 
@@ -357,7 +351,7 @@ class TestLaneChangeLifecycle:
         seen = self.drive(ex, ego, 0.0, end + 1.0)
         assert all(busy for t, _, busy in seen if t < end)
         assert not any(busy for t, _, busy in seen if t >= end)
-        assert (ex.mode, ex.trajectory, ego.lane, ego.target_lane) == (FOLLOW, None, 2, 2)
+        assert (ex.trajectory, ego.lane, ego.target_lane) == (None, 2, 2)
 
     def test_hold_lane_fallback_ends_in_the_command_that_fires_it(self):
         """Heading -0.3 rad at 25 m/s, the LEFT plan fails its dynamics
@@ -369,7 +363,7 @@ class TestLaneChangeLifecycle:
                            lane=1, target_lane=1)
         ex.schedule(0.5, LEFT)
         ex.command(ego, None, 0.5, ROAD)
-        assert (ex.mode, ex.trajectory, ex.pending, ex.busy()) == (FOLLOW, None, None, False)
+        assert (ex.trajectory, ex.pending, ex.busy()) == (None, None, False)
         assert (ex.traj_t0, ego.target_lane) == (0.5, 1)
 
     def test_change_off_the_road_raises_at_its_due_command(self):
@@ -379,7 +373,7 @@ class TestLaneChangeLifecycle:
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=ROAD.lane_center(2), speed=25.0,
                            lane=2, target_lane=2)
         ex.schedule(0.3, LEFT)
-        assert self.drive(ex, ego, 0.0, 0.3) == [(t, FOLLOW, True) for t in (0.0, 0.1, 0.2)]
+        assert self.drive(ex, ego, 0.0, 0.3) == [(t, False, True) for t in (0.0, 0.1, 0.2)]
         with pytest.raises(PlanningError, match="leaves the road from lane 2"):
             ex.command(ego, None, 0.3, ROAD)
 

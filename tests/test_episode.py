@@ -7,9 +7,12 @@ invariants: frames x dt equals the duration, every metric and every final
 vehicle field is finite, and no platoon member ends above the speed limit.
 A limit monitor checks every member on every frame against the physical
 limits.  Its ``EpisodeMetrics.row()`` is compared exactly against
-``golden/episodes.json``.  A case-1 network-policy episode that splits and
-re-merges is pinned below; it also checks that the reward, the metrics and
-the game phase read one reorganization clock.  A case-2 network-policy
+``golden/episodes.json``.  A property test draws short episodes over lane
+and platoon counts, density, case and seed, and holds each to the same
+invariants and monitor, unless its spec is rejected.  A case-1
+network-policy episode that splits and re-merges is pinned below; it also
+checks that the reward, the metrics and the game phase read one
+reorganization clock.  A case-2 network-policy
 episode pins every lane-change plan the executors start and the final member
 states, so the planner-to-executor path has an end-to-end guard.
 
@@ -27,15 +30,17 @@ import numbers
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platoonreorg import coalition, config, episode, riskfield
+from platoonreorg import coalition, config, control, episode, riskfield
 from platoonreorg.coalition import (KEEP, MERGING, SPLITTING, STEADY, GameScene,
                                     form_coalitions, predict_outcome)
-from platoonreorg.control import FOLLOW, CavExecutor
+from platoonreorg.control import CavExecutor
 from platoonreorg.episode import GrdfPolicy, PlatoonMember, World, run_episode
 from platoonreorg.ppo import PolicyNetwork
 from platoonreorg.riskfield import risk_reward
-from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
+from platoonreorg.scenarios import ScenarioError, build_scenario, case1_spec, case2_spec
 from platoonreorg.traffic import HdvDriver, style_params
 from platoonreorg.world import CAV, RoadMap, SimClock, VehicleState, lead_vehicle, step_kinematics
 
@@ -131,6 +136,40 @@ def test_episode_runs_and_matches_pin(name, seed, golden):
     assert invariant_failures(world, result) == []
     assert breaks == []
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
+
+
+@st.composite
+def episode_setups(draw):
+    """(case, spec fields, use_pdi): lane and platoon counts, a platoon lane
+    on the road and an ambient density over their usual ranges; case 2 also
+    draws its brake's start within the first 2 s and PDI on or off."""
+    lane_count = draw(st.integers(2, 5))
+    fields = dict(lane_count=lane_count, platoon_size=draw(st.integers(2, 5)),
+                  platoon_lane=draw(st.integers(0, lane_count - 1)),
+                  density=draw(st.floats(0.0, 14.0)), episode_len=3.0)
+    if draw(st.booleans()):
+        return 1, fields, False
+    fields["event_time"] = draw(st.floats(0.0, 2.0))
+    return 2, fields, draw(st.booleans())
+
+
+@given(setup=episode_setups(), seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_any_episode_keeps_the_limits_or_is_rejected(setup, seed):
+    """A 3 s episode of each drawn setup holds the output invariants and
+    every member stays within the physical limits on every frame, or
+    building its world raises ``ScenarioError``."""
+    case, fields, use_pdi = setup
+    try:
+        spec = (case1_spec if case == 1 else case2_spec)(**fields)
+        world = build_scenario(spec, seed)
+    except ScenarioError:
+        return
+    breaks = monitor_limits(world)
+    result = run_episode(world, GrdfPolicy(use_pdi=use_pdi), seed, spec.episode_len,
+                         spec.success_window)
+    assert invariant_failures(world, result) == []
+    assert breaks == []
 
 
 # Case 1, 30 s under an untrained network policy (8 observed objects x 9
@@ -313,10 +352,11 @@ def test_lead_info_falls_back_to_risk_without_finite_ttc():
 # (network seed 1).  Of network seeds 0-2 (outer) and episode seeds 0-2
 # (inner), this is the first run that starts lane-change plans toward both
 # sides without a collision: all three members move right at 5 s, left at
-# 18 s and left again at 24 s, so the planner, the executor's tracking mode
+# 18 s and left again at 24 s, so the planner, the executor's tracking
 # and the end of a plan all run inside the loop.  The digest covers every
-# field of each member's final state, its executor mode, plan start and PID
-# integral, with floats in hex.
+# field of each member's final state, whether its executor tracks a plan
+# ("track") or not ("follow"), its plan start and PID integral, with floats
+# in hex.
 PLAN_NET_SEED = 1
 PLAN_SEED = 1
 PLAN_ROW = {"collision": 0, "avg_speed": 24.72403, "min_ttc": 9.51181,
@@ -336,7 +376,8 @@ def member_digest(world) -> str:
     for m in world.members:
         state = {f.name: hexed(getattr(m.state, f.name)) for f in dataclasses.fields(m.state)}
         ex = m.executor
-        fields.append([state, ex.mode, hexed(ex.traj_t0), hexed(ex.pid.integral)])
+        tracking = "track" if ex.trajectory is not None else "follow"
+        fields.append([state, tracking, hexed(ex.traj_t0), hexed(ex.integral)])
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -345,15 +386,16 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
     spec = case2_spec(density=3.0, episode_len=30.0)
     world = build_scenario(spec, PLAN_SEED)
     breaks = monitor_limits(world)
-    index = {id(m.executor): m.index for m in world.members}
+    index = {m.state.id: m.index for m in world.members}
     plans = []
-    start_trajectory = CavExecutor.start_trajectory
+    select_trajectory = control.select_trajectory
 
-    def recorded(self, traj, t_now):
-        plans.append((t_now, index[id(self)], traj.target_lane, traj.duration))
-        return start_trajectory(self, traj, t_now)
+    def recorded(candidate, ego, road):
+        traj = select_trajectory(candidate, ego, road)
+        plans.append((world.clock.t, index[ego.id], traj.target_lane, traj.duration))
+        return traj
 
-    monkeypatch.setattr(CavExecutor, "start_trajectory", recorded)
+    monkeypatch.setattr(control, "select_trajectory", recorded)
     policy = GrdfPolicy(use_pdi=True,
                         network=PolicyNetwork(obs_dim=72, n_actions=4, seed=PLAN_NET_SEED))
     result = run_episode(world, policy, PLAN_SEED, spec.episode_len, spec.success_window)
@@ -374,7 +416,7 @@ def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
     with the law that runs, in coarser steps."""
     world = build_scenario(make_spec(), seed)
     run_episode(world, GrdfPolicy(), seed, t0)
-    assert all(m.executor.mode == FOLLOW for m in world.members)
+    assert all(m.executor.trajectory is None for m in world.members)
     snapshot = world.all_states()
     n = len(world.members)
     states, background = snapshot[:n], snapshot[n:]

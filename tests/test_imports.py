@@ -1,6 +1,6 @@
 """The simulation stack loads without scipy, only test oracles import it,
 heuristic episodes run without ``numpy.random`` and call nothing in
-``numpy.linalg``, and lane-change planning runs without numpy."""
+``numpy.linalg``, and the planning-and-control layer runs without numpy."""
 
 import os
 import subprocess
@@ -63,16 +63,28 @@ def test_heuristic_episodes_do_not_call_numpy_linalg():
 
 
 def test_planning_imports_no_numpy_and_calls_no_linalg():
-    """The quintic's boundary system is solved in closed form: ``planner``
-    and what it imports load no numpy, and planning both lane changes calls
-    nothing in ``numpy.linalg``."""
+    """The quintic's boundary system is solved in closed form and the LQR
+    gain in float arithmetic: ``planner``, ``control`` and what they import
+    load no numpy, and planning both lane changes, then running a scheduled
+    LEFT change through ``CavExecutor.command`` to its end, calls nothing in
+    ``numpy.linalg``."""
     code = ("import sys\n"
+            "from platoonreorg import config\n"
+            "from platoonreorg.control import CavExecutor\n"
             "from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory\n"
-            "from platoonreorg.world import RoadMap, VehicleState\n"
+            "from platoonreorg.world import RoadMap, VehicleState, step_kinematics\n"
             "loaded = 'numpy' in sys.modules\n" + RECORD_LINALG +
             "road = RoadMap()\n"
-            "ego = VehicleState(id=0, kind='CAV', x=100.0, y=4.0, speed=25.0, lane=1)\n"
+            "ego = VehicleState(id=0, kind='CAV', x=100.0, y=4.0, speed=25.0, lane=1,\n"
+            "                   target_lane=1)\n"
             "for side in (LEFT, RIGHT):\n"
             "    select_trajectory(generate_lattice(ego, side, road), ego, road)\n"
-            "print(loaded, calls)\n")
-    assert run_fresh(code) == "False []"
+            "ex = CavExecutor(cruise_speed=25.0)\n"
+            "ex.schedule(0.0, LEFT)\n"
+            "t = 0.0\n"
+            "while ex.busy():\n"
+            "    step_kinematics(ego, *ex.command(ego, None, t, road))\n"
+            "    ego.lane = road.lane_of(ego.y)\n"
+            "    t = round(t + config.DT, 9)\n"
+            "print(loaded, calls, ego.lane, t)\n")
+    assert run_fresh(code) == "False [] 2 4.1"

@@ -123,8 +123,8 @@ class TestLattice:
     def test_terminal_lane_center(self):
         for side, lane in ((LEFT, 2), (RIGHT, 0)):
             cand = generate_lattice(cav(), side, ROAD)
-            t, y, vy, ay = cand.samples[-1]
-            assert (t, cand.target_lane) == (pytest.approx(config.CAV_LANE_CHANGE_TIME), lane)
+            y, vy, ay = cand.lat.derivatives(cand.duration)
+            assert (cand.duration, cand.target_lane) == (config.CAV_LANE_CHANGE_TIME, lane)
             assert y == pytest.approx(ROAD.lane_center(lane), abs=1e-9)
             assert vy == pytest.approx(0.0, abs=1e-9)
             assert ay == pytest.approx(0.0, abs=1e-9)
@@ -144,7 +144,7 @@ class TestLattice:
 def lateral(y0, vy0, y1, T, lane=2):
     return TrajectoryCandidate(duration=T, lon=Polynomial([100.0, 25.0]),
                                lat=quintic(y0, vy0, 0.0, y1, 0.0, 0.0, T),
-                               target_lane=lane).sample()
+                               target_lane=lane)
 
 
 class TestChecker:
@@ -153,7 +153,7 @@ class TestChecker:
         ok, reason = check_dynamics(cand, ROAD)
         assert ok, reason
         # peak lateral accel of a rest-to-rest quintic: ~5.774 * dy / T^2
-        peak = max(abs(s[3]) for s in cand.samples)
+        peak = max(abs(cand.lat.derivatives(k * config.DT)[2]) for k in range(41))
         assert peak == pytest.approx(5.7735 * 4.0 / 16.0, rel=0.01)
 
     def test_violent_change_fails_on_lateral(self):
@@ -174,8 +174,7 @@ class TestChecker:
     def test_road_extent_is_read_from_the_road(self, lanes, y, ok):
         """The extent runs from -lane_width/2 to (lane_count - 1/2) lane widths,
         both edges included."""
-        cand = TrajectoryCandidate(duration=0.0, lon=None, lat=None,
-                                   samples=[(0.0, y, 0.0, 0.0)])
+        cand = TrajectoryCandidate(duration=0.0, lon=None, lat=Polynomial([y, 0.0, 0.0]))
         assert check_dynamics(cand, RoadMap(lane_count=lanes))[0] is ok
 
 
@@ -186,7 +185,8 @@ class TestSelection:
         best = select_trajectory(generate_lattice(ego, LEFT, road), ego, road)
         assert best.lon is not None
         assert best.target_lane == 3
-        assert best.samples[-1][1] == pytest.approx(road.lane_center(3), abs=1e-9)
+        assert best.lat.derivatives(best.duration)[0] == pytest.approx(road.lane_center(3),
+                                                                       abs=1e-9)
 
     def test_fallback_emergency(self):
         """A candidate outside the lateral limit gives ``hold_lane``: no
@@ -202,4 +202,4 @@ class TestSelection:
         for member, cand in ((ego, sharp), (skewed, plan)):
             best = select_trajectory(cand, member, ROAD)
             assert (best.duration, best.lon, best.lat, best.target_lane) == (0.0, None, None, 1)
-            assert best.samples == [] and check_dynamics(best, ROAD)[0]
+            assert check_dynamics(best, ROAD) == (True, "")

@@ -71,7 +71,8 @@ def scene_pins(name: str, seed: int) -> dict:
                                     background=snapshot[n:],
                                     executors=[m.executor for m in world.members]), 0.0)
     pins["grdf_audit"] = policy.audit_rows()
-    pins["grdf_members"] = [[m.executor.mode, m.state.target_lane] for m in world.members]
+    pins["grdf_members"] = [["track" if m.executor.trajectory is not None else "follow",
+                             m.state.target_lane] for m in world.members]
 
     world = _world(name, seed)
     snapshot = world.all_states()
