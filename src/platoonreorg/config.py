@@ -9,7 +9,6 @@ that class as their parameter type and fall back to its ``DEFAULTS`` entry.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -106,6 +105,10 @@ class RewardConfig:
     k_t: float = 0.5
     k_v: float = 0.5
 
+    def __post_init__(self):
+        if not all(0.0 <= w < math.inf for w in dataclasses.astuple(self)):
+            raise ValueError("reward weights must be finite and non-negative")
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -174,6 +177,15 @@ class PpoConfig:
     epochs: int = 4
     hidden_size: int = 256
 
+    def __post_init__(self):
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.gamma <= 1.0
+                and 0.0 <= self.gae_lambda <= 1.0 and 0.0 < self.clip_epsilon < math.inf):
+            raise ValueError("need learning_rate > 0, 0 < gamma <= 1, "
+                             "0 <= gae_lambda <= 1 and clip_epsilon > 0, all finite")
+        counts = (self.batch_size, self.epochs, self.hidden_size)
+        if not all(type(c) is int and c >= 1 for c in counts):
+            raise ValueError("batch_size, epochs and hidden_size must be ints >= 1")
+
 
 @dataclass(frozen=True)
 class Defaults:
@@ -193,4 +205,5 @@ def config_hash(obj) -> str:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = dataclasses.asdict(obj)
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    import hashlib  # here, not at the top: its _hashlib (OpenSSL) adds ~3.5 MiB to a process
     return hashlib.sha256(blob).hexdigest()[:16]

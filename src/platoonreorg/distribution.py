@@ -1,18 +1,14 @@
-"""Platoon-layer decision machinery: configuration action space, noisy
-observations, the reorganization record, reward shaping, and the rule-based
-fallback policy.
+"""Platoon-layer decision machinery: configuration action space, the
+reorganization record, reward shaping, and the rule-based fallback policy.
+The network policy's observations live in ``ppo``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import config
 from .coalition import MERGING, SPLITTING, STEADY, GameScene
-from .world import compute_ttc
 
 
 @dataclass(frozen=True)
@@ -59,82 +55,6 @@ def enumerate_configurations(n: int):
     return actions
 
 
-# --- observations -------------------------------------------------------------
-
-N_FEATURES = 9  # x, y, vx, vy, ax, ay, jx, jy, ttc
-
-SENTINEL_ROW = (500.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, config.TTC_SENTINEL)
-
-# rough feature scales for flattening into a network input
-_SCALES = np.array([100.0, 10.0, 40.0, 40.0, 5.0, 5.0, 10.0, 10.0, config.TTC_SENTINEL])
-
-
-@dataclass
-class Observation:
-    rows: list  # K tuples of N_FEATURES floats, ego-relative
-
-    def flatten(self) -> np.ndarray:
-        arr = np.array(self.rows, dtype=np.float64)
-        arr[:, 8] = np.minimum(arr[:, 8], config.TTC_SENTINEL)
-        return (arr / _SCALES).ravel()
-
-
-def pair_ttc(a, b) -> float:
-    """Physical TTC of a pair: the rear one is the follower."""
-    follower, leader = (a, b) if a.x <= b.x else (b, a)
-    return compute_ttc(follower, leader)
-
-
-@dataclass
-class Observer:
-    """Builds fixed-size noisy observations around the platoon leader.
-
-    Acceleration and jerk rows are finite differences of the *noised*
-    speeds across successive observations, so they inherit sensor noise.
-    """
-
-    k: int = 8
-    sigma_pos: float = 0.1
-    sigma_vel: float = 0.1
-    _prev_v: dict = field(default_factory=dict)
-    _prev_a: dict = field(default_factory=dict)
-
-    def observe(self, platoon, background, rng, dt: float) -> Observation:
-        ego = platoon[0]
-        objects = list(platoon[1:])
-        others = sorted(background, key=lambda v: (v.x - ego.x) ** 2 + (v.y - ego.y) ** 2)
-        objects.extend(others[: max(self.k - len(objects), 0)])
-        objects = objects[: self.k]
-
-        ego_vx = ego.speed * math.cos(ego.heading)
-        ego_vy = ego.speed * math.sin(ego.heading)
-        rows = []
-        seen = set()
-        for obj in objects:
-            seen.add(obj.id)
-            nx = obj.x - ego.x + (rng.normal(0.0, self.sigma_pos) if self.sigma_pos else 0.0)
-            ny = obj.y - ego.y + (rng.normal(0.0, self.sigma_pos) if self.sigma_pos else 0.0)
-            nvx = (obj.speed * math.cos(obj.heading) - ego_vx
-                   + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0))
-            nvy = (obj.speed * math.sin(obj.heading) - ego_vy
-                   + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0))
-            pvx, pvy = self._prev_v.get(obj.id, (nvx, nvy))
-            ax = (nvx - pvx) / dt
-            ay = (nvy - pvy) / dt
-            pax, pay = self._prev_a.get(obj.id, (ax, ay))
-            jx = (ax - pax) / dt
-            jy = (ay - pay) / dt
-            self._prev_v[obj.id] = (nvx, nvy)
-            self._prev_a[obj.id] = (ax, ay)
-            rows.append((nx, ny, nvx, nvy, ax, ay, jx, jy, pair_ttc(ego, obj)))
-        for stale in [k for k in self._prev_v if k not in seen]:
-            self._prev_v.pop(stale, None)
-            self._prev_a.pop(stale, None)
-        while len(rows) < self.k:
-            rows.append(SENTINEL_ROW)
-        return Observation(rows=rows)
-
-
 # --- reorganization record and reward ----------------------------------------
 
 @dataclass
@@ -150,16 +70,16 @@ class ReorgRecord:
 
     episode_len: float
     target: PlatoonConfigAction   # the latest platoon decision
-    decisions: int = 0
-    triggers: int = 0
-    count: int = 0
-    durations: list = field(default_factory=list)
-    triggered: bool = False       # whether the latest decision was a trigger
-    recent: tuple = ()            # durations completed between the two latest decisions
-    running: bool = False
-    start: float = 0.0
-    intact_since: float | None = None
-    _reported: int = 0            # durations already handed out through ``recent``
+    decisions: int = field(default=0, init=False)
+    triggers: int = field(default=0, init=False)
+    count: int = field(default=0, init=False)
+    durations: list = field(default_factory=list, init=False)
+    triggered: bool = field(default=False, init=False)  # the latest decision was a trigger
+    recent: tuple = field(default=(), init=False)  # durations ended since the previous decision
+    running: bool = field(default=False, init=False)
+    start: float = field(default=0.0, init=False)
+    intact_since: float | None = field(default=None, init=False)
+    _reported: int = field(default=0, init=False)  # durations handed out through ``recent``
 
     def on_decision(self, action: PlatoonConfigAction, t: float) -> bool:
         """Record one platoon decision; returns whether it is a trigger."""
@@ -262,8 +182,8 @@ class HeuristicDistributionPolicy:
     """
 
     n: int
-    _active: PlatoonConfigAction | None = None
-    _clear_since: float | None = None
+    _active: PlatoonConfigAction | None = field(default=None, init=False)
+    _clear_since: float | None = field(default=None, init=False)
 
     def single(self) -> PlatoonConfigAction:
         return PlatoonConfigAction(partition=(tuple(range(self.n)),))

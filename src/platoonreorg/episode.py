@@ -32,17 +32,9 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from . import config
 from .control import CavExecutor
-from .distribution import (
-    N_FEATURES,
-    HeuristicDistributionPolicy,
-    Observer,
-    ReorgRecord,
-    enumerate_configurations,
-)
+from .distribution import HeuristicDistributionPolicy, ReorgRecord, enumerate_configurations
 from .coalition import (
     SPLITTING,
     STEADY,
@@ -52,7 +44,6 @@ from .coalition import (
     lane_change_plan,
     solve_tu_game,
 )
-from .ppo import select_configuration
 from .traffic import (HdvDriver, LaneContext, Neighbor, free_accel, idm_acceleration,
                       mobil_decide, style_params)
 from .world import (
@@ -130,27 +121,19 @@ class GrdfPolicy:
         self.keep_audit = keep_audit
         self._audit = []
 
-    def reset(self, world: World, rng: np.random.Generator | None, episode_len: float):
+    def reset(self, world: World, seed: int, episode_len: float):
+        """Start an episode.  Only a ``network`` reads ``seed``, through its
+        ``for_episode``, so a heuristic run never loads ``ppo``."""
         n = len(world.members)
-        self.actions = enumerate_configurations(n)
         self.heuristic = HeuristicDistributionPolicy(n=n)
-        self.observer = Observer()
-        if self.network is not None:
-            have = (self.network.obs_dim, self.network.n_actions)
-            want = (self.observer.k * N_FEATURES, len(self.actions))
-            if have != want:
-                raise ValueError(f"network maps {have[0]} inputs to {have[1]} actions; "
-                                 f"a {n}-member platoon needs {want[0]} to {want[1]}")
+        self.net_decide = (None if self.network is None else
+                           self.network.for_episode(enumerate_configurations(n), seed))
         self.reorg = ReorgRecord(episode_len, target=self.heuristic.single())
-        self.rng = rng
         self._audit.clear()
 
     def platoon_decide(self, scene: GameScene, t: float):
-        if self.network is not None:
-            # the network's input is the Observer's features, not the scene's values
-            obs = self.observer.observe(scene.platoon, scene.background, self.rng,
-                                        config.PLATOON_DECISION_PERIOD)
-            action, _, _ = select_configuration(obs.flatten(), self.network, self.actions)
+        if self.net_decide is not None:
+            action = self.net_decide(scene)
         else:
             action = self.heuristic.decide(t, min(scene.lead_ttcs), max(scene.risks),
                                            scene.at_risk)
@@ -281,9 +264,8 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
     """Run one seeded episode to completion or first platoon collision.
 
     ``collect_reward(scene, action, policy.reorg, t)`` follows each platoon
-    decision, which the record has already seen.  ``seed`` is an int >= 0.
-    Only a policy with a ``network`` gets a Generator, for its ``Observer``
-    noise; the heuristic one gets None and never loads ``numpy.random``.
+    decision, which the record has already seen.  ``seed`` is an int >= 0;
+    only a policy with a ``network`` reads it, to seed its observation noise.
     """
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
@@ -291,8 +273,7 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         raise ValueError(f"episode length must be finite and >= 0, got {episode_len!r}")
     if not success_window > 0.0:
         raise ValueError(f"success window must be positive, got {success_window!r}")
-    rng = None if policy.network is None else np.random.default_rng((seed, 17))
-    policy.reset(world, rng, episode_len)
+    policy.reset(world, seed, episode_len)
     reorg = policy.reorg
 
     clock = world.clock

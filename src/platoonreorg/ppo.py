@@ -1,4 +1,5 @@
-"""Clipped-surrogate policy optimization for the configuration policy.
+"""The network configuration policy, the package's only numpy module: noisy
+observations, the networks and clipped-surrogate policy optimization.
 
 Actor and critic are small MLPs (one hidden layer plus two fully connected
 layers, width 256, tanh) trained with Adam.  Everything is plain numpy so
@@ -8,11 +9,89 @@ gradients can be checked against finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config
+from .world import compute_ttc
+
+
+# --- observations -------------------------------------------------------------
+
+N_FEATURES = 9  # x, y, vx, vy, ax, ay, jx, jy, ttc
+
+SENTINEL_ROW = (500.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, config.TTC_SENTINEL)
+
+# rough feature scales for flattening into a network input
+_SCALES = np.array([100.0, 10.0, 40.0, 40.0, 5.0, 5.0, 10.0, 10.0, config.TTC_SENTINEL])
+
+
+@dataclass
+class Observation:
+    rows: list  # K tuples of N_FEATURES floats, ego-relative
+
+    def flatten(self) -> np.ndarray:
+        arr = np.array(self.rows, dtype=np.float64)
+        arr[:, 8] = np.minimum(arr[:, 8], config.TTC_SENTINEL)
+        return (arr / _SCALES).ravel()
+
+
+def pair_ttc(a, b) -> float:
+    """Physical TTC of a pair: the rear one is the follower."""
+    follower, leader = (a, b) if a.x <= b.x else (b, a)
+    return compute_ttc(follower, leader)
+
+
+@dataclass
+class Observer:
+    """Builds fixed-size noisy observations around the platoon leader.
+
+    Acceleration and jerk rows are finite differences of the *noised*
+    speeds across successive observations, so they inherit sensor noise.
+    """
+
+    k: int = 8
+    sigma_pos: float = 0.1
+    sigma_vel: float = 0.1
+    _prev_v: dict = field(default_factory=dict, init=False)
+    _prev_a: dict = field(default_factory=dict, init=False)
+
+    def observe(self, platoon, background, rng, dt: float) -> Observation:
+        ego = platoon[0]
+        objects = list(platoon[1:])
+        others = sorted(background, key=lambda v: (v.x - ego.x) ** 2 + (v.y - ego.y) ** 2)
+        objects.extend(others[: max(self.k - len(objects), 0)])
+        objects = objects[: self.k]
+
+        ego_vx = ego.speed * math.cos(ego.heading)
+        ego_vy = ego.speed * math.sin(ego.heading)
+        rows = []
+        seen = set()
+        for obj in objects:
+            seen.add(obj.id)
+            nx = obj.x - ego.x + (rng.normal(0.0, self.sigma_pos) if self.sigma_pos else 0.0)
+            ny = obj.y - ego.y + (rng.normal(0.0, self.sigma_pos) if self.sigma_pos else 0.0)
+            nvx = (obj.speed * math.cos(obj.heading) - ego_vx
+                   + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0))
+            nvy = (obj.speed * math.sin(obj.heading) - ego_vy
+                   + (rng.normal(0.0, self.sigma_vel) if self.sigma_vel else 0.0))
+            pvx, pvy = self._prev_v.get(obj.id, (nvx, nvy))
+            ax = (nvx - pvx) / dt
+            ay = (nvy - pvy) / dt
+            pax, pay = self._prev_a.get(obj.id, (ax, ay))
+            jx = (ax - pax) / dt
+            jy = (ay - pay) / dt
+            self._prev_v[obj.id] = (nvx, nvy)
+            self._prev_a[obj.id] = (ax, ay)
+            rows.append((nx, ny, nvx, nvy, ax, ay, jx, jy, pair_ttc(ego, obj)))
+        for stale in [k for k in self._prev_v if k not in seen]:
+            self._prev_v.pop(stale, None)
+            self._prev_a.pop(stale, None)
+        while len(rows) < self.k:
+            rows.append(SENTINEL_ROW)
+        return Observation(rows=rows)
 
 
 class Mlp:
@@ -106,6 +185,25 @@ class PolicyNetwork:
         out, _ = self.critic.forward(np.atleast_2d(obs))
         return float(out[0, 0])
 
+    def for_episode(self, actions, seed: int):
+        """This network's platoon decision for one episode of ``seed``: a
+        function from a ``GameScene`` to the greedy one of ``actions`` on a
+        noisy ``Observer``'s features of the scene, not the scene's values."""
+        observer = Observer()
+        have = (self.obs_dim, self.n_actions)
+        want = (observer.k * N_FEATURES, len(actions))
+        if have != want:
+            n = sum(map(len, actions[0].partition))
+            raise ValueError(f"network maps {have[0]} inputs to {have[1]} actions; "
+                             f"a {n}-member platoon needs {want[0]} to {want[1]}")
+        rng = np.random.default_rng((seed, 17))
+
+        def decide(scene):
+            obs = observer.observe(scene.platoon, scene.background, rng,
+                                   config.PLATOON_DECISION_PERIOD)
+            return select_configuration(obs.flatten(), self, actions)[0]
+        return decide
+
     def save(self, path, extra: dict | None = None):
         arrays = {}
         for tag, net in (("actor", self.actor), ("critic", self.critic)):
@@ -115,22 +213,30 @@ class PolicyNetwork:
                 arrays[f"{tag}_b{i}"] = b
         header = {"version": CHECKPOINT_VERSION, "obs_dim": self.obs_dim,
                   "n_actions": self.n_actions, "hidden": self.hidden}
+        clash = sorted(header.keys() & (extra or {}).keys())
+        if clash:
+            raise ValueError(f"extra keys {clash} would overwrite the checkpoint header")
         header.update(extra or {})
         arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
 
     @classmethod
     def load(cls, path):
-        data = np.load(path)
-        header = json.loads(bytes(data["header"]).decode())
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        net = cls(obs_dim=header["obs_dim"], n_actions=header["n_actions"],
-                  hidden=header["hidden"])
-        for tag, mlp in (("actor", net.actor), ("critic", net.critic)):
-            n = len(mlp.weights)
-            mlp.weights = [data[f"{tag}_w{i}"] for i in range(n)]
-            mlp.biases = [data[f"{tag}_b{i}"] for i in range(n)]
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header"]).decode())
+            if header["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {header['version']}")
+            net = cls(obs_dim=header["obs_dim"], n_actions=header["n_actions"],
+                      hidden=header["hidden"])
+            for tag, mlp in (("actor", net.actor), ("critic", net.critic)):
+                for kind, params in (("w", mlp.weights), ("b", mlp.biases)):
+                    for i, want in enumerate(params):
+                        key = f"{tag}_{kind}{i}"
+                        arr = data[key]
+                        if arr.shape != want.shape:
+                            raise ValueError(f"{key} has shape {arr.shape}; the header "
+                                             f"needs {want.shape}")
+                        params[i] = arr
         return net, header
 
 

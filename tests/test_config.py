@@ -1,7 +1,8 @@
-"""Construction-time checks of the game and control defaults classes."""
+"""Construction-time checks of the validated defaults classes."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -47,3 +48,38 @@ def test_control_gain_must_be_finite_and_non_negative(name, value):
     surface only after 20000 Riccati steps in the first executor."""
     with pytest.raises(ValueError):
         config.ControlConfig(**{name: value})
+
+
+REWARD_WEIGHTS = tuple(f.name for f in dataclasses.fields(config.RewardConfig))
+
+
+@pytest.mark.parametrize("name", REWARD_WEIGHTS)
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+def test_reward_weight_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValueError):
+        config.RewardConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", REWARD_WEIGHTS)
+def test_zero_reward_weight_accepted(name):
+    assert getattr(config.RewardConfig(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("name,value", [
+    ("learning_rate", 0.0), ("learning_rate", -1e-4), ("learning_rate", math.nan),
+    ("gamma", 0.0), ("gamma", 1.01), ("gamma", math.nan),
+    ("gae_lambda", -0.01), ("gae_lambda", 1.01), ("gae_lambda", math.nan),
+    ("clip_epsilon", 0.0), ("clip_epsilon", -0.2), ("clip_epsilon", math.nan),
+    ("batch_size", 0), ("batch_size", 64.0), ("batch_size", True),
+    ("epochs", 0), ("epochs", 4.0), ("hidden_size", 0), ("hidden_size", "256"),
+])
+def test_bad_ppo_setting_rejected(name, value):
+    with pytest.raises(ValueError):
+        config.PpoConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [("gamma", 1.0), ("gae_lambda", 0.0),
+                                        ("gae_lambda", 1.0), ("batch_size", 1),
+                                        ("epochs", 1), ("hidden_size", 1)])
+def test_ppo_setting_on_its_bound_accepted(name, value):
+    assert getattr(config.PpoConfig(**{name: value}), name) == value

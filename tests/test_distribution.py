@@ -8,14 +8,13 @@ from platoonreorg.coalition import MERGING, SPLITTING, STEADY, GameScene
 from platoonreorg.control import CavExecutor
 from platoonreorg.distribution import (
     HeuristicDistributionPolicy,
-    Observation,
-    Observer,
     PlatoonConfigAction,
     ReorgRecord,
     compute_reward,
     enumerate_configurations,
     reward_bound,
 )
+from platoonreorg.ppo import Observer
 from platoonreorg.world import RoadMap, VehicleState
 
 

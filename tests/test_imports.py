@@ -1,6 +1,8 @@
-"""The simulation stack loads without scipy, only test oracles import it,
-heuristic episodes run without ``numpy.random`` and call nothing in
-``numpy.linalg``, and the planning-and-control layer runs without numpy."""
+"""The simulation stack loads without scipy, only test oracles import it;
+heuristic episodes run with numpy unimportable and leave OpenSSL unloaded,
+since numpy belongs to the network policy in ``ppo`` alone; and the
+planning-and-control layer loads no numpy and calls nothing in
+``numpy.linalg``."""
 
 import os
 import subprocess
@@ -26,16 +28,17 @@ def test_stack_does_not_import_scipy():
     assert run_fresh(code) == "[]"
 
 
-def test_heuristic_episodes_do_not_import_numpy_random():
-    """Seeded worlds draw from the standard library, and only a network
-    policy gets a numpy Generator, so a heuristic run never loads
-    ``numpy.random``."""
+def test_heuristic_episodes_run_without_numpy_or_openssl():
+    """Seeded worlds draw from the standard library and only a network policy
+    reaches ``ppo``, so heuristic episodes of both cases run with numpy
+    unimportable, and nothing on their path loads OpenSSL's ``_hashlib``."""
     code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
             "from platoonreorg.episode import GrdfPolicy, run_episode\n"
             "from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec\n"
             "for spec in (case1_spec(), case2_spec()):\n"
             "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print('_hashlib' in sys.modules)\n")
     assert run_fresh(code) == "False"
 
 
@@ -48,18 +51,6 @@ RECORD_LINALG = ("import numpy.linalg\n"
                  "    return stub\n"
                  "for name in ('solve', 'eigvals', 'eig', 'inv', 'lstsq', 'det'):\n"
                  "    setattr(numpy.linalg, name, recording(name, getattr(numpy.linalg, name)))\n")
-
-
-def test_heuristic_episodes_do_not_call_numpy_linalg():
-    """The LQR gain is solved in float arithmetic, so none of these episodes
-    pays for paging in LAPACK."""
-    code = (RECORD_LINALG +
-            "from platoonreorg.episode import GrdfPolicy, run_episode\n"
-            "from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec\n"
-            "for spec in (case1_spec(), case2_spec()):\n"
-            "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
-            "print(calls)\n")
-    assert run_fresh(code) == "[]"
 
 
 def test_planning_imports_no_numpy_and_calls_no_linalg():

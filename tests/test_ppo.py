@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,27 @@ class TestPolicyNetwork:
         obs = np.linspace(-1, 1, 6)
         assert np.allclose(net.action_probs(obs), loaded.action_probs(obs))
         assert net.value(obs) == pytest.approx(loaded.value(obs))
+
+    @pytest.mark.parametrize("key", ["version", "obs_dim", "n_actions", "hidden"])
+    def test_save_refuses_extra_keys_that_overwrite_the_header(self, tmp_path, key):
+        net = PolicyNetwork(obs_dim=6, n_actions=4, hidden=12, seed=3)
+        with pytest.raises(ValueError, match="overwrite the checkpoint header"):
+            net.save(tmp_path / "ckpt.npz", extra={key: 5})
+
+    @pytest.mark.parametrize("key,value", [("obs_dim", 5), ("n_actions", 3), ("hidden", 16)])
+    def test_load_checks_array_shapes_against_the_header(self, tmp_path, key, value):
+        """A header that disagrees with the stored weights is refused, not
+        loaded as a network whose sizes do not match its own arrays."""
+        path = tmp_path / "ckpt.npz"
+        PolicyNetwork(obs_dim=6, n_actions=4, hidden=12, seed=3).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(bytes(arrays["header"]).decode())
+        header[key] = value
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="the header needs"):
+            PolicyNetwork.load(path)
 
 
 class TestSelection:

@@ -65,7 +65,7 @@ def scene_pins(name: str, seed: int) -> dict:
 
     world = _world(name, seed)
     policy = GrdfPolicy(use_pdi=False, keep_audit=True)
-    policy.reset(world, None, SPECS[name]().episode_len)
+    policy.reset(world, seed, SPECS[name]().episode_len)
     snapshot = world.all_states()
     policy.vehicle_decide(GameScene(road=world.road, platoon=snapshot[:n],
                                     background=snapshot[n:],
