@@ -1,6 +1,7 @@
 """The simulation stack loads without scipy, only test oracles import it;
 heuristic episodes run with numpy unimportable and leave OpenSSL unloaded,
-since numpy belongs to the network policy in ``ppo`` alone; and the
+since numpy belongs to the network policy in ``ppo`` alone, so they load no
+``numpy.random`` and call nothing in ``numpy.linalg``; and the
 planning-and-control layer loads no numpy and calls nothing in
 ``numpy.linalg``."""
 
@@ -42,6 +43,19 @@ def test_heuristic_episodes_run_without_numpy_or_openssl():
     assert run_fresh(code) == "False"
 
 
+def test_heuristic_episodes_do_not_import_numpy_random():
+    """Seeded worlds draw from the standard library, and only a network
+    policy gets a numpy Generator, so a heuristic run never loads
+    ``numpy.random``."""
+    code = ("import sys\n"
+            "from platoonreorg.episode import GrdfPolicy, run_episode\n"
+            "from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec\n"
+            "for spec in (case1_spec(), case2_spec()):\n"
+            "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
+            "print('numpy.random' in sys.modules)\n")
+    assert run_fresh(code) == "False"
+
+
 RECORD_LINALG = ("import numpy.linalg\n"
                  "calls = []\n"
                  "def recording(name, fn):\n"
@@ -51,6 +65,18 @@ RECORD_LINALG = ("import numpy.linalg\n"
                  "    return stub\n"
                  "for name in ('solve', 'eigvals', 'eig', 'inv', 'lstsq', 'det'):\n"
                  "    setattr(numpy.linalg, name, recording(name, getattr(numpy.linalg, name)))\n")
+
+
+def test_heuristic_episodes_do_not_call_numpy_linalg():
+    """The LQR gain is solved in float arithmetic, so none of these episodes
+    pays for paging in LAPACK."""
+    code = (RECORD_LINALG +
+            "from platoonreorg.episode import GrdfPolicy, run_episode\n"
+            "from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec\n"
+            "for spec in (case1_spec(), case2_spec()):\n"
+            "    run_episode(build_scenario(spec, 0), GrdfPolicy(), 0, 2.0)\n"
+            "print(calls)\n")
+    assert run_fresh(code) == "[]"
 
 
 def test_planning_imports_no_numpy_and_calls_no_linalg():
