@@ -15,12 +15,15 @@ behind the leader found by the one corridor scan,
 pruning screen read and whose steps the vehicle layer schedules on the
 members' executors.  The background moves by
 ``world.predict``, once per predicted time and tick (``GameScene.background_at``).
+The rollout's tracks hold its ``Pose``s, which the profits read with the
+world's ``compute_ttc`` and ``RoadMap.lane_index``, and the risk field under
+``config.DEFAULTS.risk``, as the platoon layer's ``GameScene.risks`` does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -29,8 +32,8 @@ from .control import follow_accel
 from .pdi import build_node_graph, compute_pdi
 from .planner import KEEP, LEFT, RIGHT
 from .riskfield import risk_at_point, risk_reward
-from .world import (Point, Pose, VehicleState, compute_ttc, lead_vehicle,
-                    nearest_in_corridor, padded_overlap, predict)
+from .world import (Pose, VehicleState, compute_ttc, lead_vehicle, nearest_in_corridor,
+                    padded_overlap, predict)
 
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
 
@@ -132,8 +135,7 @@ class GameScene:
     @cached_property
     def risks(self):
         """Per member, the risk field of the background at its position."""
-        params = replace(config.DEFAULTS.risk, v_max=max(self.road.speed_limit, 1.0))
-        return [risk_reward(v, self.background, params) for v in self.platoon]
+        return [risk_reward(v, self.background, config.DEFAULTS.risk) for v in self.platoon]
 
     @cached_property
     def at_risk(self) -> int:
@@ -186,7 +188,7 @@ def _planned_y(v, step, road, t: float) -> float:
 
 @dataclass
 class Prediction:
-    platoon_tracks: list        # per member: list of Point
+    platoon_tracks: list        # per member: its ``Pose`` at the decision and after each step
     background: list            # the background's ``Pose``s at the horizon
     collided: list              # per member: True if any predicted overlap
 
@@ -203,7 +205,7 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
     plan = lane_change_plan(partition, joint_action)
     poses = [Pose(v.x, v.y, v.speed, v.accel, 0.0, v.length, v.width, v.kind)
              for v in scene.platoon]
-    tracks = [[Point(v.x, v.y, v.speed)] for v in scene.platoon]
+    tracks = [[p] for p in poses]
     collided = [False] * len(scene.platoon)
 
     for k in range(1, n_steps + 1):
@@ -222,7 +224,7 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
                               pose.width, pose.kind))
         poses = moved
         for i, p in enumerate(poses):
-            tracks[i].append(Point(p.x, p.y, p.speed))
+            tracks[i].append(p)
             hl, hw = p.length / 2.0, p.width / 2.0
             if (padded_overlap(p.x, p.y, hl, hw, background, *PREDICT_PAD)
                     or padded_overlap(p.x, p.y, hl, hw, poses[:i] + poses[i + 1:], *PREDICT_PAD)):
@@ -232,35 +234,31 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
 
 # --- profit terms ----------------------------------------------------------------
 
-def safety_profit(member_idx: int, prediction: Prediction, scene: GameScene,
+def safety_profit(member_idx: int, prediction: Prediction,
                   w: config.GameConfig | None = None) -> float:
     """Risk-field value (negative), TTC toward the predicted leader (capped,
     positive), and leader separation (capped, positive)."""
     w = w or config.DEFAULTS.game
-    x, y, v = prediction.platoon_tracks[member_idx][-1]
+    me = prediction.platoon_tracks[member_idx][-1]
     others = [trk[-1] for j, trk in enumerate(prediction.platoon_tracks) if j != member_idx]
     others.extend(prediction.background)
 
-    p_ris = risk_at_point(x, y, others, config.DEFAULTS.risk)
+    p_ris = risk_at_point(me.x, me.y, others, config.DEFAULTS.risk)
 
-    lead = nearest_in_corridor(x, y, others)
+    lead = nearest_in_corridor(me.x, me.y, others)
     if lead is None:
         tau = w.ttc_cap
         sep_sq = w.dist_cap ** 2
     else:
-        gap = lead.x - x - scene.platoon[member_idx].length
-        closing = v - lead.speed
-        # overlapping vehicles have no time left, as in ``compute_ttc``
-        tau = 0.0 if gap <= 0 else min(gap / closing if closing > 0 else w.ttc_cap, w.ttc_cap)
-        tau = max(tau, 0.0)
-        sep_sq = min((x - lead.x) ** 2 + (y - lead.y) ** 2, w.dist_cap ** 2)
+        tau = min(compute_ttc(me, lead), w.ttc_cap)
+        sep_sq = min((me.x - lead.x) ** 2 + (me.y - lead.y) ** 2, w.dist_cap ** 2)
     return -p_ris + w.k_tau * tau + w.k_d * sep_sq
 
 
 def efficiency_profit(member_idx: int, prediction: Prediction, v_max: float) -> float:
     """Mean predicted longitudinal speed over the horizon, normalized."""
     track = prediction.platoon_tracks[member_idx]
-    return sum(p[2] for p in track) / (len(track) * v_max)
+    return sum(p.speed for p in track) / (len(track) * v_max)
 
 
 def integration_profit(coalition_lanes, window_lanes, n_lanes: int) -> float:
@@ -293,19 +291,17 @@ def tracking_profit(coalition, prediction: Prediction,
         return 0.0
     total = 0.0
     for a, b in zip(coalition, coalition[1:]):
-        xa, ya, va = prediction.platoon_tracks[a][-1]
-        xb, yb, vb = prediction.platoon_tracks[b][-1]
-        total += (abs(xa - xb - config.D_TARGET) + w.k_y * abs(ya - yb)
-                  + w.k_v * abs(va - vb))
+        pa, pb = prediction.platoon_tracks[a][-1], prediction.platoon_tracks[b][-1]
+        total += (abs(pa.x - pb.x - config.D_TARGET) + w.k_y * abs(pa.y - pb.y)
+                  + w.k_v * abs(pa.speed - pb.speed))
     return -total
 
 
 def _window_lanes(coalition, prediction: Prediction, scene: GameScene,
                   window: float):
-    centroid = sum(prediction.platoon_tracks[i][-1][0] for i in coalition) / len(coalition)
-    width = scene.road.lane_width
+    centroid = sum(prediction.platoon_tracks[i][-1].x for i in coalition) / len(coalition)
     finals = [trk[-1] for trk in prediction.platoon_tracks] + prediction.background
-    return [int(round(p.y / width)) for p in finals if abs(p.x - centroid) <= window]
+    return [scene.road.lane_index(p.y) for p in finals if abs(p.x - centroid) <= window]
 
 
 def coalition_value(coalition, prediction: Prediction, scene: GameScene,
@@ -324,12 +320,12 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
     w = w or config.DEFAULTS.game
     value = 0.0
     for i in coalition:
-        value += w.w_s * safety_profit(i, prediction, scene, w)
+        value += w.w_s * safety_profit(i, prediction, w)
         value += w.w_e * efficiency_profit(i, prediction, scene.road.speed_limit)
         if prediction.collided[i]:
             value -= w.collision_penalty
     value -= w.w_lane_change * lane_change_members
-    member_lanes = [int(round(prediction.platoon_tracks[i][-1][1] / scene.road.lane_width))
+    member_lanes = [scene.road.lane_index(prediction.platoon_tracks[i][-1].y)
                     for i in coalition]
     window_lanes = _window_lanes(coalition, prediction, scene, w.entropy_window)
     value -= w.w_it * integration_profit(member_lanes, window_lanes,
@@ -420,19 +416,12 @@ def evaluate_joint_action(partition, scene: GameScene, joint_action, phase: str,
 
 
 def _predicted_pdi(prediction: Prediction, scene: GameScene):
-    plat = []
-    for i, trk in enumerate(prediction.platoon_tracks):
-        x, y, v = trk[-1]
-        x = min(max(x, 0.0), scene.road.length)
-        plat.append(VehicleState(id=i, kind="CAV", x=x, y=y, speed=max(v, 0.0),
-                                 lane=scene.road.lane_of(y)))
-    bg = []
-    for j, p in enumerate(prediction.background):
-        if 0.0 <= p.x <= scene.road.length:
-            bg.append(VehicleState(id=1000 + j, kind="HDV", x=p.x, y=p.y,
-                                   speed=max(p.speed, 0.0)))
-    graph = build_node_graph(scene.road, plat, bg)
-    return compute_pdi(graph).value
+    road = scene.road
+    plat = [VehicleState(id=i, kind="CAV", x=min(max(p.x, 0.0), road.length), y=p.y,
+                         speed=max(p.speed, 0.0), lane=road.lane_of(p.y))
+            for i, p in enumerate(trk[-1] for trk in prediction.platoon_tracks)]
+    bg = [p for p in prediction.background if road.contains(p.x)]
+    return compute_pdi(build_node_graph(road, plat, bg)).value
 
 
 @dataclass

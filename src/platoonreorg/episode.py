@@ -228,7 +228,7 @@ def hdv_decide_lane(driver: HdvDriver, world: World, snapshot):
     if driver.changing() or driver.brake is not None:
         return
     road = world.road
-    here = round(state.y / road.lane_width)   # -1 on the ramp shoulder
+    here = road.lane_index(state.y)   # -1 on the ramp shoulder
     current = _lane_context(driver, state.y, world, snapshot)
     for lane in (here + 1, here - 1):
         if not 0 <= lane < road.lane_count:
@@ -308,9 +308,8 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         if vehicle_due:
             policy.vehicle_decide(scene, t)
         # HDV lane decisions run once per second each, staggered across frames
-        for k, driver in enumerate(world.hdvs):
-            if (frame + k) % hdv_period == 0:
-                hdv_decide_lane(driver, world, snapshot)
+        for driver in world.hdvs[-frame % hdv_period::hdv_period]:
+            hdv_decide_lane(driver, world, snapshot)
 
         # compute all commands from the same states, each with its leader
         commands = [m.executor.command(m.state, leader, t, world.road)

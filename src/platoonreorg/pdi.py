@@ -97,10 +97,10 @@ def build_node_graph(road, platoon, background, p: config.PdiConfig | None = Non
 
     Platoon vehicles anchor pathable nodes at their rear-axle centers (the
     frontmost is the start, the rearmost the end); background vehicles and
-    obstacles anchor blocked nodes at their outline centers, in the lane
-    nearest their lateral position (those off the lanes, such as on the ramp
-    shoulder, block nothing); remaining gaps in every lane are tiled with
-    evenly spaced free nodes.
+    obstacles (anything with an ``x`` and a ``y``) anchor blocked nodes at
+    their outline centers, in the ``RoadMap.lane_index`` lane (those off the
+    lanes, such as on the ramp shoulder, block nothing); remaining gaps in
+    every lane are tiled with evenly spaced free nodes.
     """
     p = p or config.DEFAULTS.pdi
     if not platoon:
@@ -118,7 +118,7 @@ def build_node_graph(road, platoon, background, p: config.PdiConfig | None = Non
     x_hi = max(a[0] for a in anchors)
     x_lo = min(a[0] for a in anchors)
     for v in background:
-        lane = int(round(v.y / road.lane_width))
+        lane = road.lane_index(v.y)
         if x_lo - 1.0 <= v.x <= x_hi + 1.0 and 0 <= lane < road.lane_count:
             anchors.append((v.x, lane, BLOCKED, INTERIOR))
 
@@ -137,7 +137,7 @@ def build_node_graph(road, platoon, background, p: config.PdiConfig | None = Non
                 if role != INTERIOR:
                     n.role = role
                 return n
-        n = RoadNode(id=len(nodes), lane=lane, x=x, y=lane * road.lane_width,
+        n = RoadNode(id=len(nodes), lane=lane, x=x, y=road.lane_center(lane),
                      status=status, role=role)
         nodes.append(n)
         return n

@@ -95,14 +95,16 @@ class Observer:
 
 
 class Mlp:
-    """Tanh MLP; forward keeps the cache needed for a manual backward pass."""
+    """Tanh MLP; forward keeps the cache needed for a manual backward pass.
+    Without an ``rng`` its weights start at zero, for a checkpoint to fill."""
 
     def __init__(self, sizes, rng):
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             scale = np.sqrt(2.0 / (fan_in + fan_out))
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out))
+                                if rng is not None else np.zeros((fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
     def forward(self, x):
@@ -162,17 +164,18 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class PolicyNetwork:
-    """Actor-critic pair over flattened observations."""
+    """Actor-critic pair over flattened observations.  A ``seed`` of None
+    draws no weights: ``load`` fills them from its file."""
 
     obs_dim: int
     n_actions: int
     hidden: int = config.DEFAULTS.ppo.hidden_size
-    seed: int = 0
+    seed: int | None = 0
     actor: Mlp = field(init=False)
     critic: Mlp = field(init=False)
 
     def __post_init__(self):
-        rng = np.random.default_rng(self.seed)
+        rng = None if self.seed is None else np.random.default_rng(self.seed)
         sizes = [self.obs_dim, self.hidden, self.hidden, self.n_actions]
         self.actor = Mlp(sizes, rng)
         self.critic = Mlp([self.obs_dim, self.hidden, self.hidden, 1], rng)
@@ -227,7 +230,7 @@ class PolicyNetwork:
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
             net = cls(obs_dim=header["obs_dim"], n_actions=header["n_actions"],
-                      hidden=header["hidden"])
+                      hidden=header["hidden"], seed=None)
             for tag, mlp in (("actor", net.actor), ("critic", net.critic)):
                 for kind, params in (("w", mlp.weights), ("b", mlp.biases)):
                     for i, want in enumerate(params):

@@ -8,6 +8,8 @@ weighted up by scaling lateral offsets before the distance clamp.
 The normalization (divide, then cap at 1) is monotone in the raw intensity,
 so the max over vehicles takes the raw intensities and normalizes once; the
 result equals the max of the per-vehicle normalized intensities bit for bit.
+One parameter set, ``config.DEFAULTS.risk``, serves every reader: the
+platoon layer's ``GameScene.risks`` and the game's safety profit alike.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 Axis convention: x runs along the road, y runs to the left of travel, lane
 centers sit at ``lane * lane_width``.  Lane 0 is the rightmost lane (the ramp
 merges into it).  Headings are measured from +x toward +y, so a left lane
-change uses a positive heading.
+change uses a positive heading.  ``RoadMap.lane_index`` is the one map from
+a lateral position to a lane; ``lane_of`` clamps it to the road.
 
 One corridor scan, ``nearest_in_corridor``, answers "which vehicle is next
 ahead of (or behind) this pose in its corridor" for the whole package: the
 frame loop, the HDV lane probes, the coalition conditions and the game's
-rollout all call it, on ``VehicleState``s or on bare ``Point`` poses.
+rollout all call it, on ``VehicleState``s, predicted ``Pose``s or bare
+``Point`` probes.
 
 One motion model, ``predict``, says where a vehicle that no layer here
 commands will be: the game's rollout and its pruning screen read their
@@ -60,9 +62,12 @@ class RoadMap:
     def lane_center(self, lane: int) -> float:
         return lane * self.lane_width
 
+    def lane_index(self, y: float) -> int:
+        """The lane nearest y, unclamped: -1 on the ramp shoulder."""
+        return round(y / self.lane_width)
+
     def lane_of(self, y: float) -> int:
-        lane = int(round(y / self.lane_width))
-        return min(max(lane, 0), self.lane_count - 1)
+        return min(max(self.lane_index(y), 0), self.lane_count - 1)
 
     def contains(self, x: float) -> bool:
         return 0.0 <= x <= self.length

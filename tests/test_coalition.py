@@ -1,8 +1,11 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platoonreorg import coalition, config, world
 from platoonreorg.coalition import (
@@ -35,8 +38,8 @@ from platoonreorg.coalition import (
 )
 from platoonreorg.control import CavExecutor
 from platoonreorg.planner import quintic
-from platoonreorg.riskfield import risk_at_point
-from platoonreorg.world import CAV, HDV, Point, RoadMap, VehicleState
+from platoonreorg.riskfield import risk_at_point, risk_reward
+from platoonreorg.world import CAV, HDV, Pose, RoadMap, VehicleState, compute_ttc
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
 W = config.DEFAULTS.game
@@ -52,6 +55,11 @@ def hdv(i, x, lane=0, speed=20.0, y=None):
     y = ROAD.lane_center(lane) if y is None else y
     return VehicleState(id=i, kind="HDV", x=x, y=y, speed=speed, lane=lane,
                         target_lane=lane)
+
+
+def pose(x, y, speed, kind=CAV):
+    """A predicted vehicle of the default size, heading along the road."""
+    return Pose(x, y, speed, 0.0, 0.0, config.VEHICLE_LENGTH, config.VEHICLE_WIDTH, kind)
 
 
 def brute_force(partition, scene, phase):
@@ -166,18 +174,17 @@ class TestPrediction:
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
         pred = predict_outcome(scene, part, (KEEP,), 3.0)
-        x0, y0, v0 = pred.platoon_tracks[0][0]
-        x1, y1, v1 = pred.platoon_tracks[0][-1]
-        assert v1 == pytest.approx(25.0, abs=1e-9)
-        assert x1 - x0 == pytest.approx(25.0 * 3.0, abs=1e-6)
-        assert y1 == y0
+        first, last = pred.platoon_tracks[0][0], pred.platoon_tracks[0][-1]
+        assert last.speed == pytest.approx(25.0, abs=1e-9)
+        assert last.x - first.x == pytest.approx(25.0 * 3.0, abs=1e-6)
+        assert last.y == first.y
 
     def test_left_change_reaches_lane_width(self):
         plat = [cav(0, 130.0, speed=25.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
         pred = predict_outcome(scene, part, (LEFT,), 3.0)
-        y_end = pred.platoon_tracks[0][-1][1]
+        y_end = pred.platoon_tracks[0][-1].y
         assert y_end - ROAD.lane_center(1) == pytest.approx(ROAD.lane_width, abs=1e-9)
 
     def test_deterministic(self):
@@ -188,6 +195,18 @@ class TestPrediction:
         a = predict_outcome(scene, part, (KEEP,), 3.0)
         b = predict_outcome(scene, part, (KEEP,), 3.0)
         assert a.platoon_tracks == b.platoon_tracks
+
+    def test_tracks_hold_the_rollouts_poses(self):
+        """Each track starts at the member's pose and holds the ``Pose`` each
+        step moved it to, its size included."""
+        plat = [cav(0, 130.0), cav(1, 115.0)]
+        scene = scene_of(plat, [])
+        pred = predict_outcome(scene, form_coalitions(plat, []), (LEFT,), 3.0)
+        for v, track in zip(plat, pred.platoon_tracks):
+            assert len(track) == 11 and all(type(p) is Pose for p in track)
+            assert track[0] == pose(v.x, v.y, v.speed)
+            assert {(p.length, p.width, p.heading) for p in track} == {
+                (v.length, v.width, 0.0)}
 
     def test_rejects_bad_horizon(self):
         plat = [cav(0, 130.0)]
@@ -266,25 +285,51 @@ class TestOnePrediction:
             (v.id, t): 1 for v in bg for t in times}
 
 
+def test_scene_risks_read_the_games_risk_field():
+    """The platoon layer's per-member risk is ``risk_reward`` under
+    ``config.DEFAULTS.risk``, the parameter set of the game's safety profit."""
+    plat = [cav(0, 130.0), cav(1, 115.0, lane=2), cav(2, 100.0)]
+    bg = [hdv(9, 150.0, lane=1, speed=30.0), hdv(10, 110.0, lane=2, speed=22.0)]
+    scene = scene_of(plat, bg)
+    assert scene.risks == [risk_reward(v, bg, config.DEFAULTS.risk) for v in plat]
+    assert min(scene.risks) > 0.0
+
+
 class TestProfits:
     def test_safety_caps_with_no_neighbors(self):
         plat = [cav(0, 130.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
         pred = predict_outcome(scene, part, (KEEP,), 3.0)
-        val = safety_profit(0, pred, scene)
+        val = safety_profit(0, pred)
         assert val == pytest.approx(W.k_tau * W.ttc_cap + W.k_d * W.dist_cap ** 2)
 
     @pytest.mark.parametrize("dx", [5.0, 3.0, 0.5])
     def test_safety_pays_no_ttc_bonus_on_overlap(self, dx):
         """A predicted leader at or inside bumper contact (centres ``dx`` <= one
         length apart) is a TTC of 0, as ``compute_ttc`` has it, not the cap."""
-        scene = scene_of([cav(0, 100.0)], [])
         y = ROAD.lane_center(1)
-        pred = Prediction(platoon_tracks=[[Point(100.0, y, 25.0)]],
-                          background=[Point(100.0 + dx, y, 20.0)], collided=[False])
-        risk = risk_at_point(100.0, y, [Point(100.0 + dx, y, 20.0)], config.DEFAULTS.risk)
-        assert safety_profit(0, pred, scene) == pytest.approx(-risk + W.k_d * dx ** 2)
+        lead = pose(100.0 + dx, y, 20.0, HDV)
+        pred = Prediction(platoon_tracks=[[pose(100.0, y, 25.0)]], background=[lead],
+                          collided=[False])
+        risk = risk_at_point(100.0, y, [lead], config.DEFAULTS.risk)
+        assert safety_profit(0, pred) == pytest.approx(-risk + W.k_d * dx ** 2)
+
+    @given(dx=st.floats(0.01, 60.0), v_me=st.floats(0.0, 40.0), v_lead=st.floats(0.0, 40.0))
+    @example(dx=20.0, v_me=20.0, v_lead=20.0)              # equal speeds
+    @example(dx=20.0, v_me=20.0 + 5e-10, v_lead=20.0)      # closing within 1e-9
+    @example(dx=3.0, v_me=25.0, v_lead=20.0)               # overlap
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_safety_ttc_term_is_the_worlds_capped_ttc(self, dx, v_me, v_lead):
+        """With every other term weighted out, the safety profit is
+        ``min(compute_ttc(me, lead), ttc_cap)`` toward the predicted leader."""
+        y = ROAD.lane_center(1)
+        me, lead = pose(100.0, y, v_me), pose(100.0 + dx, y, v_lead, HDV)
+        pred = Prediction(platoon_tracks=[[me]], background=[lead], collided=[False])
+        ttc_only = dataclasses.replace(W, k_tau=1.0, k_d=0.0)
+        no_ttc = dataclasses.replace(W, k_tau=0.0, k_d=0.0)
+        tau = safety_profit(0, pred, ttc_only) - safety_profit(0, pred, no_ttc)
+        assert tau == pytest.approx(min(compute_ttc(me, lead), W.ttc_cap), rel=1e-12, abs=1e-12)
 
     def test_safety_monotone_in_ttc(self):
         def track(v_lead):
@@ -293,18 +338,19 @@ class TestProfits:
             scene = scene_of(plat, bg)
             part = form_coalitions(plat, bg)
             pred = predict_outcome(scene, part, (KEEP,), 3.0)
-            return safety_profit(0, pred, scene)
+            return safety_profit(0, pred)
 
         assert track(24.0) > track(15.0)
 
     def test_efficiency_examples(self):
-        const = Prediction(platoon_tracks=[[(0, 0, 30.0)] * 3],
+        const = Prediction(platoon_tracks=[[pose(0, 0, 30.0)] * 3],
                            background=[], collided=[False])
         assert efficiency_profit(0, const, 30.0) == pytest.approx(1.0)
-        decel = Prediction(platoon_tracks=[[(0, 0, 30.0), (0, 0, 25.0), (0, 0, 20.0)]],
+        decel = Prediction(platoon_tracks=[[pose(0, 0, 30.0), pose(0, 0, 25.0),
+                                            pose(0, 0, 20.0)]],
                            background=[], collided=[False])
         assert efficiency_profit(0, decel, 30.0) == pytest.approx(25.0 / 30.0)
-        stopped = Prediction(platoon_tracks=[[(0, 0, 0.0)] * 2],
+        stopped = Prediction(platoon_tracks=[[pose(0, 0, 0.0)] * 2],
                              background=[], collided=[False])
         assert efficiency_profit(0, stopped, 30.0) == 0.0
 
@@ -318,18 +364,18 @@ class TestProfits:
     def test_tracking_examples(self):
         perfect = Prediction(
             background=[], collided=[False] * 2,
-            platoon_tracks=[[(110.0, 4.0, 25.0)], [(100.0, 4.0, 25.0)]])
+            platoon_tracks=[[pose(110.0, 4.0, 25.0)], [pose(100.0, 4.0, 25.0)]])
         assert tracking_profit((0, 1), perfect) == 0.0
         off = Prediction(
             background=[], collided=[False] * 2,
-            platoon_tracks=[[(112.0, 4.0, 25.0)], [(100.0, 4.0, 25.0)]])
+            platoon_tracks=[[pose(112.0, 4.0, 25.0)], [pose(100.0, 4.0, 25.0)]])
         assert tracking_profit((0, 1), off) == pytest.approx(-2.0)
         lateral = Prediction(
             background=[], collided=[False] * 2,
-            platoon_tracks=[[(110.0, 5.0, 25.0)], [(100.0, 4.0, 25.0)]])
+            platoon_tracks=[[pose(110.0, 5.0, 25.0)], [pose(100.0, 4.0, 25.0)]])
         assert tracking_profit((0, 1), lateral) == pytest.approx(-W.k_y * 1.0)
         singleton = Prediction(background=[], collided=[False],
-                               platoon_tracks=[[(110.0, 4.0, 25.0)]])
+                               platoon_tracks=[[pose(110.0, 4.0, 25.0)]])
         assert tracking_profit((0,), singleton) == 0.0
 
 
@@ -391,8 +437,6 @@ class TestSolve:
         assert decision.value == pytest.approx(total, abs=1e-9)
 
     def test_weight_scaling_invariance(self):
-        import dataclasses
-
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         bg = [hdv(9, 185.0, lane=1, speed=10.0), hdv(10, 160.0, lane=2, speed=24.0)]
         scene = scene_of(plat, bg)

@@ -279,6 +279,25 @@ def test_one_leader_lookup_per_member_and_frame(monkeypatch, golden, name, seed)
     assert cav_lookups == n * (result.frames + 1) + n * len(decisions)
 
 
+def test_each_hdv_decides_its_lane_once_per_second_on_its_own_frames(monkeypatch, golden):
+    """Driver k of ``world.hdvs`` decides on the frames f with
+    (f + k) % period == 0, one second of frames being one period, and the
+    drivers due on one frame decide in list order."""
+    calls = []
+    decide = episode.hdv_decide_lane
+
+    def recorded(driver, world, snapshot):
+        calls.append((round(world.clock.t / config.DT), driver.state.id))
+        decide(driver, world, snapshot)
+
+    monkeypatch.setattr(episode, "hdv_decide_lane", recorded)
+    world, result, _ = run_case("case1-grdf", 0)
+    assert result.metrics.row() == golden["case1-grdf/seed0"]
+    period = round(1.0 / config.DT)
+    assert calls == [(f, d.state.id) for f in range(result.frames)
+                     for k, d in enumerate(world.hdvs) if (f + k) % period == 0]
+
+
 @pytest.mark.parametrize("name,seed", [("case1-grdf", 0), ("case2-dense-grdf", 1)])
 def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, name, seed):
     """The heuristic reads each member's risk once per platoon decision; the
@@ -329,9 +348,8 @@ def test_lead_info_prefers_first_lowest_finite_ttc():
     """TTCs (1, 2, inf) with the highest risk at member 2: member 0 is at risk.
     An HDV 1 m behind member 2 in its lane raises its risk, not its TTC."""
     world = _lead_info_world([(115.0, 0, 15.0), (85.0, 1, 15.0), (19.0, 2, 33.0)])
-    params = dataclasses.replace(config.DEFAULTS.risk, v_max=world.road.speed_limit)
     background = [d.state for d in world.hdvs]
-    risks = [risk_reward(m.state, background, params) for m in world.members]
+    risks = [risk_reward(m.state, background, config.DEFAULTS.risk) for m in world.members]
     assert max(risks) == risks[2] > max(risks[:2])
     tau0, best_tau, risk, idx = lead_info(world)
     assert (tau0, best_tau, risk) == (pytest.approx(1.0), pytest.approx(1.0), risks[2])

@@ -168,6 +168,22 @@ class TestPolicyNetwork:
         assert np.allclose(net.action_probs(obs), loaded.action_probs(obs))
         assert net.value(obs) == pytest.approx(loaded.value(obs))
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        """Every array comes from the file: a load makes no random generator."""
+        net = PolicyNetwork(obs_dim=6, n_actions=4, hidden=12, seed=3)
+        path = tmp_path / "ckpt.npz"
+        net.save(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded, _ = PolicyNetwork.load(path)
+        for mine, theirs in ((net.actor, loaded.actor), (net.critic, loaded.critic)):
+            assert len(theirs.params()) == len(mine.params())
+            for a, b in zip(mine.params(), theirs.params()):
+                assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("key", ["version", "obs_dim", "n_actions", "hidden"])
     def test_save_refuses_extra_keys_that_overwrite_the_header(self, tmp_path, key):
         net = PolicyNetwork(obs_dim=6, n_actions=4, hidden=12, seed=3)

@@ -1,7 +1,9 @@
 """Static checks of the package source: every parameter a function takes is
 read somewhere in its body, every constant and config field of
 ``config.py`` is read by another module of the package, and every
-upper-case module-level constant of any module is read by some module."""
+upper-case module-level constant of any module is read by some module.  No
+module derives a parameter set from ``config.DEFAULTS`` by ``replace``, and only
+``world.py`` divides by the lane width."""
 
 import ast
 from pathlib import Path
@@ -115,3 +117,57 @@ def test_every_module_constant_is_read():
     read = names_read(sources.values())
     assert [f"{name} {c}" for name, source in sources.items()
             for c in module_constants(source) if c not in read] == []
+
+
+def defaults_replacements(source: str) -> list[str]:
+    """``line call`` for every ``replace(...)`` (bare or ``dataclasses.``)
+    whose first argument reads ``DEFAULTS``: a second parameter set derived
+    from the one defaults object."""
+    return [f"{n.lineno} {ast.unparse(n)}" for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and n.args
+            and (getattr(n.func, "id", None) == "replace"
+                 or getattr(n.func, "attr", None) == "replace")
+            and any(getattr(a, "id", None) == "DEFAULTS" or getattr(a, "attr", None) == "DEFAULTS"
+                    for a in ast.walk(n.args[0]))]
+
+
+def test_defaults_scan_sees_only_replaced_defaults():
+    source = ("p = replace(config.DEFAULTS.risk, v_max=1.0)\n"
+              "q = dataclasses.replace(DEFAULTS.game, w_s=2.0)\n"
+              "r = replace(params, v_max=1.0)\n"
+              "s = pose._replace(x=config.DEFAULTS.risk.v_max)\n"
+              "t = name.replace('a', 'b')\n")
+    assert defaults_replacements(source) == [
+        "1 replace(config.DEFAULTS.risk, v_max=1.0)",
+        "2 dataclasses.replace(DEFAULTS.game, w_s=2.0)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_derives_a_parameter_set_from_the_defaults(path):
+    """Every layer reads each ``config.DEFAULTS`` member as it stands, so two
+    layers never see one quantity under two parameter sets."""
+    assert defaults_replacements(path.read_text()) == []
+
+
+def lane_width_divisions(source: str) -> list[str]:
+    """``line expression`` for every division by a ``lane_width``, bare or
+    as an attribute."""
+    return [f"{n.lineno} {ast.unparse(n)}" for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Div, ast.FloorDiv))
+            and "lane_width" in (getattr(n.right, "id", None), getattr(n.right, "attr", None))]
+
+
+def test_lane_width_scan_sees_only_divisions():
+    source = ("a = y / road.lane_width\n"
+              "b = round(y // lane_width)\n"
+              "c = lane * road.lane_width\n"
+              "d = road.lane_width / 2.0\n")
+    assert lane_width_divisions(source) == ["1 y / road.lane_width", "2 y // lane_width"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "world.py"),
+                         ids=lambda p: p.name)
+def test_only_the_road_maps_a_position_to_a_lane(path):
+    """``RoadMap.lane_index`` is the one lane-index formula: no other module
+    divides by the lane width."""
+    assert lane_width_divisions(path.read_text()) == []
