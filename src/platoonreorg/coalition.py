@@ -103,11 +103,12 @@ class GameScene:
     """The scene of one decision tick: what the platoon layer, its reward and
     the game read.
 
-    The episode loop builds one per decision tick from its snapshot, and it
-    is read only on that tick: states advance in place, so the values cached
-    here would be stale on the next frame.  ``executors`` lends the rollout
-    each member's follow-law constants, ``cruise_speed`` and ``K``, and
-    receives the vehicle layer's schedule of lane changes.
+    The episode loop builds one from its snapshot every
+    ``config.DECISION_PERIOD``, and it is read only on that tick: states
+    advance in place, so the values cached here would be stale on the next
+    frame.  ``executors`` lends the rollout each member's follow-law
+    constants, ``cruise_speed`` and ``K``, and receives the vehicle layer's
+    schedule of lane changes.
     """
 
     road: object

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 # --- simulation clock -------------------------------------------------------
 DT = 0.1                      # physics step [s]
-VEHICLE_DECISION_PERIOD = 1.0  # vehicle-layer (game) cadence [s]
-PLATOON_DECISION_PERIOD = 5.0  # platoon-layer (configuration) cadence [s]
+DECISION_PERIOD = 1.0         # both decision layers decide once per period [s]
 
 # --- road / vehicle geometry -------------------------------------------------
 LANE_WIDTH = 4.0              # lane centers at lane_index * LANE_WIDTH [m]

@@ -2,15 +2,14 @@
 
 Every consumer reads one snapshot, the ``World.all_states()`` list
 (members front to rear, then HDVs), built once per episode: every state is
-advanced in place, so the list always shows the current world.  On a frame
-where either decision layer runs, the loop builds one ``GameScene`` from it,
-which the platoon layer (``GrdfPolicy.platoon_decide``), its reward and the
-vehicle layer (``vehicle_decide``) all read; a scene is read only on the
-tick it was built for, since the states under it advance in place.  All
-commands come from the same states, then all states advance together.  The
-platoon layer runs at its slow cadence, the vehicle layer (the coalition
-game) at the fast cadence, HDV lane decisions staggered in between, physics
-every frame.  A scripted brake
+advanced in place, so the list always shows the current world.  Every
+``config.DECISION_PERIOD`` the loop builds one ``GameScene`` from it, and
+the platoon layer (``GrdfPolicy.platoon_decide``), its reward and the
+vehicle layer (``vehicle_decide``, the coalition game) read it in that
+order; a scene is read only on the tick it was built for, since the states
+under it advance in place.  All commands come from the same states, then all
+states advance together.  HDV lane decisions are staggered across the
+frames of a second, physics runs every frame.  A scripted brake
 (``HdvDriver.brake``, the case-2 leader's event) is played on its own
 driver at the start of each frame, and that driver keeps its lane.
 Each platoon member's command comes from ``CavExecutor.command`` alone, fed
@@ -297,15 +296,12 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
         for driver in braking:
             _apply_brake(driver, t)
 
-        platoon_due, vehicle_due = clock.platoon_decision_due(), clock.vehicle_decision_due()
-        if platoon_due or vehicle_due:
+        if clock.decision_due():
             scene = GameScene(road=world.road, platoon=states, background=background,
                               executors=executors)
-        if platoon_due:
             action = policy.platoon_decide(scene, t)
             if collect_reward is not None:
                 collect_reward(scene, action, reorg, t)
-        if vehicle_due:
             policy.vehicle_decide(scene, t)
         # HDV lane decisions run once per second each, staggered across frames
         for driver in world.hdvs[-frame % hdv_period::hdv_period]:

@@ -202,8 +202,7 @@ class PolicyNetwork:
         rng = np.random.default_rng((seed, 17))
 
         def decide(scene):
-            obs = observer.observe(scene.platoon, scene.background, rng,
-                                   config.PLATOON_DECISION_PERIOD)
+            obs = observer.observe(scene.platoon, scene.background, rng, config.DECISION_PERIOD)
             return select_configuration(obs.flatten(), self, actions)[0]
         return decide
 

@@ -208,7 +208,7 @@ def check_collision(a: VehicleState, b: VehicleState) -> bool:
 
 @dataclass
 class SimClock:
-    """Episode time on the ``config.DT`` grid, with the two decision cadences."""
+    """Episode time on the ``config.DT`` grid, with the decision cadence."""
 
     t: float = 0.0
 
@@ -216,11 +216,8 @@ class SimClock:
     def dt(self) -> float:
         return config.DT
 
-    def vehicle_decision_due(self) -> bool:
-        return round(self.t / config.DT) % round(config.VEHICLE_DECISION_PERIOD / config.DT) == 0
-
-    def platoon_decision_due(self) -> bool:
-        return round(self.t / config.DT) % round(config.PLATOON_DECISION_PERIOD / config.DT) == 0
+    def decision_due(self) -> bool:
+        return round(self.t / config.DT) % round(config.DECISION_PERIOD / config.DT) == 0
 
     def tick(self):
         self.t = round(self.t + config.DT, 9)

@@ -9,7 +9,9 @@ A limit monitor checks every member on every frame against the physical
 limits.  Its ``EpisodeMetrics.row()`` is compared exactly against
 ``golden/episodes.json``.  A property test draws short episodes over lane
 and platoon counts, density, case and seed, and holds each to the same
-invariants and monitor, unless its spec is rejected.  A case-1
+invariants and monitor, unless its spec is rejected.  Case 2's leader
+braking to a standstill in front of the 3-lane platoon, seeds 0-2, must be
+cleared by a lane change without a collision.  A case-1
 network-policy episode that splits and re-merges is pinned below; it also
 checks that the reward, the metrics and the game phase read one
 reorganization clock.  A case-2 network-policy
@@ -176,13 +178,15 @@ def test_any_episode_keeps_the_limits_or_is_rejected(setup, seed):
 # features in, 4 configurations out, network seed 0).  The episode seed is the
 # first that runs the 30 s without a collision and completes exactly one
 # reorganization early enough for a later platoon decision to hand its time to
-# the reward.  Under it the network splits into (0) and (1, 2) at 5 s and
-# picks the single group again at 10 s, so the run covers ``Observer``,
-# ``select_configuration`` and one full reorganization inside the loop.
+# the reward.  Under it the network splits into (0), (1) and (2) at 2 s and
+# picks the single group again at 5 s; the formation is intact from 5.1 s,
+# so the reorganization ends at 8.1 s and the 9 s decision hands its 3.1 s
+# to the reward.  The run covers ``Observer``, ``select_configuration`` and
+# one full reorganization inside the loop.
 NETWORK_LEN = 30.0
-NETWORK_SEED = 16
-NETWORK_ROW = {"collision": 0, "avg_speed": 23.600468, "min_ttc": 2.282545,
-               "avg_distance": 10.341336, "formation_success": 1, "formation_time": 5.1,
+NETWORK_SEED = 30
+NETWORK_ROW = {"collision": 0, "avg_speed": 15.891398, "min_ttc": 3.136922,
+               "avg_distance": 9.942796, "formation_success": 1, "formation_time": 3.1,
                "reorganizations": 1, "duration": 30.0}
 
 
@@ -223,7 +227,7 @@ def test_reward_metrics_and_game_phase_share_one_clock():
         t = row["t"]
         want = (STEADY if t < start or t >= end else SPLITTING if t < merge else MERGING)
         assert row["phase"] == want, t
-    assert max(r["t"] for r in audit if r["phase"] == MERGING) == 13.0
+    assert max(r["t"] for r in audit if r["phase"] == MERGING) == 8.0
 
 
 def test_one_snapshot_per_frame(monkeypatch, golden):
@@ -254,6 +258,42 @@ def _count_platoon_decisions(monkeypatch):
 
     monkeypatch.setattr(GrdfPolicy, "platoon_decide", counted)
     return decisions
+
+
+def test_one_scene_per_decision_tick(monkeypatch, golden):
+    """On every ``config.DECISION_PERIOD`` tick, and on no other frame, the
+    platoon layer, its reward and the vehicle layer read one ``GameScene``,
+    in that order."""
+    calls = []
+    platoon_decide, vehicle_decide = GrdfPolicy.platoon_decide, GrdfPolicy.vehicle_decide
+
+    def platoon(self, scene, t):
+        calls.append(("platoon", t, scene))
+        return platoon_decide(self, scene, t)
+
+    def vehicle(self, scene, t):
+        calls.append(("vehicle", t, scene))
+        return vehicle_decide(self, scene, t)
+
+    def reward(scene, action, reorg, t):
+        calls.append(("reward", t, scene))
+
+    monkeypatch.setattr(GrdfPolicy, "platoon_decide", platoon)
+    monkeypatch.setattr(GrdfPolicy, "vehicle_decide", vehicle)
+    spec = CASES["case1-grdf"][0]()
+    world = build_scenario(spec, 0)
+    result = run_episode(world, GrdfPolicy(), 0, spec.episode_len, spec.success_window,
+                         collect_reward=reward)
+    assert result.metrics.row() == golden["case1-grdf/seed0"]
+    period = round(config.DECISION_PERIOD / config.DT)
+    ticks = [round(f * config.DT, 9) for f in range(0, result.frames, period)]
+    assert [(name, t) for name, t, _ in calls] == [
+        (name, t) for t in ticks for name in ("platoon", "reward", "vehicle")]
+    for k in range(0, len(calls), 3):
+        scene = calls[k][2]
+        assert isinstance(scene, GameScene)
+        assert all(c[2] is scene for c in calls[k:k + 3])
+    assert len({id(c[2]) for c in calls}) == len(ticks)
 
 
 @pytest.mark.parametrize("name,seed", [("case1-grdf", 0), ("case2-dense-grdf", 1)])
@@ -300,8 +340,8 @@ def test_each_hdv_decides_its_lane_once_per_second_on_its_own_frames(monkeypatch
 
 @pytest.mark.parametrize("name,seed", [("case1-grdf", 0), ("case2-dense-grdf", 1)])
 def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, name, seed):
-    """The heuristic reads each member's risk once per platoon decision; the
-    vehicle ticks in between build scenes that never compute it."""
+    """The heuristic reads each member's risk once per platoon decision, from
+    the tick's scene; nothing else in the loop computes it."""
     risk_calls = 0
     risk_reward = riskfield.risk_reward
 
@@ -317,6 +357,32 @@ def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, nam
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
     assert decisions
     assert risk_calls == len(world.members) * len(decisions)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stalled_leader_is_cleared_by_a_lane_change(seed):
+    """Case 2's leader brakes to a standstill (``event_cruise_after=0``) in
+    front of the 3-lane platoon under GRDF-GT: over 120 s no member collides
+    or breaks a limit, and at least one member leaves its lane."""
+    spec = case2_spec(density=3.0, event_cruise_after=0.0)
+    world = build_scenario(spec, seed)
+    breaks = monitor_limits(world)
+    lanes = {m.index: {m.state.lane} for m in world.members}
+    tick = world.clock.tick
+
+    def seen():
+        tick()
+        for m in world.members:
+            lanes[m.index].add(m.state.lane)
+
+    world.clock.tick = seen
+    result = run_episode(world, GrdfPolicy(use_pdi=True), seed, spec.episode_len,
+                         spec.success_window)
+    assert not result.metrics.collision
+    assert result.metrics.duration == spec.episode_len == 120.0
+    assert invariant_failures(world, result) == []
+    assert breaks == []
+    assert any(len(seen_lanes) > 1 for seen_lanes in lanes.values())
 
 
 def _lead_info_world(hdv_poses):

@@ -8,7 +8,6 @@ from platoonreorg.world import (
     Pose,
     RampSegment,
     RoadMap,
-    SimClock,
     VehicleState,
     WorldError,
     check_collision,
@@ -268,15 +267,6 @@ class TestRoadAndClock:
     def test_bad_road_dimension_rejected(self, field, value):
         with pytest.raises(WorldError, match=field):
             RoadMap(**{field: value})
-
-    def test_decision_periods_align(self):
-        clock = SimClock()
-        due = []
-        for _ in range(25):
-            due.append(clock.vehicle_decision_due())
-            clock.tick()
-        assert due[0] and due[10] and due[20]
-        assert not any(due[1:10])
 
 
 class TestVehicleStateBoundary:
