@@ -35,8 +35,7 @@ ACCEL_LIMIT = 4.0             # |a| bound [m/s^2]
 JERK_LIMIT = 8.0              # |jerk| bound [m/s^3]
 LAT_ACCEL_LIMIT = 3.0         # |a_lat| bound [m/s^2]
 LQR_ACCEL_MAX = 2.0
-STEER_RATE_LIMIT = 0.3        # |heading rate| bound [rad/s]
-PID_INTEGRAL_LIMIT = 5.0      # |integral| cap of the steering PID [m s]
+STEER_RATE_LIMIT = 0.3        # |heading rate| bound of the lateral law [rad/s]
 
 TTC_CRITICAL = 2.5            # critical time-to-collision: the heuristic splits below it [s]
 RISK_CRITICAL = 0.5           # risk-field value above which the heuristic splits
@@ -143,23 +142,20 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """LQR / PID tracking gains."""
+    """LQR weights of the follow law; natural frequency and damping of the lateral law."""
 
     lqr_q_gap: float = 1.0
     lqr_q_speed: float = 0.5
     lqr_r: float = 1.0
-    pid_kp: float = 0.3
-    pid_ki: float = 0.01
-    pid_kd: float = 0.8
+    lat_omega: float = 1.2      # [rad/s]
+    lat_zeta: float = 0.9
 
     def __post_init__(self):
-        gains = (self.lqr_q_gap, self.lqr_q_speed, self.lqr_r, self.pid_kp, self.pid_ki,
-                 self.pid_kd)
         # an unweighted gap is undetectable, and the LQR gain would not stabilize
-        if not (all(0.0 <= g < math.inf for g in gains) and self.lqr_r > 0.0
-                and self.lqr_q_gap > 0.0):
-            raise ValueError("control gains must be finite and non-negative, "
-                             "lqr_q_gap and lqr_r positive")
+        positive = (self.lqr_q_gap, self.lqr_r, self.lat_omega, self.lat_zeta)
+        if not (all(0.0 < g < math.inf for g in positive) and 0.0 <= self.lqr_q_speed < math.inf):
+            raise ValueError("control gains must be finite, lqr_q_speed non-negative and "
+                             "lqr_q_gap, lqr_r, lat_omega and lat_zeta positive")
 
 
 @dataclass(frozen=True)

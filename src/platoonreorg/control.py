@@ -1,11 +1,11 @@
-"""Low-level control: one longitudinal law for every CAV, and PID steering.
+"""Low-level control: one longitudinal and one lateral law for every CAV.
 
 ``follow_accel`` is the only longitudinal law of a platoon member (Ploeg et
 al. 2011's CACC structure over an LQR spacing law): the executor calls it
 whether or not it tracks a lane-change plan, and the coalition game's
 rollout moves members with it, so the game predicts the law that runs.
 ``CavExecutor.command`` feeds it the vehicle ahead in the member's corridor
-and steers with PID: along a lane-change plan's lateral reference while it
+and steers by lateral acceleration, along a lane-change plan while it
 tracks one, toward its lane's center otherwise.
 
 The executor owns its member's lane change from the vehicle layer's
@@ -86,8 +86,9 @@ def follow_accel(state, leader, road, cruise_speed: float, K, dt: float = config
       leader's ``accel`` forward (the V2V term of CACC), and a ``5 + 1.2 v``
       headway behind a foreign vehicle.
     A leader closer than 1.5 s time-to-collision asks for full braking.  Last,
-    the command moves at most ``config.JERK_LIMIT · dt`` from ``state.accel``
-    and is clamped to ``[-config.ACCEL_LIMIT, config.LQR_ACCEL_MAX]``.
+    the command moves at most ``config.JERK_LIMIT · dt`` from ``state.accel``,
+    brakes no harder than a stop within that jerk step allows, and is clamped
+    to ``[-config.ACCEL_LIMIT, config.LQR_ACCEL_MAX]``.
     """
     platoon_ahead = leader is not None and leader.kind == CAV
     set_speed = road.speed_limit if platoon_ahead else cruise_speed
@@ -101,18 +102,12 @@ def follow_accel(state, leader, road, cruise_speed: float, K, dt: float = config
             accel = -config.ACCEL_LIMIT
     step = config.JERK_LIMIT * dt
     accel = min(max(accel, state.accel - step), state.accel + step)
+    # braking that eases off by ``step`` a frame to rest sheds step·dt·n(n+1)/2
+    # in n frames; braking beyond that ramp (linear between n) stops with a jerk
+    u = state.speed / (step * dt)
+    n = math.floor((math.sqrt(8.0 * u + 1.0) - 1.0) / 2.0)
+    accel = max(accel, -step * (u / (n + 1) + n / 2))
     return min(max(accel, -config.ACCEL_LIMIT), config.LQR_ACCEL_MAX)
-
-
-def pid_steering(lateral_err: float, heading: float, integral: float,
-                 gains: config.ControlConfig, heading_ref: float = 0.0) -> tuple:
-    """(heading-rate command, new integral) from lateral error with heading
-    damping; ``integral`` is the lateral error's clamped running integral."""
-    integral += lateral_err * config.DT
-    integral = min(max(integral, -config.PID_INTEGRAL_LIMIT), config.PID_INTEGRAL_LIMIT)
-    rate = (gains.pid_kp * lateral_err + gains.pid_ki * integral
-            - gains.pid_kd * (heading - heading_ref))
-    return min(max(rate, -config.STEER_RATE_LIMIT), config.STEER_RATE_LIMIT), integral
 
 
 @dataclass
@@ -123,7 +118,6 @@ class CavExecutor:
     cruise_speed: float
     gains: config.ControlConfig = config.DEFAULTS.control
     K: tuple = field(init=False)
-    integral: float = field(default=0.0, init=False)    # PID's lateral-error integral
     trajectory: TrajectoryCandidate | None = field(default=None, init=False)
     traj_t0: float = field(default=0.0, init=False)
     pending: tuple | None = field(default=None, init=False)   # (due_t, LEFT or RIGHT)
@@ -147,10 +141,12 @@ class CavExecutor:
         the ``hold_lane`` fallback, starts now and sets ``state.target_lane``.
         A change that would leave the road raises ``PlanningError``.
         The acceleration is always ``follow_accel``, TTC brake and jerk stage
-        included.  Steering is PID toward a lateral reference: the plan's
-        lateral position, with the heading of its lateral speed at the ego's
-        speed, while a plan is tracked; else the center of
-        ``state.target_lane``, heading 0.
+        included.  Steering asks for the lateral acceleration
+        ``ay_ref + ω²·(y_ref − y) + 2ζω·(vy_ref − vy)`` toward the plan's
+        lateral state while a plan is tracked, else toward the center of
+        ``state.target_lane`` at rest, through the heading rate that gives it
+        at the ego's speed; the lateral speed then moves at most
+        ``config.LAT_ACCEL_LIMIT · DT`` per step.
         Once the plan's duration has elapsed the executor ends it before
         commanding, with ``state.target_lane`` set to the lane the vehicle
         is in.
@@ -161,20 +157,21 @@ class CavExecutor:
             traj = select_trajectory(generate_lattice(state, direction, road), state, road)
             self.trajectory = traj
             self.traj_t0 = t_now
-            self.integral = 0.0
             state.target_lane = traj.target_lane
         traj = self.trajectory
         if traj is not None and t_now - self.traj_t0 >= traj.duration:
             traj = self.trajectory = None
-            self.integral = 0.0
             state.target_lane = state.lane
         if traj is not None:
-            y_ref, vy_ref = traj.state_at(t_now - self.traj_t0)
-            heading_ref = math.atan2(vy_ref, max(state.speed, 1.0))
+            y_ref, vy_ref, ay_ref = traj.state_at(t_now - self.traj_t0)
         else:
-            y_ref, heading_ref = road.lane_center(state.target_lane), 0.0
-        rate, self.integral = pid_steering(y_ref - state.y, state.heading, self.integral,
-                                           self.gains, heading_ref=heading_ref)
+            y_ref, vy_ref, ay_ref = road.lane_center(state.target_lane), 0.0, 0.0
+        g = self.gains
+        vy = state.speed * math.sin(state.heading)
+        ay = (ay_ref + g.lat_omega ** 2 * (y_ref - state.y)
+              + 2.0 * g.lat_zeta * g.lat_omega * (vy_ref - vy))
+        rate = ay / (max(state.speed, 1.0) * math.cos(state.heading))
+        rate = min(max(rate, -config.STEER_RATE_LIMIT), config.STEER_RATE_LIMIT)
         accel = follow_accel(state, leader, road, self.cruise_speed, self.K)
 
         speed = max(state.speed + accel * config.DT, 0.0)
@@ -182,7 +179,6 @@ class CavExecutor:
         if speed > 0.0:
             # lateral stage: the lateral speed moves at most LAT_ACCEL_LIMIT·DT
             reach = config.LAT_ACCEL_LIMIT * config.DT
-            vy = state.speed * math.sin(state.heading)
             lo, hi = (math.asin(min(max((vy + d) / speed, -1.0), 1.0))
                       for d in (-reach, reach))
             heading = min(max(heading, lo), hi)

@@ -77,9 +77,8 @@ class TrajectoryCandidate:
     target_lane: int = 0
 
     def state_at(self, t):
-        """Lateral reference (y, vy) at a time inside the plan, clamped to it."""
-        y, vy, _ = self.lat.derivatives(min(max(t, 0.0), self.duration))
-        return y, vy
+        """Lateral reference (y, vy, ay) at a time inside the plan, clamped to it."""
+        return tuple(self.lat.derivatives(min(max(t, 0.0), self.duration)))
 
 
 def generate_lattice(state, decision: str, road) -> TrajectoryCandidate:

@@ -11,7 +11,7 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "87bee14b0fd0888b"
+    assert config.config_hash(config.DEFAULTS) == "e55d7f0e1fcf8dbc"
 
 
 GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_d", "k_y", "k_v", "w_pdi",
@@ -38,7 +38,7 @@ def test_game_scale_must_be_finite_and_positive(name, value):
         config.GameConfig(**{name: value})
 
 
-CONTROL_GAINS = ("lqr_q_gap", "lqr_q_speed", "lqr_r", "pid_kp", "pid_ki", "pid_kd")
+CONTROL_GAINS = ("lqr_q_gap", "lqr_q_speed", "lqr_r", "lat_omega", "lat_zeta")
 
 
 @pytest.mark.parametrize("name", CONTROL_GAINS)
@@ -48,6 +48,12 @@ def test_control_gain_must_be_finite_and_non_negative(name, value):
     surface only after 20000 Riccati steps in the first executor."""
     with pytest.raises(ValueError):
         config.ControlConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["lat_omega", "lat_zeta"])
+def test_lateral_law_needs_a_positive_frequency_and_damping(name):
+    with pytest.raises(ValueError, match="lat_omega and lat_zeta"):
+        config.ControlConfig(**{name: 0.0})
 
 
 REWARD_WEIGHTS = tuple(f.name for f in dataclasses.fields(config.RewardConfig))

@@ -11,7 +11,6 @@ from platoonreorg.control import (
     ControlError,
     follow_accel,
     lqr_longitudinal,
-    pid_steering,
     schur_stable,
     solve_lqr_gain,
 )
@@ -111,31 +110,71 @@ class TestLqr:
         assert 0.2 < stable.mean() < 0.8
 
 
-class TestPid:
+def drive_lane_keeping(ex, ego, seconds):
+    """Command and step the ego with no leader for ``seconds``; the per-step
+    (|lateral accel|, y)."""
+    seen = []
+    t = 0.0
+    for _ in range(round(seconds / config.DT)):
+        speed, heading = ex.command(ego, None, t, ROAD)
+        step_kinematics(ego, speed, heading)
+        seen.append((abs(ego.ay), ego.y))
+        t = round(t + config.DT, 9)
+    return seen
+
+
+class TestLateralLaw:
     def test_aligned_zero(self):
-        assert pid_steering(0.0, 0.0, 0.0, config.DEFAULTS.control) == (0.0, 0.0)
+        """On its lane's center, aligned and not moving sideways, the ego
+        keeps heading 0."""
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = VehicleState(id=0, kind="CAV", x=0.0, y=4.0, speed=25.0, lane=1,
+                           target_lane=1)
+        assert ex.command(ego, None, 0.0, ROAD)[1] == 0.0
 
-    def test_step_offset_settles(self):
-        """1 m lateral step at 25 m/s decays below 0.05 m within 8 s."""
-        gains = config.DEFAULTS.control
-        integral = 0.0
-        v = VehicleState(id=0, kind="CAV", x=0.0, y=1.0, speed=25.0, lane=0,
-                         target_lane=0)
-        dt = config.DT
-        for _ in range(int(8.0 / dt)):
-            rate, integral = pid_steering(0.0 - v.y, v.heading, integral, gains)
-            step_kinematics(v, 25.0, v.heading + rate * dt)
-        assert abs(v.y) < 0.05
+    @pytest.mark.parametrize("speed", [10.0, 25.0, 33.0])
+    def test_step_offset_settles(self, speed):
+        """A 1 m lateral step decays below 0.05 m within 4 s without passing
+        the lane's center, at any speed: the law is written in y."""
+        ex = CavExecutor(cruise_speed=speed)
+        ego = VehicleState(id=0, kind="CAV", x=0.0, y=5.0, speed=speed, lane=1,
+                           target_lane=1)
+        assert min(y for _, y in drive_lane_keeping(ex, ego, 4.0)) >= 4.0
+        assert ego.y - 4.0 < 0.05
 
-    def test_windup_capped(self):
-        gains = config.DEFAULTS.control
-        integral = 0.0
-        rates = []
-        for _ in range(10000):
-            rate, integral = pid_steering(3.0, 0.0, integral, gains)
-            rates.append(rate)
-        assert max(abs(r) for r in rates) <= config.STEER_RATE_LIMIT
-        assert abs(integral) <= config.PID_INTEGRAL_LIMIT
+    @pytest.mark.parametrize("speed", [10.0, 25.0, 33.0])
+    @pytest.mark.parametrize("duration", [2.8, 4.0])
+    def test_tracks_a_quick_plan(self, monkeypatch, duration, speed):
+        """A 4 m lane change of ``duration`` s: the ego never passes the
+        target lane's center by 0.1 m, is within 0.05 m of it from 1 s after
+        the plan's end on, and keeps every limit on the way."""
+        from platoonreorg.planner import LEFT
+
+        monkeypatch.setattr(config, "CAV_LANE_CHANGE_TIME", duration)
+        ex = CavExecutor(cruise_speed=speed)
+        ego = VehicleState(id=0, kind="CAV", x=0.0, y=4.0, speed=speed, lane=1,
+                           target_lane=1)
+        ex.schedule(0.0, LEFT)
+        errors, breaks = [], []
+        t = 0.0
+        while t < duration + 4.0:
+            heading = ego.heading
+            speed_cmd, heading_cmd = ex.command(ego, None, t, ROAD)
+            step_kinematics(ego, speed_cmd, heading_cmd)
+            ego.lane = ROAD.lane_of(ego.y)
+            t = round(t + config.DT, 9)
+            errors.append((t, ego.y - ROAD.lane_center(2)))
+            for name, value, limit in (
+                    ("accel", abs(ego.accel), config.ACCEL_LIMIT),
+                    ("jerk", abs(ego.jerk), config.JERK_LIMIT),
+                    ("ay", abs(ego.ay), config.LAT_ACCEL_LIMIT),
+                    ("rate", abs(heading_cmd - heading) / config.DT, config.STEER_RATE_LIMIT)):
+                if value > limit + 1e-9:
+                    breaks.append((t, name, value))
+        assert ex.trajectory is None and ego.lane == 2
+        assert max(e for _, e in errors) < 0.1
+        assert max(abs(e) for t, e in errors if t >= duration + 1.0 - 1e-9) < 0.05
+        assert breaks == []
 
 
 class TestExecutor:
@@ -211,10 +250,8 @@ class TestExecutor:
         traj = ex.trajectory
         ex.command(ego, None, 1.0 + traj.duration - config.DT, ROAD)
         assert (ex.trajectory, ego.target_lane) == (traj, 2)
-        assert ex.integral != 0.0
         ex.command(ego, None, 1.0 + traj.duration, ROAD)
         assert (ex.trajectory, ego.target_lane) == (None, 1)
-        assert ex.integral == 0.0  # reset; ego sits on its lane's center
 
     def test_follow_mode_ignores_a_far_faster_foreign_leader(self):
         """A foreign vehicle 680 m ahead and faster than cruise is not chased."""
@@ -261,21 +298,15 @@ class TestExecutor:
         assert accels[-1] == pytest.approx(-config.ACCEL_LIMIT)
 
     def test_steering_keeps_the_lateral_accel_limit(self):
-        """A 1 m offset at 30 m/s asks the PID for its full heading rate, a
-        lateral acceleration of 9 m/s²: the lateral speed moves at most
+        """A 3 m offset at 30 m/s asks the lateral law for ω²·3 = 4.32 m/s²,
+        beyond LAT_ACCEL_LIMIT: the lateral speed moves at most
         LAT_ACCEL_LIMIT·DT per step, and the ego still settles in its lane."""
         ex = CavExecutor(cruise_speed=30.0)
-        ego = VehicleState(id=0, kind="CAV", x=100.0, y=5.0, speed=30.0,
+        ego = VehicleState(id=0, kind="CAV", x=100.0, y=7.0, speed=30.0,
                            lane=1, target_lane=1)
-        dt = config.DT
-        t = 0.0
-        peak = 0.0
-        for _ in range(int(10.0 / dt)):
-            speed, heading = ex.command(ego, None, t, ROAD)
-            step_kinematics(ego, speed, heading)
-            peak = max(peak, abs(ego.ay))
-            t = round(t + dt, 9)
-        assert peak == pytest.approx(config.LAT_ACCEL_LIMIT)
+        assert ex.gains.lat_omega ** 2 * 3.0 > config.LAT_ACCEL_LIMIT
+        seen = drive_lane_keeping(ex, ego, 10.0)
+        assert max(ay for ay, _ in seen) == pytest.approx(config.LAT_ACCEL_LIMIT)
         assert ego.y == pytest.approx(4.0, abs=0.05)
 
     def test_hold_lane_fallback_follows_in_the_lane(self):
@@ -407,6 +438,26 @@ class TestFollowLaw:
         ego = cav_at(0, 100.0, accel=accel)
         leader = cav_at(1, 106.0, speed=0.0) if brake else None
         assert follow_accel(ego, leader, ROAD, 33.0, self.K) == pytest.approx(want)
+
+    @pytest.mark.parametrize("kind", ["CAV", "HDV"])
+    def test_stops_without_a_jerk_spike(self, kind):
+        """At 2 m/s, braking at -4 m/s², 1 m behind a stopped car: the
+        braking eases off before the car comes to rest, so no frame, the
+        last one before rest included, jerks beyond JERK_LIMIT."""
+        ex = CavExecutor(cruise_speed=25.0)
+        ego = cav_at(0, 100.0, speed=2.0, accel=-4.0)
+        stopped = VehicleState(id=1, kind=kind, x=106.0, y=4.0, speed=0.0, lane=1,
+                               target_lane=1)
+        speeds, jerks = [], []
+        t = 0.0
+        for _ in range(20):
+            speed, heading = ex.command(ego, stopped, t, ROAD)
+            step_kinematics(ego, speed, heading)
+            speeds.append(ego.speed)
+            jerks.append(abs(ego.jerk))
+            t = round(t + config.DT, 9)
+        assert speeds[6] == 0.0 < min(speeds[:6])
+        assert max(jerks) <= config.JERK_LIMIT + 1e-9
 
     def test_string_stable_behind_a_braking_cav(self):
         """Four followers at the target gap behind a CAV that brakes at
