@@ -10,14 +10,15 @@ value additionally pays for how scattered the predicted platoon would be.
 Prediction uses the laws and the geometry the lower layers act on: members
 move under ``control.follow_accel`` with their own executors' constants,
 behind the leader found by the one corridor scan,
-``world.nearest_in_corridor``; lateral motion follows one lane-change plan,
-``lane_change_plan`` along ``lane_change_y``, which the rollout and the
-pruning screen read and whose steps the vehicle layer schedules on the
-members' executors.  The background moves by
-``world.predict``, once per predicted time and tick (``GameScene.background_at``).
-The rollout's tracks hold its ``Pose``s, which the profits read with the
-world's ``compute_ttc`` and ``RoadMap.lane_index``, and the risk field under
-``config.DEFAULTS.risk``, as the platoon layer's ``GameScene.risks`` does.
+``world.nearest_in_corridor``; laterally a changing member follows
+``planner.lane_change``, planned once per tick (``GameScene.lane_change``)
+and started at its ``lane_change_plan`` entry, as its executor runs it.
+The feasibility filter, the pruning screen and the rollout sample that
+plan.  The background moves by ``world.predict``, once per predicted time
+and tick (``GameScene.background_at``).  The rollout's tracks hold its
+``Pose``s, which the profits read with the world's ``compute_ttc`` and
+``RoadMap.lane_index``, and the risk field under ``config.DEFAULTS.risk``,
+as the platoon layer's ``GameScene.risks`` does.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import product
 from . import config
 from .control import follow_accel
 from .pdi import build_node_graph, compute_pdi
-from .planner import KEEP, LEFT, RIGHT
+from .planner import KEEP, LEFT, RIGHT, TrajectoryCandidate, check_dynamics, lane_change
 from .riskfield import risk_at_point, risk_reward
 from .world import (Pose, VehicleState, compute_ttc, lead_vehicle, nearest_in_corridor,
                     padded_overlap, predict)
@@ -116,6 +117,7 @@ class GameScene:
     background: list
     executors: list             # the members' ``CavExecutor``s, in platoon order
     _predicted: dict = field(init=False, repr=False, default_factory=dict)
+    _plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def background_at(self, t: float) -> list:
         """The background ``world.predict``ed t s ahead, computed once per t:
@@ -124,6 +126,16 @@ class GameScene:
         if poses is None:
             poses = self._predicted[t] = [predict(v, t) for v in self.background]
         return poses
+
+    def lane_change(self, i: int, direction: str) -> TrajectoryCandidate:
+        """Member i's ``planner.lane_change`` toward ``direction``, planned
+        from its state on this tick, once: the feasibility filter, the
+        pruning screen and every rollout sample this plan, the one the
+        member's executor starts when the change falls due on this tick."""
+        plan = self._plans.get((i, direction))
+        if plan is None:
+            plan = self._plans[i, direction] = lane_change(self.platoon[i], direction, self.road)
+        return plan
 
     @cached_property
     def lead_ttcs(self):
@@ -149,7 +161,6 @@ class GameScene:
 
 
 PREDICT_DT = 0.3
-LANE_CHANGE_TIME = 3.0
 STAGGER = 1.0
 # padding of the overlap screens, along and across the road [m]: predicted
 # tracks in the rollout, and the short-horizon poses that prune joint actions
@@ -169,22 +180,14 @@ def lane_change_plan(partition, joint_action):
     return plan
 
 
-def lane_change_y(y0: float, y1: float, tau: float) -> float:
-    """Lateral position tau s into a ``LANE_CHANGE_TIME`` change from y0 to
-    y1: the quintic with zero lateral speed and acceleration at both ends,
-    held at y0 before the start and at its end after."""
-    frac = min(max(tau / LANE_CHANGE_TIME, 0.0), 1.0)
-    return y0 + (y1 - y0) * (frac ** 3 * (10 - 15 * frac + 6 * frac * frac))
-
-
-def _planned_y(v, step, road, t: float) -> float:
-    """Lateral position of member ``v`` t s after the decision, under its
-    ``lane_change_plan`` entry."""
+def _planned_y(scene: GameScene, i: int, step, t: float) -> float:
+    """Lateral position of member i t s after the decision, under its
+    ``lane_change_plan`` entry: on its ``GameScene.lane_change`` from the
+    entry's start, held before it and after the plan's end."""
     if step is None:
-        return v.y
+        return scene.platoon[i].y
     start, direction = step
-    target = road.lane_center(v.lane + (1 if direction == LEFT else -1))
-    return lane_change_y(v.y, target, t - start)
+    return scene.lane_change(i, direction).state_at(t - start)[0]
 
 
 @dataclass
@@ -196,9 +199,10 @@ class Prediction:
 
 def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
     """Forward rollout in ``PREDICT_DT`` steps: the background by
-    ``GameScene.background_at``; for members, the ``lane_change_plan``
-    laterally and ``follow_accel`` along the road, behind the nearest pose
-    ahead.
+    ``GameScene.background_at``; for members, their lane-change plans
+    laterally (``_planned_y``) and ``follow_accel`` along the road, behind
+    the nearest pose ahead at the step's start.  The overlap test reads the
+    poses at the step's end.
     """
     if horizon <= 0:
         raise ValueError("prediction horizon must be positive")
@@ -208,19 +212,20 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
              for v in scene.platoon]
     tracks = [[p] for p in poses]
     collided = [False] * len(scene.platoon)
+    background = scene.background_at(0.0)
 
     for k in range(1, n_steps + 1):
         t = k * PREDICT_DT
-        background = scene.background_at(t)
-        # leaders come from the platoon's previous poses (the first entries),
-        # then the background
+        # leaders come from the step's start: the platoon's poses (the first
+        # entries), then the background
         now = poses + background
+        background = scene.background_at(t)
         moved = []
-        for v, ex, step, pose in zip(scene.platoon, scene.executors, plan, poses, strict=True):
+        for i, (ex, step, pose) in enumerate(zip(scene.executors, plan, poses, strict=True)):
             a = follow_accel(pose, nearest_in_corridor(pose.x, pose.y, now), scene.road,
                              ex.cruise_speed, ex.K, PREDICT_DT)
             speed = max(pose.speed + a * PREDICT_DT, 0.0)
-            moved.append(Pose(pose.x + speed * PREDICT_DT, _planned_y(v, step, scene.road, t),
+            moved.append(Pose(pose.x + speed * PREDICT_DT, _planned_y(scene, i, step, t),
                               speed, (speed - pose.speed) / PREDICT_DT, 0.0, pose.length,
                               pose.width, pose.kind))
         poses = moved
@@ -341,25 +346,27 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
 # --- joint action enumeration, pruning, and the solve ---------------------------
 
 def feasible_joint_actions(partition, scene: GameScene):
-    """All coalition-level assignments that stay on the road."""
+    """All coalition-level assignments that stay on the road and in which
+    every changing member's ``GameScene.lane_change`` passes
+    ``check_dynamics``."""
     per_coalition = []
     for grp in partition:
         lanes = {scene.platoon[i].lane for i in grp}
         options = [KEEP]
-        if max(lanes) + 1 < scene.road.lane_count:
-            options.append(LEFT)
-        if min(lanes) - 1 >= 0:
-            options.append(RIGHT)
+        for direction, on_road in ((LEFT, max(lanes) + 1 < scene.road.lane_count),
+                                   (RIGHT, min(lanes) >= 1)):
+            if on_road and all(check_dynamics(scene.lane_change(i, direction), scene.road)[0]
+                               for i in grp):
+                options.append(direction)
         per_coalition.append(options)
     return [tuple(a) for a in product(*per_coalition)]
 
 
-def _pose_overlap_at(partition, scene: GameScene, joint_action, dt: float) -> bool:
+def _pose_overlap_at(plan, scene: GameScene, dt: float) -> bool:
     """Does any member, ``world.predict``ed dt s ahead at its planned lateral
     position, overlap a member behind it or the background?"""
-    plan = lane_change_plan(partition, joint_action)
-    poses = [predict(v, dt)._replace(y=_planned_y(v, step, scene.road, dt))
-             for v, step in zip(scene.platoon, plan)]
+    poses = [predict(v, dt)._replace(y=_planned_y(scene, i, step, dt))
+             for i, (v, step) in enumerate(zip(scene.platoon, plan))]
     background = scene.background_at(dt)
     for i, p in enumerate(poses):
         if padded_overlap(p.x, p.y, p.length / 2.0, p.width / 2.0,
@@ -369,12 +376,14 @@ def _pose_overlap_at(partition, scene: GameScene, joint_action, dt: float) -> bo
 
 
 def _one_step_overlap(partition, scene: GameScene, joint_action) -> bool:
-    """Overlap at the short-horizon pose or at the lane-change commit pose."""
-    if _pose_overlap_at(partition, scene, joint_action, 1.0):
+    """Overlap at the short-horizon pose or at the lane-change commit pose,
+    the end of the longest changing member's plan."""
+    plan = lane_change_plan(partition, joint_action)
+    if _pose_overlap_at(plan, scene, 1.0):
         return True
-    if any(a != KEEP for a in joint_action):
-        return _pose_overlap_at(partition, scene, joint_action, LANE_CHANGE_TIME)
-    return False
+    commit = max((scene.lane_change(i, step[1]).duration
+                  for i, step in enumerate(plan) if step is not None), default=None)
+    return commit is not None and _pose_overlap_at(plan, scene, commit)
 
 
 def prune_joint_actions(partition, scene: GameScene, feasible):

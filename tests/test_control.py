@@ -14,6 +14,7 @@ from platoonreorg.control import (
     schur_stable,
     solve_lqr_gain,
 )
+from platoonreorg.planner import lane_change_time
 from platoonreorg.world import RoadMap, VehicleState, step_kinematics
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
@@ -144,17 +145,19 @@ class TestLateralLaw:
 
     @pytest.mark.parametrize("speed", [10.0, 25.0, 33.0])
     @pytest.mark.parametrize("duration", [2.8, 4.0])
-    def test_tracks_a_quick_plan(self, monkeypatch, duration, speed):
-        """A 4 m lane change of ``duration`` s: the ego never passes the
-        target lane's center by 0.1 m, is within 0.05 m of it from 1 s after
-        the plan's end on, and keeps every limit on the way."""
-        from platoonreorg.planner import LEFT
+    def test_tracks_a_quick_plan(self, duration, speed):
+        """A 4 m rest-to-rest quintic of ``duration`` s, 2.8 s being the
+        planner's own: the ego never passes the target lane's center by
+        0.1 m, is within 0.05 m of it from 1 s after the plan's end on, and
+        keeps every limit on the way."""
+        from platoonreorg.planner import Polynomial, TrajectoryCandidate, quintic
 
-        monkeypatch.setattr(config, "CAV_LANE_CHANGE_TIME", duration)
         ex = CavExecutor(cruise_speed=speed)
         ego = VehicleState(id=0, kind="CAV", x=0.0, y=4.0, speed=speed, lane=1,
-                           target_lane=1)
-        ex.schedule(0.0, LEFT)
+                           target_lane=2)
+        ex.trajectory = TrajectoryCandidate(duration=duration, lon=Polynomial([0.0, speed]),
+                                            lat=quintic(4.0, 0.0, 0.0, 8.0, 0.0, 0.0, duration),
+                                            target_lane=2)
         errors, breaks = [], []
         t = 0.0
         while t < duration + 4.0:
@@ -230,11 +233,11 @@ class TestExecutor:
         ex.schedule(0.0, LEFT)
         dt = config.DT
         t = 0.0
-        while t < config.CAV_LANE_CHANGE_TIME:
+        while t < lane_change_time(ROAD.lane_width):
             speed, heading = ex.command(ego, None, t, ROAD)
             step_kinematics(ego, speed, heading)
             t += dt
-        assert ex.trajectory.duration == config.CAV_LANE_CHANGE_TIME
+        assert ex.trajectory.duration == lane_change_time(ROAD.lane_width) == 2.8
         assert ego.y == pytest.approx(ROAD.lane_center(2), abs=0.35)
 
     def test_command_ends_an_elapsed_plan(self):
@@ -378,7 +381,7 @@ class TestLaneChangeLifecycle:
         assert not ex.busy()
         ex.schedule(0.5, LEFT)
         assert ex.busy()
-        end = 0.5 + config.CAV_LANE_CHANGE_TIME
+        end = 0.5 + lane_change_time(ROAD.lane_width)
         seen = self.drive(ex, ego, 0.0, end + 1.0)
         assert all(busy for t, _, busy in seen if t < end)
         assert not any(busy for t, _, busy in seen if t >= end)

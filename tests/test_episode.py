@@ -10,13 +10,13 @@ limits.  Its ``EpisodeMetrics.row()`` is compared exactly against
 ``golden/episodes.json``.  A property test draws short episodes over lane
 and platoon counts, density, case and seed, and holds each to the same
 invariants and monitor, unless its spec is rejected.  Case 2's leader
-braking to a standstill in front of the 3-lane platoon, seeds 0-2, must be
-cleared by a lane change without a collision.  A case-1
-network-policy episode that splits and re-merges is pinned below; it also
-checks that the reward, the metrics and the game phase read one
-reorganization clock.  A case-2 network-policy
-episode pins every lane-change plan the executors start and the final member
-states, so the planner-to-executor path has an end-to-end guard.
+braking to a standstill in front of the platoon on 3 and 4 lanes, seeds
+0-2, must be cleared by a lane change without a collision or a held
+plan.  A case-1 network-policy episode that splits and re-merges is pinned
+below; it also checks that the reward, the metrics and the game phase read
+one reorganization clock.  A case-2 network-policy episode pins every
+lane-change plan the executors start and the final member states, so the
+planner-to-executor path has an end-to-end guard.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_episode.py > tests/golden/episodes.json``.
@@ -359,23 +359,36 @@ def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, nam
     assert risk_calls == len(world.members) * len(decisions)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_stalled_leader_is_cleared_by_a_lane_change(seed):
+@pytest.mark.parametrize("lane_count,seed",
+                         [pytest.param(3, seed, id=str(seed)) for seed in range(3)]
+                         + [pytest.param(4, seed, id=f"{seed}-4lanes") for seed in range(3)])
+def test_stalled_leader_is_cleared_by_a_lane_change(monkeypatch, lane_count, seed):
     """Case 2's leader brakes to a standstill (``event_cruise_after=0``) in
-    front of the 3-lane platoon under GRDF-GT: over 120 s no member collides
-    or breaks a limit, and at least one member leaves its lane."""
-    spec = case2_spec(density=3.0, event_cruise_after=0.0)
+    front of the platoon on 3 and on 4 lanes under GRDF-GT: over 120 s no
+    member collides or breaks a limit, at least one member leaves its lane,
+    and every lane change the game starts passes the executor's dynamics
+    check, so the ``hold_lane`` fallback never fires."""
+    spec = case2_spec(density=3.0, event_cruise_after=0.0, lane_count=lane_count)
     world = build_scenario(spec, seed)
     breaks = monitor_limits(world)
     lanes = {m.index: {m.state.lane} for m in world.members}
     tick = world.clock.tick
+    held = []
+    select_trajectory = control.select_trajectory
 
     def seen():
         tick()
         for m in world.members:
             lanes[m.index].add(m.state.lane)
 
+    def checked(candidate, ego, road):
+        traj = select_trajectory(candidate, ego, road)
+        if traj is not candidate:
+            held.append((world.clock.t, ego.id))
+        return traj
+
     world.clock.tick = seen
+    monkeypatch.setattr(control, "select_trajectory", checked)
     result = run_episode(world, GrdfPolicy(use_pdi=True), seed, spec.episode_len,
                          spec.success_window)
     assert not result.metrics.collision
@@ -383,6 +396,7 @@ def test_stalled_leader_is_cleared_by_a_lane_change(seed):
     assert invariant_failures(world, result) == []
     assert breaks == []
     assert any(len(seen_lanes) > 1 for seen_lanes in lanes.values())
+    assert held == []
 
 
 def _lead_info_world(hdv_poses):
@@ -435,7 +449,7 @@ def test_lead_info_falls_back_to_risk_without_finite_ttc():
 # Case 2 at density 3, 30 s under GRDF-GT and an untrained network policy
 # (network seed 1).  Of network seeds 0-2 (outer) and episode seeds 0-2
 # (inner), this is the first run that starts lane-change plans toward both
-# sides without a collision: all three members move left at 9 s and right
+# sides without a collision: all three members move left at 11 s and right
 # at 28 s, so the planner, the executor's tracking and the end of a plan
 # all run inside the loop, and the episode ends mid-change.  The digest
 # covers every field of each member's final state, whether its executor
@@ -443,12 +457,12 @@ def test_lead_info_falls_back_to_risk_without_finite_ttc():
 # floats in hex.
 PLAN_NET_SEED = 1
 PLAN_SEED = 2
-PLAN_ROW = {"collision": 0, "avg_speed": 24.78008, "min_ttc": 9.511115,
-            "avg_distance": 10.099593, "formation_success": 0, "formation_time": "",
+PLAN_ROW = {"collision": 0, "avg_speed": 24.912358, "min_ttc": 10.160535,
+            "avg_distance": 10.033967, "formation_success": 0, "formation_time": "",
             "reorganizations": 1, "duration": 30.0}
-PLANS = [(9.0, 0, 2, 4.0), (9.0, 1, 2, 4.0), (9.0, 2, 2, 4.0),
-         (28.0, 0, 1, 4.0), (28.0, 1, 1, 4.0), (28.0, 2, 1, 4.0)]
-PLAN_DIGEST = "2cb84afb4a464798"
+PLANS = [(11.0, 0, 2, 2.8), (11.0, 1, 2, 2.8), (11.0, 2, 2, 2.8),
+         (28.0, 0, 1, 2.8), (28.0, 1, 1, 2.8), (28.0, 2, 1, 2.8)]
+PLAN_DIGEST = "42c7e27931aa7f3d"
 
 def member_digest(world) -> str:
     def hexed(value):
@@ -488,17 +502,11 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
     assert member_digest(world) == PLAN_DIGEST
 
 
-@pytest.mark.parametrize("make_spec,seed,t0", [(lambda: case2_spec(density=14.0), 1, 12.0),
-                                             (case1_spec, 0, 5.0)],
-                         ids=["case2-dense-seed1-12s", "case1-seed0-5s"])
-def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
-    """The game's all-KEEP rollout and the executors, run over the game's
-    horizon with the background at constant velocity in both, end within
-    5 m and 1 m/s of each other for every member: the rollout moves members
-    with the law that runs, in coarser steps."""
-    world = build_scenario(make_spec(), seed)
-    run_episode(world, GrdfPolicy(), seed, t0)
-    assert all(m.executor.trajectory is None for m in world.members)
+def keep_lane_tracks(world, t0):
+    """The game's all-KEEP rollout on the world's snapshot at t0, and the
+    members' states once their executors have run over the game's horizon,
+    with the background under ``world.predict``'s law (lane held, an HDV's
+    braking held until it stops, else constant speed) in both."""
     snapshot = world.all_states()
     n = len(world.members)
     states, background = snapshot[:n], snapshot[n:]
@@ -515,11 +523,50 @@ def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
             step_kinematics(state, speed, heading)
             state.lane = world.road.lane_of(state.y)
         for state in background:
-            step_kinematics(state, state.speed, state.heading)
+            braking = min(state.accel, 0.0)
+            step_kinematics(state, max(state.speed + braking * config.DT, 0.0), state.heading)
         t = round(t + config.DT, 9)
+    return tracks, states
+
+
+@pytest.mark.parametrize("make_spec,seed,t0", [(lambda: case2_spec(density=14.0), 1, 12.0),
+                                             (case1_spec, 0, 5.0)],
+                         ids=["case2-dense-seed1-12s", "case1-seed0-5s"])
+def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
+    """From the first whole second at or after t0 at which no member's
+    executor is busy with a lane change, the game's all-KEEP rollout and
+    the executors end within 5 m and 1 m/s of each other for every member
+    (``keep_lane_tracks``): the rollout moves members with the law that
+    runs, in coarser steps."""
+    for t0 in (t0 + k for k in range(10)):
+        world = build_scenario(make_spec(), seed)
+        run_episode(world, GrdfPolicy(), seed, t0)
+        if not any(m.executor.busy() for m in world.members):
+            break
+    else:
+        pytest.fail("an executor is busy at every whole second of the 10 s after t0")
+    tracks, states = keep_lane_tracks(world, t0)
     for track, state in zip(tracks, states, strict=True):
         assert abs(track[-1].x - state.x) <= 5.0
         assert abs(track[-1].speed - state.speed) <= 1.0
+
+
+@pytest.mark.parametrize("make_spec,seed,t0", [(lambda: case2_spec(density=14.0), 1, 11.0),
+                                             (case1_spec, 0, 3.0)],
+                         ids=["case2-dense-seed1-11s", "case1-seed0-3s"])
+def test_rollout_sees_the_front_members_leader_brake(make_spec, seed, t0):
+    """At t0 the front member's leader is an HDV that brakes (case 2's
+    scripted leader at -6 m/s², or a case-1 HDV at -0.7 m/s²) and no
+    executor is busy: the rollout holds that braking, so the front member's
+    predicted track ends within 5 m and 1 m/s of its executor's."""
+    world = build_scenario(make_spec(), seed)
+    run_episode(world, GrdfPolicy(), seed, t0)
+    front = world.members[0].state
+    assert lead_vehicle(front, world.all_states()).accel < -0.5
+    assert not any(m.executor.busy() for m in world.members)
+    tracks, states = keep_lane_tracks(world, t0)
+    assert abs(tracks[0][-1].x - states[0].x) <= 5.0
+    assert abs(tracks[0][-1].speed - states[0].speed) <= 1.0
 
 
 @pytest.mark.parametrize("network_seed", [None, 0], ids=["heuristic", "network"])

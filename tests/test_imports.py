@@ -104,4 +104,4 @@ def test_planning_imports_no_numpy_and_calls_no_linalg():
             "    ego.lane = road.lane_of(ego.y)\n"
             "    t = round(t + config.DT, 9)\n"
             "print(loaded, calls, ego.lane, t)\n")
-    assert run_fresh(code) == "False [] 2 4.1"
+    assert run_fresh(code) == "False [] 2 2.9"

@@ -13,6 +13,8 @@ from platoonreorg.planner import (
     TrajectoryCandidate,
     check_dynamics,
     generate_lattice,
+    lane_change,
+    lane_change_time,
     quintic,
     select_trajectory,
 )
@@ -95,7 +97,7 @@ class TestPolynomials:
         rng = np.random.default_rng(2010)
         for _ in range(10_000):
             p0, p1, v0, v1, a0, a1 = (float(u) for u in rng.uniform(-40.0, 40.0, 6))
-            T = config.CAV_LANE_CHANGE_TIME if rng.random() < 0.5 \
+            T = lane_change_time(ROAD.lane_width) if rng.random() < 0.5 \
                 else float(rng.uniform(0.5, 6.0))
             n = int(round(T / config.DT))
             times = [k * config.DT for k in rng.integers(0, n + 1, 3)] + [n * config.DT]
@@ -113,21 +115,43 @@ class TestPolynomials:
 
 class TestLattice:
     def test_lane_change_candidate_count(self):
-        """One plan of ``CAV_LANE_CHANGE_TIME``, on the straight line
-        x0 + vx0 t that the hold_lane fallback lacks."""
+        """One plan of ``lane_change_time``, on the straight line x0 + vx0 t
+        that the hold_lane fallback lacks."""
         cand = generate_lattice(cav(x=100.0, speed=25.0), LEFT, ROAD)
         assert isinstance(cand, TrajectoryCandidate)
-        assert cand.duration == config.CAV_LANE_CHANGE_TIME
+        assert cand.duration == lane_change_time(ROAD.lane_width) == 2.8
         assert cand.lon.c == [100.0, 25.0]
 
     def test_terminal_lane_center(self):
         for side, lane in ((LEFT, 2), (RIGHT, 0)):
             cand = generate_lattice(cav(), side, ROAD)
             y, vy, ay = cand.lat.derivatives(cand.duration)
-            assert (cand.duration, cand.target_lane) == (config.CAV_LANE_CHANGE_TIME, lane)
+            assert (cand.duration, cand.target_lane) == (2.8, lane)
             assert y == pytest.approx(ROAD.lane_center(lane), abs=1e-9)
             assert vy == pytest.approx(0.0, abs=1e-9)
             assert ay == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dy", [0.5, 2.0, 3.3, 4.0, 5.9, -4.0, 7.5])
+    def test_duration_is_the_shortest_within_the_lateral_limit(self, dy):
+        """``lane_change_time`` is on the ``DT`` grid; its rest-to-rest
+        quintic keeps ``LAT_ACCEL_LIMIT`` at every step and one ``DT``
+        shorter does not."""
+        T = lane_change_time(dy)
+        assert T == round(round(T / config.DT) * config.DT, 9)
+        assert check_dynamics(lateral(6.0, 0.0, 6.0 + dy, T), WIDE) == (True, "")
+        ok, reason = check_dynamics(lateral(6.0, 0.0, 6.0 + dy, round(T - config.DT, 9)), WIDE)
+        assert not ok and "lateral" in reason
+
+    def test_generate_lattice_is_the_one_lane_change(self):
+        """The executor's entry point and the game's ``lane_change`` build
+        the same plan."""
+        ego = cav(x=80.0, speed=22.0, heading=0.01)
+        ego.y, ego.ay = 4.3, 0.2
+        for side in (LEFT, RIGHT):
+            a, b = generate_lattice(ego, side, ROAD), lane_change(ego, side, ROAD)
+            assert (a.duration, a.lon.c, a.lat.c, a.target_lane) == (
+                b.duration, b.lon.c, b.lat.c, b.target_lane)
+        assert generate_lattice(ego, RIGHT, ROAD).duration == lane_change_time(4.3) == 2.9
 
     def test_keep_has_no_lattice(self):
         """Lane keeping is the executor's follow law, not a plan."""
@@ -139,6 +163,10 @@ class TestLattice:
             generate_lattice(cav(lane=0), RIGHT, ROAD)
         with pytest.raises(PlanningError):
             generate_lattice(cav(lane=2), LEFT, ROAD)
+
+
+# a road wide enough that no lateral profile of the tests above leaves it
+WIDE = RoadMap(lane_count=5, length=4000.0)
 
 
 def lateral(y0, vy0, y1, T, lane=2):
@@ -192,13 +220,13 @@ class TestSelection:
         """A candidate outside the lateral limit gives ``hold_lane``: no
         duration, no profile, the ego's own lane.  The generated plan itself
         can fail: a member heading -0.3 rad at 25 m/s starts its LEFT plan at
-        a lateral speed of -7.4 m/s, and turning that round within 4 s needs
-        3.54 m/s² of lateral acceleration by t = 0.2 s."""
+        a lateral speed of -7.4 m/s, and turning that round within 2.8 s
+        needs 4.06 m/s² of lateral acceleration by t = 0.1 s."""
         ego = cav(speed=25.0)
         sharp = lateral(ROAD.lane_center(1), 0.0, ROAD.lane_center(2), 1.0)
         skewed = cav(speed=25.0, heading=-0.3)
         plan = generate_lattice(skewed, LEFT, ROAD)
-        assert check_dynamics(plan, ROAD) == (False, "lateral accel 3.54 at t=0.2")
+        assert check_dynamics(plan, ROAD) == (False, "lateral accel 4.06 at t=0.1")
         for member, cand in ((ego, sharp), (skewed, plan)):
             best = select_trajectory(cand, member, ROAD)
             assert (best.duration, best.lon, best.lat, best.target_lane) == (0.0, None, None, 1)

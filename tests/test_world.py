@@ -211,6 +211,22 @@ class TestPredict:
         assert p == Pose(100.0 + 20.0 * math.cos(0.1) * 2.0, 4.0, 20.0, 0.0, 0.1, 5.0, 2.5, "CAV")
         assert predict(v, 0.0).x == 100.0
 
+    def test_braking_hdv_stops_and_never_reverses(self):
+        """An HDV at 12 m/s braking at -3 m/s² is predicted to brake on: it
+        stops after 4 s and 24 m and stays there, never moving backwards."""
+        v = make_vehicle(4, x=100.0, speed=12.0, accel=-3.0)
+        poses = [predict(v, k * 0.1) for k in range(101)]
+        assert poses[20] == Pose(118.0, 0.0, 6.0, -3.0, 0.0, 5.0, 2.0, "HDV")
+        assert all(b.x >= a.x and b.speed <= a.speed for a, b in zip(poses, poses[1:]))
+        for p in poses[41:]:
+            assert (p.x, p.speed, p.accel) == (124.0, 0.0, 0.0)
+        assert predict(make_vehicle(5, speed=0.0, accel=-3.0), 2.0)[:4] == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("accel", [0.0, 1.5])
+    def test_non_negative_accel_keeps_constant_speed(self, accel):
+        v = make_vehicle(6, x=50.0, speed=15.0, accel=accel)
+        assert predict(v, 3.0) == Pose(95.0, 0.0, 15.0, 0.0, 0.0, 5.0, 2.0, "HDV")
+
 
 class TestPaddedOverlap:
     # half-extents 2.5 x 1.0 on both boxes, padding 0.5 x 0.25: the centres
