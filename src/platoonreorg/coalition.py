@@ -14,8 +14,9 @@ behind the leader found by the one corridor scan,
 ``planner.lane_change``, planned once per tick (``GameScene.lane_change``)
 and started at its ``lane_change_plan`` entry, as its executor runs it.
 The feasibility filter, the pruning screen and the rollout sample that
-plan.  The background moves by ``world.predict``, once per predicted time
-and tick (``GameScene.background_at``).  The rollout's tracks hold its
+plan, head each member's pose along it, and ask ``world.touches``.
+The background moves by ``world.predict``, once per predicted time and
+tick (``GameScene.background_at``).  The rollout's tracks hold its
 ``Pose``s, which the profits read with the world's ``compute_ttc`` and
 ``RoadMap.lane_index``, and the risk field under ``config.DEFAULTS.risk``,
 as the platoon layer's ``GameScene.risks`` does.
@@ -34,7 +35,7 @@ from .pdi import build_node_graph, compute_pdi
 from .planner import KEEP, LEFT, RIGHT, TrajectoryCandidate, check_dynamics, lane_change
 from .riskfield import risk_at_point, risk_reward
 from .world import (Pose, VehicleState, compute_ttc, lead_vehicle, nearest_in_corridor,
-                    padded_overlap, predict)
+                    predict, touches)
 
 _ACTION_ORDER = {KEEP: 0, LEFT: 1, RIGHT: 2}
 
@@ -162,10 +163,9 @@ class GameScene:
 
 PREDICT_DT = 0.3
 STAGGER = 1.0
-# padding of the overlap screens, along and across the road [m]: predicted
-# tracks in the rollout, and the short-horizon poses that prune joint actions
-PREDICT_PAD = (0.5, 0.2)
-PRUNE_PAD = (0.3, 0.2)
+# a member's box grows by this on every side when the rollout and the
+# pruning screen ask ``world.touches`` [m]
+OVERLAP_MARGIN = 0.2
 
 
 def lane_change_plan(partition, joint_action):
@@ -180,14 +180,22 @@ def lane_change_plan(partition, joint_action):
     return plan
 
 
-def _planned_y(scene: GameScene, i: int, step, t: float) -> float:
-    """Lateral position of member i t s after the decision, under its
+def _planned_y(scene: GameScene, i: int, step, t: float) -> tuple:
+    """Lateral (y, vy) of member i t s after the decision, under its
     ``lane_change_plan`` entry: on its ``GameScene.lane_change`` from the
     entry's start, held before it and after the plan's end."""
     if step is None:
-        return scene.platoon[i].y
+        return scene.platoon[i].y, 0.0
     start, direction = step
-    return scene.lane_change(i, direction).state_at(t - start)[0]
+    return scene.lane_change(i, direction).state_at(t - start)[:2]
+
+
+def _planned_pose(scene: GameScene, i: int, step, t: float, x, speed, accel) -> Pose:
+    """Member i's ``Pose`` t s after the decision, at (x, speed, accel) along
+    the road and at its ``_planned_y``, heading atan2(vy, speed)."""
+    v = scene.platoon[i]
+    y, vy = _planned_y(scene, i, step, t)
+    return Pose(x, y, speed, accel, math.atan2(vy, speed), v.length, v.width, v.kind)
 
 
 @dataclass
@@ -200,16 +208,16 @@ class Prediction:
 def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
     """Forward rollout in ``PREDICT_DT`` steps: the background by
     ``GameScene.background_at``; for members, their lane-change plans
-    laterally (``_planned_y``) and ``follow_accel`` along the road, behind
-    the nearest pose ahead at the step's start.  The overlap test reads the
-    poses at the step's end.
+    laterally (``_planned_pose``) and ``follow_accel`` along the road, behind
+    the nearest pose ahead at the step's start.  The overlap test,
+    ``touches`` with ``OVERLAP_MARGIN``, reads the poses at the step's end.
     """
     if horizon <= 0:
         raise ValueError("prediction horizon must be positive")
     n_steps = int(round(horizon / PREDICT_DT))
     plan = lane_change_plan(partition, joint_action)
-    poses = [Pose(v.x, v.y, v.speed, v.accel, 0.0, v.length, v.width, v.kind)
-             for v in scene.platoon]
+    poses = [_planned_pose(scene, i, step, 0.0, v.x, v.speed, v.accel)
+             for i, (v, step) in enumerate(zip(scene.platoon, plan))]
     tracks = [[p] for p in poses]
     collided = [False] * len(scene.platoon)
     background = scene.background_at(0.0)
@@ -225,15 +233,13 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
             a = follow_accel(pose, nearest_in_corridor(pose.x, pose.y, now), scene.road,
                              ex.cruise_speed, ex.K, PREDICT_DT)
             speed = max(pose.speed + a * PREDICT_DT, 0.0)
-            moved.append(Pose(pose.x + speed * PREDICT_DT, _planned_y(scene, i, step, t),
-                              speed, (speed - pose.speed) / PREDICT_DT, 0.0, pose.length,
-                              pose.width, pose.kind))
+            moved.append(_planned_pose(scene, i, step, t, pose.x + speed * PREDICT_DT, speed,
+                                       (speed - pose.speed) / PREDICT_DT))
         poses = moved
         for i, p in enumerate(poses):
             tracks[i].append(p)
-            hl, hw = p.length / 2.0, p.width / 2.0
-            if (padded_overlap(p.x, p.y, hl, hw, background, *PREDICT_PAD)
-                    or padded_overlap(p.x, p.y, hl, hw, poses[:i] + poses[i + 1:], *PREDICT_PAD)):
+            if (touches(p, background, OVERLAP_MARGIN)
+                    or touches(p, poses[:i] + poses[i + 1:], OVERLAP_MARGIN)):
                 collided[i] = True
     return Prediction(tracks, scene.background_at(n_steps * PREDICT_DT), collided)
 
@@ -363,16 +369,14 @@ def feasible_joint_actions(partition, scene: GameScene):
 
 
 def _pose_overlap_at(plan, scene: GameScene, dt: float) -> bool:
-    """Does any member, ``world.predict``ed dt s ahead at its planned lateral
-    position, overlap a member behind it or the background?"""
-    poses = [predict(v, dt)._replace(y=_planned_y(scene, i, step, dt))
-             for i, (v, step) in enumerate(zip(scene.platoon, plan))]
+    """Does any member, ``world.predict``ed dt s ahead on its plan, touch a
+    member behind it or the background (``touches``, ``OVERLAP_MARGIN``)?"""
+    ahead = [predict(v, dt) for v in scene.platoon]
+    poses = [_planned_pose(scene, i, step, dt, p.x, p.speed, p.accel)
+             for i, (p, step) in enumerate(zip(ahead, plan))]
     background = scene.background_at(dt)
-    for i, p in enumerate(poses):
-        if padded_overlap(p.x, p.y, p.length / 2.0, p.width / 2.0,
-                          poses[i + 1:] + background, *PRUNE_PAD):
-            return True
-    return False
+    return any(touches(p, poses[i + 1:] + background, OVERLAP_MARGIN)
+               for i, p in enumerate(poses))
 
 
 def _one_step_overlap(partition, scene: GameScene, joint_action) -> bool:

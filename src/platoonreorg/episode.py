@@ -50,11 +50,11 @@ from .world import (
     RoadMap,
     SimClock,
     VehicleState,
-    check_collision,
     compute_ttc,
     lead_vehicle,
     rear_vehicle,
     step_kinematics,
+    touches,
 )
 
 
@@ -372,11 +372,6 @@ def _apply_brake(driver: HdvDriver, t: float):
 
 
 def _platoon_collision(platoon, background) -> bool:
-    for i, a in enumerate(platoon):
-        for b in platoon[i + 1:]:
-            if check_collision(a, b):
-                return True
-        for b in background:
-            if check_collision(a, b):
-                return True
-    return False
+    """Does any member touch a member behind it or the background?"""
+    return any(touches(a, platoon[i + 1:]) or touches(a, background)
+               for i, a in enumerate(platoon))

@@ -153,10 +153,9 @@ class ScenarioSpec:
 
 def _apart(rear_x: float, front_x: float) -> bool:
     """True when two cars with these x values in one lane start clear of
-    each other: the rear one's front bumper, rounded as ``check_collision``
-    computes it, lies behind the front one's rear bumper."""
-    half = config.VEHICLE_LENGTH / 2.0
-    return rear_x + half < front_x - half
+    each other: their centre offset, rounded as ``check_collision``
+    computes it, exceeds a car length."""
+    return front_x - rear_x > config.VEHICLE_LENGTH
 
 
 def case1_spec(**overrides) -> ScenarioSpec:

@@ -15,8 +15,10 @@ rollout all call it, on ``VehicleState``s, predicted ``Pose``s or bare
 One motion model, ``predict``, says where a vehicle that no layer here
 commands will be: at constant speed in its lane, or, for an HDV that
 brakes, braking on until it stops.  The game's rollout, its pruning screen
-and its profits read their scenes from it, and ``padded_overlap`` screens
-the poses it gives.  The lane-change planner reads no other vehicle.
+and its profits read their scenes from it.  The game and the frame loop
+judge contact alike, by ``touches``: one box against many under
+``check_collision``, the one contact test.  The lane-change planner reads
+no other vehicle.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class Point(NamedTuple):
 
 class Pose(NamedTuple):
     """A predicted vehicle, as ``follow_accel``, ``compute_ttc`` and
-    ``padded_overlap`` read a ``VehicleState``."""
+    ``check_collision`` read a ``VehicleState``."""
 
     x: float
     y: float
@@ -180,31 +182,36 @@ def compute_ttc(follower: VehicleState, leader: VehicleState) -> float:
     return gap / closing
 
 
-def _rect_axes_corners(v: VehicleState):
-    c, s = math.cos(v.heading), math.sin(v.heading)
-    hl, hw = v.length / 2.0, v.width / 2.0
-    ax_ = (c, s)
-    ay_ = (-s, c)
-    corners = []
-    for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
-        corners.append((v.x + dx * c - dy * s, v.y + dx * s + dy * c))
-    return (ax_, ay_), corners
+def check_collision(a, b, margin: float = 0.0) -> bool:
+    """Do a's box, grown by ``margin`` on every side, and b's touch?  The
+    separating-axis test on the centre offset (Gottschalk, Lin & Manocha
+    1996): apart when, along one box axis, the offset's projection exceeds
+    the summed projected half-extents.  Boundaries are closed."""
+    ca, sa = math.cos(a.heading), math.sin(a.heading)
+    cb, sb = math.cos(b.heading), math.sin(b.heading)
+    c = abs(ca * cb + sa * sb)      # |cos| and |sin| of the heading difference
+    s = abs(ca * sb - sa * cb)
+    hla, hwa = 0.5 * (a.length + 2.0 * margin), 0.5 * (a.width + 2.0 * margin)
+    hlb, hwb = 0.5 * b.length, 0.5 * b.width
+    dx, dy = b.x - a.x, b.y - a.y
+    return (abs(dx * ca + dy * sa) <= hla + hlb * c + hwb * s
+            and abs(dy * ca - dx * sa) <= hwa + hlb * s + hwb * c
+            and abs(dx * cb + dy * sb) <= hlb + hla * c + hwa * s
+            and abs(dy * cb - dx * sb) <= hwb + hla * s + hwa * c)
 
 
-def check_collision(a: VehicleState, b: VehicleState) -> bool:
-    """Oriented-rectangle overlap via the separating axis test (closed boundaries)."""
-    # fast reject: bounding circles
-    r = 0.5 * math.hypot(a.length, a.width) + 0.5 * math.hypot(b.length, b.width)
-    if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 > r * r:
-        return False
-    axes_a, corners_a = _rect_axes_corners(a)
-    axes_b, corners_b = _rect_axes_corners(b)
-    for ux, uy in (*axes_a, *axes_b):
-        pa = [cx * ux + cy * uy for cx, cy in corners_a]
-        pb = [cx * ux + cy * uy for cx, cy in corners_b]
-        if max(pa) < min(pb) or max(pb) < min(pa):
-            return False
-    return True
+def touches(box, others, margin: float = 0.0) -> bool:
+    """Does ``check_collision(box, o, margin)`` hold for any o of ``others``?
+    A box reaches at most half its length plus width along any line, so a
+    pair whose centres are farther apart along x or y than their two reaches
+    cannot touch, and is skipped."""
+    reach = 0.5 * (box.length + box.width) + 2.0 * margin
+    x, y = box.x, box.y
+    for o in others:
+        r = reach + 0.5 * (o.length + o.width)
+        if abs(o.x - x) <= r and abs(o.y - y) <= r and check_collision(box, o, margin):
+            return True
+    return False
 
 
 @dataclass
@@ -261,18 +268,3 @@ def predict(v, t: float) -> Pose:
     speed = max(v.speed + a * tau, 0.0)
     return Pose(v.x + (v.speed + 0.5 * a * tau) * math.cos(v.heading) * tau, v.y, speed,
                 a if speed > 0.0 else 0.0, v.heading, v.length, v.width, v.kind)
-
-
-def padded_overlap(x: float, y: float, half_length: float, half_width: float,
-                   others, pad_x: float, pad_y: float) -> bool:
-    """Does the axis-aligned box centred at (x, y) overlap that of any of
-    ``others`` (poses with a length and a width)?  Two boxes overlap when both
-    centre offsets are strictly below their summed half-extents plus
-    (pad_x, pad_y).  ``check_collision`` is the exact contact test of rotated
-    boxes.
-    """
-    for o in others:
-        if (abs(x - o.x) < half_length + o.length / 2.0 + pad_x
-                and abs(y - o.y) < half_width + o.width / 2.0 + pad_y):
-            return True
-    return False

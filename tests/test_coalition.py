@@ -179,13 +179,13 @@ class TestLaneChangePlan:
         _planned_y = coalition._planned_y
 
         def recorded(scene, i, step, t):
-            y = _planned_y(scene, i, step, t)
-            seen.append((t, i, y))
-            return y
+            y, vy = _planned_y(scene, i, step, t)
+            seen.append((t, i, y, vy))
+            return y, vy
 
         monkeypatch.setattr(coalition, "_planned_y", recorded)
         assert not coalition._one_step_overlap(part, scene, (LEFT,))
-        assert seen == [(t, i, plans[i].state_at(t - i * STAGGER)[0])
+        assert seen == [(t, i, *plans[i].state_at(t - i * STAGGER)[:2])
                         for t in (1.0, 2.9) for i in range(3)]
 
 
@@ -219,15 +219,20 @@ class TestPrediction:
 
     def test_tracks_hold_the_rollouts_poses(self):
         """Each track starts at the member's pose and holds the ``Pose`` each
-        step moved it to, its size included."""
+        step moved it to, its size included, heading along the plan's
+        velocity."""
         plat = [cav(0, 130.0), cav(1, 115.0)]
         scene = scene_of(plat, [])
         pred = predict_outcome(scene, form_coalitions(plat, []), (LEFT,), 3.0)
-        for v, track in zip(plat, pred.platoon_tracks):
+        for rank, (v, track) in enumerate(zip(plat, pred.platoon_tracks)):
             assert len(track) == 11 and all(type(p) is Pose for p in track)
             assert track[0] == pose(v.x, v.y, v.speed)
-            assert {(p.length, p.width, p.heading) for p in track} == {
-                (v.length, v.width, 0.0)}
+            assert {(p.length, p.width) for p in track} == {(v.length, v.width)}
+            plan = scene.lane_change(rank, LEFT)
+            for k, p in enumerate(track):
+                vy = plan.state_at(k * PREDICT_DT - rank * STAGGER)[1]
+                assert p.heading == math.atan2(vy, p.speed)
+            assert max(p.heading for p in track) > 0.1
 
     def test_leaders_are_read_at_the_steps_start(self):
         """Each step moves a member by ``follow_accel`` behind its leader as
@@ -431,6 +436,42 @@ class TestProfits:
         singleton = Prediction(background=[], collided=[False],
                                platoon_tracks=[[pose(110.0, 4.0, 25.0)]])
         assert tracking_profit((0,), singleton) == 0.0
+
+
+class TestYawedPass:
+    """A member at 9 m/s changes RIGHT from lane 1 and an HDV in lane 0
+    closes at 29 m/s, level with it (dx = -0.1 m) at one instant.  The
+    member is then about 2.5 m beside the HDV, beyond the 2.2 m that
+    zero-heading boxes with a 0.2 m pad reach, but yawed by 0.25-0.28 rad
+    its box reaches about 0.6 m further sideways and touches the HDV's."""
+
+    def scene(self, y0, t_level):
+        member = cav(0, 100.0, speed=9.0, y=y0)
+        dx = 9.0 * t_level - 0.1 - 29.0 * t_level
+        bg = [hdv(9, 100.0 + dx, lane=0, speed=29.0)]
+        return form_coalitions([member], bg), scene_of([member], bg, cruise=9.0)
+
+    def test_rollout_marks_the_member_collided(self):
+        """From the lane's centre the plan is at y = 2.53, heading -0.278, at
+        the rollout's step to 1.2 s, the one step the HDV is level."""
+        part, scene = self.scene(4.0, 1.2)
+        pred = predict_outcome(scene, part, (RIGHT,), W.horizon)
+        assert pred.collided == [True]
+        me, hdv_at = pred.platoon_tracks[0][4], world.predict(scene.background[0], 1.2)
+        assert me.x - hdv_at.x == pytest.approx(0.1, abs=1e-9)
+        assert (me.y, me.heading) == pytest.approx((2.53, -0.278), abs=5e-3)
+        assert predict_outcome(scene, part, (KEEP,), W.horizon).collided == [False]
+
+    def test_pruning_screen_drops_the_change(self):
+        """From 0.5 m right of the lane's centre the plan is at y = 2.48,
+        heading -0.246, at the screen's 1 s pose, when the HDV is level."""
+        part, scene = self.scene(3.5, 1.0)
+        plan = scene.lane_change(0, RIGHT)
+        y, vy, _ = plan.state_at(1.0)
+        assert (y, math.atan2(vy, 9.0)) == pytest.approx((2.48, -0.246), abs=5e-3)
+        pruned = prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
+        assert (RIGHT,) in feasible_joint_actions(part, scene)
+        assert (RIGHT,) not in pruned and (KEEP,) in pruned
 
 
 class TestPruning:

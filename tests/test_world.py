@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonreorg import config
 from platoonreorg.world import (
@@ -14,10 +16,10 @@ from platoonreorg.world import (
     compute_ttc,
     lead_vehicle,
     nearest_in_corridor,
-    padded_overlap,
     predict,
     rear_vehicle,
     step_kinematics,
+    touches,
 )
 
 
@@ -156,6 +158,77 @@ class TestCollision:
         b = make_vehicle(1, x=0.0, y=4.0)
         assert not check_collision(a, b)
 
+    def test_corner_contact_counts(self):
+        """Two 5 x 2 m boxes offset by (5, 2) meet at one corner, which
+        closed boundaries count as contact (a bounding-circle reject, at
+        hypot(5, 2)² < 29 after rounding, would call them apart)."""
+        assert check_collision(make_vehicle(0), make_vehicle(1, x=5.0, y=2.0))
+        assert check_collision(make_vehicle(0), make_vehicle(1, x=-5.0, y=-2.0))
+
+    def test_margin_grows_the_first_box(self):
+        """A box 2.4 m to the side is clear; a margin of 0.5 m on the first
+        box reaches it, one of 0.1 m does not, from either side."""
+        a, b = make_vehicle(0), make_vehicle(1, y=2.4)
+        assert not check_collision(a, b)
+        assert check_collision(a, b, 0.5) and check_collision(b, a, 0.5)
+        assert not check_collision(a, b, 0.1)
+
+
+def corner_gap(a, b) -> float:
+    """Test oracle: the largest gap between the projections of a's and b's
+    corners onto the four box axes.  It is positive when an axis separates
+    the boxes and at most 0 when they touch."""
+    def axes_and_corners(v):
+        c, s = math.cos(v.heading), math.sin(v.heading)
+        hl, hw = v.length / 2.0, v.width / 2.0
+        corners = [(v.x + dx * c - dy * s, v.y + dx * s + dy * c)
+                   for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))]
+        return [(c, s), (-s, c)], corners
+
+    axes_a, corners_a = axes_and_corners(a)
+    axes_b, corners_b = axes_and_corners(b)
+    gap = -math.inf
+    for ux, uy in (*axes_a, *axes_b):
+        pa = [cx * ux + cy * uy for cx, cy in corners_a]
+        pb = [cx * ux + cy * uy for cx, cy in corners_b]
+        gap = max(gap, min(pb) - max(pa), min(pa) - max(pb))
+    return gap
+
+
+@st.composite
+def boxes(draw):
+    """A pose near the origin, at any heading and of any size from a
+    bollard to a truck."""
+    return Pose(draw(st.floats(-12.0, 12.0)), draw(st.floats(-6.0, 6.0)), 0.0, 0.0,
+                draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.5, 18.0)),
+                draw(st.floats(0.5, 3.0)), "HDV")
+
+
+MARGINS = st.floats(0.0, 1.0)
+
+
+class TestContactProperties:
+    @given(box=boxes(), others=st.lists(boxes(), max_size=6), margin=MARGINS)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_touches_skips_no_touching_pair(self, box, others, margin):
+        assert touches(box, others, margin) == any(check_collision(box, o, margin)
+                                                   for o in others)
+
+    @given(a=boxes(), b=boxes(), margin=MARGINS)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_margin_is_a_grown_first_box(self, a, b, margin):
+        grown = a._replace(length=a.length + 2 * margin, width=a.width + 2 * margin)
+        assert check_collision(a, b, margin) == check_collision(grown, b)
+
+    @given(a=boxes(), b=boxes())
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def test_agrees_with_corner_projections(self, a, b):
+        """Away from touching, the centre-offset test and the projection of
+        every corner decide alike; at touching, rounding may split them."""
+        gap = corner_gap(a, b)
+        if abs(gap) > 1e-9:
+            assert check_collision(a, b) == (gap <= 0.0)
+
 
 class TestCorridorSearch:
     def test_nearest_ahead_and_behind(self):
@@ -226,41 +299,6 @@ class TestPredict:
     def test_non_negative_accel_keeps_constant_speed(self, accel):
         v = make_vehicle(6, x=50.0, speed=15.0, accel=accel)
         assert predict(v, 3.0) == Pose(95.0, 0.0, 15.0, 0.0, 0.0, 5.0, 2.0, "HDV")
-
-
-class TestPaddedOverlap:
-    # half-extents 2.5 x 1.0 on both boxes, padding 0.5 x 0.25: the centres
-    # must be at least 5.5 m apart along the road or 2.25 m across it
-    BOX = make_vehicle(9, x=10.0)
-
-    def hits(self, x, y, boxes=None):
-        return padded_overlap(x, y, 2.5, 1.0, [self.BOX] if boxes is None else boxes,
-                              0.5, 0.25)
-
-    def test_bounds_are_strict(self):
-        assert self.hits(4.51, 0.0) and self.hits(15.49, 0.0)
-        assert not self.hits(4.5, 0.0) and not self.hits(15.5, 0.0)
-        assert self.hits(10.0, 2.24) and self.hits(10.0, -2.24)
-        assert not self.hits(10.0, 2.25) and not self.hits(10.0, -2.25)
-
-    def test_needs_both_axes(self):
-        assert not self.hits(5.0, 3.0)
-        assert not self.hits(0.0, 0.5)
-        assert self.hits(5.0, 2.0)
-
-    def test_summed_half_extents(self):
-        long_box = make_vehicle(9, x=10.0, length=10.0)
-        assert self.hits(2.01, 0.0, [long_box])
-        assert not self.hits(2.0, 0.0, [long_box])
-
-    def test_box_moves_with_its_speed(self):
-        v = make_vehicle(1, x=0.0, speed=10.0)
-        assert not self.hits(10.0, 0.0, [predict(v, 0.0)])
-        assert self.hits(10.0, 0.0, [predict(v, 1.0)])
-
-    def test_any_box(self):
-        assert not self.hits(30.0, 0.0, [])
-        assert self.hits(30.0, 0.0, [self.BOX, make_vehicle(2, x=28.0, y=1.0)])
 
 
 class TestRoadAndClock:
