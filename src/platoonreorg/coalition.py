@@ -18,8 +18,8 @@ plan, head each member's pose along it, and ask ``world.touches``.
 The background moves by ``world.predict``, once per predicted time and
 tick (``GameScene.background_at``).  The rollout's tracks hold its
 ``Pose``s, which the profits read with the world's ``compute_ttc`` and
-``RoadMap.lane_index``, and the risk field under ``config.DEFAULTS.risk``,
-as the platoon layer's ``GameScene.risks`` does.
+``RoadMap.lane_index``, and with ``riskfield``'s one field, which the
+platoon layer's ``GameScene.risks`` reads too.
 """
 
 from __future__ import annotations
@@ -148,17 +148,13 @@ class GameScene:
 
     @cached_property
     def risks(self):
-        """Per member, the risk field of the background at its position."""
-        return [risk_reward(v, self.background, config.DEFAULTS.risk) for v in self.platoon]
+        """Per member, the risk field of the background at it."""
+        return [risk_reward(v, self.background) for v in self.platoon]
 
     @cached_property
     def at_risk(self) -> int:
-        """The first member with the lowest finite TTC; without one, the first
-        with the highest risk."""
-        best = min(self.lead_ttcs)
-        if math.isfinite(best):
-            return self.lead_ttcs.index(best)
-        return self.risks.index(max(self.risks))
+        """The first member with the lowest TTC."""
+        return self.lead_ttcs.index(min(self.lead_ttcs))
 
 
 PREDICT_DT = 0.3
@@ -255,7 +251,7 @@ def safety_profit(member_idx: int, prediction: Prediction,
     others = [trk[-1] for j, trk in enumerate(prediction.platoon_tracks) if j != member_idx]
     others.extend(prediction.background)
 
-    p_ris = risk_at_point(me.x, me.y, others, config.DEFAULTS.risk)
+    p_ris = risk_at_point(me, others)
 
     lead = nearest_in_corridor(me.x, me.y, others)
     if lead is None:

@@ -38,31 +38,9 @@ LQR_ACCEL_MAX = 2.0
 STEER_RATE_LIMIT = 0.3        # |heading rate| bound of the lateral law [rad/s]
 
 TTC_CRITICAL = 2.5            # critical time-to-collision: the heuristic splits below it [s]
-RISK_CRITICAL = 0.5           # risk-field value above which the heuristic splits
 MERGE_HOLD = 5.0              # clear time before the heuristic merges back [s]
 TTC_SENTINEL = 100.0          # numeric stand-in for an infinite TTC in vectors
 HDV_LANE_CHANGE_TIME = 2.5    # duration of an HDV's linear lane change [s]
-
-
-@dataclass(frozen=True)
-class RiskFieldConfig:
-    """Driving-risk potential field constants (normalized max-over-vehicles form)."""
-
-    grm: float = 100.0         # field strength
-    k1: float = 1.0            # distance exponent
-    k2: float = 0.05           # speed sensitivity [s/m]
-    d_min: float = 2.0         # clamp floor / normalization distance [m]
-    d_support: float = 100.0   # clamp radius; beyond it risk stays at the floor value [m]
-    v_max: float = 40.0        # normalization speed [m/s]
-    lateral_scale: float = 3.0  # elliptic scaling of lateral offsets
-
-    def __post_init__(self):
-        vals = (self.grm, self.k1, self.k2, self.d_min, self.d_support, self.v_max)
-        if any(v <= 0 for v in vals):
-            raise ValueError("risk-field parameters must be positive")
-        if self.grm / self.d_support ** self.k1 < 1.0:
-            # base < 1 would flip the speed monotonicity on the support edge
-            raise ValueError("need grm / d^k1 >= 1 for all d <= d_support")
 
 
 @dataclass(frozen=True)
@@ -183,7 +161,6 @@ class PpoConfig:
 
 @dataclass(frozen=True)
 class Defaults:
-    risk: RiskFieldConfig = field(default_factory=RiskFieldConfig)
     pdi: PdiConfig = field(default_factory=PdiConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
     game: GameConfig = field(default_factory=GameConfig)

@@ -176,9 +176,9 @@ def reward_bound(w: config.RewardConfig | None = None) -> float:
 class HeuristicDistributionPolicy:
     """Training-free configuration policy.
 
-    Splits to isolate the at-risk vehicle when the TTC dips under
-    ``config.TTC_CRITICAL`` or the risk field exceeds ``config.RISK_CRITICAL``;
-    merges back only after the risk has stayed clear for ``config.MERGE_HOLD`` s.
+    Splits to isolate the at-risk vehicle when the lowest TTC dips under
+    ``config.TTC_CRITICAL``, its one trigger; merges back only after the TTC
+    has stayed clear for ``config.MERGE_HOLD`` s.
     """
 
     n: int
@@ -198,10 +198,8 @@ class HeuristicDistributionPolicy:
             groups.append(tuple(range(idx + 1, self.n)))
         return PlatoonConfigAction(partition=tuple(groups))
 
-    def decide(self, t: float, min_ttc: float, r_ris: float,
-               at_risk_index: int = 0) -> PlatoonConfigAction:
-        risky = min_ttc < config.TTC_CRITICAL or r_ris > config.RISK_CRITICAL
-        if risky:
+    def decide(self, t: float, min_ttc: float, at_risk_index: int = 0) -> PlatoonConfigAction:
+        if min_ttc < config.TTC_CRITICAL:
             self._clear_since = None
             self._active = self.split_isolating(at_risk_index)
             return self._active

@@ -134,8 +134,7 @@ class GrdfPolicy:
         if self.net_decide is not None:
             action = self.net_decide(scene)
         else:
-            action = self.heuristic.decide(t, min(scene.lead_ttcs), max(scene.risks),
-                                           scene.at_risk)
+            action = self.heuristic.decide(t, min(scene.lead_ttcs), scene.at_risk)
         self.reorg.on_decision(action, t)
         return action
 

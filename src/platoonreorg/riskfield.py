@@ -1,15 +1,22 @@
-"""Driving-risk potential field.
+"""Driving-risk field.
 
-The field value seen from a probe position is the max over surrounding
-vehicles of a distance/speed law normalized to 1.0 at the closest, fastest
-configuration, so outputs always land in [0, 1].  Same-lane proximity is
-weighted up by scaling lateral offsets before the distance clamp.
+A vehicle's value, seen from a probe box, is the constant deceleration
+that keeps the two boxes apart under their current velocities, as a
+fraction of its limit, capped at 1.0; it grows with the closing speed along
+the approach, as the driving safety field's kinetic term does (Wang, Wu &
+Li 2015).  With ``gx``/``gy`` the bumper gaps along and across the road and
+``cx``/``cy`` the speeds at which they close:
 
-The normalization (divide, then cap at 1) is monotone in the raw intensity,
-so the max over vehicles takes the raw intensities and normalizes once; the
-result equals the max of the per-vehicle normalized intensities bit for bit.
-One parameter set, ``config.DEFAULTS.risk``, serves every reader: the
-platoon layer's ``GameScene.risks`` and the game's safety profit alike.
+- along the road, when ``gx > 0`` closes and ``gy`` is closed by the time
+  ``gx`` is, the value is ``cx²/(2·ACCEL_LIMIT·gx)``;
+- across the road, when the boxes are side by side (``gx ≤ 0``), it is
+  ``cy²/(2·LAT_ACCEL_LIMIT·gy)``;
+- otherwise it is 0 with no contact course, and 1 in contact.
+
+So 1.0 is the braking-distance limit, and the field has no settable value.
+The field at the probe is the max over the vehicles.  Both decision layers
+read it: the platoon layer's ``GameScene.risks`` and the game's safety
+profit.
 """
 
 from __future__ import annotations
@@ -19,35 +26,43 @@ import math
 from . import config
 
 
-def _effective_distance(dx: float, dy: float, p: config.RiskFieldConfig) -> float:
-    d = math.hypot(dx, p.lateral_scale * dy)
-    return min(max(d, p.d_min), p.d_support)
+def _closing(d: float, rel: float) -> float:
+    """Speed at which the gap along an axis shrinks, for the offset
+    ``d = b − a`` and the relative speed ``rel = va − vb``; at ``d = 0``
+    the gap can only open."""
+    return rel if d > 0.0 else -rel if d < 0.0 else -abs(rel)
 
 
-def _intensity(dx: float, dy: float, v_other: float, p: config.RiskFieldConfig) -> float:
-    if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(v_other)):
+def _value(a, b) -> float:
+    """The field of box b seen from box a, equal to that of a seen from b."""
+    dx, dy = b.x - a.x, b.y - a.y
+    cx = _closing(dx, a.speed * math.cos(a.heading) - b.speed * math.cos(b.heading))
+    cy = _closing(dy, a.speed * math.sin(a.heading) - b.speed * math.sin(b.heading))
+    if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError("non-finite risk-field input")
-    d = _effective_distance(dx, dy, p)
-    v = min(max(v_other, 0.0), p.v_max)
-    return (p.grm / d ** p.k1) ** (p.k2 * v)
+    gx = abs(dx) - 0.5 * (a.length + b.length)
+    gy = abs(dy) - 0.5 * (a.width + b.width)
+    if gx > 0.0:
+        # gy·cx > cy·gx: still apart across the road when the gap along it closes
+        if cx <= 0.0 or gy * cx > cy * gx:
+            return 0.0
+        return min(cx * cx / (2.0 * config.ACCEL_LIMIT * gx), 1.0)
+    if gy > 0.0:
+        return 0.0 if cy <= 0.0 else min(cy * cy / (2.0 * config.LAT_ACCEL_LIMIT * gy), 1.0)
+    return 1.0
 
 
-def _normalized(intensity: float, p: config.RiskFieldConfig) -> float:
-    norm = (p.grm / p.d_min ** p.k1) ** (p.k2 * p.v_max)
-    return min(intensity / norm, 1.0)
+def risk_reward(ego, others) -> float:
+    """The field at ego from the other vehicles, in [0, 1]."""
+    return risk_at_point(ego, (o for o in others if o.id != ego.id))
 
 
-def risk_reward(ego, others, p: config.RiskFieldConfig | None = None) -> float:
-    """Max field intensity over surrounding vehicles at ego's position, in [0, 1]."""
-    return risk_at_point(ego.x, ego.y, (o for o in others if o.id != ego.id),
-                         p or config.DEFAULTS.risk)
-
-
-def risk_at_point(x: float, y: float, vehicles, p: config.RiskFieldConfig) -> float:
-    """Field value at a bare (x, y) probe (zero-size, no own motion)."""
+def risk_at_point(probe, vehicles) -> float:
+    """The field at ``probe``, a box with a velocity (a ``VehicleState`` or
+    a ``Pose``), from ``vehicles``, in [0, 1]."""
     value = 0.0
     for v in vehicles:
-        c = _intensity(v.x - x, v.y - y, v.speed, p)
+        c = _value(probe, v)
         if c > value:
             value = c
-    return _normalized(value, p)
+    return value

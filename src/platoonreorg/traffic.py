@@ -229,7 +229,8 @@ class HdvDriver:
 
     def lateral_update(self, road: RoadMap):
         """Advance a lane change by ``config.DT`` of its ``config.HDV_LANE_CHANGE_TIME``,
-        toward the center of ``state.target_lane``."""
+        toward the center of ``state.target_lane``, at a constant lateral speed
+        vy that the heading shows, atan2(vy, speed), until the change ends."""
         if not self.changing():
             return
         to_y = road.lane_center(self.state.target_lane)
@@ -237,10 +238,13 @@ class HdvDriver:
         if self.lc_progress >= 1.0:
             self.lc_progress = -1.0
             self.state.y = to_y
+            self.state.heading = 0.0
             self.state.lane = road.lane_of(self.state.y)
         else:
             frac = self.lc_progress
             self.state.y = self.lc_from_y + (to_y - self.lc_from_y) * frac
+            vy = (to_y - self.lc_from_y) / config.HDV_LANE_CHANGE_TIME
+            self.state.heading = math.atan2(vy, self.state.speed)
             if frac >= 0.5:
                 self.state.lane = road.lane_of(to_y)
 

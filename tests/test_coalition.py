@@ -345,12 +345,13 @@ class TestOnePrediction:
 
 
 def test_scene_risks_read_the_games_risk_field():
-    """The platoon layer's per-member risk is ``risk_reward`` under
-    ``config.DEFAULTS.risk``, the parameter set of the game's safety profit."""
+    """The platoon layer's per-member risk is ``risk_reward``, the field of
+    the game's safety profit: here every member closes on an HDV ahead in
+    its lane, so every risk is positive."""
     plat = [cav(0, 130.0), cav(1, 115.0, lane=2), cav(2, 100.0)]
-    bg = [hdv(9, 150.0, lane=1, speed=30.0), hdv(10, 110.0, lane=2, speed=22.0)]
+    bg = [hdv(9, 150.0, lane=1, speed=20.0), hdv(10, 125.0, lane=2, speed=22.0)]
     scene = scene_of(plat, bg)
-    assert scene.risks == [risk_reward(v, bg, config.DEFAULTS.risk) for v in plat]
+    assert scene.risks == [risk_reward(v, bg) for v in plat]
     assert min(scene.risks) > 0.0
 
 
@@ -371,7 +372,8 @@ class TestProfits:
         lead = pose(100.0 + dx, y, 20.0, HDV)
         pred = Prediction(platoon_tracks=[[pose(100.0, y, 25.0)]], background=[lead],
                           collided=[False])
-        risk = risk_at_point(100.0, y, [lead], config.DEFAULTS.risk)
+        risk = risk_at_point(pred.platoon_tracks[0][-1], [lead])
+        assert risk == 1.0  # in contact
         assert safety_profit(0, pred) == pytest.approx(-risk + W.k_d * dx ** 2)
 
     @given(dx=st.floats(0.01, 60.0), v_me=st.floats(0.0, 40.0), v_lead=st.floats(0.0, 40.0))

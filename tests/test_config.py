@@ -11,7 +11,7 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "e55d7f0e1fcf8dbc"
+    assert config.config_hash(config.DEFAULTS) == "58d735e1b7fd258a"
 
 
 GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_d", "k_y", "k_v", "w_pdi",

@@ -267,30 +267,25 @@ class TestReorgRecord:
 class TestHeuristic:
     def test_clear_road_single(self):
         pol = HeuristicDistributionPolicy(n=3)
-        a = pol.decide(0.0, math.inf, 0.0)
+        a = pol.decide(0.0, math.inf)
         assert a.single_group
 
     def test_low_ttc_splits(self):
         pol = HeuristicDistributionPolicy(n=3)
-        a = pol.decide(0.0, 2.0, 0.0, at_risk_index=0)
+        a = pol.decide(0.0, 2.0, at_risk_index=0)
         assert not a.single_group
         assert a.partition[0] == (0,)
 
     def test_isolates_middle_vehicle(self):
         pol = HeuristicDistributionPolicy(n=3)
-        a = pol.decide(0.0, 2.0, 0.0, at_risk_index=1)
+        a = pol.decide(0.0, 2.0, at_risk_index=1)
         assert a.partition == ((0,), (1,), (2,))
 
     def test_hysteresis_hold_time(self):
         pol = HeuristicDistributionPolicy(n=3)
-        assert not pol.decide(0.0, 2.0, 0.0).single_group
-        # risk clears at t=1; merge only 5 s later
-        assert not pol.decide(1.0, math.inf, 0.0).single_group
-        assert not pol.decide(4.0, math.inf, 0.0).single_group
-        assert not pol.decide(5.9, math.inf, 0.0).single_group
-        assert pol.decide(6.1, math.inf, 0.0).single_group
-
-    def test_high_risk_field_splits(self):
-        pol = HeuristicDistributionPolicy(n=3)
-        a = pol.decide(0.0, math.inf, 0.8, at_risk_index=2)
-        assert not a.single_group
+        assert not pol.decide(0.0, 2.0).single_group
+        # the TTC clears at t=1; merge only 5 s later
+        assert not pol.decide(1.0, math.inf).single_group
+        assert not pol.decide(4.0, math.inf).single_group
+        assert not pol.decide(5.9, math.inf).single_group
+        assert pol.decide(6.1, math.inf).single_group

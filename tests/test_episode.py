@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonreorg import coalition, config, control, episode, riskfield
+from platoonreorg import coalition, config, control, distribution, episode, riskfield
 from platoonreorg.coalition import (KEEP, MERGING, SPLITTING, STEADY, GameScene,
                                     form_coalitions, predict_outcome)
 from platoonreorg.control import CavExecutor
@@ -185,7 +185,7 @@ def test_any_episode_keeps_the_limits_or_is_rejected(setup, seed):
 # one full reorganization inside the loop.
 NETWORK_LEN = 30.0
 NETWORK_SEED = 30
-NETWORK_ROW = {"collision": 0, "avg_speed": 15.891398, "min_ttc": 3.136922,
+NETWORK_ROW = {"collision": 0, "avg_speed": 15.891398, "min_ttc": 3.104382,
                "avg_distance": 9.942796, "formation_success": 1, "formation_time": 3.1,
                "reorganizations": 1, "duration": 30.0}
 
@@ -340,8 +340,9 @@ def test_each_hdv_decides_its_lane_once_per_second_on_its_own_frames(monkeypatch
 
 @pytest.mark.parametrize("name,seed", [("case1-grdf", 0), ("case2-dense-grdf", 1)])
 def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, name, seed):
-    """The heuristic reads each member's risk once per platoon decision, from
-    the tick's scene; nothing else in the loop computes it."""
+    """The platoon layer's reward reads each member's risk once per platoon
+    decision, from the tick's scene; nothing else in the loop computes it,
+    so without a reward nothing does."""
     risk_calls = 0
     risk_reward = riskfield.risk_reward
 
@@ -356,7 +357,37 @@ def test_one_risk_field_per_member_and_platoon_decision(monkeypatch, golden, nam
     world, result, _ = run_case(name, seed)
     assert result.metrics.row() == golden[f"{name}/seed{seed}"]
     assert decisions
+    assert risk_calls == 0
+
+    make_spec, use_pdi = CASES[name]
+    spec = make_spec()
+    world = build_scenario(spec, seed)
+    decisions.clear()
+    result = run_episode(world, GrdfPolicy(use_pdi=use_pdi), seed, spec.episode_len,
+                         spec.success_window,
+                         collect_reward=lambda scene, action, reorg, t:
+                         distribution.compute_reward(scene, reorg, False))
+    assert result.metrics.row() == golden[f"{name}/seed{seed}"]
     assert risk_calls == len(world.members) * len(decisions)
+
+
+def test_stalled_leader_raises_the_front_members_risk(monkeypatch):
+    """Case 2's 3-lane stalled leader, seed 1: the front member reads no
+    risk at 5 s, before the brake, and a positive one at 12 s, while it
+    closes on the braking leader."""
+    spec = case2_spec(density=3.0, event_cruise_after=0.0)
+    world = build_scenario(spec, 1)
+    front = {}
+    platoon_decide = GrdfPolicy.platoon_decide
+
+    def recorded(self, scene, t):
+        front[t] = scene.risks[0]
+        return platoon_decide(self, scene, t)
+
+    monkeypatch.setattr(GrdfPolicy, "platoon_decide", recorded)
+    run_episode(world, GrdfPolicy(use_pdi=True), 1, 13.0, spec.success_window)
+    assert front[5.0] == 0.0
+    assert front[12.0] > 0.0
 
 
 @pytest.mark.parametrize("lane_count,seed",
@@ -415,35 +446,28 @@ def _lead_info_world(hdv_poses):
 
 
 def lead_info(world):
-    """(leader TTC, lowest member TTC, highest member risk, at-risk member) of
-    the ``GameScene`` the loop builds on the world's snapshot."""
+    """(leader TTC, lowest member TTC, at-risk member) of the ``GameScene``
+    the loop builds on the world's snapshot."""
     snapshot = world.all_states()
     n = len(world.members)
     scene = GameScene(road=world.road, platoon=snapshot[:n], background=snapshot[n:],
                       executors=[m.executor for m in world.members])
-    return scene.lead_ttcs[0], min(scene.lead_ttcs), max(scene.risks), scene.at_risk
+    return scene.lead_ttcs[0], min(scene.lead_ttcs), scene.at_risk
 
 
 def test_lead_info_prefers_first_lowest_finite_ttc():
-    """TTCs (1, 2, inf) with the highest risk at member 2: member 0 is at risk.
-    An HDV 1 m behind member 2 in its lane raises its risk, not its TTC."""
-    world = _lead_info_world([(115.0, 0, 15.0), (85.0, 1, 15.0), (19.0, 2, 33.0)])
+    """TTCs (1, 2, inf): member 0 is at risk, though an HDV closing from
+    behind member 2 gives it the highest risk field."""
+    world = _lead_info_world([(107.0, 0, 23.0), (69.0, 1, 23.0), (12.0, 2, 33.0)])
     background = [d.state for d in world.hdvs]
-    risks = [risk_reward(m.state, background, config.DEFAULTS.risk) for m in world.members]
+    risks = [risk_reward(m.state, background) for m in world.members]
     assert max(risks) == risks[2] > max(risks[:2])
-    tau0, best_tau, risk, idx = lead_info(world)
-    assert (tau0, best_tau, risk) == (pytest.approx(1.0), pytest.approx(1.0), risks[2])
+    tau0, best_tau, idx = lead_info(world)
+    assert (tau0, best_tau) == (pytest.approx(1.0), pytest.approx(1.0))
     assert idx == 0
     # equal lowest TTCs: the first wins
-    world = _lead_info_world([(115.0, 0, 15.0), (75.0, 1, 15.0), (19.0, 2, 33.0)])
-    assert lead_info(world)[3] == 0
-
-
-def test_lead_info_falls_back_to_risk_without_finite_ttc():
-    world = _lead_info_world([(115.0, 0, 30.0), (19.0, 2, 33.0)])
-    tau0, best_tau, _, idx = lead_info(world)
-    assert tau0 == best_tau == math.inf
-    assert idx == 2
+    world = _lead_info_world([(107.0, 0, 23.0), (67.0, 1, 23.0), (12.0, 2, 33.0)])
+    assert lead_info(world)[2] == 0
 
 
 # Case 2 at density 3, 30 s under GRDF-GT and an untrained network policy
@@ -524,7 +548,9 @@ def keep_lane_tracks(world, t0):
             state.lane = world.road.lane_of(state.y)
         for state in background:
             braking = min(state.accel, 0.0)
+            y = state.y  # an HDV heads across the road in mid-change, but predict holds its lane
             step_kinematics(state, max(state.speed + braking * config.DT, 0.0), state.heading)
+            state.y = y
         t = round(t + config.DT, 9)
     return tracks, states
 

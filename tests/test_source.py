@@ -79,18 +79,36 @@ def names_read(sources) -> set[str]:
     return read
 
 
+def config_reads(sources) -> set[str]:
+    """Every name the sources read as an attribute (``config.DT``,
+    ``w.w_s``) or import from ``.config``; a bare local of the same name is
+    not a reader."""
+    read = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom) and n.module == "config":
+                read.update(a.name for a in n.names)
+    return read
+
+
 def test_config_scan_sees_only_unread_names():
     source = ("X = 1\nY: int = 2\n@dataclass(frozen=True)\nclass C:\n    a: float = 1.0\n"
               "    def f(self):\n        return self.a\nclass Plain:\n    b = 1\n")
     assert config_names(source) == ["X", "Y", "a"]
     assert names_read(["from .config import X\nv = cfg.a\nY = 1\n"]) == {"X", "a", "cfg"}
+    assert config_reads(["from .config import X\nfrom .world import Z\nv = cfg.a\n"
+                         "w = Y + b\nb = 1\n"]) == {"X", "a"}
 
 
 def test_every_config_name_is_read_elsewhere():
-    """A constant or config field that no other module reads is dead weight
-    in the one place every tunable lives."""
+    """Every module-level constant and every config field of ``config.py``
+    has a reader in another module of the package: one that is read only
+    where it is defined, or not at all, is dead weight in the one place
+    every tunable lives."""
     others = [p.read_text() for p in PACKAGE.glob("*.py") if p.name != "config.py"]
-    read = names_read(others)
+    read = config_reads(others)
     assert [n for n in config_names((PACKAGE / "config.py").read_text()) if n not in read] == []
 
 
@@ -132,13 +150,13 @@ def defaults_replacements(source: str) -> list[str]:
 
 
 def test_defaults_scan_sees_only_replaced_defaults():
-    source = ("p = replace(config.DEFAULTS.risk, v_max=1.0)\n"
+    source = ("p = replace(config.DEFAULTS.pdi, d_norm=1.0)\n"
               "q = dataclasses.replace(DEFAULTS.game, w_s=2.0)\n"
-              "r = replace(params, v_max=1.0)\n"
-              "s = pose._replace(x=config.DEFAULTS.risk.v_max)\n"
+              "r = replace(params, d_norm=1.0)\n"
+              "s = pose._replace(x=config.DEFAULTS.pdi.d_norm)\n"
               "t = name.replace('a', 'b')\n")
     assert defaults_replacements(source) == [
-        "1 replace(config.DEFAULTS.risk, v_max=1.0)",
+        "1 replace(config.DEFAULTS.pdi, d_norm=1.0)",
         "2 dataclasses.replace(DEFAULTS.game, w_s=2.0)"]
 
 

@@ -327,6 +327,31 @@ class TestSpawn:
         assert not in_keep_clear(500.0, 1, ())
 
 
+@pytest.mark.parametrize("target_lane", [0, 2])
+def test_lane_change_heads_the_box_along_its_lateral_motion(target_lane):
+    """Over an HDV's lane change its heading is atan2(vy, speed), with vy the
+    change's constant lateral speed, so the box is yawed as it slides; at the
+    end the heading is 0 again."""
+    road = RoadMap()
+    state = VehicleState(id=1, x=100.0, y=road.lane_center(1), speed=20.0, lane=1,
+                         target_lane=1)
+    driver = HdvDriver(state=state, idm=IdmParams(), mobil=MobilParams())
+    driver.begin_lane_change(target_lane)
+    vy = (road.lane_center(target_lane) - road.lane_center(1)) / config.HDV_LANE_CHANGE_TIME
+    steps = round(config.HDV_LANE_CHANGE_TIME / config.DT)
+    ys = [state.y]
+    for _ in range(steps - 1):
+        driver.lateral_update(road)
+        assert driver.changing()
+        assert state.heading == math.atan2(vy, state.speed)
+        ys.append(state.y)
+    assert [b - a for a, b in zip(ys, ys[1:])] == pytest.approx([vy * config.DT] * (steps - 1))
+    driver.lateral_update(road)
+    assert not driver.changing()
+    assert (state.y, state.heading, state.lane) == (road.lane_center(target_lane), 0.0,
+                                                    target_lane)
+
+
 def test_misspelled_driver_field_write_fails():
     driver = HdvDriver(state=VehicleState(id=1), idm=IdmParams(), mobil=MobilParams())
     with pytest.raises(AttributeError):
