@@ -244,23 +244,16 @@ def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
 
 def safety_profit(member_idx: int, prediction: Prediction,
                   w: config.GameConfig | None = None) -> float:
-    """Risk-field value (negative), TTC toward the predicted leader (capped,
-    positive), and leader separation (capped, positive)."""
+    """Risk-field value (negative) and TTC toward the predicted leader
+    (capped, positive)."""
     w = w or config.DEFAULTS.game
     me = prediction.platoon_tracks[member_idx][-1]
     others = [trk[-1] for j, trk in enumerate(prediction.platoon_tracks) if j != member_idx]
     others.extend(prediction.background)
 
-    p_ris = risk_at_point(me, others)
-
     lead = nearest_in_corridor(me.x, me.y, others)
-    if lead is None:
-        tau = w.ttc_cap
-        sep_sq = w.dist_cap ** 2
-    else:
-        tau = min(compute_ttc(me, lead), w.ttc_cap)
-        sep_sq = min((me.x - lead.x) ** 2 + (me.y - lead.y) ** 2, w.dist_cap ** 2)
-    return -p_ris + w.k_tau * tau + w.k_d * sep_sq
+    tau = w.ttc_cap if lead is None else min(compute_ttc(me, lead), w.ttc_cap)
+    return -risk_at_point(me, others) + w.k_tau * tau
 
 
 def efficiency_profit(member_idx: int, prediction: Prediction, v_max: float) -> float:

@@ -94,27 +94,24 @@ class GameConfig:
     w_it: float = 0.2
     w_er: float = 0.4
     k_tau: float = 0.1
-    k_d: float = 2e-5           # separation bonus stays tie-break sized
     k_y: float = 0.5
     k_v: float = 0.2
     w_pdi: float = 0.05
     w_lane_change: float = 0.3  # effort/exposure cost per changing member
     horizon: float = 3.0        # prediction horizon T_p [s]
     ttc_cap: float = 10.0       # TTC contribution cap [s]
-    dist_cap: float = 50.0      # leader-separation contribution cap [m]
     collision_penalty: float = 1e6  # charged when a predicted pose overlaps
     entropy_window: float = 50.0    # +/- window for lane-occupancy counts [m]
 
     def __post_init__(self):
-        weights = (self.w_s, self.w_e, self.w_it, self.w_er, self.k_tau, self.k_d,
-                   self.k_y, self.k_v, self.w_pdi, self.w_lane_change)
+        weights = (self.w_s, self.w_e, self.w_it, self.w_er, self.k_tau, self.k_y, self.k_v,
+                   self.w_pdi, self.w_lane_change)
         if not all(0.0 <= w < math.inf for w in weights):
             raise ValueError("game weights must be finite and non-negative")
-        scales = (self.horizon, self.ttc_cap, self.dist_cap, self.entropy_window,
-                  self.collision_penalty)
+        scales = (self.horizon, self.ttc_cap, self.entropy_window, self.collision_penalty)
         if not all(0.0 < v < math.inf for v in scales):
-            raise ValueError("horizon, ttc_cap, dist_cap, entropy_window and "
-                             "collision_penalty must be finite and positive")
+            raise ValueError("horizon, ttc_cap, entropy_window and collision_penalty "
+                             "must be finite and positive")
 
 
 @dataclass(frozen=True)

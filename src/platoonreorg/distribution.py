@@ -59,25 +59,31 @@ def enumerate_configurations(n: int):
 
 @dataclass
 class ReorgRecord:
-    """The platoon's target configuration and its one reorganization clock.
+    """The platoon's target configuration and its one reorganization window.
 
     A decision that switches the target from one group to several is a
-    trigger; it starts a reorganization unless one is running.  That ends
-    once the target is a single group and the formation has stayed intact
-    for ``config.FORMATION_HOLD`` s; its duration runs from the trigger to
-    the start of that intact stretch.
+    trigger; it opens a window unless one is open.  The window closes once
+    the target is a single group and the formation has stayed intact for
+    ``config.FORMATION_HOLD`` s.  It is a reorganization (``count``) from its
+    first frame with the formation broken or a member off the lane it held
+    on the window's first frame, and then its duration runs from the trigger
+    to the start of that intact stretch.  The other windows, open or closed,
+    are label-only splits: ``windows - count``.
     """
 
     episode_len: float
     target: PlatoonConfigAction   # the latest platoon decision
     decisions: int = field(default=0, init=False)
     triggers: int = field(default=0, init=False)
-    count: int = field(default=0, init=False)
+    windows: int = field(default=0, init=False)
+    count: int = field(default=0, init=False)      # windows the vehicles moved in
     durations: list = field(default_factory=list, init=False)
     triggered: bool = field(default=False, init=False)  # the latest decision was a trigger
     recent: tuple = field(default=(), init=False)  # durations ended since the previous decision
     running: bool = field(default=False, init=False)
     start: float = field(default=0.0, init=False)
+    lanes: tuple | None = field(default=None, init=False)  # on the window's first frame
+    moved: bool = field(default=False, init=False)
     intact_since: float | None = field(default=None, init=False)
     _reported: int = field(default=0, init=False)  # durations handed out through ``recent``
 
@@ -91,22 +97,28 @@ class ReorgRecord:
         if self.triggered:
             self.triggers += 1
             if not self.running:
-                self.running, self.start = True, t
-                self.count += 1
+                self.running, self.start, self.lanes, self.moved = True, t, None, False
+                self.windows += 1
         return self.triggered
 
-    def on_frame(self, intact: bool, t: float):
-        """Advance a running reorganization to time ``t``; ``intact`` means
-        the target is a single group and the formation is intact."""
+    def on_frame(self, intact: bool, lanes: tuple, t: float):
+        """Advance an open window to time ``t``; ``intact`` is the formation
+        scan and ``lanes`` the members' lanes."""
         if not self.running:
             return
-        if not intact:
+        if self.lanes is None:
+            self.lanes = lanes
+        if not self.moved and (not intact or lanes != self.lanes):
+            self.moved = True
+            self.count += 1
+        if not (intact and self.target.single_group):
             self.intact_since = None
             return
         if self.intact_since is None:
             self.intact_since = t
         if t - self.intact_since >= config.FORMATION_HOLD:
-            self.durations.append(self.intact_since - self.start)
+            if self.moved:
+                self.durations.append(self.intact_since - self.start)
             self.running, self.intact_since = False, None
 
     @property

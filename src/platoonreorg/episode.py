@@ -19,10 +19,12 @@ next frame's command reads it.  The vehicle layer schedules each lane change
 it picks on the member's executor, which plans, tracks and ends it inside
 ``command``; the loop only asks for commands.
 
-A reorganization runs from the decision that splits a single-group target
-until the single-group target has been intact for ``config.FORMATION_HOLD``
-s; its time ends where that intact stretch began.  The policy's
-``ReorgRecord`` is the only clock: game phase, reward and metrics read it.
+A window runs from the decision that splits a single-group target until
+the single-group target has been intact for ``config.FORMATION_HOLD`` s.
+Once the formation breaks or a member leaves its lane in it, the window is a
+reorganization, timed to where that intact stretch began; otherwise it is a
+label-only split.  The policy's ``ReorgRecord`` is the only clock: game
+phase, reward and metrics read it.
 """
 
 from __future__ import annotations
@@ -34,15 +36,8 @@ from typing import NamedTuple
 from . import config
 from .control import CavExecutor
 from .distribution import HeuristicDistributionPolicy, ReorgRecord, enumerate_configurations
-from .coalition import (
-    SPLITTING,
-    STEADY,
-    GameScene,
-    form_coalitions,
-    formation_intact,
-    lane_change_plan,
-    solve_tu_game,
-)
+from .coalition import (GameScene, form_coalitions, formation_intact, lane_change_plan,
+                        solve_tu_game)
 from .traffic import (HdvDriver, LaneContext, Neighbor, free_accel, idm_acceleration,
                       mobil_decide, style_params)
 from .world import (
@@ -92,6 +87,7 @@ class EpisodeMetrics:
     formation_success: bool = False
     formation_time: float | None = None
     reorganizations: int = 0
+    label_only_splits: int = 0
     duration: float = 0.0
 
     def row(self):
@@ -104,6 +100,7 @@ class EpisodeMetrics:
             "formation_time": round(self.formation_time, 6)
             if self.formation_time is not None else "",
             "reorganizations": self.reorganizations,
+            "label_only_splits": self.label_only_splits,
             "duration": round(self.duration, 6),
         }
 
@@ -147,8 +144,7 @@ class GrdfPolicy:
         phase = self.reorg.phase
         partition = form_coalitions(scene.platoon, scene.background,
                                     target_groups=self.reorg.target.partition)
-        game_phase = phase if phase != STEADY else SPLITTING
-        decision = solve_tu_game(partition, scene, game_phase, use_pdi=self.use_pdi)
+        decision = solve_tu_game(partition, scene, phase, use_pdi=self.use_pdi)
         if self.keep_audit:
             self._audit.append({
                 "t": round(t, 3), "phase": phase,
@@ -344,10 +340,11 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
             break
 
         if reorg.running:  # the formation scan is needed only while one runs
-            reorg.on_frame(reorg.target.single_group and formation_intact(states, background), t)
+            reorg.on_frame(formation_intact(states, background), tuple(v.lane for v in states), t)
 
     metrics.duration = clock.t
     metrics.reorganizations = reorg.count
+    metrics.label_only_splits = reorg.windows - reorg.count
     if reorg.durations:
         metrics.formation_time = reorg.durations[0]
         metrics.formation_success = metrics.formation_time <= success_window

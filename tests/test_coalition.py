@@ -362,7 +362,7 @@ class TestProfits:
         part = form_coalitions(plat, [])
         pred = predict_outcome(scene, part, (KEEP,), 3.0)
         val = safety_profit(0, pred)
-        assert val == pytest.approx(W.k_tau * W.ttc_cap + W.k_d * W.dist_cap ** 2)
+        assert val == pytest.approx(W.k_tau * W.ttc_cap)
 
     @pytest.mark.parametrize("dx", [5.0, 3.0, 0.5])
     def test_safety_pays_no_ttc_bonus_on_overlap(self, dx):
@@ -374,7 +374,7 @@ class TestProfits:
                           collided=[False])
         risk = risk_at_point(pred.platoon_tracks[0][-1], [lead])
         assert risk == 1.0  # in contact
-        assert safety_profit(0, pred) == pytest.approx(-risk + W.k_d * dx ** 2)
+        assert safety_profit(0, pred) == pytest.approx(-risk)
 
     @given(dx=st.floats(0.01, 60.0), v_me=st.floats(0.0, 40.0), v_lead=st.floats(0.0, 40.0))
     @example(dx=20.0, v_me=20.0, v_lead=20.0)              # equal speeds
@@ -382,13 +382,13 @@ class TestProfits:
     @example(dx=3.0, v_me=25.0, v_lead=20.0)               # overlap
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_safety_ttc_term_is_the_worlds_capped_ttc(self, dx, v_me, v_lead):
-        """With every other term weighted out, the safety profit is
+        """The safety profit at ``k_tau`` = 1 less its value at ``k_tau`` = 0 is
         ``min(compute_ttc(me, lead), ttc_cap)`` toward the predicted leader."""
         y = ROAD.lane_center(1)
         me, lead = pose(100.0, y, v_me), pose(100.0 + dx, y, v_lead, HDV)
         pred = Prediction(platoon_tracks=[[me]], background=[lead], collided=[False])
-        ttc_only = dataclasses.replace(W, k_tau=1.0, k_d=0.0)
-        no_ttc = dataclasses.replace(W, k_tau=0.0, k_d=0.0)
+        ttc_only = dataclasses.replace(W, k_tau=1.0)
+        no_ttc = dataclasses.replace(W, k_tau=0.0)
         tau = safety_profit(0, pred, ttc_only) - safety_profit(0, pred, no_ttc)
         assert tau == pytest.approx(min(compute_ttc(me, lead), W.ttc_cap), rel=1e-12, abs=1e-12)
 
@@ -587,7 +587,7 @@ class TestSolve:
         base = solve_tu_game(part, scene, SPLITTING, W)
         scaled_w = dataclasses.replace(
             W, w_s=W.w_s * 3, w_e=W.w_e * 3, w_it=W.w_it * 3, w_er=W.w_er * 3,
-            k_tau=W.k_tau, k_d=W.k_d, collision_penalty=W.collision_penalty * 3,
+            k_tau=W.k_tau, collision_penalty=W.collision_penalty * 3,
             w_pdi=W.w_pdi * 3, w_lane_change=W.w_lane_change * 3)
         scaled = solve_tu_game(part, scene, SPLITTING, scaled_w)
         assert scaled.joint_action == base.joint_action

@@ -11,12 +11,11 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "58d735e1b7fd258a"
+    assert config.config_hash(config.DEFAULTS) == "75a5ed743d17a312"
 
 
-GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_d", "k_y", "k_v", "w_pdi",
-                "w_lane_change")
-GAME_SCALES = ("horizon", "ttc_cap", "dist_cap", "entropy_window", "collision_penalty")
+GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_y", "k_v", "w_pdi", "w_lane_change")
+GAME_SCALES = ("horizon", "ttc_cap", "entropy_window", "collision_penalty")
 
 
 @pytest.mark.parametrize("name", GAME_WEIGHTS)

@@ -96,6 +96,10 @@ def make_record():
     return ReorgRecord(episode_len=120.0, target=single())
 
 
+LANES = (1, 1, 1)   # the members' lanes as a window opens
+MOVED = (2, 1, 1)   # the front member one lane left
+
+
 def single(n=3):
     return PlatoonConfigAction(partition=(tuple(range(n)),))
 
@@ -157,16 +161,17 @@ class TestReward:
             total, _ = compute_reward(scene(platoon, bg), record, False)
             assert abs(total) <= bound
             for dt in (1.0, 2.0, 3.0, 4.0):
-                record.on_frame(record.target.single_group, 5.0 * k + dt)
+                record.on_frame(record.target.single_group, LANES, 5.0 * k + dt)
         assert record.durations
 
     def test_reorganization_time_is_paid_once(self):
         platoon = [cav(0, 120.0), cav(1, 110.0), cav(2, 100.0)]
         record = make_record()
         record.on_decision(split(), 0.0)
+        record.on_frame(False, LANES, 0.5)
         record.on_decision(single(), 5.0)
         for t in (6.0, 7.0, 8.0, 9.0):
-            record.on_frame(True, t)
+            record.on_frame(True, LANES, t)
         record.on_decision(single(), 10.0)
         _, bd = compute_reward(scene(platoon), record, False)
         assert bd["r_re"] == pytest.approx(6.0 / 120.0)
@@ -176,44 +181,48 @@ class TestReward:
 
 
 class TestReorgRecord:
-    """The one reorganization clock: triggers, the formation hold, the phase."""
+    """The one reorganization window: triggers, vehicle motion, the formation
+    hold, the phase."""
 
     def test_trigger_counts_once_per_reorganization(self):
         record = make_record()
         assert not record.on_decision(single(), 0.0)
         assert record.on_decision(split(), 5.0)
-        assert (record.triggers, record.count, record.running) == (1, 1, True)
+        assert (record.triggers, record.windows, record.count, record.running) == (1, 1, 0, True)
+        record.on_frame(False, LANES, 5.1)             # the formation breaks
+        assert record.count == 1
         assert not record.on_decision(split(), 10.0)
         assert not record.on_decision(single(), 15.0)
         assert record.on_decision(split(), 20.0)       # a re-split while it runs
-        assert (record.triggers, record.count, record.start) == (2, 1, 5.0)
+        assert (record.triggers, record.windows, record.start) == (2, 1, 5.0)
         record.on_decision(single(), 25.0)
         for t in (26.0, 27.0, 28.0, 29.0):
-            record.on_frame(True, t)
+            record.on_frame(True, LANES, t)
         assert not record.running
-        assert record.on_decision(split(), 30.0)       # a new reorganization
-        assert (record.triggers, record.count, record.start) == (3, 2, 30.0)
+        assert record.on_decision(split(), 30.0)       # a new window
+        assert (record.triggers, record.windows, record.count, record.start) == (3, 2, 1, 30.0)
         assert record.decisions == 7
 
     def test_resplit_during_hold_restarts_hold_not_count(self):
         record = make_record()
         record.on_decision(split(), 5.0)
+        record.on_frame(False, LANES, 6.0)
         record.on_decision(single(), 10.0)
         for t in (10.5, 11.0, 11.5, 12.0):
-            record.on_frame(record.target.single_group, t)
+            record.on_frame(True, LANES, t)
         assert record.intact_since == 10.5 and record.phase == MERGING
         assert record.on_decision(split(), 12.5)
         assert record.phase == SPLITTING
-        record.on_frame(record.target.single_group, 13.0)
+        record.on_frame(True, LANES, 13.0)    # intact, but the target is split
         assert record.intact_since is None and record.running
         record.on_decision(single(), 15.0)
         t = 15.5
         while record.running:
-            record.on_frame(record.target.single_group, t)
+            record.on_frame(True, LANES, t)
             t += 0.5
         assert t - 0.5 == 15.5 + config.FORMATION_HOLD
         assert record.durations == [15.5 - 5.0]
-        assert (record.count, record.triggers) == (1, 2)
+        assert (record.windows, record.count, record.triggers) == (1, 1, 2)
 
     def test_completion_needs_hold_of_continuous_intact(self):
         record = make_record()
@@ -223,9 +232,9 @@ class TestReorgRecord:
         frames.append((6.25, False))
         frames += [(6.25 + 0.25 * j, True) for j in range(1, 13)]  # 6.5 .. 9.25
         for t, intact in frames:
-            record.on_frame(intact, t)
+            record.on_frame(intact, LANES, t)
         assert record.running and record.intact_since == 6.5
-        record.on_frame(True, 6.5 + config.FORMATION_HOLD)
+        record.on_frame(True, LANES, 6.5 + config.FORMATION_HOLD)
         assert not record.running
         assert record.durations == [6.5]
 
@@ -233,20 +242,86 @@ class TestReorgRecord:
         record = make_record()
         record.on_decision(single(), 0.0)
         for t in (1.0, 2.0, 3.0, 4.0):
-            record.on_frame(True, t)
-        assert (record.running, record.durations, record.intact_since) == (False, [], None)
+            record.on_frame(False, MOVED, t)
+        assert (record.running, record.count, record.durations, record.lanes,
+                record.intact_since) == (False, 0, [], None, None)
+
+    def test_window_without_motion_is_label_only(self):
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_decision(single(), 1.0)
+        for t in (1.5, 2.5, 3.5, 4.5):
+            record.on_frame(True, LANES, t)
+        assert not record.running
+        assert (record.windows, record.count, record.durations) == (1, 0, [])
+
+    def test_broken_formation_counts_once_across_a_resplit(self):
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_frame(False, LANES, 0.5)
+        record.on_decision(single(), 1.0)
+        record.on_frame(True, LANES, 1.5)
+        assert record.on_decision(split(), 2.0)
+        record.on_frame(False, MOVED, 2.5)
+        record.on_decision(single(), 3.0)
+        for t in (3.5, 4.5, 5.5, 6.5):
+            record.on_frame(True, MOVED, t)
+        assert not record.running
+        assert (record.windows, record.count, record.durations) == (1, 1, [3.5])
+
+    def test_lock_step_lane_change_with_an_intact_formation_counts(self):
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_frame(True, LANES, 0.1)
+        record.on_frame(True, LANES, 1.0)
+        assert record.count == 0
+        record.on_frame(True, (2, 2, 2), 2.0)   # every member one lane left, together
+        assert record.count == 1
+        record.on_decision(single(), 3.0)
+        for t in (3.5, 4.5, 5.5, 6.5):
+            record.on_frame(True, (2, 2, 2), t)
+        assert record.durations == [3.5]
+
+    def test_counted_window_still_open_at_the_end_counts(self):
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_frame(True, LANES, 0.1)
+        record.on_frame(True, MOVED, 0.2)
+        assert (record.running, record.windows, record.count, record.durations) == (
+            True, 1, 1, [])
+        record = make_record()
+        record.on_decision(split(), 0.0)
+        record.on_frame(True, LANES, 0.1)
+        assert (record.running, record.windows, record.count) == (True, 1, 0)
 
     def test_recent_holds_durations_since_the_previous_decision(self):
         record = make_record()
         record.on_decision(split(), 0.0)
+        record.on_frame(False, LANES, 0.5)
         record.on_decision(single(), 5.0)
         assert record.recent == ()
         for t in (6.0, 7.0, 8.0, 9.0):
-            record.on_frame(True, t)
+            record.on_frame(True, LANES, t)
         record.on_decision(single(), 10.0)
         assert record.recent == (6.0,)
         record.on_decision(single(), 15.0)
         assert record.recent == ()
+
+    def test_recent_carries_counted_durations_only(self):
+        record = make_record()
+        recents = []
+        for t0, first in ((0.0, LANES), (10.0, MOVED)):   # label-only, then counted
+            record.on_decision(split(), t0)
+            record.on_frame(True, LANES, t0 + 0.5)
+            record.on_frame(True, first, t0 + 1.0)
+            record.on_decision(single(), t0 + 2.0)
+            recents.append(record.recent)
+            for dt in (2.5, 3.5, 4.5, 5.5):
+                record.on_frame(True, first, t0 + dt)
+            record.on_decision(single(), t0 + 6.0)
+            recents.append(record.recent)
+        assert recents == [(), (), (), (2.5,)]
+        assert (record.windows, record.count, record.durations) == (2, 1, [2.5])
 
     def test_phase_sequence(self):
         record = make_record()
@@ -258,7 +333,7 @@ class TestReorgRecord:
         record.on_decision(single(), 10.0)
         phases.append(record.phase)
         for t in (10.5, 12.0, 13.0, 13.5):     # intact from 10.5, held 3 s at 13.5
-            record.on_frame(True, t)
+            record.on_frame(True, LANES, t)
             phases.append(record.phase)
         assert phases == [STEADY, STEADY, SPLITTING, MERGING,
                           MERGING, MERGING, MERGING, STEADY]

@@ -12,11 +12,13 @@ and platoon counts, density, case and seed, and holds each to the same
 invariants and monitor, unless its spec is rejected.  Case 2's leader
 braking to a standstill in front of the platoon on 3 and 4 lanes, seeds
 0-2, must be cleared by a lane change without a collision or a held
-plan.  A case-1 network-policy episode that splits and re-merges is pinned
-below; it also checks that the reward, the metrics and the game phase read
-one reorganization clock.  A case-2 network-policy episode pins every
-lane-change plan the executors start and the final member states, so the
-planner-to-executor path has an end-to-end guard.
+plan.  A case-1 network-policy episode whose split is label-only is pinned
+below.  Two case-1 heuristic episodes check that the reward, the metrics and
+the game phase read one reorganization clock, and that a split the game
+answers by keeping every coalition in lane is label-only.  A case-2
+network-policy episode pins every lane-change plan the executors start and
+the final member states, so the planner-to-executor path has an end-to-end
+guard.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_episode.py > tests/golden/episodes.json``.
@@ -175,50 +177,56 @@ def test_any_episode_keeps_the_limits_or_is_rejected(setup, seed):
 
 
 # Case 1, 30 s under an untrained network policy (8 observed objects x 9
-# features in, 4 configurations out, network seed 0).  The episode seed is the
-# first that runs the 30 s without a collision and completes exactly one
-# reorganization early enough for a later platoon decision to hand its time to
-# the reward.  Under it the network splits into (0), (1) and (2) at 2 s and
-# picks the single group again at 5 s; the formation is intact from 5.1 s,
-# so the reorganization ends at 8.1 s and the 9 s decision hands its 3.1 s
-# to the reward.  The run covers ``Observer``, ``select_configuration`` and
-# one full reorganization inside the loop.
+# features in, 4 configurations out, network seed 0).  The network splits
+# into (0), (1) and (2) at 2 s and picks the single group again at 5 s, but
+# no member leaves its lane and the formation stays intact: the split is
+# label-only, so no reorganization is counted or timed.  The run covers
+# ``Observer`` and ``select_configuration`` inside the loop.
 NETWORK_LEN = 30.0
 NETWORK_SEED = 30
 NETWORK_ROW = {"collision": 0, "avg_speed": 15.891398, "min_ttc": 3.104382,
-               "avg_distance": 9.942796, "formation_success": 1, "formation_time": 3.1,
-               "reorganizations": 1, "duration": 30.0}
-
-
-def run_network_case(collect_reward=None):
-    spec = case1_spec(episode_len=NETWORK_LEN)
-    world = build_scenario(spec, NETWORK_SEED)
-    breaks = monitor_limits(world)
-    policy = GrdfPolicy(network=PolicyNetwork(obs_dim=72, n_actions=4, seed=0),
-                        keep_audit=True)
-    result = run_episode(world, policy, NETWORK_SEED, spec.episode_len, spec.success_window,
-                         collect_reward=collect_reward)
-    return world, policy, result, breaks
+               "avg_distance": 9.942796, "formation_success": 0, "formation_time": "",
+               "reorganizations": 0, "label_only_splits": 1, "duration": 30.0}
 
 
 def test_network_policy_episode_matches_pin():
-    world, _, result, breaks = run_network_case()
+    spec = case1_spec(episode_len=NETWORK_LEN)
+    world = build_scenario(spec, NETWORK_SEED)
+    breaks = monitor_limits(world)
+    policy = GrdfPolicy(network=PolicyNetwork(obs_dim=72, n_actions=4, seed=0))
+    result = run_episode(world, policy, NETWORK_SEED, spec.episode_len, spec.success_window)
     assert invariant_failures(world, result) == []
     assert breaks == []
     assert result.metrics.row() == NETWORK_ROW
 
 
+def run_heuristic_case1(seed, collect_reward=None):
+    """(policy, result) of case 1 over 20 s under the heuristic, with the game audited."""
+    spec = case1_spec(episode_len=EPISODE_LEN)
+    policy = GrdfPolicy(keep_audit=True)
+    result = run_episode(build_scenario(spec, seed), policy, seed, spec.episode_len,
+                         spec.success_window, collect_reward=collect_reward)
+    return policy, result
+
+
 def test_reward_metrics_and_game_phase_share_one_clock():
+    """Case 1 seed 3 splits at 3.0 s, while its members are in a lane change
+    the game began at 1.0 s, and the formation re-forms 7.1 s after the
+    split: one reorganization, which the reward, the metrics and the game
+    phase all read."""
     decisions = []
 
-    def collect(world, action, reorg, t):
+    def collect(scene, action, reorg, t):
         decisions.append((t, action.single_group, reorg.triggered, reorg.recent))
 
-    _, policy, result, _ = run_network_case(collect)
+    policy, result = run_heuristic_case1(3, collect)
     metrics = result.metrics
+    assert (metrics.reorganizations, metrics.label_only_splits) == (1, 0)
+    assert metrics.row()["formation_time"] == 7.1
     # the reward is handed the same reorganization time the metrics report
     assert [d for *_, recent in decisions for d in recent] == [metrics.formation_time]
     start = next(t for t, _, triggered, _ in decisions if triggered)
+    assert start == 3.0
     merge = next(t for t, single, _, _ in decisions if t > start and single)
     end = start + metrics.formation_time + config.FORMATION_HOLD
     # the game stays in the merging phase until the reorganization ends
@@ -227,7 +235,20 @@ def test_reward_metrics_and_game_phase_share_one_clock():
         t = row["t"]
         want = (STEADY if t < start or t >= end else SPLITTING if t < merge else MERGING)
         assert row["phase"] == want, t
-    assert max(r["t"] for r in audit if r["phase"] == MERGING) == 8.0
+    assert max(r["t"] for r in audit if r["phase"] == MERGING) == 13.0
+
+
+def test_a_split_the_game_answers_with_keep_is_label_only():
+    """Case 1 seed 16 splits into (0) and (1, 2) at 4.0 s, and on every
+    splitting tick the game keeps both coalitions in lane: no vehicle makes
+    a reorganization, so the split is label-only and nothing is timed."""
+    policy, result = run_heuristic_case1(16)
+    splitting = [r for r in policy.audit_rows() if r["phase"] == SPLITTING]
+    assert (splitting[0]["t"], splitting[0]["coalitions"]) == (4.0, [[0], [1, 2]])
+    assert all(r["action"] == [KEEP, KEEP] for r in splitting)
+    row = result.metrics.row()
+    assert (row["reorganizations"], row["label_only_splits"], row["formation_time"],
+            row["formation_success"]) == (0, 1, "", 0)
 
 
 def test_one_snapshot_per_frame(monkeypatch, golden):
@@ -483,7 +504,7 @@ PLAN_NET_SEED = 1
 PLAN_SEED = 2
 PLAN_ROW = {"collision": 0, "avg_speed": 24.912358, "min_ttc": 10.160535,
             "avg_distance": 10.033967, "formation_success": 0, "formation_time": "",
-            "reorganizations": 1, "duration": 30.0}
+            "reorganizations": 1, "label_only_splits": 0, "duration": 30.0}
 PLANS = [(11.0, 0, 2, 2.8), (11.0, 1, 2, 2.8), (11.0, 2, 2, 2.8),
          (28.0, 0, 1, 2.8), (28.0, 1, 1, 2.8), (28.0, 2, 1, 2.8)]
 PLAN_DIGEST = "42c7e27931aa7f3d"
