@@ -36,11 +36,11 @@ JERK_LIMIT = 8.0              # |jerk| bound [m/s^3]
 LAT_ACCEL_LIMIT = 3.0         # |a_lat| bound [m/s^2]
 LQR_ACCEL_MAX = 2.0
 STEER_RATE_LIMIT = 0.3        # |heading rate| bound of the lateral law [rad/s]
+HEADING_LIMIT = 0.35          # |heading| bound of every vehicle [rad]
 
 TTC_CRITICAL = 2.5            # critical time-to-collision: the heuristic splits below it [s]
 MERGE_HOLD = 5.0              # clear time before the heuristic merges back [s]
 TTC_SENTINEL = 100.0          # numeric stand-in for an infinite TTC in vectors
-HDV_LANE_CHANGE_TIME = 2.5    # duration of an HDV's linear lane change [s]
 
 
 @dataclass(frozen=True)

@@ -183,5 +183,5 @@ class CavExecutor:
             lo, hi = (math.asin(min(max((vy + d) / speed, -1.0), 1.0))
                       for d in (-reach, reach))
             heading = min(max(heading, lo), hi)
-        heading = min(max(heading, -0.35), 0.35)
+        heading = min(max(heading, -config.HEADING_LIMIT), config.HEADING_LIMIT)
         return speed, heading

@@ -8,10 +8,12 @@ the platoon layer (``GrdfPolicy.platoon_decide``), its reward and the
 vehicle layer (``vehicle_decide``, the coalition game) read it in that
 order; a scene is read only on the tick it was built for, since the states
 under it advance in place.  All commands come from the same states, then all
-states advance together.  HDV lane decisions are staggered across the
-frames of a second, physics runs every frame.  A scripted brake
-(``HdvDriver.brake``, the case-2 leader's event) is played on its own
-driver at the start of each frame, and that driver keeps its lane.
+states advance together, each through ``step_kinematics`` at its own
+heading: an HDV's is 0, or its lane-change plan's (``lateral_update``).
+HDV lane decisions are staggered across the frames of a second.  A
+scripted brake (``HdvDriver.brake``, the case-2 leader's event) is played
+on its own driver at the start of each frame, and that driver keeps its
+lane.
 Each platoon member's command comes from ``CavExecutor.command`` alone, fed
 with the one vehicle ahead in the member's corridor.  That leader is looked
 up once per frame, after the step, for ``min_ttc``; nothing moves before the
@@ -38,6 +40,7 @@ from .control import CavExecutor
 from .distribution import HeuristicDistributionPolicy, ReorgRecord, enumerate_configurations
 from .coalition import (GameScene, form_coalitions, formation_intact, lane_change_plan,
                         solve_tu_game)
+from .planner import low_speed_path
 from .traffic import (HdvDriver, LaneContext, Neighbor, free_accel, idm_acceleration,
                       mobil_decide, style_params)
 from .world import (
@@ -179,12 +182,15 @@ def _hdv_leader(pose, road: RoadMap, snapshot):
     """The nearest vehicle ahead of ``pose`` in its corridor.  On the ramp
     shoulder (below half a lane width, on a road with a ramp) the ramp end
     is the leader when it is nearer, so IDM stops a driver short of it and
-    MOBIL's own gain in leaving grows as it comes near."""
+    MOBIL's own gain in leaving grows as it comes near.  The shoulder sees
+    the end half a low-speed lane change early, so a driver that merges
+    from rest is off the shoulder by the ramp's end."""
     leader = lead_vehicle(pose, snapshot)
     ramp = road.ramp
-    if (ramp is not None and pose.y < -0.5 * road.lane_width
-            and (leader is None or leader.x - 0.5 * leader.length > ramp.end)):
-        return _RampEnd(ramp.end)
+    if ramp is not None and pose.y < -0.5 * road.lane_width:
+        end = _RampEnd(ramp.end - 0.5 * low_speed_path(road.lane_width))
+        if leader is None or leader.x - 0.5 * leader.length > end.x:
+            return end
     return leader
 
 
@@ -229,15 +235,23 @@ def hdv_decide_lane(driver: HdvDriver, world: World, snapshot):
             continue
         target = _lane_context(driver, road.lane_center(lane), world, snapshot)
         if mobil_decide(state.speed, driver.idm, current, target, driver.mobil):
-            driver.begin_lane_change(lane)
+            driver.begin_lane_change(lane, road)
             return
 
 
 def hdv_accel(driver: HdvDriver, road: RoadMap, snapshot) -> float:
+    """IDM behind the driver's leader.  Mid-change that is the nearer of the
+    vehicles ahead in its own corridor and in its target lane's, never the
+    ramp end."""
     if driver.scripted_accel is not None:
         return driver.scripted_accel
     state = driver.state
-    leader = _hdv_leader(state, road, snapshot)
+    if state.plan is None:
+        leader = _hdv_leader(state, road, snapshot)
+    else:
+        target = Point(state.x, road.lane_center(state.target_lane), state.speed)
+        leader = min(filter(None, (lead_vehicle(state, snapshot), lead_vehicle(target, snapshot))),
+                     key=lambda v: v.x, default=None)
     if leader is None:
         return free_accel(state.speed, driver.idm)
     return idm_acceleration(state.speed, _bumper_gap(leader, state),
@@ -308,14 +322,14 @@ def run_episode(world: World, policy: GrdfPolicy, seed: int,
 
         hdv_accels = [hdv_accel(d, world.road, snapshot) for d in world.hdvs]
 
-        # advance everyone together
+        # advance everyone together, each at its own heading
         for s, (speed, heading) in zip(states, commands):
             step_kinematics(s, speed, heading)
-            s.lane = world.road.lane_of(s.y)
         for driver, a in zip(world.hdvs, hdv_accels):
-            s = driver.state
-            step_kinematics(s, max(s.speed + a * config.DT, 0.0), 0.0)
-            driver.lateral_update(world.road)
+            speed = max(driver.state.speed + a * config.DT, 0.0)
+            step_kinematics(driver.state, speed, driver.lateral_update(speed))
+        for s in snapshot:
+            s.lane = world.road.lane_of(s.y)
         clock.tick()
         t = clock.t
 

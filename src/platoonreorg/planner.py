@@ -6,13 +6,14 @@ planner of Werling et al. 2010.  Only lane changes are planned, and only
 laterally: ``lane_change`` is one quintic toward the target lane's center,
 with zero lateral speed and acceleration at its end, over
 ``lane_change_time``, the shortest duration that keeps a rest-to-rest
-change within ``config.LAT_ACCEL_LIMIT``.  The dynamics check evaluates the
-quintic at each ``config.DT`` step: the game offers no change that fails
-it, and at the executor a plan that fails it becomes ``hold_lane``.  No
-other vehicle is read: the longitudinal motion is the executor's follow
-law, which brakes for whatever is ahead.  Lane keeping has no plan; it is
-the follow law, and the executor ends each plan when its duration has
-elapsed.
+change within ``config.LAT_ACCEL_LIMIT``.  A background driver tracks the
+same quintic exactly, as a ``PacedPlan``, which ``world.predict`` samples.
+The dynamics check evaluates the quintic at each ``config.DT`` step: the game
+offers no change that fails it, and at the executor a plan that fails it
+becomes ``hold_lane``.  No other vehicle is read: the longitudinal motion
+is the executor's follow law, which brakes for whatever is ahead.  Lane
+keeping has no plan; it is the follow law, and the executor ends each plan
+when its duration has elapsed.
 """
 
 from __future__ import annotations
@@ -91,6 +92,55 @@ def lane_change_time(dy: float) -> float:
     (10/√3)·|dy|/T², so 2.8 s for a 4 m lane."""
     steps = math.sqrt(10.0 / math.sqrt(3.0) * abs(dy) / config.LAT_ACCEL_LIMIT) / config.DT
     return round(max(math.ceil(round(steps, 9)), 1) * config.DT, 9)
+
+
+def low_speed_path(dy: float) -> float:
+    """v_ref·T of a ``PacedPlan`` over dy: 1.875·|dy|/sin(``config.HEADING_LIMIT``)."""
+    return 1.875 * abs(dy) / math.sin(config.HEADING_LIMIT)
+
+
+@dataclass(slots=True)
+class PacedPlan:
+    """A background vehicle's lane change: the rest-to-rest quintic of
+    ``lane_change_time`` to ``y1`` on a clock that advances min(t, d/v_ref)
+    over t s and d m of travel: by time at or above ``v_ref``, where the
+    peak lateral speed 1.875·|dy|/T heads the vehicle at
+    ``config.HEADING_LIMIT``, by distance below (Werling et al. 2010)."""
+
+    lat: Polynomial
+    duration: float
+    v_ref: float
+    y1: float
+    clock: float = 0.0
+
+    def y_at(self, clock: float) -> float:
+        return self.lat.derivatives(clock)[0]
+
+    def clock_after(self, t: float, distance: float) -> float:
+        return min(self.clock + min(t, distance / self.v_ref), self.duration)
+
+    def step(self, y: float, last: float, distance: float) -> float:
+        """The lateral step from y, the plan's at ``clock``, over one
+        ``config.DT`` frame and ``distance`` m after a step of ``last``: the
+        paced clock's, moved at most ``LAT_ACCEL_LIMIT``·DT² from ``last``,
+        then at most sin(``HEADING_LIMIT``)·distance, the executors' two
+        stages.  Where one binds, the clock moves to where the plan makes
+        that step, never back nor faster than time."""
+        paced = self.clock_after(config.DT, distance)
+        sign = math.copysign(1.0, self.y1 - self.lat.c[0])   # the side the plan moves to
+        want = sign * (self.y_at(paced) - y)
+        reach = config.LAT_ACCEL_LIMIT * config.DT ** 2
+        lo, hi = self.clock, min(self.clock + config.DT, self.duration)
+        step = max(min(max(want, sign * last - reach), sign * last + reach,
+                       distance * math.sin(config.HEADING_LIMIT), sign * (self.y_at(hi) - y)), 0.0)
+        if step == want:
+            self.clock = paced
+        else:   # bisect the monotone plan for the clock of that step
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if sign * (self.y_at(mid) - y) < step else (lo, mid)
+            self.clock = lo
+        return self.y_at(self.clock) - y
 
 
 def lane_change(state, decision: str, road) -> TrajectoryCandidate:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import config
+from .planner import PacedPlan, lane_change_time, low_speed_path, quintic
 from .world import HDV, RoadMap, VehicleState
 
 B_EMERGENCY = 9.0  # hardest braking any driver can produce [m/s^2]
@@ -208,45 +209,47 @@ class ScriptedBrake:
 
 @dataclass(slots=True)
 class HdvDriver:
-    """Background-vehicle agent: IDM longitudinally, MOBIL laterally."""
+    """Background-vehicle agent: IDM longitudinally, MOBIL laterally.  A
+    lane change is the planner's quintic, a ``PacedPlan`` held in
+    ``state.plan`` while it runs, which the driver tracks exactly."""
 
     state: VehicleState
     idm: IdmParams
     mobil: MobilParams
     style: str = "normal"
-    lc_from_y: float = field(default=0.0, init=False)
-    lc_progress: float = field(default=-1.0, init=False)    # <0: not changing
     scripted_accel: float | None = field(default=None, init=False)  # event override, wins over IDM
     brake: ScriptedBrake | None = None      # event this driver plays; it then keeps its lane
 
     def changing(self) -> bool:
-        return self.lc_progress >= 0.0
+        return self.state.plan is not None
 
-    def begin_lane_change(self, target_lane: int):
-        self.lc_from_y = self.state.y
-        self.lc_progress = 0.0
+    def begin_lane_change(self, target_lane: int, road: RoadMap):
+        """Plan the change from the driver's y, not from its lane, which the
+        road clamps (a ramp-shoulder driver is in lane 0), to the center of
+        ``target_lane``."""
+        y0, y1 = self.state.y, road.lane_center(target_lane)
+        T = lane_change_time(y1 - y0)
+        self.state.plan = PacedPlan(quintic(y0, 0.0, 0.0, y1, 0.0, 0.0, T), T,
+                                    low_speed_path(y1 - y0) / T, y1)
         self.state.target_lane = target_lane
 
-    def lateral_update(self, road: RoadMap):
-        """Advance a lane change by ``config.DT`` of its ``config.HDV_LANE_CHANGE_TIME``,
-        toward the center of ``state.target_lane``, at a constant lateral speed
-        vy that the heading shows, atan2(vy, speed), until the change ends."""
-        if not self.changing():
-            return
-        to_y = road.lane_center(self.state.target_lane)
-        self.lc_progress += config.DT / config.HDV_LANE_CHANGE_TIME
-        if self.lc_progress >= 1.0:
-            self.lc_progress = -1.0
-            self.state.y = to_y
-            self.state.heading = 0.0
-            self.state.lane = road.lane_of(self.state.y)
-        else:
-            frac = self.lc_progress
-            self.state.y = self.lc_from_y + (to_y - self.lc_from_y) * frac
-            vy = (to_y - self.lc_from_y) / config.HDV_LANE_CHANGE_TIME
-            self.state.heading = math.atan2(vy, self.state.speed)
-            if frac >= 0.5:
-                self.state.lane = road.lane_of(to_y)
+    def lateral_update(self, speed: float) -> float:
+        """One frame of the plan for a step that ends at ``speed``: the
+        heading at which ``step_kinematics`` moves y by the plan's step,
+        kept at rest, or 0 when no change runs.  The frame after the clock
+        reaches the plan's duration ends the change at the target lane's
+        center, heading 0."""
+        state = self.state
+        plan = state.plan
+        if plan is None:
+            return 0.0
+        if plan.clock >= plan.duration:
+            state.plan = None
+            state.y = plan.y1   # where the plan ended, up to rounding
+            return 0.0
+        dt = config.DT
+        dy = plan.step(state.y, state.speed * math.sin(state.heading) * dt, speed * dt)
+        return math.asin(dy / (speed * dt)) if speed > 0.0 else state.heading
 
 
 @dataclass

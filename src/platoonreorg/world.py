@@ -13,12 +13,12 @@ rollout all call it, on ``VehicleState``s, predicted ``Pose``s or bare
 ``Point`` probes.
 
 One motion model, ``predict``, says where a vehicle that no layer here
-commands will be: at constant speed in its lane, or, for an HDV that
-brakes, braking on until it stops.  The game's rollout, its pruning screen
-and its profits read their scenes from it.  The game and the frame loop
-judge contact alike, by ``touches``: one box against many under
-``check_collision``, the one contact test.  The lane-change planner reads
-no other vehicle.
+commands will be: at constant speed, or, for an HDV that brakes, braking on
+until it stops; in its lane, or on its lane-change plan.  The game's
+rollout, pruning screen and profits read their scenes from it.  The game
+and the frame loop judge contact alike, by ``touches``: one box against
+many under ``check_collision``, the one contact test.  The lane-change
+planner reads no other vehicle.
 """
 
 from __future__ import annotations
@@ -127,6 +127,7 @@ class VehicleState:
     ay: float = 0.0
     length: float = config.VEHICLE_LENGTH
     width: float = config.VEHICLE_WIDTH
+    plan: object | None = None   # a background vehicle's ``planner.PacedPlan`` while it runs
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)
@@ -259,12 +260,18 @@ def rear_vehicle(ego, others):
 
 
 def predict(v, t: float) -> Pose:
-    """Where ``v`` is t s from now, when no layer here commands it: lane
-    held, constant speed along the road, except that an HDV's braking (a
-    negative ``accel``) is held until it stops, the constant-acceleration
-    model (Lefèvre, Vasquez & Laugier 2014) for deceleration only."""
+    """Where ``v`` is t s from now, when no layer here commands it: constant
+    speed along the road, except that an HDV's braking (a negative
+    ``accel``) is held until it stops, the constant-acceleration model
+    (Lefèvre, Vasquez & Laugier 2014) for deceleration only; at its y, or
+    mid-change on its ``plan`` after the predicted travel."""
     a = v.accel if v.kind == HDV and v.accel < 0.0 else 0.0
     tau = t if a == 0.0 else min(t, v.speed / -a)
     speed = max(v.speed + a * tau, 0.0)
-    return Pose(v.x + (v.speed + 0.5 * a * tau) * math.cos(v.heading) * tau, v.y, speed,
-                a if speed > 0.0 else 0.0, v.heading, v.length, v.width, v.kind)
+    travel = (v.speed + 0.5 * a * tau) * tau
+    y, heading, plan = v.y, v.heading, v.plan
+    if plan is not None:   # the lateral speed is y' times the clock's rate, min(1, speed/v_ref)
+        y, vy, _ = plan.lat.derivatives(plan.clock_after(t, travel))
+        heading = math.asin(vy / max(speed, plan.v_ref))
+    return Pose(v.x + travel * math.cos(v.heading), y, speed, a if speed > 0.0 else 0.0,
+                heading, v.length, v.width, v.kind)

@@ -67,4 +67,4 @@ def test_tracer_sees_every_plan_the_executors_start():
     assert result.metrics.row() == PLAN_ROW
     calls = [tracer.spans[f"planner.{name}"].calls
              for name in ("generate_lattice", "select_trajectory")]
-    assert calls == [len(PLANS), len(PLANS)] == [6, 6]
+    assert calls == [len(PLANS), len(PLANS)] == [9, 9]

@@ -5,20 +5,21 @@ at a dense level with GRDF, seeds 0-1, each 20 s long so the case-2 brake at
 10 s is covered.  Every run must return and hold the benchmark's output
 invariants: frames x dt equals the duration, every metric and every final
 vehicle field is finite, and no platoon member ends above the speed limit.
-A limit monitor checks every member on every frame against the physical
-limits.  Its ``EpisodeMetrics.row()`` is compared exactly against
+A limit monitor checks every member against the physical limits, and
+every vehicle's heading and lateral acceleration, on every frame.  Its
+``EpisodeMetrics.row()`` is compared exactly against
 ``golden/episodes.json``.  A property test draws short episodes over lane
 and platoon counts, density, case and seed, and holds each to the same
 invariants and monitor, unless its spec is rejected.  Case 2's leader
 braking to a standstill in front of the platoon on 3 and 4 lanes, seeds
 0-2, must be cleared by a lane change without a collision or a held
-plan.  A case-1 network-policy episode whose split is label-only is pinned
-below.  Two case-1 heuristic episodes check that the reward, the metrics and
-the game phase read one reorganization clock, and that a split the game
-answers by keeping every coalition in lane is label-only.  A case-2
-network-policy episode pins every lane-change plan the executors start and
-the final member states, so the planner-to-executor path has an end-to-end
-guard.
+plan.  A case-1 network-policy episode whose one window becomes a
+reorganization is pinned below.  Two case-1 heuristic episodes check that
+the reward, the metrics and the game phase read one reorganization clock,
+and that a split the game answers by keeping every coalition in lane is
+label-only.  A case-2 network-policy episode pins every lane-change plan
+the executors start and the final member states, so the
+planner-to-executor path has an end-to-end guard.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_episode.py > tests/golden/episodes.json``.
@@ -68,22 +69,27 @@ LIMIT_SLACK = 1e-9
 
 
 def limit_breaks(world) -> list[str]:
-    """Each physical limit a platoon member breaks on the current frame:
-    speed above the road's limit, |accel| above ``ACCEL_LIMIT``, |jerk|
-    above ``JERK_LIMIT``, |lateral accel| above ``LAT_ACCEL_LIMIT``, or a
-    field that is not finite."""
+    """Each physical limit a vehicle breaks on the current frame: a platoon
+    member's speed above the road's limit, |accel| above ``ACCEL_LIMIT``,
+    |jerk| above ``JERK_LIMIT``, or a field that is not finite; any
+    vehicle's |heading| above ``HEADING_LIMIT`` or |lateral accel| above
+    ``LAT_ACCEL_LIMIT``."""
     t = world.clock.t
     breaks = []
     for m in world.members:
         s = m.state
         for name, value, limit in (("speed", s.speed, world.road.speed_limit),
                                    ("accel", abs(s.accel), config.ACCEL_LIMIT),
-                                   ("jerk", abs(s.jerk), config.JERK_LIMIT),
-                                   ("ay", abs(s.ay), config.LAT_ACCEL_LIMIT)):
+                                   ("jerk", abs(s.jerk), config.JERK_LIMIT)):
             if value > limit + LIMIT_SLACK:
                 breaks.append(f"t={t} member {m.index} {name} {value!r} > {limit}")
         breaks += [f"t={t} member {m.index} {f.name} = {getattr(s, f.name)!r}"
                    for f in dataclasses.fields(s) if not _finite(getattr(s, f.name))]
+    for s in [m.state for m in world.members] + [d.state for d in world.hdvs]:
+        for name, value, limit in (("heading", abs(s.heading), config.HEADING_LIMIT),
+                                   ("ay", abs(s.ay), config.LAT_ACCEL_LIMIT)):
+            if value > limit + LIMIT_SLACK:
+                breaks.append(f"t={t} {s.kind} {s.id} {name} {value!r} > {limit}")
     return breaks
 
 
@@ -177,16 +183,18 @@ def test_any_episode_keeps_the_limits_or_is_rejected(setup, seed):
 
 
 # Case 1, 30 s under an untrained network policy (8 observed objects x 9
-# features in, 4 configurations out, network seed 0).  The network splits
-# into (0), (1) and (2) at 2 s and picks the single group again at 5 s, but
-# no member leaves its lane and the formation stays intact: the split is
-# label-only, so no reorganization is counted or timed.  The run covers
-# ``Observer`` and ``select_configuration`` inside the loop.
+# features in, 4 configurations out, network seed 0).  The network first
+# splits into (0), (1) and (2) at 4 s, then flips between split and single
+# targets every 1-4 s, so no single target holds long enough to close the
+# window.  At 23 s the splitting game sends (0, 1) and (2) right, the
+# formation breaks at 24.2 s and is intact again from 25.6 s: one
+# reorganization, timed 21.6 s from the split.  The run covers ``Observer``
+# and ``select_configuration`` inside the loop.
 NETWORK_LEN = 30.0
 NETWORK_SEED = 30
-NETWORK_ROW = {"collision": 0, "avg_speed": 15.891398, "min_ttc": 3.104382,
-               "avg_distance": 9.942796, "formation_success": 0, "formation_time": "",
-               "reorganizations": 0, "label_only_splits": 1, "duration": 30.0}
+NETWORK_ROW = {"collision": 0, "avg_speed": 25.000003, "min_ttc": 11.320799,
+               "avg_distance": 10.000006, "formation_success": 1, "formation_time": 21.6,
+               "reorganizations": 1, "label_only_splits": 0, "duration": 30.0}
 
 
 def test_network_policy_episode_matches_pin():
@@ -239,12 +247,12 @@ def test_reward_metrics_and_game_phase_share_one_clock():
 
 
 def test_a_split_the_game_answers_with_keep_is_label_only():
-    """Case 1 seed 16 splits into (0) and (1, 2) at 4.0 s, and on every
+    """Case 1 seed 238 splits into (0) and (1, 2) at 2.0 s, and on every
     splitting tick the game keeps both coalitions in lane: no vehicle makes
     a reorganization, so the split is label-only and nothing is timed."""
-    policy, result = run_heuristic_case1(16)
+    policy, result = run_heuristic_case1(238)
     splitting = [r for r in policy.audit_rows() if r["phase"] == SPLITTING]
-    assert (splitting[0]["t"], splitting[0]["coalitions"]) == (4.0, [[0], [1, 2]])
+    assert (splitting[0]["t"], splitting[0]["coalitions"]) == (2.0, [[0], [1, 2]])
     assert all(r["action"] == [KEEP, KEEP] for r in splitting)
     row = result.metrics.row()
     assert (row["reorganizations"], row["label_only_splits"], row["formation_time"],
@@ -492,22 +500,21 @@ def test_lead_info_prefers_first_lowest_finite_ttc():
 
 
 # Case 2 at density 3, 30 s under GRDF-GT and an untrained network policy
-# (network seed 1).  Of network seeds 0-2 (outer) and episode seeds 0-2
-# (inner), this is the first run that starts lane-change plans toward both
-# sides without a collision: all three members move left at 11 s and right
-# at 28 s, so the planner, the executor's tracking and the end of a plan
-# all run inside the loop, and the episode ends mid-change.  The digest
-# covers every field of each member's final state, whether its executor
-# tracks a plan ("track") or not ("follow"), and its plan start, with
-# floats in hex.
+# (network seed 1).  It starts lane-change plans toward both sides without
+# a collision: all three members move left at 11 s, right at 18 s and right
+# again at 22 s, so the planner, the executor's tracking and the end of a
+# plan all run inside the loop.  The digest covers every field of each
+# member's final state, whether its executor tracks a plan ("track") or not
+# ("follow"), and its plan start, with floats in hex.
 PLAN_NET_SEED = 1
 PLAN_SEED = 2
-PLAN_ROW = {"collision": 0, "avg_speed": 24.912358, "min_ttc": 10.160535,
-            "avg_distance": 10.033967, "formation_success": 0, "formation_time": "",
+PLAN_ROW = {"collision": 0, "avg_speed": 24.797487, "min_ttc": 10.184783,
+            "avg_distance": 10.080612, "formation_success": 0, "formation_time": "",
             "reorganizations": 1, "label_only_splits": 0, "duration": 30.0}
 PLANS = [(11.0, 0, 2, 2.8), (11.0, 1, 2, 2.8), (11.0, 2, 2, 2.8),
-         (28.0, 0, 1, 2.8), (28.0, 1, 1, 2.8), (28.0, 2, 1, 2.8)]
-PLAN_DIGEST = "42c7e27931aa7f3d"
+         (18.0, 0, 1, 2.8), (18.0, 1, 1, 2.8), (18.0, 2, 1, 2.8),
+         (22.0, 0, 0, 2.8), (22.0, 1, 0, 2.8), (22.0, 2, 0, 2.8)]
+PLAN_DIGEST = "707c48e4efce2004"
 
 def member_digest(world) -> str:
     def hexed(value):
@@ -550,8 +557,9 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
 def keep_lane_tracks(world, t0):
     """The game's all-KEEP rollout on the world's snapshot at t0, and the
     members' states once their executors have run over the game's horizon,
-    with the background under ``world.predict``'s law (lane held, an HDV's
-    braking held until it stops, else constant speed) in both."""
+    with the background under ``world.predict``'s law (lane held or, in
+    mid-change, the driver's plan tracked; an HDV's braking held until it
+    stops, else constant speed) in both."""
     snapshot = world.all_states()
     n = len(world.members)
     states, background = snapshot[:n], snapshot[n:]
@@ -568,10 +576,8 @@ def keep_lane_tracks(world, t0):
             step_kinematics(state, speed, heading)
             state.lane = world.road.lane_of(state.y)
         for state in background:
-            braking = min(state.accel, 0.0)
-            y = state.y  # an HDV heads across the road in mid-change, but predict holds its lane
-            step_kinematics(state, max(state.speed + braking * config.DT, 0.0), state.heading)
-            state.y = y
+            speed = max(state.speed + min(state.accel, 0.0) * config.DT, 0.0)
+            step_kinematics(state, speed, world.drivers[state.id].lateral_update(speed))
         t = round(t + config.DT, 9)
     return tracks, states
 
@@ -599,11 +605,11 @@ def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
 
 
 @pytest.mark.parametrize("make_spec,seed,t0", [(lambda: case2_spec(density=14.0), 1, 11.0),
-                                             (case1_spec, 0, 3.0)],
-                         ids=["case2-dense-seed1-11s", "case1-seed0-3s"])
+                                             (case1_spec, 0, 2.0)],
+                         ids=["case2-dense-seed1-11s", "case1-seed0-2s"])
 def test_rollout_sees_the_front_members_leader_brake(make_spec, seed, t0):
     """At t0 the front member's leader is an HDV that brakes (case 2's
-    scripted leader at -6 m/s², or a case-1 HDV at -0.7 m/s²) and no
+    scripted leader at -6 m/s², or a case-1 HDV at -2.2 m/s²) and no
     executor is busy: the rollout holds that braking, so the front member's
     predicted track ends within 5 m and 1 m/s of its executor's."""
     world = build_scenario(make_spec(), seed)

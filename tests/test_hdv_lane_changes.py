@@ -107,8 +107,8 @@ def test_shoulder_driver_stops_before_the_ramp_end_and_merges_into_a_gap():
                 assert ego.state.x < column[0].state.x
         accels = [hdv_accel(d, road, snapshot) for d in world.hdvs]
         for d, a in zip(world.hdvs, accels):
-            step_kinematics(d.state, max(d.state.speed + a * config.DT, 0.0), 0.0)
-            d.lateral_update(road)
+            speed = max(d.state.speed + a * config.DT, 0.0)
+            step_kinematics(d.state, speed, d.lateral_update(speed))
         state = ego.state
         if state.y < -0.5 * road.lane_width:
             shoulder_speeds.append(state.speed)

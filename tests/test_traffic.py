@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonreorg import config
+from platoonreorg.planner import lane_change_time, low_speed_path, quintic
 from platoonreorg.scenarios import build_scenario, case1_spec, case2_spec
 from platoonreorg.traffic import (
     B_EMERGENCY,
@@ -25,7 +26,7 @@ from platoonreorg.traffic import (
     spawn_traffic,
     style_params,
 )
-from platoonreorg.world import RoadMap, VehicleState
+from platoonreorg.world import RoadMap, VehicleState, predict, step_kinematics
 
 IDM = IdmParams(desired_speed=30.0, time_headway=1.5, min_gap=2.0,
                 max_accel=1.5, comfort_decel=2.0, exponent=4.0)
@@ -327,29 +328,109 @@ class TestSpawn:
         assert not in_keep_clear(500.0, 1, ())
 
 
-@pytest.mark.parametrize("target_lane", [0, 2])
-def test_lane_change_heads_the_box_along_its_lateral_motion(target_lane):
-    """Over an HDV's lane change its heading is atan2(vy, speed), with vy the
-    change's constant lateral speed, so the box is yawed as it slides; at the
-    end the heading is 0 again."""
-    road = RoadMap()
-    state = VehicleState(id=1, x=100.0, y=road.lane_center(1), speed=20.0, lane=1,
+def _changing_driver(speed, target_lane, road):
+    state = VehicleState(id=1, x=100.0, y=road.lane_center(1), speed=speed, lane=1,
                          target_lane=1)
     driver = HdvDriver(state=state, idm=IdmParams(), mobil=MobilParams())
-    driver.begin_lane_change(target_lane)
-    vy = (road.lane_center(target_lane) - road.lane_center(1)) / config.HDV_LANE_CHANGE_TIME
-    steps = round(config.HDV_LANE_CHANGE_TIME / config.DT)
-    ys = [state.y]
-    for _ in range(steps - 1):
-        driver.lateral_update(road)
+    driver.begin_lane_change(target_lane, road)
+    return driver
+
+
+def _step(driver, speed):
+    step_kinematics(driver.state, speed, driver.lateral_update(speed))
+
+
+# the speed at which the 2.8 s, 4 m plan heads a vehicle at the limit
+V_REF = low_speed_path(4.0) / lane_change_time(4.0)
+
+
+@pytest.mark.parametrize("target_lane,speed", [(0, 20.0), (2, 20.0), (0, 4.0), (2, 4.0)],
+                         ids=["0", "2", "0-below-v_ref", "2-below-v_ref"])
+def test_lane_change_heads_the_box_along_its_lateral_motion(target_lane, speed):
+    """An HDV's lane change is the planner's quintic of ``lane_change_time``:
+    each frame, stepped at the heading ``lateral_update`` gives, y lies on
+    the quintic at the plan's clock, which runs at min(1, speed/v_ref) of
+    time, and the heading and lateral acceleration keep their limits.  The
+    frame after the clock reaches the plan's duration ends the change at
+    the lane centre, heading 0."""
+    assert 7.0 < V_REF < 8.0
+    road = RoadMap()
+    driver = _changing_driver(speed, target_lane, road)
+    state = driver.state
+    y1 = road.lane_center(target_lane)
+    T = lane_change_time(y1 - state.y)
+    lat = quintic(state.y, 0.0, 0.0, y1, 0.0, 0.0, T)
+    rate = min(1.0, speed / V_REF)
+    frames = math.ceil(round(T / (config.DT * rate), 9))
+    headings = []
+    for k in range(1, frames + 1):
+        _step(driver, speed)
         assert driver.changing()
-        assert state.heading == math.atan2(vy, state.speed)
-        ys.append(state.y)
-    assert [b - a for a, b in zip(ys, ys[1:])] == pytest.approx([vy * config.DT] * (steps - 1))
-    driver.lateral_update(road)
+        assert state.y == pytest.approx(lat.derivatives(min(k * config.DT * rate, T))[0],
+                                        abs=1e-12)
+        assert abs(state.ay) <= config.LAT_ACCEL_LIMIT
+        headings.append(abs(state.heading))
+    assert max(headings) <= config.HEADING_LIMIT
+    # below v_ref the clock runs on distance, so the peak heading is the limit's
+    assert max(headings) > (config.HEADING_LIMIT - 0.01 if speed < V_REF else 0.1)
+    _step(driver, speed)
     assert not driver.changing()
-    assert (state.y, state.heading, state.lane) == (road.lane_center(target_lane), 0.0,
-                                                    target_lane)
+    assert (state.y, state.heading) == (y1, 0.0)
+
+
+@pytest.mark.parametrize("accel,v0,v1", [(1.5, 6.6, 10.0), (-3.0, 14.4, 4.0), (-6.0, 21.0, 4.0)],
+                         ids=["speeding-up", "braking", "braking-hard"])
+def test_lane_change_keeps_both_limits_across_v_ref(accel, v0, v1):
+    """A driver whose speed runs from v0 through v_ref to v1 at ``accel``
+    mid-change stays on the quintic, y at the plan's clock, with |heading|
+    and |lateral accel| within their limits on every frame: where the paced
+    clock would break the lateral limit, the clock moves by what the limit
+    allows.  The change still ends in the target lane."""
+    road = RoadMap()
+    driver = _changing_driver(v0, 2, road)
+    state, plan = driver.state, driver.state.plan
+    speed = v0
+    for _ in range(200):
+        speed = min(max(speed + accel * config.DT, min(v0, v1)), max(v0, v1))
+        _step(driver, speed)
+        assert abs(state.heading) <= config.HEADING_LIMIT + 1e-12
+        assert abs(state.ay) <= config.LAT_ACCEL_LIMIT + 1e-9
+        if not driver.changing():
+            break
+        assert state.y == pytest.approx(plan.y_at(plan.clock), abs=1e-12)
+    assert (driver.changing(), state.y) == (False, road.lane_center(2))
+
+
+def test_lane_change_at_rest_stands_still():
+    """At rest the plan's clock stands: the driver stays where the change
+    began, heading 0, mid-change, and moves on once it moves."""
+    road = RoadMap()
+    driver = _changing_driver(0.0, 2, road)
+    for _ in range(50):
+        _step(driver, 0.0)
+        assert driver.changing()
+        assert (driver.state.x, driver.state.y, driver.state.heading) == (100.0, 4.0, 0.0)
+    _step(driver, 1.0)
+    assert driver.state.y > 4.0 and 0.0 < driver.state.heading <= config.HEADING_LIMIT
+
+
+@pytest.mark.parametrize("speed", [20.0, 4.0], ids=["above-v_ref", "below-v_ref"])
+@pytest.mark.parametrize("begun", [0, 12], ids=["at-start", "mid-change"])
+def test_predict_samples_a_changing_hdvs_plan(speed, begun):
+    """``world.predict`` of an HDV in mid-change, at held speed, gives the
+    y the driver reaches when stepped, at every frame of the game's 3 s
+    horizon, and a heading within 0.01 rad of the stepped one."""
+    road = RoadMap()
+    driver = _changing_driver(speed, 2, road)
+    for _ in range(begun):
+        _step(driver, speed)
+    frames = round(config.DEFAULTS.game.horizon / config.DT)
+    poses = [predict(driver.state, k * config.DT) for k in range(1, frames + 1)]
+    assert poses[-1].y > driver.state.y + 1.0   # not held: the cut-in shows
+    for pose in poses:
+        _step(driver, speed)
+        assert pose.y == pytest.approx(driver.state.y, abs=1e-9)
+        assert pose.heading == pytest.approx(driver.state.heading, abs=0.01)
 
 
 def test_misspelled_driver_field_write_fails():
