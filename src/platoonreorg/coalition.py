@@ -8,18 +8,21 @@ grand total is the objective).  In disposition-index mode the merging-phase
 value additionally pays for how scattered the predicted platoon would be.
 
 Prediction uses the laws and the geometry the lower layers act on: members
-move under ``control.follow_accel`` with their own executors' constants,
-behind the leader found by the one corridor scan,
+move under ``control.follow_accel`` with their own executors' constants, on
+their ``config.DT`` step, behind the leader found by the one corridor scan,
 ``world.nearest_in_corridor``; laterally a changing member follows
 ``planner.lane_change``, planned once per tick (``GameScene.lane_change``)
 and started at its ``lane_change_plan`` entry, as its executor runs it.
-The feasibility filter, the pruning screen and the rollout sample that
-plan, head each member's pose along it, and ask ``world.touches``.
-The background moves by ``world.predict``, once per predicted time and
-tick (``GameScene.background_at``).  The rollout's tracks hold its
-``Pose``s, which the profits read with the world's ``compute_ttc`` and
-``RoadMap.lane_index``, and with ``riskfield``'s one field, which the
-platoon layer's ``GameScene.risks`` reads too.
+The feasibility filter and the rollout sample that plan, and the rollout
+heads each member's pose along it.  Every feasible joint action rolls
+forward together, one step at a time, so each step's background is
+``world.predict``ed once and then dropped.  The rollout's overlap check,
+``world.touches`` with ``OVERLAP_MARGIN``, is the game's one overlap test,
+and each member it flags costs ``collision_penalty``.  A ``Prediction``
+keeps each member's final ``Pose`` and speed sum, which the profits read
+with the world's ``compute_ttc`` and ``RoadMap.lane_index``, and with
+``riskfield``'s one field, which the platoon layer's ``GameScene.risks``
+reads too.
 """
 
 from __future__ import annotations
@@ -108,31 +111,24 @@ class GameScene:
     The episode loop builds one from its snapshot every
     ``config.DECISION_PERIOD``, and it is read only on that tick: states
     advance in place, so the values cached here would be stale on the next
-    frame.  ``executors`` lends the rollout each member's follow-law
-    constants, ``cruise_speed`` and ``K``, and receives the vehicle layer's
-    schedule of lane changes.
+    frame.  It keeps each member's lane-change plans and the platoon layer's
+    TTCs and risks; the game's rollout predicts the background itself, one
+    step at a time.  ``executors`` lends the rollout each member's
+    follow-law constants, ``cruise_speed`` and ``K``, and receives the
+    vehicle layer's schedule of lane changes.
     """
 
     road: object
     platoon: list               # states ordered by platoon index
     background: list
     executors: list             # the members' ``CavExecutor``s, in platoon order
-    _predicted: dict = field(init=False, repr=False, default_factory=dict)
     _plans: dict = field(init=False, repr=False, default_factory=dict)
-
-    def background_at(self, t: float) -> list:
-        """The background ``world.predict``ed t s ahead, computed once per t:
-        every joint action's rollout, the pruning screen and the profits share it."""
-        poses = self._predicted.get(t)
-        if poses is None:
-            poses = self._predicted[t] = [predict(v, t) for v in self.background]
-        return poses
 
     def lane_change(self, i: int, direction: str) -> TrajectoryCandidate:
         """Member i's ``planner.lane_change`` toward ``direction``, planned
-        from its state on this tick, once: the feasibility filter, the
-        pruning screen and every rollout sample this plan, the one the
-        member's executor starts when the change falls due on this tick."""
+        from its state on this tick, once: the feasibility filter and every
+        rollout sample this plan, the one the member's executor starts when
+        the change falls due on this tick."""
         plan = self._plans.get((i, direction))
         if plan is None:
             plan = self._plans[i, direction] = lane_change(self.platoon[i], direction, self.road)
@@ -157,10 +153,9 @@ class GameScene:
         return self.lead_ttcs.index(min(self.lead_ttcs))
 
 
-PREDICT_DT = 0.3
 STAGGER = 1.0
-# a member's box grows by this on every side when the rollout and the
-# pruning screen ask ``world.touches`` [m]
+# a member's box grows by this on every side when the rollout asks
+# ``world.touches``, the game's one overlap test [m]
 OVERLAP_MARGIN = 0.2
 
 
@@ -196,48 +191,56 @@ def _planned_pose(scene: GameScene, i: int, step, t: float, x, speed, accel) -> 
 
 @dataclass
 class Prediction:
-    platoon_tracks: list        # per member: its ``Pose`` at the decision and after each step
+    poses: list                 # per member: its ``Pose`` at the horizon
+    speed_sums: list            # per member: its speeds at the decision and after each step, summed
+    samples: int                # how many speeds each sum adds
     background: list            # the background's ``Pose``s at the horizon
     collided: list              # per member: True if any predicted overlap
 
 
-def predict_outcome(scene: GameScene, partition, joint_action, horizon: float):
-    """Forward rollout in ``PREDICT_DT`` steps: the background by
-    ``GameScene.background_at``; for members, their lane-change plans
-    laterally (``_planned_pose``) and ``follow_accel`` along the road, behind
-    the nearest pose ahead at the step's start.  The overlap test,
-    ``touches`` with ``OVERLAP_MARGIN``, reads the poses at the step's end.
+def predict_outcomes(scene: GameScene, partition, joint_actions, horizon: float) -> list:
+    """One ``Prediction`` per joint action, rolled forward together in
+    ``config.DT`` steps: the background by ``world.predict``, once per step
+    for every action; for members, their lane-change plans laterally
+    (``_planned_pose``) and ``follow_accel`` along the road, behind the
+    nearest pose ahead at the step's start.  The overlap test, ``touches``
+    with ``OVERLAP_MARGIN``, reads the poses at the step's end.
     """
     if horizon <= 0:
         raise ValueError("prediction horizon must be positive")
-    n_steps = int(round(horizon / PREDICT_DT))
-    plan = lane_change_plan(partition, joint_action)
-    poses = [_planned_pose(scene, i, step, 0.0, v.x, v.speed, v.accel)
-             for i, (v, step) in enumerate(zip(scene.platoon, plan))]
-    tracks = [[p] for p in poses]
-    collided = [False] * len(scene.platoon)
-    background = scene.background_at(0.0)
+    dt = config.DT
+    n_steps = int(round(horizon / dt))
+    plans = [lane_change_plan(partition, joint) for joint in joint_actions]
+    poses = [[_planned_pose(scene, i, step, 0.0, v.x, v.speed, v.accel)
+              for i, (v, step) in enumerate(zip(scene.platoon, plan))] for plan in plans]
+    speed_sums = [[p.speed for p in members] for members in poses]
+    collided = [[False] * len(scene.platoon) for _ in plans]
+    background = [predict(v, 0.0) for v in scene.background]
 
     for k in range(1, n_steps + 1):
-        t = k * PREDICT_DT
-        # leaders come from the step's start: the platoon's poses (the first
-        # entries), then the background
-        now = poses + background
-        background = scene.background_at(t)
-        moved = []
-        for i, (ex, step, pose) in enumerate(zip(scene.executors, plan, poses, strict=True)):
-            a = follow_accel(pose, nearest_in_corridor(pose.x, pose.y, now), scene.road,
-                             ex.cruise_speed, ex.K, PREDICT_DT)
-            speed = max(pose.speed + a * PREDICT_DT, 0.0)
-            moved.append(_planned_pose(scene, i, step, t, pose.x + speed * PREDICT_DT, speed,
-                                       (speed - pose.speed) / PREDICT_DT))
-        poses = moved
-        for i, p in enumerate(poses):
-            tracks[i].append(p)
-            if (touches(p, background, OVERLAP_MARGIN)
-                    or touches(p, poses[:i] + poses[i + 1:], OVERLAP_MARGIN)):
-                collided[i] = True
-    return Prediction(tracks, scene.background_at(n_steps * PREDICT_DT), collided)
+        t = k * dt
+        ahead = [predict(v, t) for v in scene.background]
+        for a, plan in enumerate(plans):
+            # leaders come from the step's start: the platoon's poses (the
+            # first entries), then the background
+            now = poses[a] + background
+            moved = []
+            for i, (ex, step, pose) in enumerate(zip(scene.executors, plan, poses[a],
+                                                     strict=True)):
+                acc = follow_accel(pose, nearest_in_corridor(pose.x, pose.y, now), scene.road,
+                                   ex.cruise_speed, ex.K, dt)
+                speed = max(pose.speed + acc * dt, 0.0)
+                moved.append(_planned_pose(scene, i, step, t, pose.x + speed * dt, speed,
+                                           (speed - pose.speed) / dt))
+            poses[a] = moved
+            for i, p in enumerate(moved):
+                speed_sums[a][i] += p.speed
+                if (touches(p, ahead, OVERLAP_MARGIN)
+                        or touches(p, moved[:i] + moved[i + 1:], OVERLAP_MARGIN)):
+                    collided[a][i] = True
+        background = ahead
+    return [Prediction(p, s, n_steps + 1, background, c)
+            for p, s, c in zip(poses, speed_sums, collided)]
 
 
 # --- profit terms ----------------------------------------------------------------
@@ -247,8 +250,8 @@ def safety_profit(member_idx: int, prediction: Prediction,
     """Risk-field value (negative) and TTC toward the predicted leader
     (capped, positive)."""
     w = w or config.DEFAULTS.game
-    me = prediction.platoon_tracks[member_idx][-1]
-    others = [trk[-1] for j, trk in enumerate(prediction.platoon_tracks) if j != member_idx]
+    me = prediction.poses[member_idx]
+    others = [p for j, p in enumerate(prediction.poses) if j != member_idx]
     others.extend(prediction.background)
 
     lead = nearest_in_corridor(me.x, me.y, others)
@@ -258,8 +261,7 @@ def safety_profit(member_idx: int, prediction: Prediction,
 
 def efficiency_profit(member_idx: int, prediction: Prediction, v_max: float) -> float:
     """Mean predicted longitudinal speed over the horizon, normalized."""
-    track = prediction.platoon_tracks[member_idx]
-    return sum(p.speed for p in track) / (len(track) * v_max)
+    return prediction.speed_sums[member_idx] / (prediction.samples * v_max)
 
 
 def integration_profit(coalition_lanes, window_lanes, n_lanes: int) -> float:
@@ -292,7 +294,7 @@ def tracking_profit(coalition, prediction: Prediction,
         return 0.0
     total = 0.0
     for a, b in zip(coalition, coalition[1:]):
-        pa, pb = prediction.platoon_tracks[a][-1], prediction.platoon_tracks[b][-1]
+        pa, pb = prediction.poses[a], prediction.poses[b]
         total += (abs(pa.x - pb.x - config.D_TARGET) + w.k_y * abs(pa.y - pb.y)
                   + w.k_v * abs(pa.speed - pb.speed))
     return -total
@@ -300,8 +302,8 @@ def tracking_profit(coalition, prediction: Prediction,
 
 def _window_lanes(coalition, prediction: Prediction, scene: GameScene,
                   window: float):
-    centroid = sum(prediction.platoon_tracks[i][-1].x for i in coalition) / len(coalition)
-    finals = [trk[-1] for trk in prediction.platoon_tracks] + prediction.background
+    centroid = sum(prediction.poses[i].x for i in coalition) / len(coalition)
+    finals = prediction.poses + prediction.background
     return [scene.road.lane_index(p.y) for p in finals if abs(p.x - centroid) <= window]
 
 
@@ -326,8 +328,7 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
         if prediction.collided[i]:
             value -= w.collision_penalty
     value -= w.w_lane_change * lane_change_members
-    member_lanes = [scene.road.lane_index(prediction.platoon_tracks[i][-1].y)
-                    for i in coalition]
+    member_lanes = [scene.road.lane_index(prediction.poses[i].y) for i in coalition]
     window_lanes = _window_lanes(coalition, prediction, scene, w.entropy_window)
     value -= w.w_it * integration_profit(member_lanes, window_lanes,
                                          scene.road.lane_count)
@@ -338,7 +339,7 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
     return value
 
 
-# --- joint action enumeration, pruning, and the solve ---------------------------
+# --- joint action enumeration and the solve ----------------------------------
 
 def feasible_joint_actions(partition, scene: GameScene):
     """All coalition-level assignments that stay on the road and in which
@@ -357,51 +358,17 @@ def feasible_joint_actions(partition, scene: GameScene):
     return [tuple(a) for a in product(*per_coalition)]
 
 
-def _pose_overlap_at(plan, scene: GameScene, dt: float) -> bool:
-    """Does any member, ``world.predict``ed dt s ahead on its plan, touch a
-    member behind it or the background (``touches``, ``OVERLAP_MARGIN``)?"""
-    ahead = [predict(v, dt) for v in scene.platoon]
-    poses = [_planned_pose(scene, i, step, dt, p.x, p.speed, p.accel)
-             for i, (p, step) in enumerate(zip(ahead, plan))]
-    background = scene.background_at(dt)
-    return any(touches(p, poses[i + 1:] + background, OVERLAP_MARGIN)
-               for i, p in enumerate(poses))
-
-
-def _one_step_overlap(partition, scene: GameScene, joint_action) -> bool:
-    """Overlap at the short-horizon pose or at the lane-change commit pose,
-    the end of the longest changing member's plan."""
-    plan = lane_change_plan(partition, joint_action)
-    if _pose_overlap_at(plan, scene, 1.0):
-        return True
-    commit = max((scene.lane_change(i, step[1]).duration
-                  for i, step in enumerate(plan) if step is not None), default=None)
-    return commit is not None and _pose_overlap_at(plan, scene, commit)
-
-
-def prune_joint_actions(partition, scene: GameScene, feasible):
-    """``feasible`` (from ``feasible_joint_actions``) minus the joint actions
-    whose short-horizon pose overlaps.
-
-    An empty result falls back to the all-keep assignment.
-    """
-    pruned = [a for a in feasible if not _one_step_overlap(partition, scene, a)]
-    if not pruned:
-        pruned = [tuple(KEEP for _ in partition)]
-    return pruned
-
-
 def _tie_break_key(joint_action):
     changes = sum(1 for a in joint_action if a != KEEP)
     return (changes, tuple(_ACTION_ORDER[a] for a in joint_action))
 
 
-def evaluate_joint_action(partition, scene: GameScene, joint_action, phase: str,
-                          w: config.GameConfig | None = None,
+def evaluate_joint_action(partition, scene: GameScene, joint_action, prediction: Prediction,
+                          phase: str, w: config.GameConfig | None = None,
                           use_pdi: bool = False):
-    """(total value, per-coalition breakdown) for one joint action."""
+    """(total value, per-coalition breakdown, PDI) of one joint action from
+    its ``Prediction``."""
     w = w or config.DEFAULTS.game
-    prediction = predict_outcome(scene, partition, joint_action, w.horizon)
     pdi_value = None
     if use_pdi and phase == MERGING:
         pdi_value = _predicted_pdi(prediction, scene)
@@ -422,7 +389,7 @@ def _predicted_pdi(prediction: Prediction, scene: GameScene):
     road = scene.road
     plat = [VehicleState(id=i, kind="CAV", x=min(max(p.x, 0.0), road.length), y=p.y,
                          speed=max(p.speed, 0.0), lane=road.lane_of(p.y))
-            for i, p in enumerate(trk[-1] for trk in prediction.platoon_tracks)]
+            for i, p in enumerate(prediction.poses)]
     bg = [p for p in prediction.background if road.contains(p.x)]
     return compute_pdi(build_node_graph(road, plat, bg)).value
 
@@ -433,29 +400,30 @@ class GameDecision:
     value: float
     breakdown: list
     pdi_value: float | None
-    candidates: int
-    pruned_out: int
+    candidates: int             # feasible joint actions whose rollout overlaps nothing
+    pruned_out: int             # feasible joint actions whose rollout overlaps
 
 
 def solve_tu_game(partition, scene: GameScene, phase: str,
                   w: config.GameConfig | None = None,
                   use_pdi: bool = False) -> GameDecision:
-    """Exhaustive argmax over the pruned joint-action space.
+    """Exhaustive argmax over the feasible joint actions, each scored from
+    its rollout in ``predict_outcomes``.
 
     Deterministic tie-break: fewer lane changes first, then keep < left <
     right lexicographically.
     """
     w = w or config.DEFAULTS.game
-    feasible = feasible_joint_actions(partition, scene)
-    pruned = prune_joint_actions(partition, scene, feasible)
+    feasible = sorted(feasible_joint_actions(partition, scene), key=_tie_break_key)
+    predictions = predict_outcomes(scene, partition, feasible, w.horizon)
     best = None
-    for joint in sorted(pruned, key=_tie_break_key):
+    for joint, prediction in zip(feasible, predictions):
         total, breakdown, pdi_value = evaluate_joint_action(
-            partition, scene, joint, phase, w, use_pdi)
+            partition, scene, joint, prediction, phase, w, use_pdi)
         if best is None or total > best[0] + 1e-12:
             best = (total, joint, breakdown, pdi_value)
     total, joint, breakdown, pdi_value = best
+    overlapping = sum(any(p.collided) for p in predictions)
     return GameDecision(joint_action=joint, value=total, breakdown=breakdown,
-                        pdi_value=pdi_value, candidates=len(pruned),
-                        pruned_out=len(feasible) - len(pruned))
-
+                        pdi_value=pdi_value, candidates=len(feasible) - overlapping,
+                        pruned_out=overlapping)

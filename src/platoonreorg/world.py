@@ -15,10 +15,10 @@ rollout all call it, on ``VehicleState``s, predicted ``Pose``s or bare
 One motion model, ``predict``, says where a vehicle that no layer here
 commands will be: at constant speed, or, for an HDV that brakes, braking on
 until it stops; in its lane, or on its lane-change plan.  The game's
-rollout, pruning screen and profits read their scenes from it.  The game
-and the frame loop judge contact alike, by ``touches``: one box against
-many under ``check_collision``, the one contact test.  The lane-change
-planner reads no other vehicle.
+rollout and profits read their scenes from it.  The game and the frame
+loop judge contact alike, by ``touches``: one box against many under
+``check_collision``, the one contact test.  The lane-change planner reads
+no other vehicle.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from platoonreorg.coalition import (
     KEEP,
     LEFT,
     MERGING,
-    PREDICT_DT,
     RIGHT,
     SPLITTING,
     STAGGER,
@@ -28,8 +27,7 @@ from platoonreorg.coalition import (
     formation_intact,
     integration_profit,
     lane_change_plan,
-    predict_outcome,
-    prune_joint_actions,
+    predict_outcomes,
     safety_profit,
     solve_tu_game,
     tracking_profit,
@@ -41,6 +39,7 @@ from platoonreorg.world import CAV, HDV, Pose, RoadMap, VehicleState, compute_tt
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
 W = config.DEFAULTS.game
+DT = config.DT
 
 
 def cav(i, x, lane=1, speed=25.0, y=None):
@@ -60,10 +59,31 @@ def pose(x, y, speed, kind=CAV):
     return Pose(x, y, speed, 0.0, 0.0, config.VEHICLE_LENGTH, config.VEHICLE_WIDTH, kind)
 
 
+def rollout(scene, partition, joint, horizon=W.horizon):
+    """The game's ``Prediction`` of one joint action, rolled out alone."""
+    return predict_outcomes(scene, partition, [joint], horizon)[0]
+
+
+def tracks(scene, partition, joint, horizon=W.horizon):
+    """Per member, its rollout ``Pose`` after each ``config.DT`` step up to
+    the horizon: the final poses of the rollouts cut at each step."""
+    steps = [rollout(scene, partition, joint, k * DT).poses
+             for k in range(1, round(horizon / DT) + 1)]
+    return [list(member) for member in zip(*steps)]
+
+
+def prediction(poses, background=(), speed_sums=None, samples=1):
+    """A ``Prediction`` with the given final poses and nothing flagged; the
+    speed sums default to one sample of each final speed."""
+    sums = [p.speed for p in poses] if speed_sums is None else speed_sums
+    return Prediction(poses=poses, speed_sums=sums, samples=samples,
+                      background=list(background), collided=[False] * len(poses))
+
+
 def brute_force(partition, scene, phase):
-    """Oracle: unpruned argmax over every feasible joint action, as
-    (value, joint action), ties to fewer lane changes, then keep < left <
-    right lexicographically."""
+    """Oracle: argmax over every feasible joint action, each rolled out
+    alone, as (value, joint action), ties to fewer lane changes, then
+    keep < left < right lexicographically."""
     order = {KEEP: 0, LEFT: 1, RIGHT: 2}
 
     def tie_break(joint):
@@ -71,7 +91,8 @@ def brute_force(partition, scene, phase):
 
     best = None
     for joint in sorted(feasible_joint_actions(partition, scene), key=tie_break):
-        total, _, _ = evaluate_joint_action(partition, scene, joint, phase)
+        total, _, _ = evaluate_joint_action(partition, scene, joint,
+                                            rollout(scene, partition, joint), phase)
         if best is None or total > best[0] + 1e-12:
             best = (total, joint)
     return best
@@ -157,10 +178,10 @@ class TestLaneChangePlan:
         assert lane_change_plan(self.PARTITION, joint) == plan
 
     def test_game_and_executor_sample_one_plan(self, monkeypatch):
-        """Every member of a coalition changing LEFT is placed, at every step
-        of the rollout and at both poses of the pruning screen, on the plan
-        its executor starts, ``generate_lattice`` from its state on the tick,
-        delayed by its ``STAGGER`` start; the plan lasts
+        """Every member of a coalition changing LEFT is placed, at the
+        decision and at every step of the rollout, on the plan its executor
+        starts, ``generate_lattice`` from its state on the tick, delayed by
+        its ``STAGGER`` start; the plan lasts
         ``lane_change_time(lane_width)`` = 2.8 s."""
         plat = [cav(0, 130.0), cav(1, 115.0, y=3.9), cav(2, 100.0, speed=20.0)]
         scene = scene_of(plat, [])
@@ -170,10 +191,9 @@ class TestLaneChangePlan:
         assert [p.duration for p in plans] == [2.8, lane_change_time(4.1), 2.8] == [2.8, 2.9, 2.8]
         for i, plan in enumerate(plans):
             assert scene.lane_change(i, LEFT).lat.c == plan.lat.c
-        tracks = predict_outcome(scene, part, (LEFT,), W.horizon).platoon_tracks
-        for rank, (plan, track) in enumerate(zip(plans, tracks)):
-            for k, p in enumerate(track):
-                assert p.y == plan.state_at(k * PREDICT_DT - rank * STAGGER)[0]
+        for rank, (plan, track) in enumerate(zip(plans, tracks(scene, part, (LEFT,)))):
+            for k, p in enumerate(track, start=1):
+                assert p.y == plan.state_at(k * DT - rank * STAGGER)[0]
 
         seen = []
         _planned_y = coalition._planned_y
@@ -184,9 +204,9 @@ class TestLaneChangePlan:
             return y, vy
 
         monkeypatch.setattr(coalition, "_planned_y", recorded)
-        assert not coalition._one_step_overlap(part, scene, (LEFT,))
-        assert seen == [(t, i, *plans[i].state_at(t - i * STAGGER)[:2])
-                        for t in (1.0, 2.9) for i in range(3)]
+        predict_outcomes(scene, part, [(LEFT,)], W.horizon)
+        assert seen == [(k * DT, i, *plans[i].state_at(k * DT - i * STAGGER)[:2])
+                        for k in range(round(W.horizon / DT) + 1) for i in range(3)]
 
 
 class TestPrediction:
@@ -194,18 +214,16 @@ class TestPrediction:
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
-        pred = predict_outcome(scene, part, (KEEP,), 3.0)
-        first, last = pred.platoon_tracks[0][0], pred.platoon_tracks[0][-1]
+        last = rollout(scene, part, (KEEP,), 3.0).poses[0]
         assert last.speed == pytest.approx(25.0, abs=1e-9)
-        assert last.x - first.x == pytest.approx(25.0 * 3.0, abs=1e-6)
-        assert last.y == first.y
+        assert last.x - plat[0].x == pytest.approx(25.0 * 3.0, abs=1e-6)
+        assert last.y == plat[0].y
 
     def test_left_change_reaches_lane_width(self):
         plat = [cav(0, 130.0, speed=25.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
-        pred = predict_outcome(scene, part, (LEFT,), 3.0)
-        y_end = pred.platoon_tracks[0][-1].y
+        y_end = rollout(scene, part, (LEFT,), 3.0).poses[0].y
         assert y_end - ROAD.lane_center(1) == pytest.approx(ROAD.lane_width, abs=1e-9)
 
     def test_deterministic(self):
@@ -213,40 +231,56 @@ class TestPrediction:
         bg = [hdv(9, 180.0, lane=1, speed=15.0)]
         scene = scene_of(plat, bg)
         part = form_coalitions(plat, bg)
-        a = predict_outcome(scene, part, (KEEP,), 3.0)
-        b = predict_outcome(scene, part, (KEEP,), 3.0)
-        assert a.platoon_tracks == b.platoon_tracks
+        a = rollout(scene, part, (KEEP,), 3.0)
+        b = rollout(scene, part, (KEEP,), 3.0)
+        assert a == b
 
     def test_tracks_hold_the_rollouts_poses(self):
-        """Each track starts at the member's pose and holds the ``Pose`` each
-        step moved it to, its size included, heading along the plan's
-        velocity."""
+        """Each step moves a member to a ``Pose`` of its size, heading along
+        the plan's velocity."""
         plat = [cav(0, 130.0), cav(1, 115.0)]
         scene = scene_of(plat, [])
-        pred = predict_outcome(scene, form_coalitions(plat, []), (LEFT,), 3.0)
-        for rank, (v, track) in enumerate(zip(plat, pred.platoon_tracks)):
-            assert len(track) == 11 and all(type(p) is Pose for p in track)
-            assert track[0] == pose(v.x, v.y, v.speed)
+        moved = tracks(scene, form_coalitions(plat, []), (LEFT,), 3.0)
+        for rank, (v, track) in enumerate(zip(plat, moved)):
+            assert len(track) == 30 and all(type(p) is Pose for p in track)
             assert {(p.length, p.width) for p in track} == {(v.length, v.width)}
             plan = scene.lane_change(rank, LEFT)
-            for k, p in enumerate(track):
-                vy = plan.state_at(k * PREDICT_DT - rank * STAGGER)[1]
+            for k, p in enumerate(track, start=1):
+                vy = plan.state_at(k * DT - rank * STAGGER)[1]
                 assert p.heading == math.atan2(vy, p.speed)
             assert max(p.heading for p in track) > 0.1
+
+    def test_speed_sum_adds_the_decision_and_every_step(self):
+        """A ``Prediction`` sums, per member, its speed at the decision and
+        after each of the horizon's 30 steps, in that order, so its
+        efficiency is the mean over the track it no longer keeps."""
+        plat = [cav(0, 100.0), cav(1, 85.0, speed=22.0)]
+        bg = [dataclasses.replace(hdv(9, 130.0, lane=1, speed=25.0), accel=-3.0)]
+        scene = scene_of(plat, bg)
+        part = form_coalitions(plat, bg)
+        pred = rollout(scene, part, (KEEP,), 3.0)
+        assert pred.samples == 31
+        for v, track, total in zip(plat, tracks(scene, part, (KEEP,), 3.0), pred.speed_sums):
+            expected = v.speed
+            for p in track:
+                expected += p.speed
+            assert total == expected
+            assert efficiency_profit(v.id, pred, 30.0) == expected / (31 * 30.0)
 
     def test_leaders_are_read_at_the_steps_start(self):
         """Each step moves a member by ``follow_accel`` behind its leader as
         the step begins: a foreign leader 30 m ahead at the same 25 m/s sits
-        at its pose of the step's start, not 7.5 m further on at its end."""
+        at its pose of the step's start, not 2.5 m further on at its end."""
         plat = [cav(0, 100.0)]
         bg = [hdv(9, 130.0, lane=1, speed=25.0)]
         scene = scene_of(plat, bg)
-        track = predict_outcome(scene, form_coalitions(plat, bg), (KEEP,), 3.0).platoon_tracks[0]
+        track = [pose(100.0, ROAD.lane_center(1), 25.0)]
+        track += tracks(scene, form_coalitions(plat, bg), (KEEP,), 3.0)[0]
         ex = scene.executors[0]
         for k, (before, after) in enumerate(zip(track, track[1:])):
-            leader = world.predict(bg[0], k * PREDICT_DT)
-            a = coalition.follow_accel(before, leader, ROAD, ex.cruise_speed, ex.K, PREDICT_DT)
-            assert after.speed == max(before.speed + a * PREDICT_DT, 0.0)
+            leader = world.predict(bg[0], k * DT)
+            a = coalition.follow_accel(before, leader, ROAD, ex.cruise_speed, ex.K, DT)
+            assert after.speed == max(before.speed + a * DT, 0.0)
         assert track[-1].speed < 25.0
 
     def test_member_brakes_behind_a_braking_hdv(self):
@@ -256,13 +290,11 @@ class TestPrediction:
         plat = [cav(0, 100.0, speed=12.5)]
         steady = [hdv(9, 120.0, lane=1, speed=12.5)]
         part = form_coalitions(plat, steady)
-        track = predict_outcome(scene_of(plat, steady, cruise=12.5), part, (KEEP,),
-                                3.0).platoon_tracks[0]
+        track = tracks(scene_of(plat, steady, cruise=12.5), part, (KEEP,), 3.0)[0]
         assert {p.speed for p in track} == {12.5}
 
         braking = [dataclasses.replace(steady[0], accel=-3.0)]
-        track = predict_outcome(scene_of(plat, braking, cruise=12.5), part, (KEEP,),
-                                3.0).platoon_tracks[0]
+        track = tracks(scene_of(plat, braking, cruise=12.5), part, (KEEP,), 3.0)[0]
         assert all(b.speed <= a.speed for a, b in zip(track, track[1:]))
         assert track[-1].speed < 12.5 - 3.0
 
@@ -271,7 +303,7 @@ class TestPrediction:
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
         with pytest.raises(ValueError):
-            predict_outcome(scene, part, (KEEP,), 0.0)
+            predict_outcomes(scene, part, [(KEEP,)], 0.0)
 
 
 def shifted(kind, dx):
@@ -294,37 +326,36 @@ class TestOnePrediction:
         plat = [cav(0, 100.0)]
         bg = [hdv(9, 40.0, lane=1, speed=25.0)]
         part = form_coalitions(plat, bg)
-        free = predict_outcome(scene_of(plat, bg), part, (KEEP,), 3.0)
-        assert free.collided == [False] and free.platoon_tracks[0][-1].speed == 25.0
+        free = rollout(scene_of(plat, bg), part, (KEEP,), 3.0)
+        assert free.collided == [False] and free.poses[0].speed == 25.0
 
         model = shifted(HDV, 63.0)
         monkeypatch.setattr(coalition, "predict", model)
-        pred = predict_outcome(scene_of(plat, bg), part, (KEEP,), 3.0)
+        pred = rollout(scene_of(plat, bg), part, (KEEP,), 3.0)
         assert pred.collided == [True]
-        assert pred.platoon_tracks[0][-1].speed < 25.0
-        assert pred.background == [model(bg[0], 10 * PREDICT_DT)]
+        assert pred.poses[0].speed < 25.0
+        assert pred.background == [model(bg[0], 30 * DT)]
 
-    @pytest.mark.parametrize("kind,dx", [(HDV, 60.0), (CAV, -60.0)])
-    def test_pruning_screen_reads_the_model(self, monkeypatch, kind, dx):
-        """An HDV 60 m behind in the left lane does not block a left change
-        until the model brings it level with the member, by moving either the
-        HDV or the member."""
+    def test_rollout_overlap_reads_the_model(self, monkeypatch):
+        """An HDV 60 m behind in the left lane does not touch a member
+        changing left until the model brings it level with the member; the
+        solve then counts that action's rollout as overlapping and keeps."""
         plat = [cav(0, 130.0)]
         bg = [hdv(9, 70.0, lane=2, speed=25.0)]
         part = form_coalitions(plat, bg)
-        scene = scene_of(plat, bg)
-        assert (LEFT,) in prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
+        assert rollout(scene_of(plat, bg), part, (LEFT,)).collided == [False]
 
-        monkeypatch.setattr(coalition, "predict", shifted(kind, dx))
+        monkeypatch.setattr(coalition, "predict", shifted(HDV, 60.0))
         scene = scene_of(plat, bg)
-        pruned = prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
-        assert (LEFT,) not in pruned and (KEEP,) in pruned
+        assert rollout(scene, part, (LEFT,)).collided == [True]
+        decision = solve_tu_game(part, scene, SPLITTING)
+        assert (decision.candidates, decision.pruned_out) == (2, 1)
+        assert decision.joint_action != (LEFT,)
 
     def test_each_background_vehicle_once_per_time(self, monkeypatch):
-        """One solve predicts each background vehicle once per distinct time
-        (the decision, the rollout's steps, the pruning screen's 1 s and its
-        lane-change commit pose at the plan's end), however many joint
-        actions it evaluates."""
+        """One solve predicts each background vehicle once per distinct time,
+        the decision's and each rollout step's, however many joint actions
+        it evaluates."""
         calls = Counter()
 
         def counting(v, t):
@@ -338,10 +369,43 @@ class TestOnePrediction:
         scene = scene_of(plat, bg)
         decision = solve_tu_game(form_coalitions(plat, bg), scene, SPLITTING)
         assert decision.candidates > 9
-        times = {k * PREDICT_DT for k in range(1, round(W.horizon / PREDICT_DT) + 1)}
-        times |= {0.0, 1.0, lane_change_time(ROAD.lane_width)}
+        times = {k * DT for k in range(round(W.horizon / DT) + 1)}
         assert {key: n for key, n in calls.items() if key[0] >= 9} == {
             (v.id, t): 1 for v in bg for t in times}
+
+    @pytest.mark.parametrize("gaps,n_actions", [((15.0, 15.0), 3), ((50.0, 15.0), 9),
+                                                ((50.0, 50.0), 27)],
+                             ids=["3-actions", "9-actions", "27-actions"])
+    def test_lockstep_predicts_the_background_once_per_step(self, monkeypatch, gaps,
+                                                            n_actions):
+        """Every feasible joint action rolls forward in one lockstep: a solve
+        over 3, 9 or 27 of them calls ``world.predict`` for each background
+        vehicle once at the decision and once per rollout step, never once
+        per action, and every action's members take their step k after the
+        background's step-k poses and before any of step k + 1 exist, so no
+        step's background outlives the next."""
+        calls, moves, latest = Counter(), Counter(), []
+
+        def counting(v, t):
+            calls[v.id] += 1
+            latest.append(t)
+            return world.predict(v, t)
+
+        def follow(*args):
+            moves[latest[-1]] += 1
+            return coalition_follow(*args)
+
+        coalition_follow = coalition.follow_accel
+        monkeypatch.setattr(coalition, "predict", counting)
+        monkeypatch.setattr(coalition, "follow_accel", follow)
+        plat = [cav(0, 200.0), cav(1, 200.0 - gaps[0]), cav(2, 200.0 - sum(gaps))]
+        bg = [hdv(9, 260.0, lane=1, speed=15.0), hdv(10, 150.0, lane=0, speed=24.0)]
+        part = form_coalitions(plat, bg)
+        assert len(feasible_joint_actions(part, scene_of(plat, bg))) == n_actions
+        solve_tu_game(part, scene_of(plat, bg), SPLITTING)
+        n_steps = round(W.horizon / DT)
+        assert calls == {v.id: n_steps + 1 for v in bg}
+        assert moves == {k * DT: n_actions * len(plat) for k in range(1, n_steps + 1)}
 
 
 def test_scene_risks_read_the_games_risk_field():
@@ -360,8 +424,7 @@ class TestProfits:
         plat = [cav(0, 130.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
-        pred = predict_outcome(scene, part, (KEEP,), 3.0)
-        val = safety_profit(0, pred)
+        val = safety_profit(0, rollout(scene, part, (KEEP,), 3.0))
         assert val == pytest.approx(W.k_tau * W.ttc_cap)
 
     @pytest.mark.parametrize("dx", [5.0, 3.0, 0.5])
@@ -370,9 +433,8 @@ class TestProfits:
         length apart) is a TTC of 0, as ``compute_ttc`` has it, not the cap."""
         y = ROAD.lane_center(1)
         lead = pose(100.0 + dx, y, 20.0, HDV)
-        pred = Prediction(platoon_tracks=[[pose(100.0, y, 25.0)]], background=[lead],
-                          collided=[False])
-        risk = risk_at_point(pred.platoon_tracks[0][-1], [lead])
+        pred = prediction([pose(100.0, y, 25.0)], background=[lead])
+        risk = risk_at_point(pred.poses[0], [lead])
         assert risk == 1.0  # in contact
         assert safety_profit(0, pred) == pytest.approx(-risk)
 
@@ -386,7 +448,7 @@ class TestProfits:
         ``min(compute_ttc(me, lead), ttc_cap)`` toward the predicted leader."""
         y = ROAD.lane_center(1)
         me, lead = pose(100.0, y, v_me), pose(100.0 + dx, y, v_lead, HDV)
-        pred = Prediction(platoon_tracks=[[me]], background=[lead], collided=[False])
+        pred = prediction([me], background=[lead])
         ttc_only = dataclasses.replace(W, k_tau=1.0)
         no_ttc = dataclasses.replace(W, k_tau=0.0)
         tau = safety_profit(0, pred, ttc_only) - safety_profit(0, pred, no_ttc)
@@ -398,21 +460,16 @@ class TestProfits:
             bg = [hdv(9, 140.0, lane=1, speed=v_lead)]
             scene = scene_of(plat, bg)
             part = form_coalitions(plat, bg)
-            pred = predict_outcome(scene, part, (KEEP,), 3.0)
-            return safety_profit(0, pred)
+            return safety_profit(0, rollout(scene, part, (KEEP,), 3.0))
 
         assert track(24.0) > track(15.0)
 
     def test_efficiency_examples(self):
-        const = Prediction(platoon_tracks=[[pose(0, 0, 30.0)] * 3],
-                           background=[], collided=[False])
+        const = prediction([pose(0, 0, 30.0)], speed_sums=[90.0], samples=3)
         assert efficiency_profit(0, const, 30.0) == pytest.approx(1.0)
-        decel = Prediction(platoon_tracks=[[pose(0, 0, 30.0), pose(0, 0, 25.0),
-                                            pose(0, 0, 20.0)]],
-                           background=[], collided=[False])
+        decel = prediction([pose(0, 0, 20.0)], speed_sums=[30.0 + 25.0 + 20.0], samples=3)
         assert efficiency_profit(0, decel, 30.0) == pytest.approx(25.0 / 30.0)
-        stopped = Prediction(platoon_tracks=[[pose(0, 0, 0.0)] * 2],
-                             background=[], collided=[False])
+        stopped = prediction([pose(0, 0, 0.0)], speed_sums=[0.0], samples=2)
         assert efficiency_profit(0, stopped, 30.0) == 0.0
 
     def test_integration_arithmetic(self):
@@ -423,20 +480,13 @@ class TestProfits:
         assert split == pytest.approx(1.90954, abs=1e-4)
 
     def test_tracking_examples(self):
-        perfect = Prediction(
-            background=[], collided=[False] * 2,
-            platoon_tracks=[[pose(110.0, 4.0, 25.0)], [pose(100.0, 4.0, 25.0)]])
+        perfect = prediction([pose(110.0, 4.0, 25.0), pose(100.0, 4.0, 25.0)])
         assert tracking_profit((0, 1), perfect) == 0.0
-        off = Prediction(
-            background=[], collided=[False] * 2,
-            platoon_tracks=[[pose(112.0, 4.0, 25.0)], [pose(100.0, 4.0, 25.0)]])
+        off = prediction([pose(112.0, 4.0, 25.0), pose(100.0, 4.0, 25.0)])
         assert tracking_profit((0, 1), off) == pytest.approx(-2.0)
-        lateral = Prediction(
-            background=[], collided=[False] * 2,
-            platoon_tracks=[[pose(110.0, 5.0, 25.0)], [pose(100.0, 4.0, 25.0)]])
+        lateral = prediction([pose(110.0, 5.0, 25.0), pose(100.0, 4.0, 25.0)])
         assert tracking_profit((0, 1), lateral) == pytest.approx(-W.k_y * 1.0)
-        singleton = Prediction(background=[], collided=[False],
-                               platoon_tracks=[[pose(110.0, 4.0, 25.0)]])
+        singleton = prediction([pose(110.0, 4.0, 25.0)])
         assert tracking_profit((0,), singleton) == 0.0
 
 
@@ -455,25 +505,28 @@ class TestYawedPass:
 
     def test_rollout_marks_the_member_collided(self):
         """From the lane's centre the plan is at y = 2.53, heading -0.278, at
-        the rollout's step to 1.2 s, the one step the HDV is level."""
+        the rollout's step to 1.2 s, when the HDV is level."""
         part, scene = self.scene(4.0, 1.2)
-        pred = predict_outcome(scene, part, (RIGHT,), W.horizon)
-        assert pred.collided == [True]
-        me, hdv_at = pred.platoon_tracks[0][4], world.predict(scene.background[0], 1.2)
+        assert rollout(scene, part, (RIGHT,)).collided == [True]
+        me = rollout(scene, part, (RIGHT,), 12 * DT).poses[0]
+        hdv_at = world.predict(scene.background[0], 12 * DT)
         assert me.x - hdv_at.x == pytest.approx(0.1, abs=1e-9)
         assert (me.y, me.heading) == pytest.approx((2.53, -0.278), abs=5e-3)
-        assert predict_outcome(scene, part, (KEEP,), W.horizon).collided == [False]
+        assert rollout(scene, part, (KEEP,)).collided == [False]
 
-    def test_pruning_screen_drops_the_change(self):
+    def test_the_solve_counts_the_change_from_off_centre(self):
         """From 0.5 m right of the lane's centre the plan is at y = 2.48,
-        heading -0.246, at the screen's 1 s pose, when the HDV is level."""
+        heading -0.246, at the rollout's 1 s step, when the HDV is level:
+        the solve counts RIGHT as overlapping and does not pick it."""
         part, scene = self.scene(3.5, 1.0)
         plan = scene.lane_change(0, RIGHT)
         y, vy, _ = plan.state_at(1.0)
         assert (y, math.atan2(vy, 9.0)) == pytest.approx((2.48, -0.246), abs=5e-3)
-        pruned = prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
-        assert (RIGHT,) in feasible_joint_actions(part, scene)
-        assert (RIGHT,) not in pruned and (KEEP,) in pruned
+        assert feasible_joint_actions(part, scene) == [(KEEP,), (LEFT,), (RIGHT,)]
+        assert rollout(scene, part, (RIGHT,)).collided == [True]
+        decision = solve_tu_game(part, scene, SPLITTING)
+        assert decision.joint_action != (RIGHT,)
+        assert (decision.candidates, decision.pruned_out) == (2, 1)
 
 
 class TestPruning:
@@ -485,23 +538,25 @@ class TestPruning:
         assert all(a[0] != LEFT for a in actions)
 
     def test_alongside_vehicle_prunes_that_side(self):
+        """A vehicle level in the left lane overlaps LEFT's rollout: the solve
+        counts that action as overlapping and does not pick it."""
         plat = [cav(0, 130.0, lane=1)]
         blocker = hdv(9, 130.0, lane=2, speed=25.0)
         scene = scene_of(plat, [blocker])
         part = form_coalitions(plat, [blocker])
-        pruned = prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
-        assert (LEFT,) not in pruned
-        assert (KEEP,) in pruned
+        assert rollout(scene, part, (LEFT,)).collided == [True]
+        decision = solve_tu_game(part, scene, SPLITTING)
+        assert decision.joint_action != (LEFT,)
+        assert (decision.candidates, decision.pruned_out) == (2, 1)
 
     def test_two_coalitions_nine_actions(self):
         plat = [cav(0, 150.0), cav(1, 100.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
         assert len(part) == 2
-        actions = feasible_joint_actions(part, scene)
-        assert len(actions) == 9
-        pruned = prune_joint_actions(part, scene, actions)
-        assert set(pruned) == set(actions)  # nothing nearby
+        assert len(feasible_joint_actions(part, scene)) == 9
+        decision = solve_tu_game(part, scene, SPLITTING)
+        assert (decision.candidates, decision.pruned_out) == (9, 0)  # nothing nearby
 
 
     def test_infeasible_plan_is_never_offered(self):
@@ -574,8 +629,9 @@ class TestSolve:
         scene = scene_of(plat, bg)
         part = form_coalitions(plat, bg)
         decision = solve_tu_game(part, scene, MERGING)
-        total, breakdown, _ = evaluate_joint_action(part, scene,
-                                                    decision.joint_action, MERGING)
+        joint = decision.joint_action
+        total, breakdown, _ = evaluate_joint_action(part, scene, joint,
+                                                    rollout(scene, part, joint), MERGING)
         assert decision.value == pytest.approx(sum(breakdown), abs=1e-9)
         assert decision.value == pytest.approx(total, abs=1e-9)
 
@@ -598,9 +654,9 @@ class TestSolve:
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
         joint = (KEEP,)
-        plain, _, _ = evaluate_joint_action(part, scene, joint, MERGING,
-                                            use_pdi=False)
-        gt, _, pdi_value = evaluate_joint_action(part, scene, joint, MERGING,
+        pred = rollout(scene, part, joint)
+        plain, _, _ = evaluate_joint_action(part, scene, joint, pred, MERGING, use_pdi=False)
+        gt, _, pdi_value = evaluate_joint_action(part, scene, joint, pred, MERGING,
                                                  use_pdi=True)
         assert pdi_value is not None and pdi_value > 0
         assert plain - gt == pytest.approx(W.w_pdi * pdi_value, abs=1e-9)
@@ -609,16 +665,13 @@ class TestSolve:
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
-        base, _, pdi_value = evaluate_joint_action(part, scene, (KEEP,), MERGING,
+        pred = rollout(scene, part, (KEEP,))
+        base, _, pdi_value = evaluate_joint_action(part, scene, (KEEP,), pred, MERGING,
                                                    use_pdi=True)
         # same state, same action, artificially larger index -> strictly lower value
-        val_lo = coalition_value((0, 1, 2),
-                                 predict_outcome(scene, part, (KEEP,), W.horizon),
-                                 scene, MERGING, pdi_value=pdi_value,
+        val_lo = coalition_value((0, 1, 2), pred, scene, MERGING, pdi_value=pdi_value,
                                  includes_platoon_leader=True)
-        val_hi = coalition_value((0, 1, 2),
-                                 predict_outcome(scene, part, (KEEP,), W.horizon),
-                                 scene, MERGING, pdi_value=pdi_value + 5.0,
+        val_hi = coalition_value((0, 1, 2), pred, scene, MERGING, pdi_value=pdi_value + 5.0,
                                  includes_platoon_leader=True)
         assert val_hi < val_lo
 
@@ -655,5 +708,6 @@ class TestOracleEquivalence:
             value, joint = brute_force(part, scene, phase)
             assert solver.joint_action == joint
             assert solver.value == pytest.approx(value, abs=1e-9)
-            assert joint in prune_joint_actions(part, scene, feasible_joint_actions(part, scene))
+            n_feasible = len(feasible_joint_actions(part, scene))
+            assert solver.candidates + solver.pruned_out == n_feasible
 

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from platoonreorg import coalition, config, control, distribution, episode, riskfield
 from platoonreorg.coalition import (KEEP, MERGING, SPLITTING, STEADY, GameScene,
-                                    form_coalitions, predict_outcome)
+                                    form_coalitions, predict_outcomes)
 from platoonreorg.control import CavExecutor
 from platoonreorg.episode import GrdfPolicy, PlatoonMember, World, run_episode
 from platoonreorg.ppo import PolicyNetwork
@@ -192,8 +192,8 @@ def test_any_episode_keeps_the_limits_or_is_rejected(setup, seed):
 # and ``select_configuration`` inside the loop.
 NETWORK_LEN = 30.0
 NETWORK_SEED = 30
-NETWORK_ROW = {"collision": 0, "avg_speed": 25.000003, "min_ttc": 11.320799,
-               "avg_distance": 10.000006, "formation_success": 1, "formation_time": 21.6,
+NETWORK_ROW = {"collision": 0, "avg_speed": 24.20319, "min_ttc": 3.72178,
+               "avg_distance": 10.356259, "formation_success": 1, "formation_time": 22.1,
                "reorganizations": 1, "label_only_splits": 0, "duration": 30.0}
 
 
@@ -247,12 +247,12 @@ def test_reward_metrics_and_game_phase_share_one_clock():
 
 
 def test_a_split_the_game_answers_with_keep_is_label_only():
-    """Case 1 seed 238 splits into (0) and (1, 2) at 2.0 s, and on every
+    """Case 1 seed 234 splits into (0) and (1, 2) at 6.0 s, and on every
     splitting tick the game keeps both coalitions in lane: no vehicle makes
     a reorganization, so the split is label-only and nothing is timed."""
-    policy, result = run_heuristic_case1(238)
+    policy, result = run_heuristic_case1(234)
     splitting = [r for r in policy.audit_rows() if r["phase"] == SPLITTING]
-    assert (splitting[0]["t"], splitting[0]["coalitions"]) == (2.0, [[0], [1, 2]])
+    assert (splitting[0]["t"], splitting[0]["coalitions"]) == (6.0, [[0], [1, 2]])
     assert all(r["action"] == [KEEP, KEEP] for r in splitting)
     row = result.metrics.row()
     assert (row["reorganizations"], row["label_only_splits"], row["formation_time"],
@@ -459,6 +459,27 @@ def test_stalled_leader_is_cleared_by_a_lane_change(monkeypatch, lane_count, see
     assert held == []
 
 
+def test_dense_case2_changes_lane_past_the_braking_leader(monkeypatch):
+    """Case 2 at density 14, seed 2: the scripted leader brakes in front of
+    the platoon, and at 13.0 s the all-KEEP rollout overlaps it while the
+    rollout of a move RIGHT does not.  The game schedules a lane change,
+    and over 30 s the platoon averages more than 20 m/s instead of
+    following the leader down."""
+    spec = case2_spec(density=14.0, episode_len=30.0)
+    world = build_scenario(spec, 2)
+    scheduled = []
+    schedule = CavExecutor.schedule
+
+    def recorded(self, due_t, direction):
+        scheduled.append((due_t, direction))
+        schedule(self, due_t, direction)
+
+    monkeypatch.setattr(CavExecutor, "schedule", recorded)
+    result = run_episode(world, GrdfPolicy(), 2, spec.episode_len, spec.success_window)
+    assert scheduled
+    assert result.metrics.row()["avg_speed"] > 20.0
+
+
 def _lead_info_world(hdv_poses):
     """Members in lanes 0, 1 and 2 at x = 100, 60, 20, all at 25 m/s, among
     HDVs given as (x, lane, speed)."""
@@ -555,11 +576,11 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
 
 
 def keep_lane_tracks(world, t0):
-    """The game's all-KEEP rollout on the world's snapshot at t0, and the
-    members' states once their executors have run over the game's horizon,
-    with the background under ``world.predict``'s law (lane held or, in
-    mid-change, the driver's plan tracked; an HDV's braking held until it
-    stops, else constant speed) in both."""
+    """The members' final poses in the game's all-KEEP rollout on the
+    world's snapshot at t0, and their states once their executors have run
+    over the game's horizon, with the background under ``world.predict``'s
+    law (lane held or, in mid-change, the driver's plan tracked; an HDV's
+    braking held until it stops, else constant speed) in both."""
     snapshot = world.all_states()
     n = len(world.members)
     states, background = snapshot[:n], snapshot[n:]
@@ -567,7 +588,7 @@ def keep_lane_tracks(world, t0):
                       executors=[m.executor for m in world.members])
     partition = form_coalitions(states, background)
     horizon = config.DEFAULTS.game.horizon
-    tracks = predict_outcome(scene, partition, (KEEP,) * len(partition), horizon).platoon_tracks
+    poses = predict_outcomes(scene, partition, [(KEEP,) * len(partition)], horizon)[0].poses
     t = t0
     for _ in range(round(horizon / config.DT)):
         commands = [m.executor.command(m.state, lead_vehicle(m.state, snapshot), t, world.road)
@@ -579,18 +600,22 @@ def keep_lane_tracks(world, t0):
             speed = max(state.speed + min(state.accel, 0.0) * config.DT, 0.0)
             step_kinematics(state, speed, world.drivers[state.id].lateral_update(speed))
         t = round(t + config.DT, 9)
-    return tracks, states
+    return poses, states
 
 
 @pytest.mark.parametrize("make_spec,seed,t0", [(lambda: case2_spec(density=14.0), 1, 12.0),
+                                             (lambda: case2_spec(density=14.0), 1, 11.0),
                                              (case1_spec, 0, 5.0)],
-                         ids=["case2-dense-seed1-12s", "case1-seed0-5s"])
+                         ids=["case2-dense-seed1-12s", "case2-dense-seed1-11s-braking",
+                              "case1-seed0-5s"])
 def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
     """From the first whole second at or after t0 at which no member's
     executor is busy with a lane change, the game's all-KEEP rollout and
-    the executors end within 5 m and 1 m/s of each other for every member
-    (``keep_lane_tracks``): the rollout moves members with the law that
-    runs, in coarser steps."""
+    the executors end within 0.5 m and 0.25 m/s of each other for every
+    member (``keep_lane_tracks``): the rollout moves members with the law
+    that runs, on its step.  At 11 s in case 2 the string brakes behind the
+    scripted leader, and every follower answers its leader one step late in
+    both."""
     for t0 in (t0 + k for k in range(10)):
         world = build_scenario(make_spec(), seed)
         run_episode(world, GrdfPolicy(), seed, t0)
@@ -598,10 +623,10 @@ def test_rollout_predicts_the_executors_keep_lane_tracks(make_spec, seed, t0):
             break
     else:
         pytest.fail("an executor is busy at every whole second of the 10 s after t0")
-    tracks, states = keep_lane_tracks(world, t0)
-    for track, state in zip(tracks, states, strict=True):
-        assert abs(track[-1].x - state.x) <= 5.0
-        assert abs(track[-1].speed - state.speed) <= 1.0
+    poses, states = keep_lane_tracks(world, t0)
+    for pose, state in zip(poses, states, strict=True):
+        assert abs(pose.x - state.x) <= 0.5
+        assert abs(pose.speed - state.speed) <= 0.25
 
 
 @pytest.mark.parametrize("make_spec,seed,t0", [(lambda: case2_spec(density=14.0), 1, 11.0),
@@ -617,9 +642,9 @@ def test_rollout_sees_the_front_members_leader_brake(make_spec, seed, t0):
     front = world.members[0].state
     assert lead_vehicle(front, world.all_states()).accel < -0.5
     assert not any(m.executor.busy() for m in world.members)
-    tracks, states = keep_lane_tracks(world, t0)
-    assert abs(tracks[0][-1].x - states[0].x) <= 5.0
-    assert abs(tracks[0][-1].speed - states[0].speed) <= 1.0
+    poses, states = keep_lane_tracks(world, t0)
+    assert abs(poses[0].x - states[0].x) <= 5.0
+    assert abs(poses[0].speed - states[0].speed) <= 1.0
 
 
 @pytest.mark.parametrize("network_seed", [None, 0], ids=["heuristic", "network"])
