@@ -11,15 +11,16 @@ Prediction uses the laws and the geometry the lower layers act on: members
 move under ``control.follow_accel`` with their own executors' constants, on
 their ``config.DT`` step, behind the leader found by the one corridor scan,
 ``world.nearest_in_corridor``; laterally a changing member follows
-``planner.lane_change``, planned once per tick (``GameScene.lane_change``)
-and started at its ``lane_change_plan`` entry, as its executor runs it.
-The feasibility filter and the rollout sample that plan, and the rollout
-heads each member's pose along it.  Every feasible joint action rolls
-forward together, one step at a time, so each step's background is
-``world.predict``ed once and then dropped.  The rollout's overlap check,
-``world.touches`` with ``OVERLAP_MARGIN``, is the game's one overlap test,
-and each member it flags costs ``collision_penalty``.  A ``Prediction``
-keeps each member's final ``Pose`` and speed sum, which the profits read
+``planner.generate_lattice``, planned once per tick
+(``GameScene.lane_change``) and started at its ``lane_change_plan`` entry.
+The feasibility filter and the rollout sample that plan, the rollout heads
+each member's pose along it, and the member's executor is handed that same
+object to run.  Every feasible joint action rolls forward together, one
+step at a time, so each step's background is ``world.predict``ed once and
+then dropped.  The rollout's overlap check, ``world.touches`` with
+``OVERLAP_MARGIN``, is the game's one overlap test, and the solve ranks
+joint actions by how many members it flags before their value.  A
+``Prediction`` keeps each member's final ``Pose`` and speed sum, which the profits read
 with the world's ``compute_ttc`` and ``RoadMap.lane_index``, and with
 ``riskfield``'s one field, which the platoon layer's ``GameScene.risks``
 reads too.
@@ -35,7 +36,7 @@ from itertools import product
 from . import config
 from .control import follow_accel
 from .pdi import build_node_graph, compute_pdi
-from .planner import KEEP, LEFT, RIGHT, TrajectoryCandidate, check_dynamics, lane_change
+from .planner import KEEP, LEFT, RIGHT, TrajectoryCandidate, check_dynamics, generate_lattice
 from .riskfield import risk_at_point, risk_reward
 from .world import (Pose, VehicleState, compute_ttc, lead_vehicle, nearest_in_corridor,
                     predict, touches)
@@ -115,7 +116,8 @@ class GameScene:
     TTCs and risks; the game's rollout predicts the background itself, one
     step at a time.  ``executors`` lends the rollout each member's
     follow-law constants, ``cruise_speed`` and ``K``, and receives the
-    vehicle layer's schedule of lane changes.
+    plans the vehicle layer picks, each to start at its
+    ``lane_change_plan`` entry.
     """
 
     road: object
@@ -125,13 +127,14 @@ class GameScene:
     _plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def lane_change(self, i: int, direction: str) -> TrajectoryCandidate:
-        """Member i's ``planner.lane_change`` toward ``direction``, planned
-        from its state on this tick, once: the feasibility filter and every
-        rollout sample this plan, the one the member's executor starts when
-        the change falls due on this tick."""
+        """Member i's ``planner.generate_lattice`` toward ``direction``,
+        planned from its state on this tick, once: the feasibility filter
+        and every rollout sample this plan, and the member's executor runs
+        it when the vehicle layer picks it."""
         plan = self._plans.get((i, direction))
         if plan is None:
-            plan = self._plans[i, direction] = lane_change(self.platoon[i], direction, self.road)
+            plan = self._plans[i, direction] = generate_lattice(self.platoon[i], direction,
+                                                                self.road)
         return plan
 
     @cached_property
@@ -317,16 +320,14 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
     Splitting uses safety/efficiency/integration; merging adds the tracking
     term and (in disposition-index mode) pays ``w_pdi`` per index unit, once,
     attached to the leader coalition so the grand total moves by exactly
-    that amount.  Predicted overlaps carry a flat penalty per member, and
-    each changing member pays a small effort cost so near-ties stay in lane.
+    that amount.  Each changing member pays a small effort cost so
+    near-ties stay in lane.
     """
     w = w or config.DEFAULTS.game
     value = 0.0
     for i in coalition:
         value += w.w_s * safety_profit(i, prediction, w)
         value += w.w_e * efficiency_profit(i, prediction, scene.road.speed_limit)
-        if prediction.collided[i]:
-            value -= w.collision_penalty
     value -= w.w_lane_change * lane_change_members
     member_lanes = [scene.road.lane_index(prediction.poses[i].y) for i in coalition]
     window_lanes = _window_lanes(coalition, prediction, scene, w.entropy_window)
@@ -407,8 +408,9 @@ class GameDecision:
 def solve_tu_game(partition, scene: GameScene, phase: str,
                   w: config.GameConfig | None = None,
                   use_pdi: bool = False) -> GameDecision:
-    """Exhaustive argmax over the feasible joint actions, each scored from
-    its rollout in ``predict_outcomes``.
+    """Exhaustive search over the feasible joint actions, each scored from
+    its rollout in ``predict_outcomes``: the fewest members whose rollout
+    overlaps first, then the highest value.
 
     Deterministic tie-break: fewer lane changes first, then keep < left <
     right lexicographically.
@@ -418,11 +420,14 @@ def solve_tu_game(partition, scene: GameScene, phase: str,
     predictions = predict_outcomes(scene, partition, feasible, w.horizon)
     best = None
     for joint, prediction in zip(feasible, predictions):
+        overlaps = sum(prediction.collided)
+        if best is not None and overlaps > best[0]:
+            continue
         total, breakdown, pdi_value = evaluate_joint_action(
             partition, scene, joint, prediction, phase, w, use_pdi)
-        if best is None or total > best[0] + 1e-12:
-            best = (total, joint, breakdown, pdi_value)
-    total, joint, breakdown, pdi_value = best
+        if best is None or overlaps < best[0] or total > best[1] + 1e-12:
+            best = (overlaps, total, joint, breakdown, pdi_value)
+    _, total, joint, breakdown, pdi_value = best
     overlapping = sum(any(p.collided) for p in predictions)
     return GameDecision(joint_action=joint, value=total, breakdown=breakdown,
                         pdi_value=pdi_value, candidates=len(feasible) - overlapping,

@@ -100,7 +100,6 @@ class GameConfig:
     w_lane_change: float = 0.3  # effort/exposure cost per changing member
     horizon: float = 3.0        # prediction horizon T_p [s]
     ttc_cap: float = 10.0       # TTC contribution cap [s]
-    collision_penalty: float = 1e6  # charged when a predicted pose overlaps
     entropy_window: float = 50.0    # +/- window for lane-occupancy counts [m]
 
     def __post_init__(self):
@@ -108,10 +107,9 @@ class GameConfig:
                    self.w_pdi, self.w_lane_change)
         if not all(0.0 <= w < math.inf for w in weights):
             raise ValueError("game weights must be finite and non-negative")
-        scales = (self.horizon, self.ttc_cap, self.entropy_window, self.collision_penalty)
+        scales = (self.horizon, self.ttc_cap, self.entropy_window)
         if not all(0.0 < v < math.inf for v in scales):
-            raise ValueError("horizon, ttc_cap, entropy_window and collision_penalty "
-                             "must be finite and positive")
+            raise ValueError("horizon, ttc_cap and entropy_window must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ and steers by lateral acceleration, along a lane-change plan while it
 tracks one, toward its lane's center otherwise.
 
 The executor owns its member's lane change from the vehicle layer's
-``schedule`` to the plan's end: the first command at or after the due time
-plans the change (``planner.generate_lattice``, the plan the game scored,
-then ``select_trajectory``, whose ``hold_lane`` fallback is a guard) and
-starts tracking it, and the first command once the plan's duration has
-elapsed ends it.  ``busy`` covers both, so the game waits for it.
+``schedule`` to the plan's end.  The plan it is handed is the one the game
+made, checked and rolled out (``GameScene.lane_change``); the executor makes
+and checks none.  The first command at or after the plan's start begins
+tracking it, and the first command once its duration has elapsed ends it.
+``busy`` covers both, so the game waits for it.
 
 The LQR gain is solved once per ``ControlConfig``, in plain float arithmetic,
 and memoised, so every executor built with the same gains shares one tuple.
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import config
-from .planner import TrajectoryCandidate, generate_lattice, select_trajectory
+from .planner import TrajectoryCandidate
 from .world import CAV, compute_ttc
 
 
@@ -113,38 +113,35 @@ def follow_accel(state, leader, road, cruise_speed: float, K, dt: float = config
 
 @dataclass
 class CavExecutor:
-    """Per-CAV execution state: the lane change scheduled next, if any, and
-    the plan being tracked, if any (``trajectory``, started at ``traj_t0``)."""
+    """Per-CAV execution state: the lane-change plan it tracks, if any
+    (``trajectory``, started at ``traj_t0``, which may lie ahead)."""
 
     cruise_speed: float
     gains: config.ControlConfig = config.DEFAULTS.control
     K: tuple = field(init=False)
     trajectory: TrajectoryCandidate | None = field(default=None, init=False)
     traj_t0: float = field(default=0.0, init=False)
-    pending: tuple | None = field(default=None, init=False)   # (due_t, LEFT or RIGHT)
 
     def __post_init__(self):
         self.K = solve_lqr_gain(self.gains)
 
-    def schedule(self, due_t: float, direction: str):
-        """Change lane toward ``direction`` at the first command at or after ``due_t``."""
-        self.pending = (due_t, direction)
+    def schedule(self, t0: float, plan: TrajectoryCandidate):
+        """Track ``plan`` from the first command at or after ``t0``."""
+        self.trajectory, self.traj_t0 = plan, t0
 
     def busy(self) -> bool:
-        """Whether a lane change is scheduled or its plan is being tracked."""
-        return self.pending is not None or self.trajectory is not None
+        """Whether a lane-change plan is scheduled or being tracked."""
+        return self.trajectory is not None
 
     def command(self, state, leader, t_now: float, road):
         """(next_speed, next_heading) for one ``config.DT`` physics step.
 
         ``leader`` is the nearest vehicle ahead in the ego's corridor, or None.
-        A scheduled lane change that is due is planned first: its plan, or
-        the ``hold_lane`` fallback, starts now and sets ``state.target_lane``.
-        A change that would leave the road raises ``PlanningError``.
         The acceleration is always ``follow_accel``, TTC brake and jerk stage
         included.  Steering asks for the lateral acceleration
         ``ay_ref + ω²·(y_ref − y) + 2ζω·(vy_ref − vy)`` toward the plan's
-        lateral state while a plan is tracked, else toward the center of
+        lateral state from the plan's start on, which sets
+        ``state.target_lane`` to the plan's, else toward the center of
         ``state.target_lane`` at rest, through the heading rate that gives it
         at the ego's speed; the lateral speed then moves at most
         ``config.LAT_ACCEL_LIMIT · DT`` per step.
@@ -152,18 +149,12 @@ class CavExecutor:
         commanding, with ``state.target_lane`` set to the lane the vehicle
         is in.
         """
-        if self.pending is not None and self.pending[0] <= t_now + 1e-9:
-            direction = self.pending[1]
-            self.pending = None
-            traj = select_trajectory(generate_lattice(state, direction, road), state, road)
-            self.trajectory = traj
-            self.traj_t0 = t_now
-            state.target_lane = traj.target_lane
         traj = self.trajectory
         if traj is not None and t_now - self.traj_t0 >= traj.duration:
             traj = self.trajectory = None
             state.target_lane = state.lane
-        if traj is not None:
+        if traj is not None and self.traj_t0 <= t_now + 1e-9:
+            state.target_lane = traj.target_lane
             y_ref, vy_ref, ay_ref = traj.state_at(t_now - self.traj_t0)
         else:
             y_ref, vy_ref, ay_ref = road.lane_center(state.target_lane), 0.0, 0.0

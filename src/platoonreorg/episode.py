@@ -17,9 +17,10 @@ lane.
 Each platoon member's command comes from ``CavExecutor.command`` alone, fed
 with the one vehicle ahead in the member's corridor.  That leader is looked
 up once per frame, after the step, for ``min_ttc``; nothing moves before the
-next frame's command reads it.  The vehicle layer schedules each lane change
-it picks on the member's executor, which plans, tracks and ends it inside
-``command``; the loop only asks for commands.
+next frame's command reads it.  The vehicle layer hands each lane-change
+plan it picks, the one the game scored, to the member's executor, which
+starts, tracks and ends it inside ``command``; the loop only asks for
+commands.
 
 A window runs from the decision that splits a single-group target until
 the single-group target has been intact for ``config.FORMATION_HOLD`` s.
@@ -140,8 +141,9 @@ class GrdfPolicy:
 
     def vehicle_decide(self, scene: GameScene, t: float):
         """Run the coalition game unless a member's executor is busy with a
-        lane change, and schedule the changes it picks on their executors,
-        each at its start after t, as the game predicted them."""
+        lane change, and hand each change it picks, the plan the game
+        scored, to its member's executor, to start at its start after t, as
+        the game predicted it."""
         if any(ex.busy() for ex in scene.executors):
             return
         phase = self.reorg.phase
@@ -159,10 +161,10 @@ class GrdfPolicy:
                 "pdi": round(decision.pdi_value, 6) if decision.pdi_value is not None else None,
             })
         plan = lane_change_plan(partition, decision.joint_action)
-        for ex, step in zip(scene.executors, plan, strict=True):
+        for i, (ex, step) in enumerate(zip(scene.executors, plan, strict=True)):
             if step is not None:
                 start, direction = step
-                ex.schedule(t + start, direction)
+                ex.schedule(t + start, scene.lane_change(i, direction))
 
     def audit_rows(self):
         return self._audit

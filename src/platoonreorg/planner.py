@@ -1,19 +1,19 @@
 """Lane-change planning: the one lateral plan and its feasibility check.
 
 The coalition game decides which member changes lane and when; the game
-scores and the executor runs the same plan, as in the decoupled Frenét
-planner of Werling et al. 2010.  Only lane changes are planned, and only
-laterally: ``lane_change`` is one quintic toward the target lane's center,
-with zero lateral speed and acceleration at its end, over
-``lane_change_time``, the shortest duration that keeps a rest-to-rest
-change within ``config.LAT_ACCEL_LIMIT``.  A background driver tracks the
-same quintic exactly, as a ``PacedPlan``, which ``world.predict`` samples.
-The dynamics check evaluates the quintic at each ``config.DT`` step: the game
-offers no change that fails it, and at the executor a plan that fails it
-becomes ``hold_lane``.  No other vehicle is read: the longitudinal motion
-is the executor's follow law, which brakes for whatever is ahead.  Lane
-keeping has no plan; it is the follow law, and the executor ends each plan
-when its duration has elapsed.
+makes, checks and scores each plan once, and the executor runs that plan
+object, as in the decoupled Frenét planner of Werling et al. 2010.  Only
+lane changes are planned, and only laterally: ``lane_change`` is one
+quintic toward the target lane's center, with zero lateral speed and
+acceleration at its end, over ``lane_change_time``, the shortest duration
+that keeps a rest-to-rest change within ``config.LAT_ACCEL_LIMIT``.  A
+background driver tracks the same quintic exactly, as a ``PacedPlan``,
+which ``world.predict`` samples.  The dynamics check evaluates the quintic
+at each ``config.DT`` step, and the game offers no change that fails it.
+No other vehicle is read: the longitudinal motion is the executor's follow
+law, which brakes for whatever is ahead.  Lane keeping has no plan; it is
+the follow law, and the executor ends each plan when its duration has
+elapsed.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def quintic(p0, v0, a0, p1, v1, a1, T) -> Polynomial:
 class TrajectoryCandidate:
     duration: float
     lon: Polynomial | None          # x0 + vx0 t; None marks hold_lane to perfbench
-    lat: Polynomial | None          # None for the hold_lane fallback
+    lat: Polynomial | None          # None for hold_lane
     target_lane: int = 0
 
     def state_at(self, t):
@@ -163,16 +163,17 @@ def lane_change(state, decision: str, road) -> TrajectoryCandidate:
 
 
 def generate_lattice(state, decision: str, road) -> TrajectoryCandidate:
-    """``lane_change``, as the executor calls it when a change falls due.
-    The name is the one the benchmark's layer timers trace; the game calls
-    ``lane_change`` itself, so the timers count the executors' plans only."""
+    """``lane_change``, as the game plans every change
+    (``GameScene.lane_change``).  The name is the one the benchmark's layer
+    timers trace, so they time every plan the package makes."""
     return lane_change(state, decision, road)
 
 
 def hold_lane(state) -> TrajectoryCandidate:
-    """The fallback when the lane change fails its check: a plan of no
-    duration in the ego's lane, which the executor ends at once, so the
-    follow law keeps the lane and does any braking."""
+    """A plan of no duration in the ego's lane, ``select_trajectory``'s
+    fallback.  Nothing else calls it, and nothing in the package calls
+    ``select_trajectory``: both stay for the benchmark's layer timers,
+    which look that name up, and go when those timers move into the loop."""
     return TrajectoryCandidate(duration=0.0, lon=None, lat=None, target_lane=state.lane)
 
 
@@ -180,10 +181,8 @@ def check_dynamics(candidate: TrajectoryCandidate, road):
     """(passed, reason) of a candidate's lateral profile, evaluated at every
     ``config.DT`` step from its start to its end, against the ``config``
     lateral-accel limit and the road's lateral extent, from the outer edge of
-    lane 0 to that of the last lane.  ``hold_lane`` has no profile and
-    passes.  The longitudinal limits are the follow law's."""
-    if candidate.lat is None:
-        return True, ""
+    lane 0 to that of the last lane.  The longitudinal limits are the follow
+    law's."""
     y_min = -0.5 * road.lane_width
     y_max = (road.lane_count - 0.5) * road.lane_width
     for k in range(round(candidate.duration / config.DT) + 1):
@@ -198,5 +197,7 @@ def check_dynamics(candidate: TrajectoryCandidate, road):
 
 def select_trajectory(candidate: TrajectoryCandidate, ego, road) -> TrajectoryCandidate:
     """The candidate if it passes ``check_dynamics``, else ``hold_lane(ego)``.
-    The name is the one the benchmark's layer timers trace."""
+    Nothing in the package calls it: the game offers only plans that pass
+    ``check_dynamics``, and the executor runs them unchecked.  It stays
+    because the benchmark's layer timers look it up by name."""
     return candidate if check_dynamics(candidate, road)[0] else hold_lane(ego)

@@ -2,12 +2,13 @@
 
 One short run of ``perfbench/run.py`` on the case-2 sparse workload per
 mode, in a subprocess: it must exit 0 and report every episode correct and
-none failed.  The traced mode wraps the planner and the executor by name and
-reads the selected plan's ``lon``; the gated mode checks its end-to-end
-metric names against ``BENCHMARK.json`` and reads ``world.clock.dt`` in its
-output checks.  So either catches a change that breaks what it reads.  The
-tracer itself, loaded from ``perfbench/layers.py``, must see the planner
-calls that the executors make.
+none failed.  The traced mode wraps package functions by name (the planner
+and the executor among them); the gated mode checks its end-to-end metric
+names against ``BENCHMARK.json`` and reads ``world.clock.dt`` in its output
+checks.  So either catches a change that breaks what it reads.  Faster
+guards load the tracer itself from ``perfbench/layers.py``: every name it
+traces must resolve in the package, and it must count the plans the game
+makes.
 """
 
 from __future__ import annotations
@@ -47,16 +48,38 @@ def _load_layers():
     return sys.modules[name]
 
 
-def test_tracer_sees_every_plan_the_executors_start():
-    """The planner is called from the executor, not the episode loop; the
-    tracer still counts one ``generate_lattice`` and one ``select_trajectory``
-    per plan started, so the per-layer planner metrics do not fall to 0."""
+@pytest.mark.parametrize("target", _load_layers().TARGETS, ids=lambda target: target.name)
+def test_every_traced_name_resolves(target):
+    """The tracer looks each target up with ``vars(...)[name]``, so a
+    deleted or renamed name makes every traced run exit non-zero."""
+    import importlib
+
+    owner = importlib.import_module(f"platoonreorg.{target.module}")
+    *path, attr = target.qualname.split(".")
+    for part in path:
+        owner = vars(owner)[part]
+    assert callable(vars(owner)[attr])
+
+
+def test_tracer_sees_every_plan_the_executors_start(monkeypatch):
+    """The game makes every plan, through ``generate_lattice``, and the
+    executors run them unchecked: the tracer counts one ``generate_lattice``
+    per plan the game makes and no ``select_trajectory``."""
     from test_episode import PLAN_NET_SEED, PLAN_ROW, PLAN_SEED, PLANS
 
+    from platoonreorg import planner
     from platoonreorg.episode import GrdfPolicy, run_episode
     from platoonreorg.ppo import PolicyNetwork
     from platoonreorg.scenarios import build_scenario, case2_spec
 
+    made = []
+    lane_change = planner.lane_change
+
+    def counted(state, decision, road):
+        made.append(decision)
+        return lane_change(state, decision, road)
+
+    monkeypatch.setattr(planner, "lane_change", counted)
     spec = case2_spec(density=3.0, episode_len=30.0)
     world = build_scenario(spec, PLAN_SEED)
     policy = GrdfPolicy(use_pdi=True,
@@ -67,4 +90,5 @@ def test_tracer_sees_every_plan_the_executors_start():
     assert result.metrics.row() == PLAN_ROW
     calls = [tracer.spans[f"planner.{name}"].calls
              for name in ("generate_lattice", "select_trajectory")]
-    assert calls == [len(PLANS), len(PLANS)] == [9, 9]
+    assert calls == [len(made), 0]
+    assert len(made) > len(PLANS)

@@ -81,19 +81,24 @@ def prediction(poses, background=(), speed_sums=None, samples=1):
 
 
 def brute_force(partition, scene, phase):
-    """Oracle: argmax over every feasible joint action, each rolled out
-    alone, as (value, joint action), ties to fewer lane changes, then
-    keep < left < right lexicographically."""
+    """Oracle: over every feasible joint action, each rolled out alone, the
+    fewest overlapping members, then the highest value, as (value, joint
+    action); ties to fewer lane changes, then keep < left < right
+    lexicographically."""
     order = {KEEP: 0, LEFT: 1, RIGHT: 2}
 
     def tie_break(joint):
         return sum(a != KEEP for a in joint), [order[a] for a in joint]
 
-    best = None
+    scored = []
     for joint in sorted(feasible_joint_actions(partition, scene), key=tie_break):
-        total, _, _ = evaluate_joint_action(partition, scene, joint,
-                                            rollout(scene, partition, joint), phase)
-        if best is None or total > best[0] + 1e-12:
+        pred = rollout(scene, partition, joint)
+        total, _, _ = evaluate_joint_action(partition, scene, joint, pred, phase)
+        scored.append((sum(pred.collided), total, joint))
+    fewest = min(n for n, _, _ in scored)
+    best = None
+    for n, total, joint in scored:
+        if n == fewest and (best is None or total > best[0] + 1e-12):
             best = (total, joint)
     return best
 
@@ -180,8 +185,8 @@ class TestLaneChangePlan:
     def test_game_and_executor_sample_one_plan(self, monkeypatch):
         """Every member of a coalition changing LEFT is placed, at the
         decision and at every step of the rollout, on the plan its executor
-        starts, ``generate_lattice`` from its state on the tick, delayed by
-        its ``STAGGER`` start; the plan lasts
+        is handed, ``generate_lattice`` from its state on the tick, delayed
+        by its ``STAGGER`` start; the plan lasts
         ``lane_change_time(lane_width)`` = 2.8 s."""
         plat = [cav(0, 130.0), cav(1, 115.0, y=3.9), cav(2, 100.0, speed=20.0)]
         scene = scene_of(plat, [])
@@ -643,11 +648,30 @@ class TestSolve:
         base = solve_tu_game(part, scene, SPLITTING, W)
         scaled_w = dataclasses.replace(
             W, w_s=W.w_s * 3, w_e=W.w_e * 3, w_it=W.w_it * 3, w_er=W.w_er * 3,
-            k_tau=W.k_tau, collision_penalty=W.collision_penalty * 3,
-            w_pdi=W.w_pdi * 3, w_lane_change=W.w_lane_change * 3)
+            k_tau=W.k_tau, w_pdi=W.w_pdi * 3, w_lane_change=W.w_lane_change * 3)
         scaled = solve_tu_game(part, scene, SPLITTING, scaled_w)
         assert scaled.joint_action == base.joint_action
         assert scaled.value == pytest.approx(3 * base.value, rel=1e-9)
+
+    def test_a_clean_action_beats_any_overlapping_value(self):
+        """A standing car 50 m ahead in lane 1: KEEP's rollout overlaps it
+        and LEFT's overlaps nothing.  With a lane-change cost that puts
+        KEEP's value more than 1e6 above LEFT's, the solve still picks LEFT.
+        Values carry no penalty: KEEP's is its plain, positive profit sum."""
+        plat = [cav(0, 130.0)]
+        wall = [hdv(9, 180.0, lane=1, speed=0.0)]
+        scene = scene_of(plat, wall)
+        part = form_coalitions(plat, wall)
+        w = dataclasses.replace(W, w_lane_change=1e7)
+        keep, left = rollout(scene, part, (KEEP,)), rollout(scene, part, (LEFT,))
+        assert (keep.collided, left.collided) == ([True], [False])
+        keep_value = evaluate_joint_action(part, scene, (KEEP,), keep, SPLITTING, w)[0]
+        left_value = evaluate_joint_action(part, scene, (LEFT,), left, SPLITTING, w)[0]
+        assert keep_value > 0.0 and keep_value - left_value > 1e6
+        decision = solve_tu_game(part, scene, SPLITTING, w)
+        assert decision.joint_action == (LEFT,)
+        assert decision.value == left_value
+        assert (decision.candidates, decision.pruned_out) == (2, 1)
 
     def test_gt_differs_by_exact_pdi_term(self):
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]

@@ -11,11 +11,11 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "75a5ed743d17a312"
+    assert config.config_hash(config.DEFAULTS) == "a091a16fcc8b53c5"
 
 
 GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_y", "k_v", "w_pdi", "w_lane_change")
-GAME_SCALES = ("horizon", "ttc_cap", "entropy_window", "collision_penalty")
+GAME_SCALES = ("horizon", "ttc_cap", "entropy_window")
 
 
 @pytest.mark.parametrize("name", GAME_WEIGHTS)

@@ -14,7 +14,7 @@ from platoonreorg.control import (
     schur_stable,
     solve_lqr_gain,
 )
-from platoonreorg.planner import lane_change_time
+from platoonreorg.planner import LEFT, lane_change, lane_change_time
 from platoonreorg.world import RoadMap, VehicleState, step_kinematics
 
 ROAD = RoadMap(lane_count=3, length=4000.0)
@@ -211,26 +211,22 @@ class TestExecutor:
 
     @pytest.mark.parametrize("tracking", [False, True], ids=["follow", "track"])
     def test_commands_are_python_floats(self, tracking):
-        from platoonreorg.planner import LEFT
-
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
         leader = VehicleState(id=1, kind="CAV", x=112.0, y=4.0, speed=24.0,
                               lane=1, target_lane=1)
         if tracking:
-            ex.schedule(0.5, LEFT)
+            ex.schedule(0.5, lane_change(ego, LEFT, ROAD))
         speed, heading = ex.command(ego, leader, 0.5, ROAD)
         assert (ex.trajectory is not None) == tracking
         assert type(speed) is float and type(heading) is float
 
     def test_trajectory_tracking_reaches_target_lane(self):
-        from platoonreorg.planner import LEFT
-
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        ex.schedule(0.0, LEFT)
+        ex.schedule(0.0, lane_change(ego, LEFT, ROAD))
         dt = config.DT
         t = 0.0
         while t < lane_change_time(ROAD.lane_width):
@@ -243,14 +239,12 @@ class TestExecutor:
     def test_command_ends_an_elapsed_plan(self):
         """The first command at or after the plan's end follows again, toward
         the lane the vehicle is in."""
-        from platoonreorg.planner import LEFT
-
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        ex.schedule(1.0, LEFT)
+        traj = lane_change(ego, LEFT, ROAD)
+        ex.schedule(1.0, traj)
         ex.command(ego, None, 1.0, ROAD)
-        traj = ex.trajectory
         ex.command(ego, None, 1.0 + traj.duration - config.DT, ROAD)
         assert (ex.trajectory, ego.target_lane) == (traj, 2)
         ex.command(ego, None, 1.0 + traj.duration, ROAD)
@@ -277,8 +271,6 @@ class TestExecutor:
     def test_short_ttc_forces_full_braking(self, tracking):
         """Full braking is reached through the jerk stage: -JERK_LIMIT·DT per
         frame from rest, so -ACCEL_LIMIT within 5 frames."""
-        from platoonreorg.planner import LEFT
-
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=20.0,
                            lane=1, target_lane=1)
@@ -286,7 +278,7 @@ class TestExecutor:
         leader = VehicleState(id=1, kind="CAV", x=109.0, y=4.0, speed=17.0,
                               lane=1, target_lane=1)
         if tracking:
-            ex.schedule(0.0, LEFT)
+            ex.schedule(0.0, lane_change(ego, LEFT, ROAD))
         accels = []
         t = 0.0
         for _ in range(5):
@@ -312,104 +304,56 @@ class TestExecutor:
         assert max(ay for ay, _ in seen) == pytest.approx(config.LAT_ACCEL_LIMIT)
         assert ego.y == pytest.approx(4.0, abs=0.05)
 
-    def test_hold_lane_fallback_follows_in_the_lane(self):
-        """The fallback plan ends at the first command: the executor follows
-        in the ego's own lane, and the follow law brakes behind a slower
-        vehicle.  The ego's lateral acceleration of twice the limit fails
-        the LEFT plan at its start."""
-        from platoonreorg.planner import LEFT, hold_lane
-
-        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
-                           ay=2.0 * config.LAT_ACCEL_LIMIT, lane=1, target_lane=1)
-        leader = VehicleState(id=1, kind="HDV", x=150.0, y=4.0, speed=15.0,
-                              lane=1, target_lane=1)
-        traj = hold_lane(ego)
-        assert (traj.lon, traj.target_lane) == (None, 1)
-        ex = CavExecutor(cruise_speed=25.0)
-        ex.schedule(0.0, LEFT)
-        dt = config.DT
-        t = 0.0
-        for _ in range(int(20.0 / dt)):
-            speed, heading = ex.command(ego, leader, t, ROAD)
-            assert (ex.trajectory, ex.busy(), ego.target_lane) == (None, False, 1)
-            step_kinematics(ego, speed, heading)
-            step_kinematics(leader, 15.0, 0.0)
-            t = round(t + dt, 9)
-        assert ego.y == 4.0
-        assert ego.speed == pytest.approx(15.0, abs=0.3)
-        assert leader.x - ego.x == pytest.approx(5.0 + 1.2 * 15.0, abs=0.5)
-
 
 class TestLaneChangeLifecycle:
-    """The executor owns a scheduled lane change: it fires at the first
-    command at or after its due time, and the executor is busy from the
+    """The executor runs the plan it is handed: it starts at the first
+    command at or after its start time, and the executor is busy from the
     schedule until the plan ends."""
 
     @staticmethod
     def drive(ex, ego, t, until):
         """Command and step the ego from t while t < until; per command, the
-        (t, tracking, busy) after it.  Times advance as the episode clock does."""
+        (t, tracking, busy) after it, tracking meaning that the plan has
+        started.  Times advance as the episode clock does."""
         seen = []
         while t < until - 1e-9:
             speed, heading = ex.command(ego, None, t, ROAD)
-            seen.append((t, ex.trajectory is not None, ex.busy()))
+            tracking = ex.trajectory is not None and ex.traj_t0 <= t + 1e-9
+            seen.append((t, tracking, ex.busy()))
             step_kinematics(ego, speed, heading)
             ego.lane = ROAD.lane_of(ego.y)
             t = round(t + config.DT, 9)
         return seen
 
-    @pytest.mark.parametrize("due_t", [1.0, 0.1 + 0.2], ids=["exact", "float-sum"])
-    def test_change_fires_at_the_first_command_at_or_after_its_due_time(self, due_t):
-        from platoonreorg.planner import LEFT
-
+    @pytest.mark.parametrize("start", [1.0, 0.1 + 0.2], ids=["exact", "float-sum"])
+    def test_change_fires_at_the_first_command_at_or_after_its_due_time(self, start):
+        """Before its start the ego keeps its lane's center; from it on the
+        executor tracks the very plan it was handed, toward its lane."""
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
-        ex.schedule(due_t, LEFT)
-        due = round(due_t, 9)
-        seen = self.drive(ex, ego, 0.0, due + 1.0)
+        plan = lane_change(ego, LEFT, ROAD)
+        ex.schedule(start, plan)
+        due = round(start, 9)
+        before = self.drive(ex, ego, 0.0, due)
+        assert (ego.y, ego.target_lane) == (4.0, 1)
+        seen = before + self.drive(ex, ego, due, due + 1.0)
         assert [t for t, tracking, _ in seen if tracking][0] == due
-        assert ex.traj_t0 == due
-        assert (ex.pending, ego.target_lane, ex.trajectory.target_lane) == (None, 2, 2)
+        assert ex.trajectory is plan
+        assert (ego.target_lane, ex.trajectory.target_lane) == (2, 2)
 
     def test_busy_from_schedule_until_the_plan_ends(self):
-        from platoonreorg.planner import LEFT
-
         ex = CavExecutor(cruise_speed=25.0)
         ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0,
                            lane=1, target_lane=1)
         assert not ex.busy()
-        ex.schedule(0.5, LEFT)
+        ex.schedule(0.5, lane_change(ego, LEFT, ROAD))
         assert ex.busy()
         end = 0.5 + lane_change_time(ROAD.lane_width)
         seen = self.drive(ex, ego, 0.0, end + 1.0)
         assert all(busy for t, _, busy in seen if t < end)
         assert not any(busy for t, _, busy in seen if t >= end)
         assert (ex.trajectory, ego.lane, ego.target_lane) == (None, 2, 2)
-
-    def test_hold_lane_fallback_ends_in_the_command_that_fires_it(self):
-        """Heading -0.3 rad at 25 m/s, the LEFT plan fails its dynamics
-        check: the ``hold_lane`` fallback starts and ends in one command."""
-        from platoonreorg.planner import LEFT
-
-        ex = CavExecutor(cruise_speed=25.0)
-        ego = VehicleState(id=0, kind="CAV", x=100.0, y=4.0, speed=25.0, heading=-0.3,
-                           lane=1, target_lane=1)
-        ex.schedule(0.5, LEFT)
-        ex.command(ego, None, 0.5, ROAD)
-        assert (ex.trajectory, ex.pending, ex.busy()) == (None, None, False)
-        assert (ex.traj_t0, ego.target_lane) == (0.5, 1)
-
-    def test_change_off_the_road_raises_at_its_due_command(self):
-        from platoonreorg.planner import LEFT, PlanningError
-
-        ex = CavExecutor(cruise_speed=25.0)
-        ego = VehicleState(id=0, kind="CAV", x=100.0, y=ROAD.lane_center(2), speed=25.0,
-                           lane=2, target_lane=2)
-        ex.schedule(0.3, LEFT)
-        assert self.drive(ex, ego, 0.0, 0.3) == [(t, False, True) for t in (0.0, 0.1, 0.2)]
-        with pytest.raises(PlanningError, match="leaves the road from lane 2"):
-            ex.command(ego, None, 0.3, ROAD)
 
 
 def cav_at(vid, x, speed=25.0, accel=0.0):

@@ -12,14 +12,15 @@ every vehicle's heading and lateral acceleration, on every frame.  Its
 and platoon counts, density, case and seed, and holds each to the same
 invariants and monitor, unless its spec is rejected.  Case 2's leader
 braking to a standstill in front of the platoon on 3 and 4 lanes, seeds
-0-2, must be cleared by a lane change without a collision or a held
-plan.  A case-1 network-policy episode whose one window becomes a
+0-2, must be cleared by a lane change without a collision, each member
+running the plan the game scored.  A case-1 network-policy episode whose one window becomes a
 reorganization is pinned below.  Two case-1 heuristic episodes check that
 the reward, the metrics and the game phase read one reorganization clock,
 and that a split the game answers by keeping every coalition in lane is
 label-only.  A case-2 network-policy episode pins every lane-change plan
-the executors start and the final member states, so the
-planner-to-executor path has an end-to-end guard.
+the game hands the executors and the final member states, so the
+game-to-executor path has an end-to-end guard; there and in a case-1
+episode every plan an executor starts is the object the game scored.
 
 Regenerate the pins only for an intended behaviour change:
 ``PYTHONPATH=src python tests/test_episode.py > tests/golden/episodes.json``.
@@ -33,12 +34,13 @@ import json
 import math
 import numbers
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonreorg import coalition, config, control, distribution, episode, riskfield
+from platoonreorg import coalition, config, distribution, episode, riskfield
 from platoonreorg.coalition import (KEEP, MERGING, SPLITTING, STEADY, GameScene,
                                     form_coalitions, predict_outcomes)
 from platoonreorg.control import CavExecutor
@@ -426,29 +428,20 @@ def test_stalled_leader_is_cleared_by_a_lane_change(monkeypatch, lane_count, see
     """Case 2's leader brakes to a standstill (``event_cruise_after=0``) in
     front of the platoon on 3 and on 4 lanes under GRDF-GT: over 120 s no
     member collides or breaks a limit, at least one member leaves its lane,
-    and every lane change the game starts passes the executor's dynamics
-    check, so the ``hold_lane`` fallback never fires."""
+    and every plan an executor starts is the one the game scored."""
     spec = case2_spec(density=3.0, event_cruise_after=0.0, lane_count=lane_count)
     world = build_scenario(spec, seed)
     breaks = monitor_limits(world)
+    starts = record_plan_starts(monkeypatch, world)
     lanes = {m.index: {m.state.lane} for m in world.members}
     tick = world.clock.tick
-    held = []
-    select_trajectory = control.select_trajectory
 
     def seen():
         tick()
         for m in world.members:
             lanes[m.index].add(m.state.lane)
 
-    def checked(candidate, ego, road):
-        traj = select_trajectory(candidate, ego, road)
-        if traj is not candidate:
-            held.append((world.clock.t, ego.id))
-        return traj
-
     world.clock.tick = seen
-    monkeypatch.setattr(control, "select_trajectory", checked)
     result = run_episode(world, GrdfPolicy(use_pdi=True), seed, spec.episode_len,
                          spec.success_window)
     assert not result.metrics.collision
@@ -456,7 +449,7 @@ def test_stalled_leader_is_cleared_by_a_lane_change(monkeypatch, lane_count, see
     assert invariant_failures(world, result) == []
     assert breaks == []
     assert any(len(seen_lanes) > 1 for seen_lanes in lanes.values())
-    assert held == []
+    assert starts and all(start.scored for start in starts)
 
 
 def test_dense_case2_changes_lane_past_the_braking_leader(monkeypatch):
@@ -470,9 +463,9 @@ def test_dense_case2_changes_lane_past_the_braking_leader(monkeypatch):
     scheduled = []
     schedule = CavExecutor.schedule
 
-    def recorded(self, due_t, direction):
-        scheduled.append((due_t, direction))
-        schedule(self, due_t, direction)
+    def recorded(self, t0, plan):
+        scheduled.append((t0, plan))
+        schedule(self, t0, plan)
 
     monkeypatch.setattr(CavExecutor, "schedule", recorded)
     result = run_episode(world, GrdfPolicy(), 2, spec.episode_len, spec.success_window)
@@ -552,19 +545,20 @@ def member_digest(world) -> str:
 
 
 def test_lane_change_plans_run_end_to_end(monkeypatch):
+    """The plans the game hands the executors, as (start, member, target
+    lane, duration), recorded at ``CavExecutor.schedule``."""
     spec = case2_spec(density=3.0, episode_len=30.0)
     world = build_scenario(spec, PLAN_SEED)
     breaks = monitor_limits(world)
-    index = {m.state.id: m.index for m in world.members}
+    member = {id(m.executor): m.index for m in world.members}
     plans = []
-    select_trajectory = control.select_trajectory
+    schedule = CavExecutor.schedule
 
-    def recorded(candidate, ego, road):
-        traj = select_trajectory(candidate, ego, road)
-        plans.append((world.clock.t, index[ego.id], traj.target_lane, traj.duration))
-        return traj
+    def recorded(self, t0, plan):
+        plans.append((t0, member[id(self)], plan.target_lane, plan.duration))
+        schedule(self, t0, plan)
 
-    monkeypatch.setattr(control, "select_trajectory", recorded)
+    monkeypatch.setattr(CavExecutor, "schedule", recorded)
     policy = GrdfPolicy(use_pdi=True,
                         network=PolicyNetwork(obs_dim=72, n_actions=4, seed=PLAN_NET_SEED))
     result = run_episode(world, policy, PLAN_SEED, spec.episode_len, spec.success_window)
@@ -573,6 +567,74 @@ def test_lane_change_plans_run_end_to_end(monkeypatch):
     assert result.metrics.row() == PLAN_ROW
     assert plans == PLANS
     assert member_digest(world) == PLAN_DIGEST
+
+
+class PlanStart(NamedTuple):
+    t: float            # the command that starts the plan
+    member: int
+    delay: float        # from the decision tick that scheduled it
+    scored: bool        # the object the game made for this member on that tick
+
+
+def record_plan_starts(monkeypatch, world) -> list:
+    """A list that fills, as the world's episode runs, with one
+    ``PlanStart`` per plan an executor starts tracking."""
+    made = {}           # id(plan) -> (plan, member, decision tick)
+    tick = [None]
+    member = {id(m.executor): m.index for m in world.members}
+    starts = []
+    vehicle_decide, lane_change = GrdfPolicy.vehicle_decide, GameScene.lane_change
+    command = CavExecutor.command
+
+    def decided(self, scene, t):
+        tick[0] = t
+        return vehicle_decide(self, scene, t)
+
+    def planned(self, i, direction):
+        plan = lane_change(self, i, direction)
+        made[id(plan)] = (plan, i, tick[0])
+        return plan
+
+    def commanded(self, state, leader, t_now, road):
+        before = self.trajectory is not None and self.traj_t0 <= t_now - config.DT / 2
+        out = command(self, state, leader, t_now, road)
+        plan = self.trajectory
+        if plan is not None and not before and self.traj_t0 <= t_now + 1e-9:
+            twin, i, t0 = made.get(id(plan), (None, None, None))
+            scored = twin is plan and i == member[id(self)]
+            starts.append(PlanStart(t_now, member[id(self)],
+                                    round(t_now - t0, 9) if scored else math.nan, scored))
+        return out
+
+    monkeypatch.setattr(GrdfPolicy, "vehicle_decide", decided)
+    monkeypatch.setattr(GameScene, "lane_change", planned)
+    monkeypatch.setattr(CavExecutor, "command", commanded)
+    return starts
+
+
+@pytest.mark.parametrize("episode", ["plans", "case1-seed5"])
+def test_every_started_plan_is_the_one_the_game_scored(monkeypatch, episode):
+    """Each plan an executor starts is the very ``GameScene.lane_change``
+    object of the decision tick that scheduled it, for the members that
+    start ``STAGGER`` s or more after the tick too.  In case 1, seed 5, the
+    intact platoon changes lane as one coalition at 1 s: its members start
+    0, 1 and 2 s after the tick."""
+    if episode == "plans":
+        spec = case2_spec(density=3.0, episode_len=30.0)
+        seed, policy = PLAN_SEED, GrdfPolicy(
+            use_pdi=True, network=PolicyNetwork(obs_dim=72, n_actions=4, seed=PLAN_NET_SEED))
+    else:
+        spec, seed, policy = case1_spec(episode_len=EPISODE_LEN), 5, GrdfPolicy()
+    world = build_scenario(spec, seed)
+    starts = record_plan_starts(monkeypatch, world)
+    result = run_episode(world, policy, seed, spec.episode_len, spec.success_window)
+    assert all(start.scored for start in starts)
+    if episode == "plans":
+        assert result.metrics.row() == PLAN_ROW
+        assert [(s.t, s.member, s.delay) for s in starts] == [(t, i, 0.0) for t, i, _, _ in PLANS]
+    else:
+        assert [(s.t, s.member, s.delay) for s in starts] == [
+            (1.0, 0, 0.0), (2.0, 1, coalition.STAGGER), (3.0, 2, 2 * coalition.STAGGER)]
 
 
 def keep_lane_tracks(world, t0):

@@ -82,22 +82,22 @@ def test_heuristic_episodes_do_not_call_numpy_linalg():
 def test_planning_imports_no_numpy_and_calls_no_linalg():
     """The quintic's boundary system is solved in closed form and the LQR
     gain in float arithmetic: ``planner``, ``control`` and what they import
-    load no numpy, and planning both lane changes, then running a scheduled
-    LEFT change through ``CavExecutor.command`` to its end, calls nothing in
+    load no numpy, and planning both lane changes, then running the LEFT
+    plan through ``CavExecutor.command`` to its end, calls nothing in
     ``numpy.linalg``."""
     code = ("import sys\n"
             "from platoonreorg import config\n"
             "from platoonreorg.control import CavExecutor\n"
-            "from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory\n"
+            "from platoonreorg.planner import LEFT, RIGHT, check_dynamics, generate_lattice\n"
             "from platoonreorg.world import RoadMap, VehicleState, step_kinematics\n"
             "loaded = 'numpy' in sys.modules\n" + RECORD_LINALG +
             "road = RoadMap()\n"
             "ego = VehicleState(id=0, kind='CAV', x=100.0, y=4.0, speed=25.0, lane=1,\n"
             "                   target_lane=1)\n"
-            "for side in (LEFT, RIGHT):\n"
-            "    select_trajectory(generate_lattice(ego, side, road), ego, road)\n"
+            "plans = [generate_lattice(ego, side, road) for side in (LEFT, RIGHT)]\n"
+            "assert all(check_dynamics(plan, road)[0] for plan in plans)\n"
             "ex = CavExecutor(cruise_speed=25.0)\n"
-            "ex.schedule(0.0, LEFT)\n"
+            "ex.schedule(0.0, plans[0])\n"
             "t = 0.0\n"
             "while ex.busy():\n"
             "    step_kinematics(ego, *ex.command(ego, None, t, road))\n"

@@ -22,7 +22,7 @@ import pytest
 from platoonreorg import config
 from platoonreorg.coalition import MERGING, GameScene, form_coalitions, solve_tu_game
 from platoonreorg.episode import GrdfPolicy, hdv_accel, hdv_decide_lane
-from platoonreorg.planner import LEFT, RIGHT, generate_lattice, select_trajectory
+from platoonreorg.planner import LEFT, RIGHT, check_dynamics, generate_lattice
 from platoonreorg.scenarios import (ScenarioError, ScenarioSpec, build_scenario, case1_spec,
                                     case2_spec)
 from platoonreorg.traffic import ScriptedBrake
@@ -91,10 +91,9 @@ def scene_pins(name: str, seed: int) -> dict:
         for direction, step in ((LEFT, 1), (RIGHT, -1)):
             if not 0 <= state.lane + step < world.road.lane_count:
                 continue
-            traj = select_trajectory(generate_lattice(state, direction, world.road),
-                                     state, world.road)
-            picks.append([state.id, direction, traj.duration, traj.target_lane,
-                          traj.lon is None])
+            plan = generate_lattice(state, direction, world.road)
+            picks.append([state.id, direction, plan.duration, plan.target_lane,
+                          not check_dynamics(plan, world.road)[0]])
     pins["lattice_picks"] = picks
     return pins
 
