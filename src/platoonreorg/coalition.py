@@ -267,25 +267,26 @@ def efficiency_profit(member_idx: int, prediction: Prediction, v_max: float) -> 
     return prediction.speed_sums[member_idx] / (prediction.samples * v_max)
 
 
-def integration_profit(coalition_lanes, window_lanes, n_lanes: int) -> float:
-    """Traffic-entropy dispersion of the lane occupancy around the coalition.
+def integration_profit(n_s: int, window_lanes, n_lanes: int) -> float:
+    """Traffic-entropy dispersion of the lane occupancy around a coalition
+    of ``n_s`` members: ``n_s`` times the entropy of the lane shares of the
+    vehicles in the assessment window.
 
-    Zero when everything sits in one lane; grows with spread.  ``window_lanes``
-    holds the lane index of every vehicle (members included) inside the
-    assessment window.
+    Zero when they all sit in one lane, at most n_s·ln(n_lanes) when they
+    spread evenly.  ``window_lanes`` holds the lane index of every vehicle
+    (members included) inside the window; one off the road is not counted.
     """
-    n_s = len(coalition_lanes)
     if n_s < 1:
         raise ValueError("coalition must have members")
     counts = [0] * n_lanes
     for lane in window_lanes:
         if 0 <= lane < n_lanes:
             counts[lane] += 1
+    n = sum(counts)
     total = 0.0
     for p_j in counts:
         if p_j > 0:
-            frac = p_j / n_s
-            total += frac * math.log(frac)
+            total += p_j / n * math.log(p_j / n)
     return -n_s * total
 
 
@@ -329,10 +330,8 @@ def coalition_value(coalition, prediction: Prediction, scene: GameScene,
         value += w.w_s * safety_profit(i, prediction, w)
         value += w.w_e * efficiency_profit(i, prediction, scene.road.speed_limit)
     value -= w.w_lane_change * lane_change_members
-    member_lanes = [scene.road.lane_index(prediction.poses[i].y) for i in coalition]
     window_lanes = _window_lanes(coalition, prediction, scene, w.entropy_window)
-    value -= w.w_it * integration_profit(member_lanes, window_lanes,
-                                         scene.road.lane_count)
+    value -= w.w_it * integration_profit(len(coalition), window_lanes, scene.road.lane_count)
     if phase == MERGING:
         value += w.w_er * tracking_profit(coalition, prediction, w)
         if pdi_value is not None and includes_platoon_leader:

@@ -478,11 +478,26 @@ class TestProfits:
         assert efficiency_profit(0, stopped, 30.0) == 0.0
 
     def test_integration_arithmetic(self):
-        assert integration_profit([1, 1, 1], [1, 1, 1], 3) == pytest.approx(0.0, abs=1e-12)
-        even = integration_profit([0, 1, 2], [0, 1, 2], 3)
+        assert integration_profit(3, [1, 1, 1], 3) == pytest.approx(0.0, abs=1e-12)
+        even = integration_profit(3, [0, 1, 2], 3)
         assert even == pytest.approx(3 * math.log(3), abs=1e-9)
-        split = integration_profit([0, 0, 1], [0, 0, 1], 3)
+        split = integration_profit(3, [0, 0, 1], 3)
         assert split == pytest.approx(1.90954, abs=1e-4)
+
+    def test_integration_shares_are_of_the_window(self):
+        """The lane shares divide by the window's vehicle count, not by the
+        coalition's size: one member among two more vehicles in its lane
+        reads 0, not -3.30, and off-road lanes are not counted."""
+        assert integration_profit(1, [1, 1, 1], 3) == 0.0
+        assert integration_profit(1, [-1, 1, 1], 3) == 0.0
+        assert integration_profit(2, [0, 0, 1, 1, 1, 1], 3) == pytest.approx(
+            -2 * (1 / 3 * math.log(1 / 3) + 2 / 3 * math.log(2 / 3)), abs=1e-12)
+
+    @given(st.integers(1, 5), st.integers(2, 5),
+           st.lists(st.integers(-1, 5), min_size=1, max_size=40))
+    def test_integration_lies_between_zero_and_the_even_spread(self, n_s, n_lanes, lanes):
+        value = integration_profit(n_s, lanes, n_lanes)
+        assert -1e-12 <= value <= n_s * math.log(n_lanes) + 1e-12
 
     def test_tracking_examples(self):
         perfect = prediction([pose(110.0, 4.0, 25.0), pose(100.0, 4.0, 25.0)])

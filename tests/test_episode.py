@@ -185,17 +185,18 @@ def test_any_episode_keeps_the_limits_or_is_rejected(setup, seed):
 
 
 # Case 1, 30 s under an untrained network policy (8 observed objects x 9
-# features in, 4 configurations out, network seed 0).  The network first
-# splits into (0), (1) and (2) at 4 s, then flips between split and single
-# targets every 1-4 s, so no single target holds long enough to close the
-# window.  At 23 s the splitting game sends (0, 1) and (2) right, the
-# formation breaks at 24.2 s and is intact again from 25.6 s: one
-# reorganization, timed 21.6 s from the split.  The run covers ``Observer``
+# features in, 4 configurations out, network seed 0).  At 1 s the steady
+# game moves the intact platoon left, its members starting 1 s apart.  The
+# network splits into (0), (1) and (2) at 4 s, with the rear member still in
+# lane 1, so the window is a reorganization at once.  It then flips between
+# split and single targets every 1-4 s, so no single target holds long
+# enough to close the window: no formation time.  At 25 s the splitting
+# game sends all three right, back to lane 1.  The run covers ``Observer``
 # and ``select_configuration`` inside the loop.
 NETWORK_LEN = 30.0
 NETWORK_SEED = 30
-NETWORK_ROW = {"collision": 0, "avg_speed": 24.20319, "min_ttc": 3.72178,
-               "avg_distance": 10.356259, "formation_success": 1, "formation_time": 22.1,
+NETWORK_ROW = {"collision": 0, "avg_speed": 25.000008, "min_ttc": 9.162224,
+               "avg_distance": 10.000012, "formation_success": 0, "formation_time": "",
                "reorganizations": 1, "label_only_splits": 0, "duration": 30.0}
 
 
@@ -514,21 +515,19 @@ def test_lead_info_prefers_first_lowest_finite_ttc():
 
 
 # Case 2 at density 3, 30 s under GRDF-GT and an untrained network policy
-# (network seed 1).  It starts lane-change plans toward both sides without
-# a collision: all three members move left at 11 s, right at 18 s and right
-# again at 22 s, so the planner, the executor's tracking and the end of a
-# plan all run inside the loop.  The digest covers every field of each
+# (network seed 1).  It starts lane-change plans without a collision: the
+# splitting game moves all three members, each its own coalition, right at
+# 11 s, so the planner, the executor's tracking and the end of a plan all
+# run inside the loop.  The digest covers every field of each
 # member's final state, whether its executor tracks a plan ("track") or not
 # ("follow"), and its plan start, with floats in hex.
 PLAN_NET_SEED = 1
 PLAN_SEED = 2
-PLAN_ROW = {"collision": 0, "avg_speed": 24.797487, "min_ttc": 10.184783,
-            "avg_distance": 10.080612, "formation_success": 0, "formation_time": "",
+PLAN_ROW = {"collision": 0, "avg_speed": 25.0, "min_ttc": 7.083543,
+            "avg_distance": 10.0, "formation_success": 0, "formation_time": "",
             "reorganizations": 1, "label_only_splits": 0, "duration": 30.0}
-PLANS = [(11.0, 0, 2, 2.8), (11.0, 1, 2, 2.8), (11.0, 2, 2, 2.8),
-         (18.0, 0, 1, 2.8), (18.0, 1, 1, 2.8), (18.0, 2, 1, 2.8),
-         (22.0, 0, 0, 2.8), (22.0, 1, 0, 2.8), (22.0, 2, 0, 2.8)]
-PLAN_DIGEST = "707c48e4efce2004"
+PLANS = [(11.0, 0, 0, 2.8), (11.0, 1, 0, 2.8), (11.0, 2, 0, 2.8)]
+PLAN_DIGEST = "1965d6f55299a228"
 
 def member_digest(world) -> str:
     def hexed(value):
