@@ -20,10 +20,10 @@ step at a time, so each step's background is ``world.predict``ed once and
 then dropped.  The rollout's overlap check, ``world.touches`` with
 ``OVERLAP_MARGIN``, is the game's one overlap test, and the solve ranks
 joint actions by how many members it flags before their value.  A
-``Prediction`` keeps each member's final ``Pose`` and speed sum, which the profits read
-with the world's ``compute_ttc`` and ``RoadMap.lane_index``, and with
-``riskfield``'s one field, which the platoon layer's ``GameScene.risks``
-reads too.
+``Prediction`` keeps each member's final ``Pose`` and speed sum, which the
+profits read with the world's ``compute_ttc`` and ``RoadMap.lane_index``,
+and with ``riskfield``'s one field, which the platoon layer's
+``GameScene.risks`` reads too.
 """
 
 from __future__ import annotations
