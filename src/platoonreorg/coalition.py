@@ -4,8 +4,10 @@ Vehicles that drive in the same lane, within the compactness bounds, and
 with no foreign vehicle interleaved form coalitions (sub-platoons) that act
 as single players.  Each player picks a lateral action; the joint action
 maximizing the summed coalition profits wins (transferable utility, so the
-grand total is the objective).  In disposition-index mode the merging-phase
-value additionally pays for how scattered the predicted platoon would be.
+grand total is the objective).  The safety profit is the value's unit: the
+other terms carry weights relative to it, and a coalition's value is the
+same in every phase.  In disposition-index mode the merging-phase total
+additionally pays for how scattered the predicted platoon would be.
 
 Prediction uses the laws and the geometry the lower layers act on: members
 move under ``control.follow_accel`` with their own executors' constants, on
@@ -290,20 +292,6 @@ def integration_profit(n_s: int, window_lanes, n_lanes: int) -> float:
     return -n_s * total
 
 
-def tracking_profit(coalition, prediction: Prediction,
-                    w: config.GameConfig | None = None) -> float:
-    """Formation error over consecutive predicted pairs, as a negative value."""
-    w = w or config.DEFAULTS.game
-    if len(coalition) < 2:
-        return 0.0
-    total = 0.0
-    for a, b in zip(coalition, coalition[1:]):
-        pa, pb = prediction.poses[a], prediction.poses[b]
-        total += (abs(pa.x - pb.x - config.D_TARGET) + w.k_y * abs(pa.y - pb.y)
-                  + w.k_v * abs(pa.speed - pb.speed))
-    return -total
-
-
 def _window_lanes(coalition, prediction: Prediction, scene: GameScene,
                   window: float):
     centroid = sum(prediction.poses[i].x for i in coalition) / len(coalition)
@@ -312,30 +300,23 @@ def _window_lanes(coalition, prediction: Prediction, scene: GameScene,
 
 
 def coalition_value(coalition, prediction: Prediction, scene: GameScene,
-                    phase: str, w: config.GameConfig | None = None,
-                    pdi_value: float | None = None,
-                    includes_platoon_leader: bool = False,
+                    w: config.GameConfig | None = None,
                     lane_change_members: int = 0) -> float:
-    """Summed member profits for one coalition under one joint action.
-
-    Splitting uses safety/efficiency/integration; merging adds the tracking
-    term and (in disposition-index mode) pays ``w_pdi`` per index unit, once,
-    attached to the leader coalition so the grand total moves by exactly
-    that amount.  Each changing member pays a small effort cost so
-    near-ties stay in lane.
+    """Summed member profits for one coalition under one joint action, in
+    units of the safety profit: safety, plus ``w_e`` times efficiency,
+    less ``w_it`` times the integration dispersion and ``w_lane_change`` per
+    changing member, so near-ties stay in lane.  The same in every phase;
+    the disposition index is a platoon term that ``evaluate_joint_action``
+    pays once.
     """
     w = w or config.DEFAULTS.game
     value = 0.0
     for i in coalition:
-        value += w.w_s * safety_profit(i, prediction, w)
+        value += safety_profit(i, prediction, w)
         value += w.w_e * efficiency_profit(i, prediction, scene.road.speed_limit)
     value -= w.w_lane_change * lane_change_members
     window_lanes = _window_lanes(coalition, prediction, scene, w.entropy_window)
     value -= w.w_it * integration_profit(len(coalition), window_lanes, scene.road.lane_count)
-    if phase == MERGING:
-        value += w.w_er * tracking_profit(coalition, prediction, w)
-        if pdi_value is not None and includes_platoon_leader:
-            value -= w.w_pdi * pdi_value
     return value
 
 
@@ -367,21 +348,18 @@ def evaluate_joint_action(partition, scene: GameScene, joint_action, prediction:
                           phase: str, w: config.GameConfig | None = None,
                           use_pdi: bool = False):
     """(total value, per-coalition breakdown, PDI) of one joint action from
-    its ``Prediction``."""
+    its ``Prediction``.  In disposition-index mode the merging phase's total
+    also pays ``w_pdi`` per index unit of the predicted platoon, once; the
+    breakdown holds only the coalitions' own values."""
     w = w or config.DEFAULTS.game
+    breakdown = [coalition_value(grp, prediction, scene, w,
+                                 lane_change_members=len(grp) if action != KEEP else 0)
+                 for grp, action in zip(partition, joint_action, strict=True)]
+    total = sum(breakdown)
     pdi_value = None
     if use_pdi and phase == MERGING:
         pdi_value = _predicted_pdi(prediction, scene)
-    total = 0.0
-    breakdown = []
-    for c, grp in enumerate(partition):
-        changing = len(grp) if joint_action[c] != KEEP else 0
-        val = coalition_value(grp, prediction, scene, phase, w,
-                              pdi_value=pdi_value,
-                              includes_platoon_leader=(0 in grp),
-                              lane_change_members=changing)
-        breakdown.append(val)
-        total += val
+        total -= w.w_pdi * pdi_value
     return total, breakdown, pdi_value
 
 

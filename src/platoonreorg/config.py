@@ -87,15 +87,12 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Coalition-game weights and prediction settings."""
+    """Coalition-game weights and prediction settings.  The weights are
+    relative to the safety profit, the game value's unit."""
 
-    w_s: float = 1.0
     w_e: float = 0.6
     w_it: float = 0.2
-    w_er: float = 0.4
     k_tau: float = 0.1
-    k_y: float = 0.5
-    k_v: float = 0.2
     w_pdi: float = 0.05
     w_lane_change: float = 0.3  # effort/exposure cost per changing member
     horizon: float = 3.0        # prediction horizon T_p [s]
@@ -103,8 +100,7 @@ class GameConfig:
     entropy_window: float = 50.0    # +/- window for lane-occupancy counts [m]
 
     def __post_init__(self):
-        weights = (self.w_s, self.w_e, self.w_it, self.w_er, self.k_tau, self.k_y, self.k_v,
-                   self.w_pdi, self.w_lane_change)
+        weights = (self.w_e, self.w_it, self.k_tau, self.w_pdi, self.w_lane_change)
         if not all(0.0 <= w < math.inf for w in weights):
             raise ValueError("game weights must be finite and non-negative")
         scales = (self.horizon, self.ttc_cap, self.entropy_window)
@@ -114,20 +110,21 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """LQR weights of the follow law; natural frequency and damping of the lateral law."""
+    """LQR state weights of the follow law; natural frequency and damping of
+    the lateral law.  The LQR input weight R is the unit of the state
+    weights: R = 1, since the gain depends only on Q/R."""
 
     lqr_q_gap: float = 1.0
     lqr_q_speed: float = 0.5
-    lqr_r: float = 1.0
     lat_omega: float = 1.2      # [rad/s]
     lat_zeta: float = 0.9
 
     def __post_init__(self):
         # an unweighted gap is undetectable, and the LQR gain would not stabilize
-        positive = (self.lqr_q_gap, self.lqr_r, self.lat_omega, self.lat_zeta)
+        positive = (self.lqr_q_gap, self.lat_omega, self.lat_zeta)
         if not (all(0.0 < g < math.inf for g in positive) and 0.0 <= self.lqr_q_speed < math.inf):
             raise ValueError("control gains must be finite, lqr_q_speed non-negative and "
-                             "lqr_q_gap, lqr_r, lat_omega and lat_zeta positive")
+                             "lqr_q_gap, lat_omega and lat_zeta positive")
 
 
 @dataclass(frozen=True)

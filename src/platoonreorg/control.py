@@ -39,16 +39,17 @@ def solve_lqr_gain(gains: config.ControlConfig) -> tuple:
     """Discrete Riccati iteration for the double-integrator error model.
 
     State is [position error, speed error] over one step h = ``config.DT``
-    (A = [[1, h], [0, 1]], B = [h²/2, h]); the input is ego acceleration.  P is
-    symmetric, so three floats carry it, and R + BᵀPB is 1×1.  The iteration
+    (A = [[1, h], [0, 1]], B = [h²/2, h]); the input is ego acceleration,
+    weighted R = 1, the unit of ``gains``' state weights Q.  P is symmetric,
+    so three floats carry it, and R + BᵀPB is 1×1.  The iteration
     stops once no entry of P moves by more than max(1e-12, 1e-14·max|P|).
     """
     h, b0 = config.DT, 0.5 * config.DT * config.DT
-    q00, q11, r = gains.lqr_q_gap, gains.lqr_q_speed, gains.lqr_r
+    q00, q11 = gains.lqr_q_gap, gains.lqr_q_speed
     p00, p01, p11 = q00, 0.0, q11
     for _ in range(20000):
         bp0, bp1 = b0 * p00 + h * p01, b0 * p01 + h * p11  # BᵀP
-        s = r + bp0 * b0 + bp1 * h
+        s = 1.0 + bp0 * b0 + bp1 * h
         k0, k1 = bp0 / s, (bp0 * h + bp1) / s
         c00, c01, c10, c11 = 1.0 - b0 * k0, h - b0 * k1, -h * k0, 1.0 - h * k1  # A - BK
         n00 = q00 + p00 * c00 + p01 * c10  # P' = Q + AᵀP(A - BK)

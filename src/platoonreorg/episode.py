@@ -116,7 +116,6 @@ class GrdfPolicy:
 
     def __init__(self, use_pdi: bool = False, network=None, keep_audit: bool = False):
         self.use_pdi = use_pdi
-        self.name = "grdf-gt" if use_pdi else "grdf"
         self.network = network
         self.keep_audit = keep_audit
         self._audit = []

@@ -50,7 +50,6 @@ class RoadNode:
 class RoadNodeGraph:
     nodes: list
     edges: list                     # (node_id_i, node_id_j, ed_weight), undirected
-    node_spacing: float
     start: int
     end: int
 
@@ -168,8 +167,7 @@ def build_node_graph(road, platoon, background, p: config.PdiConfig | None = Non
                 continue
             if adjacent(a, b, p):
                 edges.append((a.id, b.id, equivalence_distance(a, b, p)))
-    return RoadNodeGraph(nodes=nodes, edges=edges, node_spacing=p.node_spacing,
-                         start=start_id, end=end_id)
+    return RoadNodeGraph(nodes=nodes, edges=edges, start=start_id, end=end_id)
 
 
 @dataclass

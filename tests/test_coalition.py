@@ -19,7 +19,6 @@ from platoonreorg.coalition import (
     GameScene,
     Prediction,
     coalition_conditions_hold,
-    coalition_value,
     efficiency_profit,
     evaluate_joint_action,
     feasible_joint_actions,
@@ -30,7 +29,6 @@ from platoonreorg.coalition import (
     predict_outcomes,
     safety_profit,
     solve_tu_game,
-    tracking_profit,
 )
 from platoonreorg.control import CavExecutor
 from platoonreorg.planner import check_dynamics, generate_lattice, lane_change_time
@@ -499,16 +497,6 @@ class TestProfits:
         value = integration_profit(n_s, lanes, n_lanes)
         assert -1e-12 <= value <= n_s * math.log(n_lanes) + 1e-12
 
-    def test_tracking_examples(self):
-        perfect = prediction([pose(110.0, 4.0, 25.0), pose(100.0, 4.0, 25.0)])
-        assert tracking_profit((0, 1), perfect) == 0.0
-        off = prediction([pose(112.0, 4.0, 25.0), pose(100.0, 4.0, 25.0)])
-        assert tracking_profit((0, 1), off) == pytest.approx(-2.0)
-        lateral = prediction([pose(110.0, 5.0, 25.0), pose(100.0, 4.0, 25.0)])
-        assert tracking_profit((0, 1), lateral) == pytest.approx(-W.k_y * 1.0)
-        singleton = prediction([pose(110.0, 4.0, 25.0)])
-        assert tracking_profit((0,), singleton) == 0.0
-
 
 class TestYawedPass:
     """A member at 9 m/s changes RIGHT from lane 1 and an HDV in lane 0
@@ -655,19 +643,6 @@ class TestSolve:
         assert decision.value == pytest.approx(sum(breakdown), abs=1e-9)
         assert decision.value == pytest.approx(total, abs=1e-9)
 
-    def test_weight_scaling_invariance(self):
-        plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
-        bg = [hdv(9, 185.0, lane=1, speed=10.0), hdv(10, 160.0, lane=2, speed=24.0)]
-        scene = scene_of(plat, bg)
-        part = form_coalitions(plat, bg)
-        base = solve_tu_game(part, scene, SPLITTING, W)
-        scaled_w = dataclasses.replace(
-            W, w_s=W.w_s * 3, w_e=W.w_e * 3, w_it=W.w_it * 3, w_er=W.w_er * 3,
-            k_tau=W.k_tau, w_pdi=W.w_pdi * 3, w_lane_change=W.w_lane_change * 3)
-        scaled = solve_tu_game(part, scene, SPLITTING, scaled_w)
-        assert scaled.joint_action == base.joint_action
-        assert scaled.value == pytest.approx(3 * base.value, rel=1e-9)
-
     def test_a_clean_action_beats_any_overlapping_value(self):
         """A standing car 50 m ahead in lane 1: KEEP's rollout overlaps it
         and LEFT's overlaps nothing.  With a lane-change cost that puts
@@ -694,25 +669,50 @@ class TestSolve:
         part = form_coalitions(plat, [])
         joint = (KEEP,)
         pred = rollout(scene, part, joint)
-        plain, _, _ = evaluate_joint_action(part, scene, joint, pred, MERGING, use_pdi=False)
-        gt, _, pdi_value = evaluate_joint_action(part, scene, joint, pred, MERGING,
-                                                 use_pdi=True)
+        plain, plain_parts, _ = evaluate_joint_action(part, scene, joint, pred, MERGING,
+                                                      use_pdi=False)
+        gt, gt_parts, pdi_value = evaluate_joint_action(part, scene, joint, pred, MERGING,
+                                                        use_pdi=True)
         assert pdi_value is not None and pdi_value > 0
         assert plain - gt == pytest.approx(W.w_pdi * pdi_value, abs=1e-9)
+        assert gt_parts == plain_parts  # the index is the platoon's, not a coalition's
 
     def test_pdi_pressure_monotone(self):
+        """Same state, same action: the merging total falls by exactly the
+        added weight times the index, and no coalition's value moves."""
         plat = [cav(0, 130.0), cav(1, 115.0), cav(2, 100.0)]
         scene = scene_of(plat, [])
         part = form_coalitions(plat, [])
         pred = rollout(scene, part, (KEEP,))
-        base, _, pdi_value = evaluate_joint_action(part, scene, (KEEP,), pred, MERGING,
-                                                   use_pdi=True)
-        # same state, same action, artificially larger index -> strictly lower value
-        val_lo = coalition_value((0, 1, 2), pred, scene, MERGING, pdi_value=pdi_value,
-                                 includes_platoon_leader=True)
-        val_hi = coalition_value((0, 1, 2), pred, scene, MERGING, pdi_value=pdi_value + 5.0,
-                                 includes_platoon_leader=True)
-        assert val_hi < val_lo
+        totals, parts = [], []
+        for w_pdi in (0.0, W.w_pdi, 1.0):
+            w = dataclasses.replace(W, w_pdi=w_pdi)
+            total, breakdown, pdi_value = evaluate_joint_action(part, scene, (KEEP,), pred,
+                                                                MERGING, w, use_pdi=True)
+            totals.append(total)
+            parts.append(breakdown)
+        assert pdi_value > 0
+        assert totals[0] > totals[1] > totals[2]
+        assert totals[0] - totals[2] == pytest.approx(pdi_value, abs=1e-9)
+        assert parts[0] == parts[1] == parts[2]
+
+    def test_the_value_is_the_same_in_every_phase(self):
+        """Members 18 m and 22 m apart, the rear one 0.6 m off its lane's
+        centre, keep a formation error at the horizon, and the value does
+        not read it: without the index, every phase scores each joint action
+        alike."""
+        plat = [cav(0, 130.0), cav(1, 112.0), cav(2, 90.0, y=ROAD.lane_center(1) + 0.6)]
+        bg = [hdv(9, 200.0, lane=1, speed=18.0)]
+        scene = scene_of(plat, bg)
+        part = form_coalitions(plat, bg)
+        assert part == ((0, 1, 2),)
+        for joint in feasible_joint_actions(part, scene):
+            pred = rollout(scene, part, joint)
+            gaps = [a.x - b.x for a, b in zip(pred.poses, pred.poses[1:])]
+            assert max(abs(g - config.D_TARGET) for g in gaps) > 1.0
+            steady = evaluate_joint_action(part, scene, joint, pred, STEADY)
+            assert evaluate_joint_action(part, scene, joint, pred, SPLITTING) == steady
+            assert evaluate_joint_action(part, scene, joint, pred, MERGING) == steady
 
 
 def random_scene(rng):

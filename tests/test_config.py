@@ -11,11 +11,21 @@ from platoonreorg import config
 
 
 def test_defaults_hash_is_stable():
-    assert config.config_hash(config.DEFAULTS) == "a091a16fcc8b53c5"
+    assert config.config_hash(config.DEFAULTS) == "9a4b358771a457c1"
 
 
-GAME_WEIGHTS = ("w_s", "w_e", "w_it", "w_er", "k_tau", "k_y", "k_v", "w_pdi", "w_lane_change")
+GAME_WEIGHTS = ("w_e", "w_it", "k_tau", "w_pdi", "w_lane_change")
 GAME_SCALES = ("horizon", "ttc_cap", "entropy_window")
+CONTROL_GAINS = ("lqr_q_gap", "lqr_q_speed", "lat_omega", "lat_zeta")
+
+
+@pytest.mark.parametrize("cls,names", [(config.GameConfig, GAME_WEIGHTS + GAME_SCALES),
+                                       (config.ControlConfig, CONTROL_GAINS)],
+                         ids=["game", "control"])
+def test_validation_lists_name_every_field(cls, names):
+    """The lists the validation tests run over are exactly the class's
+    fields, so a field can neither escape them nor outlive its deletion."""
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(cls))
 
 
 @pytest.mark.parametrize("name", GAME_WEIGHTS)
@@ -35,9 +45,6 @@ def test_zero_game_weight_accepted(name):
 def test_game_scale_must_be_finite_and_positive(name, value):
     with pytest.raises(ValueError):
         config.GameConfig(**{name: value})
-
-
-CONTROL_GAINS = ("lqr_q_gap", "lqr_q_speed", "lqr_r", "lat_omega", "lat_zeta")
 
 
 @pytest.mark.parametrize("name", CONTROL_GAINS)

@@ -70,21 +70,23 @@ class TestLqr:
 
     def test_bad_gains_rejected(self):
         with pytest.raises(ValueError):
-            config.ControlConfig(lqr_r=0.0)
+            config.ControlConfig(lqr_q_speed=-1.0)
 
     @pytest.mark.parametrize("gains", [
         {}, {"lqr_q_gap": 4.0}, {"lqr_q_gap": 1e7}, {"lqr_q_gap": 1e9},
-        {"lqr_r": 1e-6}, {"lqr_r": 100.0},
+        {"lqr_q_gap": 1e6, "lqr_q_speed": 5e5}, {"lqr_q_gap": 0.01, "lqr_q_speed": 0.005},
     ])
     def test_gain_matches_the_are_oracle(self, gains):
         """The gain from scipy's direct solve of the discrete algebraic Riccati
-        equation.  At ``lqr_q_gap=1e7`` an entry of P is about 1e7, whose ulp
-        is far above a purely absolute 1e-12 stopping step."""
+        equation, with the input weight R = 1.  At ``lqr_q_gap=1e7`` an entry
+        of P is about 1e7, whose ulp is far above a purely absolute 1e-12
+        stopping step; the last two cases scale the default Q by 1e6 and by
+        0.01, the Q/R ratios of R = 1e-6 and R = 100."""
         g = config.ControlConfig(**gains)
         dt = config.DT
         A = np.array([[1.0, dt], [0.0, 1.0]])
         B = np.array([[0.5 * dt * dt], [dt]])
-        R = np.array([[g.lqr_r]])
+        R = np.array([[1.0]])
         P = solve_discrete_are(A, B, np.diag([g.lqr_q_gap, g.lqr_q_speed]), R)
         K_ref = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A).ravel()
         assert solve_lqr_gain(g) == pytest.approx(K_ref.tolist(), rel=1e-9)
@@ -92,13 +94,13 @@ class TestLqr:
     def test_unobservable_gap_is_not_stabilizing(self):
         """Without a gap weight the position error is free, and the converged
         gain leaves the closed loop a unit eigenvalue.  ``ControlConfig``
-        refuses the weight; a stand-in with the three LQR fields still
-        reaches the solver's check."""
+        refuses the weight; a stand-in with the two LQR fields still reaches
+        the solver's check."""
         with pytest.raises(ValueError, match="lqr_q_gap"):
             config.ControlConfig(lqr_q_gap=0.0)
-        LqrGains = namedtuple("LqrGains", "lqr_q_gap lqr_q_speed lqr_r")
+        LqrGains = namedtuple("LqrGains", "lqr_q_gap lqr_q_speed")
         with pytest.raises(ControlError, match="not stabilizing"):
-            solve_lqr_gain(LqrGains(lqr_q_gap=0.0, lqr_q_speed=0.5, lqr_r=1.0))
+            solve_lqr_gain(LqrGains(lqr_q_gap=0.0, lqr_q_speed=0.5))
 
     def test_schur_test_matches_the_eigenvalues(self):
         mats = np.random.default_rng(0).uniform(-1.5, 1.5, size=(10000, 2, 2))

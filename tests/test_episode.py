@@ -14,10 +14,10 @@ invariants and monitor, unless its spec is rejected.  Case 2's leader
 braking to a standstill in front of the platoon on 3 and 4 lanes, seeds
 0-2, must be cleared by a lane change without a collision, each member
 running the plan the game scored.  A case-1 network-policy episode whose one window becomes a
-reorganization is pinned below.  Two case-1 heuristic episodes check that
+reorganization is pinned below.  A case-1 heuristic episode checks that
 the reward, the metrics and the game phase read one reorganization clock,
-and that a split the game answers by keeping every coalition in lane is
-label-only.  A case-2 network-policy episode pins every lane-change plan
+and a case-2 network-policy episode that a split the game answers by
+keeping every coalition in lane is label-only.  A case-2 network-policy episode pins every lane-change plan
 the game hands the executors and the final member states, so the
 game-to-executor path has an end-to-end guard; there and in a case-1
 episode every plan an executor starts is the object the game scored.
@@ -250,13 +250,18 @@ def test_reward_metrics_and_game_phase_share_one_clock():
 
 
 def test_a_split_the_game_answers_with_keep_is_label_only():
-    """Case 1 seed 234 splits into (0) and (1, 2) at 6.0 s, and on every
-    splitting tick the game keeps both coalitions in lane: no vehicle makes
-    a reorganization, so the split is label-only and nothing is timed."""
-    policy, result = run_heuristic_case1(234)
+    """Case 2 at density 3 under a network policy (seed 2), episode seed 0,
+    splits into (0, 1) and (2) at 16.0 s, and on all 14 splitting ticks the
+    game keeps every coalition in lane: no vehicle makes a reorganization,
+    so the split is label-only and nothing is timed."""
+    spec = case2_spec(density=3.0, episode_len=30.0)
+    policy = GrdfPolicy(network=PolicyNetwork(obs_dim=72, n_actions=4, seed=2), keep_audit=True)
+    result = run_episode(build_scenario(spec, 0), policy, 0, spec.episode_len,
+                         spec.success_window)
     splitting = [r for r in policy.audit_rows() if r["phase"] == SPLITTING]
-    assert (splitting[0]["t"], splitting[0]["coalitions"]) == (6.0, [[0], [1, 2]])
-    assert all(r["action"] == [KEEP, KEEP] for r in splitting)
+    assert (splitting[0]["t"], splitting[0]["coalitions"]) == (16.0, [[0, 1], [2]])
+    assert len(splitting) == 14
+    assert all(a == KEEP for r in splitting for a in r["action"])
     row = result.metrics.row()
     assert (row["reorganizations"], row["label_only_splits"], row["formation_time"],
             row["formation_success"]) == (0, 1, "", 0)

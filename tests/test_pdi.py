@@ -39,8 +39,7 @@ def graph_of(nodes, start, end):
                 continue
             if adjacent(a, b, P):
                 edges.append((a.id, b.id, equivalence_distance(a, b, P)))
-    return RoadNodeGraph(nodes=nodes, edges=edges, node_spacing=P.node_spacing,
-                         start=start, end=end)
+    return RoadNodeGraph(nodes=nodes, edges=edges, start=start, end=end)
 
 
 def chain_graph(xs, lane=0, blocked=(), start=0, end=None):

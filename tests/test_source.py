@@ -151,13 +151,13 @@ def defaults_replacements(source: str) -> list[str]:
 
 def test_defaults_scan_sees_only_replaced_defaults():
     source = ("p = replace(config.DEFAULTS.pdi, d_norm=1.0)\n"
-              "q = dataclasses.replace(DEFAULTS.game, w_s=2.0)\n"
+              "q = dataclasses.replace(DEFAULTS.game, w_e=2.0)\n"
               "r = replace(params, d_norm=1.0)\n"
               "s = pose._replace(x=config.DEFAULTS.pdi.d_norm)\n"
               "t = name.replace('a', 'b')\n")
     assert defaults_replacements(source) == [
         "1 replace(config.DEFAULTS.pdi, d_norm=1.0)",
-        "2 dataclasses.replace(DEFAULTS.game, w_s=2.0)"]
+        "2 dataclasses.replace(DEFAULTS.game, w_e=2.0)"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
